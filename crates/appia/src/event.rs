@@ -269,6 +269,16 @@ impl Event {
         }
     }
 
+    /// Gives the carried message, if the payload has one, a buffer of its
+    /// own ([`Message::compact`]). A layer calls this before holding an event
+    /// back past the one that delivered it.
+    pub fn compact(&mut self) {
+        if let Some(sendable) = self.payload.as_sendable_mut() {
+            let message = sendable.message_mut();
+            *message = message.compact();
+        }
+    }
+
     /// Name of the payload type.
     pub fn type_name(&self) -> &'static str {
         self.payload.type_name()

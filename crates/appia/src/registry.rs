@@ -123,10 +123,14 @@ impl std::fmt::Debug for EventFactoryRegistry {
     }
 }
 
+/// Room for the wire name (length-prefixed) and the send header of a frame;
+/// event names in the suite stay well under 50 bytes.
+const ENVELOPE_RESERVE: usize = 64;
+
 /// Serialises a sendable event into the byte form carried by a packet:
 /// `[wire name][send header][message]`.
 pub fn encode_event(event: &dyn Sendable) -> Bytes {
-    let mut w = WireWriter::with_capacity(64 + event.message().size());
+    let mut w = WireWriter::with_capacity(ENVELOPE_RESERVE + event.message().encoded_len());
     encode_event_body(&mut w, event);
     w.finish()
 }
@@ -140,7 +144,9 @@ pub fn encode_event(event: &dyn Sendable) -> Bytes {
 /// The kernel owns one scratch writer and exposes this path to the network
 /// driver through [`crate::kernel::EventContext::encode_sendable`].
 pub fn encode_event_into(scratch: &mut WireWriter, event: &dyn Sendable) -> Bytes {
-    scratch.reserve(64 + event.message().size());
+    // The whole frame is reserved up front, so no `put_*` below re-reserves
+    // mid-frame (which would copy the partial frame into a fresh chunk).
+    scratch.reserve(ENVELOPE_RESERVE + event.message().encoded_len());
     encode_event_body(scratch, event);
     scratch.split_frame()
 }
@@ -153,15 +159,19 @@ fn encode_event_body(w: &mut WireWriter, event: &dyn Sendable) {
 
 /// Decodes the byte form produced by [`encode_event`] back into a typed
 /// payload, using the factory registered for its wire name.
+///
+/// Zero-copy: the wire name is matched in place and the message's headers
+/// and payload are slices of `payload`. The only allocation is the payload
+/// box the factory makes.
 pub fn decode_event(
     factories: &EventFactoryRegistry,
-    payload: &[u8],
+    payload: &Bytes,
 ) -> Result<Box<dyn EventPayload>> {
-    let mut r = WireReader::new(payload);
-    let name = r.get_str()?;
+    let mut r = WireReader::over(payload);
+    let name = r.get_str_ref()?;
     let header = SendHeader::decode(&mut r)?;
     let message = Message::decode(&mut r)?;
-    factories.create(&name, header, message)
+    factories.create(name, header, message)
 }
 
 #[cfg(test)]
@@ -204,7 +214,7 @@ mod tests {
     fn corrupted_packet_is_rejected() {
         let mut factories = EventFactoryRegistry::new();
         DataEvent::register(&mut factories);
-        let err = decode_event(&factories, &[0xFF, 0x01]).unwrap_err();
+        let err = decode_event(&factories, &Bytes::from_static(&[0xFF, 0x01])).unwrap_err();
         assert!(matches!(err, AppiaError::Wire(_)));
     }
 }

@@ -67,13 +67,23 @@ pub trait Wire: Sized {
 
     /// Decodes a value from a byte slice, requiring the slice to be fully consumed.
     fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let value = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::Malformed("trailing bytes"));
-        }
-        Ok(value)
+        decode_whole(WireReader::new(bytes))
     }
+
+    /// [`Wire::from_bytes`] over a shared buffer: byte fields of the value
+    /// are slices of `bytes` instead of copies ([`WireReader::over`]).
+    fn from_shared(bytes: &Bytes) -> Result<Self, WireError> {
+        decode_whole(WireReader::over(bytes))
+    }
+}
+
+/// Decodes one value that must use up the reader's whole input.
+fn decode_whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, WireError> {
+    let value = T::decode(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(WireError::Malformed("trailing bytes"));
+    }
+    Ok(value)
 }
 
 /// An append-only encoder for the wire format.
@@ -168,6 +178,11 @@ impl WireWriter {
         self.buf.put_slice(value);
     }
 
+    /// Appends bytes that are already in wire form, as they are.
+    pub fn put_raw(&mut self, encoded: &[u8]) {
+        self.buf.put_slice(encoded);
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, value: &str) {
         self.put_bytes(value.as_bytes());
@@ -207,6 +222,18 @@ thread_local! {
         std::cell::RefCell::new(WireWriter::new());
 }
 
+/// Starts the shared frame scratch afresh: the next frame opens a new buffer.
+///
+/// The scratch is per-thread state that outlives every kernel. How far into
+/// its chunk it is, and whether a live header pins the chunk at the moment
+/// it runs out, decide when the next chunk is allocated — so a run's
+/// allocation count would depend on what the thread encoded *before* the
+/// run. A driver that replays runs (the testbed runner) calls this first;
+/// the counts of a run are then a function of the run alone.
+pub fn reset_frame_scratch() {
+    FRAME_SCRATCH.with(|cell| *cell.borrow_mut() = WireWriter::new());
+}
+
 /// Encodes one frame through a shared reusable scratch writer.
 ///
 /// The closure writes the frame; the written bytes are split off and
@@ -224,16 +251,40 @@ pub fn encode_pooled(encode: impl FnOnce(&mut WireWriter)) -> Bytes {
 }
 
 /// A cursor-style decoder for the wire format.
+///
+/// Built over a plain slice ([`WireReader::new`]) every byte field is copied
+/// out into its own buffer. Built over a [`Bytes`] ([`WireReader::over`])
+/// byte fields are *slices of that buffer*: nothing is copied, and the
+/// returned values keep the buffer's allocation alive. A layer that retains
+/// such a value past the event that delivered it must store its own copy
+/// ([`crate::message::Message::compact`]), or one small field pins the whole
+/// packet buffer it was cut from.
 #[derive(Debug)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The buffer `buf` views, when byte fields are to be sliced from it.
+    backing: Option<&'a Bytes>,
 }
 
 impl<'a> WireReader<'a> {
-    /// Creates a reader over the given bytes.
+    /// Creates a reader over the given bytes; byte fields are copied out.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            backing: None,
+        }
+    }
+
+    /// Creates a reader over a shared buffer; byte fields are returned as
+    /// slices of it (zero-copy).
+    pub fn over(bytes: &'a Bytes) -> Self {
+        Self {
+            buf: bytes.as_slice(),
+            pos: 0,
+            backing: Some(bytes),
+        }
     }
 
     /// Number of unread bytes.
@@ -300,19 +351,34 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_be_bytes(self.take_array()?))
     }
 
-    /// Reads a length-prefixed byte slice.
-    pub fn get_bytes(&mut self) -> Result<Bytes, WireError> {
+    /// Reads a length-prefixed byte field, borrowed from the input.
+    pub fn get_bytes_ref(&mut self) -> Result<&'a [u8], WireError> {
         let len = u64::from(self.get_u32()?);
         if len > MAX_FIELD_LEN {
             return Err(WireError::LengthOutOfRange(len));
         }
-        Ok(Bytes::copy_from_slice(self.take(len as usize)?))
+        self.take(len as usize)
+    }
+
+    /// Reads a length-prefixed byte field: a slice of the backing buffer when
+    /// the reader has one, a fresh copy otherwise.
+    pub fn get_bytes(&mut self) -> Result<Bytes, WireError> {
+        let field = self.get_bytes_ref()?;
+        Ok(match self.backing {
+            // `take` has bounds-checked the field, which ends at `pos`.
+            Some(backing) => backing.slice(self.pos - field.len()..self.pos),
+            None => Bytes::copy_from_slice(field),
+        })
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.get_bytes_ref()?).map_err(|_| WireError::InvalidUtf8)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
-        let bytes = self.get_bytes()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::InvalidUtf8)
+        self.get_str_ref().map(str::to_owned)
     }
 
     /// Reads a length-prefixed list of `u32` values. The advertised count

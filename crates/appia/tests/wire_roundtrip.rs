@@ -4,12 +4,20 @@
 //! shrink (interpretation is ~1000× slower than native), but every code
 //! path is still exercised at least once.
 
+use bytes::Bytes;
+use morpheus_appia::message::Message;
 use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
 
 #[cfg(miri)]
 const SWEEP_BUFFERS: usize = 8;
 #[cfg(not(miri))]
 const SWEEP_BUFFERS: usize = 256;
+
+/// Bit flips tried per byte by the differential sweep.
+#[cfg(miri)]
+const FLIPPED_BITS: [u8; 1] = [3];
+#[cfg(not(miri))]
+const FLIPPED_BITS: [u8; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
 
 /// Deterministic pseudo-random byte stream (no OS entropy: replays
 /// identically everywhere, including under Miri).
@@ -110,4 +118,120 @@ fn hostile_length_prefix_is_rejected() {
         r.get_bytes().unwrap_err(),
         WireError::LengthOutOfRange(_) | WireError::UnexpectedEof
     ));
+}
+
+/// One value of every field kind the reader has a primitive for.
+#[derive(Debug, PartialEq)]
+struct Mixed {
+    tag: u8,
+    blob: Bytes,
+    text: String,
+    words: Vec<u32>,
+    longs: Vec<u64>,
+    tail: Bytes,
+}
+
+impl Wire for Mixed {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u8(self.tag);
+        w.put_bytes(&self.blob);
+        w.put_str(&self.text);
+        w.put_u32_list(&self.words);
+        w.put_u64_list(&self.longs);
+        w.put_bytes(&self.tail);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            tag: r.get_u8()?,
+            blob: r.get_bytes()?,
+            text: r.get_str()?,
+            words: r.get_u32_list()?,
+            longs: r.get_u64_list()?,
+            tail: r.get_bytes()?,
+        })
+    }
+}
+
+/// The copying reader (`WireReader::new`, behind `from_bytes`) and the
+/// slicing one (`WireReader::over`, behind `from_shared` and every packet
+/// receive) must be indistinguishable from outside: the same value or the
+/// same error, never a panic.
+fn readers_agree<T: Wire + PartialEq + std::fmt::Debug>(input: &[u8]) {
+    let copied = T::from_bytes(input);
+    let sliced = T::from_shared(&Bytes::from(input.to_vec()));
+    assert_eq!(copied, sliced, "readers disagree on {input:?}");
+}
+
+/// [`readers_agree`] on a valid encoding, every truncation of it and every
+/// single-bit flip.
+fn readers_agree_on_every_mutation<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
+    let bytes = value.to_bytes().to_vec();
+    assert_eq!(
+        T::from_shared(&Bytes::from(bytes.clone())).as_ref(),
+        Ok(value)
+    );
+    for len in 0..=bytes.len() {
+        readers_agree::<T>(&bytes[..len]);
+    }
+    for index in 0..bytes.len() {
+        for bit in FLIPPED_BITS {
+            let mut mutated = bytes.clone();
+            mutated[index] ^= 1 << bit;
+            readers_agree::<T>(&mutated);
+        }
+    }
+}
+
+#[test]
+fn slicing_and_copying_readers_agree_on_every_mutation() {
+    readers_agree_on_every_mutation(&vec!["".to_string(), "héllo".to_string(), "x".repeat(40)]);
+    readers_agree_on_every_mutation(&vec![
+        vec!["alpha".to_string(), "beta".to_string()],
+        vec!["gamma".to_string()],
+    ]);
+    readers_agree_on_every_mutation(&Mixed {
+        tag: 0xAB,
+        blob: Bytes::from_static(&[0, 255, 1, 254]),
+        text: "olá".to_string(),
+        words: vec![7; 5],
+        longs: vec![u64::MAX, 0],
+        tail: Bytes::new(),
+    });
+
+    // Messages: within the inline header capacity, beyond it, and nested
+    // (a message riding in another one's header, as gossip batches do).
+    let mut inner = Message::with_payload(&b"inner payload"[..]);
+    inner.push(&1u32);
+    inner.push(&"two".to_string());
+    readers_agree_on_every_mutation(&inner);
+    let mut deep = Message::with_payload(&b"p"[..]);
+    for depth in 0..6u64 {
+        deep.push(&depth);
+    }
+    readers_agree_on_every_mutation(&deep);
+    let mut outer = Message::new();
+    outer.push(&inner);
+    readers_agree_on_every_mutation(&outer);
+    let mut received = Message::from_shared(&outer.to_bytes()).unwrap();
+    assert_eq!(received.pop::<Message>().unwrap(), inner);
+}
+
+/// The same agreement on pseudo-random garbage, primitive by primitive.
+#[test]
+fn slicing_and_copying_readers_agree_on_garbage() {
+    let mut rng = Lcg(0x5EED_0002);
+    for round in 0..SWEEP_BUFFERS {
+        let buf: Vec<u8> = (0..round % 48).map(|_| rng.next_byte()).collect();
+        readers_agree::<Mixed>(&buf);
+        readers_agree::<Message>(&buf);
+        readers_agree::<Vec<String>>(&buf);
+
+        let shared = Bytes::from(buf.clone());
+        let (mut copying, mut slicing) = (WireReader::new(&buf), WireReader::over(&shared));
+        assert_eq!(copying.get_str_ref(), slicing.get_str_ref());
+        assert_eq!(copying.get_bytes(), slicing.get_bytes());
+        assert_eq!(copying.get_bytes_ref(), slicing.get_bytes_ref());
+        assert_eq!(copying.remaining(), slicing.remaining());
+    }
 }

@@ -8,7 +8,10 @@
 //! * end-to-end group sends per second through the full stack;
 //! * session hops per second (each send traverses `depth + 2` sessions);
 //! * heap allocations and allocated bytes per send, via a counting
-//!   global allocator.
+//!   global allocator;
+//! * the receive half: one of those sends' packets, encoded once, delivered
+//!   to a second kernel over and over — nanoseconds and allocations per
+//!   `deliver_packet`.
 //!
 //! Run with `cargo run --release -p morpheus-bench --bin
 //! kernel_throughput_quick [output-path]`.
@@ -22,7 +25,7 @@ use morpheus_appia::event::{Event, EventSpec};
 use morpheus_appia::events::DataEvent;
 use morpheus_appia::kernel::EventContext;
 use morpheus_appia::layer::{Layer, LayerParams};
-use morpheus_appia::platform::{NodeId, TestPlatform};
+use morpheus_appia::platform::{InPacket, NodeId, PacketDest, TestPlatform};
 use morpheus_appia::session::Session;
 use morpheus_appia::{Kernel, Message};
 use morpheus_groupcomm::register_suite;
@@ -97,7 +100,7 @@ impl Session for PassThroughSession {
     }
 }
 
-fn deep_stack(depth: usize) -> (Kernel, TestPlatform, morpheus_appia::ChannelId) {
+fn deep_stack(node: NodeId, depth: usize) -> (Kernel, TestPlatform, morpheus_appia::ChannelId) {
     let mut kernel = Kernel::new();
     register_suite(&mut kernel);
     for index in 0..depth {
@@ -105,7 +108,7 @@ fn deep_stack(depth: usize) -> (Kernel, TestPlatform, morpheus_appia::ChannelId)
             name: format!("relay{index}"),
         });
     }
-    let mut platform = TestPlatform::new(NodeId(1));
+    let mut platform = TestPlatform::new(node);
     let mut config = ChannelConfig::new("bench")
         .with_layer(LayerSpec::new("network"))
         .with_layer(LayerSpec::new("beb").with_param("members", "1,2,3,4"));
@@ -125,10 +128,61 @@ struct DepthResult {
     allocations_per_send: f64,
     allocated_bytes_per_send: f64,
     ns_per_send: f64,
+    allocations_per_receive: f64,
+    ns_per_receive: f64,
+}
+
+/// The packet node 1 sends node 2 for one group send, as node 2 receives it.
+fn one_packet(depth: usize) -> InPacket {
+    let (mut kernel, mut platform, id) = deep_stack(NodeId(1), depth);
+    let event = Event::down(DataEvent::to_group(
+        NodeId(1),
+        Message::with_payload(&b"x"[..]),
+    ));
+    kernel.dispatch_and_process(id, event, &mut platform);
+    let out = platform
+        .take_sent()
+        .into_iter()
+        .find(|out| out.dest == PacketDest::Node(NodeId(2)))
+        .expect("beb sends every member a copy");
+    InPacket {
+        from: out.from,
+        to: NodeId(2),
+        class: out.class,
+        channel: out.channel,
+        // A buffer of its own, as a network backend would hand it over.
+        payload: out.payload.to_vec().into(),
+    }
+}
+
+/// Delivers the same packet `receives` times to node 2: `(allocations,
+/// nanoseconds)` per `deliver_packet`, decode to application delivery.
+fn measure_receive(depth: usize, receives: usize) -> (f64, f64) {
+    let packet = one_packet(depth);
+    let (mut kernel, mut platform, _) = deep_stack(NodeId(2), depth);
+    let mut run = |count: usize| {
+        for _ in 0..count {
+            kernel
+                .deliver_packet(packet.clone(), &mut platform)
+                .expect("the packet decodes");
+            // Keeps its capacity: recording a delivery does not allocate.
+            platform.deliveries.clear();
+        }
+    };
+    run(receives / 10);
+    let (allocs_before, _) = alloc_snapshot();
+    let started = Instant::now();
+    run(receives);
+    let elapsed = started.elapsed();
+    let (allocs_after, _) = alloc_snapshot();
+    (
+        (allocs_after - allocs_before) as f64 / receives as f64,
+        elapsed.as_nanos() as f64 / receives as f64,
+    )
 }
 
 fn measure_depth(depth: usize, sends: usize) -> DepthResult {
-    let (mut kernel, mut platform, id) = deep_stack(depth);
+    let (mut kernel, mut platform, id) = deep_stack(NodeId(1), depth);
 
     let run = |kernel: &mut Kernel, platform: &mut TestPlatform, count: usize| {
         for _ in 0..count {
@@ -171,6 +225,8 @@ fn measure_depth(depth: usize, sends: usize) -> DepthResult {
     platform.take_sent();
     let batch_elapsed = batch_started.elapsed();
 
+    let (allocations_per_receive, ns_per_receive) = measure_receive(depth, sends);
+
     let secs = elapsed.as_secs_f64();
     // Each group send is handled by the app interface, `depth` relays, the
     // best-effort multicast layer and the network driver.
@@ -183,8 +239,16 @@ fn measure_depth(depth: usize, sends: usize) -> DepthResult {
         allocations_per_send: (allocs_after - allocs_before) as f64 / sends as f64,
         allocated_bytes_per_send: (bytes_after - bytes_before) as f64 / sends as f64,
         ns_per_send: elapsed.as_nanos() as f64 / sends as f64,
+        allocations_per_receive,
+        ns_per_receive,
     }
 }
+
+/// Which per-receive allocations remain, recorded next to the numbers.
+const RECEIVE_ALLOCATIONS: &str = "1 per packet: the Box<dyn EventPayload> the event factory \
+     makes for the decoded event. Irreducible while events are boxed trait objects; the wire \
+     name, the send header, every layer header and the payload are read in place or sliced \
+     from the packet buffer, and the header stack (<= 4 headers) lives inline in the message.";
 
 fn main() {
     let output = std::env::args()
@@ -199,13 +263,21 @@ fn main() {
     let mut results = Vec::new();
     eprintln!("kernel-throughput quick mode: {sends} group sends per depth");
     eprintln!(
-        "{:>6}  {:>14}  {:>14}  {:>14}  {:>12}  {:>14}  {:>12}",
-        "depth", "sends/s", "batched/s", "hops/s", "ns/send", "allocs/send", "bytes/send"
+        "{:>6}  {:>14}  {:>14}  {:>14}  {:>12}  {:>14}  {:>12}  {:>12}  {:>14}",
+        "depth",
+        "sends/s",
+        "batched/s",
+        "hops/s",
+        "ns/send",
+        "allocs/send",
+        "bytes/send",
+        "ns/receive",
+        "allocs/receive"
     );
     for depth in depths {
         let result = measure_depth(depth, sends);
         eprintln!(
-            "{:>6}  {:>14.0}  {:>14.0}  {:>14.0}  {:>12.0}  {:>14.2}  {:>12.1}",
+            "{:>6}  {:>14.0}  {:>14.0}  {:>14.0}  {:>12.0}  {:>14.2}  {:>12.1}  {:>12.0}  {:>14.2}",
             result.depth,
             result.sends_per_sec,
             result.batched_sends_per_sec,
@@ -213,6 +285,8 @@ fn main() {
             result.ns_per_send,
             result.allocations_per_send,
             result.allocated_bytes_per_send,
+            result.ns_per_receive,
+            result.allocations_per_receive,
         );
         results.push(result);
     }
@@ -230,13 +304,18 @@ fn main() {
     json.push_str("  \"mode\": \"quick\",\n");
     json.push_str(&format!("  {},\n", morpheus_bench::metadata_json(&meta)));
     json.push_str(&format!("  \"sends_per_depth\": {sends},\n"));
+    json.push_str(&format!("  \"receives_per_depth\": {sends},\n"));
+    json.push_str(&format!(
+        "  \"receive_allocations\": \"{RECEIVE_ALLOCATIONS}\",\n"
+    ));
     json.push_str("  \"results\": [\n");
     for (index, result) in results.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"stack_depth\": {}, \"events_per_sec\": {:.0}, \
              \"batched_events_per_sec\": {:.0}, \"hops_per_sec\": {:.0}, \
              \"ns_per_send\": {:.1}, \"allocations_per_event\": {:.3}, \
-             \"allocated_bytes_per_event\": {:.1}}}{}\n",
+             \"allocated_bytes_per_event\": {:.1}, \"ns_per_receive\": {:.1}, \
+             \"allocs_per_receive\": {:.3}}}{}\n",
             result.depth,
             result.sends_per_sec,
             result.batched_sends_per_sec,
@@ -244,6 +323,8 @@ fn main() {
             result.ns_per_send,
             result.allocations_per_send,
             result.allocated_bytes_per_send,
+            result.ns_per_receive,
+            result.allocations_per_receive,
             if index + 1 == results.len() { "" } else { "," },
         ));
     }

@@ -260,17 +260,16 @@ pub struct CoreSession {
 
 impl CoreSession {
     /// Members not currently suspected by the control-plane failure detector.
-    fn live_members(&self) -> Vec<NodeId> {
+    fn live_members(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.members
             .iter()
             .copied()
             .filter(|member| !self.suspected.contains(member))
-            .collect()
     }
 
     /// The current coordinator: the lowest live member id.
     fn coordinator(&self) -> Option<NodeId> {
-        self.live_members().into_iter().min()
+        self.live_members().min()
     }
 
     fn arm_round_timer(&mut self, ctx: &mut EventContext<'_>) {
@@ -328,7 +327,7 @@ impl CoreSession {
         }
         // The policy sees only the live membership and its context: a crashed
         // relay candidate must not be selected again.
-        let live = self.live_members();
+        let live = self.live_members().collect();
         let mut store = self.store.clone();
         for suspect in &self.suspected {
             store.remove(*suspect);
@@ -365,7 +364,9 @@ impl CoreSession {
         // here; it is committed when the round completes. The description is
         // rendered over the *live* membership, so generated stacks stop
         // listing crashed nodes.
-        let config = self.catalog.config_for_members(&kind, self.live_members());
+        let config = self
+            .catalog
+            .config_for_members(&kind, self.live_members().collect());
         let description = config.to_xml();
         // Every member must ack — the coordinator and suspected ones
         // included; completion excludes whoever is suspected *at completion
@@ -422,7 +423,7 @@ impl CoreSession {
             epoch: round.ballot.epoch,
             latency_ms: elapsed,
             retransmits: round.retransmits,
-            nodes: self.live_members().len(),
+            nodes: self.live_members().count(),
         });
     }
 
@@ -451,10 +452,8 @@ impl CoreSession {
             return;
         }
         let local = ctx.node_id();
-        let live = self.live_members();
-        let behind: Vec<NodeId> = live
-            .iter()
-            .copied()
+        let behind: Vec<NodeId> = self
+            .live_members()
             .filter(|member| *member != local && !self.confirmed.contains(member))
             .collect();
         if behind.is_empty() {
@@ -471,7 +470,11 @@ impl CoreSession {
             .installed
             .as_ref()
             .and_then(|installed| installed.kind.clone())
-            .map(|kind| self.catalog.config_for_members(&kind, live).to_xml());
+            .map(|kind| {
+                self.catalog
+                    .config_for_members(&kind, self.live_members().collect())
+                    .to_xml()
+            });
         let installed = self.installed.as_mut().expect("installed checked above");
         installed.epoch = self.engine.epoch();
         if let Some(description) = refreshed {

@@ -143,6 +143,8 @@ impl Session for CausalSession {
                     self.drain_pending(ctx);
                 } else {
                     self.delayed += 1;
+                    // Held past this event: must not pin the packet buffer.
+                    event.compact();
                     self.pending.push((header, event));
                 }
             }

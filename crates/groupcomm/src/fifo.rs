@@ -93,6 +93,8 @@ impl Session for FifoSession {
                     return; // duplicate
                 }
                 if header.seq > state.expected {
+                    // Held past this event: must not pin the packet buffer.
+                    event.compact();
                     state.pending.insert(header.seq, event);
                     // If the reordering window overflows, give up on the gap:
                     // advance to the oldest buffered message.

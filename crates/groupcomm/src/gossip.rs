@@ -26,6 +26,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
+use bytes::Bytes;
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
 use morpheus_appia::kernel::EventContext;
@@ -33,6 +34,7 @@ use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
+use morpheus_appia::wire::{encode_pooled, Wire};
 
 use crate::events::{
     CatchupRequest, GossipBatch, GossipRepairDigest, GossipRepairFloor, GossipRepairPull,
@@ -109,13 +111,30 @@ pub fn sample_peers(
     limit: usize,
     ctx: &mut EventContext<'_>,
 ) -> Vec<NodeId> {
-    let mut pool: Vec<NodeId> = members
-        .iter()
-        .copied()
-        .filter(|member| !exclude.contains(member))
-        .collect();
+    let mut pool = Vec::new();
+    sample_peers_into(members, exclude, limit, ctx, &mut pool);
+    pool
+}
+
+/// [`sample_peers`] into a caller-owned buffer (cleared first), so a caller
+/// sampling on every message arrival reuses one allocation. Same draws, same
+/// order.
+pub fn sample_peers_into(
+    members: &[NodeId],
+    exclude: &[NodeId],
+    limit: usize,
+    ctx: &mut EventContext<'_>,
+    pool: &mut Vec<NodeId>,
+) {
+    pool.clear();
+    pool.extend(
+        members
+            .iter()
+            .copied()
+            .filter(|member| !exclude.contains(member)),
+    );
     if pool.len() <= limit {
-        return pool;
+        return;
     }
     for index in 0..limit {
         let remaining = pool.len() - index;
@@ -123,7 +142,6 @@ pub fn sample_peers(
         pool.swap(index, pick);
     }
     pool.truncate(limit);
-    pool
 }
 
 /// Counters of one gossip session, exposed to the node runtime (and from
@@ -276,9 +294,12 @@ pub struct GossipSession {
     floor_breaches: HashMap<StreamKey, (u64, u64, NodeId)>,
     /// The repair log: recently delivered original messages, servable on a
     /// NACK pull. Bounded by `repair_log_cap` (ring) and
-    /// `repair_log_ttl_ms` (age).
+    /// `repair_log_ttl_ms` (age). Held in wire form ([`Wire::to_bytes`]):
+    /// one exactly-sized buffer per message, never slices of the packet it
+    /// arrived in — the log keeps entries for seconds, and a slice would pin
+    /// the sender's whole packet buffer for as long.
     // bound: `repair_log_cap` ring + `repair_log_ttl_ms` age, enforced inside `RepairLog`.
-    log: RepairLog<Message>,
+    log: RepairLog<Bytes>,
     pulls_this_interval: usize,
     pushes_this_interval: usize,
     repair_timer: Option<u64>,
@@ -289,9 +310,11 @@ pub struct GossipSession {
     /// Per-peer outbox cap (drop-newest beyond it).
     outbox_cap: usize,
     /// Deferred pushes per peer, flushed as aggregated batches on the
-    /// zero-delay flush timer once credit allows.
+    /// zero-delay flush timer once credit allows. Wire-form messages, like
+    /// the log (whose buffers they share): a credit-starved entry waits
+    /// here for whole repair intervals.
     // bound: keys <= view size (pruned on view install); each queue capped at `outbox_cap` (drop-newest, counted in `outbox_shed`).
-    outbox: BTreeMap<NodeId, VecDeque<(GossipHeader, Message)>>,
+    outbox: BTreeMap<NodeId, VecDeque<(GossipHeader, Bytes)>>,
     /// Send-side credit remaining per peer, refilled by digest grants.
     // bound: <= view size keys, pruned on view install.
     credits: HashMap<NodeId, u32>,
@@ -300,6 +323,9 @@ pub struct GossipSession {
     // bound: <= view size keys, pruned on view install.
     granted: HashMap<NodeId, u32>,
     flush_timer: Option<u64>,
+    /// Scratch for the relay targets drawn on every push arrival.
+    // bound: <= view size; overwritten by every sample.
+    relay_targets: Vec<NodeId>,
     stats: GossipStats,
 }
 
@@ -345,6 +371,7 @@ impl GossipSession {
             credits: HashMap::new(),
             granted: HashMap::new(),
             flush_timer: None,
+            relay_targets: Vec::new(),
             stats: GossipStats::default(),
         }
     }
@@ -446,13 +473,12 @@ impl GossipSession {
         self.log.drop_stream(key);
     }
 
-    /// Stores a delivered message in the bounded repair log.
-    fn log_store(&mut self, key: StreamKey, seq: u64, message: Message, now_ms: u64) {
+    /// Stores a delivered message (in wire form) in the bounded repair log.
+    fn log_store(&mut self, key: StreamKey, seq: u64, frame: Bytes, now_ms: u64) {
         if !self.repair_enabled() {
             return;
         }
-        self.log
-            .store(key, seq, message, now_ms, self.repair_log_cap);
+        self.log.store(key, seq, frame, now_ms, self.repair_log_cap);
     }
 
     /// Drops logged messages older than `repair_log_ttl_ms`.
@@ -488,13 +514,13 @@ impl GossipSession {
     /// Queues one push into `peer`'s outbox. Shed policy: drop-newest
     /// beyond the cap — the message is already in the repair log, so
     /// digest-announce + pull recovers it. Returns `false` when shed.
-    fn outbox_enqueue(&mut self, peer: NodeId, header: GossipHeader, message: Message) -> bool {
+    fn outbox_enqueue(&mut self, peer: NodeId, header: GossipHeader, frame: Bytes) -> bool {
         let queue = self.outbox.entry(peer).or_default();
         if queue.len() >= self.outbox_cap {
             self.stats.outbox_shed += 1;
             return false;
         }
-        queue.push_back((header, message));
+        queue.push_back((header, frame));
         true
     }
 
@@ -504,10 +530,10 @@ impl GossipSession {
         &mut self,
         peer: NodeId,
         header: GossipHeader,
-        message: Message,
+        frame: Bytes,
         ctx: &mut EventContext<'_>,
     ) {
-        if self.outbox_enqueue(peer, header, message) {
+        if self.outbox_enqueue(peer, header, frame) {
             self.arm_flush_timer(ctx);
         }
     }
@@ -519,15 +545,12 @@ impl GossipSession {
         let local = ctx.node_id();
         let credit_on = self.credit_enabled();
         // Deterministic peer order: the members list, never hash order.
-        let peers: Vec<NodeId> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|peer| *peer != local)
-            .collect();
-        for peer in peers {
-            let waiting = self.outbox.get(&peer).map_or(0, VecDeque::len);
-            if waiting == 0 {
+        for &peer in &self.members {
+            let Some(queue) = self.outbox.get_mut(&peer) else {
+                continue;
+            };
+            let waiting = queue.len();
+            if waiting == 0 || peer == local {
                 continue;
             }
             let available = if credit_on {
@@ -545,28 +568,23 @@ impl GossipSession {
             if take == 0 {
                 continue;
             }
-            let mut entries: Vec<(GossipHeader, Message)> = {
-                let queue = self.outbox.get_mut(&peer).expect("waiting > 0");
-                queue.drain(..take).collect()
-            };
-            if self.outbox.get(&peer).is_some_and(VecDeque::is_empty) {
+            for chunk in queue.make_contiguous()[..take].chunks(self.batch_max) {
+                let mut message = Message::new();
+                message.push_header(encode_pooled(|w| GossipBatchBody::encode_frames(chunk, w)));
+                ctx.dispatch(Event::down(GossipBatch::new(
+                    local,
+                    Dest::Node(peer),
+                    message,
+                )));
+            }
+            queue.drain(..take);
+            if take == waiting {
                 self.outbox.remove(&peer);
             }
             if credit_on {
                 if let Some(credit) = self.credits.get_mut(&peer) {
                     *credit = credit.saturating_sub(take as u32);
                 }
-            }
-            while !entries.is_empty() {
-                let chunk: Vec<(GossipHeader, Message)> =
-                    entries.drain(..entries.len().min(self.batch_max)).collect();
-                let mut message = Message::new();
-                message.push(&GossipBatchBody { entries: chunk });
-                ctx.dispatch(Event::down(GossipBatch::new(
-                    local,
-                    Dest::Node(peer),
-                    message,
-                )));
             }
         }
     }
@@ -668,26 +686,33 @@ impl GossipSession {
             self.stats.late_duplicates += 1;
             return;
         }
-        self.log_store(
-            (header.origin, header.inc),
-            header.seq,
-            message.clone(),
-            now,
-        );
+        // The log, and a relay waiting in a credit-starved outbox, outlive
+        // the batch packet this message is a slice of: one private copy in
+        // wire form serves them all.
+        let frame = message.to_bytes();
+        self.log_store((header.origin, header.inc), header.seq, frame.clone(), now);
         if header.ttl > 0 {
             // The sender plainly has the message too — relaying back to it
             // is a guaranteed duplicate, so it joins the exclusion list.
-            let targets = self.random_targets(&[local, header.origin, from], ctx);
+            let mut targets = std::mem::take(&mut self.relay_targets);
+            sample_peers_into(
+                &self.members,
+                &[local, header.origin, from],
+                self.fanout,
+                ctx,
+                &mut targets,
+            );
             if !targets.is_empty() {
                 self.stats.forwarded += 1;
                 let relay = GossipHeader {
                     ttl: header.ttl - 1,
                     ..header
                 };
-                for target in targets {
-                    self.enqueue_push(target, relay, message.clone(), ctx);
+                for target in &targets {
+                    self.enqueue_push(*target, relay, frame.clone(), ctx);
                 }
             }
+            self.relay_targets = targets;
         }
         ctx.dispatch(Event::up(DataEvent::new(
             header.origin,
@@ -914,13 +939,13 @@ impl GossipSession {
                     self.stats.rate_limited_pushes += 1;
                     return;
                 }
-                let Some(original) = stream.get(&seq) else {
+                // The log wrote the frame itself; it always reads back.
+                let Some(Ok(mut message)) = stream.get(&seq).map(Message::from_shared) else {
                     continue;
                 };
                 budget -= 1;
                 self.pushes_this_interval += 1;
                 self.stats.repair_pushes += 1;
-                let mut message = original.clone();
                 message.push(&RepairPushHeader { origin, inc, seq });
                 ctx.dispatch(Event::down(GossipRepairPush::new(
                     local,
@@ -975,7 +1000,7 @@ impl GossipSession {
         self.log_store(
             (header.origin, header.inc),
             header.seq,
-            original.clone(),
+            original.to_bytes(),
             now,
         );
         self.stats.repaired_deliveries += 1;
@@ -1132,7 +1157,7 @@ impl Session for GossipSession {
                         // so the origin itself can serve repair pulls, and
                         // record the own send as delivered so the node never
                         // pulls its own messages.
-                        let original = data.message.clone();
+                        let original = data.message.to_bytes();
                         self.remember((header.origin, header.inc, header.seq), now);
                         self.record_delivered(header.origin, header.inc, header.seq);
                         self.log_store(
@@ -1191,35 +1216,33 @@ impl Session for GossipSession {
                         self.stats.late_duplicates += 1;
                         return;
                     }
-                    self.log_store(
-                        (header.origin, header.inc),
-                        header.seq,
-                        data.message.clone(),
-                        now,
-                    );
-                }
-                if header.seq != 0 && header.ttl > 0 {
-                    let relay = GossipHeader {
-                        origin: header.origin,
-                        inc: header.inc,
-                        seq: header.seq,
-                        ttl: header.ttl - 1,
-                    };
-                    let targets = self.random_targets(&[local, header.origin], ctx);
-                    if !targets.is_empty() {
-                        self.stats.forwarded += 1;
-                        if self.aggregating() {
-                            for target in targets {
-                                self.enqueue_push(target, relay, data.message.clone(), ctx);
+                    // One private copy for the log and the outboxes, which
+                    // both outlive the packet.
+                    let kept = data.message.to_bytes();
+                    self.log_store((header.origin, header.inc), header.seq, kept.clone(), now);
+                    if header.ttl > 0 {
+                        let relay = GossipHeader {
+                            origin: header.origin,
+                            inc: header.inc,
+                            seq: header.seq,
+                            ttl: header.ttl - 1,
+                        };
+                        let targets = self.random_targets(&[local, header.origin], ctx);
+                        if !targets.is_empty() {
+                            self.stats.forwarded += 1;
+                            if self.aggregating() {
+                                for target in targets {
+                                    self.enqueue_push(target, relay, kept.clone(), ctx);
+                                }
+                            } else {
+                                let mut forwarded_message = data.message.clone();
+                                forwarded_message.push(&relay);
+                                ctx.dispatch(Event::down(DataEvent::new(
+                                    header.origin,
+                                    Dest::Nodes(targets),
+                                    forwarded_message,
+                                )));
                             }
-                        } else {
-                            let mut forwarded_message = data.message.clone();
-                            forwarded_message.push(&relay);
-                            ctx.dispatch(Event::down(DataEvent::new(
-                                header.origin,
-                                Dest::Nodes(targets),
-                                forwarded_message,
-                            )));
                         }
                     }
                 }
@@ -1368,6 +1391,98 @@ mod tests {
             "duplicate is suppressed"
         );
         assert!(receiver_platform.take_sent().is_empty());
+    }
+
+    /// The retention rule, end to end: decoded messages are slices of the
+    /// packet, so a log that kept them as they arrive would pin the sending
+    /// kernel's packet buffer — every exhaustion would abandon the buffer
+    /// for a fresh chunk. The log keeps its own wire-form copy, so once a
+    /// packet is dropped nothing views the sender's buffer and `reserve`
+    /// recycles it in place: a thousand packets all leave from the same few
+    /// hundred bytes.
+    #[test]
+    fn logged_messages_do_not_pin_the_senders_packet_buffer() {
+        for batch_max in ["1", "4"] {
+            let config = ChannelConfig::new("data")
+                .with_layer(LayerSpec::new("network"))
+                .with_layer(
+                    LayerSpec::new("gossip")
+                        .with_param("members", "0,1")
+                        .with_param("ttl", "2")
+                        .with_param("repair_log_cap", "4096")
+                        .with_param("batch_max", batch_max),
+                )
+                .with_layer(LayerSpec::new("app"));
+            let mut sender = Kernel::new();
+            register_suite(&mut sender);
+            let mut sender_platform = TestPlatform::new(NodeId(0));
+            let sender_channel = sender
+                .create_channel(&config, &mut sender_platform)
+                .unwrap();
+            let mut receiver = Kernel::new();
+            register_suite(&mut receiver);
+            let mut receiver_platform = TestPlatform::new(NodeId(1));
+            receiver
+                .create_channel(&config, &mut receiver_platform)
+                .unwrap();
+
+            let (mut lowest, mut highest) = (usize::MAX, 0usize);
+            for seq in 0..1_000u32 {
+                let event = Event::down(DataEvent::to_group(
+                    NodeId(0),
+                    Message::with_payload(seq.to_be_bytes().repeat(16)),
+                ));
+                sender.dispatch_and_process(sender_channel, event, &mut sender_platform);
+                // Batched pushes leave on the zero-delay flush timer. The
+                // repair timer stays unfired: a digest encoded while the data
+                // packet is still alive could exhaust the buffer under a
+                // (legitimate, transient) view and move it.
+                for (at_ms, key) in std::mem::take(&mut sender_platform.timers) {
+                    if at_ms == 0 {
+                        sender.timer_expired(key, &mut sender_platform);
+                    }
+                }
+                for out in sender_platform.take_sent() {
+                    if out.class != morpheus_appia::PacketClass::Data {
+                        continue;
+                    }
+                    let at = out.payload.as_ptr() as usize;
+                    lowest = lowest.min(at);
+                    highest = highest.max(at + out.payload.len());
+                    let packet = InPacket {
+                        from: NodeId(0),
+                        to: NodeId(1),
+                        class: out.class,
+                        channel: out.channel,
+                        payload: out.payload,
+                    };
+                    receiver
+                        .deliver_packet(packet, &mut receiver_platform)
+                        .unwrap();
+                }
+                receiver_platform.take_deliveries();
+                receiver_platform.take_sent();
+                receiver_platform.timers.clear();
+            }
+
+            let session = receiver
+                .channel_by_name("data")
+                .unwrap()
+                .session_of("gossip")
+                .unwrap();
+            let session = session.borrow();
+            let gossip = session
+                .as_any()
+                .and_then(|any| any.downcast_ref::<GossipSession>())
+                .unwrap();
+            assert_eq!(gossip.log_len(), 1_000, "every received message is logged");
+            assert!(
+                highest - lowest < 1_024,
+                "batch_max={batch_max}: 1,000 packets spread over {} bytes of sender \
+                 buffer — a retained slice stopped the buffer from being recycled",
+                highest - lowest
+            );
+        }
     }
 
     #[test]
@@ -1895,7 +2010,12 @@ mod tests {
             for seq in 1..=20u64 {
                 gossip.remember((NodeId(3), incarnation, seq), now);
                 assert!(gossip.record_delivered(NodeId(3), incarnation, seq));
-                gossip.log_store((NodeId(3), incarnation), seq, Message::new(), now);
+                gossip.log_store(
+                    (NodeId(3), incarnation),
+                    seq,
+                    Message::new().to_bytes(),
+                    now,
+                );
             }
             gossip.evict_log(now);
             assert!(gossip.seen_len() <= 64, "seen ring bound");
@@ -2119,7 +2239,7 @@ mod tests {
             ttl: 2,
         };
         for seq in 1..=10u64 {
-            gossip.outbox_enqueue(NodeId(1), header(seq), Message::new());
+            gossip.outbox_enqueue(NodeId(1), header(seq), Message::new().to_bytes());
         }
         let queue = gossip.outbox.get(&NodeId(1)).unwrap();
         assert_eq!(queue.len(), 8, "the outbox never grows past its cap");

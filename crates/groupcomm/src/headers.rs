@@ -5,6 +5,7 @@
 //! event's [`morpheus_appia::Message`] on the way down; the peer pops it on
 //! the way up. Headers are encoded with the kernel's wire format.
 
+use bytes::Bytes;
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
@@ -319,6 +320,20 @@ pub struct GossipBatchBody {
     /// gossip header (which rides alongside, exactly as it would have been
     /// pushed on a singleton send).
     pub entries: Vec<(GossipHeader, Message)>,
+}
+
+impl GossipBatchBody {
+    /// Encodes a batch whose messages are already in wire form
+    /// ([`Wire::to_bytes`]) — byte for byte what [`Wire::encode`] writes for
+    /// the same entries as [`Message`]s. The gossip outboxes hold frames, so
+    /// a flush copies them into the packet instead of re-encoding.
+    pub fn encode_frames(entries: &[(GossipHeader, Bytes)], w: &mut WireWriter) {
+        w.put_u32(entries.len() as u32);
+        for (header, frame) in entries {
+            header.encode(w);
+            w.put_raw(frame);
+        }
+    }
 }
 
 impl Wire for GossipBatchBody {

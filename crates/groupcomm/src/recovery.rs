@@ -711,14 +711,14 @@ impl RecoverySession {
             return false;
         };
         for _ in 0..count {
-            let Ok(name) = r.get_str() else {
+            let Ok(name) = r.get_str_ref() else {
                 return false;
             };
-            let Ok(bytes) = r.get_bytes() else {
+            let Ok(bytes) = r.get_bytes_ref() else {
                 return false;
             };
             if let Some(section) = self.sections.iter().find(|section| section.name() == name) {
-                if !section.install(&bytes) {
+                if !section.install(bytes) {
                     return false;
                 }
             }
@@ -1086,7 +1086,9 @@ impl Session for RecoverySession {
             let Ok(header) = chunk.message.pop::<StateChunkHeader>() else {
                 return;
             };
-            let payload = chunk.message.payload().clone();
+            // Chunks are kept until the snapshot is whole: a copy, so the
+            // chunk maps do not pin every packet of the transfer.
+            let payload = Bytes::copy_from_slice(chunk.message.payload());
             if header.transfer_epoch >= CATCHUP_EPOCH_BASE {
                 self.on_catchup_chunk(from, header, payload, ctx);
             } else {
@@ -1109,6 +1111,9 @@ impl Session for RecoverySession {
                 self.buffer_shed += 1;
                 return;
             }
+            // Held until the snapshot installs: must not pin the packet
+            // buffer.
+            event.compact();
             self.buffered.push_back(event);
             return;
         }

@@ -190,7 +190,9 @@ impl Session for ReliableSession {
                 if let Some(data) = event.get_mut::<DataEvent>() {
                     self.next_seq += 1;
                     data.message.push(&SeqHeader { seq: self.next_seq });
-                    self.sent.insert(self.next_seq, data.message.clone());
+                    // Kept for retransmission: a copy of its own, so the
+                    // window does not pin the pooled header scratch.
+                    self.sent.insert(self.next_seq, data.message.compact());
                     if self.sent.len() > self.retention {
                         let oldest = *self.sent.keys().next().expect("non-empty");
                         self.sent.remove(&oldest);
@@ -222,6 +224,8 @@ impl Session for ReliableSession {
                     ctx.forward(event);
                     self.deliver_ready(origin, ctx);
                 } else {
+                    // Held past this event: must not pin the packet buffer.
+                    event.compact();
                     state.pending.insert(header.seq, event);
                 }
             }

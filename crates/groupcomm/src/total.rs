@@ -186,6 +186,11 @@ impl Session for TotalSession {
                     self.assign_order(id, ctx);
                 }
                 self.try_deliver(ctx);
+                // Still waiting for its global slot: it is now held past this
+                // event and must not pin the packet buffer.
+                if let Some(waiting) = self.buffered.get_mut(&id) {
+                    waiting.compact();
+                }
             }
         }
     }

@@ -861,6 +861,9 @@ impl Session for VsyncSession {
         match event.direction {
             Direction::Down => {
                 if self.blocked {
+                    // Held until the view change ends: must not pin the
+                    // pooled header scratch.
+                    event.compact();
                     self.buffered.push(event);
                 } else {
                     ctx.forward(event);

@@ -3,12 +3,14 @@
 //! encode/decode only, so Miri can check the decoders' memory behaviour
 //! against adversarial truncations at acceptable cost.
 
+use bytes::Bytes;
+use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
-use morpheus_appia::wire::Wire;
+use morpheus_appia::wire::{Wire, WireWriter};
 use morpheus_groupcomm::headers::{
-    CausalHeader, FecParityHeader, FlushBody, GossipHeader, LivenessDigest, McastHeader, McastMode,
-    NackHeader, OrderHeader, RepairDigest, RepairFloorBody, RepairPull, RepairPushHeader,
-    RepairRange, SeqHeader, TotalIdHeader,
+    CausalHeader, FecParityHeader, FlushBody, GossipBatchBody, GossipHeader, LivenessDigest,
+    McastHeader, McastMode, NackHeader, OrderHeader, RepairDigest, RepairFloorBody, RepairPull,
+    RepairPushHeader, RepairRange, SeqHeader, TotalIdHeader,
 };
 
 #[cfg(miri)]
@@ -16,16 +18,37 @@ const TRUNCATION_STRIDE: usize = 7;
 #[cfg(not(miri))]
 const TRUNCATION_STRIDE: usize = 1;
 
+/// The copying reader (`from_bytes`) and the slicing one (`from_shared`,
+/// what every packet receive decodes through) must agree: the same value or
+/// the same error.
+fn readers_agree<T: Wire + PartialEq + std::fmt::Debug>(input: &[u8]) -> bool {
+    let copied = T::from_bytes(input);
+    let sliced = T::from_shared(&Bytes::from(input.to_vec()));
+    assert_eq!(copied, sliced, "readers disagree on {input:?}");
+    copied.is_ok()
+}
+
 fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
     let bytes = value.to_bytes();
     assert_eq!(T::from_bytes(&bytes).unwrap(), value);
-    // Every (strided) truncation must fail cleanly, not panic.
+    assert!(readers_agree::<T>(&bytes));
+    // Every (strided) truncation must fail cleanly, not panic — and the
+    // same way through both readers.
     for len in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
         assert!(
-            T::from_bytes(&bytes[..len]).is_err(),
+            !readers_agree::<T>(&bytes[..len]),
             "truncation to {len} of {} bytes must not decode",
             bytes.len()
         );
+    }
+    // Every (strided) single-bit flip decodes to whatever it decodes to,
+    // identically through both readers.
+    for index in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
+        for bit in 0..8 {
+            let mut mutated = bytes.to_vec();
+            mutated[index] ^= 1 << bit;
+            readers_agree::<T>(&mutated);
+        }
     }
 }
 
@@ -104,6 +127,47 @@ fn ordering_and_view_headers_roundtrip() {
         proposer: NodeId(1),
         flushed: vec![NodeId(1), NodeId(4)],
     });
+}
+
+fn batch_entries() -> Vec<(GossipHeader, Message)> {
+    (1..=3u64)
+        .map(|seq| {
+            let mut message = Message::with_payload(vec![b'm'; 8 * seq as usize]);
+            message.push(&SeqHeader { seq });
+            message.push(&format!("h{seq}"));
+            let header = GossipHeader {
+                origin: NodeId(4),
+                inc: 12,
+                seq,
+                ttl: 2,
+            };
+            (header, message)
+        })
+        .collect()
+}
+
+/// The one header whose fields are messages: decoded from a packet, those
+/// are slices of it.
+#[test]
+fn gossip_batches_roundtrip() {
+    roundtrip(GossipBatchBody {
+        entries: batch_entries(),
+    });
+    roundtrip(GossipBatchBody::default());
+}
+
+/// The outboxes hold messages in wire form and a flush writes them as they
+/// are: that must be the encoding of the same batch held as messages.
+#[test]
+fn batches_of_frames_encode_like_batches_of_messages() {
+    let entries = batch_entries();
+    let frames: Vec<(GossipHeader, Bytes)> = entries
+        .iter()
+        .map(|(header, message)| (*header, message.to_bytes()))
+        .collect();
+    let mut w = WireWriter::new();
+    GossipBatchBody::encode_frames(&frames, &mut w);
+    assert_eq!(w.finish(), GossipBatchBody { entries }.to_bytes());
 }
 
 /// Unknown tag bytes must surface as decode errors, not panics.

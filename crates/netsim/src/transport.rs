@@ -213,13 +213,27 @@ impl Network {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Vec<Delivery<P>> {
+        let mut deliveries = Vec::new();
+        self.send_into(packet, now, rng, &mut deliveries);
+        deliveries
+    }
+
+    /// [`Network::send`], appending the deliveries to a caller-owned buffer:
+    /// a caller sending packet after packet reuses one allocation.
+    pub fn send_into<P: Clone>(
+        &mut self,
+        packet: Packet<P>,
+        now: SimTime,
+        rng: &mut SimRng,
+        deliveries: &mut Vec<Delivery<P>>,
+    ) {
         let sender_operational = self
             .topology
             .node(packet.from)
             .map(|n| n.is_operational())
             .unwrap_or(false);
         if !sender_operational {
-            return Vec::new();
+            return;
         }
 
         let tx_energy = self.charge_tx(packet.from, packet.size_bytes);
@@ -227,7 +241,6 @@ impl Network {
             .node_mut(packet.from)
             .record_sent(packet.class, packet.size_bytes, tx_energy);
 
-        let mut deliveries = Vec::new();
         match packet.target {
             PacketTarget::Unicast(receiver) => {
                 if let Some(latency_ms) = self.transmit_outcome(
@@ -271,7 +284,6 @@ impl Network {
                 }
             }
         }
-        deliveries
     }
 
     /// Remaining battery fraction of a node.

@@ -60,19 +60,26 @@ impl SimPlatform {
         self.profile = profile;
     }
 
-    /// Drains the queued outgoing packets.
-    pub fn take_packets(&mut self) -> Vec<OutPacket> {
-        std::mem::take(&mut self.out_packets)
+    /// Hands the queued outgoing packets to the caller by swapping buffers:
+    /// `spare` must be empty, and its capacity becomes the platform's next
+    /// queue — draining never costs the platform its allocation.
+    pub fn swap_packets(&mut self, spare: &mut Vec<OutPacket>) {
+        debug_assert!(spare.is_empty());
+        std::mem::swap(&mut self.out_packets, spare);
     }
 
-    /// Drains the timers armed since the last call.
-    pub fn take_timer_requests(&mut self) -> Vec<(u64, TimerKey)> {
-        std::mem::take(&mut self.timer_requests)
+    /// Hands over the timers armed since the last call; see
+    /// [`SimPlatform::swap_packets`].
+    pub fn swap_timer_requests(&mut self, spare: &mut Vec<(u64, TimerKey)>) {
+        debug_assert!(spare.is_empty());
+        std::mem::swap(&mut self.timer_requests, spare);
     }
 
-    /// Drains the application deliveries.
-    pub fn take_deliveries(&mut self) -> Vec<AppDelivery> {
-        std::mem::take(&mut self.deliveries)
+    /// Hands over the application deliveries; see
+    /// [`SimPlatform::swap_packets`].
+    pub fn swap_deliveries(&mut self, spare: &mut Vec<AppDelivery>) {
+        debug_assert!(spare.is_empty());
+        std::mem::swap(&mut self.deliveries, spare);
     }
 
     /// Drains the reconfiguration requests.
@@ -159,11 +166,21 @@ mod tests {
             coordinator: NodeId(0),
         });
 
-        assert_eq!(platform.take_packets().len(), 1);
-        assert_eq!(platform.take_timer_requests().len(), 1);
-        assert_eq!(platform.take_deliveries().len(), 1);
+        let mut packets = Vec::with_capacity(8);
+        platform.swap_packets(&mut packets);
+        assert_eq!(packets.len(), 1);
+        assert!(
+            platform.out_packets.is_empty() && platform.out_packets.capacity() >= 8,
+            "the platform keeps the spare's capacity"
+        );
+        let (mut timers, mut deliveries) = (Vec::new(), Vec::new());
+        platform.swap_timer_requests(&mut timers);
+        platform.swap_deliveries(&mut deliveries);
+        assert_eq!((timers.len(), deliveries.len()), (1, 1));
         assert_eq!(platform.take_reconfig_requests().len(), 1);
-        assert!(platform.take_packets().is_empty());
+        packets.clear();
+        platform.swap_packets(&mut packets);
+        assert!(packets.is_empty());
     }
 
     #[test]

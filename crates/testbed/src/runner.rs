@@ -6,14 +6,14 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use morpheus_appia::platform::{
-    AppDelivery, DeliveryKind, InPacket, NodeId, NodeProfile, PacketClass, PacketDest,
+    AppDelivery, DeliveryKind, InPacket, NodeId, NodeProfile, OutPacket, PacketClass, PacketDest,
 };
 use morpheus_appia::timer::TimerKey;
 use morpheus_core::{MorpheusNode, NodeOptions};
 use morpheus_groupcomm::recovery::StateSection;
 use morpheus_netsim::{
-    EventQueue, Network, NodeId as SimNodeId, Packet, PacketTarget, SimRng, SimTime, Topology,
-    TrafficClass, Wireless80211b,
+    Delivery, EventQueue, Network, NodeId as SimNodeId, Packet, PacketTarget, SimRng, SimTime,
+    Topology, TrafficClass, Wireless80211b,
 };
 
 use crate::platform::SimPlatform;
@@ -92,6 +92,18 @@ enum SimEvent {
     NodeRestart { node: NodeId },
 }
 
+/// The runner's side of the buffer swaps in [`flush_node`]: a platform's
+/// queued side effects are swapped out against these (empty) buffers and
+/// drained, so every flush reuses the same few allocations instead of
+/// `mem::take`-ing a platform's capacity away and regrowing it.
+#[derive(Default)]
+struct FlushBuffers {
+    packets: Vec<OutPacket>,
+    arrivals: Vec<Delivery<NetPayload>>,
+    timers: Vec<(u64, TimerKey)>,
+    deliveries: Vec<AppDelivery>,
+}
+
 /// Per-node bookkeeping collected during a run.
 #[derive(Debug, Default, Clone)]
 struct NodeTally {
@@ -154,12 +166,17 @@ impl Runner {
     /// Runs a scenario with an application binding supplying payloads,
     /// delivery taps and rejoin state sections.
     pub fn run_with_binding(&self, scenario: &Scenario, binding: &mut dyn AppBinding) -> RunReport {
+        // A run replays from `(scenario, seed)` alone — allocations
+        // included, which the header scratch left by an earlier run in this
+        // thread would otherwise shift.
+        morpheus_appia::wire::reset_frame_scratch();
         let members = scenario.members();
         let topology = build_topology(scenario);
         let mut network = Network::new(topology);
         network.set_faults(scenario.fault_schedule.clone());
         let mut rng = SimRng::new(scenario.seed);
         let mut queue: EventQueue<SimEvent> = EventQueue::new();
+        let mut spare = FlushBuffers::default();
 
         // Instantiate one Morpheus node per participant.
         let mut nodes: Vec<MorpheusNode> = Vec::with_capacity(members.len());
@@ -208,6 +225,7 @@ impl Runner {
                 &mut rng,
                 &incarnations,
                 binding,
+                &mut spare,
             );
         }
 
@@ -436,6 +454,7 @@ impl Runner {
                     &mut rng,
                     &incarnations,
                     binding,
+                    &mut spare,
                 );
                 continue;
             }
@@ -549,6 +568,7 @@ impl Runner {
                 &mut rng,
                 &incarnations,
                 binding,
+                &mut spare,
             );
         }
 
@@ -754,6 +774,7 @@ fn flush_node(
     rng: &mut SimRng,
     incarnations: &[u32],
     binding: &mut dyn AppBinding,
+    spare: &mut FlushBuffers,
 ) {
     loop {
         let mut progressed = false;
@@ -775,7 +796,8 @@ fn flush_node(
         //    separately from the link model's own losses — so each
         //    experiment isolates the loss tolerance of one protocol.
         //    A partitioned node's traffic is dropped wholesale.
-        for out in platforms[index].take_packets() {
+        platforms[index].swap_packets(&mut spare.packets);
+        for out in spare.packets.drain(..) {
             progressed = true;
             if scenario.is_partitioned(NodeId(index as u32), now.as_millis()) {
                 tallies[index].partition_dropped += 1;
@@ -809,7 +831,8 @@ fn flush_node(
                     bytes: out.payload,
                 },
             };
-            for delivery in network.send(packet, now, rng) {
+            network.send_into(packet, now, rng, &mut spare.arrivals);
+            for delivery in spare.arrivals.drain(..) {
                 // Bounded event queue with graceful shedding: once the
                 // queue is at capacity, *data*-plane arrivals are dropped
                 // here (the epidemic repair plane recovers them), while
@@ -833,7 +856,8 @@ fn flush_node(
         }
 
         // 3. Timers, stamped with the node's current incarnation.
-        for (delay, key) in platforms[index].take_timer_requests() {
+        platforms[index].swap_timer_requests(&mut spare.timers);
+        for (delay, key) in spare.timers.drain(..) {
             progressed = true;
             queue.push(
                 now + delay,
@@ -846,7 +870,8 @@ fn flush_node(
         }
 
         // 4. Application deliveries.
-        for delivery in platforms[index].take_deliveries() {
+        platforms[index].swap_deliveries(&mut spare.deliveries);
+        for delivery in spare.deliveries.drain(..) {
             progressed = true;
             binding.on_delivery(NodeId(index as u32), &delivery);
             match delivery.kind {
@@ -935,7 +960,6 @@ fn flush_node(
             }
         }
 
-        let _ = scenario;
         if !progressed {
             return;
         }
