@@ -445,8 +445,8 @@ impl Kernel {
     /// processing the queue.
     ///
     /// Together with a single [`Kernel::process`] drain this amortises queue
-    /// churn over the whole batch; the simulation engine and the benches use
-    /// it when several packets or application sends arrive at one instant.
+    /// churn over the whole batch, for when several application sends arrive
+    /// at one instant.
     pub fn dispatch_batch(&mut self, channel: ChannelId, events: impl IntoIterator<Item = Event>) {
         for event in events {
             self.queue.push_back(Pending {

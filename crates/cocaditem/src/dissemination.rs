@@ -11,22 +11,18 @@
 //! Dissemination is epidemic rather than an all-to-all flood:
 //!
 //! * when the local context changes significantly, the snapshot is **pushed
-//!   to `fanout` random peers**, each of which forwards fresh snapshots to
-//!   another `fanout` peers while `forward_ttl` lasts — `O(n · fanout)`
+//!   to `FANOUT` (3) random peers**, each of which forwards fresh snapshots
+//!   to another 3 peers while `FORWARD_TTL` (3 rounds) lasts — `O(n · fanout)`
 //!   messages per publication instead of `n · (n - 1)`, converging in
 //!   `O(log n)` hops;
 //! * every publish interval the layer additionally gossips a compact
 //!   [`ContextDigest`] — its `(node, version)` view of the store — to
-//!   `fanout` random peers. A digest receiver **pulls** the snapshots its
+//!   `FANOUT` random peers. A digest receiver **pulls** the snapshots its
 //!   peer holds newer versions of ([`ContextPull`], rate-limited per node so
 //!   concurrent digests do not re-request the same snapshots) and the answer
 //!   arrives as one batched [`ContextBatch`], so any snapshot lost in
 //!   transit is repaired within a few intervals without periodically
 //!   re-flooding full snapshots.
-//!
-//! Setting `fanout` to `0` restores the legacy flood (full snapshot to every
-//! member on every change, plus the `refresh_every` full republish), which
-//! benchmarks use as the O(n²) baseline.
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, TimerExpired};
@@ -51,6 +47,12 @@ pub const COCADITEM_LAYER: &str = "cocaditem";
 
 /// Timer tag for the periodic publication.
 const PUBLISH_TAG: u32 = 1;
+
+/// Random peers each snapshot push and each digest round targets.
+const FANOUT: usize = 3;
+
+/// Epidemic forwarding rounds a freshly pushed snapshot survives.
+const FORWARD_TTL: u32 = 3;
 
 sendable_event! {
     /// A context snapshot travelling between nodes (payload: a forwarding
@@ -213,13 +215,7 @@ fn register_cocaditem_events(kernel: &mut Kernel) {
 ///
 /// * `members` — comma-separated initial membership of the control group;
 /// * `publish_interval_ms` — how often the local context is sampled and the
-///   digest round runs (default 1000 ms);
-/// * `fanout` — random peers each push/digest targets (default 3; `0`
-///   selects the legacy all-to-all flood);
-/// * `forward_ttl` — epidemic forwarding rounds a fresh snapshot survives
-///   (default 3);
-/// * `refresh_every` — legacy mode only: full republish every N quiet ticks
-///   (default 10).
+///   digest round runs (default 1000 ms).
 #[derive(Default)]
 pub struct CocaditemLayer {
     /// When set, every created session shares this store instead of owning
@@ -260,13 +256,9 @@ impl Layer for CocaditemLayer {
             member_set: members.iter().copied().collect(),
             members,
             publish_interval_ms: param_or(params, "publish_interval_ms", 1000u64).max(10),
-            refresh_every: param_or(params, "refresh_every", 10u32).max(1),
-            fanout: param_or(params, "fanout", 3usize),
-            forward_ttl: param_or(params, "forward_ttl", 3u32),
             retrievers: default_retrievers(),
             store: self.shared_store.clone().unwrap_or_default(),
             last_published: None,
-            ticks_since_publish: 0,
             publications: 0,
             converged_reported: false,
             recent_pulls: std::collections::HashMap::new(),
@@ -313,15 +305,10 @@ pub struct CocaditemSession {
     // bound: mirrors `members` -- rebuilt on view install, <= view size.
     member_set: std::collections::HashSet<NodeId>,
     publish_interval_ms: u64,
-    refresh_every: u32,
-    /// Push/digest fan-out; `0` selects the legacy all-to-all flood.
-    fanout: usize,
-    forward_ttl: u32,
     // bound: fixed set installed at session construction; never grows.
     retrievers: Vec<Box<dyn ContextRetriever>>,
     store: Rc<RefCell<ContextStore>>,
     last_published: Option<ContextSnapshot>,
-    ticks_since_publish: u32,
     publications: u64,
     converged_reported: bool,
     /// Pull budget per snapshot: `(window start ms, pulls issued in the
@@ -346,7 +333,6 @@ impl std::fmt::Debug for CocaditemSession {
         f.debug_struct("CocaditemSession")
             .field("members", &self.members)
             .field("publish_interval_ms", &self.publish_interval_ms)
-            .field("fanout", &self.fanout)
             .field("known_nodes", &self.store.borrow().len())
             .field("publications", &self.publications)
             .finish()
@@ -413,11 +399,9 @@ impl CocaditemSession {
         }
     }
 
-    /// Samples the local context and disseminates it when it changed
-    /// significantly since the last publication. In epidemic mode the
-    /// snapshot is pushed to `fanout` random peers (anti-entropy digests
-    /// repair any loss); in legacy mode it is flooded to every member, with
-    /// the periodic `refresh_every` full republish as the loss crutch.
+    /// Samples the local context and, when it changed significantly since
+    /// the last publication, pushes the snapshot to `FANOUT` random peers
+    /// (anti-entropy digests repair any loss).
     fn publish(&mut self, ctx: &mut EventContext<'_>, force: bool) {
         let local = ctx.node_id();
         let snapshot = self.sample_local(ctx);
@@ -432,13 +416,11 @@ impl CocaditemSession {
         // tick, not only when this node's own context changed.
         self.maybe_report_convergence(ctx);
 
-        self.ticks_since_publish += 1;
         let changed = match &self.last_published {
             Some(previous) => changed_significantly(previous, &snapshot),
             None => true,
         };
-        let legacy_refresh = self.fanout == 0 && self.ticks_since_publish >= self.refresh_every;
-        if !(force || changed || legacy_refresh) {
+        if !(force || changed) {
             return;
         }
 
@@ -449,44 +431,29 @@ impl CocaditemSession {
         self.store.borrow_mut().update(snapshot.clone());
         self.maybe_report_convergence(ctx);
 
-        let targets = if self.fanout == 0 {
-            self.members
-                .iter()
-                .copied()
-                .filter(|member| *member != local)
-                .collect()
-        } else {
-            self.random_targets(self.fanout, &[local], ctx)
-        };
+        let targets = self.random_targets(FANOUT, &[local], ctx);
         if !targets.is_empty() {
             self.publications += 1;
-            let ttl = if self.fanout == 0 {
-                0
-            } else {
-                self.forward_ttl
-            };
-            Self::send_snapshot(&snapshot, ttl, targets, ctx);
+            Self::send_snapshot(&snapshot, FORWARD_TTL, targets, ctx);
         }
         self.last_published = Some(snapshot);
-        self.ticks_since_publish = 0;
     }
 
-    /// Gossips the store digest to `fanout` peers — stale-looking peers
+    /// Gossips the store digest to `FANOUT` peers — stale-looking peers
     /// first, the rest uniformly random.
     fn gossip_digest(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
         self.behind_peers
             .retain(|peer| *peer != local && self.member_set.contains(peer));
         let behind: Vec<NodeId> = self.behind_peers.iter().copied().collect();
-        let mut targets =
-            morpheus_groupcomm::gossip::sample_peers(&behind, &[local], self.fanout, ctx);
-        if targets.len() < self.fanout {
+        let mut targets = morpheus_groupcomm::gossip::sample_peers(&behind, &[local], FANOUT, ctx);
+        if targets.len() < FANOUT {
             let mut exclude = targets.clone();
             exclude.push(local);
             targets.extend(morpheus_groupcomm::gossip::sample_peers(
                 &self.members,
                 &exclude,
-                self.fanout - targets.len(),
+                FANOUT - targets.len(),
                 ctx,
             ));
         }
@@ -522,9 +489,9 @@ impl CocaditemSession {
             snapshot: snapshot.clone(),
         }));
         self.maybe_report_convergence(ctx);
-        if self.fanout > 0 && ttl > 0 {
+        if ttl > 0 {
             let local = ctx.node_id();
-            let targets = self.random_targets(self.fanout, &[local, from, snapshot.node], ctx);
+            let targets = self.random_targets(FANOUT, &[local, from, snapshot.node], ctx);
             Self::send_snapshot(&snapshot, ttl - 1, targets, ctx);
         }
     }
@@ -665,9 +632,7 @@ impl Session for CocaditemSession {
             if timer.owner == COCADITEM_LAYER {
                 if timer.tag == PUBLISH_TAG {
                     self.publish(ctx, false);
-                    if self.fanout > 0 {
-                        self.gossip_digest(ctx);
-                    }
+                    self.gossip_digest(ctx);
                     ctx.set_timer(self.publish_interval_ms, PUBLISH_TAG);
                 }
                 return;
@@ -777,15 +742,6 @@ mod tests {
         params
     }
 
-    fn legacy_params(members: &[u32], interval: u64) -> LayerParams {
-        let mut params = params(members, interval);
-        params.insert("fanout".into(), "0".into());
-        // Re-publish on every tick so the timer-driven tests below observe a
-        // publication even when the context is unchanged.
-        params.insert("refresh_every".into(), "1".into());
-        params
-    }
-
     fn publish_message(snapshot: &ContextSnapshot, ttl: u32) -> Message {
         let mut message = Message::new();
         message.push(snapshot);
@@ -797,54 +753,6 @@ mod tests {
         let timers: Vec<_> = std::mem::take(&mut platform.timers);
         assert!(!timers.is_empty());
         harness.fire_timer(timers[0].1, platform);
-    }
-
-    #[test]
-    fn init_publishes_the_local_context_legacy_floods_everyone() {
-        let mut platform = TestPlatform::with_profile(NodeProfile::mobile_pda(NodeId(2)));
-        let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
-            &legacy_params(&[1, 2, 3], 500),
-            &mut platform,
-        );
-
-        // The initial publication happened during ChannelInit (drained by the
-        // harness); trigger another one via the timer to observe it.
-        fire_publish_timer(&mut cocaditem, &mut platform);
-
-        let down = cocaditem.drain_down();
-        let publish: Vec<&Event> = down
-            .iter()
-            .filter(|event| event.is::<ContextPublish>())
-            .collect();
-        assert_eq!(publish.len(), 1);
-        assert_eq!(
-            publish[0].get::<ContextPublish>().unwrap().header.dest,
-            Dest::Nodes(vec![NodeId(1), NodeId(3)])
-        );
-        assert!(
-            down.iter().all(|event| !event.is::<ContextDigest>()),
-            "legacy mode gossips no digests"
-        );
-
-        let up = cocaditem.drain_up();
-        let updated: Vec<&Event> = up
-            .iter()
-            .filter(|event| event.is::<ContextUpdated>())
-            .collect();
-        assert_eq!(updated.len(), 1);
-        assert_eq!(
-            updated[0].get::<ContextUpdated>().unwrap().snapshot.node,
-            NodeId(2)
-        );
-        assert_eq!(
-            updated[0]
-                .get::<ContextUpdated>()
-                .unwrap()
-                .snapshot
-                .is_mobile(),
-            Some(true)
-        );
     }
 
     #[test]
@@ -1262,11 +1170,13 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_context_is_not_republished_before_the_refresh_deadline() {
+    fn unchanged_context_is_not_republished() {
         let mut platform = TestPlatform::with_profile(NodeProfile::mobile_pda(NodeId(2)));
-        let mut params = legacy_params(&[1, 2], 500);
-        params.insert("refresh_every".into(), "5".into());
-        let mut cocaditem = Harness::new(CocaditemLayer::default(), &params, &mut platform);
+        let mut cocaditem = Harness::new(
+            CocaditemLayer::default(),
+            &params(&[1, 2], 500),
+            &mut platform,
+        );
 
         // The initial (forced) publication happened at ChannelInit. With an
         // unchanged profile, the next few ticks stay silent on the network
@@ -1335,7 +1245,7 @@ mod tests {
         let mut platform = TestPlatform::new(NodeId(1));
         let mut cocaditem = Harness::new(
             CocaditemLayer::default(),
-            &legacy_params(&[1, 2], 300),
+            &params(&[1, 2], 300),
             &mut platform,
         );
         cocaditem.run_down(
@@ -1344,6 +1254,11 @@ mod tests {
             }),
             &mut platform,
         );
+        // A significant change makes the next tick publish; with no more
+        // peers than the fan-out, the push reaches every one of them.
+        let mut drained = NodeProfile::mobile_pda(NodeId(1));
+        drained.battery_level = 0.5;
+        platform.profile = drained;
         fire_publish_timer(&mut cocaditem, &mut platform);
         let down = cocaditem.drain_down();
         let publish = down

@@ -103,9 +103,11 @@ pub fn register_core(kernel: &mut Kernel) {
 /// * `round_timeout_ms` — total time budget of one reconfiguration round
 ///   before it is aborted and re-initiated under a fresh epoch
 ///   (default 4000 ms);
-/// * plus the [`DefaultPolicy`] thresholds (`large_group_threshold`,
-///   `fec_error_threshold`, `retransmit_error_threshold`, `fec_k`,
-///   `gossip_fanout`, `gossip_ttl`).
+/// * `hb_interval_ms`, `suspect_timeout_ms`, `transfer_chunk_bytes`,
+///   `gossip_repair_interval_ms` — written into the stacks the layer renders
+///   (defaults as in [`StackCatalog::new`]).
+///
+/// The adaptation policy is [`DefaultPolicy`] at its default thresholds.
 pub struct CoreLayer;
 
 impl Layer for CoreLayer {
@@ -143,18 +145,13 @@ impl Layer for CoreLayer {
         Box::new(CoreSession {
             catalog: StackCatalog::new(&data_channel, members.clone())
                 .with_failure_detection(hb, suspect)
-                .with_fd_fanout(param_or(params, "control_fanout", 3usize))
                 .with_view_change_timing(retransmit, round_timeout)
                 .with_transfer_chunk_bytes(param_or(params, "transfer_chunk_bytes", 1024usize))
-                .with_gossip_repair(param_or(params, "gossip_repair_interval_ms", 1000u64))
-                .with_gossip_flow(
-                    param_or(params, "gossip_credit_window", 128usize),
-                    param_or(params, "gossip_batch_max", 4usize),
-                ),
+                .with_gossip_repair(param_or(params, "gossip_repair_interval_ms", 1000u64)),
             members,
             data_channel,
             adaptive: param_or(params, "adaptive", true),
-            policy: DefaultPolicy::from_params(params),
+            policy: DefaultPolicy::default(),
             store: ContextStore::new(),
             current_stack: params
                 .get("initial_stack")
@@ -303,6 +300,25 @@ impl CoreSession {
         ctx.dispatch(Event::down(ReconfigCommand::new(
             ctx.node_id(),
             Dest::Nodes(targets),
+            message,
+        )));
+    }
+
+    /// Dispatches a [`ReconfigAck`] for a configuration this node already
+    /// runs, straight from the control layer (a fresh deployment is
+    /// acknowledged by the local module instead, after it succeeded).
+    fn dispatch_ack(
+        epoch: u64,
+        stack_name: &String,
+        coordinator: NodeId,
+        ctx: &mut EventContext<'_>,
+    ) {
+        let mut message = Message::new();
+        message.push(&epoch);
+        message.push(stack_name);
+        ctx.dispatch(Event::down(ReconfigAck::new(
+            ctx.node_id(),
+            Dest::Node(coordinator),
             message,
         )));
     }
@@ -605,6 +621,22 @@ impl CoreSession {
             if self.pending.is_some() {
                 self.abort_round(ctx);
             }
+            // A re-assertion of exactly the configuration this node already
+            // runs (a repair whose earlier ack was lost on the way back):
+            // follow the ballot and acknowledge under the new epoch, but do
+            // not redeploy. Replacing the data channel with an identical one
+            // would hand the fresh stack empty per-session state for nothing
+            // — a new gossip session re-pulls and re-delivers what the old
+            // one had already delivered.
+            if self.current_stack == stack_name {
+                if let Some(installed) = self.installed.as_mut().filter(|installed| {
+                    installed.stack_name == stack_name && installed.description == description
+                }) {
+                    installed.epoch = epoch;
+                    Self::dispatch_ack(epoch, &stack_name, coordinator, ctx);
+                    return;
+                }
+            }
             self.accepted = Some(InstalledStack {
                 epoch,
                 kind: None,
@@ -627,14 +659,7 @@ impl CoreSession {
         {
             // A retransmission of the round we already deployed: our ack was
             // probably lost, so resend it without redeploying.
-            let mut message = Message::new();
-            message.push(&epoch);
-            message.push(&stack_name);
-            ctx.dispatch(Event::down(ReconfigAck::new(
-                ctx.node_id(),
-                Dest::Node(coordinator),
-                message,
-            )));
+            Self::dispatch_ack(epoch, &stack_name, coordinator, ctx);
         }
         // Otherwise: a stale or reordered command from an earlier epoch —
         // rejected, the stack is never rolled back by old commands.
@@ -1064,6 +1089,59 @@ mod tests {
             .filter(|event| event.is::<ReconfigAck>())
             .collect();
         assert_eq!(acks.len(), 1, "ack resent");
+    }
+
+    #[test]
+    fn a_reasserted_configuration_is_acked_under_the_new_epoch_without_redeploying() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
+        let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
+        let command = |epoch: u64, description: &str| {
+            Event::up(ReconfigCommand::new(
+                NodeId(0),
+                Dest::Node(NodeId(1)),
+                command_message(epoch, "reliable", description),
+            ))
+        };
+
+        core.run_up(command(2, description), &mut platform);
+        core.run_down(deployment_ack(1, 0, 2, "reliable"), &mut platform);
+        core.drain_down();
+
+        // The ack was lost; the coordinator's repair re-asserts the same
+        // name + description under a fresh epoch. The member already runs
+        // exactly that: it follows the ballot and acks epoch 3 — the epoch
+        // `repair_behind` mirrored into the coordinator's `installed`, so
+        // `record_ack` confirms the member — without deploying again.
+        core.run_up(command(3, description), &mut platform);
+        assert_eq!(platform.reconfig_requests.len(), 1, "no redeployment");
+        let down = core.drain_down();
+        let mut acks: Vec<Message> = down
+            .iter()
+            .filter_map(|event| event.get::<ReconfigAck>())
+            .map(|ack| ack.message.clone())
+            .collect();
+        assert_eq!(acks.len(), 1, "one ack for the re-assertion");
+        assert_eq!(acks[0].pop::<String>().unwrap(), "reliable");
+        assert_eq!(
+            acks[0].pop::<u64>().unwrap(),
+            3,
+            "stamped with the new epoch"
+        );
+
+        // The same name over a different description (re-rendered over a
+        // changed live membership) is a different configuration: it deploys.
+        let changed =
+            "<channel name=\"data\"><layer name=\"network\"/><layer name=\"app\"/></channel>";
+        core.run_up(command(4, changed), &mut platform);
+        assert_eq!(platform.reconfig_requests.len(), 2, "second deployment");
+        assert_eq!(platform.reconfig_requests[1].epoch, 4);
+        assert!(
+            core.drain_down()
+                .iter()
+                .all(|event| !event.is::<ReconfigAck>()),
+            "a real deployment is acked by the local module, not the layer"
+        );
     }
 
     #[test]

@@ -64,24 +64,10 @@ pub struct NodeOptions {
     /// Total time budget of one reconfiguration round before the coordinator
     /// aborts it and lets the policy re-fire, in milliseconds.
     pub round_timeout_ms: u64,
-    /// Gossip fan-out of the control mechanisms: the failure detectors
-    /// (control channel and generated data stacks) and the context
-    /// dissemination. `0` selects the legacy all-to-all control plane
-    /// (heartbeat multicast + context flood) — the benchmarks' O(n²)
-    /// baseline.
-    pub control_fanout: usize,
     /// Cadence of the epidemic data stack's NACK/anti-entropy repair pass,
     /// in milliseconds (`0` disables repair, leaving the pure push-phase
-    /// gossip — the pre-repair baseline benchmarks compare against).
+    /// gossip).
     pub gossip_repair_interval_ms: u64,
-    /// Per-peer credit window of the epidemic data stack: how many gossip
-    /// pushes a sender may have in flight towards one peer before it defers
-    /// into the bounded outbox and falls back to digest/pull repair (`0`
-    /// disables backpressure).
-    pub gossip_credit_window: usize,
-    /// How many application messages one gossip packet may aggregate
-    /// (`1` = singleton pushes, the pre-batching baseline).
-    pub gossip_batch_max: usize,
     /// Whether this node is a *restarted* member re-entering a running
     /// group: its stacks come up in joining mode (empty view, blocked) and
     /// the recovery layer drives re-admission plus state transfer.
@@ -92,8 +78,6 @@ pub struct NodeOptions {
     pub data_channel: String,
     /// Name of the control channel.
     pub control_channel: String,
-    /// Extra parameters handed to the Core control layer (policy thresholds).
-    pub core_params: Vec<(String, String)>,
 }
 
 impl NodeOptions {
@@ -108,22 +92,12 @@ impl NodeOptions {
             suspect_timeout_ms: 5000,
             retransmit_interval_ms: 500,
             round_timeout_ms: 4000,
-            control_fanout: 3,
             gossip_repair_interval_ms: 1000,
-            gossip_credit_window: 128,
-            gossip_batch_max: 4,
             rejoining: false,
             transfer_chunk_bytes: 1024,
             data_channel: "data".to_string(),
             control_channel: "ctrl".to_string(),
-            core_params: Vec::new(),
         }
-    }
-
-    /// Disables run-time adaptation (builder style).
-    pub fn non_adaptive(mut self) -> Self {
-        self.adaptive = false;
-        self
     }
 
     /// Sets the initial stack (builder style).
@@ -137,19 +111,6 @@ impl NodeOptions {
         self.publish_interval_ms = interval_ms;
         self
     }
-
-    /// Adds a Core policy parameter (builder style).
-    pub fn with_core_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.core_params.push((key.into(), value.into()));
-        self
-    }
-
-    /// Marks the node as a restarted member rejoining a running group
-    /// (builder style).
-    pub fn rejoining(mut self) -> Self {
-        self.rejoining = true;
-        self
-    }
 }
 
 /// One Morpheus middleware instance.
@@ -157,12 +118,10 @@ pub struct MorpheusNode {
     kernel: Kernel,
     options: NodeOptions,
     catalog: StackCatalog,
-    context_store: Rc<RefCell<ContextStore>>,
     data_channel: ChannelId,
     control_channel: ChannelId,
     current_stack: String,
     reconfigurations: u64,
-    sent_messages: u64,
 }
 
 impl MorpheusNode {
@@ -187,7 +146,7 @@ impl MorpheusNode {
         let context_store = Rc::new(RefCell::new(ContextStore::new()));
         register_cocaditem_with_store(&mut kernel, context_store.clone());
         let mut sections: Vec<Rc<dyn StateSection>> =
-            vec![Rc::new(ContextStoreSection::new(context_store.clone()))];
+            vec![Rc::new(ContextStoreSection::new(context_store))];
         sections.extend(app_sections);
         // Replaces the suite's section-less recovery layer by name.
         kernel
@@ -197,59 +156,19 @@ impl MorpheusNode {
 
         let catalog = StackCatalog::new(&options.data_channel, options.members.clone())
             .with_failure_detection(options.hb_interval_ms, options.suspect_timeout_ms)
-            .with_fd_fanout(options.control_fanout)
             .with_view_change_timing(options.retransmit_interval_ms, options.round_timeout_ms)
             .with_transfer_chunk_bytes(options.transfer_chunk_bytes)
             .with_gossip_repair(options.gossip_repair_interval_ms)
-            .with_gossip_flow(options.gossip_credit_window, options.gossip_batch_max)
             .with_rejoining(options.rejoining);
 
         let data_config = catalog.config_for(&options.initial_stack);
         let data_channel = kernel.create_channel(&data_config, platform)?;
 
-        let mut core_params = options.core_params.clone();
-        core_params.push(("initial_stack".to_string(), options.initial_stack.name()));
-        core_params.push((
-            "hb_interval_ms".to_string(),
-            options.hb_interval_ms.to_string(),
-        ));
-        core_params.push((
-            "suspect_timeout_ms".to_string(),
-            options.suspect_timeout_ms.to_string(),
-        ));
-        core_params.push((
-            "retransmit_interval_ms".to_string(),
-            options.retransmit_interval_ms.to_string(),
-        ));
-        core_params.push((
-            "round_timeout_ms".to_string(),
-            options.round_timeout_ms.to_string(),
-        ));
-        core_params.push((
-            "control_fanout".to_string(),
-            options.control_fanout.to_string(),
-        ));
-        core_params.push((
-            "transfer_chunk_bytes".to_string(),
-            options.transfer_chunk_bytes.to_string(),
-        ));
-        core_params.push((
-            "gossip_repair_interval_ms".to_string(),
-            options.gossip_repair_interval_ms.to_string(),
-        ));
-        core_params.push((
-            "gossip_credit_window".to_string(),
-            options.gossip_credit_window.to_string(),
-        ));
-        core_params.push((
-            "gossip_batch_max".to_string(),
-            options.gossip_batch_max.to_string(),
-        ));
         let control_config = catalog.control_config(
             &options.control_channel,
             options.publish_interval_ms,
             options.adaptive,
-            &core_params,
+            &options.initial_stack,
         );
         let control_channel = kernel.create_channel(&control_config, platform)?;
 
@@ -257,34 +176,16 @@ impl MorpheusNode {
             current_stack: options.initial_stack.name(),
             kernel,
             catalog,
-            context_store,
             data_channel,
             control_channel,
             options,
             reconfigurations: 0,
-            sent_messages: 0,
         })
-    }
-
-    /// The kernel backing this node.
-    pub fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-
-    /// Mutable access to the kernel (tests and advanced integrations).
-    pub fn kernel_mut(&mut self) -> &mut Kernel {
-        &mut self.kernel
     }
 
     /// The stack catalogue this node deploys from.
     pub fn catalog(&self) -> &StackCatalog {
         &self.catalog
-    }
-
-    /// The node's shared Cocaditem context store (live view of the
-    /// replicated context; also the first rejoin state-transfer section).
-    pub fn context_store(&self) -> &Rc<RefCell<ContextStore>> {
-        &self.context_store
     }
 
     /// Name of the stack currently deployed on the data channel.
@@ -295,11 +196,6 @@ impl MorpheusNode {
     /// Number of reconfigurations applied so far.
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigurations
-    }
-
-    /// Number of application messages sent so far.
-    pub fn sent_messages(&self) -> u64 {
-        self.sent_messages
     }
 
     /// Counters of the data channel's gossip session (push-phase forwards
@@ -349,7 +245,6 @@ impl MorpheusNode {
     pub fn send_to_group(&mut self, payload: impl Into<Bytes>, platform: &mut dyn Platform) {
         let source = platform.node_id();
         let event = Event::down(DataEvent::to_group(source, Message::with_payload(payload)));
-        self.sent_messages += 1;
         self.kernel
             .dispatch_and_process(self.data_channel, event, platform);
     }
@@ -512,7 +407,7 @@ mod tests {
     fn node_starts_with_data_and_control_channels() {
         let mut platform = TestPlatform::new(NodeId(0));
         let node = MorpheusNode::new(NodeOptions::new(members(3)), &mut platform).unwrap();
-        assert_eq!(node.kernel().channel_names(), vec!["ctrl", "data"]);
+        assert_eq!(node.kernel.channel_names(), vec!["ctrl", "data"]);
         assert_eq!(node.current_stack(), "best-effort");
         assert_eq!(
             node.data_stack_layers(),
@@ -537,7 +432,6 @@ mod tests {
             .filter(|packet| packet.class == PacketClass::Data)
             .count();
         assert_eq!(data_packets, 3);
-        assert_eq!(node.sent_messages(), 1);
     }
 
     #[test]
@@ -583,12 +477,9 @@ mod tests {
 
         // Block the data channel (as the reconfiguration procedure would),
         // then send: nothing leaves the node.
-        let data_id = node.kernel_mut().channel_id("data").unwrap();
-        node.kernel_mut().dispatch_and_process(
-            data_id,
-            Event::down(BlockRequest {}),
-            &mut platform,
-        );
+        let data_id = node.kernel.channel_id("data").unwrap();
+        node.kernel
+            .dispatch_and_process(data_id, Event::down(BlockRequest {}), &mut platform);
         node.send_to_group(&b"queued"[..], &mut platform);
         assert_eq!(
             platform

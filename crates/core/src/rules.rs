@@ -1,6 +1,5 @@
 //! The default rule-based adaptation policy.
 
-use morpheus_appia::layer::{param_or, LayerParams};
 use morpheus_cocaditem::RoomContext;
 
 use crate::policy::{AdaptationPolicy, GlobalContext, RoomStackKind, StackKind};
@@ -79,7 +78,7 @@ impl RoomRules {
 ///    stack, with the best-resourced fixed node as relay.
 /// 2. **Large group** (at or above `large_group_threshold`) → epidemic
 ///    multicast, with `ttl` derived from the live view size
-///    ([`derived_gossip_ttl`]) unless pinned by `gossip_ttl`.
+///    ([`derived_gossip_ttl`]).
 /// 3. **High error rate** (at or above `fec_error_threshold`) → forward error
 ///    correction ("mask the errors").
 /// 4. **Moderate error rate** (at or above `retransmit_error_threshold`) →
@@ -97,10 +96,6 @@ pub struct DefaultPolicy {
     pub fec_k: usize,
     /// Gossip fan-out used when gossip is selected.
     pub gossip_fanout: usize,
-    /// Gossip TTL used when gossip is selected. `0` (the default) derives
-    /// the TTL from the live group size at evaluation time; a non-zero
-    /// value pins it.
-    pub gossip_ttl: u32,
 }
 
 impl Default for DefaultPolicy {
@@ -111,34 +106,6 @@ impl Default for DefaultPolicy {
             retransmit_error_threshold: 0.005,
             fec_k: 4,
             gossip_fanout: 3,
-            gossip_ttl: 0,
-        }
-    }
-}
-
-impl DefaultPolicy {
-    /// Builds the policy from layer parameters (all optional).
-    pub fn from_params(params: &LayerParams) -> Self {
-        let defaults = Self::default();
-        Self {
-            large_group_threshold: param_or(
-                params,
-                "large_group_threshold",
-                defaults.large_group_threshold,
-            ),
-            fec_error_threshold: param_or(
-                params,
-                "fec_error_threshold",
-                defaults.fec_error_threshold,
-            ),
-            retransmit_error_threshold: param_or(
-                params,
-                "retransmit_error_threshold",
-                defaults.retransmit_error_threshold,
-            ),
-            fec_k: param_or(params, "fec_k", defaults.fec_k),
-            gossip_fanout: param_or(params, "gossip_fanout", defaults.gossip_fanout),
-            gossip_ttl: param_or(params, "gossip_ttl", defaults.gossip_ttl),
         }
     }
 }
@@ -158,14 +125,9 @@ impl AdaptationPolicy for DefaultPolicy {
             return Some(StackKind::HybridMecho { relay });
         }
         if context.group_size() >= self.large_group_threshold {
-            let ttl = if self.gossip_ttl == 0 {
-                derived_gossip_ttl(context.group_size(), self.gossip_fanout)
-            } else {
-                self.gossip_ttl
-            };
             return Some(StackKind::Gossip {
                 fanout: self.gossip_fanout,
-                ttl,
+                ttl: derived_gossip_ttl(context.group_size(), self.gossip_fanout),
             });
         }
         let error_rate = context.store.max_error_rate();
@@ -300,16 +262,6 @@ mod tests {
         };
         assert_eq!((f1, t1), (3, 4));
         assert_eq!((f2, t2), (3, 7));
-
-        // A pinned TTL bypasses the derivation.
-        let pinned = DefaultPolicy {
-            gossip_ttl: 9,
-            ..DefaultPolicy::default()
-        };
-        let Some(StackKind::Gossip { ttl, .. }) = pinned.evaluate(&large) else {
-            panic!("pinned policy must still select gossip");
-        };
-        assert_eq!(ttl, 9);
     }
 
     #[test]
@@ -343,14 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn from_params_overrides_thresholds() {
-        let mut params = LayerParams::new();
-        params.insert("large_group_threshold".into(), "4".into());
-        params.insert("fec_k".into(), "8".into());
-        let policy = DefaultPolicy::from_params(&params);
-        assert_eq!(policy.large_group_threshold, 4);
-        assert_eq!(policy.fec_k, 8);
-        assert_eq!(policy.gossip_fanout, DefaultPolicy::default().gossip_fanout);
+    fn a_lower_threshold_selects_gossip_for_a_smaller_group() {
+        let policy = DefaultPolicy {
+            large_group_threshold: 4,
+            ..DefaultPolicy::default()
+        };
 
         let snapshots: Vec<ContextSnapshot> = (0..5).map(fixed).collect();
         let context = context_with(snapshots);

@@ -20,13 +20,10 @@ pub struct StackCatalog {
     share_key: String,
     hb_interval_ms: u64,
     suspect_timeout_ms: u64,
-    fd_fanout: usize,
     retransmit_interval_ms: u64,
     round_timeout_ms: u64,
     transfer_chunk_bytes: usize,
     gossip_repair_interval_ms: u64,
-    gossip_credit_window: usize,
-    gossip_batch_max: usize,
     rejoining: bool,
 }
 
@@ -39,13 +36,10 @@ impl StackCatalog {
             share_key: "group".to_string(),
             hb_interval_ms: 1000,
             suspect_timeout_ms: 5000,
-            fd_fanout: 3,
             retransmit_interval_ms: 500,
             round_timeout_ms: 4000,
             transfer_chunk_bytes: 1024,
             gossip_repair_interval_ms: 1000,
-            gossip_credit_window: 128,
-            gossip_batch_max: 4,
             rejoining: false,
         }
     }
@@ -54,14 +48,6 @@ impl StackCatalog {
     pub fn with_failure_detection(mut self, hb_interval_ms: u64, suspect_timeout_ms: u64) -> Self {
         self.hb_interval_ms = hb_interval_ms;
         self.suspect_timeout_ms = suspect_timeout_ms;
-        self
-    }
-
-    /// Overrides the failure detector's gossip fan-out in generated stacks
-    /// and in [`StackCatalog::control_config`] (`0` selects the legacy
-    /// all-to-all heartbeat — the benchmarks' O(n²) baseline).
-    pub fn with_fd_fanout(mut self, fanout: usize) -> Self {
-        self.fd_fanout = fanout;
         self
     }
 
@@ -86,15 +72,6 @@ impl StackCatalog {
         self
     }
 
-    /// Overrides the epidemic flow control of generated gossip stacks: the
-    /// per-peer credit window (`0` disables backpressure) and how many app
-    /// messages one gossip packet may aggregate (`1` = singleton pushes).
-    pub fn with_gossip_flow(mut self, credit_window: usize, batch_max: usize) -> Self {
-        self.gossip_credit_window = credit_window;
-        self.gossip_batch_max = batch_max.max(1);
-        self
-    }
-
     /// Marks generated stacks as belonging to a restarted node re-entering
     /// the group (vsync starts with an empty view; the recovery layer drives
     /// re-admission and state transfer).
@@ -103,26 +80,13 @@ impl StackCatalog {
         self
     }
 
-    /// The group membership the catalogue builds stacks for.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// The data-channel name.
-    pub fn channel_name(&self) -> &str {
-        &self.channel
-    }
-
     fn builder_for(&self, members: Vec<NodeId>) -> StackBuilder {
         StackBuilder::new(self.channel.clone(), members)
             .share_vsync(self.share_key.clone())
             .failure_detection(self.hb_interval_ms, self.suspect_timeout_ms)
-            .fd_fanout(self.fd_fanout)
             .view_change_timing(self.retransmit_interval_ms, self.round_timeout_ms)
             .transfer_chunk_bytes(self.transfer_chunk_bytes)
             .gossip_repair_interval_ms(self.gossip_repair_interval_ms)
-            .gossip_credit_window(self.gossip_credit_window)
-            .gossip_batch_max(self.gossip_batch_max)
             .rejoining(self.rejoining)
     }
 
@@ -179,12 +143,16 @@ impl StackCatalog {
     /// every reconfiguration — exactly the moment crash detection must keep
     /// working so the coordinator's ack quorum and the coordinator election
     /// stay live.
+    ///
+    /// The Core layer renders the stacks it commands from a catalogue of its
+    /// own, so it is handed this catalogue's timing and transfer settings
+    /// along with the name of the stack the node booted on.
     pub fn control_config(
         &self,
         channel: &str,
         publish_interval_ms: u64,
         adaptive: bool,
-        extra_core_params: &[(String, String)],
+        initial_stack: &StackKind,
     ) -> ChannelConfig {
         let members_param = self
             .members
@@ -192,27 +160,38 @@ impl StackCatalog {
             .map(|m| m.0.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        let mut core = LayerSpec::new("core")
+        let core = LayerSpec::new("core")
             .with_param("members", &members_param)
             .with_param("adaptive", adaptive.to_string())
-            .with_param("data_channel", &self.channel);
-        for (key, value) in extra_core_params {
-            core = core.with_param(key.clone(), value.clone());
-        }
+            .with_param("data_channel", &self.channel)
+            .with_param("initial_stack", initial_stack.name())
+            .with_param("hb_interval_ms", self.hb_interval_ms.to_string())
+            .with_param("suspect_timeout_ms", self.suspect_timeout_ms.to_string())
+            .with_param(
+                "retransmit_interval_ms",
+                self.retransmit_interval_ms.to_string(),
+            )
+            .with_param("round_timeout_ms", self.round_timeout_ms.to_string())
+            .with_param(
+                "transfer_chunk_bytes",
+                self.transfer_chunk_bytes.to_string(),
+            )
+            .with_param(
+                "gossip_repair_interval_ms",
+                self.gossip_repair_interval_ms.to_string(),
+            );
         ChannelConfig::new(channel)
             .with_layer(LayerSpec::new("network"))
             .with_layer(
                 LayerSpec::new("fd")
                     .with_param("members", &members_param)
                     .with_param("hb_interval_ms", self.hb_interval_ms.to_string())
-                    .with_param("suspect_timeout_ms", self.suspect_timeout_ms.to_string())
-                    .with_param("fanout", self.fd_fanout.to_string()),
+                    .with_param("suspect_timeout_ms", self.suspect_timeout_ms.to_string()),
             )
             .with_layer(
                 LayerSpec::new("cocaditem")
                     .with_param("members", &members_param)
-                    .with_param("publish_interval_ms", publish_interval_ms.to_string())
-                    .with_param("fanout", self.fd_fanout.to_string()),
+                    .with_param("publish_interval_ms", publish_interval_ms.to_string()),
             )
             .with_layer(core)
             .with_layer(LayerSpec::new("app"))
@@ -271,7 +250,7 @@ mod tests {
     #[test]
     fn control_config_stacks_fd_and_cocaditem_under_core() {
         let catalog = StackCatalog::new("data", members(3)).with_failure_detection(250, 900);
-        let config = catalog.control_config("ctrl", 500, true, &[]);
+        let config = catalog.control_config("ctrl", 500, true, &StackKind::BestEffort);
         assert_eq!(
             config.layer_names(),
             vec!["network", "fd", "cocaditem", "core", "app"]
@@ -294,6 +273,15 @@ mod tests {
             core.params.get("data_channel").map(String::as_str),
             Some("data")
         );
+        // The Core layer's own catalogue is built from these.
+        assert_eq!(
+            core.params.get("initial_stack").map(String::as_str),
+            Some("best-effort")
+        );
+        assert_eq!(
+            core.params.get("suspect_timeout_ms").map(String::as_str),
+            Some("900")
+        );
     }
 
     #[test]
@@ -311,26 +299,6 @@ mod tests {
                 "layer {layer} must list only the live members"
             );
         }
-    }
-
-    #[test]
-    fn fd_fanout_flows_into_generated_stacks_and_the_control_config() {
-        let catalog = StackCatalog::new("data", members(4)).with_fd_fanout(0);
-        let data = catalog.config_for(&StackKind::BestEffort);
-        let fd = data.layers.iter().find(|l| l.layer == "fd").unwrap();
-        assert_eq!(fd.params.get("fanout").map(String::as_str), Some("0"));
-        let control = catalog.control_config("ctrl", 500, true, &[]);
-        let fd = control.layers.iter().find(|l| l.layer == "fd").unwrap();
-        assert_eq!(fd.params.get("fanout").map(String::as_str), Some("0"));
-        let cocaditem = control
-            .layers
-            .iter()
-            .find(|l| l.layer == "cocaditem")
-            .unwrap();
-        assert_eq!(
-            cocaditem.params.get("fanout").map(String::as_str),
-            Some("0")
-        );
     }
 
     #[test]

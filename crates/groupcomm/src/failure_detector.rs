@@ -15,9 +15,6 @@
 //! Because counter propagation takes roughly `log_fanout(n)` intervals,
 //! `suspect_timeout_ms` should be at least `(log_fanout(n) + 2)` heartbeat
 //! intervals for large groups.
-//!
-//! Setting `fanout` to `0` restores the legacy all-to-all heartbeat multicast
-//! (used by benchmarks as the O(n²) baseline).
 
 use std::collections::{HashMap, HashSet};
 
@@ -47,7 +44,7 @@ const TICK_TAG: u32 = 1;
 /// * `suspect_timeout_ms` — digest-age threshold before suspicion
 ///   (default 2000 ms);
 /// * `fanout` — random peers each digest is pushed to per interval
-///   (default 3; `0` selects the legacy all-to-all heartbeat multicast).
+///   (default 3, at least 1).
 pub struct FailureDetectorLayer;
 
 impl Layer for FailureDetectorLayer {
@@ -76,7 +73,7 @@ impl Layer for FailureDetectorLayer {
             members,
             hb_interval_ms: param_or(params, "hb_interval_ms", 500u64).max(10),
             suspect_timeout_ms: param_or(params, "suspect_timeout_ms", 2000u64).max(50),
-            fanout: param_or(params, "fanout", 3usize),
+            fanout: param_or(params, "fanout", 3usize).max(1),
             counters: HashMap::new(),
             last_advance: HashMap::new(),
             suspected: HashSet::new(),
@@ -96,7 +93,7 @@ pub struct FailureDetectorSession {
     member_set: HashSet<NodeId>,
     hb_interval_ms: u64,
     suspect_timeout_ms: u64,
-    /// Digest push fan-out; `0` selects the legacy all-to-all heartbeat.
+    /// Digest push fan-out.
     fanout: usize,
     /// Highest known heartbeat counter per member (the local node's own
     /// entry is advanced on every tick).
@@ -140,10 +137,9 @@ impl FailureDetectorSession {
         let local = ctx.node_id();
         let now = ctx.now_ms();
 
-        // Advance the local counter and push the digest (or, in legacy mode,
-        // a plain heartbeat to everybody). The counter is floored at the
-        // local tick count (`now / interval`) so it stays monotonic across a
-        // stack replacement: a freshly recreated session restarting from 1
+        // Advance the local counter and push the digest. The counter is
+        // floored at the local tick count (`now / interval`) so it stays
+        // monotonic across a stack replacement: a session restarting from 1
         // would look *stale* to peers still holding the pre-replacement
         // counter, and the node would silently lose its third-party liveness
         // evidence until the counter caught up.
@@ -151,28 +147,16 @@ impl FailureDetectorSession {
         let counter = self.counters.entry(local).or_insert(0);
         *counter = (*counter + 1).max(tick_floor);
         self.last_advance.insert(local, now);
-        let targets = if self.fanout == 0 {
-            self.members
-                .iter()
-                .copied()
-                .filter(|member| *member != local)
-                .collect()
-        } else {
-            crate::gossip::sample_peers(&self.members, &[local], self.fanout, ctx)
-        };
+        let targets = crate::gossip::sample_peers(&self.members, &[local], self.fanout, ctx);
         if !targets.is_empty() {
+            let mut entries: Vec<(NodeId, u64)> = self
+                .members
+                .iter()
+                .filter_map(|member| self.counters.get(member).map(|counter| (*member, *counter)))
+                .collect();
+            entries.sort_unstable_by_key(|(node, _)| node.0);
             let mut message = Message::new();
-            if self.fanout != 0 {
-                let mut entries: Vec<(NodeId, u64)> = self
-                    .members
-                    .iter()
-                    .filter_map(|member| {
-                        self.counters.get(member).map(|counter| (*member, *counter))
-                    })
-                    .collect();
-                entries.sort_unstable_by_key(|(node, _)| node.0);
-                message.push(&LivenessDigest { entries });
-            }
+            message.push(&LivenessDigest { entries });
             self.heartbeats_sent += 1;
             ctx.dispatch(Event::down(Heartbeat::new(
                 local,
@@ -250,10 +234,9 @@ impl Session for FailureDetectorSession {
                     return;
                 };
                 let source = hb.header.source;
-                // A gossip heartbeat carries a digest; a legacy heartbeat is
-                // bare. Either way the sender itself is demonstrably alive.
-                let digest = hb.message.pop::<LivenessDigest>().ok();
-                if let Some(digest) = digest {
+                // A heartbeat whose digest is missing or truncated merges
+                // nothing; its sender is demonstrably alive all the same.
+                if let Ok(digest) = hb.message.pop::<LivenessDigest>() {
                     self.merge_digest(&digest, now, ctx);
                 }
                 self.heard_from(source, now, ctx);
@@ -295,17 +278,6 @@ mod tests {
         params
     }
 
-    fn fd_params_with_fanout(
-        members: &[u32],
-        interval: u64,
-        timeout: u64,
-        fanout: usize,
-    ) -> LayerParams {
-        let mut params = fd_params(members, interval, timeout);
-        params.insert("fanout".into(), fanout.to_string());
-        params
-    }
-
     fn fire_pending_timers(harness: &mut Harness, platform: &mut TestPlatform) {
         let timers: Vec<_> = std::mem::take(&mut platform.timers);
         for (_, key) in timers {
@@ -335,7 +307,7 @@ mod tests {
         let members: Vec<u32> = (1..=8).collect();
         let mut fd = Harness::new(
             FailureDetectorLayer,
-            &fd_params_with_fanout(&members, 100, 1000, 3),
+            &fd_params(&members, 100, 1000),
             &mut platform,
         );
 
@@ -373,32 +345,6 @@ mod tests {
             hb.get::<Heartbeat>().unwrap().header.dest,
             Dest::Nodes(vec![NodeId(2), NodeId(3)])
         );
-    }
-
-    #[test]
-    fn fanout_zero_restores_the_all_to_all_heartbeat() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let members: Vec<u32> = (1..=6).collect();
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params_with_fanout(&members, 100, 1000, 0),
-            &mut platform,
-        );
-        fire_pending_timers(&mut fd, &mut platform);
-        let down = fd.drain_down();
-        let hb = down.iter().find(|event| event.is::<Heartbeat>()).unwrap();
-        let Dest::Nodes(targets) = &hb.get::<Heartbeat>().unwrap().header.dest else {
-            panic!("heartbeat must address a node list");
-        };
-        assert_eq!(targets.len(), 5, "legacy mode addresses every other member");
-        // Legacy heartbeats carry no digest.
-        assert!(hb
-            .get::<Heartbeat>()
-            .unwrap()
-            .message
-            .clone()
-            .pop::<LivenessDigest>()
-            .is_err());
     }
 
     #[test]
@@ -446,6 +392,32 @@ mod tests {
                 .count();
         }
         assert_eq!(suspects, 0);
+    }
+
+    #[test]
+    fn a_heartbeat_without_a_digest_still_counts_its_sender_alive() {
+        // Input checking: a missing or truncated digest merges nothing, but
+        // the packet itself proves its sender alive.
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut fd = Harness::new(
+            FailureDetectorLayer,
+            &fd_params(&[1, 2, 3], 100, 250),
+            &mut platform,
+        );
+
+        let mut suspected = Vec::new();
+        for _ in 0..6 {
+            platform.advance(100);
+            let bare = Heartbeat::new(NodeId(2), Dest::Node(NodeId(1)), Message::new());
+            fd.run_up(Event::up(bare), &mut platform);
+            fire_pending_timers(&mut fd, &mut platform);
+            suspected.extend(
+                fd.drain_up()
+                    .into_iter()
+                    .filter_map(|event| event.get::<Suspect>().map(|s| s.node)),
+            );
+        }
+        assert_eq!(suspected, vec![NodeId(3)], "only the silent member");
     }
 
     #[test]

@@ -119,6 +119,21 @@ pub enum Ordering {
     Total,
 }
 
+/// Gossip fan-out of the control mechanisms in generated stacks: the
+/// failure detector's liveness digests and view synchrony's flush gossip.
+const CONTROL_FANOUT: usize = 3;
+
+/// Per-peer credit window of generated gossip stacks: pushes a sender may
+/// have in flight towards one peer before it defers into the bounded outbox.
+const GOSSIP_CREDIT_WINDOW: usize = 128;
+
+/// Application messages one packet of a generated gossip stack aggregates.
+const GOSSIP_BATCH_MAX: usize = 4;
+
+/// View size at which view synchrony's flush collection rides the gossip
+/// plane.
+const VSYNC_GOSSIP_THRESHOLD: usize = 50;
+
 /// Builder for the suite's standard channel compositions.
 #[derive(Debug, Clone)]
 pub struct StackBuilder {
@@ -127,18 +142,13 @@ pub struct StackBuilder {
     multicast: Multicast,
     reliability: Reliability,
     ordering: Ordering,
-    membership: bool,
     vsync_share: Option<String>,
     hb_interval_ms: u64,
     suspect_timeout_ms: u64,
-    fd_fanout: usize,
     retransmit_interval_ms: u64,
     round_timeout_ms: u64,
-    vsync_gossip_threshold: usize,
     transfer_chunk_bytes: usize,
     gossip_repair_interval_ms: u64,
-    gossip_credit_window: usize,
-    gossip_batch_max: usize,
     joining: bool,
 }
 
@@ -151,18 +161,13 @@ impl StackBuilder {
             multicast: Multicast::Beb { use_native: false },
             reliability: Reliability::None,
             ordering: Ordering::None,
-            membership: true,
             vsync_share: None,
             hb_interval_ms: 500,
             suspect_timeout_ms: 2000,
-            fd_fanout: 3,
             retransmit_interval_ms: 500,
             round_timeout_ms: 4000,
-            vsync_gossip_threshold: 50,
             transfer_chunk_bytes: 1024,
             gossip_repair_interval_ms: 1000,
-            gossip_credit_window: 128,
-            gossip_batch_max: 4,
             joining: false,
         }
     }
@@ -218,13 +223,6 @@ impl StackBuilder {
         self
     }
 
-    /// Removes the failure detector and view-synchrony layers (bare stacks
-    /// for micro-benchmarks).
-    pub fn without_membership(mut self) -> Self {
-        self.membership = false;
-        self
-    }
-
     /// Shares the view-synchrony session under the given key so it survives
     /// stack replacements (and can be shared across channels).
     pub fn share_vsync(mut self, key: impl Into<String>) -> Self {
@@ -239,26 +237,12 @@ impl StackBuilder {
         self
     }
 
-    /// Overrides the failure detector's gossip fan-out (`0` selects the
-    /// legacy all-to-all heartbeat multicast).
-    pub fn fd_fanout(mut self, fanout: usize) -> Self {
-        self.fd_fanout = fanout;
-        self
-    }
-
     /// Overrides the view-change round timing (retransmission cadence and
     /// round timeout) — also used as the recovery layer's join-retry cadence
     /// and transfer failover timeout.
     pub fn view_change_timing(mut self, retransmit_ms: u64, round_timeout_ms: u64) -> Self {
         self.retransmit_interval_ms = retransmit_ms;
         self.round_timeout_ms = round_timeout_ms;
-        self
-    }
-
-    /// Overrides the view size at which vsync flush collection switches to
-    /// gossip aggregation.
-    pub fn vsync_gossip_threshold(mut self, threshold: usize) -> Self {
-        self.vsync_gossip_threshold = threshold;
         self
     }
 
@@ -272,20 +256,6 @@ impl StackBuilder {
     /// disables the NACK/anti-entropy repair, leaving the pure push phase).
     pub fn gossip_repair_interval_ms(mut self, interval_ms: u64) -> Self {
         self.gossip_repair_interval_ms = interval_ms;
-        self
-    }
-
-    /// Overrides the per-peer gossip credit window (`0` disables the credit
-    /// backpressure, restoring unthrottled pushes).
-    pub fn gossip_credit_window(mut self, window: usize) -> Self {
-        self.gossip_credit_window = window;
-        self
-    }
-
-    /// Overrides how many app messages one gossip packet may aggregate
-    /// (`1` restores singleton pushes).
-    pub fn gossip_batch_max(mut self, batch_max: usize) -> Self {
-        self.gossip_batch_max = batch_max.max(1);
         self
     }
 
@@ -332,8 +302,8 @@ impl StackBuilder {
                     "repair_interval_ms",
                     self.gossip_repair_interval_ms.to_string(),
                 )
-                .with_param("credit_window", self.gossip_credit_window.to_string())
-                .with_param("batch_max", self.gossip_batch_max.to_string()),
+                .with_param("credit_window", GOSSIP_CREDIT_WINDOW.to_string())
+                .with_param("batch_max", GOSSIP_BATCH_MAX.to_string()),
         });
 
         match self.reliability {
@@ -353,42 +323,40 @@ impl StackBuilder {
             }
         }
 
-        if self.membership {
-            config = config.with_layer(
-                LayerSpec::new("fd")
-                    .with_param("members", &members)
-                    .with_param("hb_interval_ms", self.hb_interval_ms.to_string())
-                    .with_param("suspect_timeout_ms", self.suspect_timeout_ms.to_string())
-                    .with_param("fanout", self.fd_fanout.to_string()),
-            );
-            // The recovery layer sits between the failure detector and view
-            // synchrony: it sees Suspects (donor failover) and ViewInstalls
-            // (admission) and buffers join-view data below vsync. Shared so
-            // an in-flight transfer survives a stack replacement.
-            config = config.with_layer(
-                LayerSpec::new("recovery")
-                    .with_param("members", &members)
-                    .with_param("retry_ms", self.retransmit_interval_ms.to_string())
-                    .with_param("transfer_timeout_ms", self.round_timeout_ms.to_string())
-                    .with_param("chunk_bytes", self.transfer_chunk_bytes.to_string())
-                    .with_param("joining", self.joining.to_string())
-                    .shared("recovery"),
-            );
-            let mut vsync = LayerSpec::new("vsync")
+        config = config.with_layer(
+            LayerSpec::new("fd")
                 .with_param("members", &members)
-                .with_param(
-                    "retransmit_interval_ms",
-                    self.retransmit_interval_ms.to_string(),
-                )
-                .with_param("round_timeout_ms", self.round_timeout_ms.to_string())
-                .with_param("gossip_threshold", self.vsync_gossip_threshold.to_string())
-                .with_param("fanout", self.fd_fanout.max(1).to_string())
-                .with_param("joining", self.joining.to_string());
-            if let Some(key) = &self.vsync_share {
-                vsync = vsync.shared(key.clone());
-            }
-            config = config.with_layer(vsync);
+                .with_param("hb_interval_ms", self.hb_interval_ms.to_string())
+                .with_param("suspect_timeout_ms", self.suspect_timeout_ms.to_string())
+                .with_param("fanout", CONTROL_FANOUT.to_string()),
+        );
+        // The recovery layer sits between the failure detector and view
+        // synchrony: it sees Suspects (donor failover) and ViewInstalls
+        // (admission) and buffers join-view data below vsync. Shared so
+        // an in-flight transfer survives a stack replacement.
+        config = config.with_layer(
+            LayerSpec::new("recovery")
+                .with_param("members", &members)
+                .with_param("retry_ms", self.retransmit_interval_ms.to_string())
+                .with_param("transfer_timeout_ms", self.round_timeout_ms.to_string())
+                .with_param("chunk_bytes", self.transfer_chunk_bytes.to_string())
+                .with_param("joining", self.joining.to_string())
+                .shared("recovery"),
+        );
+        let mut vsync = LayerSpec::new("vsync")
+            .with_param("members", &members)
+            .with_param(
+                "retransmit_interval_ms",
+                self.retransmit_interval_ms.to_string(),
+            )
+            .with_param("round_timeout_ms", self.round_timeout_ms.to_string())
+            .with_param("gossip_threshold", VSYNC_GOSSIP_THRESHOLD.to_string())
+            .with_param("fanout", CONTROL_FANOUT.to_string())
+            .with_param("joining", self.joining.to_string());
+        if let Some(key) = &self.vsync_share {
+            vsync = vsync.shared(key.clone());
         }
+        config = config.with_layer(vsync);
 
         match self.ordering {
             Ordering::None => {}
@@ -476,11 +444,10 @@ mod tests {
             .gossip(4, 3)
             .fec(8)
             .causal()
-            .without_membership()
             .build();
         assert_eq!(
             config.layer_names(),
-            vec!["network", "gossip", "fec", "causal", "app"]
+            vec!["network", "gossip", "fec", "fd", "recovery", "vsync", "causal", "app"]
         );
     }
 

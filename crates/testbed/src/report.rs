@@ -259,11 +259,6 @@ impl RunReport {
         self.nodes.iter().filter(|report| report.is_mobile)
     }
 
-    /// Every fixed node's report.
-    pub fn fixed_nodes(&self) -> impl Iterator<Item = &NodeReport> {
-        self.nodes.iter().filter(|report| !report.is_mobile)
-    }
-
     /// Total messages sent by the instrumented mobile node (the lowest-id
     /// mobile node), all classes included.
     pub fn measured_mobile_sent(&self) -> u64 {
@@ -271,11 +266,6 @@ impl RunReport {
             .map(NodeReport::sent_total)
             .next()
             .unwrap_or(0)
-    }
-
-    /// Total messages sent by the fixed nodes, all classes included.
-    pub fn fixed_sent_total(&self) -> u64 {
-        self.fixed_nodes().map(NodeReport::sent_total).sum()
     }
 
     /// Total chat messages delivered to applications across all nodes.
@@ -397,7 +387,7 @@ impl RunReport {
     }
 
     /// Renders a fixed-width table of the per-node counters, suitable for
-    /// printing from examples and benches.
+    /// printing from examples.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -516,12 +506,10 @@ mod tests {
     fn aggregates_are_computed_over_the_right_nodes() {
         let report = report();
         assert_eq!(report.measured_mobile_sent(), 6);
-        assert_eq!(report.fixed_sent_total(), 13);
         assert_eq!(report.total_app_deliveries(), 10);
         assert_eq!(report.total_errors(), 0);
         assert_eq!(report.node(NodeId(1)).unwrap().sent_total(), 6);
         assert_eq!(report.mobile_nodes().count(), 1);
-        assert_eq!(report.fixed_nodes().count(), 1);
         assert_eq!(report.reconfiguration_notices().len(), 2);
         let rounds = report.completed_rounds();
         assert_eq!(rounds.len(), 2);

@@ -654,13 +654,9 @@ fn node_options(scenario: &Scenario, members: &[NodeId], rejoining: bool) -> Nod
     options.suspect_timeout_ms = scenario.suspect_timeout_ms;
     options.retransmit_interval_ms = scenario.retransmit_interval_ms;
     options.round_timeout_ms = scenario.round_timeout_ms;
-    options.control_fanout = scenario.control_fanout;
     options.gossip_repair_interval_ms = scenario.repair_interval_ms;
     options.transfer_chunk_bytes = scenario.transfer_chunk_bytes;
     options.rejoining = rejoining;
-    for (key, value) in &scenario.core_params {
-        options = options.with_core_param(key.clone(), value.clone());
-    }
     options
 }
 

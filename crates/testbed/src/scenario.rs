@@ -60,8 +60,8 @@ impl Workload {
 
     /// Sequence numbers (1-based, as the chat binding stamps them) of the
     /// messages each sender emits inside `[from_ms, to_ms)` — the window
-    /// arithmetic recovery tests and the rejoin bench share, so both always
-    /// assert over the same "sent while the node was down" set.
+    /// arithmetic behind the recovery tests' "sent while the node was down"
+    /// sets.
     pub fn seqs_sent_between(&self, from_ms: u64, to_ms: u64) -> std::ops::Range<u64> {
         let first = from_ms
             .saturating_sub(self.warmup_ms)
@@ -112,14 +112,8 @@ pub struct Scenario {
     pub retransmit_interval_ms: u64,
     /// Reconfiguration round timeout in milliseconds.
     pub round_timeout_ms: u64,
-    /// Gossip fan-out of the control plane (failure detection + context
-    /// dissemination). `0` selects the legacy all-to-all control plane —
-    /// heartbeat multicast and full-snapshot flood — the O(n²) baseline the
-    /// membership-scale bench compares against.
-    pub control_fanout: usize,
     /// Cadence of the epidemic data stack's NACK/anti-entropy repair pass,
-    /// in milliseconds. `0` disables repair — the pre-repair push-phase
-    /// baseline the `chat_fanin_quick` bench compares against.
+    /// in milliseconds. `0` disables repair, leaving the pure push phase.
     pub repair_interval_ms: u64,
     /// The application workload.
     pub workload: Workload,
@@ -128,8 +122,6 @@ pub struct Scenario {
     pub cooldown_ms: u64,
     /// Seed for every random decision in the run.
     pub seed: u64,
-    /// Extra parameters for the Core control layer (policy thresholds).
-    pub core_params: Vec<(String, String)>,
     /// Nodes that crash during the run: `(time_ms, node)`.
     pub failures: Vec<(u64, NodeId)>,
     /// Nodes that restart with empty state during the run: `(time_ms,
@@ -184,12 +176,10 @@ impl Scenario {
             suspect_timeout_ms: 10_000,
             retransmit_interval_ms: 500,
             round_timeout_ms: 4000,
-            control_fanout: 3,
             repair_interval_ms: 1000,
             workload: Workload::paper_chat(vec![measured], 400),
             cooldown_ms: 2000,
             seed: 1,
-            core_params: Vec::new(),
             failures: Vec::new(),
             restarts: Vec::new(),
             partitions: Vec::new(),
@@ -235,9 +225,8 @@ impl Scenario {
     }
 
     /// E3+ robustness preset: the adaptive Figure-3 chat with *only* the
-    /// control channel degraded at the given loss rate. Shared by
-    /// `tests/reconfiguration_safety.rs` and the `reconfig_latency_quick`
-    /// bench so both always exercise the same experiment configuration.
+    /// control channel degraded at the given loss rate (see
+    /// `tests/reconfiguration_safety.rs`).
     pub fn lossy_control(devices: usize, messages: u64, loss: f64) -> Self {
         let mut scenario = Scenario::figure3(devices, true, messages)
             .with_seed(7)
@@ -256,9 +245,8 @@ impl Scenario {
     /// control-channel loss; node 0 — the initial coordinator *and* the
     /// policy's preferred Mecho relay — crashes 7 ms into the run, while the
     /// first reconfiguration round is in flight. Chat (sent by node 2)
-    /// starts only after the failover settles. Shared by
-    /// `tests/reconfiguration_safety.rs` and the `reconfig_latency_quick`
-    /// bench.
+    /// starts only after the failover settles (see
+    /// `tests/reconfiguration_safety.rs`).
     pub fn coordinator_crash_mid_round(messages: u64) -> Self {
         let mut scenario = Scenario::new("coordinator-crash-mid-round", 2, 3)
             .with_control_loss(0.2)
@@ -281,7 +269,7 @@ impl Scenario {
     /// from best-effort to epidemic multicast, so the run exercises the full
     /// loop — gossip failure detection, digest anti-entropy dissemination
     /// and a reconfiguration round over the whole group — at membership
-    /// sizes the all-to-all control plane cannot sustain (n = 10/50/100/250).
+    /// sizes an all-to-all control plane cannot sustain (n = 10/50/100/250).
     ///
     /// Chat starts after a generous warm-up so the "zero lost chat messages
     /// across a reconfiguration" assertion measures the protocol, not a race
@@ -352,9 +340,8 @@ impl Scenario {
     /// the large-group rule moves the data plane onto the epidemic stack
     /// (with size-derived TTL) before the chat starts. Pair with
     /// [`Scenario::with_data_loss`] to inject the loss the repair pass must
-    /// mask and with [`Scenario::with_repair_interval`]`(0)` for the
-    /// pre-repair baseline. The cooldown leaves room for the repair tail,
-    /// so epidemic coverage is measured at convergence, not mid-flight.
+    /// mask. The cooldown leaves room for the repair tail, so epidemic
+    /// coverage is measured at convergence, not mid-flight.
     pub fn chat_fanin(n: usize, senders: usize) -> Self {
         assert!(n >= 2, "a group needs at least two members");
         let senders = senders.clamp(1, n);
@@ -579,15 +566,6 @@ impl Scenario {
         (0..self.device_count() as u32).map(NodeId).collect()
     }
 
-    /// The first mobile node (the one the paper instruments), if any.
-    pub fn measured_mobile(&self) -> Option<NodeId> {
-        if self.mobile_nodes > 0 {
-            Some(NodeId(self.fixed_nodes as u32))
-        } else {
-            None
-        }
-    }
-
     /// Simulated time at which the run stops.
     pub fn end_time_ms(&self) -> u64 {
         self.workload.duration_ms() + self.cooldown_ms
@@ -618,12 +596,6 @@ impl Scenario {
         self
     }
 
-    /// Builder: sets the epidemic repair-pass cadence (`0` disables it).
-    pub fn with_repair_interval(mut self, interval_ms: u64) -> Self {
-        self.repair_interval_ms = interval_ms;
-        self
-    }
-
     /// Builder: partitions a node (drops all its traffic at the runner, in
     /// both directions) during `[from_ms, to_ms)`. The node keeps running.
     pub fn with_partition(mut self, from_ms: u64, to_ms: u64, node: NodeId) -> Self {
@@ -644,13 +616,6 @@ impl Scenario {
         self
     }
 
-    /// Builder: sets the control-plane gossip fan-out (`0` = legacy
-    /// all-to-all).
-    pub fn with_control_fanout(mut self, fanout: usize) -> Self {
-        self.control_fanout = fanout;
-        self
-    }
-
     /// Builder: sets the initial stack.
     pub fn with_initial_stack(mut self, stack: StackKind) -> Self {
         self.initial_stack = stack;
@@ -666,12 +631,6 @@ impl Scenario {
     /// Builder: sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: adds a Core policy parameter.
-    pub fn with_core_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.core_params.push((key.into(), value.into()));
         self
     }
 
@@ -698,13 +657,6 @@ impl Scenario {
     /// Builder: attaches an injected fault schedule.
     pub fn with_fault_schedule(mut self, schedule: FaultSchedule) -> Self {
         self.fault_schedule = schedule;
-        self
-    }
-
-    /// Builder: arms the wedge detector with the given sliding window
-    /// (`0` disables it).
-    pub fn with_wedge_window(mut self, window_ms: u64) -> Self {
-        self.wedge_window_ms = window_ms;
         self
     }
 
@@ -738,7 +690,6 @@ mod tests {
         assert_eq!(scenario.fixed_nodes, 1);
         assert_eq!(scenario.mobile_nodes, 5);
         assert_eq!(scenario.device_count(), 6);
-        assert_eq!(scenario.measured_mobile(), Some(NodeId(1)));
         assert!(scenario.adaptive);
         assert_eq!(scenario.members().len(), 6);
 
@@ -760,14 +711,12 @@ mod tests {
             .with_wireless_loss(0.1)
             .with_seed(99)
             .with_initial_stack(StackKind::Reliable)
-            .non_adaptive()
-            .with_core_param("fec_k", "8");
+            .non_adaptive();
         assert_eq!(scenario.topology, TopologyChoice::AdHoc);
         assert_eq!(scenario.wireless_loss, 0.1);
         assert_eq!(scenario.seed, 99);
         assert!(!scenario.adaptive);
         assert_eq!(scenario.initial_stack, StackKind::Reliable);
-        assert_eq!(scenario.core_params.len(), 1);
         assert!(scenario.end_time_ms() > scenario.workload.duration_ms());
     }
 
@@ -779,8 +728,6 @@ mod tests {
         assert!(scenario.adaptive, "the large-group rule must fire");
         assert_eq!(scenario.data_loss, 0.1);
         assert!(scenario.repair_interval_ms > 0, "repair on by default");
-        let baseline = Scenario::chat_fanin(250, 250).with_repair_interval(0);
-        assert_eq!(baseline.repair_interval_ms, 0);
         // Sender count is clamped to the group.
         assert_eq!(Scenario::chat_fanin(10, 99).workload.senders.len(), 10);
     }
@@ -814,15 +761,12 @@ mod tests {
                 "loss-free wired links keep the zero-chat-loss assertion meaningful"
             );
             assert!(scenario.adaptive, "the large-group rule must get to fire");
-            assert!(scenario.control_fanout > 0, "gossip control plane");
             assert!(
                 scenario.suspect_timeout_ms >= 6 * scenario.hb_interval_ms,
                 "suspicion must outlast the O(log n) digest propagation"
             );
             assert!(scenario.workload.senders.len() <= 3);
         }
-        let baseline = Scenario::large_group(100).with_control_fanout(0);
-        assert_eq!(baseline.control_fanout, 0);
     }
     #[test]
     fn fault_harness_preset_arms_the_wedge_detector() {

@@ -15,6 +15,8 @@
 //! * [`cocaditem`] — context capture and dissemination;
 //! * [`core`] — the control and reconfiguration subsystem, adaptation
 //!   policies and the per-node façade ([`core::MorpheusNode`]);
+//! * [`overlay`] — partial-view membership and per-room sharded
+//!   dissemination;
 //! * [`netsim`] — the deterministic network simulator substrate;
 //! * [`testbed`] — scenario runner binding Morpheus nodes to the simulator;
 //! * [`chat`] — the chat application and the paper's evaluation workload.
@@ -42,6 +44,7 @@ pub use morpheus_cocaditem as cocaditem;
 pub use morpheus_core as core;
 pub use morpheus_groupcomm as groupcomm;
 pub use morpheus_netsim as netsim;
+pub use morpheus_overlay as overlay;
 pub use morpheus_testbed as testbed;
 
 /// The most commonly used types, re-exported for convenience.

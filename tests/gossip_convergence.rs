@@ -5,9 +5,9 @@
 //! dissemination gossips `(node, version)` digests and pulls only
 //! missing/stale snapshots. These tests pin down, with deterministic seeds,
 //! that both mechanisms converge within bounded time at n = 50 under
-//! 0/10/30% control-plane loss — without the legacy periodic full republish
-//! — and that a 100-node group completes its large-group reconfiguration
-//! without losing a single chat message.
+//! 0/10/30% control-plane loss — with no periodic full republish — and that
+//! a 100-node group completes its large-group reconfiguration without losing
+//! a single chat message.
 
 use morpheus::prelude::*;
 
@@ -62,47 +62,96 @@ fn liveness_digests_raise_no_false_suspicions_under_loss() {
 
 #[test]
 fn a_hundred_node_group_reconfigures_without_losing_chat() {
-    let report = large_group_run(100, 0.0);
+    for loss in [0.0, 0.1, 0.3] {
+        let report = large_group_run(100, loss);
 
-    // The large-group rule fired: every node redeployed onto the epidemic
-    // data stack via a completed coordinator round.
-    let rounds = report.completed_rounds();
-    assert!(!rounds.is_empty(), "the adaptation round completed");
-    assert_eq!(rounds[0].nodes, 100, "the quorum covered the whole group");
-    assert_eq!(report.total_reconfigurations(), 100);
-    for node in &report.nodes {
+        // The large-group rule fired: every node redeployed onto the epidemic
+        // data stack via a completed coordinator round.
+        let rounds = report.completed_rounds();
         assert!(
-            node.final_stack.starts_with("gossip"),
-            "node {} ended on {} instead of the epidemic stack",
-            node.node,
-            node.final_stack
+            !rounds.is_empty(),
+            "the adaptation round completed at control loss {loss}"
+        );
+        assert_eq!(rounds[0].nodes, 100, "the quorum covered the whole group");
+        assert_eq!(report.total_reconfigurations(), 100);
+        for node in &report.nodes {
+            assert!(
+                node.final_stack.starts_with("gossip"),
+                "node {} ended on {} instead of the epidemic stack",
+                node.node,
+                node.final_stack
+            );
+        }
+        assert!(
+            report.context_convergence_ms().is_some(),
+            "digest anti-entropy converged the context store at control loss {loss}"
+        );
+
+        // Zero chat messages lost across the reconfiguration.
+        assert_eq!(
+            report.messages_lost, 0,
+            "chat is unaffected at control loss {loss}"
+        );
+        assert_eq!(report.total_errors(), 0);
+        assert!(
+            report.total_app_deliveries() > 0,
+            "chat flowed through the reconfigured stack"
         );
     }
-
-    // Zero chat messages lost across the reconfiguration.
-    assert_eq!(report.messages_lost, 0);
-    assert_eq!(report.total_errors(), 0);
-    assert!(
-        report.total_app_deliveries() > 0,
-        "chat flowed through the reconfigured stack"
-    );
 }
 
 #[test]
 fn the_gossip_plane_stays_cheaper_than_all_to_all_at_scale() {
-    // Per heartbeat interval the all-to-all baseline pays n·(n−1) control
-    // messages; the gossip plane pays n·fanout per mechanism. At n = 50 the
-    // gap is already an order of magnitude.
-    let gossip = large_group_run(50, 0.0);
-    let baseline = Runner::new().run(&Scenario::large_group(50).with_control_fanout(0));
-    let control_sent =
-        |report: &RunReport| -> u64 { report.nodes.iter().map(|node| node.sent_control).sum() };
-    let gossip_control = control_sent(&gossip);
-    let baseline_control = control_sent(&baseline);
+    // An all-to-all heartbeat costs n·(n−1) control messages per heartbeat
+    // interval; the gossip plane pays n·fanout per mechanism. At n = 50 the
+    // gap is already an order of magnitude. (The all-to-all mode itself is
+    // retired; its measured cost is in docs/ARCHITECTURE.md, "Retired
+    // baselines".)
+    let n = 50;
+    let scenario = Scenario::large_group(n);
+    let gossip = Runner::new().run(&scenario);
+    let gossip_control: u64 = gossip.nodes.iter().map(|node| node.sent_control).sum();
+    let intervals = gossip.duration_ms / scenario.hb_interval_ms;
+    let all_to_all = (n * (n - 1)) as u64 * intervals;
     assert!(
-        gossip_control * 5 < baseline_control,
+        gossip_control * 5 < all_to_all,
         "gossip control traffic ({gossip_control}) must stay well under the \
-         all-to-all baseline ({baseline_control})"
+         all-to-all cost ({all_to_all})"
+    );
+}
+
+#[test]
+fn the_repair_pass_closes_ten_percent_data_loss_with_every_member_sending() {
+    // Fifty members, all sending, 10% of all data-channel transmissions
+    // dropped: the size-derived push phase plus the NACK/anti-entropy repair
+    // pass must converge delivery coverage to >= 99.9% — and never above
+    // 100%, which would mean a duplicate reached the application.
+    let scenario = Scenario::chat_fanin(50, 50).with_data_loss(0.1);
+    let report = Runner::new().run(&scenario);
+
+    assert!(report.data_dropped > 0, "the injected data loss was real");
+    assert_eq!(
+        report.messages_lost, 0,
+        "live links lose nothing — injected drops are accounted separately"
+    );
+    assert!(
+        !report.completed_rounds().is_empty(),
+        "the large-group adaptation round completed"
+    );
+    let coverage = report.delivery_coverage(50, scenario.workload.messages_per_sender);
+    assert!(
+        (0.999..=1.0).contains(&coverage),
+        "epidemic coverage {coverage:.5} outside [0.999, 1]"
+    );
+    let gossip = report.gossip_totals();
+    assert!(
+        gossip.repaired_deliveries > 0,
+        "the repair pass did the closing work"
+    );
+    let dup_ratio = gossip.duplicates as f64 / report.total_app_deliveries() as f64;
+    assert!(
+        dup_ratio < 1.4,
+        "push aggregation keeps the duplicate ratio under 1.4 (got {dup_ratio:.3})"
     );
 }
 
@@ -171,6 +220,10 @@ fn a_member_partitioned_past_the_log_ttl_heals_via_catchup_not_rejoin() {
     assert!(
         node.rejoin.is_none(),
         "healing must not use the rejoin path"
+    );
+    assert!(
+        report.gossip_totals().floor_escalations >= 1,
+        "the evicted span must be detected via the repair-log floor"
     );
     assert!(
         node.catchups >= 1,
