@@ -48,6 +48,22 @@ impl Wire for NodeId {
     }
 }
 
+/// A node id as a compact wire integer ([`WireWriter::put_varint`] and the
+/// gap-coded lists and tables built on it).
+impl From<NodeId> for u64 {
+    fn from(node: NodeId) -> u64 {
+        u64::from(node.0)
+    }
+}
+
+impl TryFrom<u64> for NodeId {
+    type Error = std::num::TryFromIntError;
+
+    fn try_from(value: u64) -> Result<Self, Self::Error> {
+        u32::try_from(value).map(NodeId)
+    }
+}
+
 /// The class of device a node runs on.
 ///
 /// The paper's evaluation uses fixed PCs (Windows/Linux) and HP iPAQ PDAs on

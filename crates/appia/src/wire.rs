@@ -10,6 +10,13 @@
 //! * fixed-width integers are encoded big-endian;
 //! * strings and byte slices are length-prefixed with a `u32`;
 //! * lists are length-prefixed with a `u32` element count.
+//!
+//! Member-indexed tables and per-message counters — the control plane's
+//! bytes — use the compact primitives instead: a LEB128 varint
+//! ([`WireWriter::put_varint`]), a zigzag offset from a base value
+//! ([`WireWriter::put_delta`]) and a varint list count that is checked
+//! against the bytes present before anything is allocated
+//! ([`WireReader::get_count`]).
 
 use std::fmt;
 
@@ -172,6 +179,62 @@ impl WireWriter {
         self.buf.put_f64(value);
     }
 
+    /// Appends a LEB128 varint: seven value bits per byte, least significant
+    /// group first, 1 byte below 128 and at most 10.
+    pub fn put_varint(&mut self, value: u64) {
+        self.put_leb128(Leb128::default().with(u128::from(value)));
+    }
+
+    /// Appends `value` as its zigzag offset from `base` (0, −1, +1, −2, … →
+    /// 0, 1, 2, 3, …) in a varint: 1 byte within ±63 of the base. Every
+    /// `(base, value)` pair is representable; the widest offset takes 10
+    /// bytes.
+    pub fn put_delta(&mut self, base: u64, value: u64) {
+        self.put_leb128(Leb128::default().with(zigzag(base, value)));
+    }
+
+    /// Appends a gap-coded list: a varint count, then every element as its
+    /// zigzag gap from the one before it (the first from 0). Any order
+    /// round-trips; ascending ids and sequence numbers cost a byte each.
+    pub fn put_gap_list<T: Copy + Into<u64>>(&mut self, values: &[T]) {
+        self.reserve(2 + 2 * values.len());
+        self.put_varint(values.len() as u64);
+        let mut prev = 0;
+        for value in values {
+            let value = (*value).into();
+            self.put_delta(prev, value);
+            prev = value;
+        }
+    }
+
+    /// Appends a member-indexed table of `(id, value)` rows: a varint count,
+    /// then per row the id as its zigzag gap from the previous row's and the
+    /// value as its zigzag offset from the *first* row's value (the first
+    /// itself from 0) — so a damaged byte damages its own row, not the tail
+    /// of a delta chain. Ascending ids whose values sit within ±63 of each
+    /// other cost two bytes a row.
+    pub fn put_id_table<K: Copy + Into<u64>>(&mut self, rows: &[(K, u64)]) {
+        self.reserve(12 + 3 * rows.len());
+        self.put_varint(rows.len() as u64);
+        let mut prev = 0;
+        let mut base = None;
+        for (id, value) in rows {
+            let id = (*id).into();
+            let row = Leb128::default()
+                .with(zigzag(prev, id))
+                .with(zigzag(base.unwrap_or(0), *value));
+            self.put_leb128(row);
+            prev = id;
+            base.get_or_insert(*value);
+        }
+    }
+
+    #[inline]
+    fn put_leb128(&mut self, staged: Leb128) {
+        self.buf
+            .put_slice(staged.bytes.get(..staged.len).unwrap_or_default());
+    }
+
     /// Appends a length-prefixed byte slice.
     pub fn put_bytes(&mut self, value: &[u8]) {
         self.put_u32(value.len() as u32);
@@ -215,6 +278,46 @@ impl WireWriter {
     }
 }
 
+/// The zigzag offset of `value` from `base`: 65 bits at the widest.
+#[inline]
+fn zigzag(base: u64, value: u64) -> u128 {
+    if value >= base {
+        u128::from(value - base) << 1
+    } else {
+        (u128::from(base - value) << 1) - 1
+    }
+}
+
+/// One or two LEB128 values staged on the stack, so that a value — or a
+/// whole table row — costs the buffer one append, not one per byte.
+#[derive(Default)]
+struct Leb128 {
+    bytes: [u8; 20],
+    len: usize,
+}
+
+impl Leb128 {
+    /// Stages `value` (a `u64`, or a zigzag one bit wider) after what is
+    /// there. The groups are peeled off in 64-bit arithmetic: the first
+    /// shift frees the top seven bits, which is where the 65th bit goes.
+    #[inline]
+    fn with(mut self, value: u128) -> Self {
+        let mut low = value as u64;
+        let mut carry = ((value >> 64) as u64) << 57;
+        for slot in self.bytes.iter_mut().skip(self.len) {
+            self.len += 1;
+            *slot = (low & 0x7f) as u8;
+            low = low >> 7 | carry;
+            carry = 0;
+            if low == 0 {
+                break;
+            }
+            *slot |= 0x80;
+        }
+        self
+    }
+}
+
 thread_local! {
     /// Shared scratch writer for small frames (layer headers). Single
     /// kernel thread, so a thread-local is effectively a per-kernel pool.
@@ -248,6 +351,11 @@ pub fn encode_pooled(encode: impl FnOnce(&mut WireWriter)) -> Bytes {
         encode(&mut writer);
         writer.split_frame()
     })
+}
+
+/// Converts a decoded integer to the narrower type a field holds.
+pub fn narrow<T: TryFrom<u64>>(value: u64) -> Result<T, WireError> {
+    T::try_from(value).map_err(|_| WireError::Malformed("value out of range for its field"))
 }
 
 /// A cursor-style decoder for the wire format.
@@ -351,6 +459,113 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_be_bytes(self.take_array()?))
     }
 
+    /// Reads a LEB128 varint ([`WireWriter::put_varint`]). Only the form the
+    /// writer produces is accepted: more than 10 bytes, a value past
+    /// `u64::MAX` or a padded (over-long) encoding is malformed.
+    pub fn get_varint(&mut self) -> Result<u64, WireError> {
+        u64::try_from(self.get_leb128(64)?).map_err(|_| WireError::Malformed("varint overflows"))
+    }
+
+    /// Reads a zigzag offset from `base` ([`WireWriter::put_delta`]). The
+    /// offset is applied with checked arithmetic: one that leaves the `u64`
+    /// range is malformed, never a wrap.
+    #[inline]
+    pub fn get_delta(&mut self, base: u64) -> Result<u64, WireError> {
+        let zigzag = self.get_leb128(65)?;
+        // 0, 1, 2, 3, … → 0, −1, +1, −2, …
+        let magnitude = u64::try_from((zigzag + 1) >> 1).ok();
+        let value = if zigzag & 1 == 0 {
+            magnitude.and_then(|up| base.checked_add(up))
+        } else {
+            magnitude.and_then(|down| base.checked_sub(down))
+        };
+        value.ok_or(WireError::Malformed("delta leaves the u64 range"))
+    }
+
+    /// Reads a canonical LEB128 value of at most `bits` (64 or 65) bits.
+    #[inline]
+    fn get_leb128(&mut self, bits: u32) -> Result<u128, WireError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        // Gaps, offsets and counts are one or two bytes nearly always, and a
+        // received table is decoded row by row by every peer it reaches:
+        // those two shapes skip the loop (it would decode them the same).
+        match rest {
+            [only, ..] if *only < 0x80 => {
+                self.pos += 1;
+                return Ok(u128::from(*only));
+            }
+            [low, high, ..] if (1..0x80).contains(high) => {
+                self.pos += 2;
+                return Ok(u128::from(low & 0x7f) | u128::from(*high) << 7);
+            }
+            _ => {}
+        }
+        let mut value = 0u128;
+        for (index, byte) in rest.iter().take(10).enumerate() {
+            value |= u128::from(byte & 0x7f) << (7 * index);
+            if byte & 0x80 == 0 {
+                if *byte == 0 && index > 0 {
+                    return Err(WireError::Malformed("over-long varint"));
+                }
+                if value >> bits != 0 {
+                    return Err(WireError::Malformed("varint overflows"));
+                }
+                self.pos += index + 1;
+                return Ok(value);
+            }
+        }
+        Err(if rest.len() < 10 {
+            WireError::UnexpectedEof
+        } else {
+            WireError::Malformed("varint longer than 10 bytes")
+        })
+    }
+
+    /// Reads a varint list count and checks it against the bytes actually
+    /// present — `min_entry_bytes` is the least one entry can occupy — so a
+    /// corrupted or adversarial count is rejected before the caller
+    /// allocates for it, and can never reserve more memory than the message
+    /// itself could hold.
+    pub fn get_count(&mut self, min_entry_bytes: usize) -> Result<usize, WireError> {
+        let count = self.get_varint()?;
+        self.check_count(count, min_entry_bytes)
+    }
+
+    /// Reads a gap-coded list ([`WireWriter::put_gap_list`]). An element
+    /// that does not fit `T` is malformed.
+    pub fn get_gap_list<T: TryFrom<u64>>(&mut self) -> Result<Vec<T>, WireError> {
+        let count = self.get_count(1)?;
+        let mut values = Vec::with_capacity(count);
+        let mut prev = 0;
+        for _ in 0..count {
+            prev = self.get_delta(prev)?;
+            values.push(narrow(prev)?);
+        }
+        Ok(values)
+    }
+
+    /// Reads a member-indexed table ([`WireWriter::put_id_table`]).
+    pub fn get_id_table<K: TryFrom<u64>>(&mut self) -> Result<Vec<(K, u64)>, WireError> {
+        let count = self.get_count(2)?;
+        let mut rows = Vec::with_capacity(count);
+        let mut prev = 0;
+        let mut base = None;
+        for _ in 0..count {
+            prev = self.get_delta(prev)?;
+            let value = self.get_delta(base.unwrap_or(0))?;
+            base.get_or_insert(value);
+            rows.push((narrow(prev)?, value));
+        }
+        Ok(rows)
+    }
+
+    fn check_count(&self, count: u64, min_entry_bytes: usize) -> Result<usize, WireError> {
+        match usize::try_from(count) {
+            Ok(count) if count <= self.remaining() / min_entry_bytes.max(1) => Ok(count),
+            _ => Err(WireError::Malformed("list count exceeds payload")),
+        }
+    }
+
     /// Reads a length-prefixed byte field, borrowed from the input.
     pub fn get_bytes_ref(&mut self) -> Result<&'a [u8], WireError> {
         let len = u64::from(self.get_u32()?);
@@ -390,10 +605,8 @@ impl<'a> WireReader<'a> {
         if len > MAX_FIELD_LEN {
             return Err(WireError::LengthOutOfRange(len));
         }
-        if len > self.remaining() as u64 / 4 {
-            return Err(WireError::Malformed("u32 list count exceeds payload"));
-        }
-        let mut out = Vec::with_capacity(len as usize);
+        let len = self.check_count(len, 4)?;
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(self.get_u32()?);
         }
@@ -407,10 +620,8 @@ impl<'a> WireReader<'a> {
         if len > MAX_FIELD_LEN {
             return Err(WireError::LengthOutOfRange(len));
         }
-        if len > self.remaining() as u64 / 8 {
-            return Err(WireError::Malformed("u64 list count exceeds payload"));
-        }
-        let mut out = Vec::with_capacity(len as usize);
+        let len = self.check_count(len, 8)?;
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(self.get_u64()?);
         }
@@ -479,10 +690,8 @@ impl<T: Wire> Wire for Vec<T> {
         // Every wire element costs at least one byte, so a count larger
         // than the remaining payload is malformed — rejected before the
         // allocation, not after the element loop runs out of bytes.
-        if len > r.remaining() as u64 {
-            return Err(WireError::Malformed("list count exceeds payload"));
-        }
-        let mut out = Vec::with_capacity(len as usize);
+        let len = r.check_count(len, 1)?;
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(r)?);
         }

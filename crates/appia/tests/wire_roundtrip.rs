@@ -235,3 +235,191 @@ fn slicing_and_copying_readers_agree_on_garbage() {
         assert_eq!(copying.remaining(), slicing.remaining());
     }
 }
+
+fn varint_bytes(value: u64) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put_varint(value);
+    w.finish()
+}
+
+#[test]
+fn varints_roundtrip_at_the_width_boundaries() {
+    for (value, width) in [
+        (0, 1),
+        (127, 1),
+        (128, 2),
+        ((1 << 14) - 1, 2),
+        (1 << 14, 3),
+        (1 << 32, 5),
+        (u64::MAX, 10),
+    ] {
+        let bytes = varint_bytes(value);
+        assert_eq!(bytes.len(), width, "width of {value}");
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.get_varint(), Ok(value));
+        assert_eq!(r.remaining(), 0);
+    }
+}
+
+/// Only the writer's own form decodes: no eleventh byte, no bits past
+/// `u64::MAX`, no padding, no missing tail.
+#[test]
+fn malformed_varints_are_rejected() {
+    let eleven = [0x80u8; 11];
+    let mut overflowing = varint_bytes(u64::MAX).to_vec();
+    overflowing[9] = 2;
+    let truncated = &varint_bytes(u64::MAX)[..9];
+    let padded = [0x80u8, 0x00];
+    for input in [&eleven[..], &overflowing, truncated, &padded, &[]] {
+        assert!(
+            WireReader::new(input).get_varint().is_err(),
+            "{input:?} decoded"
+        );
+        assert!(
+            WireReader::new(input).get_delta(0).is_err(),
+            "{input:?} decoded as a delta"
+        );
+    }
+    // The widest delta is 65 bits: its tenth byte may be 2 or 3, not more.
+    let mut w = WireWriter::new();
+    w.put_delta(0, u64::MAX);
+    let mut widest = w.finish().to_vec();
+    assert_eq!(widest.len(), 10);
+    assert_eq!(WireReader::new(&widest).get_delta(0), Ok(u64::MAX));
+    widest[9] = 4;
+    assert!(WireReader::new(&widest).get_delta(0).is_err());
+}
+
+#[test]
+fn deltas_reach_every_value_from_every_base_and_never_leave_the_range() {
+    let points = [0, 1, 63, 64, 1 << 20, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+    for base in points {
+        for value in points {
+            let mut w = WireWriter::new();
+            w.put_delta(base, value);
+            let bytes = w.finish();
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(r.get_delta(base), Ok(value), "{base} -> {value}");
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+    // Within ±63 of the base is one byte, whichever way.
+    for (base, value) in [(100, 37), (100, 163), (0, 63), (u64::MAX, u64::MAX - 63)] {
+        let mut w = WireWriter::new();
+        w.put_delta(base, value);
+        assert_eq!(w.len(), 1, "{base} -> {value}");
+    }
+
+    // An offset that was valid at the writer's base is an error at one it
+    // would carry out of range — checked, never wrapped.
+    let mut w = WireWriter::new();
+    w.put_delta(10, 0);
+    let down_ten = w.finish();
+    assert_eq!(WireReader::new(&down_ten).get_delta(10), Ok(0));
+    assert!(matches!(
+        WireReader::new(&down_ten).get_delta(9),
+        Err(WireError::Malformed(_))
+    ));
+    let mut w = WireWriter::new();
+    w.put_delta(0, 10);
+    let up_ten = w.finish();
+    assert_eq!(
+        WireReader::new(&up_ten).get_delta(u64::MAX - 10),
+        Ok(u64::MAX)
+    );
+    assert!(matches!(
+        WireReader::new(&up_ten).get_delta(u64::MAX - 9),
+        Err(WireError::Malformed(_))
+    ));
+}
+
+#[test]
+fn counts_above_what_the_payload_can_hold_are_rejected() {
+    // Nine bytes follow the count: room for four 2-byte entries, not five.
+    for (count, min_entry_bytes, accepted) in [
+        (4, 2, true),
+        (5, 2, false),
+        (9, 1, true),
+        (10, 1, false),
+        (9, 0, true),
+        (0, 16, true),
+        (1, 16, false),
+        (u64::MAX, 1, false),
+    ] {
+        let mut w = WireWriter::new();
+        w.put_varint(count);
+        w.put_raw(&[0; 9]);
+        let bytes = w.finish();
+        let got = WireReader::new(&bytes).get_count(min_entry_bytes);
+        assert_eq!(got.is_ok(), accepted, "count {count} / {min_entry_bytes}");
+    }
+}
+
+/// A gap-coded list of ids and a member-indexed table, as the layers embed
+/// them.
+#[derive(Debug, PartialEq)]
+struct Compact {
+    ids: Vec<u32>,
+    seqs: Vec<u64>,
+    table: Vec<(u32, u64)>,
+}
+
+impl Wire for Compact {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_gap_list(&self.ids);
+        w.put_gap_list(&self.seqs);
+        w.put_id_table(&self.table);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            ids: r.get_gap_list()?,
+            seqs: r.get_gap_list()?,
+            table: r.get_id_table()?,
+        })
+    }
+}
+
+#[test]
+fn gap_lists_and_id_tables_roundtrip_in_any_order() {
+    #[cfg(miri)]
+    const MEMBERS: u32 = 12;
+    #[cfg(not(miri))]
+    const MEMBERS: u32 = 200;
+
+    // Empty, one row, descending and duplicate ids, values at both ends of
+    // the range next to each other.
+    readers_agree_on_every_mutation(&Compact {
+        ids: vec![],
+        seqs: vec![],
+        table: vec![],
+    });
+    readers_agree_on_every_mutation(&Compact {
+        ids: vec![u32::MAX],
+        seqs: vec![u64::MAX],
+        table: vec![(u32::MAX, u64::MAX)],
+    });
+    readers_agree_on_every_mutation(&Compact {
+        ids: vec![9, 4, 4, 0, u32::MAX, 0],
+        seqs: vec![u64::MAX, 0, u64::MAX, 7, 7],
+        table: vec![(9, 1), (4, u64::MAX), (4, 0), (0, u64::MAX), (u32::MAX, 5)],
+    });
+
+    // The common case at group size: ascending ids, neighbouring values.
+    let group = Compact {
+        ids: (0..MEMBERS).collect(),
+        seqs: (0..u64::from(MEMBERS)).map(|s| 1_000 + 2 * s).collect(),
+        table: (0..MEMBERS)
+            .map(|id| (id, 5_000 + u64::from(id * 7 % 16)))
+            .collect(),
+    };
+    assert!(group.to_bytes().len() <= 4 * MEMBERS as usize + 16);
+    readers_agree_on_every_mutation(&group);
+
+    // An id that does not fit the field's type is an error, not a truncation.
+    let mut w = WireWriter::new();
+    w.put_gap_list(&[u64::from(u32::MAX) + 1]);
+    let wide = w.finish();
+    assert!(WireReader::new(&wide).get_gap_list::<u64>().is_ok());
+    assert!(WireReader::new(&wide).get_gap_list::<u32>().is_err());
+}

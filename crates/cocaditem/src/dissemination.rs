@@ -100,27 +100,13 @@ pub struct DigestBody {
 
 impl Wire for DigestBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.entries.len() as u32);
-        for (node, version) in &self.entries {
-            node.encode(w);
-            w.put_u64(*version);
-        }
+        w.put_id_table(&self.entries);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        // Each entry occupies 12 wire bytes; reject adversarial counts
-        // before allocating.
-        if count > r.remaining() / 12 {
-            return Err(WireError::Malformed("context digest count exceeds payload"));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let node = NodeId::decode(r)?;
-            let version = r.get_u64()?;
-            entries.push((node, version));
-        }
-        Ok(Self { entries })
+        Ok(Self {
+            entries: r.get_id_table()?,
+        })
     }
 }
 
@@ -133,22 +119,13 @@ pub struct PullBody {
 
 impl Wire for PullBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.nodes.len() as u32);
-        for node in &self.nodes {
-            node.encode(w);
-        }
+        w.put_gap_list(&self.nodes);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        if count > r.remaining() / 4 {
-            return Err(WireError::Malformed("context pull count exceeds payload"));
-        }
-        let mut nodes = Vec::with_capacity(count);
-        for _ in 0..count {
-            nodes.push(NodeId::decode(r)?);
-        }
-        Ok(Self { nodes })
+        Ok(Self {
+            nodes: r.get_gap_list()?,
+        })
     }
 }
 
@@ -161,19 +138,16 @@ pub struct BatchBody {
 
 impl Wire for BatchBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.snapshots.len() as u32);
+        w.put_varint(self.snapshots.len() as u64);
         for snapshot in &self.snapshots {
             snapshot.encode(w);
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
         // A snapshot encodes to at least 16 bytes (node + capture time +
-        // value count); reject adversarial counts before allocating.
-        if count > r.remaining() / 16 {
-            return Err(WireError::Malformed("context batch count exceeds payload"));
-        }
+        // value count).
+        let count = r.get_count(16)?;
         let mut snapshots = Vec::with_capacity(count);
         for _ in 0..count {
             snapshots.push(ContextSnapshot::decode(r)?);

@@ -1,0 +1,137 @@
+//! Pure codec smoke target for the context plane's wire bodies — the third
+//! leg of the CI `miri` job, beside the `appia` and `groupcomm` ones. No
+//! clocks, no threads, no simulator: encode/decode only.
+
+use morpheus_appia::platform::NodeId;
+use morpheus_appia::wire::{Wire, WireWriter};
+use morpheus_cocaditem::{
+    BatchBody, ContextKey, ContextSnapshot, ContextValue, DigestBody, PullBody,
+};
+
+#[cfg(miri)]
+const STRIDE: usize = 7;
+#[cfg(not(miri))]
+const STRIDE: usize = 1;
+
+/// Members of the group-sized tables (the benchmark's large workloads run
+/// 200).
+#[cfg(miri)]
+const GROUP: u32 = 12;
+#[cfg(not(miri))]
+const GROUP: u32 = 200;
+
+/// The copying reader (`from_bytes`) and the slicing one (`from_shared`,
+/// what every packet receive decodes through) must agree: the same value or
+/// the same error.
+fn readers_agree<T: Wire + PartialEq + std::fmt::Debug>(input: &[u8]) -> bool {
+    let mut shared = WireWriter::new();
+    shared.put_raw(input);
+    let copied = T::from_bytes(input);
+    assert_eq!(
+        copied,
+        T::from_shared(&shared.finish()),
+        "readers disagree on {input:?}"
+    );
+    copied.is_ok()
+}
+
+/// The value round-trips; every (strided) truncation is a clean error and
+/// every (strided) single-bit flip decodes to a value or an error, never a
+/// panic — identically through both readers.
+fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
+    let bytes = value.to_bytes();
+    assert_eq!(T::from_bytes(&bytes).unwrap(), value);
+    assert!(readers_agree::<T>(&bytes));
+    for len in (0..bytes.len()).step_by(STRIDE) {
+        assert!(
+            !readers_agree::<T>(&bytes[..len]),
+            "truncation to {len} of {} bytes must not decode",
+            bytes.len()
+        );
+    }
+    for index in (0..bytes.len()).step_by(STRIDE) {
+        for bit in 0..8 {
+            let mut mutated = bytes.to_vec();
+            mutated[index] ^= 1 << bit;
+            readers_agree::<T>(&mutated);
+        }
+    }
+}
+
+fn rows(rows: &[(u32, u64)]) -> Vec<(NodeId, u64)> {
+    rows.iter().map(|(id, v)| (NodeId(*id), *v)).collect()
+}
+
+/// A digest as a settled group gossips it: ids ascending by one, versions
+/// (capture times) within `spread` ms of `around`.
+fn group_digest(around: u64, spread: u64) -> DigestBody {
+    DigestBody {
+        entries: (0..GROUP)
+            .map(|id| {
+                let offset = u64::from(id) * 131 % (2 * spread + 1);
+                (NodeId(id), around - spread + offset)
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn digests_and_pulls_roundtrip_in_every_shape() {
+    // Empty, one row, descending ids, duplicate ids, and versions at both
+    // ends of the range next to each other.
+    for entries in [
+        rows(&[]),
+        rows(&[(u32::MAX, u64::MAX)]),
+        rows(&[(9, 40), (7, 41), (2, 39), (0, 40)]),
+        rows(&[(3, 5), (3, 5), (3, 6), (1, 0), (1, 0)]),
+        rows(&[(0, u64::MAX), (1, 0), (2, u64::MAX), (3, 1)]),
+    ] {
+        roundtrip(PullBody {
+            nodes: entries.iter().map(|(node, _)| *node).collect(),
+        });
+        roundtrip(DigestBody { entries });
+    }
+}
+
+#[test]
+fn group_sized_bodies_survive_truncation_and_bit_flips() {
+    let digest = group_digest(30_000, 2_000);
+    roundtrip(PullBody {
+        nodes: digest.entries.iter().map(|(node, _)| *node).collect(),
+    });
+    roundtrip(digest);
+}
+
+#[test]
+fn batches_roundtrip_and_reject_overstated_counts() {
+    let snapshot = |node: u32| {
+        let mut snapshot = ContextSnapshot::new(NodeId(node), 1_000 + u64::from(node));
+        // A flag, not a number: a bit flipped into a NaN would make the two
+        // readers' (equal) results compare unequal.
+        snapshot.set(ContextKey::DeviceClass, ContextValue::Flag(node > 3));
+        snapshot
+    };
+    roundtrip(BatchBody::default());
+    roundtrip(BatchBody {
+        snapshots: (0..GROUP.min(16)).map(snapshot).collect(),
+    });
+
+    // One snapshot's bytes behind a count of 2^32 − 1.
+    let mut w = WireWriter::new();
+    w.put_varint(u64::from(u32::MAX));
+    snapshot(1).encode(&mut w);
+    assert!(BatchBody::from_bytes(&w.finish()).is_err());
+    for body in [&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1][..], &[0x05, 1, 1]] {
+        assert!(DigestBody::from_bytes(body).is_err());
+        assert!(PullBody::from_bytes(body).is_err());
+    }
+}
+
+/// The context plane's bytes, pinned where `cargo test` sees them: a
+/// group-sized digest whose versions sit within ±2,000 ms costs at most
+/// three bytes a member (twelve before the compact codec).
+#[test]
+fn a_group_digest_fits_its_byte_budget() {
+    let digest = group_digest(30_000, 2_000);
+    assert!(digest.to_bytes().len() <= 3 * GROUP as usize + 4);
+}

@@ -142,10 +142,12 @@ impl FailureDetectorSession {
         // monotonic across a stack replacement: a session restarting from 1
         // would look *stale* to peers still holding the pre-replacement
         // counter, and the node would silently lose its third-party liveness
-        // evidence until the counter caught up.
+        // evidence until the counter caught up. `merge_digest` lets any peer
+        // raise any entry, the local one included, so the step saturates: a
+        // digest naming this node at `u64::MAX` must not overflow the tick.
         let tick_floor = now / self.hb_interval_ms;
         let counter = self.counters.entry(local).or_insert(0);
-        *counter = (*counter + 1).max(tick_floor);
+        *counter = counter.saturating_add(1).max(tick_floor);
         self.last_advance.insert(local, now);
         let targets = crate::gossip::sample_peers(&self.members, &[local], self.fanout, ctx);
         if !targets.is_empty() {
@@ -577,6 +579,34 @@ mod tests {
             .filter_map(|event| event.get::<Suspect>().map(|s| s.node))
             .collect();
         assert_eq!(suspected, vec![NodeId(2)], "node 9 is never tracked");
+    }
+
+    #[test]
+    fn a_digest_raising_the_local_counter_to_the_maximum_does_not_overflow_the_tick() {
+        // Any peer can raise any entry of the table, the receiver's own
+        // included; the next tick used to compute `u64::MAX + 1`.
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut fd = Harness::new(
+            FailureDetectorLayer,
+            &fd_params(&[1, 2], 100, 250),
+            &mut platform,
+        );
+        fd.run_up(
+            digest_heartbeat(2, 1, &[(1, u64::MAX), (2, 1)]),
+            &mut platform,
+        );
+        platform.advance(100);
+        fire_pending_timers(&mut fd, &mut platform);
+        let down = fd.drain_down();
+        let hb = down.iter().find(|event| event.is::<Heartbeat>()).unwrap();
+        let digest = hb
+            .get::<Heartbeat>()
+            .unwrap()
+            .message
+            .clone()
+            .pop::<LivenessDigest>()
+            .unwrap();
+        assert!(digest.entries.contains(&(NodeId(1), u64::MAX)));
     }
 
     #[test]

@@ -1398,8 +1398,10 @@ mod tests {
     /// kernel's packet buffer — every exhaustion would abandon the buffer
     /// for a fresh chunk. The log keeps its own wire-form copy, so once a
     /// packet is dropped nothing views the sender's buffer and `reserve`
-    /// recycles it in place: a thousand packets all leave from the same few
-    /// hundred bytes.
+    /// recycles it in place: a thousand packets all start at the same few
+    /// addresses (a packet that outgrows the chunk — the varint `seq` gains
+    /// a byte at 128 — moves it once), where a pinned buffer would hand
+    /// every packet an address of its own.
     #[test]
     fn logged_messages_do_not_pin_the_senders_packet_buffer() {
         for batch_max in ["1", "4"] {
@@ -1426,7 +1428,7 @@ mod tests {
                 .create_channel(&config, &mut receiver_platform)
                 .unwrap();
 
-            let (mut lowest, mut highest) = (usize::MAX, 0usize);
+            let mut starts = std::collections::BTreeSet::new();
             for seq in 0..1_000u32 {
                 let event = Event::down(DataEvent::to_group(
                     NodeId(0),
@@ -1446,9 +1448,7 @@ mod tests {
                     if out.class != morpheus_appia::PacketClass::Data {
                         continue;
                     }
-                    let at = out.payload.as_ptr() as usize;
-                    lowest = lowest.min(at);
-                    highest = highest.max(at + out.payload.len());
+                    starts.insert(out.payload.as_ptr() as usize);
                     let packet = InPacket {
                         from: NodeId(0),
                         to: NodeId(1),
@@ -1477,10 +1477,10 @@ mod tests {
                 .unwrap();
             assert_eq!(gossip.log_len(), 1_000, "every received message is logged");
             assert!(
-                highest - lowest < 1_024,
-                "batch_max={batch_max}: 1,000 packets spread over {} bytes of sender \
-                 buffer — a retained slice stopped the buffer from being recycled",
-                highest - lowest
+                starts.len() <= 4,
+                "batch_max={batch_max}: 1,000 packets left from {} distinct sender \
+                 buffer addresses — a retained slice stopped the buffer from being recycled",
+                starts.len()
             );
         }
     }

@@ -4,11 +4,18 @@
 //! the receiving node defines a header type here and pushes it onto the
 //! event's [`morpheus_appia::Message`] on the way down; the peer pops it on
 //! the way up. Headers are encoded with the kernel's wire format.
+//!
+//! The headers of the gossip, failure-detection, view and repair planes are
+//! small integers next to their neighbours — ids ascending by one, counters
+//! a few ticks apart, incarnations within milliseconds — and use the compact
+//! forms of [`morpheus_appia::wire`]: scalars as varints, id and sequence
+//! lists gap-coded, and in a table every value column as its offset from the
+//! first row's value.
 
 use bytes::Bytes;
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
-use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
+use morpheus_appia::wire::{narrow, Wire, WireError, WireReader, WireWriter};
 
 /// How a multicast layer handled (or wants handled) a data message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +67,13 @@ pub struct SeqHeader {
 
 impl Wire for SeqHeader {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.seq);
+        w.put_varint(self.seq);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self { seq: r.get_u64()? })
+        Ok(Self {
+            seq: r.get_varint()?,
+        })
     }
 }
 
@@ -80,14 +89,14 @@ pub struct NackHeader {
 
 impl Wire for NackHeader {
     fn encode(&self, w: &mut WireWriter) {
-        self.origin.encode(w);
-        w.put_u64_list(&self.missing);
+        w.put_varint(self.origin.into());
+        w.put_gap_list(&self.missing);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
-            origin: NodeId::decode(r)?,
-            missing: r.get_u64_list()?,
+            origin: narrow(r.get_varint()?)?,
+            missing: r.get_gap_list()?,
         })
     }
 }
@@ -116,18 +125,18 @@ pub struct GossipHeader {
 
 impl Wire for GossipHeader {
     fn encode(&self, w: &mut WireWriter) {
-        self.origin.encode(w);
-        w.put_u64(self.inc);
-        w.put_u64(self.seq);
-        w.put_u32(self.ttl);
+        w.put_varint(self.origin.into());
+        w.put_varint(self.inc);
+        w.put_varint(self.seq);
+        w.put_varint(self.ttl.into());
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
-            origin: NodeId::decode(r)?,
-            inc: r.get_u64()?,
-            seq: r.get_u64()?,
-            ttl: r.get_u32()?,
+            origin: narrow(r.get_varint()?)?,
+            inc: r.get_varint()?,
+            seq: r.get_varint()?,
+            ttl: narrow(r.get_varint()?)?,
         })
     }
 }
@@ -147,24 +156,6 @@ pub struct RepairRange {
     pub lo: u64,
     /// Largest logged sequence number.
     pub hi: u64,
-}
-
-impl Wire for RepairRange {
-    fn encode(&self, w: &mut WireWriter) {
-        self.origin.encode(w);
-        w.put_u64(self.inc);
-        w.put_u64(self.lo);
-        w.put_u64(self.hi);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            origin: NodeId::decode(r)?,
-            inc: r.get_u64()?,
-            lo: r.get_u64()?,
-            hi: r.get_u64()?,
-        })
-    }
 }
 
 /// Body of a gossip repair digest: per origin stream, the span of messages
@@ -187,24 +178,43 @@ pub struct RepairDigest {
 
 impl Wire for RepairDigest {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.credit);
-        w.put_u32(self.entries.len() as u32);
+        w.reserve(8 + 6 * self.entries.len());
+        w.put_varint(self.credit.into());
+        w.put_varint(self.entries.len() as u64);
+        // Origins as gaps, `inc` and `lo` against the first row's, `hi`
+        // against its own `lo` (the span is a handful of messages).
+        let mut prev = 0;
+        let mut base = None;
         for entry in &self.entries {
-            entry.encode(w);
+            let (inc_base, lo_base) = base.unwrap_or((0, 0));
+            w.put_delta(prev, entry.origin.into());
+            prev = entry.origin.into();
+            w.put_delta(inc_base, entry.inc);
+            w.put_delta(lo_base, entry.lo);
+            w.put_delta(entry.lo, entry.hi);
+            base.get_or_insert((entry.inc, entry.lo));
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let credit = r.get_u32()?;
-        let count = r.get_u32()? as usize;
-        // Every entry occupies 28 wire bytes; reject adversarial counts
-        // before allocating.
-        if count > r.remaining() / 28 {
-            return Err(WireError::Malformed("repair digest count exceeds payload"));
-        }
+        let credit = narrow(r.get_varint()?)?;
+        let count = r.get_count(4)?;
         let mut entries = Vec::with_capacity(count);
+        let mut prev = 0;
+        let mut base = None;
         for _ in 0..count {
-            entries.push(RepairRange::decode(r)?);
+            let (inc_base, lo_base) = base.unwrap_or((0, 0));
+            prev = r.get_delta(prev)?;
+            let inc = r.get_delta(inc_base)?;
+            let lo = r.get_delta(lo_base)?;
+            let hi = r.get_delta(lo)?;
+            base.get_or_insert((inc, lo));
+            entries.push(RepairRange {
+                origin: narrow(prev)?,
+                inc,
+                lo,
+                hi,
+            });
         }
         Ok(Self { credit, entries })
     }
@@ -220,27 +230,30 @@ pub struct RepairPull {
 
 impl Wire for RepairPull {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.wants.len() as u32);
+        w.put_varint(self.wants.len() as u64);
+        let mut prev = 0;
+        let mut inc_base = None;
         for (origin, inc, seqs) in &self.wants {
-            origin.encode(w);
-            w.put_u64(*inc);
-            w.put_u64_list(seqs);
+            w.put_delta(prev, (*origin).into());
+            prev = (*origin).into();
+            w.put_delta(inc_base.unwrap_or(0), *inc);
+            inc_base.get_or_insert(*inc);
+            w.put_gap_list(seqs);
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        // Every entry occupies at least 16 wire bytes (node + inc + an empty
-        // list's length prefix); reject adversarial counts before allocating.
-        if count > r.remaining() / 16 {
-            return Err(WireError::Malformed("repair pull count exceeds payload"));
-        }
+        // An entry is at least an origin gap, an `inc` offset and an empty
+        // list's count.
+        let count = r.get_count(3)?;
         let mut wants = Vec::with_capacity(count);
+        let mut prev = 0;
+        let mut inc_base = None;
         for _ in 0..count {
-            let origin = NodeId::decode(r)?;
-            let inc = r.get_u64()?;
-            let seqs = r.get_u64_list()?;
-            wants.push((origin, inc, seqs));
+            prev = r.get_delta(prev)?;
+            let inc = r.get_delta(inc_base.unwrap_or(0))?;
+            inc_base.get_or_insert(inc);
+            wants.push((narrow(prev)?, inc, r.get_gap_list()?));
         }
         Ok(Self { wants })
     }
@@ -261,16 +274,16 @@ pub struct RepairPushHeader {
 
 impl Wire for RepairPushHeader {
     fn encode(&self, w: &mut WireWriter) {
-        self.origin.encode(w);
-        w.put_u64(self.inc);
-        w.put_u64(self.seq);
+        w.put_varint(self.origin.into());
+        w.put_varint(self.inc);
+        w.put_varint(self.seq);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
-            origin: NodeId::decode(r)?,
-            inc: r.get_u64()?,
-            seq: r.get_u64()?,
+            origin: narrow(r.get_varint()?)?,
+            inc: r.get_varint()?,
+            seq: r.get_varint()?,
         })
     }
 }
@@ -294,16 +307,16 @@ pub struct RepairFloorBody {
 
 impl Wire for RepairFloorBody {
     fn encode(&self, w: &mut WireWriter) {
-        self.origin.encode(w);
-        w.put_u64(self.inc);
-        w.put_u64(self.floor);
+        w.put_varint(self.origin.into());
+        w.put_varint(self.inc);
+        w.put_varint(self.floor);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
-            origin: NodeId::decode(r)?,
-            inc: r.get_u64()?,
-            floor: r.get_u64()?,
+            origin: narrow(r.get_varint()?)?,
+            inc: r.get_varint()?,
+            floor: r.get_varint()?,
         })
     }
 }
@@ -328,7 +341,7 @@ impl GossipBatchBody {
     /// the same entries as [`Message`]s. The gossip outboxes hold frames, so
     /// a flush copies them into the packet instead of re-encoding.
     pub fn encode_frames(entries: &[(GossipHeader, Bytes)], w: &mut WireWriter) {
-        w.put_u32(entries.len() as u32);
+        w.put_varint(entries.len() as u64);
         for (header, frame) in entries {
             header.encode(w);
             w.put_raw(frame);
@@ -338,7 +351,7 @@ impl GossipBatchBody {
 
 impl Wire for GossipBatchBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.entries.len() as u32);
+        w.put_varint(self.entries.len() as u64);
         for (header, message) in &self.entries {
             header.encode(w);
             message.encode(w);
@@ -346,13 +359,9 @@ impl Wire for GossipBatchBody {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        // Every entry occupies at least 32 wire bytes: a 24-byte gossip
-        // header plus an empty message's two length prefixes. Reject
-        // adversarial counts before allocating.
-        if count > r.remaining() / 32 {
-            return Err(WireError::Malformed("gossip batch count exceeds payload"));
-        }
+        // Every entry occupies at least 12 wire bytes: a gossip header's four
+        // varints plus an empty message's two length prefixes.
+        let count = r.get_count(12)?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let header = GossipHeader::decode(r)?;
@@ -376,29 +385,13 @@ pub struct LivenessDigest {
 
 impl Wire for LivenessDigest {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.entries.len() as u32);
-        for (node, counter) in &self.entries {
-            node.encode(w);
-            w.put_u64(*counter);
-        }
+        w.put_id_table(&self.entries);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        // Every entry occupies 12 bytes on the wire; an adversarial count
-        // that overstates the payload is rejected before any allocation.
-        if count > r.remaining() / 12 {
-            return Err(WireError::Malformed(
-                "liveness digest count exceeds payload",
-            ));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let node = NodeId::decode(r)?;
-            let counter = r.get_u64()?;
-            entries.push((node, counter));
-        }
-        Ok(Self { entries })
+        Ok(Self {
+            entries: r.get_id_table()?,
+        })
     }
 }
 
@@ -424,31 +417,16 @@ pub struct FlushBody {
 
 impl Wire for FlushBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.epoch);
-        self.proposer.encode(w);
-        w.put_u32(self.flushed.len() as u32);
-        for node in &self.flushed {
-            node.encode(w);
-        }
+        w.put_varint(self.epoch);
+        w.put_varint(self.proposer.into());
+        w.put_gap_list(&self.flushed);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let epoch = r.get_u64()?;
-        let proposer = NodeId::decode(r)?;
-        let count = r.get_u32()? as usize;
-        // Every entry occupies 4 wire bytes; reject adversarial counts
-        // before allocating.
-        if count > r.remaining() / 4 {
-            return Err(WireError::Malformed("flush body count exceeds payload"));
-        }
-        let mut flushed = Vec::with_capacity(count);
-        for _ in 0..count {
-            flushed.push(NodeId::decode(r)?);
-        }
         Ok(Self {
-            epoch,
-            proposer,
-            flushed,
+            epoch: r.get_varint()?,
+            proposer: narrow(r.get_varint()?)?,
+            flushed: r.get_gap_list()?,
         })
     }
 }
@@ -671,26 +649,27 @@ mod tests {
         });
     }
 
+    /// A body whose list count claims `u32::MAX` entries over a payload of
+    /// `filler` more bytes (each a valid one-byte varint).
+    fn overstated(prefix: &[u64], filler: usize) -> Bytes {
+        let mut w = WireWriter::new();
+        for field in prefix {
+            w.put_varint(*field);
+        }
+        w.put_varint(u64::from(u32::MAX));
+        w.put_raw(&vec![1; filler]);
+        w.finish()
+    }
+
     #[test]
     fn adversarial_liveness_digest_counts_are_rejected() {
-        let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        NodeId(1).encode(&mut w);
-        w.put_u64(7);
-        assert!(LivenessDigest::from_bytes(&w.finish()).is_err());
+        assert!(LivenessDigest::from_bytes(&overstated(&[], 2)).is_err());
     }
 
     #[test]
     fn adversarial_repair_counts_are_rejected() {
-        let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        NodeId(1).encode(&mut w);
-        assert!(RepairDigest::from_bytes(&w.finish()).is_err());
-
-        let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        NodeId(1).encode(&mut w);
-        assert!(RepairPull::from_bytes(&w.finish()).is_err());
+        assert!(RepairDigest::from_bytes(&overstated(&[128], 4)).is_err());
+        assert!(RepairPull::from_bytes(&overstated(&[], 3)).is_err());
     }
 
     #[test]
@@ -717,40 +696,21 @@ mod tests {
         assert_eq!(seq.seq, 9);
         assert_eq!(message.payload().as_ref(), b"chat");
     }
+
     #[test]
     fn adversarial_counts_are_rejected_across_all_bodies() {
-        // RepairDigest claiming u32::MAX entries backed by one entry's bytes.
-        let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        RepairRange {
-            origin: NodeId(1),
-            inc: 1,
-            lo: 1,
-            hi: 1,
-        }
-        .encode(&mut w);
-        assert!(RepairDigest::from_bytes(&w.finish()).is_err());
-
-        // FlushBody claiming a membership far larger than the payload.
-        let mut w = WireWriter::new();
-        w.put_u64(3);
-        NodeId(2).encode(&mut w);
-        w.put_u32(u32::MAX);
-        NodeId(4).encode(&mut w);
-        assert!(FlushBody::from_bytes(&w.finish()).is_err());
+        // FlushBody (epoch, proposer) and NackHeader (origin) claiming far
+        // more list elements than the payload holds.
+        assert!(FlushBody::from_bytes(&overstated(&[3, 2], 1)).is_err());
+        assert!(NackHeader::from_bytes(&overstated(&[2], 1)).is_err());
 
         // RepairPull with an honest entry count but an adversarial inner
         // sequence-list count.
-        let mut w = WireWriter::new();
-        w.put_u32(1);
-        NodeId(1).encode(&mut w);
-        w.put_u64(9);
-        w.put_u32(u32::MAX);
-        assert!(RepairPull::from_bytes(&w.finish()).is_err());
+        assert!(RepairPull::from_bytes(&overstated(&[1, 2, 18], 0)).is_err());
 
         // GossipBatchBody claiming u32::MAX entries backed by one entry.
         let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
+        w.put_varint(u64::from(u32::MAX));
         GossipHeader {
             origin: NodeId(1),
             inc: 1,

@@ -112,14 +112,14 @@ pub struct StateRequestBody {
 
 impl Wire for StateRequestBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.transfer_epoch);
-        w.put_u32_list(&self.missing);
+        w.put_varint(self.transfer_epoch);
+        w.put_gap_list(&self.missing);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
-            transfer_epoch: r.get_u64()?,
-            missing: r.get_u32_list()?,
+            transfer_epoch: r.get_varint()?,
+            missing: r.get_gap_list()?,
         })
     }
 }

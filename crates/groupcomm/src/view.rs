@@ -76,14 +76,13 @@ impl View {
 
 impl Wire for View {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.id);
-        w.put_u32_list(&self.members.iter().map(|m| m.0).collect::<Vec<_>>());
+        w.put_varint(self.id);
+        w.put_gap_list(&self.members);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let id = r.get_u64()?;
-        let members = r.get_u32_list()?.into_iter().map(NodeId).collect();
-        Ok(View::new(id, members))
+        let id = r.get_varint()?;
+        Ok(View::new(id, r.get_gap_list()?))
     }
 }
 

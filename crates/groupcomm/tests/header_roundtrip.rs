@@ -12,11 +12,20 @@ use morpheus_groupcomm::headers::{
     McastHeader, McastMode, NackHeader, OrderHeader, RepairDigest, RepairFloorBody, RepairPull,
     RepairPushHeader, RepairRange, SeqHeader, TotalIdHeader,
 };
+use morpheus_groupcomm::recovery::StateRequestBody;
+use morpheus_groupcomm::view::View;
 
 #[cfg(miri)]
 const TRUNCATION_STRIDE: usize = 7;
 #[cfg(not(miri))]
 const TRUNCATION_STRIDE: usize = 1;
+
+/// Members of the group-sized tables (the benchmark's large workloads run
+/// 200).
+#[cfg(miri)]
+const GROUP: u32 = 12;
+#[cfg(not(miri))]
+const GROUP: u32 = 200;
 
 /// The copying reader (`from_bytes`) and the slicing one (`from_shared`,
 /// what every packet receive decodes through) must agree: the same value or
@@ -127,6 +136,145 @@ fn ordering_and_view_headers_roundtrip() {
         proposer: NodeId(1),
         flushed: vec![NodeId(1), NodeId(4)],
     });
+}
+
+/// The shapes a member-indexed table can take besides the usual ascending
+/// one: empty, one row, descending ids, duplicate ids, and values at both
+/// ends of the `u64` range next to each other.
+fn table_shapes() -> Vec<Vec<(NodeId, u64)>> {
+    let rows = |rows: &[(u32, u64)]| rows.iter().map(|(id, v)| (NodeId(*id), *v)).collect();
+    vec![
+        rows(&[]),
+        rows(&[(u32::MAX, u64::MAX)]),
+        rows(&[(9, 40), (7, 41), (2, 39), (0, 40)]),
+        rows(&[(3, 5), (3, 5), (3, 6), (1, 0), (1, 0)]),
+        rows(&[(0, u64::MAX), (1, 0), (2, u64::MAX), (3, 1)]),
+    ]
+}
+
+/// Every body that carries a table or a list, built over the same rows.
+fn roundtrip_every_table_over(rows: &[(NodeId, u64)]) {
+    let ids: Vec<NodeId> = rows.iter().map(|(id, _)| *id).collect();
+    let values: Vec<u64> = rows.iter().map(|(_, value)| *value).collect();
+    roundtrip(LivenessDigest {
+        entries: rows.to_vec(),
+    });
+    roundtrip(RepairDigest {
+        credit: u32::MAX,
+        entries: rows
+            .iter()
+            .map(|(origin, value)| RepairRange {
+                origin: *origin,
+                inc: *value,
+                lo: value / 2,
+                hi: *value,
+            })
+            .collect(),
+    });
+    // A pull names a few streams (`repair_pull_budget` bounds it), never a
+    // group's worth.
+    roundtrip(RepairPull {
+        wants: rows
+            .iter()
+            .take(24)
+            .map(|(origin, value)| (*origin, *value, vec![*value, 0, u64::MAX, 7, 7]))
+            .collect(),
+    });
+    roundtrip(NackHeader {
+        origin: ids.first().copied().unwrap_or(NodeId(0)),
+        missing: values.clone(),
+    });
+    roundtrip(FlushBody {
+        epoch: values.first().copied().unwrap_or(0),
+        proposer: ids.last().copied().unwrap_or(NodeId(0)),
+        flushed: ids.clone(),
+    });
+    // A view keeps its members sorted and distinct; the codec is handed
+    // (and hands back) that form.
+    roundtrip(View::new(values.last().copied().unwrap_or(0), ids.clone()));
+    roundtrip(StateRequestBody {
+        transfer_epoch: values.first().copied().unwrap_or(0),
+        missing: ids.iter().map(|id| id.0).collect(),
+    });
+}
+
+#[test]
+fn tables_roundtrip_in_every_shape() {
+    for rows in table_shapes() {
+        roundtrip_every_table_over(&rows);
+    }
+    // Per-message counters at the top of their range.
+    roundtrip(GossipHeader {
+        origin: NodeId(u32::MAX),
+        inc: u64::MAX,
+        seq: u64::MAX,
+        ttl: u32::MAX,
+    });
+    roundtrip(RepairPushHeader {
+        origin: NodeId(u32::MAX),
+        inc: u64::MAX,
+        seq: u64::MAX,
+    });
+    roundtrip(RepairFloorBody {
+        origin: NodeId(u32::MAX),
+        inc: u64::MAX,
+        floor: u64::MAX,
+    });
+}
+
+/// A group-sized table as a quiet group gossips it: ids ascending by one,
+/// every value within `spread` of `around`.
+fn group_table(around: u64, spread: u64) -> Vec<(NodeId, u64)> {
+    (0..GROUP)
+        .map(|id| {
+            let offset = u64::from(id) * 7 % (2 * spread + 1);
+            (NodeId(id), around - spread + offset)
+        })
+        .collect()
+}
+
+/// Every truncation and every single-bit flip of a group-sized encoding
+/// decodes to a value or an error — through both readers alike.
+#[test]
+fn group_sized_tables_survive_truncation_and_bit_flips() {
+    roundtrip_every_table_over(&group_table(100_000, 2_000));
+}
+
+/// The bytes this codec exists for, pinned where `cargo test` sees them.
+#[test]
+fn control_plane_tables_fit_their_byte_budgets() {
+    let members = GROUP as usize;
+
+    // Heartbeat counters sit within a few ticks of each other.
+    let liveness = LivenessDigest {
+        entries: group_table(7_200, 8),
+    };
+    assert!(liveness.to_bytes().len() <= 2 * members + 4);
+
+    // One repair-log stream per member: incarnations (boot times) seconds
+    // apart, a handful of messages logged in each.
+    let repair = RepairDigest {
+        credit: 128,
+        entries: group_table(120_000, 2_000)
+            .into_iter()
+            .map(|(origin, inc)| RepairRange {
+                origin,
+                inc,
+                lo: 40 + inc % 9,
+                hi: 44 + inc % 9 + inc % 5,
+            })
+            .collect(),
+    };
+    assert!(repair.to_bytes().len() <= 8 * members);
+
+    // What rides on every gossip data message.
+    let header = GossipHeader {
+        origin: NodeId(199),
+        inc: (1 << 21) - 1,
+        seq: (1 << 14) - 1,
+        ttl: 12,
+    };
+    assert!(header.to_bytes().len() <= 8);
 }
 
 fn batch_entries() -> Vec<(GossipHeader, Message)> {

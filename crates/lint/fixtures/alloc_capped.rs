@@ -10,3 +10,12 @@ fn decode_list(reader: &mut WireReader<'_>) -> Result<Vec<u64>, WireError> {
     }
     Ok(items)
 }
+
+fn decode_table(reader: &mut WireReader<'_>) -> Result<Vec<u64>, WireError> {
+    let count = reader.get_count(8)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(reader.get_u64()?);
+    }
+    Ok(items)
+}

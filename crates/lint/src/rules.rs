@@ -538,14 +538,17 @@ pub fn check_decode(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 
 /// `with_capacity`/`reserve` fed by a decoded count must sit in a function
 /// that also checks the count against the bytes actually `remaining` — the
-/// hardening pattern every decoder in this workspace uses.
+/// hardening pattern every decoder in this workspace uses, by hand or through
+/// `WireReader::get_count` / `check_count`, which are that check.
 pub fn check_prealloc(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     let tokens = ctx.tokens();
     for &(start, end) in &ctx.decode_bodies {
         let body = &tokens[start..end];
-        let guarded = body
-            .iter()
-            .any(|t| t.is_ident("remaining") || t.is_ident("min"));
+        let guarded = body.iter().any(|t| {
+            ["remaining", "min", "get_count", "check_count"]
+                .iter()
+                .any(|g| t.is_ident(g))
+        });
         for (offset, token) in body.iter().enumerate() {
             let i = start + offset;
             if ctx.in_test(i) {
