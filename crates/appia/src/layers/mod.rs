@@ -6,16 +6,12 @@
 //!   delivers application data to the local application.
 //! * [`logger::LoggerLayer`] (`"logger"`) — a transparent event counter used
 //!   for diagnostics and tests.
-//! * [`faultdrop::FaultDropLayer`] (`"faultdrop"`) — drops a configurable
-//!   fraction of sendable events, for fault-injection tests.
 
 pub mod app_interface;
-pub mod faultdrop;
 pub mod logger;
 pub mod network_driver;
 
 pub use app_interface::AppInterfaceLayer;
-pub use faultdrop::FaultDropLayer;
 pub use logger::LoggerLayer;
 pub use network_driver::NetworkDriverLayer;
 
@@ -26,7 +22,6 @@ pub fn register_builtin(registry: &mut LayerRegistry) {
     registry.register(NetworkDriverLayer);
     registry.register(AppInterfaceLayer);
     registry.register(LoggerLayer);
-    registry.register(FaultDropLayer);
 }
 
 #[cfg(test)]
@@ -37,7 +32,7 @@ mod tests {
     fn builtin_layers_are_registered() {
         let mut registry = LayerRegistry::new();
         register_builtin(&mut registry);
-        for name in ["network", "app", "logger", "faultdrop"] {
+        for name in ["network", "app", "logger"] {
             assert!(registry.contains(name), "missing builtin layer `{name}`");
         }
     }

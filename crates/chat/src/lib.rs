@@ -10,7 +10,6 @@
 //! without the Mecho adaptation.
 //!
 //! * [`message::ChatMessage`] — the application-level message format;
-//! * [`rooms::RoomDirectory`] — interest groups and their membership;
 //! * [`app::ChatApp`] — a small client that composes outgoing messages and
 //!   decodes deliveries;
 //! * [`history::RoomHistory`] — shared, deduplicated room history, exposed to
@@ -25,11 +24,9 @@
 pub mod app;
 pub mod history;
 pub mod message;
-pub mod rooms;
 pub mod workload;
 
 pub use app::ChatApp;
 pub use history::{ChatHistoryBinding, ChatHistorySection, RoomHistory};
 pub use message::ChatMessage;
-pub use rooms::RoomDirectory;
 pub use workload::ChatWorkload;

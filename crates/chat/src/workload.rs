@@ -2,7 +2,6 @@
 
 use morpheus_appia::platform::NodeId;
 use morpheus_core::StackKind;
-use morpheus_overlay::SimConfig;
 use morpheus_testbed::{Scenario, Workload};
 
 /// The paper's chat workload, parameterised.
@@ -82,28 +81,6 @@ impl ChatWorkload {
         scenario
     }
 
-    /// The room-sharded variant of this workload: the same population and
-    /// message budget, but the traffic is subscription-driven — messages go
-    /// into Zipf-distributed interest rooms over the partial-view overlay
-    /// instead of one full-group multicast channel. The returned scenario
-    /// runs on [`morpheus_overlay::RoomSimulation`].
-    pub fn room_sharded(&self, rooms: u32, zipf_exponent: f64) -> SimConfig {
-        let duration_ms = self
-            .messages
-            .saturating_mul(self.interval_ms())
-            .clamp(10_000, 120_000);
-        let publishes_per_room = (self.messages / u64::from(rooms.max(1))).clamp(1, 50) as u32;
-        SimConfig {
-            seed: self.seed,
-            nodes: self.devices as u32,
-            rooms,
-            zipf_exponent,
-            duration_ms,
-            publishes_per_room,
-            ..SimConfig::default()
-        }
-    }
-
     /// Deterministic message text for the `seq`-th message of a sender.
     pub fn message_text(sender: NodeId, seq: u64) -> String {
         const PHRASES: [&str; 6] = [
@@ -157,25 +134,6 @@ mod tests {
             ..ChatWorkload::paper(2, true)
         };
         let _ = workload.to_scenario();
-    }
-
-    #[test]
-    fn room_sharded_bridge_scales_with_the_workload() {
-        let workload = ChatWorkload::paper(120, true).scaled(600);
-        let cfg = workload.room_sharded(200, 1.0);
-        assert_eq!(cfg.nodes, 120);
-        assert_eq!(cfg.rooms, 200);
-        assert_eq!(cfg.seed, workload.seed);
-        assert_eq!(cfg.duration_ms, 60_000);
-        assert_eq!(cfg.publishes_per_room, 3);
-        // The bridge actually runs: a small config disseminates fully.
-        let report = morpheus_overlay::RoomSimulation::new(
-            ChatWorkload::paper(30, true)
-                .scaled(60)
-                .room_sharded(15, 1.0),
-        )
-        .run();
-        assert!(report.coverage() >= 1.0);
     }
 
     #[test]

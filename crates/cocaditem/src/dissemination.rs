@@ -2,9 +2,11 @@
 //!
 //! This layer runs on the group communication **control channel** of every
 //! node. Periodically it samples the local context through the retrievers;
-//! snapshots received from peers are stored and re-published upward as
-//! [`ContextUpdated`] events so the Core control layer (stacked above) can
-//! evaluate its adaptation policies against the *distributed* context —
+//! published local snapshots and snapshots received from peers go into the
+//! node's [`ContextStore`] — this layer is its only writer — and every
+//! sample or fresh snapshot is signalled upward as a [`ContextUpdated`]
+//! event, so the Core control layer (stacked above, reading the same store)
+//! can evaluate its adaptation policies against the *distributed* context —
 //! exactly the coordination the paper's prototype performs over a shared
 //! control channel.
 //!
@@ -80,12 +82,15 @@ sendable_event! {
 }
 
 internal_event! {
-    /// A context snapshot became available locally (either sampled locally or
-    /// received from a peer); travels up the control channel towards the Core
-    /// control layer.
+    /// The node's context changed: the layer took a local sample, or stored a
+    /// peer's fresh snapshot in the node's store. Travels up the control
+    /// channel towards the Core control layer, which re-evaluates its policy
+    /// over the store.
     pub struct ContextUpdated {
-        /// The snapshot.
-        pub snapshot: ContextSnapshot,
+        /// This tick's local sample — the one thing the store cannot supply,
+        /// since it only advances to *published* local versions. `None` when
+        /// the update is a peer's snapshot, which the store already holds.
+        pub local_sample: Option<ContextSnapshot>,
     }
     categories: [Internal]
 }
@@ -156,27 +161,12 @@ impl Wire for BatchBody {
     }
 }
 
-/// Registers the Cocaditem layer and its event types with a kernel. The
-/// layer's sessions own their stores privately; use
-/// [`register_cocaditem_with_store`] to share the store with the node
-/// runtime (e.g. for rejoin state transfer).
-pub fn register_cocaditem(kernel: &mut Kernel) {
-    kernel.layers_mut().register(CocaditemLayer::default());
-    register_cocaditem_events(kernel);
-}
-
-/// Registers the Cocaditem layer backed by a shared context store: every
-/// session created from it reads and writes `store`, so the node runtime
-/// (and the recovery layer's [`crate::store::ContextStoreSection`]) observe
-/// the live replicated context.
+/// Registers the Cocaditem layer and its event types with a kernel, backed
+/// by the node's context store: every session created from it reads and
+/// writes `store`, so the Core layer and the recovery layer's
+/// [`crate::store::ContextStoreSection`] observe the live replicated context.
 pub fn register_cocaditem_with_store(kernel: &mut Kernel, store: Rc<RefCell<ContextStore>>) {
-    kernel.layers_mut().register(CocaditemLayer {
-        shared_store: Some(store),
-    });
-    register_cocaditem_events(kernel);
-}
-
-fn register_cocaditem_events(kernel: &mut Kernel) {
+    kernel.layers_mut().register(CocaditemLayer::new(store));
     ContextPublish::register(kernel.events_mut());
     ContextDigest::register(kernel.events_mut());
     ContextPull::register(kernel.events_mut());
@@ -190,11 +180,16 @@ fn register_cocaditem_events(kernel: &mut Kernel) {
 /// * `members` — comma-separated initial membership of the control group;
 /// * `publish_interval_ms` — how often the local context is sampled and the
 ///   digest round runs (default 1000 ms).
-#[derive(Default)]
 pub struct CocaditemLayer {
-    /// When set, every created session shares this store instead of owning
-    /// a private one (see [`register_cocaditem_with_store`]).
-    shared_store: Option<Rc<RefCell<ContextStore>>>,
+    /// The node's context store, written by every session of this layer.
+    store: Rc<RefCell<ContextStore>>,
+}
+
+impl CocaditemLayer {
+    /// A layer whose sessions write the given context store.
+    pub(crate) fn new(store: Rc<RefCell<ContextStore>>) -> Self {
+        Self { store }
+    }
 }
 
 impl Layer for CocaditemLayer {
@@ -231,7 +226,7 @@ impl Layer for CocaditemLayer {
             members,
             publish_interval_ms: param_or(params, "publish_interval_ms", 1000u64).max(10),
             retrievers: default_retrievers(),
-            store: self.shared_store.clone().unwrap_or_default(),
+            store: Rc::clone(&self.store),
             last_published: None,
             publications: 0,
             converged_reported: false,
@@ -380,9 +375,10 @@ impl CocaditemSession {
         let local = ctx.node_id();
         let snapshot = self.sample_local(ctx);
         // Local context is reported upward on every tick so the local Core
-        // instance sees its own node's context without a network round trip.
+        // instance sees its own node's context without a network round trip
+        // — even a re-sample too small to publish.
         ctx.dispatch(Event::up(ContextUpdated {
-            snapshot: snapshot.clone(),
+            local_sample: Some(snapshot.clone()),
         }));
         // Coverage can also be completed from outside the dissemination
         // exchanges — a rejoined node's store is installed wholesale by the
@@ -446,7 +442,7 @@ impl CocaditemSession {
         )));
     }
 
-    /// Handles a received snapshot: store it, report it upward and — while
+    /// Handles a received snapshot: store it, signal it upward and — while
     /// the TTL lasts — keep spreading it if it was news.
     fn on_snapshot(
         &mut self,
@@ -459,9 +455,7 @@ impl CocaditemSession {
         if !fresh {
             return;
         }
-        ctx.dispatch(Event::up(ContextUpdated {
-            snapshot: snapshot.clone(),
-        }));
+        ctx.dispatch(Event::up(ContextUpdated { local_sample: None }));
         self.maybe_report_convergence(ctx);
         if ttl > 0 {
             let local = ctx.node_id();
@@ -572,16 +566,16 @@ impl CocaditemSession {
         )));
     }
 
-    /// Handles a batched pull answer: each snapshot is stored and reported
+    /// Handles a batched pull answer: each snapshot is stored and signalled
     /// like a directly received publication (no further forwarding — the
     /// batch was explicitly requested, so spreading it again would only
     /// re-create the redundancy the pull rate limit removed).
     fn on_batch(&mut self, body: BatchBody, ctx: &mut EventContext<'_>) {
         for snapshot in body.snapshots {
             let node = snapshot.node;
-            if self.store.borrow_mut().update(snapshot.clone()) {
+            if self.store.borrow_mut().update(snapshot) {
                 self.recent_pulls.remove(&node);
-                ctx.dispatch(Event::up(ContextUpdated { snapshot }));
+                ctx.dispatch(Event::up(ContextUpdated { local_sample: None }));
             }
         }
         self.maybe_report_convergence(ctx);
@@ -734,7 +728,7 @@ mod tests {
         let mut platform = TestPlatform::with_profile(NodeProfile::mobile_pda(NodeId(0)));
         let members: Vec<u32> = (0..12).collect();
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&members, 500),
             &mut platform,
         );
@@ -777,8 +771,9 @@ mod tests {
     fn received_publications_are_reported_upward_and_forwarded_while_fresh() {
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..10).collect();
+        let store = Rc::new(RefCell::new(ContextStore::new()));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(store.clone()),
             &params(&members, 1000),
             &mut platform,
         );
@@ -792,14 +787,16 @@ mod tests {
             )),
             &mut platform,
         );
-        let updated: Vec<&Event> = up
+        let updated: Vec<&ContextUpdated> = up
             .iter()
-            .filter(|event| event.is::<ContextUpdated>())
+            .filter_map(|event| event.get::<ContextUpdated>())
             .collect();
         assert_eq!(updated.len(), 1);
-        let received = &updated[0].get::<ContextUpdated>().unwrap().snapshot;
-        assert_eq!(received.node, NodeId(2));
-        assert_eq!(received.captured_at_ms, 77);
+        assert!(
+            updated[0].local_sample.is_none(),
+            "a peer's snapshot is read from the store, not carried"
+        );
+        assert_eq!(store.borrow().version_of(NodeId(2)), Some(77));
 
         // The fresh snapshot is forwarded epidemically with a decremented TTL.
         let down = cocaditem.drain_down();
@@ -831,7 +828,7 @@ mod tests {
     fn digests_trigger_rate_limited_pulls_for_stale_entries() {
         let mut platform = TestPlatform::new(NodeId(1));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&[1, 2, 3], 1000),
             &mut platform,
         );
@@ -953,7 +950,7 @@ mod tests {
         let mut platform = TestPlatform::new(NodeId(0));
         let members: Vec<u32> = (0..12).collect();
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&members, 500),
             &mut platform,
         );
@@ -1024,7 +1021,7 @@ mod tests {
     fn pull_requests_are_answered_with_one_batched_message() {
         let mut platform = TestPlatform::new(NodeId(1));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&[1, 2, 3], 1000),
             &mut platform,
         );
@@ -1067,8 +1064,9 @@ mod tests {
     #[test]
     fn batched_answers_are_stored_and_reported_upward() {
         let mut platform = TestPlatform::new(NodeId(1));
+        let store = Rc::new(RefCell::new(ContextStore::new()));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(store.clone()),
             &params(&[1, 2, 3], 1000),
             &mut platform,
         );
@@ -1085,15 +1083,14 @@ mod tests {
             Event::up(ContextBatch::new(NodeId(2), Dest::Node(NodeId(1)), message)),
             &mut platform,
         );
-        let updated: Vec<NodeId> = up
+        let updates = up
             .iter()
-            .filter_map(|event| {
-                event
-                    .get::<ContextUpdated>()
-                    .map(|update| update.snapshot.node)
-            })
-            .collect();
-        assert_eq!(updated, vec![NodeId(2), NodeId(3)]);
+            .filter_map(|event| event.get::<ContextUpdated>())
+            .filter(|update| update.local_sample.is_none())
+            .count();
+        assert_eq!(updates, 2, "one signal per stored snapshot");
+        assert_eq!(store.borrow().version_of(NodeId(2)), Some(30));
+        assert_eq!(store.borrow().version_of(NodeId(3)), Some(40));
         // The batch completed the membership: convergence is reported.
         assert!(platform
             .take_deliveries()
@@ -1105,7 +1102,7 @@ mod tests {
     fn covering_the_whole_membership_is_reported_once() {
         let mut platform = TestPlatform::new(NodeId(1));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&[1, 2], 1000),
             &mut platform,
         );
@@ -1147,7 +1144,7 @@ mod tests {
     fn unchanged_context_is_not_republished() {
         let mut platform = TestPlatform::with_profile(NodeProfile::mobile_pda(NodeId(2)));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&[1, 2], 500),
             &mut platform,
         );
@@ -1162,7 +1159,8 @@ mod tests {
             assert!(cocaditem
                 .drain_up()
                 .iter()
-                .any(|event| event.is::<ContextUpdated>()));
+                .filter_map(|event| event.get::<ContextUpdated>())
+                .any(|update| update.local_sample.is_some()));
         }
 
         // A significant battery drop is disseminated immediately.
@@ -1180,7 +1178,7 @@ mod tests {
     fn malformed_publications_are_dropped() {
         let mut platform = TestPlatform::new(NodeId(1));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&[1, 2], 1000),
             &mut platform,
         );
@@ -1218,7 +1216,7 @@ mod tests {
     fn view_install_updates_the_dissemination_targets() {
         let mut platform = TestPlatform::new(NodeId(1));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&[1, 2], 300),
             &mut platform,
         );
@@ -1268,7 +1266,7 @@ mod tests {
     fn expelled_members_get_no_anti_entropy_replies() {
         let mut platform = TestPlatform::new(NodeId(1));
         let mut cocaditem = Harness::new(
-            CocaditemLayer::default(),
+            CocaditemLayer::new(Rc::default()),
             &params(&[1, 2, 3], 1000),
             &mut platform,
         );

@@ -8,29 +8,26 @@
 //! * a set of **context retrievers** ([`retriever`]) that sample the locally
 //!   observable system context (device class, battery, link quality, error
 //!   rate, bandwidth — the paper's "system context");
-//! * a **topic-based publish/subscribe** facade ([`pubsub`]) through which
-//!   interested components (notably the Core control subsystem) subscribe to
-//!   context topics;
 //! * a **dissemination layer** ([`dissemination`]) that periodically
 //!   multicasts the locally collected context on the group communication
-//!   control channel and maintains a store of every participant's last
-//!   published snapshot ([`store`]).
+//!   control channel and writes every participant's last published snapshot
+//!   into the node's context store ([`store`]) — one store per node, which
+//!   the Core control layer reads in place. Core learns *that* the context
+//!   changed from the [`ContextUpdated`] event the kernel routes to it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod context;
 pub mod dissemination;
-pub mod pubsub;
 pub mod retriever;
 pub mod room;
 pub mod store;
 
 pub use context::{ContextKey, ContextSnapshot, ContextValue};
 pub use dissemination::{
-    register_cocaditem, BatchBody, ContextBatch, ContextDigest, ContextPublish, ContextPull,
-    ContextUpdated, DigestBody, PullBody, COCADITEM_LAYER,
+    register_cocaditem_with_store, BatchBody, ContextBatch, ContextDigest, ContextPublish,
+    ContextPull, ContextUpdated, DigestBody, PullBody, COCADITEM_LAYER,
 };
-pub use pubsub::{Broker, Subscription, Topic};
 pub use retriever::{default_retrievers, ContextRetriever};
 pub use room::RoomContext;
 pub use store::ContextStore;

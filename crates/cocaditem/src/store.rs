@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use morpheus_appia::platform::{DeviceClass, NodeId};
+use morpheus_appia::platform::NodeId;
 use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
 use morpheus_groupcomm::recovery::StateSection;
 
@@ -66,17 +66,6 @@ impl ContextStore {
         self.snapshots.retain(|node, _| members.contains(node));
     }
 
-    /// Removes nodes that have not published for `max_age_ms` relative to `now_ms`.
-    pub fn evict_stale(&mut self, now_ms: u64, max_age_ms: u64) {
-        self.snapshots
-            .retain(|_, snapshot| now_ms.saturating_sub(snapshot.captured_at_ms) <= max_age_ms);
-    }
-
-    /// Removes a node explicitly (e.g. when it leaves the view).
-    pub fn remove(&mut self, node: NodeId) {
-        self.snapshots.remove(&node);
-    }
-
     /// The snapshot of one node, if known.
     pub fn get(&self, node: NodeId) -> Option<&ContextSnapshot> {
         self.snapshots.get(&node)
@@ -95,73 +84,6 @@ impl ContextStore {
     /// Whether no snapshots are known.
     pub fn is_empty(&self) -> bool {
         self.snapshots.is_empty()
-    }
-
-    /// Nodes whose last snapshot reports a mobile device class.
-    pub fn mobile_nodes(&self) -> Vec<NodeId> {
-        self.snapshots
-            .iter()
-            .filter(|(_, snapshot)| snapshot.is_mobile() == Some(true))
-            .map(|(node, _)| *node)
-            .collect()
-    }
-
-    /// Nodes whose last snapshot reports a fixed device class.
-    pub fn fixed_nodes(&self) -> Vec<NodeId> {
-        self.snapshots
-            .iter()
-            .filter(|(_, snapshot)| snapshot.is_mobile() == Some(false))
-            .map(|(node, _)| *node)
-            .collect()
-    }
-
-    /// Whether the known participants mix fixed and mobile devices — the
-    /// condition that triggers the Mecho adaptation in the paper.
-    pub fn is_hybrid(&self) -> bool {
-        !self.mobile_nodes().is_empty() && !self.fixed_nodes().is_empty()
-    }
-
-    /// The highest error rate reported by any participant.
-    pub fn max_error_rate(&self) -> f64 {
-        self.snapshots
-            .values()
-            .filter_map(ContextSnapshot::error_rate)
-            .fold(0.0, f64::max)
-    }
-
-    /// The lowest battery level reported by any participant.
-    pub fn min_battery_level(&self) -> f64 {
-        self.snapshots
-            .values()
-            .filter_map(ContextSnapshot::battery_level)
-            .fold(1.0, f64::min)
-    }
-
-    /// The fixed node best suited to act as the Mecho relay: fixed device
-    /// class first, then highest resource score, then lowest node id as a
-    /// deterministic tie-breaker.
-    pub fn best_relay(&self) -> Option<NodeId> {
-        self.snapshots
-            .iter()
-            .filter_map(|(node, snapshot)| snapshot.device_class().map(|class| (*node, class)))
-            .filter(|(_, class)| class.is_fixed())
-            .min_by_key(|(node, class)| (std::cmp::Reverse(class.resource_score()), node.0))
-            .map(|(node, _)| node)
-    }
-
-    /// The node with the most remaining battery (used when every participant
-    /// is mobile and one of them must carry extra load).
-    pub fn best_battery_node(&self) -> Option<NodeId> {
-        self.snapshots
-            .iter()
-            .filter_map(|(node, snapshot)| snapshot.battery_level().map(|level| (*node, level)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(node, _)| node)
-    }
-
-    /// Convenience: the device class of one node, if known.
-    pub fn device_class_of(&self, node: NodeId) -> Option<DeviceClass> {
-        self.get(node).and_then(ContextSnapshot::device_class)
     }
 
     /// Serialises every snapshot — the rejoin state-transfer export.
@@ -230,7 +152,6 @@ mod tests {
     use morpheus_appia::platform::NodeProfile;
 
     use super::*;
-    use crate::context::{ContextKey, ContextValue};
 
     fn fixed(node: u32, at: u64) -> ContextSnapshot {
         ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(node)), at)
@@ -269,41 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_detection() {
-        let mut store = ContextStore::new();
-        store.update(fixed(0, 1));
-        assert!(!store.is_hybrid());
-        store.update(mobile(1, 1));
-        assert!(store.is_hybrid());
-        assert_eq!(store.mobile_nodes(), vec![NodeId(1)]);
-        assert_eq!(store.fixed_nodes(), vec![NodeId(0)]);
-    }
-
-    #[test]
-    fn best_relay_prefers_fixed_nodes_with_low_id() {
-        let mut store = ContextStore::new();
-        store.update(mobile(1, 1));
-        assert_eq!(store.best_relay(), None);
-        store.update(fixed(5, 1));
-        store.update(fixed(3, 1));
-        assert_eq!(store.best_relay(), Some(NodeId(3)));
-    }
-
-    #[test]
-    fn aggregate_queries() {
-        let mut store = ContextStore::new();
-        let mut degraded = mobile(2, 1);
-        degraded.set(ContextKey::ErrorRate, ContextValue::Number(0.15));
-        degraded.set(ContextKey::BatteryLevel, ContextValue::Number(0.4));
-        store.update(fixed(0, 1));
-        store.update(degraded);
-        assert!((store.max_error_rate() - 0.15).abs() < 1e-9);
-        assert!((store.min_battery_level() - 0.4).abs() < 1e-9);
-        assert_eq!(store.best_battery_node(), Some(NodeId(0)));
-        assert_eq!(store.device_class_of(NodeId(0)), Some(DeviceClass::FixedPc));
-    }
-
-    #[test]
     fn export_import_roundtrip_merges_by_version() {
         let mut store = ContextStore::new();
         store.update(fixed(0, 100));
@@ -329,17 +215,5 @@ mod tests {
         assert!(!section.export().is_empty());
         assert!(!section.install(b"\xff"));
         assert_eq!(section.name(), "cocaditem-store");
-    }
-
-    #[test]
-    fn eviction_and_removal() {
-        let mut store = ContextStore::new();
-        store.update(fixed(0, 100));
-        store.update(mobile(1, 900));
-        store.evict_stale(1000, 500);
-        assert!(store.get(NodeId(0)).is_none());
-        assert!(store.get(NodeId(1)).is_some());
-        store.remove(NodeId(1));
-        assert!(store.is_empty());
     }
 }

@@ -1,12 +1,15 @@
 //! The Core control layer: coordinator-driven adaptation.
 //!
 //! The layer sits on the control channel, above the Cocaditem dissemination
-//! layer and a control-plane failure detector. Every node maintains the
-//! distributed context it learns from [`ContextUpdated`] events; the
-//! coordinator (lowest *live* member id, the deterministic election the paper
-//! describes) additionally evaluates the adaptation policy whenever the
-//! context changes. When the policy prefers a different stack configuration
-//! the coordinator:
+//! layer and a control-plane failure detector. It keeps no context of its
+//! own: it is handed the node's context store (which Cocaditem writes) and
+//! the node's stack catalogue at registration, and reads both in place.
+//! Cocaditem's [`ContextUpdated`] events tell it *when* the context changed
+//! and carry the one thing the store lacks, the local node's latest sample.
+//! On each, the coordinator (lowest *live* member id, the deterministic
+//! election the paper describes) evaluates the adaptation policy over the
+//! store restricted to the live members. When the policy prefers a different
+//! stack configuration the coordinator:
 //!
 //! 1. opens a new **reconfiguration epoch** and ships the declarative channel
 //!    description to every participant in an epoch-stamped
@@ -30,11 +33,13 @@
 //!
 //! Failures are tolerated through the control-channel failure detector: a
 //! [`Suspect`]ed member is excluded from the ack quorum (the round can finish
-//! without it), and a suspected *coordinator* triggers deterministic
+//! without it) and from the policy's view of the context (its snapshot stays
+//! in the store), and a suspected *coordinator* triggers deterministic
 //! re-election — the next-lowest live id takes over and, because the policy
 //! is a pure function of the replicated context, resumes or re-initiates the
 //! in-flight adaptation under a fresh epoch. An [`Alive`] notification (a
-//! false suspicion healed) re-admits the member to the quorum.
+//! false suspicion healed) re-admits the member to the quorum and, with its
+//! stored snapshot, to the next evaluation.
 //!
 //! The actual deployment — blocking the data channel, replacing the stack,
 //! resuming the flow — is performed by the local module
@@ -42,7 +47,9 @@
 //! kernel that is executing it; the layer only raises a
 //! [`morpheus_appia::platform::ReconfigRequest`] through the platform.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, TimerExpired};
@@ -54,7 +61,7 @@ use morpheus_appia::sendable_event;
 use morpheus_appia::session::Session;
 use morpheus_appia::Kernel;
 use morpheus_cocaditem::dissemination::ContextUpdated;
-use morpheus_cocaditem::ContextStore;
+use morpheus_cocaditem::{ContextSnapshot, ContextStore};
 use morpheus_groupcomm::events::{Alive, Suspect, ViewInstall};
 use morpheus_groupcomm::round::{Ballot, Engine as RoundEngine, Tick};
 
@@ -81,9 +88,15 @@ sendable_event! {
     pub struct ReconfigAck, class: Control
 }
 
-/// Registers the Core control layer and its event types with a kernel.
-pub fn register_core(kernel: &mut Kernel) {
-    kernel.layers_mut().register(CoreLayer);
+/// Registers the Core control layer and its event types with a kernel. The
+/// layer reads the node's context store — the one Cocaditem writes — and
+/// renders the stacks it commands from the node's stack catalogue.
+pub fn register_core(
+    kernel: &mut Kernel,
+    store: Rc<RefCell<ContextStore>>,
+    catalog: Rc<StackCatalog>,
+) {
+    kernel.layers_mut().register(CoreLayer::new(store, catalog));
     ReconfigCommand::register(kernel.events_mut());
     ReconfigAck::register(kernel.events_mut());
 }
@@ -93,22 +106,28 @@ pub fn register_core(kernel: &mut Kernel) {
 /// Parameters:
 ///
 /// * `members` — comma-separated control-group membership;
-/// * `data_channel` — name of the data channel to adapt (default `data`);
 /// * `adaptive` — when `false` the layer only observes and never reconfigures
 ///   (the paper's non-adapted baseline);
 /// * `initial_stack` — name of the stack deployed at start-up
-///   (default `best-effort`);
-/// * `retransmit_interval_ms` — how often the coordinator retransmits an
-///   unacknowledged [`ReconfigCommand`] (default 500 ms);
-/// * `round_timeout_ms` — total time budget of one reconfiguration round
-///   before it is aborted and re-initiated under a fresh epoch
-///   (default 4000 ms);
-/// * `hb_interval_ms`, `suspect_timeout_ms`, `transfer_chunk_bytes`,
-///   `gossip_repair_interval_ms` — written into the stacks the layer renders
-///   (defaults as in [`StackCatalog::new`]).
+///   (default `best-effort`).
 ///
-/// The adaptation policy is [`DefaultPolicy`] at its default thresholds.
-pub struct CoreLayer;
+/// Everything else comes from what the layer is handed: the data channel it
+/// adapts, the stacks it commands and the cadence of its rounds (the
+/// catalogue's view-change retransmit interval and round timeout) from the
+/// catalogue; the context from the store. The adaptation policy is
+/// [`DefaultPolicy`] at its default thresholds.
+pub struct CoreLayer {
+    store: Rc<RefCell<ContextStore>>,
+    catalog: Rc<StackCatalog>,
+}
+
+impl CoreLayer {
+    /// A layer whose sessions read the given context store and render from
+    /// the given catalogue.
+    pub fn new(store: Rc<RefCell<ContextStore>>, catalog: Rc<StackCatalog>) -> Self {
+        Self { store, catalog }
+    }
+}
 
 impl Layer for CoreLayer {
     fn name(&self) -> &str {
@@ -133,26 +152,14 @@ impl Layer for CoreLayer {
     }
 
     fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
-        let members = param_node_list(params, "members");
-        let data_channel = params
-            .get("data_channel")
-            .cloned()
-            .unwrap_or_else(|| "data".to_string());
-        let hb = param_or(params, "hb_interval_ms", 1000u64);
-        let suspect = param_or(params, "suspect_timeout_ms", 5000u64);
-        let retransmit = param_or(params, "retransmit_interval_ms", 500u64).max(10);
-        let round_timeout = param_or(params, "round_timeout_ms", 4000u64).max(100);
+        let (retransmit, round_timeout) = self.catalog.view_change_timing();
         Box::new(CoreSession {
-            catalog: StackCatalog::new(&data_channel, members.clone())
-                .with_failure_detection(hb, suspect)
-                .with_view_change_timing(retransmit, round_timeout)
-                .with_transfer_chunk_bytes(param_or(params, "transfer_chunk_bytes", 1024usize))
-                .with_gossip_repair(param_or(params, "gossip_repair_interval_ms", 1000u64)),
-            members,
-            data_channel,
+            members: param_node_list(params, "members"),
             adaptive: param_or(params, "adaptive", true),
             policy: DefaultPolicy::default(),
-            store: ContextStore::new(),
+            catalog: Rc::clone(&self.catalog),
+            store: Rc::clone(&self.store),
+            local_sample: None,
             current_stack: params
                 .get("initial_stack")
                 .cloned()
@@ -167,8 +174,8 @@ impl Layer for CoreLayer {
             installed: None,
             confirmed: BTreeSet::new(),
             round_timer: None,
-            retransmit_interval_ms: retransmit,
-            round_timeout_ms: round_timeout,
+            retransmit_interval_ms: retransmit.max(10),
+            round_timeout_ms: round_timeout.max(100),
             reconfigurations_started: 0,
             reconfigurations_completed: 0,
             reconfigurations_aborted: 0,
@@ -212,11 +219,15 @@ impl InstalledStack {
 pub struct CoreSession {
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    data_channel: String,
     adaptive: bool,
     policy: DefaultPolicy,
-    catalog: StackCatalog,
-    store: ContextStore,
+    /// The node's stack catalogue (its data channel and the stacks it renders).
+    catalog: Rc<StackCatalog>,
+    /// The node's context store, written by Cocaditem and read here in place.
+    store: Rc<RefCell<ContextStore>>,
+    /// The local node's latest sample, carried by the last local
+    /// [`ContextUpdated`]: the store only holds its *published* versions.
+    local_sample: Option<ContextSnapshot>,
     /// The stack the group has agreed on. On the coordinator this is only
     /// committed when a round *completes* (never optimistically), so an
     /// aborted round leaves the policy free to re-fire.
@@ -343,22 +354,18 @@ impl CoreSession {
         }
         // The policy sees only the live membership and its context: a crashed
         // relay candidate must not be selected again.
-        let live = self.live_members().collect();
-        let mut store = self.store.clone();
-        for suspect in &self.suspected {
-            store.remove(*suspect);
-        }
-        let context = GlobalContext {
+        let live: Vec<NodeId> = self.live_members().collect();
+        let decision = self.policy.evaluate(&GlobalContext {
             local,
-            members: live,
-            store,
-            current_stack: self.current_stack.clone(),
-        };
-        let Some(kind) = self.policy.evaluate(&context) else {
+            local_sample: self.local_sample.as_ref(),
+            members: &live,
+            store: &self.store.borrow(),
+        });
+        let Some(kind) = decision else {
             // No (or not enough) context for a fresh decision — but the
             // committed stack is always safe to re-send to members known to
-            // be behind (e.g. one whose context was pruned on suspicion and
-            // has not republished yet).
+            // be behind (e.g. one whose context has not reached this node
+            // yet).
             self.repair_behind(ctx);
             return;
         };
@@ -380,10 +387,7 @@ impl CoreSession {
         // here; it is committed when the round completes. The description is
         // rendered over the *live* membership, so generated stacks stop
         // listing crashed nodes.
-        let config = self
-            .catalog
-            .config_for_members(&kind, self.live_members().collect());
-        let description = config.to_xml();
+        let description = self.catalog.config_for_members(&kind, live).to_xml();
         // Every member must ack — the coordinator and suspected ones
         // included; completion excludes whoever is suspected *at completion
         // time* instead.
@@ -405,7 +409,7 @@ impl CoreSession {
             .collect();
         self.send_command(others, ctx);
         ctx.request_reconfiguration(ReconfigRequest {
-            channel: self.data_channel.clone(),
+            channel: self.catalog.channel().to_string(),
             stack_name: desired,
             description,
             epoch: ballot.epoch,
@@ -550,7 +554,7 @@ impl CoreSession {
                     };
                     if let Some(installed) = rollback {
                         ctx.request_reconfiguration(ReconfigRequest {
-                            channel: self.data_channel.clone(),
+                            channel: self.catalog.channel().to_string(),
                             stack_name: installed.stack_name,
                             description: installed.description,
                             epoch: installed.epoch,
@@ -584,7 +588,6 @@ impl CoreSession {
         }
         let was_coordinator = self.coordinator() == Some(node);
         self.suspected.insert(node);
-        self.store.remove(node);
         if self.pending.is_some() {
             // The ack quorum shrank; the round may be complete now.
             self.maybe_complete(ctx);
@@ -646,7 +649,7 @@ impl CoreSession {
             // Deploy; the local module acknowledges after the deployment
             // succeeded (never before).
             ctx.request_reconfiguration(ReconfigRequest {
-                channel: self.data_channel.clone(),
+                channel: self.catalog.channel().to_string(),
                 stack_name,
                 description,
                 epoch,
@@ -718,8 +721,10 @@ impl Session for CoreSession {
             return;
         }
 
-        if let Some(update) = event.get::<ContextUpdated>() {
-            self.store.update(update.snapshot.clone());
+        if let Some(update) = event.get_mut::<ContextUpdated>() {
+            if let Some(sample) = update.local_sample.take() {
+                self.local_sample = Some(sample);
+            }
             self.evaluate(ctx);
             return;
         }
@@ -738,7 +743,6 @@ impl Session for CoreSession {
             self.members = install.view.members.clone();
             self.suspected.retain(|node| self.members.contains(node));
             self.confirmed.retain(|node| self.members.contains(node));
-            self.store.retain_members(&self.members);
             // Refreeze the in-flight round's ack threshold over the new
             // membership: expelled members stop being awaited.
             self.engine.set_participants(self.members.iter().copied());
@@ -833,13 +837,47 @@ impl Session for CoreSession {
 
 #[cfg(test)]
 mod tests {
-    use morpheus_appia::platform::{NodeProfile, TestPlatform};
+    use morpheus_appia::platform::{NodeProfile, Platform, TestPlatform};
     use morpheus_appia::testing::Harness;
-    use morpheus_cocaditem::ContextSnapshot;
+    use morpheus_cocaditem::{ContextKey, ContextValue};
 
     use super::*;
 
-    fn core_params(members: &[u32], adaptive: bool) -> LayerParams {
+    /// The local node's view of the context, fed the way Cocaditem feeds it
+    /// at run time: the local node's context arrives as a sample in the
+    /// event, a peer's is written into the store and merely signalled.
+    struct ContextFeed {
+        local: NodeId,
+        store: Rc<RefCell<ContextStore>>,
+    }
+
+    impl ContextFeed {
+        fn update(&self, node: u32, mobile: bool) -> Event {
+            let profile = if mobile {
+                NodeProfile::mobile_pda(NodeId(node))
+            } else {
+                NodeProfile::fixed_pc(NodeId(node))
+            };
+            let snapshot = ContextSnapshot::from_profile(&profile, 1);
+            if snapshot.node == self.local {
+                return Event::up(ContextUpdated {
+                    local_sample: Some(snapshot),
+                });
+            }
+            self.store.borrow_mut().update(snapshot);
+            Event::up(ContextUpdated { local_sample: None })
+        }
+    }
+
+    /// A Core layer on `platform`'s node over the given control group, with
+    /// a fresh store and a catalogue for the `data` channel at its default
+    /// timing (500 ms retransmit, 4000 ms round timeout).
+    fn core_layer(
+        members: &[u32],
+        adaptive: bool,
+        platform: &mut TestPlatform,
+    ) -> (Harness, ContextFeed) {
+        let group: Vec<NodeId> = members.iter().copied().map(NodeId).collect();
         let mut params = LayerParams::new();
         params.insert(
             "members".into(),
@@ -850,21 +888,15 @@ mod tests {
                 .join(","),
         );
         params.insert("adaptive".into(), adaptive.to_string());
-        params.insert("data_channel".into(), "data".into());
-        params.insert("retransmit_interval_ms".into(), "500".into());
-        params.insert("round_timeout_ms".into(), "4000".into());
-        params
-    }
-
-    fn context_update(node: u32, mobile: bool) -> Event {
-        let profile = if mobile {
-            NodeProfile::mobile_pda(NodeId(node))
-        } else {
-            NodeProfile::fixed_pc(NodeId(node))
+        let feed = ContextFeed {
+            local: platform.node_id(),
+            store: Rc::default(),
         };
-        Event::up(ContextUpdated {
-            snapshot: ContextSnapshot::from_profile(&profile, 1),
-        })
+        let layer = CoreLayer::new(
+            Rc::clone(&feed.store),
+            Rc::new(StackCatalog::new("data", group)),
+        );
+        (Harness::new(layer, &params, platform), feed)
     }
 
     fn ack_message(epoch: u64, stack: &str) -> Message {
@@ -921,16 +953,16 @@ mod tests {
     #[test]
     fn coordinator_initiates_reconfiguration_when_the_group_becomes_hybrid() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
 
         // Context arrives for every member: node 0 fixed, nodes 1-2 mobile.
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         assert!(
             platform.reconfig_requests.is_empty(),
             "no decision before full context"
         );
-        core.run_up(context_update(2, true), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
 
         assert_eq!(platform.reconfig_requests.len(), 1);
         let request = &platform.reconfig_requests[0];
@@ -955,9 +987,9 @@ mod tests {
     #[test]
     fn non_adaptive_nodes_never_reconfigure() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], false), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1], false, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         assert!(platform.reconfig_requests.is_empty());
         assert!(core
             .drain_down()
@@ -968,17 +1000,17 @@ mod tests {
     #[test]
     fn non_coordinator_nodes_only_observe() {
         let mut platform = TestPlatform::new(NodeId(2));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
         assert!(platform.reconfig_requests.is_empty());
     }
 
     #[test]
     fn members_deploy_on_command_and_ack_only_after_deployment() {
         let mut platform = TestPlatform::new(NodeId(1));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
+        let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
 
         core.run_up(
             Event::up(ReconfigCommand::new(
@@ -1026,7 +1058,7 @@ mod tests {
     #[test]
     fn stale_or_reordered_commands_are_rejected() {
         let mut platform = TestPlatform::new(NodeId(1));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
+        let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
         let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
 
         core.run_up(
@@ -1059,7 +1091,7 @@ mod tests {
     #[test]
     fn duplicate_commands_after_deployment_resend_the_ack() {
         let mut platform = TestPlatform::new(NodeId(1));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
+        let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
         let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
 
         core.run_up(
@@ -1094,7 +1126,7 @@ mod tests {
     #[test]
     fn a_reasserted_configuration_is_acked_under_the_new_epoch_without_redeploying() {
         let mut platform = TestPlatform::new(NodeId(1));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
+        let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
         let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
         let command = |epoch: u64, description: &str| {
             Event::up(ReconfigCommand::new(
@@ -1147,9 +1179,9 @@ mod tests {
     #[test]
     fn coordinator_reports_completion_once_every_member_acknowledged() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         platform.take_deliveries();
 
         // The coordinator's own deployment finishes...
@@ -1183,9 +1215,9 @@ mod tests {
     #[test]
     fn a_stale_ack_from_a_prior_epoch_cannot_complete_a_newer_round() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         platform.take_deliveries();
 
         // The round times out and is re-initiated under epoch 2.
@@ -1233,10 +1265,10 @@ mod tests {
     #[test]
     fn lost_commands_are_retransmitted_until_acknowledged() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
         core.drain_down();
 
         // Node 1 acknowledged, node 2's command was lost.
@@ -1271,9 +1303,9 @@ mod tests {
     #[test]
     fn round_timeout_rolls_back_and_lets_the_policy_refire() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         assert_eq!(platform.reconfig_requests.len(), 1);
 
         // Nothing is ever acknowledged; past the round timeout the round is
@@ -1292,10 +1324,10 @@ mod tests {
     #[test]
     fn a_suspected_member_is_excluded_from_the_ack_quorum() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
         platform.take_deliveries();
 
         core.run_down(
@@ -1327,11 +1359,11 @@ mod tests {
         // Two fixed nodes (0 and 1) and two mobiles: the group stays hybrid
         // even after the original coordinator dies.
         let mut platform = TestPlatform::new(NodeId(1));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2, 3], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, false), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
-        core.run_up(context_update(3, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2, 3], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, false), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
+        core.run_up(context.update(3, true), &mut platform);
         assert!(
             platform.reconfig_requests.is_empty(),
             "node 1 is not the coordinator while node 0 lives"
@@ -1354,9 +1386,9 @@ mod tests {
     #[test]
     fn an_alive_notification_readmits_a_member_to_the_quorum() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         platform.take_deliveries();
 
         // Node 1 is falsely suspected, then heard from again before it acked.
@@ -1383,10 +1415,10 @@ mod tests {
     #[test]
     fn a_member_that_missed_the_round_while_suspected_is_repaired() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
         core.drain_down();
 
         // Node 2's command is lost, it gets suspected, and the round
@@ -1422,7 +1454,7 @@ mod tests {
         );
 
         // Context updates keep retrying the repair until node 2 confirms...
-        core.run_up(context_update(1, true), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         assert_eq!(
             core.drain_down()
                 .iter()
@@ -1444,7 +1476,7 @@ mod tests {
             )),
             &mut platform,
         );
-        core.run_up(context_update(1, true), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         assert!(core
             .drain_down()
             .iter()
@@ -1456,13 +1488,13 @@ mod tests {
     #[test]
     fn an_aborted_round_does_not_destroy_the_repair_record_of_the_committed_stack() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
 
         // Round 1 commits `hybrid-mecho-relay0` over the quorum {0, 1} while
         // node 2 is suspected.
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
         core.run_up(Event::up(Suspect { node: NodeId(2) }), &mut platform);
         core.run_down(
             deployment_ack(0, 0, 1, "hybrid-mecho-relay0"),
@@ -1481,7 +1513,7 @@ mod tests {
         // The context shifts (node 0 turns mobile): round 2 towards
         // `best-effort` opens, the coordinator deploys locally, but no member
         // ever acknowledges...
-        core.run_up(context_update(0, true), &mut platform);
+        core.run_up(context.update(0, true), &mut platform);
         assert_eq!(platform.reconfig_requests.len(), 2);
         assert_eq!(platform.reconfig_requests[1].epoch, 2);
         core.run_down(deployment_ack(0, 0, 2, "best-effort"), &mut platform);
@@ -1491,7 +1523,7 @@ mod tests {
         // never optimistically committed), so no third round opens — but the
         // coordinator rolls its own data channel back to the committed stack
         // (it deployed `best-effort` locally when round 2 started).
-        core.run_up(context_update(0, false), &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
         platform.advance(4000);
         fire_pending_timers(&mut core, &mut platform);
         assert_eq!(platform.reconfig_requests.len(), 3, "rollback, not a round");
@@ -1534,7 +1566,7 @@ mod tests {
 
         // Arrival order A: higher-id coordinator first, lower-id second.
         let mut platform = TestPlatform::new(NodeId(5));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 5], true), &mut platform);
+        let (mut core, _context) = core_layer(&[0, 1, 5], true, &mut platform);
         core.run_up(
             Event::up(ReconfigCommand::new(
                 NodeId(1),
@@ -1573,7 +1605,7 @@ mod tests {
         // Arrival order B: lower-id coordinator first — the higher-id
         // coordinator's same-epoch round never deploys.
         let mut platform = TestPlatform::new(NodeId(5));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 5], true), &mut platform);
+        let (mut core, _context) = core_layer(&[0, 1, 5], true, &mut platform);
         core.run_up(
             Event::up(ReconfigCommand::new(
                 NodeId(0),
@@ -1597,14 +1629,14 @@ mod tests {
     #[test]
     fn generated_stacks_list_only_live_members() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2, 3], true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2, 3], true, &mut platform);
 
         // Node 3 crashes before the adaptation fires; the configuration the
         // round ships must not list it.
         core.run_up(Event::up(Suspect { node: NodeId(3) }), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, false), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, false), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
 
         assert_eq!(platform.reconfig_requests.len(), 1);
         let description = &platform.reconfig_requests[0].description;
@@ -1620,10 +1652,10 @@ mod tests {
     #[test]
     fn a_view_install_rewrites_the_control_membership() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
         platform.take_deliveries();
 
         // The view removes node 2 outright (it is not merely suspected):
@@ -1657,10 +1689,10 @@ mod tests {
         // only missing ack belonged to the expelled member stalls until the
         // round timeout aborts it.
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
         platform.take_deliveries();
 
         // Acks from 0 (self) and 1 arrive; node 2 stays silent.
@@ -1691,12 +1723,12 @@ mod tests {
     #[test]
     fn repairs_are_re_rendered_over_the_current_live_membership() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2, 3], true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1, 2, 3], true, &mut platform);
         // Hybrid group: round 1 ships while everyone is live.
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, false), &mut platform);
-        core.run_up(context_update(2, true), &mut platform);
-        core.run_up(context_update(3, true), &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, false), &mut platform);
+        core.run_up(context.update(2, true), &mut platform);
+        core.run_up(context.update(3, true), &mut platform);
         core.drain_down();
 
         // Node 2's command is lost and it gets suspected; node 3 crashes for
@@ -1739,9 +1771,9 @@ mod tests {
     #[test]
     fn repeated_context_updates_do_not_reinitiate_the_same_stack() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1], true), &mut platform);
-        core.run_up(context_update(0, false), &mut platform);
-        core.run_up(context_update(1, true), &mut platform);
+        let (mut core, context) = core_layer(&[0, 1], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         // Complete the pending reconfiguration.
         core.run_down(
             deployment_ack(0, 0, 1, "hybrid-mecho-relay0"),
@@ -1758,7 +1790,68 @@ mod tests {
         platform.reconfig_requests.clear();
 
         // The same hybrid context arrives again: nothing new should happen.
-        core.run_up(context_update(1, true), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
         assert!(platform.reconfig_requests.is_empty());
+    }
+
+    #[test]
+    fn the_coordinator_evaluates_its_latest_sample_not_its_published_entry() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let (mut core, context) = core_layer(&[0, 1], true, &mut platform);
+        let with_error = |node: u32, at: u64, rate: f64| {
+            let mut snapshot =
+                ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(node)), at);
+            snapshot.set(ContextKey::ErrorRate, ContextValue::Number(rate));
+            snapshot
+        };
+        // Cocaditem published node 0's context at error rate 0, and stored
+        // node 1's.
+        context.store.borrow_mut().update(with_error(0, 1, 0.0));
+        context.store.borrow_mut().update(with_error(1, 1, 0.0));
+
+        // A later sample measures 0.01: inside Cocaditem's 0.01 tolerance,
+        // so it is never published and the store keeps error rate 0. The
+        // policy must still see it — 0.01 is past the retransmission
+        // threshold.
+        core.run_up(
+            Event::up(ContextUpdated {
+                local_sample: Some(with_error(0, 2, 0.01)),
+            }),
+            &mut platform,
+        );
+        assert_eq!(platform.reconfig_requests.len(), 1);
+        assert_eq!(platform.reconfig_requests[0].stack_name, "reliable");
+        assert_eq!(
+            context.store.borrow().get(NodeId(0)).unwrap().error_rate(),
+            Some(0.0),
+            "Core never writes the store"
+        );
+    }
+
+    #[test]
+    fn a_suspected_members_context_is_set_aside_not_deleted() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let (mut core, context) = core_layer(&[0, 1, 2], true, &mut platform);
+        // Mobile node 2's context arrives first, then node 2 is suspected.
+        core.run_up(context.update(2, true), &mut platform);
+        core.run_up(Event::up(Suspect { node: NodeId(2) }), &mut platform);
+
+        // The live group {0, 1} is fixed and clean: best-effort, which is
+        // already deployed. The suspected mobile node is left out...
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, false), &mut platform);
+        assert!(platform.reconfig_requests.is_empty());
+        // ... but its context stays in the store.
+        assert!(context.store.borrow().get(NodeId(2)).is_some());
+
+        // The suspicion heals and node 2 does not republish: the next
+        // evaluation counts it again and the group is hybrid.
+        core.run_up(Event::up(Alive { node: NodeId(2) }), &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        assert_eq!(platform.reconfig_requests.len(), 1);
+        assert_eq!(
+            platform.reconfig_requests[0].stack_name,
+            "hybrid-mecho-relay0"
+        );
     }
 }

@@ -69,8 +69,9 @@ pub struct NodeOptions {
     /// gossip).
     pub gossip_repair_interval_ms: u64,
     /// Whether this node is a *restarted* member re-entering a running
-    /// group: its stacks come up in joining mode (empty view, blocked) and
-    /// the recovery layer drives re-admission plus state transfer.
+    /// group: its boot stack comes up in joining mode (empty view, blocked)
+    /// and the recovery layer drives re-admission plus state transfer. The
+    /// stacks its Core layer commands never do.
     pub rejoining: bool,
     /// Chunk size of the rejoin state transfer, in bytes.
     pub transfer_chunk_bytes: usize,
@@ -117,7 +118,7 @@ impl NodeOptions {
 pub struct MorpheusNode {
     kernel: Kernel,
     options: NodeOptions,
-    catalog: StackCatalog,
+    catalog: Rc<StackCatalog>,
     data_channel: ChannelId,
     control_channel: ChannelId,
     current_stack: String,
@@ -135,7 +136,10 @@ impl MorpheusNode {
     ///
     /// The node always contributes its own Cocaditem context store as the
     /// first section, so a rejoiner recovers the replicated context without
-    /// waiting for digest anti-entropy to repopulate it.
+    /// waiting for digest anti-entropy to repopulate it. That store and the
+    /// node's stack catalogue exist once per node: Cocaditem writes the
+    /// store, the Core layer reads it, and Core renders the stacks it
+    /// commands from the catalogue the node boots from.
     pub fn with_app_state(
         options: NodeOptions,
         app_sections: Vec<Rc<dyn StateSection>>,
@@ -146,22 +150,22 @@ impl MorpheusNode {
         let context_store = Rc::new(RefCell::new(ContextStore::new()));
         register_cocaditem_with_store(&mut kernel, context_store.clone());
         let mut sections: Vec<Rc<dyn StateSection>> =
-            vec![Rc::new(ContextStoreSection::new(context_store))];
+            vec![Rc::new(ContextStoreSection::new(context_store.clone()))];
         sections.extend(app_sections);
         // Replaces the suite's section-less recovery layer by name.
         kernel
             .layers_mut()
             .register(RecoveryLayer::with_sections(sections));
-        register_core(&mut kernel);
+        let catalog = Rc::new(
+            StackCatalog::new(&options.data_channel, options.members.clone())
+                .with_failure_detection(options.hb_interval_ms, options.suspect_timeout_ms)
+                .with_view_change_timing(options.retransmit_interval_ms, options.round_timeout_ms)
+                .with_transfer_chunk_bytes(options.transfer_chunk_bytes)
+                .with_gossip_repair(options.gossip_repair_interval_ms),
+        );
+        register_core(&mut kernel, context_store, Rc::clone(&catalog));
 
-        let catalog = StackCatalog::new(&options.data_channel, options.members.clone())
-            .with_failure_detection(options.hb_interval_ms, options.suspect_timeout_ms)
-            .with_view_change_timing(options.retransmit_interval_ms, options.round_timeout_ms)
-            .with_transfer_chunk_bytes(options.transfer_chunk_bytes)
-            .with_gossip_repair(options.gossip_repair_interval_ms)
-            .with_rejoining(options.rejoining);
-
-        let data_config = catalog.config_for(&options.initial_stack);
+        let data_config = catalog.boot_config(&options.initial_stack, options.rejoining);
         let data_channel = kernel.create_channel(&data_config, platform)?;
 
         let control_config = catalog.control_config(
@@ -395,7 +399,9 @@ impl std::fmt::Debug for MorpheusNode {
 
 #[cfg(test)]
 mod tests {
+    use morpheus_appia::event::Dest;
     use morpheus_appia::platform::{NodeProfile, PacketClass, TestPlatform};
+    use morpheus_cocaditem::{ContextPublish, ContextSnapshot};
 
     use super::*;
 
@@ -594,5 +600,43 @@ mod tests {
             data_packets, 2,
             "sends leave the node through the old stack"
         );
+    }
+
+    #[test]
+    fn a_rejoining_coordinator_commands_stacks_that_do_not_rejoin() {
+        // Node 0 restarted: its boot stack rejoins the group. It is also the
+        // coordinator, so the stacks its Core layer commands reach everyone.
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut options = NodeOptions::new(members(2));
+        options.rejoining = true;
+        let mut node = MorpheusNode::new(options, &mut platform).unwrap();
+
+        // Mobile node 1's context arrives: the group is hybrid.
+        let mut message = Message::new();
+        message.push(&ContextSnapshot::from_profile(
+            &NodeProfile::mobile_pda(NodeId(1)),
+            1,
+        ));
+        message.push(&0u32);
+        let publish = ContextPublish::new(NodeId(1), Dest::Node(NodeId(0)), message);
+        node.kernel
+            .dispatch_and_process(node.control_channel, Event::up(publish), &mut platform);
+
+        assert_eq!(platform.reconfig_requests.len(), 1);
+        let request = &platform.reconfig_requests[0];
+        assert_eq!(request.stack_name, "hybrid-mecho-relay0");
+        let config = ChannelConfig::from_xml(&request.description).unwrap();
+        for layer in ["recovery", "vsync"] {
+            let spec = config
+                .layers
+                .iter()
+                .find(|spec| spec.layer == layer)
+                .unwrap();
+            assert_eq!(
+                spec.params.get("joining").map(String::as_str),
+                Some("false"),
+                "the commanded `{layer}` must not rejoin"
+            );
+        }
     }
 }

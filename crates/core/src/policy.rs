@@ -1,7 +1,7 @@
 //! Adaptation policies: mapping the distributed context to a stack choice.
 
 use morpheus_appia::platform::NodeId;
-use morpheus_cocaditem::ContextStore;
+use morpheus_cocaditem::{ContextSnapshot, ContextStore};
 
 /// The stack configurations the Core subsystem can switch the data channel
 /// between. Each kind corresponds to a trade-off discussed in the paper's
@@ -77,30 +77,85 @@ impl RoomStackKind {
     }
 }
 
-/// The distributed context an adaptation policy evaluates against.
-#[derive(Debug, Clone)]
-pub struct GlobalContext {
+/// The distributed context an adaptation policy evaluates against: the
+/// node's context store, read in place, restricted to the live members.
+///
+/// Suspected members are simply not listed in `members` — their snapshots
+/// stay in the store, so a healed suspicion needs no republish, but no
+/// answer counts them. The local node's entry is its latest sample rather
+/// than the store's: the store only advances to *published* local versions,
+/// and a re-sample too small to publish is still the freshest local context.
+#[derive(Debug, Clone, Copy)]
+pub struct GlobalContext<'a> {
     /// The node evaluating the policy (the coordinator).
     pub local: NodeId,
-    /// The participants of the group.
-    pub members: Vec<NodeId>,
-    /// The last context snapshot published by each participant.
-    pub store: ContextStore,
-    /// Name of the stack configuration currently deployed.
-    pub current_stack: String,
+    /// The local node's latest sample, once it has taken one.
+    pub local_sample: Option<&'a ContextSnapshot>,
+    /// The live participants of the group.
+    pub members: &'a [NodeId],
+    /// The node's context store: the last snapshot published by each
+    /// participant.
+    pub store: &'a ContextStore,
 }
 
-impl GlobalContext {
-    /// Number of group members.
+impl<'a> GlobalContext<'a> {
+    /// Number of live group members.
     pub fn group_size(&self) -> usize {
         self.members.len()
     }
 
-    /// Whether every member has published at least one context snapshot.
+    /// The context of one member: the latest sample for the local node, the
+    /// store's entry for everyone else.
+    fn snapshot_of(&self, member: NodeId) -> Option<&'a ContextSnapshot> {
+        if member == self.local {
+            self.local_sample
+        } else {
+            self.store.get(member)
+        }
+    }
+
+    /// Every live member that has a context, with it, in membership order.
+    fn snapshots(&self) -> impl Iterator<Item = (NodeId, &'a ContextSnapshot)> + '_ {
+        self.members.iter().filter_map(|member| {
+            self.snapshot_of(*member)
+                .map(|snapshot| (*member, snapshot))
+        })
+    }
+
+    /// Whether every live member has published at least one context
+    /// snapshot.
     pub fn is_complete(&self) -> bool {
         self.members
             .iter()
-            .all(|member| self.store.get(*member).is_some())
+            .all(|member| self.snapshot_of(*member).is_some())
+    }
+
+    /// Whether the live members mix fixed and mobile devices — the condition
+    /// that triggers the Mecho adaptation in the paper.
+    pub fn is_hybrid(&self) -> bool {
+        let any = |mobile| {
+            self.snapshots()
+                .any(|(_, snapshot)| snapshot.is_mobile() == Some(mobile))
+        };
+        any(true) && any(false)
+    }
+
+    /// The highest error rate reported by any live member.
+    pub fn max_error_rate(&self) -> f64 {
+        self.snapshots()
+            .filter_map(|(_, snapshot)| snapshot.error_rate())
+            .fold(0.0, f64::max)
+    }
+
+    /// The live fixed node best suited to act as the Mecho relay: highest
+    /// resource score first, then lowest node id as a deterministic
+    /// tie-breaker.
+    pub fn best_relay(&self) -> Option<NodeId> {
+        self.snapshots()
+            .filter_map(|(node, snapshot)| snapshot.device_class().map(|class| (node, class)))
+            .filter(|(_, class)| class.is_fixed())
+            .min_by_key(|(node, class)| (std::cmp::Reverse(class.resource_score()), node.0))
+            .map(|(node, _)| node)
     }
 }
 
@@ -112,11 +167,14 @@ pub trait AdaptationPolicy {
 
     /// Evaluates the context and returns the preferred configuration, or
     /// `None` when the policy has no opinion (e.g. not enough context yet).
-    fn evaluate(&self, context: &GlobalContext) -> Option<StackKind>;
+    fn evaluate(&self, context: &GlobalContext<'_>) -> Option<StackKind>;
 }
 
 #[cfg(test)]
 mod tests {
+    use morpheus_appia::platform::NodeProfile;
+    use morpheus_cocaditem::{ContextKey, ContextValue};
+
     use super::*;
 
     #[test]
@@ -135,23 +193,82 @@ mod tests {
         assert_eq!(names.len(), kinds.len());
     }
 
+    fn fixed(node: u32) -> ContextSnapshot {
+        ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(node)), 1)
+    }
+
+    fn mobile(node: u32) -> ContextSnapshot {
+        ContextSnapshot::from_profile(&NodeProfile::mobile_pda(NodeId(node)), 1)
+    }
+
+    fn store_of(snapshots: Vec<ContextSnapshot>) -> ContextStore {
+        let mut store = ContextStore::new();
+        for snapshot in snapshots {
+            store.update(snapshot);
+        }
+        store
+    }
+
     #[test]
     fn global_context_completeness() {
-        use morpheus_appia::platform::NodeProfile;
-        use morpheus_cocaditem::ContextSnapshot;
-
-        let mut store = ContextStore::new();
-        store.update(ContextSnapshot::from_profile(
-            &NodeProfile::fixed_pc(NodeId(0)),
-            1,
-        ));
+        let store = store_of(vec![fixed(0)]);
+        let sample = fixed(0);
+        let members = [NodeId(0), NodeId(1)];
         let context = GlobalContext {
             local: NodeId(0),
-            members: vec![NodeId(0), NodeId(1)],
-            store,
-            current_stack: "best-effort".into(),
+            local_sample: Some(&sample),
+            members: &members,
+            store: &store,
         };
         assert_eq!(context.group_size(), 2);
         assert!(!context.is_complete());
+    }
+
+    #[test]
+    fn only_live_members_are_counted() {
+        // Node 2 (mobile) is in the store but not live: the live group is
+        // homogeneous until it is listed again.
+        let store = store_of(vec![fixed(1), mobile(2), fixed(5), fixed(3)]);
+        let sample = fixed(0);
+        let context = |members: &'static [NodeId]| GlobalContext {
+            local: NodeId(0),
+            local_sample: Some(&sample),
+            members,
+            store: &store,
+        };
+        let without = context(&[NodeId(0), NodeId(1)]);
+        assert!(without.is_complete());
+        assert!(!without.is_hybrid());
+        let with = context(&[NodeId(0), NodeId(1), NodeId(2)]);
+        assert!(with.is_hybrid());
+        assert_eq!(with.best_relay(), Some(NodeId(0)), "lowest fixed id");
+        assert_eq!(context(&[NodeId(2)]).best_relay(), None);
+        assert_eq!(
+            context(&[NodeId(2), NodeId(5), NodeId(3)]).best_relay(),
+            Some(NodeId(3))
+        );
+    }
+
+    #[test]
+    fn the_local_entry_is_the_latest_sample_not_the_store() {
+        let mut published = fixed(0);
+        published.set(ContextKey::ErrorRate, ContextValue::Number(0.0));
+        let store = store_of(vec![published, fixed(1)]);
+        let mut sample = fixed(0);
+        sample.set(ContextKey::ErrorRate, ContextValue::Number(0.15));
+        let members = [NodeId(0), NodeId(1)];
+        let context = GlobalContext {
+            local: NodeId(0),
+            local_sample: Some(&sample),
+            members: &members,
+            store: &store,
+        };
+        assert!((context.max_error_rate() - 0.15).abs() < 1e-9);
+        let unsampled = GlobalContext {
+            local_sample: None,
+            ..context
+        };
+        assert!(!unsampled.is_complete(), "no sample yet, no local entry");
+        assert_eq!(unsampled.max_error_rate(), 0.0);
     }
 }

@@ -115,13 +115,13 @@ impl AdaptationPolicy for DefaultPolicy {
         "default-rules"
     }
 
-    fn evaluate(&self, context: &GlobalContext) -> Option<StackKind> {
+    fn evaluate(&self, context: &GlobalContext<'_>) -> Option<StackKind> {
         if !context.is_complete() {
             return None;
         }
 
-        if context.store.is_hybrid() {
-            let relay = context.store.best_relay()?;
+        if context.is_hybrid() {
+            let relay = context.best_relay()?;
             return Some(StackKind::HybridMecho { relay });
         }
         if context.group_size() >= self.large_group_threshold {
@@ -130,7 +130,7 @@ impl AdaptationPolicy for DefaultPolicy {
                 ttl: derived_gossip_ttl(context.group_size(), self.gossip_fanout),
             });
         }
-        let error_rate = context.store.max_error_rate();
+        let error_rate = context.max_error_rate();
         if error_rate >= self.fec_error_threshold {
             return Some(StackKind::ErrorMasking { k: self.fec_k });
         }
@@ -148,18 +148,31 @@ mod tests {
 
     use super::*;
 
-    fn context_with(snapshots: Vec<ContextSnapshot>) -> GlobalContext {
+    /// A group whose members are exactly the given snapshots' nodes, all in
+    /// the store (node 0 evaluates, with its stored snapshot as its sample).
+    struct Group {
+        members: Vec<NodeId>,
+        store: ContextStore,
+    }
+
+    impl Group {
+        fn decide(&self, policy: &DefaultPolicy) -> Option<StackKind> {
+            policy.evaluate(&GlobalContext {
+                local: NodeId(0),
+                local_sample: self.store.get(NodeId(0)),
+                members: &self.members,
+                store: &self.store,
+            })
+        }
+    }
+
+    fn context_with(snapshots: Vec<ContextSnapshot>) -> Group {
         let members = snapshots.iter().map(|snapshot| snapshot.node).collect();
         let mut store = ContextStore::new();
         for snapshot in snapshots {
             store.update(snapshot);
         }
-        GlobalContext {
-            local: NodeId(0),
-            members,
-            store,
-            current_stack: "best-effort".into(),
-        }
+        Group { members, store }
     }
 
     fn fixed(node: u32) -> ContextSnapshot {
@@ -202,13 +215,13 @@ mod tests {
     fn incomplete_context_yields_no_decision() {
         let mut context = context_with(vec![fixed(0)]);
         context.members.push(NodeId(9));
-        assert_eq!(DefaultPolicy::default().evaluate(&context), None);
+        assert_eq!(context.decide(&DefaultPolicy::default()), None);
     }
 
     #[test]
     fn hybrid_groups_select_mecho_with_a_fixed_relay() {
         let context = context_with(vec![fixed(0), mobile(1), mobile(2)]);
-        let decision = DefaultPolicy::default().evaluate(&context);
+        let decision = context.decide(&DefaultPolicy::default());
         assert_eq!(decision, Some(StackKind::HybridMecho { relay: NodeId(0) }));
     }
 
@@ -216,7 +229,7 @@ mod tests {
     fn homogeneous_small_clean_groups_stay_best_effort() {
         let context = context_with(vec![fixed(0), fixed(1), fixed(2)]);
         assert_eq!(
-            DefaultPolicy::default().evaluate(&context),
+            context.decide(&DefaultPolicy::default()),
             Some(StackKind::BestEffort)
         );
     }
@@ -225,7 +238,7 @@ mod tests {
     fn large_groups_select_gossip() {
         let snapshots: Vec<ContextSnapshot> = (0..20).map(fixed).collect();
         let context = context_with(snapshots);
-        let decision = DefaultPolicy::default().evaluate(&context).unwrap();
+        let decision = context.decide(&DefaultPolicy::default()).unwrap();
         assert!(matches!(decision, StackKind::Gossip { .. }));
     }
 
@@ -249,14 +262,14 @@ mod tests {
         let Some(StackKind::Gossip {
             fanout: f1,
             ttl: t1,
-        }) = policy.evaluate(&small)
+        }) = small.decide(&policy)
         else {
             panic!("small large-group context must select gossip");
         };
         let Some(StackKind::Gossip {
             fanout: f2,
             ttl: t2,
-        }) = policy.evaluate(&large)
+        }) = large.decide(&policy)
         else {
             panic!("250-member context must select gossip");
         };
@@ -271,7 +284,7 @@ mod tests {
             with_error(mobile(1), 0.0),
         ]);
         assert_eq!(
-            DefaultPolicy::default().evaluate(&moderate),
+            moderate.decide(&DefaultPolicy::default()),
             Some(StackKind::Reliable)
         );
 
@@ -280,7 +293,7 @@ mod tests {
             with_error(mobile(1), 0.0),
         ]);
         assert_eq!(
-            DefaultPolicy::default().evaluate(&severe),
+            severe.decide(&DefaultPolicy::default()),
             Some(StackKind::ErrorMasking { k: 4 })
         );
     }
@@ -289,7 +302,7 @@ mod tests {
     fn hybrid_takes_priority_over_error_rules() {
         let context = context_with(vec![fixed(0), with_error(mobile(1), 0.2)]);
         assert!(matches!(
-            DefaultPolicy::default().evaluate(&context),
+            context.decide(&DefaultPolicy::default()),
             Some(StackKind::HybridMecho { .. })
         ));
     }
@@ -304,7 +317,7 @@ mod tests {
         let snapshots: Vec<ContextSnapshot> = (0..5).map(fixed).collect();
         let context = context_with(snapshots);
         assert!(matches!(
-            policy.evaluate(&context),
+            context.decide(&policy),
             Some(StackKind::Gossip { .. })
         ));
         assert_eq!(policy.name(), "default-rules");

@@ -13,6 +13,12 @@ use crate::policy::{RoomStackKind, StackKind};
 /// key, so the group state (current view, blocked/buffered messages) survives
 /// a stack replacement — this is what makes the reconfiguration lossless for
 /// the application.
+///
+/// A node owns one catalogue: it renders its boot stack from it and hands it
+/// to the Core control layer, which renders every stack it commands from the
+/// same one. Whether the node boots *rejoining* is a property of its boot
+/// stack only, never of the catalogue — a restarted coordinator must not
+/// command joining stacks to the group.
 #[derive(Debug, Clone)]
 pub struct StackCatalog {
     channel: String,
@@ -24,7 +30,6 @@ pub struct StackCatalog {
     round_timeout_ms: u64,
     transfer_chunk_bytes: usize,
     gossip_repair_interval_ms: u64,
-    rejoining: bool,
 }
 
 impl StackCatalog {
@@ -40,7 +45,6 @@ impl StackCatalog {
             round_timeout_ms: 4000,
             transfer_chunk_bytes: 1024,
             gossip_repair_interval_ms: 1000,
-            rejoining: false,
         }
     }
 
@@ -72,12 +76,15 @@ impl StackCatalog {
         self
     }
 
-    /// Marks generated stacks as belonging to a restarted node re-entering
-    /// the group (vsync starts with an empty view; the recovery layer drives
-    /// re-admission and state transfer).
-    pub fn with_rejoining(mut self, rejoining: bool) -> Self {
-        self.rejoining = rejoining;
-        self
+    /// Name of the data channel the catalogue's stacks are rendered for.
+    pub(crate) fn channel(&self) -> &str {
+        &self.channel
+    }
+
+    /// The view-change round timing `(retransmit, round timeout)`, in
+    /// milliseconds — also the cadence of Core's own reconfiguration rounds.
+    pub(crate) fn view_change_timing(&self) -> (u64, u64) {
+        (self.retransmit_interval_ms, self.round_timeout_ms)
     }
 
     fn builder_for(&self, members: Vec<NodeId>) -> StackBuilder {
@@ -87,7 +94,6 @@ impl StackCatalog {
             .view_change_timing(self.retransmit_interval_ms, self.round_timeout_ms)
             .transfer_chunk_bytes(self.transfer_chunk_bytes)
             .gossip_repair_interval_ms(self.gossip_repair_interval_ms)
-            .rejoining(self.rejoining)
     }
 
     /// The channel description for a stack kind, over the catalogue's own
@@ -96,19 +102,23 @@ impl StackCatalog {
         self.config_for_members(kind, self.members.clone())
     }
 
+    /// The node's boot stack: [`StackCatalog::config_for`], except that a
+    /// restarted node re-entering the group boots it *rejoining* (vsync
+    /// starts with an empty view; the recovery layer drives re-admission and
+    /// state transfer).
+    pub(crate) fn boot_config(&self, kind: &StackKind, rejoining: bool) -> ChannelConfig {
+        render(
+            self.builder_for(self.members.clone()).rejoining(rejoining),
+            kind,
+        )
+    }
+
     /// The channel description for a stack kind over an explicit membership —
     /// what the Core control layer uses so generated stacks reflect the
     /// *current* live view instead of the boot membership (crashed nodes
     /// stop being listed).
     pub fn config_for_members(&self, kind: &StackKind, members: Vec<NodeId>) -> ChannelConfig {
-        let builder = self.builder_for(members);
-        match kind {
-            StackKind::BestEffort => builder.beb(false).build(),
-            StackKind::Reliable => builder.beb(false).reliable().build(),
-            StackKind::ErrorMasking { k } => builder.beb(false).fec(*k).build(),
-            StackKind::HybridMecho { relay } => builder.mecho("auto", Some(*relay)).build(),
-            StackKind::Gossip { fanout, ttl } => builder.gossip(*fanout, *ttl).build(),
-        }
+        render(self.builder_for(members), kind)
     }
 
     /// The rendered parameters of one room shard's overlay stack. Room
@@ -144,9 +154,9 @@ impl StackCatalog {
     /// working so the coordinator's ack quorum and the coordinator election
     /// stay live.
     ///
-    /// The Core layer renders the stacks it commands from a catalogue of its
-    /// own, so it is handed this catalogue's timing and transfer settings
-    /// along with the name of the stack the node booted on.
+    /// The Core layer is handed this catalogue itself at registration; its
+    /// spec carries only the membership, whether it adapts, and the name of
+    /// the stack the node booted on.
     pub fn control_config(
         &self,
         channel: &str,
@@ -163,23 +173,7 @@ impl StackCatalog {
         let core = LayerSpec::new("core")
             .with_param("members", &members_param)
             .with_param("adaptive", adaptive.to_string())
-            .with_param("data_channel", &self.channel)
-            .with_param("initial_stack", initial_stack.name())
-            .with_param("hb_interval_ms", self.hb_interval_ms.to_string())
-            .with_param("suspect_timeout_ms", self.suspect_timeout_ms.to_string())
-            .with_param(
-                "retransmit_interval_ms",
-                self.retransmit_interval_ms.to_string(),
-            )
-            .with_param("round_timeout_ms", self.round_timeout_ms.to_string())
-            .with_param(
-                "transfer_chunk_bytes",
-                self.transfer_chunk_bytes.to_string(),
-            )
-            .with_param(
-                "gossip_repair_interval_ms",
-                self.gossip_repair_interval_ms.to_string(),
-            );
+            .with_param("initial_stack", initial_stack.name());
         ChannelConfig::new(channel)
             .with_layer(LayerSpec::new("network"))
             .with_layer(
@@ -195,6 +189,17 @@ impl StackCatalog {
             )
             .with_layer(core)
             .with_layer(LayerSpec::new("app"))
+    }
+}
+
+/// Renders one stack kind through a configured builder.
+fn render(builder: StackBuilder, kind: &StackKind) -> ChannelConfig {
+    match kind {
+        StackKind::BestEffort => builder.beb(false).build(),
+        StackKind::Reliable => builder.beb(false).reliable().build(),
+        StackKind::ErrorMasking { k } => builder.beb(false).fec(*k).build(),
+        StackKind::HybridMecho { relay } => builder.mecho("auto", Some(*relay)).build(),
+        StackKind::Gossip { fanout, ttl } => builder.gossip(*fanout, *ttl).build(),
     }
 }
 
@@ -264,23 +269,43 @@ mod tests {
             fd.params.get("suspect_timeout_ms").map(String::as_str),
             Some("900")
         );
+        // Core is handed the catalogue itself: its spec carries nothing the
+        // catalogue already knows.
         let core = &config.layers[3];
+        let params: Vec<(&str, &str)> = core
+            .params
+            .iter()
+            .map(|(key, value)| (key.as_str(), value.as_str()))
+            .collect();
         assert_eq!(
-            core.params.get("adaptive").map(String::as_str),
-            Some("true")
+            params,
+            vec![
+                ("adaptive", "true"),
+                ("initial_stack", "best-effort"),
+                ("members", "0,1,2"),
+            ]
         );
+    }
+
+    #[test]
+    fn only_the_boot_stack_renders_rejoining() {
+        let catalog = StackCatalog::new("data", members(3));
+        let joining = |config: &ChannelConfig, layer: &str| {
+            config
+                .layers
+                .iter()
+                .find(|spec| spec.layer == layer)
+                .and_then(|spec| spec.params.get("joining").cloned())
+        };
+        let boot = catalog.boot_config(&StackKind::BestEffort, true);
+        let commanded = catalog.config_for_members(&StackKind::BestEffort, members(3));
+        for layer in ["recovery", "vsync"] {
+            assert_eq!(joining(&boot, layer).as_deref(), Some("true"));
+            assert_eq!(joining(&commanded, layer).as_deref(), Some("false"));
+        }
         assert_eq!(
-            core.params.get("data_channel").map(String::as_str),
-            Some("data")
-        );
-        // The Core layer's own catalogue is built from these.
-        assert_eq!(
-            core.params.get("initial_stack").map(String::as_str),
-            Some("best-effort")
-        );
-        assert_eq!(
-            core.params.get("suspect_timeout_ms").map(String::as_str),
-            Some("900")
+            catalog.boot_config(&StackKind::BestEffort, false),
+            catalog.config_for(&StackKind::BestEffort)
         );
     }
 

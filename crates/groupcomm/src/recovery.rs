@@ -243,7 +243,6 @@ impl Layer for RecoveryLayer {
             retry_ms: param_or(params, "retry_ms", 500u64).max(10),
             transfer_timeout_ms: param_or(params, "transfer_timeout_ms", 4000u64).max(100),
             chunk_bytes: param_or(params, "chunk_bytes", 1024usize).max(16),
-            self_heal: param_or(params, "self_heal", true),
             suspected: BTreeSet::new(),
             serving: HashMap::new(),
             timer: None,
@@ -356,8 +355,6 @@ pub struct RecoverySession {
     retry_ms: u64,
     transfer_timeout_ms: u64,
     chunk_bytes: usize,
-    /// Whether the expelled-but-alive detection is armed (default true).
-    self_heal: bool,
     /// Members of the current view the local failure detector suspects —
     /// the input of the expelled-but-alive detection: when *every* other
     /// view member is suspected at once, the local node is overwhelmingly
@@ -880,7 +877,7 @@ impl RecoverySession {
     /// legitimate last-survivor case (a 2-member group whose peer crashes)
     /// from blocking itself.
     fn maybe_self_heal(&mut self, ctx: &mut EventContext<'_>) {
-        if !self.self_heal || !matches!(self.phase, Phase::Member) {
+        if !matches!(self.phase, Phase::Member) {
             return;
         }
         let local = ctx.node_id();
@@ -1306,7 +1303,6 @@ mod tests {
             retry_ms: 100,
             transfer_timeout_ms: 1000,
             chunk_bytes: 16,
-            self_heal: true,
             suspected: BTreeSet::new(),
             serving: HashMap::new(),
             timer: None,
@@ -1701,7 +1697,6 @@ mod tests {
             retry_ms: 100,
             transfer_timeout_ms: 1000,
             chunk_bytes: 16,
-            self_heal: true,
             suspected: BTreeSet::new(),
             serving: HashMap::new(),
             timer: None,

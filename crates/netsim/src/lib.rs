@@ -22,8 +22,7 @@
 //!   per-node statistics and battery drain;
 //! * [`stats`] — per-node and network-wide message/byte/energy counters;
 //! * [`fault`] — composable, deterministic fault schedules (flaps, one-way
-//!   partitions, latency shifts, churn, packet corruption);
-//! * [`trace`] — an optional bounded event trace for debugging.
+//!   partitions, latency shifts, churn, packet corruption).
 
 #![forbid(unsafe_code)]
 
@@ -36,7 +35,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod transport;
 
 pub use battery::{Battery, EnergyModel};
@@ -48,5 +46,4 @@ pub use rng::SimRng;
 pub use stats::{NetworkStats, NodeStats, TrafficClass};
 pub use time::SimTime;
 pub use topology::{Topology, TopologyKind};
-pub use trace::{Trace, TraceEvent};
 pub use transport::{Delivery, Network, Packet, PacketTarget};

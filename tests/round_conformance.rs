@@ -30,9 +30,9 @@ use morpheus::appia::platform::{DeliveryKind, NodeId, NodeProfile, ReconfigReque
 use morpheus::appia::testing::Harness;
 use morpheus::appia::{Dest, Event, Message};
 use morpheus::cocaditem::dissemination::ContextUpdated;
-use morpheus::cocaditem::ContextSnapshot;
+use morpheus::cocaditem::{ContextSnapshot, ContextStore};
 use morpheus::core::control::CoreLayer;
-use morpheus::core::{ReconfigAck, ReconfigCommand};
+use morpheus::core::{ReconfigAck, ReconfigCommand, StackCatalog};
 use morpheus::groupcomm::events::{FlushAck, Suspect, ViewCommit, ViewInstall, ViewPrepare};
 use morpheus::groupcomm::recovery::{StateChunk, StateChunkHeader, StateRequest};
 use morpheus::groupcomm::vsync::VsyncLayer;
@@ -176,6 +176,9 @@ fn fire_pending_timers(harness: &mut Harness, platform: &mut TestPlatform) {
 struct ControlAdapter {
     coord: Harness,
     coord_platform: TestPlatform,
+    /// The coordinator's context store, seeded with the member's snapshot
+    /// the way Cocaditem would write it.
+    coord_store: Rc<RefCell<ContextStore>>,
     member: Harness,
     member_platform: TestPlatform,
     rounds_triggered: u64,
@@ -186,10 +189,16 @@ fn control_params() -> LayerParams {
     let mut params = LayerParams::new();
     params.insert("members".into(), "0,1".into());
     params.insert("adaptive".into(), "true".into());
-    params.insert("data_channel".into(), "data".into());
-    params.insert("retransmit_interval_ms".into(), "500".into());
-    params.insert("round_timeout_ms".into(), "4000".into());
     params
+}
+
+/// A Core layer over its own context store and a `data`-channel catalogue
+/// at the default round timing (500 ms retransmit, 4000 ms timeout).
+fn control_layer(store: &Rc<RefCell<ContextStore>>) -> CoreLayer {
+    CoreLayer::new(
+        Rc::clone(store),
+        Rc::new(StackCatalog::new("data", vec![NodeId(0), NodeId(1)])),
+    )
 }
 
 fn ack_message(epoch: u64, stack: &str) -> Message {
@@ -215,15 +224,25 @@ fn ack_messages(events: &[Event]) -> Vec<Message> {
 
 impl ControlAdapter {
     fn new() -> Self {
+        let coord_store = Rc::default();
         let mut coord_platform = TestPlatform::new(NodeId(0));
-        let coord = Harness::new(CoreLayer, &control_params(), &mut coord_platform);
+        let coord = Harness::new(
+            control_layer(&coord_store),
+            &control_params(),
+            &mut coord_platform,
+        );
         let mut member_platform = TestPlatform::new(NodeId(1));
-        let member = Harness::new(CoreLayer, &control_params(), &mut member_platform);
+        let member = Harness::new(
+            control_layer(&Rc::default()),
+            &control_params(),
+            &mut member_platform,
+        );
         coord_platform.take_deliveries();
         member_platform.take_deliveries();
         Self {
             coord,
             coord_platform,
+            coord_store,
             member,
             member_platform,
             rounds_triggered: 0,
@@ -231,8 +250,9 @@ impl ControlAdapter {
         }
     }
 
-    /// Feeds fresh context to the coordinator so the policy opens a round;
-    /// the member's device class alternates per call so successive rounds
+    /// Feeds fresh context to the coordinator so the policy opens a round:
+    /// its own sample, then the member's snapshot written into its store.
+    /// The member's device class alternates per call so successive rounds
     /// prescribe *different* stacks.
     fn trigger(&mut self) -> ReconfigRequest {
         self.context_version += 1;
@@ -240,7 +260,7 @@ impl ControlAdapter {
             ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(0)), self.context_version);
         self.coord.run_up(
             Event::up(ContextUpdated {
-                snapshot: coord_snapshot,
+                local_sample: Some(coord_snapshot),
             }),
             &mut self.coord_platform,
         );
@@ -251,10 +271,14 @@ impl ControlAdapter {
         };
         self.rounds_triggered += 1;
         self.context_version += 1;
+        self.coord_store
+            .borrow_mut()
+            .update(ContextSnapshot::from_profile(
+                &member_profile,
+                self.context_version,
+            ));
         self.coord.run_up(
-            Event::up(ContextUpdated {
-                snapshot: ContextSnapshot::from_profile(&member_profile, self.context_version),
-            }),
+            Event::up(ContextUpdated { local_sample: None }),
             &mut self.coord_platform,
         );
         std::mem::take(&mut self.coord_platform.reconfig_requests)
