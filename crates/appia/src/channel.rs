@@ -220,6 +220,13 @@ impl Channel {
             .map(|slot| slot.session.clone())
     }
 
+    /// The stack position holding this very session instance, if any.
+    pub(crate) fn slot_of(&self, session: &SessionRef) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|slot| std::rc::Rc::ptr_eq(&slot.session, session))
+    }
+
     /// The accept mask for the given payload (bit `i` = slot `i` accepts it).
     /// Exposed for tests asserting routing invariants.
     pub fn route_mask(&mut self, payload: &dyn EventPayload) -> u64 {

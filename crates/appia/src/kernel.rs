@@ -71,6 +71,7 @@ pub struct EventContext<'a> {
     channel_name: Name,
     layer_name: Name,
     session_index: usize,
+    channels: &'a HashMap<ChannelId, Channel>,
     queue: &'a mut VecDeque<Pending>,
     timers: &'a mut TimerTable,
     scratch: &'a mut WireWriter,
@@ -143,15 +144,35 @@ impl EventContext<'_> {
         });
     }
 
-    /// Injects an event into *another* channel of the same kernel, entering
-    /// at the edge. Used by sessions shared between channels and by control
-    /// channels steering data channels.
-    pub fn dispatch_to_channel(&mut self, channel: ChannelId, event: Event) {
-        self.queue.push_back(Pending {
-            channel,
-            from: None,
-            event,
-        });
+    /// [`EventContext::dispatch`] on every live channel that holds the
+    /// handling session, visited in [`ChannelId`] order: each copy starts at
+    /// the session's own slot of that channel. `event_for` is asked once per
+    /// holder and skips it by returning `None`. A session only one channel
+    /// holds — every session that is not shared — reaches its own channel
+    /// only.
+    pub fn dispatch_to_holders(&mut self, mut event_for: impl FnMut(ChannelId) -> Option<Event>) {
+        let Some(session) = self
+            .channels
+            .get(&self.channel_id)
+            .and_then(|channel| channel.session_at(self.session_index))
+        else {
+            return;
+        };
+        let mut holders: Vec<(ChannelId, usize)> = self
+            .channels
+            .iter()
+            .filter_map(|(id, channel)| channel.slot_of(&session).map(|slot| (*id, slot)))
+            .collect();
+        holders.sort_unstable();
+        for (channel, slot) in holders {
+            if let Some(event) = event_for(channel) {
+                self.queue.push_back(Pending {
+                    channel,
+                    from: Some(slot),
+                    event,
+                });
+            }
+        }
     }
 
     /// Arms a one-shot timer owned by the handling session's layer.
@@ -174,11 +195,11 @@ impl EventContext<'_> {
         timer_id
     }
 
-    /// Cancels a previously armed timer.
+    /// Cancels a previously armed timer, on whichever channel armed it.
     pub fn cancel_timer(&mut self, timer_id: u64) {
-        if self.timers.records.remove(&timer_id).is_some() {
+        if let Some(record) = self.timers.records.remove(&timer_id) {
             self.platform
-                .cancel_timer(TimerKey::new(self.channel_id, timer_id));
+                .cancel_timer(TimerKey::new(record.channel, timer_id));
         }
     }
 
@@ -572,6 +593,7 @@ impl Kernel {
                 channel_name,
                 layer_name,
                 session_index: index,
+                channels: &self.channels,
                 queue: &mut self.queue,
                 timers: &mut self.timers,
                 scratch: &mut self.scratch,
@@ -851,6 +873,141 @@ mod tests {
         let session_a = kernel.channel(id_a).unwrap().session_of("logger").unwrap();
         let session_b = kernel.channel(id_b).unwrap().session_of("logger").unwrap();
         assert!(std::rc::Rc::ptr_eq(&session_a, &session_b));
+    }
+
+    crate::internal_event! {
+        /// Makes the announcer fan an [`Announced`] out to its holders.
+        pub struct Announce {}
+        categories: [Internal]
+    }
+
+    crate::internal_event! {
+        /// What the announcer fans out.
+        pub struct Announced {}
+        categories: [Internal]
+    }
+
+    /// On every [`Announce`], dispatches one upward [`Announced`] to every
+    /// channel holding the session.
+    struct AnnouncerLayer;
+
+    impl crate::layer::Layer for AnnouncerLayer {
+        fn name(&self) -> &str {
+            "announcer"
+        }
+
+        fn accepted_events(&self) -> Vec<crate::event::EventSpec> {
+            vec![crate::event::EventSpec::of::<Announce>()]
+        }
+
+        fn create_session(
+            &self,
+            _params: &crate::layer::LayerParams,
+        ) -> Box<dyn crate::session::Session> {
+            Box::new(AnnouncerLayer)
+        }
+    }
+
+    impl crate::session::Session for AnnouncerLayer {
+        fn layer_name(&self) -> &str {
+            "announcer"
+        }
+
+        fn handle(&mut self, _event: Event, ctx: &mut EventContext<'_>) {
+            ctx.dispatch_to_holders(|_| Some(Event::up(Announced {})));
+        }
+    }
+
+    /// Records, under its own name, the channel of every [`Announced`] it
+    /// sees.
+    #[derive(Clone)]
+    struct RecorderLayer {
+        name: &'static str,
+        seen: std::rc::Rc<std::cell::RefCell<Vec<(ChannelId, &'static str)>>>,
+    }
+
+    impl crate::layer::Layer for RecorderLayer {
+        fn name(&self) -> &str {
+            self.name
+        }
+
+        fn accepted_events(&self) -> Vec<crate::event::EventSpec> {
+            vec![crate::event::EventSpec::of::<Announced>()]
+        }
+
+        fn create_session(
+            &self,
+            _params: &crate::layer::LayerParams,
+        ) -> Box<dyn crate::session::Session> {
+            Box::new(self.clone())
+        }
+    }
+
+    impl crate::session::Session for RecorderLayer {
+        fn layer_name(&self) -> &str {
+            self.name
+        }
+
+        fn handle(&mut self, event: Event, ctx: &mut EventContext<'_>) {
+            self.seen.borrow_mut().push((ctx.channel_id(), self.name));
+            ctx.forward(event);
+        }
+    }
+
+    #[test]
+    fn a_shared_sessions_dispatch_reaches_each_holder_once_from_its_own_slot() {
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut kernel = Kernel::new();
+        kernel.layers_mut().register(AnnouncerLayer);
+        for name in ["below", "middle", "above"] {
+            kernel.layers_mut().register(RecorderLayer {
+                name,
+                seen: seen.clone(),
+            });
+        }
+        let mut platform = TestPlatform::new(NodeId(1));
+        let shared = || LayerSpec::new("announcer").shared("one");
+        // The shared announcer sits at slot 3 of `a` and slot 1 of `b`: a
+        // copy started at the wrong slot of `a` would pass `middle`.
+        let a = ChannelConfig::new("a")
+            .with_layer(LayerSpec::new("below"))
+            .with_layer(LayerSpec::new("logger"))
+            .with_layer(LayerSpec::new("middle"))
+            .with_layer(shared())
+            .with_layer(LayerSpec::new("above"));
+        let b = ChannelConfig::new("b")
+            .with_layer(LayerSpec::new("below"))
+            .with_layer(shared())
+            .with_layer(LayerSpec::new("above"));
+        let c = ChannelConfig::new("c")
+            .with_layer(LayerSpec::new("below"))
+            .with_layer(LayerSpec::new("announcer"))
+            .with_layer(LayerSpec::new("above"));
+        let id_a = kernel.create_channel(&a, &mut platform).unwrap();
+        let id_b = kernel.create_channel(&b, &mut platform).unwrap();
+        let id_c = kernel.create_channel(&c, &mut platform).unwrap();
+        let announce = |kernel: &mut Kernel, platform: &mut TestPlatform, channel| {
+            kernel.dispatch_and_process(channel, Event::down(Announce {}), platform);
+            std::mem::take(&mut *seen.borrow_mut())
+        };
+
+        // Raised on `b`, it reaches both holders in `ChannelId` order, each
+        // above the announcer's own slot only.
+        assert_eq!(
+            announce(&mut kernel, &mut platform, id_b),
+            vec![(id_a, "above"), (id_b, "above")]
+        );
+        // A session no other channel holds stays on its own channel.
+        assert_eq!(
+            announce(&mut kernel, &mut platform, id_c),
+            vec![(id_c, "above")]
+        );
+        // A destroyed holder is reached no more.
+        kernel.destroy_channel("a", &mut platform).unwrap();
+        assert_eq!(
+            announce(&mut kernel, &mut platform, id_b),
+            vec![(id_b, "above")]
+        );
     }
 
     #[test]

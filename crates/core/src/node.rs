@@ -8,6 +8,10 @@
 //! * the **control channel**, carrying Cocaditem context publications and
 //!   Core reconfiguration commands.
 //!
+//! Both channels hold the node's one failure-detector session: suspicions
+//! reach both, and the views view synchrony installs on the data channel
+//! reach Cocaditem and Core through it.
+//!
 //! It also acts as the Core *local module*: when the control layer requests a
 //! reconfiguration, the node drives the data channel to quiescence (blocking
 //! it through the view-synchrony layer), swaps the stack via the kernel's
@@ -32,9 +36,9 @@ use morpheus_appia::{ChannelId, Kernel};
 use morpheus_cocaditem::dissemination::register_cocaditem_with_store;
 use morpheus_cocaditem::store::ContextStoreSection;
 use morpheus_cocaditem::ContextStore;
-use morpheus_groupcomm::events::{BlockRequest, ResumeRequest, ViewInstall};
+use morpheus_groupcomm::events::{BlockRequest, ResumeRequest};
 use morpheus_groupcomm::recovery::{RecoveryLayer, StateSection};
-use morpheus_groupcomm::{register_suite, View};
+use morpheus_groupcomm::register_suite;
 
 use crate::control::{register_core, ReconfigAck};
 use crate::policy::StackKind;
@@ -52,11 +56,10 @@ pub struct NodeOptions {
     pub initial_stack: StackKind,
     /// How often Cocaditem publishes the local context, in milliseconds.
     pub publish_interval_ms: u64,
-    /// Failure-detector heartbeat period for generated stacks (and for the
-    /// control channel's own failure detector).
+    /// Heartbeat period of the node's one failure detector, which the
+    /// control channel and every generated data stack share.
     pub hb_interval_ms: u64,
-    /// Failure-detector suspicion timeout for generated stacks (and for the
-    /// control channel's own failure detector).
+    /// Suspicion timeout of the node's one failure detector.
     pub suspect_timeout_ms: u64,
     /// How often the reconfiguration coordinator retransmits an
     /// unacknowledged command, in milliseconds.
@@ -273,31 +276,6 @@ impl MorpheusNode {
         self.kernel.timer_expired(key, platform);
     }
 
-    /// Installs a data-channel view on the **control** channel.
-    ///
-    /// View synchrony lives only in the generated data stacks; the control
-    /// channel (fd → cocaditem → core) never sees its `ViewInstall`s
-    /// directly. The node runtime calls this when the application is told
-    /// about a view change, so the control plane treats installed views as
-    /// authoritative membership: the failure detector stops tracking
-    /// expelled members, the context store drops their snapshots, and the
-    /// core layer removes them from ack quorums and generated stack
-    /// configurations. Idempotent — re-announcements of the current view
-    /// (e.g. across a stack replacement) are harmless.
-    pub fn install_control_view(
-        &mut self,
-        view_id: u64,
-        members: Vec<NodeId>,
-        platform: &mut dyn Platform,
-    ) {
-        let view = View::new(view_id, members);
-        self.kernel.dispatch_and_process(
-            self.control_channel,
-            Event::down(ViewInstall { view }),
-            platform,
-        );
-    }
-
     /// Applies a reconfiguration request raised by the Core control layer:
     /// block, replace, resume, acknowledge.
     ///
@@ -401,12 +379,87 @@ impl std::fmt::Debug for MorpheusNode {
 mod tests {
     use morpheus_appia::event::Dest;
     use morpheus_appia::platform::{NodeProfile, PacketClass, TestPlatform};
+    use morpheus_appia::registry::{decode_event, encode_event};
     use morpheus_cocaditem::{ContextPublish, ContextSnapshot};
+    use morpheus_groupcomm::events::{Heartbeat, ViewInstall};
+    use morpheus_groupcomm::View;
 
     use super::*;
 
     fn members(count: u32) -> Vec<NodeId> {
         (0..count).map(NodeId).collect()
+    }
+
+    /// Fires every timer due by the platform's clock, in arming order.
+    fn fire_due_timers(node: &mut MorpheusNode, platform: &mut TestPlatform) {
+        while let Some(position) = platform
+            .timers
+            .iter()
+            .position(|(at, _)| *at <= platform.now_ms)
+        {
+            let (_, key) = platform.timers.remove(position);
+            node.timer_fired(key, platform);
+        }
+    }
+
+    /// The wire name of every packet sent since the last call.
+    fn sent_names(node: &MorpheusNode, platform: &mut TestPlatform) -> Vec<&'static str> {
+        platform
+            .take_sent()
+            .iter()
+            .map(|packet| {
+                decode_event(node.kernel.events(), &packet.payload)
+                    .unwrap()
+                    .type_name()
+            })
+            .collect()
+    }
+
+    /// A digest-less heartbeat: proof of life of its sender, nothing more.
+    fn heartbeat(from: u32, to: u32) -> InPacket {
+        let beat = Heartbeat::new(NodeId(from), Dest::Node(NodeId(to)), Message::new());
+        InPacket {
+            from: NodeId(from),
+            to: NodeId(to),
+            class: PacketClass::Control,
+            channel: "ctrl".into(),
+            payload: encode_event(&beat),
+        }
+    }
+
+    /// `from`'s context, as its Cocaditem would publish it to node 0.
+    fn publish_context(node: &mut MorpheusNode, from: NodeProfile, platform: &mut TestPlatform) {
+        let mut message = Message::new();
+        message.push(&ContextSnapshot::from_profile(&from, platform.now_ms));
+        message.push(&0u32);
+        let publish = ContextPublish::new(from.node_id, Dest::Node(NodeId(0)), message);
+        node.kernel
+            .dispatch_and_process(node.control_channel, Event::up(publish), platform);
+    }
+
+    fn replace_data_stack(
+        node: &mut MorpheusNode,
+        kind: &StackKind,
+        epoch: u64,
+        platform: &mut TestPlatform,
+    ) {
+        let request = ReconfigRequest {
+            channel: "data".into(),
+            stack_name: kind.name(),
+            description: node.catalog().config_for(kind).to_xml(),
+            epoch,
+            coordinator: NodeId(0),
+        };
+        node.apply_reconfiguration(request, platform).unwrap();
+    }
+
+    /// Options for a three-member group whose failure detector suspects
+    /// after four 500 ms heartbeat intervals.
+    fn fast_suspicion() -> NodeOptions {
+        let mut options = NodeOptions::new(members(3));
+        options.hb_interval_ms = 500;
+        options.suspect_timeout_ms = 2000;
+        options
     }
 
     #[test]
@@ -638,5 +691,150 @@ mod tests {
                 "the commanded `{layer}` must not rejoin"
             );
         }
+    }
+
+    #[test]
+    fn one_heartbeat_per_interval_leaves_the_node_across_data_stack_replacements() {
+        // The control channel and every data stack hold one failure-detector
+        // session: one digest per interval to `fanout` = 3 peers, on the
+        // interval's beat, however often the data stack is replaced.
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut node = MorpheusNode::new(NodeOptions::new(members(8)), &mut platform).unwrap();
+        let interval = node.options.hb_interval_ms;
+        platform.take_sent();
+        let kinds = [
+            StackKind::Reliable,
+            StackKind::ErrorMasking { k: 4 },
+            StackKind::BestEffort,
+        ];
+        let mut beats = Vec::new();
+        for step in 1..=24u64 {
+            platform.advance(interval / 4);
+            // Three replacements, each a quarter into an interval.
+            if matches!(step, 5 | 11 | 17) {
+                replace_data_stack(&mut node, &kinds[(step / 6) as usize], step, &mut platform);
+            }
+            fire_due_timers(&mut node, &mut platform);
+            let sent = sent_names(&node, &mut platform)
+                .iter()
+                .filter(|name| **name == "Heartbeat")
+                .count();
+            if sent > 0 {
+                beats.push((platform.now_ms, sent));
+            }
+        }
+        assert_eq!(node.reconfigurations(), 3);
+        let expected: Vec<(u64, usize)> = (1..=6).map(|tick| (tick * interval, 3)).collect();
+        assert_eq!(beats, expected);
+    }
+
+    #[test]
+    fn a_member_silent_since_before_a_replacement_is_suspected_on_time() {
+        // Node 2 is silent from boot; the data stack is replaced halfway to
+        // its timeout. The replacement must not restart its suspicion clock:
+        // view synchrony proposes its removal at 2,000 ms, not 3,000.
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut node = MorpheusNode::new(fast_suspicion(), &mut platform).unwrap();
+        let mut proposed_at = None;
+        while proposed_at.is_none() && platform.now_ms < 4000 {
+            platform.advance(250);
+            node.deliver_packet(heartbeat(1, 0), &mut platform).unwrap();
+            if platform.now_ms == 1000 {
+                replace_data_stack(&mut node, &StackKind::Reliable, 1, &mut platform);
+            }
+            fire_due_timers(&mut node, &mut platform);
+            if sent_names(&node, &mut platform).contains(&"ViewPrepare") {
+                proposed_at = Some(platform.now_ms);
+            }
+        }
+        assert_eq!(proposed_at, Some(2000));
+    }
+
+    #[test]
+    fn a_suspicion_reaches_view_synchrony_and_the_cores_ack_quorum() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut node = MorpheusNode::new(fast_suspicion(), &mut platform).unwrap();
+        // Node 1 is mobile: the group is hybrid and coordinator 0 commands a
+        // round, which it deploys itself and node 1 acknowledges.
+        publish_context(&mut node, NodeProfile::mobile_pda(NodeId(1)), &mut platform);
+        publish_context(&mut node, NodeProfile::fixed_pc(NodeId(2)), &mut platform);
+        let request = platform.reconfig_requests.remove(0);
+        let mut message = Message::new();
+        message.push(&request.epoch);
+        message.push(&request.stack_name);
+        let ack = ReconfigAck::new(NodeId(1), Dest::Node(NodeId(0)), message);
+        node.apply_reconfiguration(request, &mut platform).unwrap();
+        node.kernel
+            .dispatch_and_process(node.control_channel, Event::up(ack), &mut platform);
+
+        // Node 2, silent from boot, never acks: one suspicion at its timeout
+        // both proposes its removal and lets the round complete without it.
+        let (mut proposed_at, mut completed) = (None, None);
+        while completed.is_none() && platform.now_ms < 3000 {
+            platform.advance(250);
+            node.deliver_packet(heartbeat(1, 0), &mut platform).unwrap();
+            fire_due_timers(&mut node, &mut platform);
+            if proposed_at.is_none() && sent_names(&node, &mut platform).contains(&"ViewPrepare") {
+                proposed_at = Some(platform.now_ms);
+            }
+            completed = platform
+                .take_deliveries()
+                .into_iter()
+                .find_map(|delivery| match delivery.kind {
+                    DeliveryKind::ReconfigurationComplete { nodes, .. } => {
+                        Some((platform.now_ms, nodes))
+                    }
+                    _ => None,
+                });
+        }
+        assert_eq!(
+            proposed_at,
+            Some(2000),
+            "view synchrony heard the suspicion"
+        );
+        assert_eq!(completed, Some((2000, 2)), "Core's quorum dropped node 2");
+    }
+
+    #[test]
+    fn a_view_reaches_the_control_channel_once_per_view_id() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut node = MorpheusNode::new(NodeOptions::new(members(3)), &mut platform).unwrap();
+        for peer in [1, 2] {
+            publish_context(
+                &mut node,
+                NodeProfile::fixed_pc(NodeId(peer)),
+                &mut platform,
+            );
+        }
+        platform.take_deliveries();
+
+        // A view announced down the data channel, as view synchrony does,
+        // then one publish interval: the group sizes Cocaditem reported full
+        // coverage of, which it re-checks after every view it hears of.
+        let mut announce = |view_id: u64| {
+            let view = View::new(view_id, vec![NodeId(0), NodeId(1)]);
+            node.kernel.dispatch_and_process(
+                node.data_channel,
+                Event::down(ViewInstall { view }),
+                &mut platform,
+            );
+            platform.advance(node.options.publish_interval_ms);
+            fire_due_timers(&mut node, &mut platform);
+            platform
+                .take_deliveries()
+                .into_iter()
+                .filter_map(|delivery| match delivery.kind {
+                    DeliveryKind::ContextConverged { nodes } => Some(nodes),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(announce(1), vec![2], "view 1 expelled node 2");
+        assert_eq!(
+            announce(1),
+            Vec::<usize>::new(),
+            "a re-announce is not relayed"
+        );
+        assert_eq!(announce(2), vec![2], "the next view id is");
     }
 }

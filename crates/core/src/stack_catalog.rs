@@ -2,7 +2,7 @@
 
 use morpheus_appia::config::{ChannelConfig, LayerSpec};
 use morpheus_appia::platform::NodeId;
-use morpheus_groupcomm::suite::StackBuilder;
+use morpheus_groupcomm::suite::{liveness_layer, StackBuilder};
 
 use crate::policy::{RoomStackKind, StackKind};
 
@@ -145,14 +145,15 @@ impl StackCatalog {
         params
     }
 
-    /// The control-channel description: a control-plane failure detector,
-    /// Cocaditem and the Core control layer over the raw network driver.
+    /// The control-channel description: the failure detector, Cocaditem
+    /// and the Core control layer over the raw network driver.
     ///
-    /// The failure detector lives on the *control* channel (not only inside
-    /// the data stacks) because the data channel is torn down and rebuilt on
-    /// every reconfiguration — exactly the moment crash detection must keep
+    /// The failure detector is the node's one liveness session, shared with
+    /// every generated data stack ([`liveness_layer`]): it outlives each
+    /// data-stack replacement — exactly the moment crash detection must keep
     /// working so the coordinator's ack quorum and the coordinator election
-    /// stay live.
+    /// stay live — and it re-announces the views view synchrony installs on
+    /// the data channel up this channel, to Cocaditem and Core.
     ///
     /// The Core layer is handed this catalogue itself at registration; its
     /// spec carries only the membership, whether it adapts, and the name of
@@ -176,12 +177,11 @@ impl StackCatalog {
             .with_param("initial_stack", initial_stack.name());
         ChannelConfig::new(channel)
             .with_layer(LayerSpec::new("network"))
-            .with_layer(
-                LayerSpec::new("fd")
-                    .with_param("members", &members_param)
-                    .with_param("hb_interval_ms", self.hb_interval_ms.to_string())
-                    .with_param("suspect_timeout_ms", self.suspect_timeout_ms.to_string()),
-            )
+            .with_layer(liveness_layer(
+                &members_param,
+                self.hb_interval_ms,
+                self.suspect_timeout_ms,
+            ))
             .with_layer(
                 LayerSpec::new("cocaditem")
                     .with_param("members", &members_param)
@@ -285,6 +285,30 @@ mod tests {
                 ("members", "0,1,2"),
             ]
         );
+    }
+
+    #[test]
+    fn the_control_channel_and_every_data_stack_render_one_liveness_spec() {
+        // One session serves them all and the first channel to build it
+        // fixes its parameters: every spec must be the same one.
+        let catalog = StackCatalog::new("data", members(3)).with_failure_detection(250, 900);
+        let fd = |config: &ChannelConfig| {
+            config
+                .layers
+                .iter()
+                .find(|spec| spec.layer == "fd")
+                .cloned()
+                .unwrap()
+        };
+        let control = fd(&catalog.control_config("ctrl", 500, true, &StackKind::BestEffort));
+        assert_eq!(control.share.as_deref(), Some("liveness"));
+        for kind in [
+            StackKind::BestEffort,
+            StackKind::HybridMecho { relay: NodeId(0) },
+            StackKind::Gossip { fanout: 3, ttl: 4 },
+        ] {
+            assert_eq!(fd(&catalog.config_for(&kind)), control);
+        }
     }
 
     #[test]

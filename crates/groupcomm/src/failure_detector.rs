@@ -15,6 +15,27 @@
 //! Because counter propagation takes roughly `log_fanout(n)` intervals,
 //! `suspect_timeout_ms` should be at least `(log_fanout(n) + 2)` heartbeat
 //! intervals for large groups.
+//!
+//! ## One liveness table per node
+//!
+//! Generated stacks and the control channel declare the layer shared under
+//! one key ([`crate::suite::liveness_layer`]), so a node keeps one table, one
+//! tick timer and one digest stream however many channels hold the session
+//! and however often the data stack is replaced:
+//!
+//! * `Suspect` and `Alive` reach every channel holding the session
+//!   ([`EventContext::dispatch_to_holders`]) — view synchrony and recovery on
+//!   the data channel, Cocaditem and Core on the control channel;
+//! * the tick timer is re-armed on every `ChannelInit`, keeping its phase,
+//!   so the digests ride the holder initialised last: the control channel
+//!   from boot until the first data-stack replacement, the data channel
+//!   after it;
+//! * a `ViewInstall` the layer sees is re-announced upward on every *other*
+//!   holder, once per view id — how the control plane learns the views view
+//!   synchrony installs on the data channel;
+//! * the "everyone is fresh" grace runs when the session is created, never
+//!   when a later holder is initialised: a replacement does not reset
+//!   suspicion ages.
 
 use std::collections::{HashMap, HashSet};
 
@@ -27,6 +48,7 @@ use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
 
 use crate::events::{Alive, Heartbeat, Suspect, ViewInstall};
+use crate::gossip::sample_peers_into;
 use crate::headers::LivenessDigest;
 
 /// Registered name of the failure detector layer.
@@ -77,7 +99,11 @@ impl Layer for FailureDetectorLayer {
             counters: HashMap::new(),
             last_advance: HashMap::new(),
             suspected: HashSet::new(),
-            heartbeats_sent: 0,
+            next_tick_ms: None,
+            tick_timer: None,
+            relayed_view: None,
+            peers: Vec::new(),
+            digest: LivenessDigest::default(),
         })
     }
 }
@@ -105,7 +131,18 @@ pub struct FailureDetectorSession {
     last_advance: HashMap<NodeId, u64>,
     // bound: subset of `members`; retained on view install.
     suspected: HashSet<NodeId>,
-    heartbeats_sent: u64,
+    /// When the next tick is due; `None` until the first `ChannelInit`.
+    next_tick_ms: Option<u64>,
+    /// The one live tick timer.
+    tick_timer: Option<u64>,
+    /// The last view id re-announced to the other holders.
+    relayed_view: Option<u64>,
+    /// Scratch for the per-tick peer sample.
+    // bound: cleared on every tick; <= view size.
+    peers: Vec<NodeId>,
+    /// Scratch for the per-tick digest.
+    // bound: refilled on every tick from `members`; <= view size.
+    digest: LivenessDigest,
 }
 
 impl FailureDetectorSession {
@@ -114,8 +151,18 @@ impl FailureDetectorSession {
         if self.suspected.remove(&node) {
             // The suspicion was false: announce the recovery so upper layers
             // (e.g. the Core control layer's ack quorum) can re-admit the node.
-            ctx.dispatch(Event::up(Alive { node }));
+            ctx.dispatch_to_holders(|_| Some(Event::up(Alive { node })));
         }
+    }
+
+    /// Arms the one tick timer for `due` on the current channel, cancelling
+    /// the previous one wherever it was armed.
+    fn arm_tick(&mut self, due: u64, ctx: &mut EventContext<'_>) {
+        if let Some(stale) = self.tick_timer.take() {
+            ctx.cancel_timer(stale);
+        }
+        self.next_tick_ms = Some(due);
+        self.tick_timer = Some(ctx.set_timer(due.saturating_sub(ctx.now_ms()), TICK_TAG));
     }
 
     /// Merges a received digest: entries with a higher counter than the local
@@ -139,8 +186,8 @@ impl FailureDetectorSession {
 
         // Advance the local counter and push the digest. The counter is
         // floored at the local tick count (`now / interval`) so it stays
-        // monotonic across a stack replacement: a session restarting from 1
-        // would look *stale* to peers still holding the pre-replacement
+        // monotonic across a restart: a fresh kernel's session restarting
+        // from 1 would look *stale* to peers still holding the pre-restart
         // counter, and the node would silently lose its third-party liveness
         // evidence until the counter caught up. `merge_digest` lets any peer
         // raise any entry, the local one included, so the step saturates: a
@@ -149,41 +196,38 @@ impl FailureDetectorSession {
         let counter = self.counters.entry(local).or_insert(0);
         *counter = counter.saturating_add(1).max(tick_floor);
         self.last_advance.insert(local, now);
-        let targets = crate::gossip::sample_peers(&self.members, &[local], self.fanout, ctx);
-        if !targets.is_empty() {
-            let mut entries: Vec<(NodeId, u64)> = self
-                .members
-                .iter()
-                .filter_map(|member| self.counters.get(member).map(|counter| (*member, *counter)))
-                .collect();
-            entries.sort_unstable_by_key(|(node, _)| node.0);
+        sample_peers_into(&self.members, &[local], self.fanout, ctx, &mut self.peers);
+        if !self.peers.is_empty() {
+            self.digest.entries.clear();
+            self.digest.entries.extend(
+                self.members.iter().filter_map(|member| {
+                    self.counters.get(member).map(|counter| (*member, *counter))
+                }),
+            );
+            self.digest.entries.sort_unstable_by_key(|(node, _)| node.0);
             let mut message = Message::new();
-            message.push(&LivenessDigest { entries });
-            self.heartbeats_sent += 1;
+            message.push(&self.digest);
             ctx.dispatch(Event::down(Heartbeat::new(
                 local,
-                Dest::Nodes(targets),
+                Dest::Nodes(self.peers.clone()),
                 message,
             )));
         }
 
         // Raise suspicions for members whose counter went stale.
-        let mut newly_suspected = Vec::new();
         for member in &self.members {
             if *member == local || self.suspected.contains(member) {
                 continue;
             }
             let last = self.last_advance.get(member).copied().unwrap_or(0);
             if now.saturating_sub(last) >= self.suspect_timeout_ms {
-                newly_suspected.push(*member);
+                let node = *member;
+                self.suspected.insert(node);
+                ctx.dispatch_to_holders(|_| Some(Event::up(Suspect { node })));
             }
         }
-        for member in newly_suspected {
-            self.suspected.insert(member);
-            ctx.dispatch(Event::up(Suspect { node: member }));
-        }
 
-        ctx.set_timer(self.hb_interval_ms, TICK_TAG);
+        self.arm_tick(now + self.hb_interval_ms, ctx);
     }
 }
 
@@ -194,11 +238,19 @@ impl Session for FailureDetectorSession {
 
     fn handle(&mut self, mut event: Event, ctx: &mut EventContext<'_>) {
         if event.is::<ChannelInit>() {
-            let now = ctx.now_ms();
-            for member in self.members.clone() {
-                self.last_advance.insert(member, now);
-            }
-            ctx.set_timer(self.hb_interval_ms, TICK_TAG);
+            let due = match self.next_tick_ms {
+                Some(due) => due,
+                None => {
+                    // The session is new: every member starts fresh.
+                    let now = ctx.now_ms();
+                    for member in &self.members {
+                        self.last_advance.insert(*member, now);
+                    }
+                    now + self.hb_interval_ms
+                }
+            };
+            // The previous holder's timer may have died with its channel.
+            self.arm_tick(due, ctx);
             ctx.forward(event);
             return;
         }
@@ -215,16 +267,25 @@ impl Session for FailureDetectorSession {
         if let Some(install) = event.get::<ViewInstall>() {
             self.members = install.view.members.clone();
             self.member_set = self.members.iter().copied().collect();
-            self.suspected.retain(|node| self.members.contains(node));
-            self.counters.retain(|node, _| self.members.contains(node));
+            self.suspected.retain(|node| self.member_set.contains(node));
+            self.counters
+                .retain(|node, _| self.member_set.contains(node));
             // Drop expelled members' timestamps too: a member expelled and
             // later re-admitted by a join must get a fresh grace period, not
             // be instantly re-suspected off its stale pre-expulsion age.
             self.last_advance
-                .retain(|node, _| self.members.contains(node));
+                .retain(|node, _| self.member_set.contains(node));
             let now = ctx.now_ms();
-            for member in self.members.clone() {
-                self.last_advance.entry(member).or_insert(now);
+            for member in &self.members {
+                self.last_advance.entry(*member).or_insert(now);
+            }
+            if self.relayed_view != Some(install.view.id) {
+                self.relayed_view = Some(install.view.id);
+                let here = ctx.channel_id();
+                let view = &install.view;
+                ctx.dispatch_to_holders(|channel| {
+                    (channel != here).then(|| Event::up(ViewInstall { view: view.clone() }))
+                });
             }
             ctx.forward(event);
             return;

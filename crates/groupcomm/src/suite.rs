@@ -134,6 +134,20 @@ const GOSSIP_BATCH_MAX: usize = 4;
 /// plane.
 const VSYNC_GOSSIP_THRESHOLD: usize = 50;
 
+/// The failure detector's spec, shared under one key by every channel that
+/// carries it — the control channel and each generated data stack — so a
+/// node keeps one liveness session. The first channel to build that session
+/// fixes its parameters, so every such channel renders the spec here.
+/// `members` is the comma-separated membership param.
+pub fn liveness_layer(members: &str, hb_interval_ms: u64, suspect_timeout_ms: u64) -> LayerSpec {
+    LayerSpec::new("fd")
+        .with_param("members", members)
+        .with_param("hb_interval_ms", hb_interval_ms.to_string())
+        .with_param("suspect_timeout_ms", suspect_timeout_ms.to_string())
+        .with_param("fanout", CONTROL_FANOUT.to_string())
+        .shared("liveness")
+}
+
 /// Builder for the suite's standard channel compositions.
 #[derive(Debug, Clone)]
 pub struct StackBuilder {
@@ -323,13 +337,11 @@ impl StackBuilder {
             }
         }
 
-        config = config.with_layer(
-            LayerSpec::new("fd")
-                .with_param("members", &members)
-                .with_param("hb_interval_ms", self.hb_interval_ms.to_string())
-                .with_param("suspect_timeout_ms", self.suspect_timeout_ms.to_string())
-                .with_param("fanout", CONTROL_FANOUT.to_string()),
-        );
+        config = config.with_layer(liveness_layer(
+            &members,
+            self.hb_interval_ms,
+            self.suspect_timeout_ms,
+        ));
         // The recovery layer sits between the failure detector and view
         // synchrony: it sees Suspects (donor failover) and ViewInstalls
         // (admission) and buffers join-view data below vsync. Shared so

@@ -880,14 +880,6 @@ fn flush_node(
                     tallies[index].last_view_id = Some(view_id);
                     let smallest = tallies[index].min_view_members.get_or_insert(members.len());
                     *smallest = (*smallest).min(members.len());
-                    // Relay the data channel's view onto the control channel:
-                    // installed views are authoritative membership for the
-                    // whole control plane (fd, cocaditem, core).
-                    nodes[index].install_control_view(
-                        view_id,
-                        members.clone(),
-                        &mut platforms[index],
-                    );
                 }
                 DeliveryKind::Reconfigured { stack } => {
                     tallies[index]

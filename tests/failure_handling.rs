@@ -3,6 +3,7 @@
 //! coordinator installs a smaller view, and the remaining participants keep
 //! exchanging chat traffic.
 
+use morpheus::appia::platform::{InPacket, PacketDest};
 use morpheus::prelude::*;
 
 fn failure_scenario(devices: usize, crashed: NodeId, crash_at_ms: u64) -> Scenario {
@@ -70,4 +71,104 @@ fn a_crashed_coordinator_is_replaced() {
         "survivors install a view without the old coordinator"
     );
     assert!(survivor.app_deliveries > 0);
+}
+
+#[test]
+fn a_node_driven_without_the_runner_learns_views_on_its_control_plane() {
+    // No testbed: four nodes on `TestPlatform`s and a loop that moves every
+    // packet to its destination one millisecond later, fires due timers and
+    // applies reconfigurations. Node 3 crashes at 2 s. Nothing outside the
+    // nodes tells their control planes about views.
+    let n = 4;
+    let crashed = 3;
+    let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+    let mut options = NodeOptions::new(members.clone());
+    options.hb_interval_ms = 300;
+    options.suspect_timeout_ms = 1200;
+    let mut platforms: Vec<TestPlatform> =
+        members.iter().map(|id| TestPlatform::new(*id)).collect();
+    let mut nodes: Vec<MorpheusNode> = platforms
+        .iter_mut()
+        .map(|platform| MorpheusNode::new(options.clone(), platform).unwrap())
+        .collect();
+    let mut view_sizes = vec![Vec::new(); n];
+    let mut covered_sizes = vec![Vec::new(); n];
+
+    for now in 1..=10_000u64 {
+        let alive = |index: usize| index != crashed || now < 2_000;
+        let in_flight: Vec<_> = platforms
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(index, platform)| {
+                let sent = platform.take_sent();
+                if alive(index) {
+                    sent
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        for platform in &mut platforms {
+            platform.now_ms = now;
+        }
+        for packet in in_flight {
+            let targets = match packet.dest {
+                PacketDest::Node(to) => vec![to],
+                PacketDest::Broadcast => members.clone(),
+            };
+            for to in targets {
+                let index = to.0 as usize;
+                if to == packet.from || !alive(index) {
+                    continue;
+                }
+                let arrival = InPacket {
+                    from: packet.from,
+                    to,
+                    class: packet.class,
+                    channel: packet.channel.clone(),
+                    payload: packet.payload.clone(),
+                };
+                nodes[index]
+                    .deliver_packet(arrival, &mut platforms[index])
+                    .unwrap();
+            }
+        }
+        for index in (0..n).filter(|index| alive(*index)) {
+            let platform = &mut platforms[index];
+            while let Some(position) = platform.timers.iter().position(|(at, _)| *at <= now) {
+                let (_, key) = platform.timers.remove(position);
+                nodes[index].timer_fired(key, platform);
+            }
+            for request in std::mem::take(&mut platform.reconfig_requests) {
+                nodes[index]
+                    .apply_reconfiguration(request, platform)
+                    .unwrap();
+            }
+            for delivery in platform.take_deliveries() {
+                match delivery.kind {
+                    DeliveryKind::ViewChange { members, .. } => {
+                        view_sizes[index].push(members.len());
+                    }
+                    DeliveryKind::ContextConverged { nodes } => covered_sizes[index].push(nodes),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    for survivor in (0..n).filter(|index| *index != crashed) {
+        assert!(
+            view_sizes[survivor].contains(&(n - 1)),
+            "node {survivor} installed no view without node {crashed}: {:?}",
+            view_sizes[survivor]
+        );
+        // Cocaditem re-checks its coverage after every view it hears of; a
+        // fresh report over the survivors is the view reaching it.
+        assert!(
+            covered_sizes[survivor].contains(&(n - 1)),
+            "node {survivor}'s control plane never learned the view: it \
+             reported coverage of {:?} members",
+            covered_sizes[survivor]
+        );
+    }
 }
