@@ -65,7 +65,7 @@ use morpheus_cocaditem::{ContextSnapshot, ContextStore};
 use morpheus_groupcomm::events::{Alive, Suspect, ViewInstall};
 use morpheus_groupcomm::round::{Ballot, Engine as RoundEngine, Tick};
 
-use crate::policy::{AdaptationPolicy, GlobalContext, StackKind};
+use crate::policy::{AdaptationPolicy, GlobalContext};
 use crate::rules::DefaultPolicy;
 use crate::stack_catalog::StackCatalog;
 
@@ -187,23 +187,17 @@ impl Layer for CoreLayer {
 /// time and retransmit count live in the round engine.
 #[derive(Debug, Clone)]
 struct PendingReconfiguration {
-    /// The stack kind of the round (kept so repairs can re-render the
-    /// description over a changed live membership later).
-    kind: StackKind,
     stack_name: String,
     description: String,
 }
 
 /// A stack configuration this node deployed (member side) or saw the group
 /// commit (coordinator side), kept so late joiners and healed members can be
-/// repaired onto it.
+/// repaired onto it — with the description byte-for-byte, which names the
+/// stack, not the group.
 #[derive(Debug, Clone)]
 struct InstalledStack {
     epoch: u64,
-    /// The stack kind, when this node rendered the configuration itself
-    /// (coordinator side); members that merely deployed a shipped
-    /// description have no kind and repair with the description as-is.
-    kind: Option<StackKind>,
     stack_name: String,
     description: String,
 }
@@ -384,10 +378,9 @@ impl CoreSession {
         // description to every other participant (including suspected ones —
         // a false suspicion must not starve a member of the command) and ask
         // the local module to deploy it too. `current_stack` is *not* touched
-        // here; it is committed when the round completes. The description is
-        // rendered over the *live* membership, so generated stacks stop
-        // listing crashed nodes.
-        let description = self.catalog.config_for_members(&kind, live).to_xml();
+        // here; it is committed when the round completes. The description
+        // names no member: the stack learns the view from view synchrony.
+        let description = self.catalog.config_for(&kind).to_xml();
         // Every member must ack — the coordinator and suspected ones
         // included; completion excludes whoever is suspected *at completion
         // time* instead.
@@ -396,7 +389,6 @@ impl CoreSession {
             .open(local, self.members.iter().copied(), ctx.now_ms());
         self.reconfigurations_started += 1;
         self.pending = Some(PendingReconfiguration {
-            kind,
             stack_name: desired.clone(),
             description: description.clone(),
         });
@@ -432,7 +424,6 @@ impl CoreSession {
         // members that were cut out of the quorum can be repaired later.
         self.installed = Some(InstalledStack {
             epoch: round.ballot.epoch,
-            kind: Some(pending.kind.clone()),
             stack_name: pending.stack_name.clone(),
             description: pending.description.clone(),
         });
@@ -459,7 +450,9 @@ impl CoreSession {
     /// advanced past the committed round — it deployed a later round that was
     /// aborted, or its deployment failed after accepting the command — would
     /// reject a replay of the committed epoch as stale, but accepts the
-    /// re-assertion under a higher one.
+    /// re-assertion under a higher one. The description goes out byte for
+    /// byte as the round shipped it: it names no member, so a crash since
+    /// then changes nothing in it.
     fn repair_behind(&mut self, ctx: &mut EventContext<'_>) {
         if self.pending.is_some() {
             return;
@@ -483,23 +476,8 @@ impl CoreSession {
         // re-asserted command outranks everything seen so far.
         self.engine
             .adopt(Ballot::new(self.engine.epoch() + 1, local));
-        // Re-render the committed configuration over the *current* live
-        // membership before re-asserting it: a member repaired after a crash
-        // elsewhere must not receive stacks still listing the dead node.
-        let refreshed = self
-            .installed
-            .as_ref()
-            .and_then(|installed| installed.kind.clone())
-            .map(|kind| {
-                self.catalog
-                    .config_for_members(&kind, self.live_members().collect())
-                    .to_xml()
-            });
         let installed = self.installed.as_mut().expect("installed checked above");
         installed.epoch = self.engine.epoch();
-        if let Some(description) = refreshed {
-            installed.description = description;
-        }
         Self::dispatch_command(
             installed.epoch,
             &installed.stack_name,
@@ -624,17 +602,21 @@ impl CoreSession {
             if self.pending.is_some() {
                 self.abort_round(ctx);
             }
-            // A re-assertion of exactly the configuration this node already
-            // runs (a repair whose earlier ack was lost on the way back):
-            // follow the ballot and acknowledge under the new epoch, but do
-            // not redeploy. Replacing the data channel with an identical one
-            // would hand the fresh stack empty per-session state for nothing
-            // — a new gossip session re-pulls and re-delivers what the old
-            // one had already delivered.
+            // A re-assertion of the stack this node already runs (a repair
+            // whose earlier ack was lost on the way back): follow the ballot
+            // and acknowledge under the new epoch, but do not redeploy. The
+            // name encodes the whole stack kind, and the description is a
+            // function of it, so the name alone identifies the stack.
+            // Replacing the data channel with an identical one would hand the
+            // fresh stack empty per-session state for nothing — a new gossip
+            // session re-pulls and re-delivers what the old one had already
+            // delivered.
             if self.current_stack == stack_name {
-                if let Some(installed) = self.installed.as_mut().filter(|installed| {
-                    installed.stack_name == stack_name && installed.description == description
-                }) {
+                if let Some(installed) = self
+                    .installed
+                    .as_mut()
+                    .filter(|installed| installed.stack_name == stack_name)
+                {
                     installed.epoch = epoch;
                     Self::dispatch_ack(epoch, &stack_name, coordinator, ctx);
                     return;
@@ -642,7 +624,6 @@ impl CoreSession {
             }
             self.accepted = Some(InstalledStack {
                 epoch,
-                kind: None,
                 stack_name: stack_name.clone(),
                 description: description.clone(),
             });
@@ -738,8 +719,8 @@ impl Session for CoreSession {
         if let Some(install) = event.get::<ViewInstall>() {
             // An installed view *is* the membership: nodes the view removed
             // stop being considered for quorums, coordinator election and
-            // generated stack configurations entirely (unlike a suspicion,
-            // which is provisional and healable).
+            // the policy's context entirely (unlike a suspicion, which is
+            // provisional and healable).
             self.members = install.view.members.clone();
             self.suspected.retain(|node| self.members.contains(node));
             self.confirmed.retain(|node| self.members.contains(node));
@@ -1128,24 +1109,24 @@ mod tests {
         let mut platform = TestPlatform::new(NodeId(1));
         let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
         let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
-        let command = |epoch: u64, description: &str| {
+        let command = |epoch: u64, stack: &str| {
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(1)),
-                command_message(epoch, "reliable", description),
+                command_message(epoch, stack, description),
             ))
         };
 
-        core.run_up(command(2, description), &mut platform);
+        core.run_up(command(2, "reliable"), &mut platform);
         core.run_down(deployment_ack(1, 0, 2, "reliable"), &mut platform);
         core.drain_down();
 
         // The ack was lost; the coordinator's repair re-asserts the same
-        // name + description under a fresh epoch. The member already runs
-        // exactly that: it follows the ballot and acks epoch 3 — the epoch
+        // stack under a fresh epoch. The member already runs exactly that:
+        // it follows the ballot and acks epoch 3 — the epoch
         // `repair_behind` mirrored into the coordinator's `installed`, so
         // `record_ack` confirms the member — without deploying again.
-        core.run_up(command(3, description), &mut platform);
+        core.run_up(command(3, "reliable"), &mut platform);
         assert_eq!(platform.reconfig_requests.len(), 1, "no redeployment");
         let down = core.drain_down();
         let mut acks: Vec<Message> = down
@@ -1161,11 +1142,8 @@ mod tests {
             "stamped with the new epoch"
         );
 
-        // The same name over a different description (re-rendered over a
-        // changed live membership) is a different configuration: it deploys.
-        let changed =
-            "<channel name=\"data\"><layer name=\"network\"/><layer name=\"app\"/></channel>";
-        core.run_up(command(4, changed), &mut platform);
+        // A different stack name is a different configuration: it deploys.
+        core.run_up(command(4, "best-effort"), &mut platform);
         assert_eq!(platform.reconfig_requests.len(), 2, "second deployment");
         assert_eq!(platform.reconfig_requests[1].epoch, 4);
         assert!(
@@ -1626,27 +1604,32 @@ mod tests {
         assert_eq!(platform.reconfig_requests[0].stack_name, "best-effort");
     }
 
+    /// The commands a coordinator's harness emitted since the last drain.
+    fn commands(core: &mut Harness) -> Vec<ReconfigCommand> {
+        core.drain_down()
+            .iter()
+            .filter_map(|event| event.get::<ReconfigCommand>())
+            .cloned()
+            .collect()
+    }
+
     #[test]
-    fn generated_stacks_list_only_live_members() {
-        let mut platform = TestPlatform::new(NodeId(0));
-        let (mut core, context) = core_layer(&[0, 1, 2, 3], true, &mut platform);
-
-        // Node 3 crashes before the adaptation fires; the configuration the
-        // round ships must not list it.
-        core.run_up(Event::up(Suspect { node: NodeId(3) }), &mut platform);
-        core.run_up(context.update(0, false), &mut platform);
-        core.run_up(context.update(1, false), &mut platform);
-        core.run_up(context.update(2, true), &mut platform);
-
-        assert_eq!(platform.reconfig_requests.len(), 1);
-        let description = &platform.reconfig_requests[0].description;
-        let config = morpheus_appia::config::ChannelConfig::from_xml(description).unwrap();
-        let fd = config.layers.iter().find(|l| l.layer == "fd").unwrap();
-        assert_eq!(
-            fd.params.get("members").map(String::as_str),
-            Some("0,1,2"),
-            "the crashed node dropped out of the generated stack"
-        );
+    fn a_reconfig_command_is_the_same_size_at_any_group_size() {
+        // A hybrid group of `n`: fixed coordinator 0, mobile everyone else.
+        let encoded_command = |n: u32| {
+            let group: Vec<u32> = (0..n).collect();
+            let mut platform = TestPlatform::new(NodeId(0));
+            let (mut core, context) = core_layer(&group, true, &mut platform);
+            for node in group {
+                core.run_up(context.update(node, node != 0), &mut platform);
+            }
+            let commands = commands(&mut core);
+            assert_eq!(commands.len(), 1);
+            morpheus_appia::registry::encode_event(&commands[0]).len()
+        };
+        let at_200 = encoded_command(200);
+        assert_eq!(encoded_command(4), at_200);
+        assert!(at_200 <= 1300, "{at_200} B at n = 200");
     }
 
     #[test]
@@ -1721,51 +1704,76 @@ mod tests {
     }
 
     #[test]
-    fn repairs_are_re_rendered_over_the_current_live_membership() {
+    fn a_member_repaired_after_a_crash_elsewhere_re_acks_without_redeploying() {
+        let group = [0, 1, 2, 3];
         let mut platform = TestPlatform::new(NodeId(0));
-        let (mut core, context) = core_layer(&[0, 1, 2, 3], true, &mut platform);
-        // Hybrid group: round 1 ships while everyone is live.
-        core.run_up(context.update(0, false), &mut platform);
-        core.run_up(context.update(1, false), &mut platform);
-        core.run_up(context.update(2, true), &mut platform);
-        core.run_up(context.update(3, true), &mut platform);
-        core.drain_down();
+        let (mut core, context) = core_layer(&group, true, &mut platform);
+        let mut member_platform = TestPlatform::new(NodeId(2));
+        let (mut member, _) = core_layer(&group, true, &mut member_platform);
+        let to_member = |command: &ReconfigCommand| {
+            Event::up(ReconfigCommand::new(
+                NodeId(0),
+                Dest::Node(NodeId(2)),
+                command.message.clone(),
+            ))
+        };
+        let ack = |from: u32, epoch: u64| {
+            Event::up(ReconfigAck::new(
+                NodeId(from),
+                Dest::Node(NodeId(0)),
+                ack_message(epoch, "hybrid-mecho-relay0"),
+            ))
+        };
 
-        // Node 2's command is lost and it gets suspected; node 3 crashes for
-        // good too. The round completes over {0, 1}.
+        // Hybrid group: round 1 ships while everyone is live. Member 2
+        // deploys it, but its ack is lost and it is falsely suspected; the
+        // round completes over {0, 1, 3}.
+        for node in group {
+            core.run_up(context.update(node, node >= 2), &mut platform);
+        }
+        let round = commands(&mut core).remove(0);
+        member.run_up(to_member(&round), &mut member_platform);
+        member.run_down(
+            deployment_ack(2, 0, 1, "hybrid-mecho-relay0"),
+            &mut member_platform,
+        );
         core.run_up(Event::up(Suspect { node: NodeId(2) }), &mut platform);
-        core.run_up(Event::up(Suspect { node: NodeId(3) }), &mut platform);
         core.run_down(
             deployment_ack(0, 0, 1, "hybrid-mecho-relay0"),
             &mut platform,
         );
-        core.run_up(
-            Event::up(ReconfigAck::new(
-                NodeId(1),
-                Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
-            )),
-            &mut platform,
-        );
+        core.run_up(ack(1, 1), &mut platform);
+        core.run_up(ack(3, 1), &mut platform);
+        assert_eq!(completion_reports(&mut platform).len(), 1);
         core.drain_down();
 
-        // Node 2 heals; the repair command it receives is rendered over the
-        // current live membership {0, 1, 2} — without the dead node 3.
+        // Node 3 then crashes for good, and member 2's suspicion heals: the
+        // repair it receives is the round's description, byte for byte.
+        core.run_up(Event::up(Suspect { node: NodeId(3) }), &mut platform);
         core.run_up(Event::up(Alive { node: NodeId(2) }), &mut platform);
-        let down = core.drain_down();
-        let repair = down
+        let repair = commands(&mut core).remove(0);
+        let description = |command: &ReconfigCommand| command.message.clone().pop::<String>();
+        assert_eq!(description(&repair), description(&round));
+
+        // So member 2, already running it, re-acks under the repair's epoch
+        // without redeploying — its stack keeps its per-session state.
+        member.drain_down();
+        member.run_up(to_member(&repair), &mut member_platform);
+        assert_eq!(member_platform.reconfig_requests.len(), 1, "no redeploy");
+        let mut acks: Vec<Message> = member
+            .drain_down()
             .iter()
-            .find(|event| event.is::<ReconfigCommand>())
-            .expect("repair command sent on recovery");
-        let mut message = repair.get::<ReconfigCommand>().unwrap().message.clone();
-        let description: String = message.pop().unwrap();
-        let config = morpheus_appia::config::ChannelConfig::from_xml(&description).unwrap();
-        let fd = config.layers.iter().find(|l| l.layer == "fd").unwrap();
-        assert_eq!(
-            fd.params.get("members").map(String::as_str),
-            Some("0,1,2"),
-            "the repair description reflects the live view"
-        );
+            .filter_map(|event| event.get::<ReconfigAck>())
+            .map(|ack| ack.message.clone())
+            .collect();
+        assert_eq!(acks.len(), 1);
+        assert_eq!(acks[0].pop::<String>().unwrap(), "hybrid-mecho-relay0");
+        assert_eq!(acks[0].pop::<u64>().unwrap(), 2, "the repair's epoch");
+
+        // The coordinator counts that ack: nothing is left to repair.
+        core.run_up(ack(2, 2), &mut platform);
+        core.run_up(context.update(1, false), &mut platform);
+        assert!(commands(&mut core).is_empty());
     }
 
     #[test]

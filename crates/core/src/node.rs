@@ -378,7 +378,7 @@ impl std::fmt::Debug for MorpheusNode {
 #[cfg(test)]
 mod tests {
     use morpheus_appia::event::Dest;
-    use morpheus_appia::platform::{NodeProfile, PacketClass, TestPlatform};
+    use morpheus_appia::platform::{NodeProfile, PacketClass, PacketDest, TestPlatform};
     use morpheus_appia::registry::{decode_event, encode_event};
     use morpheus_cocaditem::{ContextPublish, ContextSnapshot};
     use morpheus_groupcomm::events::{Heartbeat, ViewInstall};
@@ -491,6 +491,49 @@ mod tests {
             .filter(|packet| packet.class == PacketClass::Data)
             .count();
         assert_eq!(data_packets, 3);
+    }
+
+    #[test]
+    fn a_commanded_stack_learns_the_view_from_view_synchrony() {
+        // Commanded descriptions list no member: each replacement below
+        // reaches the group only because view synchrony announces its view
+        // down the fresh stack.
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut node = MorpheusNode::new(NodeOptions::new(members(4)), &mut platform).unwrap();
+        let fanout = 3;
+        let kinds = [
+            StackKind::BestEffort,
+            StackKind::Reliable,
+            StackKind::ErrorMasking { k: 4 },
+            StackKind::HybridMecho { relay: NodeId(0) },
+            StackKind::Gossip { fanout, ttl: 2 },
+        ];
+        for (epoch, kind) in (1..).zip(&kinds) {
+            replace_data_stack(&mut node, kind, epoch, &mut platform);
+            platform.take_sent();
+            node.send_to_group(&b"hello"[..], &mut platform);
+            // Gossip pushes leave on a zero-delay flush.
+            fire_due_timers(&mut node, &mut platform);
+            let peers: Vec<NodeId> = platform
+                .take_sent()
+                .into_iter()
+                .filter(|packet| packet.class == PacketClass::Data)
+                .map(|packet| match packet.dest {
+                    PacketDest::Node(peer) => peer,
+                    PacketDest::Broadcast => panic!("{}: a broadcast", kind.name()),
+                })
+                .collect();
+            assert!(
+                peers.iter().all(|peer| [1, 2, 3].contains(&peer.0)),
+                "{}: {peers:?} outside the view's peers",
+                kind.name()
+            );
+            if matches!(kind, StackKind::Gossip { .. }) {
+                assert!((1..=fanout).contains(&peers.len()), "{peers:?}");
+            } else {
+                assert_eq!(peers.len(), 3, "{} reaches every peer", kind.name());
+            }
+        }
     }
 
     #[test]

@@ -4,15 +4,26 @@ use morpheus_appia::config::{ChannelConfig, LayerSpec};
 use morpheus_appia::platform::NodeId;
 use morpheus_groupcomm::suite::{liveness_layer, StackBuilder};
 
-use crate::policy::{RoomStackKind, StackKind};
+use crate::policy::StackKind;
+
+/// Key every generated data stack shares its view-synchrony session under.
+const GROUP_SHARE_KEY: &str = "group";
 
 /// Produces the declarative channel descriptions for every [`StackKind`],
-/// over a fixed data-channel name and group membership.
+/// over a fixed data-channel name.
 ///
 /// All generated data stacks share the view-synchrony session under the same
 /// key, so the group state (current view, blocked/buffered messages) survives
 /// a stack replacement — this is what makes the reconfiguration lossless for
 /// the application.
+///
+/// A commanded description names the stack, not the group: it is a function
+/// of its [`StackKind`] alone, the same bytes at any group size. The
+/// catalogue's membership is the *boot* view, written only into the node's
+/// boot stack — the first data channel, which builds the shared liveness,
+/// recovery and view-synchrony sessions. Every later stack reuses those
+/// sessions and learns the current view from view synchrony's announce on
+/// `ChannelInit`.
 ///
 /// A node owns one catalogue: it renders its boot stack from it and hands it
 /// to the Core control layer, which renders every stack it commands from the
@@ -23,7 +34,6 @@ use crate::policy::{RoomStackKind, StackKind};
 pub struct StackCatalog {
     channel: String,
     members: Vec<NodeId>,
-    share_key: String,
     hb_interval_ms: u64,
     suspect_timeout_ms: u64,
     retransmit_interval_ms: u64,
@@ -33,12 +43,11 @@ pub struct StackCatalog {
 }
 
 impl StackCatalog {
-    /// Creates a catalogue for the given data channel and membership.
+    /// Creates a catalogue for the given data channel and boot membership.
     pub fn new(channel: impl Into<String>, members: Vec<NodeId>) -> Self {
         Self {
             channel: channel.into(),
             members,
-            share_key: "group".to_string(),
             hb_interval_ms: 1000,
             suspect_timeout_ms: 5000,
             retransmit_interval_ms: 500,
@@ -89,60 +98,30 @@ impl StackCatalog {
 
     fn builder_for(&self, members: Vec<NodeId>) -> StackBuilder {
         StackBuilder::new(self.channel.clone(), members)
-            .share_vsync(self.share_key.clone())
+            .share_vsync(GROUP_SHARE_KEY)
             .failure_detection(self.hb_interval_ms, self.suspect_timeout_ms)
             .view_change_timing(self.retransmit_interval_ms, self.round_timeout_ms)
             .transfer_chunk_bytes(self.transfer_chunk_bytes)
             .gossip_repair_interval_ms(self.gossip_repair_interval_ms)
     }
 
-    /// The channel description for a stack kind, over the catalogue's own
-    /// (boot) membership.
+    /// The channel description Core commands for a stack kind. It lists no
+    /// member: the stack it builds on a running node learns the view from
+    /// the shared view-synchrony session.
     pub fn config_for(&self, kind: &StackKind) -> ChannelConfig {
-        self.config_for_members(kind, self.members.clone())
+        render(self.builder_for(Vec::new()), kind)
     }
 
-    /// The node's boot stack: [`StackCatalog::config_for`], except that a
-    /// restarted node re-entering the group boots it *rejoining* (vsync
-    /// starts with an empty view; the recovery layer drives re-admission and
-    /// state transfer).
+    /// The node's boot stack: the only rendering that writes the boot
+    /// membership, because it builds the node's shared sessions. A restarted
+    /// node re-entering the group boots it *rejoining* (vsync starts with an
+    /// empty view; the recovery layer drives re-admission and state
+    /// transfer).
     pub(crate) fn boot_config(&self, kind: &StackKind, rejoining: bool) -> ChannelConfig {
         render(
             self.builder_for(self.members.clone()).rejoining(rejoining),
             kind,
         )
-    }
-
-    /// The channel description for a stack kind over an explicit membership —
-    /// what the Core control layer uses so generated stacks reflect the
-    /// *current* live view instead of the boot membership (crashed nodes
-    /// stop being listed).
-    pub fn config_for_members(&self, kind: &StackKind, members: Vec<NodeId>) -> ChannelConfig {
-        render(self.builder_for(members), kind)
-    }
-
-    /// The rendered parameters of one room shard's overlay stack. Room
-    /// shards inherit the catalogue's epidemic repair cadence, so tuning
-    /// the group's repair knobs tunes every room the same way; the kind
-    /// contributes the tree/flood split and the derived push depth.
-    pub fn room_params(&self, kind: &RoomStackKind) -> Vec<(String, String)> {
-        let mut params = vec![
-            ("room_stack".to_string(), kind.name()),
-            (
-                "repair_interval_ms".to_string(),
-                self.gossip_repair_interval_ms.to_string(),
-            ),
-        ];
-        match kind {
-            RoomStackKind::DirectPush => {
-                params.push(("allow_prune".to_string(), "false".to_string()));
-            }
-            RoomStackKind::TreePush { push_ttl } => {
-                params.push(("allow_prune".to_string(), "true".to_string()));
-                params.push(("push_ttl".to_string(), push_ttl.to_string()));
-            }
-        }
-        params
     }
 
     /// The control-channel description: the failure detector, Cocaditem
@@ -211,19 +190,31 @@ mod tests {
         (0..count).map(NodeId).collect()
     }
 
-    #[test]
-    fn every_kind_produces_a_distinct_stack() {
-        let catalog = StackCatalog::new("data", members(4));
-        let kinds = vec![
+    /// One of every stack kind Core can command.
+    fn every_kind(relay: NodeId) -> [StackKind; 5] {
+        [
             StackKind::BestEffort,
             StackKind::Reliable,
             StackKind::ErrorMasking { k: 4 },
-            StackKind::HybridMecho { relay: NodeId(0) },
+            StackKind::HybridMecho { relay },
             StackKind::Gossip { fanout: 3, ttl: 4 },
-        ];
+        ]
+    }
+
+    fn spec<'a>(config: &'a ChannelConfig, layer: &str) -> &'a LayerSpec {
+        config
+            .layers
+            .iter()
+            .find(|spec| spec.layer == layer)
+            .unwrap()
+    }
+
+    #[test]
+    fn every_kind_produces_a_distinct_stack() {
+        let catalog = StackCatalog::new("data", members(4));
         let mut multicast_layers = Vec::new();
-        for kind in &kinds {
-            let config = catalog.config_for(kind);
+        for kind in every_kind(NodeId(0)) {
+            let config = catalog.config_for(&kind);
             assert_eq!(config.name, "data");
             assert_eq!(config.layers.first().unwrap().layer, "network");
             assert_eq!(config.layers.last().unwrap().layer, "app");
@@ -289,78 +280,77 @@ mod tests {
 
     #[test]
     fn the_control_channel_and_every_data_stack_render_one_liveness_spec() {
-        // One session serves them all and the first channel to build it
-        // fixes its parameters: every spec must be the same one.
+        // One session serves them all and the first channel to build it — the
+        // boot stack — fixes its parameters, so the boot stack renders the
+        // control channel's spec exactly. A commanded stack reuses the
+        // session; its spec differs only in naming no member.
         let catalog = StackCatalog::new("data", members(3)).with_failure_detection(250, 900);
-        let fd = |config: &ChannelConfig| {
-            config
-                .layers
-                .iter()
-                .find(|spec| spec.layer == "fd")
-                .cloned()
-                .unwrap()
-        };
-        let control = fd(&catalog.control_config("ctrl", 500, true, &StackKind::BestEffort));
+        let control = spec(
+            &catalog.control_config("ctrl", 500, true, &StackKind::BestEffort),
+            "fd",
+        )
+        .clone();
         assert_eq!(control.share.as_deref(), Some("liveness"));
-        for kind in [
-            StackKind::BestEffort,
-            StackKind::HybridMecho { relay: NodeId(0) },
-            StackKind::Gossip { fanout: 3, ttl: 4 },
-        ] {
-            assert_eq!(fd(&catalog.config_for(&kind)), control);
+        let boot = catalog.boot_config(&StackKind::BestEffort, false);
+        assert_eq!(spec(&boot, "fd"), &control);
+        let memberless = control.clone().with_param("members", "");
+        for kind in every_kind(NodeId(0)) {
+            assert_eq!(spec(&catalog.config_for(&kind), "fd"), &memberless);
         }
     }
 
     #[test]
-    fn only_the_boot_stack_renders_rejoining() {
-        let catalog = StackCatalog::new("data", members(3));
-        let joining = |config: &ChannelConfig, layer: &str| {
-            config
-                .layers
-                .iter()
-                .find(|spec| spec.layer == layer)
-                .and_then(|spec| spec.params.get("joining").cloned())
-        };
-        let boot = catalog.boot_config(&StackKind::BestEffort, true);
-        let commanded = catalog.config_for_members(&StackKind::BestEffort, members(3));
-        for layer in ["recovery", "vsync"] {
-            assert_eq!(joining(&boot, layer).as_deref(), Some("true"));
-            assert_eq!(joining(&commanded, layer).as_deref(), Some("false"));
+    fn no_commanded_description_names_a_member() {
+        let ids = [7001, 7002, 7003, 7004];
+        let catalog = StackCatalog::new("data", ids.into_iter().map(NodeId).collect());
+        for kind in every_kind(NodeId(7002)) {
+            let mut config = catalog.config_for(&kind);
+            for spec in &mut config.layers {
+                if let Some(members) = spec.params.get("members") {
+                    assert!(members.is_empty(), "{}: `{}`", kind.name(), spec.layer);
+                }
+                // The relay is part of the kind, not a member list.
+                spec.params.remove("relay");
+            }
+            let xml = config.to_xml();
+            for id in ids {
+                assert!(!xml.contains(&id.to_string()), "{} names {id}", kind.name());
+            }
         }
-        assert_eq!(
-            catalog.boot_config(&StackKind::BestEffort, false),
-            catalog.config_for(&StackKind::BestEffort)
-        );
     }
 
     #[test]
-    fn configs_render_from_an_explicit_membership() {
-        // The control layer renders stacks from the *live* view: crashed
-        // nodes must drop out of every generated member list.
-        let catalog = StackCatalog::new("data", members(5));
-        let live = vec![NodeId(0), NodeId(1), NodeId(3)];
-        let config = catalog.config_for_members(&StackKind::BestEffort, live);
-        for layer in ["beb", "fd", "vsync"] {
-            let spec = config.layers.iter().find(|l| l.layer == layer).unwrap();
+    fn a_commanded_description_is_the_same_bytes_at_any_group_size() {
+        let small = StackCatalog::new("data", members(4));
+        let large = StackCatalog::new("data", members(200));
+        for kind in every_kind(NodeId(0)) {
             assert_eq!(
-                spec.params.get("members").map(String::as_str),
-                Some("0,1,3"),
-                "layer {layer} must list only the live members"
+                small.config_for(&kind).to_xml(),
+                large.config_for(&kind).to_xml()
             );
         }
     }
 
     #[test]
-    fn room_params_render_the_kind_and_inherit_the_repair_cadence() {
-        let catalog = StackCatalog::new("data", members(4)).with_gossip_repair(250);
-        let direct = catalog.room_params(&RoomStackKind::DirectPush);
-        assert!(direct.contains(&("room_stack".to_string(), "room-direct".to_string())));
-        assert!(direct.contains(&("allow_prune".to_string(), "false".to_string())));
-        assert!(direct.contains(&("repair_interval_ms".to_string(), "250".to_string())));
-        let tree = catalog.room_params(&RoomStackKind::TreePush { push_ttl: 6 });
-        assert!(tree.contains(&("room_stack".to_string(), "room-tree-t6".to_string())));
-        assert!(tree.contains(&("push_ttl".to_string(), "6".to_string())));
-        assert!(tree.contains(&("allow_prune".to_string(), "true".to_string())));
+    fn only_the_boot_stack_renders_rejoining_and_the_boot_view() {
+        let catalog = StackCatalog::new("data", members(3));
+        let commanded = catalog.config_for(&StackKind::BestEffort);
+        let rejoining = catalog.boot_config(&StackKind::BestEffort, true);
+        for layer in ["recovery", "vsync"] {
+            let joining = |config| spec(config, layer).params.get("joining").cloned();
+            assert_eq!(joining(&rejoining).as_deref(), Some("true"));
+            assert_eq!(joining(&commanded).as_deref(), Some("false"));
+        }
+        // Past `joining`, the boot view is all that sets the boot stack
+        // apart from the commanded one.
+        let mut boot = catalog.boot_config(&StackKind::BestEffort, false);
+        for spec in &mut boot.layers {
+            if let Some(members) = spec.params.get_mut("members") {
+                assert_eq!(members, "0,1,2", "`{}` lists the boot view", spec.layer);
+                members.clear();
+            }
+        }
+        assert_eq!(boot, commanded);
     }
 
     #[test]

@@ -55,7 +55,8 @@ impl MechoMode {
 /// * `mode` — `"wired"`, `"wireless"` or `"auto"` (default: `auto`, resolved
 ///   from the local device class);
 /// * `relay` — node id of the fixed relay mobile nodes send to (default: the
-///   lowest member id).
+///   lowest member id, re-picked from each installed view until one is set
+///   and whenever it leaves the view).
 pub struct MechoLayer;
 
 impl Layer for MechoLayer {
@@ -130,10 +131,11 @@ impl Session for MechoSession {
     fn handle(&mut self, mut event: Event, ctx: &mut EventContext<'_>) {
         if let Some(install) = event.get::<ViewInstall>() {
             self.members = install.view.members.clone();
-            if let Some(relay) = self.relay {
-                if !self.members.contains(&relay) {
-                    self.relay = self.members.iter().copied().min();
-                }
+            if self
+                .relay
+                .is_none_or(|relay| !self.members.contains(&relay))
+            {
+                self.relay = self.members.iter().copied().min();
             }
             ctx.forward(event);
             return;
@@ -417,6 +419,26 @@ mod tests {
             1,
             "auto mode on a PDA behaves as wireless"
         );
+    }
+
+    #[test]
+    fn a_spec_without_relay_or_members_picks_its_relay_from_the_view() {
+        let mut kernel = Kernel::new();
+        register_suite(&mut kernel);
+        let mut platform = mobile_platform(2);
+        let config = ChannelConfig::new("data")
+            .with_layer(LayerSpec::new("network"))
+            .with_layer(LayerSpec::new("mecho").with_param("mode", "wireless"))
+            .with_layer(LayerSpec::new("app"));
+        let id = kernel.create_channel(&config, &mut platform).unwrap();
+
+        let view = crate::view::View::new(1, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        kernel.dispatch_and_process(id, Event::down(ViewInstall { view }), &mut platform);
+        let event = Event::down(DataEvent::to_group(NodeId(2), Message::new()));
+        kernel.dispatch_and_process(id, event, &mut platform);
+        let sent = platform.take_sent();
+        assert_eq!(sent.len(), 1, "one relay request, not a multicast");
+        assert_eq!(sent[0].dest, PacketDest::Node(NodeId(1)));
     }
 
     #[test]

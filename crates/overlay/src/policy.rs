@@ -23,7 +23,7 @@ pub fn choose_room_stack(context: &RoomContext) -> RoomStackKind {
 
 /// Renders a room stack kind into the overlay configuration, on top of a
 /// base config carrying the group-inherited knobs (repair cadence, log
-/// bounds — see `StackCatalog::room_params`).
+/// bounds).
 pub fn render_room_config(kind: &RoomStackKind, base: RoomConfig) -> RoomConfig {
     match kind {
         RoomStackKind::DirectPush => RoomConfig {
