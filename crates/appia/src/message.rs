@@ -236,7 +236,7 @@ impl Wire for Message {
     /// The wire form in one exactly-sized buffer. This is the leanest way to
     /// *keep* a message — one buffer behind one handle, turned back into a
     /// message without copying by [`Wire::from_shared`] — which is what the
-    /// gossip repair log and outboxes hold.
+    /// gossip repair log and outbox hold.
     fn to_bytes(&self) -> Bytes {
         let mut w = WireWriter::with_capacity(self.encoded_len());
         self.encode(&mut w);

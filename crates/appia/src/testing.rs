@@ -151,14 +151,17 @@ impl Harness {
         self.drain_down()
     }
 
-    /// Events captured at the top since the last drain.
+    /// Events captured at the top since the last drain. The capture buffer
+    /// keeps its memory, so a warmed harness captures without allocating and
+    /// a test can count what the layer under test allocates.
     pub fn drain_up(&mut self) -> Vec<Event> {
-        std::mem::take(&mut *self.top.borrow_mut())
+        self.top.borrow_mut().drain(..).collect()
     }
 
-    /// Events captured at the bottom since the last drain.
+    /// Events captured at the bottom since the last drain (the capture
+    /// buffer keeps its memory, as in [`Harness::drain_up`]).
     pub fn drain_down(&mut self) -> Vec<Event> {
-        std::mem::take(&mut *self.bottom.borrow_mut())
+        self.bottom.borrow_mut().drain(..).collect()
     }
 
     /// Reports a fired timer to the kernel and returns what reached the top.

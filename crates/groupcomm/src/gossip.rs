@@ -24,7 +24,7 @@
 //!    delivery tracker — are suppressed, so coverage converges to 100%
 //!    shortly after the push phase tops out without ever re-delivering.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use bytes::Bytes;
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
@@ -144,6 +144,28 @@ pub fn sample_peers_into(
     pool.truncate(limit);
 }
 
+/// Position of every member in `members` — its first, should one repeat.
+fn member_slots(members: &[NodeId]) -> HashMap<NodeId, u32> {
+    let mut slots = HashMap::with_capacity(members.len());
+    for (slot, member) in (0u32..).zip(members) {
+        slots.entry(*member).or_insert(slot);
+    }
+    slots
+}
+
+/// One push waiting in the outbox.
+#[derive(Debug)]
+struct OutboxEntry {
+    peer: NodeId,
+    /// `peer`'s position in `members`: the flush visits peers in this order.
+    slot: u32,
+    /// Enqueue order, which keeps each peer's queue FIFO.
+    arrival: u64,
+    /// The header and wire-form message, as [`GossipBatchBody::encode_frames`]
+    /// writes them.
+    push: (GossipHeader, Bytes),
+}
+
 /// Counters of one gossip session, exposed to the node runtime (and from
 /// there to testbed reports) via the session downcast hook.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -250,11 +272,12 @@ impl Layer for GossipLayer {
 pub struct GossipSession {
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    /// Set view of `members`, refreshed on every view install: the guard
-    /// that keeps repair traffic (digest replies, NACK-pull answers) from
-    /// flowing to expelled or crashed peers that are no longer in the view.
+    /// Every member's position in `members` (its first one), refreshed on
+    /// every view install: the guard that keeps repair traffic (digest
+    /// replies, NACK-pull answers) from flowing to expelled or crashed peers
+    /// that are no longer in the view, and the outbox's flush order.
     // bound: <= view size; rebuilt on every view install.
-    member_set: HashSet<NodeId>,
+    member_slots: HashMap<NodeId, u32>,
     fanout: usize,
     ttl: u32,
     seen_cap: usize,
@@ -309,12 +332,18 @@ pub struct GossipSession {
     credit_window: usize,
     /// Per-peer outbox cap (drop-newest beyond it).
     outbox_cap: usize,
-    /// Deferred pushes per peer, flushed as aggregated batches on the
-    /// zero-delay flush timer once credit allows. Wire-form messages, like
-    /// the log (whose buffers they share): a credit-starved entry waits
-    /// here for whole repair intervals.
-    // bound: keys <= view size (pruned on view install); each queue capped at `outbox_cap` (drop-newest, counted in `outbox_shed`).
-    outbox: BTreeMap<NodeId, VecDeque<(GossipHeader, Bytes)>>,
+    /// Deferred pushes to every peer in one list, flushed as aggregated
+    /// batches on the zero-delay flush timer once credit allows. Wire-form
+    /// messages, like the log (whose buffers they share): a credit-starved
+    /// entry waits here for whole repair intervals. The list keeps its
+    /// capacity across flushes, so queueing a push allocates nothing.
+    // bound: <= `outbox_cap` entries per member (drop-newest, counted in `outbox_shed`); expelled peers' entries pruned on view install.
+    outbox: Vec<OutboxEntry>,
+    /// Entries waiting in `outbox` per peer, indexed by the peer's slot.
+    // bound: one counter per position in `members`; resized on every view install.
+    outbox_pending: Vec<usize>,
+    /// Arrival stamp of the next outbox entry.
+    outbox_arrivals: u64,
     /// Send-side credit remaining per peer, refilled by digest grants.
     // bound: <= view size keys, pruned on view install.
     credits: HashMap<NodeId, u32>,
@@ -323,9 +352,14 @@ pub struct GossipSession {
     // bound: <= view size keys, pruned on view install.
     granted: HashMap<NodeId, u32>,
     flush_timer: Option<u64>,
-    /// Scratch for the relay targets drawn on every push arrival.
+    /// Scratch for the push targets drawn on every send and push arrival.
     // bound: <= view size; overwritten by every sample.
-    relay_targets: Vec<NodeId>,
+    push_targets: Vec<NodeId>,
+    /// Scratch the entries of a received batch decode into. The messages
+    /// are slices of the packet, so it is drained before the batch handler
+    /// returns: no decoded message outlives the event that carried it.
+    // bound: capacity <= the largest batch received (`get_count` caps a count at packet bytes / 12); empty between events.
+    batch_entries: Vec<(GossipHeader, Message)>,
     stats: GossipStats,
 }
 
@@ -336,7 +370,8 @@ impl GossipSession {
         let members = param_node_list(params, "members");
         let credit_window = param_or(params, "credit_window", DEFAULT_CREDIT_WINDOW);
         Self {
-            member_set: members.iter().copied().collect(),
+            member_slots: member_slots(&members),
+            outbox_pending: vec![0; members.len()],
             members,
             fanout: param_or(params, "fanout", 3usize).max(1),
             ttl: param_or(params, "ttl", 4u32),
@@ -367,11 +402,13 @@ impl GossipSession {
             } else {
                 DEFAULT_OUTBOX_CAP
             },
-            outbox: BTreeMap::new(),
+            outbox: Vec::new(),
+            outbox_arrivals: 0,
             credits: HashMap::new(),
             granted: HashMap::new(),
             flush_timer: None,
-            relay_targets: Vec::new(),
+            push_targets: Vec::new(),
+            batch_entries: Vec::new(),
             stats: GossipStats::default(),
         }
     }
@@ -402,7 +439,7 @@ impl GossipSession {
         self.credit_window > 0 && self.repair_enabled()
     }
 
-    /// Whether the push path routes through per-peer outboxes (aggregated
+    /// Whether the push path routes through the outbox (aggregated
     /// [`GossipBatch`] packets) instead of legacy singleton sends.
     fn aggregating(&self) -> bool {
         self.batch_max > 1 || self.credit_enabled()
@@ -513,14 +550,27 @@ impl GossipSession {
 
     /// Queues one push into `peer`'s outbox. Shed policy: drop-newest
     /// beyond the cap — the message is already in the repair log, so
-    /// digest-announce + pull recovers it. Returns `false` when shed.
+    /// digest-announce + pull recovers it. Returns `false` when shed (or
+    /// when `peer` is outside the view, which sampling never picks).
     fn outbox_enqueue(&mut self, peer: NodeId, header: GossipHeader, frame: Bytes) -> bool {
-        let queue = self.outbox.entry(peer).or_default();
-        if queue.len() >= self.outbox_cap {
+        let Some(&slot) = self.member_slots.get(&peer) else {
+            return false;
+        };
+        let Some(pending) = self.outbox_pending.get_mut(slot as usize) else {
+            return false;
+        };
+        if *pending >= self.outbox_cap {
             self.stats.outbox_shed += 1;
             return false;
         }
-        queue.push_back((header, frame));
+        *pending += 1;
+        self.outbox_arrivals += 1;
+        self.outbox.push(OutboxEntry {
+            peer,
+            slot,
+            arrival: self.outbox_arrivals,
+            push: (header, frame),
+        });
         true
     }
 
@@ -538,21 +588,34 @@ impl GossipSession {
         }
     }
 
+    /// Whether a push to `peer` is waiting in the outbox.
+    fn outbox_holds(&self, peer: NodeId) -> bool {
+        self.member_slots
+            .get(&peer)
+            .and_then(|slot| self.outbox_pending.get(*slot as usize))
+            .is_some_and(|pending| *pending > 0)
+    }
+
     /// Sends every credit-covered outbox entry as aggregated
     /// [`GossipBatch`] packets, at most `batch_max` app messages per packet.
     /// Entries beyond a peer's credit stay queued until a grant refills it.
-    fn flush_outboxes(&mut self, ctx: &mut EventContext<'_>) {
+    fn flush_outbox(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
         let credit_on = self.credit_enabled();
-        // Deterministic peer order: the members list, never hash order.
-        for &peer in &self.members {
-            let Some(queue) = self.outbox.get_mut(&peer) else {
-                continue;
-            };
-            let waiting = queue.len();
-            if waiting == 0 || peer == local {
-                continue;
-            }
+        // Deterministic peer order — the members list, never hash order —
+        // and each peer's queue FIFO. An unstable sort allocates nothing,
+        // and the arrival stamps make the order total.
+        self.outbox
+            .sort_unstable_by_key(|entry| (entry.slot, entry.arrival));
+        let mut kept = 0;
+        let mut start = 0;
+        while let Some(first) = self.outbox.get(start) {
+            let (peer, slot) = (first.peer, first.slot);
+            let waiting = self.outbox[start..]
+                .iter()
+                .take_while(|entry| entry.slot == slot)
+                .count();
+            let end = start + waiting;
             let available = if credit_on {
                 *self
                     .credits
@@ -562,31 +625,35 @@ impl GossipSession {
                 usize::MAX
             };
             let take = waiting.min(available);
-            if take < waiting {
-                self.stats.deferred_pushes += (waiting - take) as u64;
-            }
-            if take == 0 {
-                continue;
-            }
-            for chunk in queue.make_contiguous()[..take].chunks(self.batch_max) {
+            self.stats.deferred_pushes += (waiting - take) as u64;
+            for chunk in self.outbox[start..start + take].chunks(self.batch_max) {
                 let mut message = Message::new();
-                message.push_header(encode_pooled(|w| GossipBatchBody::encode_frames(chunk, w)));
+                message.push_header(encode_pooled(|w| {
+                    GossipBatchBody::encode_frames(chunk.iter().map(|entry| &entry.push), w)
+                }));
                 ctx.dispatch(Event::down(GossipBatch::new(
                     local,
                     Dest::Node(peer),
                     message,
                 )));
             }
-            queue.drain(..take);
-            if take == waiting {
-                self.outbox.remove(&peer);
-            }
             if credit_on {
                 if let Some(credit) = self.credits.get_mut(&peer) {
                     *credit = credit.saturating_sub(take as u32);
                 }
             }
+            if let Some(pending) = self.outbox_pending.get_mut(slot as usize) {
+                *pending = waiting - take;
+            }
+            // What credit held back moves to the front, still FIFO; the sent
+            // entries end up behind it and are dropped below.
+            for index in start + take..end {
+                self.outbox.swap(kept, index);
+                kept += 1;
+            }
+            start = end;
         }
+        self.outbox.truncate(kept);
     }
 
     /// The spans the repair log can currently serve, in deterministic
@@ -616,7 +683,7 @@ impl GossipSession {
     /// Charges `count` push-path arrivals from `from` against the credit we
     /// granted it, re-granting once half the window is consumed.
     fn note_arrivals(&mut self, from: NodeId, count: u32, ctx: &mut EventContext<'_>) {
-        if !self.credit_enabled() || !self.member_set.contains(&from) {
+        if !self.credit_enabled() || !self.member_slots.contains_key(&from) {
             return;
         }
         let window = self.credit_window as u32;
@@ -643,12 +710,19 @@ impl GossipSession {
 
     /// One aggregated batch arrived: run every entry through the ordinary
     /// push-arrival path, then charge the batch against its sender's grant.
-    fn on_batch(&mut self, from: NodeId, body: GossipBatchBody, ctx: &mut EventContext<'_>) {
-        let arrivals = body.entries.len() as u32;
-        for (header, message) in body.entries {
-            self.on_push_arrival(from, header, message, ctx);
+    /// The entries are decoded into the session's scratch, and drained from
+    /// it here: they are slices of the packet and must not outlive it.
+    fn on_batch(&mut self, from: NodeId, batch: &Bytes, ctx: &mut EventContext<'_>) {
+        let mut entries = std::mem::take(&mut self.batch_entries);
+        // All or nothing: a malformed batch delivers none of its entries.
+        if GossipBatchBody::decode_into(batch, &mut entries).is_ok() {
+            let arrivals = entries.len() as u32;
+            for (header, message) in entries.drain(..) {
+                self.on_push_arrival(from, header, message, ctx);
+            }
+            self.note_arrivals(from, arrivals, ctx);
         }
-        self.note_arrivals(from, arrivals, ctx);
+        self.batch_entries = entries;
     }
 
     /// A duplicate arrival is evidence the message is already circulating
@@ -656,11 +730,17 @@ impl GossipSession {
     /// flush window, or a credit-starved queue) is redundant — drop it
     /// before it costs a transmission and a duplicate at the receiver.
     fn suppress_pending_relays(&mut self, origin: NodeId, inc: u64, seq: u64) {
-        for queue in self.outbox.values_mut() {
-            queue.retain(|(header, _)| {
-                !(header.origin == origin && header.inc == inc && header.seq == seq)
-            });
-        }
+        let pending = &mut self.outbox_pending;
+        self.outbox.retain(|entry| {
+            let (header, _) = &entry.push;
+            let redundant = header.origin == origin && header.inc == inc && header.seq == seq;
+            if redundant {
+                if let Some(count) = pending.get_mut(entry.slot as usize) {
+                    *count -= 1;
+                }
+            }
+            !redundant
+        });
     }
 
     /// The push-phase receive path for one batched message: dedup, track,
@@ -694,7 +774,7 @@ impl GossipSession {
         if header.ttl > 0 {
             // The sender plainly has the message too — relaying back to it
             // is a guaranteed duplicate, so it joins the exclusion list.
-            let mut targets = std::mem::take(&mut self.relay_targets);
+            let mut targets = std::mem::take(&mut self.push_targets);
             sample_peers_into(
                 &self.members,
                 &[local, header.origin, from],
@@ -712,7 +792,7 @@ impl GossipSession {
                     self.enqueue_push(*target, relay, frame.clone(), ctx);
                 }
             }
-            self.relay_targets = targets;
+            self.push_targets = targets;
         }
         ctx.dispatch(Event::up(DataEvent::new(
             header.origin,
@@ -748,9 +828,9 @@ impl GossipSession {
                 )));
             }
         }
-        // Credit-starved outboxes get a periodic flush retry, so a grant
+        // Credit-starved pushes get a periodic flush retry, so a grant
         // lost on the wire delays deferred pushes by one interval at most.
-        if self.outbox.values().any(|queue| !queue.is_empty()) {
+        if !self.outbox.is_empty() {
             self.arm_flush_timer(ctx);
         }
         self.arm_repair_timer(ctx);
@@ -802,16 +882,12 @@ impl GossipSession {
         // A digest from outside the installed view (an expelled member, a
         // stale incarnation) gets no pull: answering would re-open a repair
         // conversation with a peer the view agreement removed.
-        if !self.member_set.contains(&from) {
+        if !self.member_slots.contains_key(&from) {
             return;
         }
         if digest.credit > 0 && self.credit_enabled() {
             self.credits.insert(from, digest.credit);
-            if self
-                .outbox
-                .get(&from)
-                .is_some_and(|queue| !queue.is_empty())
-            {
+            if self.outbox_holds(from) {
                 self.arm_flush_timer(ctx);
             }
         }
@@ -893,7 +969,7 @@ impl GossipSession {
         // Serve log entries only to current view members — an expelled peer
         // re-syncs through the recovery layer's state transfer, not through
         // the repair path.
-        if !self.member_set.contains(&from) {
+        if !self.member_slots.contains_key(&from) {
             return;
         }
         let local = ctx.node_id();
@@ -962,7 +1038,7 @@ impl GossipSession {
     /// recovery layer above for a targeted state-section pull against the
     /// responder — snapshot catch-up without a view change.
     fn on_repair_floor(&mut self, from: NodeId, body: RepairFloorBody, ctx: &mut EventContext<'_>) {
-        if !self.repair_enabled() || !self.member_set.contains(&from) {
+        if !self.repair_enabled() || !self.member_slots.contains_key(&from) {
             return;
         }
         if body.floor == 0 {
@@ -1038,7 +1114,7 @@ impl Session for GossipSession {
                     self.on_repair_timer(ctx);
                 } else if timer.tag == FLUSH_TAG && self.flush_timer == Some(timer.timer_id) {
                     self.flush_timer = None;
-                    self.flush_outboxes(ctx);
+                    self.flush_outbox(ctx);
                 }
                 return;
             }
@@ -1048,13 +1124,28 @@ impl Session for GossipSession {
 
         if let Some(install) = event.get::<ViewInstall>() {
             self.members = install.view.members.clone();
-            self.member_set = self.members.iter().copied().collect();
-            // Per-peer backpressure state follows the membership: outboxes,
-            // credits and grants of expelled peers are dropped.
-            let member_set = &self.member_set;
-            self.outbox.retain(|peer, _| member_set.contains(peer));
-            self.credits.retain(|peer, _| member_set.contains(peer));
-            self.granted.retain(|peer, _| member_set.contains(peer));
+            self.member_slots = member_slots(&self.members);
+            // Per-peer backpressure state follows the membership: queued
+            // pushes, credits and grants of expelled peers are dropped, and
+            // the survivors' pushes move to their new slots.
+            let slots = &self.member_slots;
+            self.outbox
+                .retain_mut(|entry| match slots.get(&entry.peer) {
+                    Some(&slot) => {
+                        entry.slot = slot;
+                        true
+                    }
+                    None => false,
+                });
+            self.outbox_pending.clear();
+            self.outbox_pending.resize(self.members.len(), 0);
+            for entry in &self.outbox {
+                if let Some(pending) = self.outbox_pending.get_mut(entry.slot as usize) {
+                    *pending += 1;
+                }
+            }
+            self.credits.retain(|peer, _| slots.contains_key(peer));
+            self.granted.retain(|peer, _| slots.contains_key(peer));
             ctx.forward(event);
             return;
         }
@@ -1132,10 +1223,10 @@ impl Session for GossipSession {
                 return;
             };
             let from = batch.header.source;
-            let Ok(body) = batch.message.pop::<GossipBatchBody>() else {
+            let Some(body) = batch.message.pop_header() else {
                 return;
             };
-            self.on_batch(from, body, ctx);
+            self.on_batch(from, &body, ctx);
             return;
         }
 
@@ -1166,16 +1257,26 @@ impl Session for GossipSession {
                             original.clone(),
                             now,
                         );
-                        let targets = self.random_targets(&[local], ctx);
                         if self.aggregating() {
                             // Batched push path: the send is deferred into
-                            // the per-peer outboxes and leaves this instant
-                            // as aggregated packets, credit permitting.
-                            for target in targets {
-                                self.enqueue_push(target, header, original.clone(), ctx);
+                            // the outbox and leaves this instant as
+                            // aggregated packets, credit permitting. The
+                            // targets are drawn into the session's scratch.
+                            let mut targets = std::mem::take(&mut self.push_targets);
+                            sample_peers_into(
+                                &self.members,
+                                &[local],
+                                self.fanout,
+                                ctx,
+                                &mut targets,
+                            );
+                            for target in &targets {
+                                self.enqueue_push(*target, header, original.clone(), ctx);
                             }
+                            self.push_targets = targets;
                             return;
                         }
+                        let targets = self.random_targets(&[local], ctx);
                         data.message.push(&header);
                         event
                             .get_mut::<DataEvent>()
@@ -1216,7 +1317,7 @@ impl Session for GossipSession {
                         self.stats.late_duplicates += 1;
                         return;
                     }
-                    // One private copy for the log and the outboxes, which
+                    // One private copy for the log and the outbox, which
                     // both outlive the packet.
                     let kept = data.message.to_bytes();
                     self.log_store((header.origin, header.inc), header.seq, kept.clone(), now);
@@ -2241,15 +2342,293 @@ mod tests {
         for seq in 1..=10u64 {
             gossip.outbox_enqueue(NodeId(1), header(seq), Message::new().to_bytes());
         }
-        let queue = gossip.outbox.get(&NodeId(1)).unwrap();
+        let queue: Vec<u64> = gossip
+            .outbox
+            .iter()
+            .filter(|entry| entry.peer == NodeId(1))
+            .map(|entry| entry.push.0.seq)
+            .collect();
         assert_eq!(queue.len(), 8, "the outbox never grows past its cap");
-        assert_eq!(
-            queue.front().unwrap().0.seq,
-            1,
-            "drop-newest keeps the oldest"
-        );
-        assert_eq!(queue.back().unwrap().0.seq, 8, "the newest pushes are shed");
+        assert_eq!(queue.first(), Some(&1), "drop-newest keeps the oldest");
+        assert_eq!(queue.last(), Some(&8), "the newest pushes are shed");
+        assert_eq!(gossip.outbox_pending, [0, 8]);
         assert_eq!(gossip.stats.outbox_shed, 2);
+    }
+
+    /// A harness around one gossip session with the batched push path on
+    /// (`batch_max` 16) and `extra` params on top.
+    fn batching_harness(
+        platform: &mut TestPlatform,
+        members: &str,
+        extra: &[(&str, &str)],
+    ) -> Harness {
+        let mut params = LayerParams::new();
+        params.insert("members".into(), members.into());
+        params.insert("batch_max".into(), "16".into());
+        for (key, value) in extra {
+            params.insert((*key).into(), (*value).into());
+        }
+        Harness::new(GossipLayer, &params, platform)
+    }
+
+    /// Fires the zero-delay flush (the repair tick, if armed, stays) and
+    /// returns every batch it sent: destination and sequence numbers, in
+    /// dispatch order.
+    fn flush(gossip: &mut Harness, platform: &mut TestPlatform) -> Vec<(NodeId, Vec<u64>)> {
+        let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut platform.timers)
+            .into_iter()
+            .partition(|(deadline, _)| *deadline == 0);
+        platform.timers = later;
+        for (_, key) in due {
+            gossip.fire_timer(key, platform);
+        }
+        gossip
+            .drain_down()
+            .iter()
+            .filter_map(|event| event.get::<GossipBatch>())
+            .map(|batch| {
+                let Dest::Node(peer) = batch.header.dest else {
+                    panic!("a batch goes to one peer");
+                };
+                let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
+                let seqs = body.entries.iter().map(|(header, _)| header.seq).collect();
+                (peer, seqs)
+            })
+            .collect()
+    }
+
+    fn send_to_group(gossip: &mut Harness, platform: &mut TestPlatform, count: usize) {
+        for _ in 0..count {
+            gossip.run_down(
+                Event::down(DataEvent::to_group(
+                    NodeId(0),
+                    Message::with_payload(&b"m"[..]),
+                )),
+                platform,
+            );
+        }
+    }
+
+    fn stats_of(gossip: &mut Harness) -> GossipStats {
+        let session = gossip
+            .kernel_mut()
+            .channel_by_name("harness")
+            .unwrap()
+            .session_of(GOSSIP_LAYER)
+            .unwrap();
+        let session = session.borrow();
+        session
+            .as_any()
+            .and_then(|any| any.downcast_ref::<GossipSession>())
+            .unwrap()
+            .stats()
+    }
+
+    fn grant(gossip: &mut Harness, platform: &mut TestPlatform, from: u32, credit: u32) {
+        let mut message = Message::new();
+        message.push(&RepairDigest {
+            credit,
+            entries: vec![],
+        });
+        gossip.run_up(
+            Event::up(GossipRepairDigest::new(
+                NodeId(from),
+                Dest::Node(NodeId(0)),
+                message,
+            )),
+            platform,
+        );
+    }
+
+    /// Pushes queue in the order sampling draws their targets; the flush
+    /// visits peers in the order of the `members` param, which need not be
+    /// sorted, and sends each peer's pushes oldest first.
+    #[test]
+    fn the_flush_visits_peers_in_members_order_and_each_queue_fifo() {
+        let members = [0u32, 9, 4, 7, 2, 5, 8];
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut gossip = batching_harness(
+            &mut platform,
+            "0,9,4,7,2,5,8",
+            &[("fanout", "2"), ("repair_interval_ms", "0")],
+        );
+        send_to_group(&mut gossip, &mut platform, 6);
+        let batches = flush(&mut gossip, &mut platform);
+
+        let peers: Vec<u32> = batches.iter().map(|(peer, _)| peer.0).collect();
+        let expected: Vec<u32> = members
+            .into_iter()
+            .filter(|member| peers.contains(member))
+            .collect();
+        assert_eq!(peers, expected, "one batch per peer, in `members` order");
+        assert!(
+            peers.windows(2).any(|pair| pair[0] > pair[1]),
+            "the order is the param's, not node-id order: {peers:?}"
+        );
+        let mut pushed: Vec<u64> = Vec::new();
+        for (peer, seqs) in &batches {
+            assert!(
+                seqs.windows(2).all(|pair| pair[0] < pair[1]),
+                "{peer:?}'s pushes leave oldest first: {seqs:?}"
+            );
+            pushed.extend(seqs);
+        }
+        assert_eq!(pushed.len(), 12, "six sends at fanout 2");
+    }
+
+    /// A flush sends what the credit covers and keeps the rest queued, in
+    /// order, per peer; a grant releases exactly the granting peer's queue.
+    #[test]
+    fn a_credit_limited_flush_keeps_each_remainder_in_order() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut gossip = batching_harness(
+            &mut platform,
+            "0,2,1",
+            &[("fanout", "2"), ("credit_window", "2")],
+        );
+        send_to_group(&mut gossip, &mut platform, 5);
+        assert_eq!(
+            flush(&mut gossip, &mut platform),
+            [(NodeId(2), vec![1, 2]), (NodeId(1), vec![1, 2])]
+        );
+        assert_eq!(stats_of(&mut gossip).deferred_pushes, 6);
+
+        grant(&mut gossip, &mut platform, 1, 2);
+        assert_eq!(flush(&mut gossip, &mut platform), [(NodeId(1), vec![3, 4])]);
+        grant(&mut gossip, &mut platform, 1, 2);
+        assert_eq!(flush(&mut gossip, &mut platform), [(NodeId(1), vec![5])]);
+        grant(&mut gossip, &mut platform, 2, 8);
+        assert_eq!(
+            flush(&mut gossip, &mut platform),
+            [(NodeId(2), vec![3, 4, 5])]
+        );
+        // Peer 2 waited out three flushes with three pushes queued, peer 1
+        // one flush with one left over.
+        assert_eq!(stats_of(&mut gossip).deferred_pushes, 6 + 1 + 3 + 3);
+        assert!(flush(&mut gossip, &mut platform).is_empty());
+    }
+
+    /// A duplicate arrival drops the message's queued relays to every peer,
+    /// and only that message's.
+    #[test]
+    fn a_duplicate_arrival_suppresses_the_queued_relays_to_every_peer() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut gossip = batching_harness(
+            &mut platform,
+            "0,1,2,3,4,5",
+            &[("fanout", "3"), ("repair_interval_ms", "0")],
+        );
+        let batch = |from: u32, seqs: &[u64]| {
+            let entries = seqs
+                .iter()
+                .map(|&seq| {
+                    let header = GossipHeader {
+                        origin: NodeId(0),
+                        inc: 5,
+                        seq,
+                        ttl: 2,
+                    };
+                    (header, Message::with_payload(&b"x"[..]))
+                })
+                .collect();
+            let mut message = Message::new();
+            message.push(&GossipBatchBody { entries });
+            Event::up(GossipBatch::new(
+                NodeId(from),
+                Dest::Node(NodeId(1)),
+                message,
+            ))
+        };
+        let up = gossip.run_up(batch(3, &[1, 2]), &mut platform);
+        assert_eq!(up.len(), 2, "both entries delivered");
+        // Relays of both to 2, 4 and 5 are queued; then seq 1 comes again.
+        let up = gossip.run_up(batch(4, &[1]), &mut platform);
+        assert!(up.is_empty(), "the duplicate is not delivered");
+        assert_eq!(
+            flush(&mut gossip, &mut platform),
+            [
+                (NodeId(2), vec![2]),
+                (NodeId(4), vec![2]),
+                (NodeId(5), vec![2])
+            ]
+        );
+    }
+
+    /// A view install drops the pushes queued for an expelled peer and
+    /// flushes the survivors' in the new view's order.
+    #[test]
+    fn a_view_install_prunes_pushes_queued_for_expelled_peers() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut gossip = batching_harness(
+            &mut platform,
+            "3,0,2,1",
+            &[("fanout", "3"), ("repair_interval_ms", "0")],
+        );
+        send_to_group(&mut gossip, &mut platform, 2);
+        let view = crate::view::View::new(2, vec![NodeId(0), NodeId(1), NodeId(3)]);
+        gossip.run_up(Event::up(ViewInstall { view }), &mut platform);
+        assert_eq!(
+            flush(&mut gossip, &mut platform),
+            [(NodeId(1), vec![1, 2]), (NodeId(3), vec![1, 2])]
+        );
+    }
+
+    /// Batch decoding is all or nothing, and the decoded entries — slices
+    /// of the packet — never stay in the session: the scratch they decode
+    /// into is empty again once the batch is handled, delivered or not.
+    #[test]
+    fn a_truncated_batch_delivers_nothing_and_leaves_no_decoded_message() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut gossip = batching_harness(&mut platform, "0,1,2,3", &[("repair_interval_ms", "0")]);
+        let entries: Vec<(GossipHeader, Message)> = (1..=3u64)
+            .map(|seq| {
+                let header = GossipHeader {
+                    origin: NodeId(0),
+                    inc: 5,
+                    seq,
+                    ttl: 1,
+                };
+                (header, Message::with_payload(&b"payload"[..]))
+            })
+            .collect();
+        let body = GossipBatchBody { entries }.to_bytes();
+        let scratch_of = |gossip: &mut Harness| {
+            let session = gossip
+                .kernel_mut()
+                .channel_by_name("harness")
+                .unwrap()
+                .session_of(GOSSIP_LAYER)
+                .unwrap();
+            let session = session.borrow();
+            let gossip = session
+                .as_any()
+                .and_then(|any| any.downcast_ref::<GossipSession>())
+                .unwrap();
+            (gossip.batch_entries.len(), gossip.batch_entries.capacity())
+        };
+        let arrive = |gossip: &mut Harness, platform: &mut TestPlatform, header: Bytes| {
+            let mut message = Message::new();
+            message.push_header(header);
+            gossip.run_up(
+                Event::up(GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), message)),
+                platform,
+            )
+        };
+
+        let truncated = body.slice(..body.len() - 1);
+        assert!(arrive(&mut gossip, &mut platform, truncated).is_empty());
+        assert_eq!(scratch_of(&mut gossip).0, 0, "nothing decoded is kept");
+        let mut trailing = body.to_vec();
+        trailing.push(0);
+        assert!(arrive(&mut gossip, &mut platform, trailing.into()).is_empty());
+        assert_eq!(scratch_of(&mut gossip).0, 0);
+        assert_eq!(stats_of(&mut gossip).forwarded, 0, "no entry was relayed");
+
+        let up = arrive(&mut gossip, &mut platform, body);
+        assert_eq!(up.len(), 3, "the intact batch delivers every entry");
+        let (len, capacity) = scratch_of(&mut gossip);
+        assert_eq!(len, 0, "drained before the handler returned");
+        assert!(capacity >= 3, "the scratch keeps its memory");
     }
 
     #[test]

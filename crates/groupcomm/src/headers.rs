@@ -338,14 +338,57 @@ pub struct GossipBatchBody {
 impl GossipBatchBody {
     /// Encodes a batch whose messages are already in wire form
     /// ([`Wire::to_bytes`]) — byte for byte what [`Wire::encode`] writes for
-    /// the same entries as [`Message`]s. The gossip outboxes hold frames, so
+    /// the same entries as [`Message`]s. The gossip outbox holds frames, so
     /// a flush copies them into the packet instead of re-encoding.
-    pub fn encode_frames(entries: &[(GossipHeader, Bytes)], w: &mut WireWriter) {
+    pub fn encode_frames<'a, I>(entries: I, w: &mut WireWriter)
+    where
+        I: IntoIterator<Item = &'a (GossipHeader, Bytes)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let entries = entries.into_iter();
         w.put_varint(entries.len() as u64);
         for (header, frame) in entries {
             header.encode(w);
             w.put_raw(frame);
         }
+    }
+
+    /// Decodes the batch carried in `header` (a popped message header) into
+    /// `entries`, a caller-owned scratch that keeps its capacity across
+    /// batches. The messages are slices of `header`. All or nothing, as
+    /// [`Message::pop`] of the whole body: a malformed entry anywhere, or
+    /// trailing bytes, is an error and leaves `entries` empty.
+    pub fn decode_into(
+        header: &Bytes,
+        entries: &mut Vec<(GossipHeader, Message)>,
+    ) -> Result<(), WireError> {
+        entries.clear();
+        let mut r = WireReader::over(header);
+        let decoded = Self::decode_entries(&mut r, entries).and_then(|()| match r.remaining() {
+            0 => Ok(()),
+            _ => Err(WireError::Malformed("trailing bytes in header")),
+        });
+        if decoded.is_err() {
+            entries.clear();
+        }
+        decoded
+    }
+
+    /// Appends the entries of one encoded batch to `entries`.
+    fn decode_entries(
+        r: &mut WireReader<'_>,
+        entries: &mut Vec<(GossipHeader, Message)>,
+    ) -> Result<(), WireError> {
+        // Every entry occupies at least 12 wire bytes: a gossip header's four
+        // varints plus an empty message's two length prefixes.
+        let count = r.get_count(12)?;
+        entries.reserve(count);
+        for _ in 0..count {
+            let header = GossipHeader::decode(r)?;
+            let message = Message::decode(r)?;
+            entries.push((header, message));
+        }
+        Ok(())
     }
 }
 
@@ -359,15 +402,8 @@ impl Wire for GossipBatchBody {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // Every entry occupies at least 12 wire bytes: a gossip header's four
-        // varints plus an empty message's two length prefixes.
-        let count = r.get_count(12)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let header = GossipHeader::decode(r)?;
-            let message = Message::decode(r)?;
-            entries.push((header, message));
-        }
+        let mut entries = Vec::new();
+        Self::decode_entries(r, &mut entries)?;
         Ok(Self { entries })
     }
 }
