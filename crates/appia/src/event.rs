@@ -11,8 +11,17 @@
 //! they carry a [`SendHeader`] (source, destination, accounting class) and a
 //! [`crate::message::Message`] holding the application payload and the
 //! headers pushed by each layer.
+//!
+//! A payload lives in a box, and the box outlives the payload: every type
+//! declared with [`crate::internal_event!`] or [`crate::sendable_event!`]
+//! keeps a per-thread free list of up to [`FREE_BOXES_PER_TYPE`] boxes.
+//! Dropping an [`Event`] gives its box back to the list of its type, and
+//! [`Event::new`] or a wire factory takes one from it, so a kernel in steady
+//! state creates events without touching the allocator. The simulator runs
+//! every node's kernel on one thread, so one list serves them all.
 
 use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::fmt;
 
 use crate::message::Message;
@@ -203,6 +212,132 @@ pub trait EventPayload: Any + fmt::Debug {
     fn as_sendable_mut(&mut self) -> Option<&mut dyn Sendable> {
         None
     }
+
+    /// Boxes the payload. Types declared with the event macros reuse a box
+    /// from their free list ([`FreeBoxes::take`]).
+    fn boxed(self) -> Box<dyn EventPayload>
+    where
+        Self: Sized,
+    {
+        Box::new(self)
+    }
+
+    /// Disposes of a payload whose event was dropped. Types declared with
+    /// the event macros give the box back to their free list
+    /// ([`FreeBoxes::give`]).
+    fn recycle(self: Box<Self>) {}
+}
+
+/// Boxes each payload type keeps for reuse, per thread; a box dropped
+/// while its type's list is full is freed. One list serves every kernel on
+/// the thread, so idle memory does not grow with the number of simulated
+/// nodes.
+pub const FREE_BOXES_PER_TYPE: usize = 64;
+
+/// A payload type with a per-thread free list of its boxes. The event
+/// macros implement it over a `thread_local!` declared next to the type, so
+/// taking a box is neither a map lookup nor a downcast.
+pub trait PooledPayload: EventPayload + Sized {
+    /// Runs `f` on this thread's free list of the type, unless the thread
+    /// is being torn down.
+    fn with_free_boxes<R>(f: impl FnOnce(&FreeBoxes<Self>) -> R) -> Option<R>;
+}
+
+/// A per-thread free list of one payload type's boxes.
+///
+/// The list allocates its full [`FREE_BOXES_PER_TYPE`] slots the first time
+/// it is given a box, and never grows after that. A box on the list still
+/// holds its last payload, so [`EventPayload::recycle`] must first empty
+/// anything that could pin a packet buffer — `sendable_event!` replaces the
+/// message with an empty one.
+pub struct FreeBoxes<T>(RefCell<Vec<Box<T>>>);
+
+impl<T> FreeBoxes<T> {
+    /// An empty list that has allocated nothing.
+    pub const fn new() -> Self {
+        Self(RefCell::new(Vec::new()))
+    }
+}
+
+impl<T> Default for FreeBoxes<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: PooledPayload> FreeBoxes<T> {
+    /// Boxes `value`, in a box from its type's list if the list has one.
+    pub fn take(value: T) -> Box<dyn EventPayload> {
+        match T::with_free_boxes(|list| list.0.borrow_mut().pop()).flatten() {
+            Some(mut spare) => {
+                *spare = value;
+                spare
+            }
+            None => Box::new(value),
+        }
+    }
+
+    /// Keeps `spare` on its type's list for the next [`FreeBoxes::take`],
+    /// or frees it if the list is full.
+    pub fn give(spare: Box<T>) {
+        // A box the list turns away is dropped after the borrow ends: its
+        // payload's own drop may give boxes back.
+        let _rejected = T::with_free_boxes(|list| {
+            let mut boxes = list.0.borrow_mut();
+            if boxes.capacity() == 0 {
+                boxes.reserve_exact(FREE_BOXES_PER_TYPE);
+                let _ = FREE_LISTS.try_with(|lists| lists.borrow_mut().push(Self::empty));
+            }
+            if boxes.len() < FREE_BOXES_PER_TYPE {
+                boxes.push(spare);
+                None
+            } else {
+                Some(spare)
+            }
+        });
+    }
+
+    /// Takes the list back to its state before first use, memory included,
+    /// so the next run allocates it again exactly as a fresh thread would.
+    fn empty() {
+        let _boxes = T::with_free_boxes(|list| std::mem::take(&mut *list.0.borrow_mut()));
+    }
+}
+
+thread_local! {
+    /// How to empty each free list this thread has allocated.
+    static FREE_LISTS: RefCell<Vec<fn()>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Empties every free list of this thread and frees their memory.
+pub(crate) fn reset_free_boxes() {
+    let lists = FREE_LISTS.with(|lists| std::mem::take(&mut *lists.borrow_mut()));
+    for empty in lists {
+        empty();
+    }
+}
+
+/// What an [`Event`] holds once its payload is taken out. Zero-sized, so
+/// boxing it allocates nothing.
+#[derive(Debug)]
+struct Taken;
+
+impl EventPayload for Taken {
+    fn type_name(&self) -> &'static str {
+        "Taken"
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
 }
 
 /// An event travelling through a channel.
@@ -219,7 +354,7 @@ impl Event {
     pub fn new(direction: Direction, payload: impl EventPayload) -> Self {
         Self {
             direction,
-            payload: Box::new(payload),
+            payload: payload.boxed(),
         }
     }
 
@@ -255,15 +390,13 @@ impl Event {
 
     /// Consumes the event and returns the payload as `T`, or gives the event
     /// back unchanged if the payload has a different type.
-    pub fn into_payload<T: EventPayload>(self) -> Result<(Direction, T), Event> {
+    pub fn into_payload<T: EventPayload>(mut self) -> Result<(Direction, T), Event> {
         if self.payload.as_any().is::<T>() {
-            let direction = self.direction;
-            let concrete: Box<T> = self
-                .payload
+            let concrete: Box<T> = std::mem::replace(&mut self.payload, Box::new(Taken))
                 .into_any()
                 .downcast()
                 .expect("concrete type checked before downcast");
-            Ok((direction, *concrete))
+            Ok((self.direction, *concrete))
         } else {
             Err(self)
         }
@@ -287,6 +420,12 @@ impl Event {
     /// Whether the payload is sendable.
     pub fn is_sendable(&self) -> bool {
         self.payload.as_sendable().is_some()
+    }
+}
+
+impl Drop for Event {
+    fn drop(&mut self) {
+        std::mem::replace(&mut self.payload, Box::new(Taken)).recycle();
     }
 }
 
@@ -318,27 +457,50 @@ macro_rules! internal_event {
             $($(#[$fmeta])* pub $field : $ty),*
         }
 
-        impl $crate::event::EventPayload for $name {
-            fn type_name(&self) -> &'static str {
-                stringify!($name)
+        const _: () = {
+            ::std::thread_local! {
+                static FREE: $crate::event::FreeBoxes<$name> =
+                    const { $crate::event::FreeBoxes::new() };
             }
 
-            fn categories(&self) -> &'static [$crate::event::Category] {
-                &[$($crate::event::Category::$cat),*]
+            impl $crate::event::PooledPayload for $name {
+                fn with_free_boxes<R>(
+                    f: impl FnOnce(&$crate::event::FreeBoxes<Self>) -> R,
+                ) -> Option<R> {
+                    FREE.try_with(f).ok()
+                }
             }
 
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
+            impl $crate::event::EventPayload for $name {
+                fn type_name(&self) -> &'static str {
+                    stringify!($name)
+                }
 
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
+                fn categories(&self) -> &'static [$crate::event::Category] {
+                    &[$($crate::event::Category::$cat),*]
+                }
 
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
+                fn as_any(&self) -> &dyn std::any::Any {
+                    self
+                }
+
+                fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                    self
+                }
+
+                fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+                    self
+                }
+
+                fn boxed(self) -> Box<dyn $crate::event::EventPayload> {
+                    $crate::event::FreeBoxes::take(self)
+                }
+
+                fn recycle(self: Box<Self>) {
+                    $crate::event::FreeBoxes::give(self)
+                }
             }
-        }
+        };
     };
 }
 
@@ -400,58 +562,85 @@ macro_rules! sendable_event {
             /// Registers the wire factory for this payload type.
             pub fn register(factories: &mut $crate::registry::EventFactoryRegistry) {
                 factories.register(Self::WIRE_NAME, |header, message| {
-                    Box::new(Self { header, message })
+                    $crate::event::EventPayload::boxed(Self { header, message })
                 });
             }
         }
 
-        impl $crate::event::EventPayload for $name {
-            fn type_name(&self) -> &'static str {
-                Self::WIRE_NAME
+        const _: () = {
+            ::std::thread_local! {
+                static FREE: $crate::event::FreeBoxes<$name> =
+                    const { $crate::event::FreeBoxes::new() };
             }
 
-            fn categories(&self) -> &'static [$crate::event::Category] {
-                &[$crate::event::Category::Sendable]
+            impl $crate::event::PooledPayload for $name {
+                fn with_free_boxes<R>(
+                    f: impl FnOnce(&$crate::event::FreeBoxes<Self>) -> R,
+                ) -> Option<R> {
+                    FREE.try_with(f).ok()
+                }
             }
 
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
+            impl $crate::event::EventPayload for $name {
+                fn type_name(&self) -> &'static str {
+                    Self::WIRE_NAME
+                }
+
+                fn categories(&self) -> &'static [$crate::event::Category] {
+                    &[$crate::event::Category::Sendable]
+                }
+
+                fn as_any(&self) -> &dyn std::any::Any {
+                    self
+                }
+
+                fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                    self
+                }
+
+                fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+                    self
+                }
+
+                fn as_sendable(&self) -> Option<&dyn $crate::event::Sendable> {
+                    Some(self)
+                }
+
+                fn as_sendable_mut(&mut self) -> Option<&mut dyn $crate::event::Sendable> {
+                    Some(self)
+                }
+
+                fn boxed(self) -> Box<dyn $crate::event::EventPayload> {
+                    $crate::event::FreeBoxes::take(self)
+                }
+
+                fn recycle(mut self: Box<Self>) {
+                    // A box on the free list must not pin the packet buffer its
+                    // message was sliced from, nor keep a destination list.
+                    self.message = $crate::message::Message::new();
+                    self.header.dest = $crate::event::Dest::Group;
+                    $crate::event::FreeBoxes::give(self)
+                }
             }
 
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
+            impl $crate::event::Sendable for $name {
+                fn header(&self) -> &$crate::event::SendHeader {
+                    &self.header
+                }
 
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
+                fn header_mut(&mut self) -> &mut $crate::event::SendHeader {
+                    &mut self.header
+                }
 
-            fn as_sendable(&self) -> Option<&dyn $crate::event::Sendable> {
-                Some(self)
-            }
+                fn message(&self) -> &$crate::message::Message {
+                    &self.message
+                }
 
-            fn as_sendable_mut(&mut self) -> Option<&mut dyn $crate::event::Sendable> {
-                Some(self)
+                fn message_mut(&mut self) -> &mut $crate::message::Message {
+                    &mut self.message
+                }
             }
-        }
-
-        impl $crate::event::Sendable for $name {
-            fn header(&self) -> &$crate::event::SendHeader {
-                &self.header
-            }
-
-            fn header_mut(&mut self) -> &mut $crate::event::SendHeader {
-                &mut self.header
-            }
-
-            fn message(&self) -> &$crate::message::Message {
-                &self.message
-            }
-
-            fn message_mut(&mut self) -> &mut $crate::message::Message {
-                &mut self.message
-            }
-        }
+        };
     };
 }
 
@@ -501,6 +690,39 @@ mod tests {
         assert!(!EventSpec::Category(Category::Sendable).matches(&init));
         assert!(EventSpec::All.matches(&data));
         assert!(EventSpec::All.matches(&init));
+    }
+
+    /// A box on a free list keeps its last payload until it is reused. A
+    /// decoded message is a slice of its packet, so `recycle` must empty it:
+    /// otherwise the pooled box pins the packet buffer, and the buffer
+    /// cannot be rewound when it runs out.
+    #[test]
+    fn a_pooled_box_does_not_pin_the_packet_it_was_decoded_from() {
+        use crate::registry::{decode_event, encode_event_into, EventFactoryRegistry};
+        use crate::wire::WireWriter;
+
+        crate::reset_thread_scratch();
+        let mut factories = EventFactoryRegistry::new();
+        DataEvent::register(&mut factories);
+        let mut scratch = WireWriter::with_capacity(256);
+        let payload = Message::with_payload(&b"a slice of the packet"[..]);
+        let sent = DataEvent::new(NodeId(2), Dest::Node(NodeId(1)), payload);
+        let packet = encode_event_into(&mut scratch, &sent);
+        let buffer_start = packet.as_ptr() as usize;
+
+        let received = Event::from_boxed(Direction::Up, decode_event(&factories, &packet).unwrap());
+        drop(packet);
+        drop(received);
+
+        // Nothing views the buffer any more, so a full-size reserve rewinds it.
+        scratch.reserve(256);
+        scratch.put_u8(0);
+        let next = scratch.split_frame();
+        assert_eq!(
+            next.as_ptr() as usize,
+            buffer_start,
+            "the pooled DataEvent box still holds a slice of the packet"
+        );
     }
 
     #[test]

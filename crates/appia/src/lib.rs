@@ -62,3 +62,16 @@ pub use registry::{EventFactoryRegistry, LayerRegistry};
 pub use session::{Session, SessionRef};
 pub use timer::TimerKey;
 pub use wire::{Wire, WireError, WireReader, WireWriter};
+
+/// Starts this thread's reusable kernel memory afresh: the header scratch
+/// behind [`wire::encode_pooled`] and the event-box free lists
+/// ([`event::FREE_BOXES_PER_TYPE`]).
+///
+/// Both are per-thread state that outlives every kernel, and where an
+/// earlier run left them decides when this run allocates. A driver that
+/// replays runs (the testbed runner) calls this first; the allocation count
+/// of a run is then a function of the run alone.
+pub fn reset_thread_scratch() {
+    wire::reset_frame_scratch();
+    event::reset_free_boxes();
+}

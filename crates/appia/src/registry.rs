@@ -161,8 +161,9 @@ fn encode_event_body(w: &mut WireWriter, event: &dyn Sendable) {
 /// payload, using the factory registered for its wire name.
 ///
 /// Zero-copy: the wire name is matched in place and the message's headers
-/// and payload are slices of `payload`. The only allocation is the payload
-/// box the factory makes.
+/// and payload are slices of `payload`. The factory takes the payload's box
+/// from its type's free list, so nothing allocates unless that list is
+/// empty.
 pub fn decode_event(
     factories: &EventFactoryRegistry,
     payload: &Bytes,

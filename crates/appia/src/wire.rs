@@ -329,11 +329,9 @@ thread_local! {
 ///
 /// The scratch is per-thread state that outlives every kernel. How far into
 /// its chunk it is, and whether a live header pins the chunk at the moment
-/// it runs out, decide when the next chunk is allocated — so a run's
-/// allocation count would depend on what the thread encoded *before* the
-/// run. A driver that replays runs (the testbed runner) calls this first;
-/// the counts of a run are then a function of the run alone.
-pub fn reset_frame_scratch() {
+/// it runs out, decide when the next chunk is allocated. Part of
+/// [`crate::reset_thread_scratch`].
+pub(crate) fn reset_frame_scratch() {
     FRAME_SCRATCH.with(|cell| *cell.borrow_mut() = WireWriter::new());
 }
 

@@ -4,15 +4,16 @@
 //! channel (route memo populated, queue capacity grown, scratch buffer
 //! sized), dispatching pre-built events through the full stack — routing,
 //! session hand-off, serialisation and packet emission — must perform **zero
-//! heap allocations**, and receiving a packet must perform exactly one: the
-//! box of the event it is decoded into.
+//! heap allocations**, and so must receiving a packet: the box of the event
+//! it is decoded into comes from its type's free list, which the event of
+//! the previous packet refilled when it dropped.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
 use morpheus_appia::config::{ChannelConfig, LayerSpec};
-use morpheus_appia::event::{Dest, Event, EventSpec};
+use morpheus_appia::event::{Dest, Event, EventPayload, EventSpec, FREE_BOXES_PER_TYPE};
 use morpheus_appia::events::DataEvent;
 use morpheus_appia::kernel::EventContext;
 use morpheus_appia::layer::{Layer, LayerParams};
@@ -23,7 +24,7 @@ use morpheus_appia::platform::{
 };
 use morpheus_appia::session::Session;
 use morpheus_appia::timer::TimerKey;
-use morpheus_appia::Kernel;
+use morpheus_appia::{internal_event, Kernel};
 
 struct CountingAllocator;
 
@@ -210,9 +211,8 @@ fn steady_state_event_hops_perform_zero_allocations() {
     }
     assert_eq!(platform.sent, 64, "warm-up packets reached the sink");
 
-    // Events are built outside the measured window: constructing a payload
-    // necessarily boxes it, but routing and serialising it must not touch
-    // the allocator.
+    // Events are built outside the measured window: the claim is that
+    // routing and serialising an event does not touch the allocator.
     let events = make_events(256);
 
     let before = allocations();
@@ -295,8 +295,9 @@ fn upward_delivery_path_is_allocation_free() {
 
 /// The receive path decodes a packet by slicing it: the wire name is matched
 /// in place, the four layer headers and the payload are views of the packet
-/// buffer, and the header stack lives inline in the message. What is left is
-/// the one allocation a typed event cannot do without — its box.
+/// buffer, and the header stack lives inline in the message. The typed
+/// event's box is the one the previous packet's event gave back to
+/// `DataEvent`'s free list when the sink dropped it.
 #[test]
 fn steady_state_packet_receive_allocates_only_the_event_box() {
     const PACKETS: u64 = 256;
@@ -333,8 +334,8 @@ fn steady_state_packet_receive_allocates_only_the_event_box() {
     assert_eq!(platform.delivered, 32 + PACKETS);
     assert_eq!(
         after - before,
-        PACKETS,
-        "receiving {PACKETS} packets through 12 layers allocated {} times, not once per packet",
+        0,
+        "receiving {PACKETS} packets through 12 layers allocated {} times",
         after - before
     );
     let packet_buffer = address_range(&payload);
@@ -343,5 +344,74 @@ fn steady_state_packet_receive_allocates_only_the_event_box() {
             && platform.last_payload.end <= packet_buffer.end,
         "the delivered payload {:?} is a view of the packet buffer {packet_buffer:?}, not a copy",
         platform.last_payload
+    );
+}
+
+internal_event! {
+    /// A payload type only the free-list tests create.
+    pub struct Ping {
+        pub n: u64,
+    }
+    categories: [Internal]
+}
+
+internal_event! {
+    /// A second payload type of the same size as [`Ping`].
+    pub struct Pong {
+        pub n: u64,
+    }
+    categories: [Internal]
+}
+
+/// Address of an event's payload box.
+fn box_address(event: &Event) -> usize {
+    let payload: &dyn EventPayload = event.payload.as_ref();
+    payload as *const dyn EventPayload as *const () as usize
+}
+
+#[test]
+fn a_dropped_event_box_is_reused_by_its_own_type_only() {
+    morpheus_appia::reset_thread_scratch();
+    let first = Event::up(Ping { n: 1 });
+    let ping_box = box_address(&first);
+    // The first box given back allocates the list's slots.
+    drop(first);
+
+    let before = allocations();
+    let pong = Event::up(Pong { n: 2 });
+    assert_eq!(allocations() - before, 1, "Pong's list is empty: a new box");
+    assert_ne!(
+        box_address(&pong),
+        ping_box,
+        "Pong does not take Ping's box"
+    );
+
+    let before = allocations();
+    let ping = Event::up(Ping { n: 3 });
+    assert_eq!(allocations() - before, 0, "Ping takes its spare box");
+    assert_eq!(box_address(&ping), ping_box, "the box Ping gave back");
+    assert_eq!(
+        ping.get::<Ping>().map(|p| p.n),
+        Some(3),
+        "holding the new payload"
+    );
+    drop(pong);
+}
+
+#[test]
+fn a_free_list_keeps_at_most_its_bound() {
+    const EVENTS: usize = FREE_BOXES_PER_TYPE + 3;
+    morpheus_appia::reset_thread_scratch();
+    let mut events = Vec::with_capacity(EVENTS);
+    events.extend((0..EVENTS as u64).map(|n| Event::down(Ping { n })));
+    // The list keeps `FREE_BOXES_PER_TYPE` of the boxes and frees the rest.
+    events.clear();
+
+    let before = allocations();
+    events.extend((0..EVENTS as u64).map(|n| Event::down(Ping { n })));
+    assert_eq!(
+        allocations() - before,
+        3,
+        "{EVENTS} events after {EVENTS} drops: {FREE_BOXES_PER_TYPE} spare boxes, 3 new ones"
     );
 }

@@ -4,8 +4,10 @@
 //! is warmed through [`Harness`] (outbox, decode scratch, target scratch,
 //! duplicate-suppression memory and the kernel's queues all sized for the
 //! measured rounds), then each round of sends or arrivals must allocate exactly what
-//! the test names: event boxes and one buffer block per kept message. The
-//! outbox, the batch decode and the target sampling allocate nothing.
+//! the test names: one buffer block per kept message. The outbox, the batch
+//! decode and the target sampling allocate nothing, and neither do the event
+//! boxes: every one comes from its type's free list, refilled by the events
+//! the previous round dropped.
 //!
 //! The repair pass is off (`repair_interval_ms` 0): its log and digests
 //! keep tree nodes of their own, which this budget does not cover.
@@ -75,10 +77,6 @@ const WARM_UP_ROUNDS: usize = 40;
 /// Measured rounds.
 const ROUNDS: u64 = 12;
 
-/// The kernel boxes one [`morpheus_appia::events::TimerExpired`] event to
-/// deliver the zero-delay flush timer: a kernel allocation, not gossip's.
-const TIMER_EVENT_BOX: u64 = 1;
-
 /// A gossip session on the batched push path, pushing every message to all
 /// `P` peers it may push to.
 fn gossip(platform: &mut TestPlatform, members: &str) -> Harness {
@@ -114,7 +112,8 @@ fn batches_sent(harness: &mut Harness) -> usize {
 /// An origin queues `K` sends for `P` peers, then the flush sends them as
 /// `P` batches. Queueing costs one wire-form copy of each message (the
 /// outbox shares it between peers) and nothing for the outbox itself; the
-/// flush costs the `P` batch event boxes.
+/// flush costs nothing: the timer event and the `P` batch events take the
+/// boxes the previous round's dropped.
 #[test]
 fn queueing_and_flushing_pushes_allocate_only_frames_and_batch_boxes() {
     let mut platform = TestPlatform::new(NodeId(0));
@@ -164,17 +163,17 @@ fn queueing_and_flushing_pushes_allocate_only_frames_and_batch_boxes() {
          nothing for the outbox or the target draw"
     );
     assert_eq!(
-        flushing,
-        ROUNDS * (TIMER_EVENT_BOX + P as u64),
-        "flushing {K} pushes to each of {P} peers: the {P} batch boxes"
+        flushing, 0,
+        "flushing {K} pushes to each of {P} peers: every event box reused"
     );
 }
 
 /// A packet carrying a `K`-entry batch of new messages arrives; every entry
-/// is delivered up and relayed to `P` peers. Counted: the box the packet
-/// decodes into, per message one frame block (the copy the relays share)
-/// and one `DataEvent` box up, and the `P` relay batch boxes. The batch
-/// entries decode into the session's scratch.
+/// is delivered up and relayed to `P` peers. Counted: per message one frame
+/// block (the copy the relays share). The batch entries decode into the
+/// session's scratch, and the decode box, the `K` `DataEvent`s going up, the
+/// timer event and the `P` relay batches take boxes the previous round's
+/// events gave back.
 #[test]
 fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() {
     let mut platform = TestPlatform::new(NodeId(1));
@@ -232,11 +231,10 @@ fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() 
         assert_eq!(batches_sent(&mut harness), P, "one relay batch per peer");
     }
 
-    let per_round = 1 + 2 * K as u64 + TIMER_EVENT_BOX + P as u64;
     assert_eq!(
         total,
-        ROUNDS * per_round,
-        "a {K}-entry batch relayed to {P} peers: the decode box, {K} frame \
-         blocks, {K} DataEvent boxes and {P} relay batch boxes"
+        ROUNDS * K as u64,
+        "a {K}-entry batch relayed to {P} peers: {K} frame blocks, every \
+         event box reused"
     );
 }

@@ -14,6 +14,7 @@ pub const RULE_IDS: &[&str] = &[
     "det:process",
     "det:entropy",
     "det:map-iter",
+    "det:global",
     "decode:panic",
     "decode:index",
     "decode:cast",

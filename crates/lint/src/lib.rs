@@ -2,7 +2,7 @@
 //!
 //! The whole seed-deterministic test/replay story rests on conventions that
 //! used to live in reviewers' heads: protocol code reads no wall clock and
-//! no OS entropy, decode paths never panic, pre-allocation from decoded
+//! no OS entropy and keeps no state outside the run, decode paths never panic, pre-allocation from decoded
 //! counts is capped, and every long-lived session collection has a bound.
 //! This crate turns those conventions into a dependency-free static
 //! analysis (no `syn` — CI and dev containers are offline): a hand-rolled,
@@ -12,7 +12,7 @@
 //!
 //! | family   | rules                                              |
 //! |----------|----------------------------------------------------|
-//! | `det`    | `det:time`, `det:thread`, `det:process`, `det:entropy`, `det:map-iter` |
+//! | `det`    | `det:time`, `det:thread`, `det:process`, `det:entropy`, `det:map-iter`, `det:global` |
 //! | `decode` | `decode:panic`, `decode:index`, `decode:cast`      |
 //! | `alloc`  | `alloc:cap`                                        |
 //! | `state`  | `state:bound`                                      |

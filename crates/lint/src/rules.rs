@@ -27,6 +27,17 @@ pub const PROTOCOL_CRATES: &[&str] = &[
     "overlay",
 ];
 
+/// The one protocol crate allowed per-thread or global state: the kernel's
+/// reusable buffers, which `appia::reset_thread_scratch` starts afresh
+/// before every run.
+const GLOBAL_STATE_CRATE: &str = "appia";
+
+/// Types that make a `static` mutable through a shared reference (any
+/// `Atomic*` type counts too).
+const INTERIOR_MUTABLE: &[&str] = &[
+    "Cell", "RefCell", "OnceCell", "OnceLock", "LazyCell", "LazyLock", "Mutex", "RwLock",
+];
+
 /// File stems treated as wire/codec modules: the panic-freedom rules cover
 /// the *entire* module, not just `decode` function bodies.
 const CODEC_STEMS: &[&str] = &["wire", "message", "headers"];
@@ -246,9 +257,9 @@ fn matching_brace(tokens: &[Token], open: usize) -> usize {
 // Rule family 1: determinism
 // ---------------------------------------------------------------------------
 
-/// Wall clocks, OS threads/processes, OS entropy, and hash-order iteration
-/// in protocol/simulation crates: all of them make a `(seed, schedule)`
-/// replay lie.
+/// Wall clocks, OS threads/processes, OS entropy, hash-order iteration and
+/// state that outlives a run in protocol/simulation crates: all of them
+/// make a `(seed, schedule)` replay lie.
 pub fn check_determinism(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     if !PROTOCOL_CRATES.contains(&ctx.crate_name) {
         return;
@@ -290,6 +301,55 @@ pub fn check_determinism(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
         }
     }
     check_hash_iteration(ctx, out);
+    if ctx.crate_name != GLOBAL_STATE_CRATE {
+        check_global_state(ctx, out);
+    }
+}
+
+/// Flags `thread_local!` (once per block, not per `static` inside it),
+/// `static mut`, and a `static` whose type up to its `=` names an
+/// interior-mutable type.
+fn check_global_state(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let tokens = ctx.tokens();
+    let mut i = 0;
+    while i < tokens.len() {
+        let token = &tokens[i];
+        let next = tokens.get(i + 1);
+        let flagged = if ctx.in_test(i) {
+            false
+        } else if token.is_ident("thread_local") && next.is_some_and(|t| t.is_punct('!')) {
+            true
+        } else if token.is_ident("static") {
+            next.is_some_and(|t| t.is_ident("mut"))
+                || tokens[i + 1..]
+                    .iter()
+                    .take_while(|t| !t.is_punct('=') && !t.is_punct(';'))
+                    .filter_map(Token::ident)
+                    .any(|word| INTERIOR_MUTABLE.contains(&word) || word.starts_with("Atomic"))
+        } else {
+            false
+        };
+        if !flagged {
+            i += 1;
+            continue;
+        }
+        out.push(ctx.diag(
+            token.line,
+            "det:global",
+            format!(
+                "`{}` state outlives a run, and the runner resets only `appia`'s — keep it \
+                 in the session or the node",
+                token.ident().unwrap_or_default()
+            ),
+        ));
+        // Skip a `thread_local! { .. }` block's own `static`s.
+        i = match tokens.get(i + 2) {
+            Some(open) if token.is_ident("thread_local") && open.is_punct('{') => {
+                matching_brace(tokens, i + 2)
+            }
+            _ => i + 1,
+        };
+    }
 }
 
 /// `name ::` lookahead: true when token `i` is followed by `:: tail`.

@@ -42,6 +42,25 @@ fn determinism_fixtures() {
 }
 
 #[test]
+fn global_state_fixtures() {
+    assert_eq!(
+        rules_for("det_global.rs", "groupcomm"),
+        vec!["det:global"; 3],
+        "thread-local, `static mut` and interior-mutable statics must trip"
+    );
+    assert_eq!(
+        rules_for("det_global_clean.rs", "groupcomm"),
+        Vec::<&str>::new(),
+        "immutable statics and `'static` bounds must stay clean"
+    );
+    assert_eq!(
+        rules_for("det_global.rs", "appia"),
+        Vec::<&str>::new(),
+        "appia's per-thread scratch is reset by the runner, so appia is exempt"
+    );
+}
+
+#[test]
 fn sorted_hash_iteration_is_exempt() {
     assert_trips("det_map_iter_sorted.rs", &[]);
 }

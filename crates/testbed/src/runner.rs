@@ -167,9 +167,9 @@ impl Runner {
     /// delivery taps and rejoin state sections.
     pub fn run_with_binding(&self, scenario: &Scenario, binding: &mut dyn AppBinding) -> RunReport {
         // A run replays from `(scenario, seed)` alone — allocations
-        // included, which the header scratch left by an earlier run in this
-        // thread would otherwise shift.
-        morpheus_appia::wire::reset_frame_scratch();
+        // included, which the header scratch and event boxes left by an
+        // earlier run in this thread would otherwise shift.
+        morpheus_appia::reset_thread_scratch();
         let members = scenario.members();
         let topology = build_topology(scenario);
         let mut network = Network::new(topology);
