@@ -214,18 +214,25 @@ impl WireWriter {
     /// of a delta chain. Ascending ids whose values sit within ±63 of each
     /// other cost two bytes a row.
     pub fn put_id_table<K: Copy + Into<u64>>(&mut self, rows: &[(K, u64)]) {
+        self.put_id_rows(rows.iter().copied());
+    }
+
+    /// [`WireWriter::put_id_table`] over rows a table yields in place, so
+    /// a caller holding them in some other shape encodes without first
+    /// collecting them into a slice.
+    pub fn put_id_rows<K: Into<u64>>(&mut self, rows: impl ExactSizeIterator<Item = (K, u64)>) {
         self.reserve(12 + 3 * rows.len());
         self.put_varint(rows.len() as u64);
         let mut prev = 0;
         let mut base = None;
         for (id, value) in rows {
-            let id = (*id).into();
+            let id = id.into();
             let row = Leb128::default()
                 .with(zigzag(prev, id))
-                .with(zigzag(base.unwrap_or(0), *value));
+                .with(zigzag(base.unwrap_or(0), value));
             self.put_leb128(row);
             prev = id;
-            base.get_or_insert(*value);
+            base.get_or_insert(value);
         }
     }
 
@@ -544,8 +551,28 @@ impl<'a> WireReader<'a> {
 
     /// Reads a member-indexed table ([`WireWriter::put_id_table`]).
     pub fn get_id_table<K: TryFrom<u64>>(&mut self) -> Result<Vec<(K, u64)>, WireError> {
+        let mut rows = Vec::new();
+        self.get_id_table_into(&mut rows)?;
+        Ok(rows)
+    }
+
+    /// [`WireReader::get_id_table`] into a buffer the caller keeps: `rows`
+    /// is cleared, then holds the whole table — or, on an error, nothing.
+    pub fn get_id_table_into<K: TryFrom<u64>>(
+        &mut self,
+        rows: &mut Vec<(K, u64)>,
+    ) -> Result<(), WireError> {
+        rows.clear();
+        let decoded = self.id_rows(rows);
+        if decoded.is_err() {
+            rows.clear();
+        }
+        decoded
+    }
+
+    fn id_rows<K: TryFrom<u64>>(&mut self, rows: &mut Vec<(K, u64)>) -> Result<(), WireError> {
         let count = self.get_count(2)?;
-        let mut rows = Vec::with_capacity(count);
+        rows.reserve_exact(count);
         let mut prev = 0;
         let mut base = None;
         for _ in 0..count {
@@ -554,7 +581,7 @@ impl<'a> WireReader<'a> {
             base.get_or_insert(value);
             rows.push((narrow(prev)?, value));
         }
-        Ok(rows)
+        Ok(())
     }
 
     fn check_count(&self, count: u64, min_entry_bytes: usize) -> Result<usize, WireError> {

@@ -33,9 +33,10 @@ use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::{DeliveryKind, NodeId};
 use morpheus_appia::session::Session;
-use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
+use morpheus_appia::wire::{encode_pooled, Wire, WireError, WireReader, WireWriter};
 use morpheus_appia::{internal_event, sendable_event, Kernel};
 use morpheus_groupcomm::events::ViewInstall;
+use morpheus_groupcomm::sorted::seek;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -101,6 +102,22 @@ internal_event! {
 pub struct DigestBody {
     /// `(node, version)` pairs, in node-id order.
     pub entries: Vec<(NodeId, u64)>,
+}
+
+impl DigestBody {
+    /// Decodes the digest carried in `header` (a popped message header)
+    /// into `entries`, a caller-owned scratch that keeps its capacity
+    /// across digests. All or nothing, as [`Message::pop`]: a malformed row
+    /// or trailing bytes is an error and leaves `entries` empty.
+    pub fn decode_into(header: &[u8], entries: &mut Vec<(NodeId, u64)>) -> Result<(), WireError> {
+        let mut r = WireReader::new(header);
+        r.get_id_table_into(entries)?;
+        if r.remaining() != 0 {
+            entries.clear();
+            return Err(WireError::Malformed("trailing bytes in header"));
+        }
+        Ok(())
+    }
 }
 
 impl Wire for DigestBody {
@@ -221,8 +238,11 @@ impl Layer for CocaditemLayer {
 
     fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
         let members = param_node_list(params, "members");
+        let mut member_set = members.clone();
+        member_set.sort_unstable();
+        member_set.dedup();
         Box::new(CocaditemSession {
-            member_set: members.iter().copied().collect(),
+            member_set,
             members,
             publish_interval_ms: param_or(params, "publish_interval_ms", 1000u64).max(10),
             retrievers: default_retrievers(),
@@ -232,6 +252,7 @@ impl Layer for CocaditemLayer {
             converged_reported: false,
             recent_pulls: std::collections::HashMap::new(),
             behind_peers: std::collections::BTreeSet::new(),
+            digest_entries: Vec::new(),
         })
     }
 }
@@ -265,14 +286,29 @@ fn changed_significantly(previous: &ContextSnapshot, current: &ContextSnapshot) 
         || previous.get(ContextKey::NativeMulticast) != current.get(ContextKey::NativeMulticast)
 }
 
+/// `node`'s snapshot in the id-sorted `snapshots` of a store, looked up
+/// with [`seek`] from `cursor`.
+fn stored<'a>(
+    snapshots: &'a [ContextSnapshot],
+    cursor: &mut usize,
+    node: NodeId,
+) -> Option<&'a ContextSnapshot> {
+    seek(snapshots, cursor, node, |snapshot| snapshot.node)
+        .ok()
+        .and_then(|at| snapshots.get(at))
+}
+
 /// Session state of the Cocaditem dissemination layer.
 pub struct CocaditemSession {
+    /// The membership in view order, which the random peer draws index
+    /// into.
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    /// Same membership as `members`, indexed for the per-digest-entry check
-    /// (a `Vec::contains` per entry would make every received digest O(n²)).
+    /// The same membership sorted by id, for the membership checks of a
+    /// received digest: the digest and the store are in id order too, so
+    /// one [`seek`] walk checks them all in O(n).
     // bound: mirrors `members` -- rebuilt on view install, <= view size.
-    member_set: std::collections::HashSet<NodeId>,
+    member_set: Vec<NodeId>,
     publish_interval_ms: u64,
     // bound: fixed set installed at session construction; never grows.
     retrievers: Vec<Box<dyn ContextRetriever>>,
@@ -295,6 +331,9 @@ pub struct CocaditemSession {
     /// stragglers' convergence tail.
     // bound: <= view size; retained against the membership on view install.
     behind_peers: std::collections::BTreeSet<NodeId>,
+    /// Scratch for the rows of each received digest.
+    // bound: refilled on every received digest; <= the rows its packet holds.
+    digest_entries: Vec<(NodeId, u64)>,
 }
 
 impl std::fmt::Debug for CocaditemSession {
@@ -309,6 +348,10 @@ impl std::fmt::Debug for CocaditemSession {
 }
 
 impl CocaditemSession {
+    fn is_member(&self, node: NodeId) -> bool {
+        self.member_set.binary_search(&node).is_ok()
+    }
+
     fn sample_local(&mut self, ctx: &mut EventContext<'_>) -> ContextSnapshot {
         let profile = ctx.profile();
         let mut snapshot = ContextSnapshot::new(profile.node_id, ctx.now_ms());
@@ -356,11 +399,14 @@ impl CocaditemSession {
         if self.converged_reported || self.members.is_empty() {
             return;
         }
-        if self
-            .members
+        let store = self.store.borrow();
+        let mut cursor = 0;
+        let covered = self
+            .member_set
             .iter()
-            .all(|member| self.store.borrow().get(*member).is_some())
-        {
+            .all(|member| stored(store.as_slice(), &mut cursor, *member).is_some());
+        drop(store);
+        if covered {
             self.converged_reported = true;
             ctx.deliver(DeliveryKind::ContextConverged {
                 nodes: self.members.len(),
@@ -413,8 +459,9 @@ impl CocaditemSession {
     /// first, the rest uniformly random.
     fn gossip_digest(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
+        let member_set = &self.member_set;
         self.behind_peers
-            .retain(|peer| *peer != local && self.member_set.contains(peer));
+            .retain(|peer| *peer != local && member_set.binary_search(peer).is_ok());
         let behind: Vec<NodeId> = self.behind_peers.iter().copied().collect();
         let mut targets = morpheus_groupcomm::gossip::sample_peers(&behind, &[local], FANOUT, ctx);
         if targets.len() < FANOUT {
@@ -430,11 +477,11 @@ impl CocaditemSession {
         if targets.is_empty() {
             return;
         }
-        let body = DigestBody {
-            entries: self.store.borrow().digest(),
-        };
+        // A `DigestBody` encoded straight from the store.
+        let store = self.store.borrow();
         let mut message = Message::new();
-        message.push(&body);
+        message.push_header(encode_pooled(|w| w.put_id_rows(store.digest_rows())));
+        drop(store);
         ctx.dispatch(Event::down(ContextDigest::new(
             local,
             Dest::Nodes(targets),
@@ -464,59 +511,70 @@ impl CocaditemSession {
         }
     }
 
-    /// Handles a received digest: pull what the peer holds newer (pull-only
-    /// anti-entropy). Pulls are rate-limited per node — several digests
-    /// arrive each interval and must not all re-request the same snapshots —
-    /// and retried after a publish interval, which bounds convergence under
-    /// loss without any periodic full republish.
-    fn on_digest(&mut self, body: DigestBody, from: NodeId, ctx: &mut EventContext<'_>) {
+    /// Handles the digest decoded into `digest_entries`: pull what the peer
+    /// holds newer (pull-only anti-entropy). Pulls are rate-limited per
+    /// node — several digests arrive each interval and must not all
+    /// re-request the same snapshots — and retried after a publish interval,
+    /// which bounds convergence under loss without any periodic full
+    /// republish.
+    fn on_digest(&mut self, from: NodeId, ctx: &mut EventContext<'_>) {
         // A digest from outside the installed view is ignored wholesale: no
         // pull goes back, and the sender is not tracked as a behind peer —
         // expelled members must stop receiving anti-entropy traffic.
-        if !self.member_set.contains(&from) {
+        if !self.is_member(from) {
             return;
         }
         let now = ctx.now_ms();
+        let entries = &self.digest_entries;
+        let store = self.store.borrow();
+        let snapshots = store.as_slice();
         // Does the sender itself look *behind* (older versions than ours, or
         // snapshots it does not list at all)? If so, bias our next digest
         // rounds towards it so it learns what to pull from us.
-        // Both sides are in node-id order (the store is a BTreeMap; digests
-        // are produced from store.digest()), so one merge scan decides it in
-        // O(n). A malformed unsorted digest only degrades the *bias*, never
-        // correctness.
-        let store = self.store.borrow();
-        let mut entries = body.entries.iter().peekable();
+        // The store, the member list and a digest (produced from
+        // `digest_rows`) are all in node-id order, so one merge scan decides
+        // it in O(n). A malformed unsorted digest only degrades the *bias*,
+        // never correctness.
+        let mut members = 0;
+        let mut next = 0;
         let mut sender_behind = false;
-        for (node, snapshot) in store.iter() {
-            if !self.member_set.contains(node) {
+        for snapshot in snapshots {
+            let node = snapshot.node;
+            if seek(&self.member_set, &mut members, node, |id| *id).is_err() {
                 continue;
             }
             while entries
-                .next_if(|(digest_node, _)| digest_node < node)
-                .is_some()
-            {}
-            match entries.peek() {
+                .get(next)
+                .is_some_and(|(digest_node, _)| *digest_node < node)
+            {
+                next += 1;
+            }
+            match entries.get(next) {
                 Some((digest_node, version))
-                    if digest_node == node && *version >= snapshot.captured_at_ms => {}
+                    if *digest_node == node && *version >= snapshot.captured_at_ms => {}
                 _ => {
                     sender_behind = true;
                     break;
                 }
             }
         }
-        drop(store);
         if sender_behind {
             self.behind_peers.insert(from);
         } else {
             self.behind_peers.remove(&from);
         }
 
+        // What to pull: a second merge scan, in digest order.
         let mut wants: Vec<NodeId> = Vec::new();
-        for (node, version) in &body.entries {
-            if !self.member_set.contains(node) {
+        let mut members = 0;
+        let mut cursor = 0;
+        for (node, version) in entries {
+            if seek(&self.member_set, &mut members, *node, |id| *id).is_err() {
                 continue;
             }
-            if self.store.borrow().version_of(*node) >= Some(*version) {
+            let known =
+                stored(snapshots, &mut cursor, *node).map(|snapshot| snapshot.captured_at_ms);
+            if known >= Some(*version) {
                 continue;
             }
             let window = self.recent_pulls.entry(*node).or_insert((now, 0));
@@ -528,6 +586,7 @@ impl CocaditemSession {
                 wants.push(*node);
             }
         }
+        drop(store);
         if !wants.is_empty() {
             let mut message = Message::new();
             message.push(&PullBody { nodes: wants });
@@ -544,7 +603,7 @@ impl CocaditemSession {
     fn on_pull(&mut self, body: PullBody, from: NodeId, ctx: &mut EventContext<'_>) {
         // Snapshots are served to current view members only; a removed peer
         // rebuilds its context store through the rejoin state transfer.
-        if !self.member_set.contains(&from) {
+        if !self.is_member(from) {
             return;
         }
         let store = self.store.borrow();
@@ -609,16 +668,19 @@ impl Session for CocaditemSession {
             return;
         }
         if let Some(install) = event.get::<ViewInstall>() {
-            self.members = install.view.members.clone();
-            self.member_set = self.members.iter().copied().collect();
+            self.members.clone_from(&install.view.members);
+            self.member_set.clone_from(&self.members);
+            self.member_set.sort_unstable();
+            self.member_set.dedup();
             // Expelled members must stop occupying the store (their digest
             // entry would otherwise ride every future digest), the pull
             // rate-limit map or the staleness bias.
-            self.store.borrow_mut().retain_members(&self.members);
+            self.store.borrow_mut().retain_members(&self.member_set);
+            let member_set = &self.member_set;
             self.recent_pulls
-                .retain(|node, _| self.member_set.contains(node));
+                .retain(|node, _| member_set.binary_search(node).is_ok());
             self.behind_peers
-                .retain(|node| self.member_set.contains(node));
+                .retain(|node| member_set.binary_search(node).is_ok());
             self.converged_reported = false;
             ctx.forward(event);
             return;
@@ -650,10 +712,13 @@ impl Session for CocaditemSession {
                 return;
             };
             let from = digest.header.source;
-            let Ok(body) = digest.message.pop::<DigestBody>() else {
+            let Some(header) = digest.message.pop_header() else {
                 return;
             };
-            self.on_digest(body, from, ctx);
+            if DigestBody::decode_into(&header, &mut self.digest_entries).is_err() {
+                return;
+            }
+            self.on_digest(from, ctx);
             return;
         }
         if event.is::<ContextPull>() {
@@ -943,6 +1008,66 @@ mod tests {
             1,
             "lost answers are re-pulled on the next digest"
         );
+    }
+
+    #[test]
+    fn an_unsorted_digest_pulls_exactly_what_the_sorted_one_pulls() {
+        let sorted = vec![
+            (NodeId(2), 10),
+            (NodeId(3), 90),
+            (NodeId(4), 5),
+            (NodeId(5), 80),
+            (NodeId(6), 1),
+            (NodeId(9), 4),
+        ];
+        let mut unsorted = sorted.clone();
+        unsorted.reverse();
+        unsorted.swap(1, 3);
+
+        let mut pulled = Vec::new();
+        for entries in [sorted, unsorted] {
+            let mut platform = TestPlatform::new(NodeId(1));
+            let mut cocaditem = Harness::new(
+                CocaditemLayer::new(Rc::default()),
+                &params(&[1, 2, 3, 4, 5, 6], 1000),
+                &mut platform,
+            );
+            // Node 3 is known at an older version, node 5 at the same one.
+            for (node, version) in [(3, 50), (5, 80)] {
+                let known =
+                    ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(node)), version);
+                cocaditem.run_up(
+                    Event::up(ContextPublish::new(
+                        NodeId(node),
+                        Dest::Node(NodeId(1)),
+                        publish_message(&known, 0),
+                    )),
+                    &mut platform,
+                );
+            }
+            cocaditem.drain_down();
+
+            let mut message = Message::new();
+            message.push(&DigestBody { entries });
+            cocaditem.run_up(
+                Event::up(ContextDigest::new(
+                    NodeId(2),
+                    Dest::Node(NodeId(1)),
+                    message,
+                )),
+                &mut platform,
+            );
+            let down = cocaditem.drain_down();
+            let pull = down
+                .iter()
+                .find_map(|event| event.get::<ContextPull>())
+                .expect("a pull");
+            let mut nodes = pull.message.clone().pop::<PullBody>().unwrap().nodes;
+            nodes.sort();
+            pulled.push(nodes);
+        }
+        assert_eq!(pulled[0], vec![NodeId(2), NodeId(3), NodeId(4), NodeId(6)]);
+        assert_eq!(pulled[0], pulled[1]);
     }
 
     #[test]

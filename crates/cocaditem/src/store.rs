@@ -2,19 +2,20 @@
 //! participant.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
 use morpheus_groupcomm::recovery::StateSection;
+use morpheus_groupcomm::sorted::seek;
 
 use crate::context::ContextSnapshot;
 
 /// A table of the most recent context snapshot received from each node.
 #[derive(Debug, Clone, Default)]
 pub struct ContextStore {
-    snapshots: BTreeMap<NodeId, ContextSnapshot>,
+    /// One snapshot per node, sorted by node id.
+    snapshots: Vec<ContextSnapshot>,
 }
 
 impl ContextStore {
@@ -23,24 +24,33 @@ impl ContextStore {
         Self::default()
     }
 
+    fn find(&self, node: NodeId) -> Result<usize, usize> {
+        self.snapshots
+            .binary_search_by_key(&node, |snapshot| snapshot.node)
+    }
+
     /// Inserts or refreshes a node's snapshot. Older snapshots (by capture
     /// time) never overwrite newer ones. Returns whether the snapshot was
     /// stored — i.e. whether it was *news* (a node not seen before, or a
     /// strictly newer capture), which is what decides whether an epidemic
     /// forwarder should keep spreading it.
     pub fn update(&mut self, snapshot: ContextSnapshot) -> bool {
-        match self.snapshots.get(&snapshot.node) {
-            Some(existing) if existing.captured_at_ms > snapshot.captured_at_ms => false,
-            Some(existing) if existing.captured_at_ms == snapshot.captured_at_ms => {
+        match self.find(snapshot.node) {
+            Err(at) => {
+                self.snapshots.insert(at, snapshot);
+                true
+            }
+            Ok(at) => {
+                let existing = &mut self.snapshots[at];
+                if existing.captured_at_ms > snapshot.captured_at_ms {
+                    return false;
+                }
                 // Same version: last writer wins (a local re-sample within
                 // one millisecond must not be ignored), but it is not news —
                 // an epidemic forwarder receiving it must not spread it again.
-                self.snapshots.insert(snapshot.node, snapshot);
-                false
-            }
-            _ => {
-                self.snapshots.insert(snapshot.node, snapshot);
-                true
+                let news = existing.captured_at_ms < snapshot.captured_at_ms;
+                *existing = snapshot;
+                news
             }
         }
     }
@@ -48,32 +58,51 @@ impl ContextStore {
     /// The capture time of a node's stored snapshot — the version the digest
     /// anti-entropy protocol compares (capture times are monotonic per node).
     pub fn version_of(&self, node: NodeId) -> Option<u64> {
-        self.snapshots
-            .get(&node)
-            .map(|snapshot| snapshot.captured_at_ms)
+        self.get(node).map(|snapshot| snapshot.captured_at_ms)
     }
 
     /// The `(node, version)` digest of the whole store, in node-id order.
     pub fn digest(&self) -> Vec<(NodeId, u64)> {
-        self.snapshots
-            .iter()
-            .map(|(node, snapshot)| (*node, snapshot.captured_at_ms))
-            .collect()
+        self.digest_rows().collect()
     }
 
-    /// Drops every node not in `members` (e.g. after a view change).
+    /// The rows of [`ContextStore::digest`], read in place.
+    pub fn digest_rows(&self) -> impl ExactSizeIterator<Item = (NodeId, u64)> + '_ {
+        self.snapshots
+            .iter()
+            .map(|snapshot| (snapshot.node, snapshot.captured_at_ms))
+    }
+
+    /// Drops every node not in `members` (e.g. after a view change): one
+    /// merge against `members` when it is sorted, as a view's is.
     pub fn retain_members(&mut self, members: &[NodeId]) {
-        self.snapshots.retain(|node, _| members.contains(node));
+        if !members.is_sorted() {
+            let mut sorted = members.to_vec();
+            sorted.sort_unstable();
+            return self.retain_members(&sorted);
+        }
+        let mut cursor = 0;
+        self.snapshots
+            .retain(|snapshot| seek(members, &mut cursor, snapshot.node, |id| *id).is_ok());
     }
 
     /// The snapshot of one node, if known.
     pub fn get(&self, node: NodeId) -> Option<&ContextSnapshot> {
-        self.snapshots.get(&node)
+        self.find(node).ok().and_then(|at| self.snapshots.get(at))
     }
 
     /// Every known snapshot, in node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &ContextSnapshot)> {
-        self.snapshots.iter()
+        self.snapshots
+            .iter()
+            .map(|snapshot| (&snapshot.node, snapshot))
+    }
+
+    /// Every known snapshot, one per node, sorted by node id — for a caller
+    /// that walks the store against another id-sorted list
+    /// ([`morpheus_groupcomm::sorted::seek`]).
+    pub fn as_slice(&self) -> &[ContextSnapshot] {
+        &self.snapshots
     }
 
     /// Number of nodes with a known snapshot.
@@ -90,7 +119,7 @@ impl ContextStore {
     pub fn export_bytes(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_u32(self.snapshots.len() as u32);
-        for snapshot in self.snapshots.values() {
+        for snapshot in &self.snapshots {
             snapshot.encode(&mut w);
         }
         w.finish().to_vec()
@@ -187,6 +216,21 @@ mod tests {
         );
         store.retain_members(&[NodeId(2)]);
         assert_eq!(store.digest(), vec![(NodeId(2), 70)]);
+    }
+
+    #[test]
+    fn retain_members_accepts_an_unsorted_member_list() {
+        let mut store = ContextStore::new();
+        for node in 0..6 {
+            store.update(fixed(node, 10 + u64::from(node)));
+        }
+        store.retain_members(&[NodeId(4), NodeId(0), NodeId(9), NodeId(2)]);
+        assert_eq!(
+            store.digest(),
+            vec![(NodeId(0), 10), (NodeId(2), 12), (NodeId(4), 14)]
+        );
+        store.retain_members(&[]);
+        assert!(store.is_empty());
     }
 
     #[test]

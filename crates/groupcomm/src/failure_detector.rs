@@ -36,8 +36,30 @@
 //! * the "everyone is fresh" grace runs when the session is created, never
 //!   when a later holder is initialised: a replacement does not reset
 //!   suspicion ages.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! ## The liveness table
+//!
+//! Every control packet the layer handles walks the table, so it is one
+//! `Vec` of 24-byte rows sorted by node id — no hash set or map per field.
+//! A row holds the node's highest known counter, when it last advanced (or
+//! the node was last heard from directly), and flags: member, has a
+//! counter, has been heard from, suspected.
+//!
+//! * A received digest is decoded into the session's scratch
+//!   ([`LivenessDigest::decode_into`]), all or nothing, and merged in one
+//!   pass: digests list ids in ascending order, and [`seek`] tries the row
+//!   after the previous hit before it falls back to a binary search, so a
+//!   row usually costs O(1). A digest row naming a member gives it a
+//!   counter (0 until one arrives), which this node then advertises.
+//! * The tick walks the table, already in id order, to build its digest,
+//!   and walks `members` — in view order, the order `Suspect` events are
+//!   raised in — for the suspicion scan.
+//! * A node heard from outside the view gets a row no digest carries. The
+//!   view that admits it keeps its last-heard time; any other view install
+//!   drops the row.
+//! * One row per id: a member listed twice rides a digest once. Views are
+//!   sorted and distinct ([`crate::view::View::new`]), and the boot
+//!   `members` parameter lists a scenario's distinct ids.
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
@@ -50,6 +72,7 @@ use morpheus_appia::session::Session;
 use crate::events::{Alive, Heartbeat, Suspect, ViewInstall};
 use crate::gossip::sample_peers_into;
 use crate::headers::LivenessDigest;
+use crate::sorted::seek;
 
 /// Registered name of the failure detector layer.
 pub const FD_LAYER: &str = "fd";
@@ -90,15 +113,15 @@ impl Layer for FailureDetectorLayer {
 
     fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
         let members = param_node_list(params, "members");
+        let mut rows: Vec<Row> = members.iter().map(|id| Row::new(*id, MEMBER)).collect();
+        rows.sort_unstable_by_key(|row| row.id);
+        rows.dedup_by_key(|row| row.id);
         Box::new(FailureDetectorSession {
-            member_set: members.iter().copied().collect(),
             members,
+            rows,
             hb_interval_ms: param_or(params, "hb_interval_ms", 500u64).max(10),
             suspect_timeout_ms: param_or(params, "suspect_timeout_ms", 2000u64).max(50),
             fanout: param_or(params, "fanout", 3usize).max(1),
-            counters: HashMap::new(),
-            last_advance: HashMap::new(),
-            suspected: HashSet::new(),
             next_tick_ms: None,
             tick_timer: None,
             relayed_view: None,
@@ -108,29 +131,76 @@ impl Layer for FailureDetectorLayer {
     }
 }
 
+/// Row flag: the node is a member of the installed view.
+const MEMBER: u8 = 1;
+/// Row flag: `counter` is a heartbeat counter this node knows.
+const COUNTER: u8 = 1 << 1;
+/// Row flag: `last_heard` is set.
+const HEARD: u8 = 1 << 2;
+/// Row flag: the node is suspected.
+const SUSPECTED: u8 = 1 << 3;
+
+/// One row of the liveness table (24 bytes).
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    id: NodeId,
+    /// [`MEMBER`], [`COUNTER`], [`HEARD`] and [`SUSPECTED`].
+    flags: u8,
+    /// Highest known heartbeat counter; 0 until [`COUNTER`] is set.
+    counter: u64,
+    /// Local time at which the counter last advanced, or the node was last
+    /// heard from directly; 0 until [`HEARD`] is set.
+    last_heard: u64,
+}
+
+// Every node keeps a row per member: flags instead of `Option`s keep a row
+// at half the size.
+const _: () = assert!(std::mem::size_of::<Row>() == 24);
+
+impl Row {
+    fn new(id: NodeId, flags: u8) -> Self {
+        Self {
+            id,
+            flags,
+            counter: 0,
+            last_heard: 0,
+        }
+    }
+
+    /// Whether every flag of `mask` is set.
+    fn has(&self, mask: u8) -> bool {
+        self.flags & mask == mask
+    }
+
+    /// Records that the node was heard from at `now`, healing a false
+    /// suspicion.
+    fn heard(&mut self, now: u64, ctx: &mut EventContext<'_>) {
+        self.last_heard = now;
+        self.flags |= HEARD;
+        if self.has(SUSPECTED) {
+            self.flags &= !SUSPECTED;
+            // The suspicion was false: announce the recovery so upper layers
+            // (e.g. the Core control layer's ack quorum) can re-admit the node.
+            let node = self.id;
+            ctx.dispatch_to_holders(|_| Some(Event::up(Alive { node })));
+        }
+    }
+}
+
 /// Session state of the failure detector.
 #[derive(Debug)]
 pub struct FailureDetectorSession {
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    /// Same membership as `members`, indexed for the per-digest-entry check
-    /// (a `Vec::contains` per entry would make every received digest O(n²)).
-    // bound: mirrors `members` -- rebuilt on view install, <= view size.
-    member_set: HashSet<NodeId>,
+    /// The liveness table, sorted by id: a row per member, plus a row per
+    /// node heard from (or, for the local node, ticked) outside the view,
+    /// which never enters a digest and is dropped by the next view install.
+    // bound: <= view size + the outsiders heard since the last view install, whose rows it drops.
+    rows: Vec<Row>,
     hb_interval_ms: u64,
     suspect_timeout_ms: u64,
     /// Digest push fan-out.
     fanout: usize,
-    /// Highest known heartbeat counter per member (the local node's own
-    /// entry is advanced on every tick).
-    // bound: retained against the membership on every view install.
-    counters: HashMap<NodeId, u64>,
-    /// Local time at which each member's counter last advanced (or the
-    /// member was last heard from directly).
-    // bound: retained against the membership on every view install.
-    last_advance: HashMap<NodeId, u64>,
-    // bound: subset of `members`; retained on view install.
-    suspected: HashSet<NodeId>,
     /// When the next tick is due; `None` until the first `ChannelInit`.
     next_tick_ms: Option<u64>,
     /// The one live tick timer.
@@ -140,19 +210,27 @@ pub struct FailureDetectorSession {
     /// Scratch for the per-tick peer sample.
     // bound: cleared on every tick; <= view size.
     peers: Vec<NodeId>,
-    /// Scratch for the per-tick digest.
-    // bound: refilled on every tick from `members`; <= view size.
+    /// Scratch for the digest a tick sends and for each one received (the
+    /// tick and the merge never use it at the same time).
+    // bound: refilled on every tick (<= view size) and every heartbeat (<= the rows its packet holds).
     digest: LivenessDigest,
 }
 
 impl FailureDetectorSession {
+    /// The row of `id`, inserted without flags if the table has none.
+    fn row_mut(&mut self, id: NodeId) -> &mut Row {
+        let at = match self.rows.binary_search_by_key(&id, |row| row.id) {
+            Ok(at) => at,
+            Err(at) => {
+                self.rows.insert(at, Row::new(id, 0));
+                at
+            }
+        };
+        &mut self.rows[at]
+    }
+
     fn heard_from(&mut self, node: NodeId, now: u64, ctx: &mut EventContext<'_>) {
-        self.last_advance.insert(node, now);
-        if self.suspected.remove(&node) {
-            // The suspicion was false: announce the recovery so upper layers
-            // (e.g. the Core control layer's ack quorum) can re-admit the node.
-            ctx.dispatch_to_holders(|_| Some(Event::up(Alive { node })));
-        }
+        self.row_mut(node).heard(now, ctx);
     }
 
     /// Arms the one tick timer for `due` on the current channel, cancelling
@@ -165,18 +243,65 @@ impl FailureDetectorSession {
         self.tick_timer = Some(ctx.set_timer(due.saturating_sub(ctx.now_ms()), TICK_TAG));
     }
 
-    /// Merges a received digest: entries with a higher counter than the local
-    /// view count as fresh liveness evidence for that member.
-    fn merge_digest(&mut self, digest: &LivenessDigest, now: u64, ctx: &mut EventContext<'_>) {
-        for (node, counter) in &digest.entries {
-            if !self.member_set.contains(node) {
+    /// Merges the digest decoded into `self.digest`, in one pass over it:
+    /// entries with a higher counter than the local view count as fresh
+    /// liveness evidence for that member. A member the digest names gets a
+    /// counter of its own (0 until one arrives), which this node's digests
+    /// then advertise.
+    fn merge_digest(&mut self, now: u64, ctx: &mut EventContext<'_>) {
+        let mut cursor = 0;
+        for (node, counter) in &self.digest.entries {
+            let Ok(at) = seek(&self.rows, &mut cursor, *node, |row| row.id) else {
+                continue;
+            };
+            let row = &mut self.rows[at];
+            if !row.has(MEMBER) {
                 continue;
             }
-            let known = self.counters.entry(*node).or_insert(0);
-            if *counter > *known {
-                *known = *counter;
-                self.heard_from(*node, now, ctx);
+            row.flags |= COUNTER;
+            if *counter > row.counter {
+                row.counter = *counter;
+                row.heard(now, ctx);
             }
+        }
+    }
+
+    /// Makes the table match `members`: rows of nodes outside the view are
+    /// dropped, and a member without a last-heard time gets `now`. A member
+    /// heard from before it joined keeps that time.
+    fn install_members(&mut self, now: u64) {
+        for row in &mut self.rows {
+            row.flags &= !MEMBER;
+        }
+        let sorted = self.rows.len();
+        let mut appended = false;
+        let mut cursor = 0;
+        for member in &self.members {
+            let found = self
+                .rows
+                .get(..sorted)
+                .and_then(|rows| seek(rows, &mut cursor, *member, |row| row.id).ok());
+            match found {
+                Some(at) => {
+                    let row = &mut self.rows[at];
+                    row.flags |= MEMBER;
+                    if !row.has(HEARD) {
+                        row.flags |= HEARD;
+                        row.last_heard = now;
+                    }
+                }
+                None => {
+                    let mut row = Row::new(*member, MEMBER | HEARD);
+                    row.last_heard = now;
+                    self.rows.push(row);
+                    appended = true;
+                }
+            }
+        }
+        self.rows.retain(|row| row.has(MEMBER));
+        if appended {
+            self.rows.sort_unstable_by_key(|row| row.id);
+            self.rows.dedup_by_key(|row| row.id);
         }
     }
 
@@ -193,18 +318,20 @@ impl FailureDetectorSession {
         // raise any entry, the local one included, so the step saturates: a
         // digest naming this node at `u64::MAX` must not overflow the tick.
         let tick_floor = now / self.hb_interval_ms;
-        let counter = self.counters.entry(local).or_insert(0);
-        *counter = counter.saturating_add(1).max(tick_floor);
-        self.last_advance.insert(local, now);
+        let row = self.row_mut(local);
+        row.counter = row.counter.saturating_add(1).max(tick_floor);
+        row.last_heard = now;
+        row.flags |= COUNTER | HEARD;
         sample_peers_into(&self.members, &[local], self.fanout, ctx, &mut self.peers);
         if !self.peers.is_empty() {
+            // The table is in id order, so the digest needs no sort.
             self.digest.entries.clear();
             self.digest.entries.extend(
-                self.members.iter().filter_map(|member| {
-                    self.counters.get(member).map(|counter| (*member, *counter))
-                }),
+                self.rows
+                    .iter()
+                    .filter(|row| row.has(MEMBER | COUNTER))
+                    .map(|row| (row.id, row.counter)),
             );
-            self.digest.entries.sort_unstable_by_key(|(node, _)| node.0);
             let mut message = Message::new();
             message.push(&self.digest);
             ctx.dispatch(Event::down(Heartbeat::new(
@@ -214,17 +341,24 @@ impl FailureDetectorSession {
             )));
         }
 
-        // Raise suspicions for members whose counter went stale.
+        // Raise suspicions for members whose counter went stale, in
+        // `members` order.
+        let mut cursor = 0;
         for member in &self.members {
-            if *member == local || self.suspected.contains(member) {
+            if *member == local {
                 continue;
             }
-            let last = self.last_advance.get(member).copied().unwrap_or(0);
-            if now.saturating_sub(last) >= self.suspect_timeout_ms {
-                let node = *member;
-                self.suspected.insert(node);
-                ctx.dispatch_to_holders(|_| Some(Event::up(Suspect { node })));
+            // Every member has a row (`install_members`).
+            let Ok(at) = seek(&self.rows, &mut cursor, *member, |row| row.id) else {
+                continue;
+            };
+            let row = &mut self.rows[at];
+            if row.has(SUSPECTED) || now.saturating_sub(row.last_heard) < self.suspect_timeout_ms {
+                continue;
             }
+            row.flags |= SUSPECTED;
+            let node = *member;
+            ctx.dispatch_to_holders(|_| Some(Event::up(Suspect { node })));
         }
 
         self.arm_tick(now + self.hb_interval_ms, ctx);
@@ -243,8 +377,11 @@ impl Session for FailureDetectorSession {
                 None => {
                     // The session is new: every member starts fresh.
                     let now = ctx.now_ms();
-                    for member in &self.members {
-                        self.last_advance.insert(*member, now);
+                    for row in &mut self.rows {
+                        if row.has(MEMBER) {
+                            row.last_heard = now;
+                            row.flags |= HEARD;
+                        }
                     }
                     now + self.hb_interval_ms
                 }
@@ -265,20 +402,12 @@ impl Session for FailureDetectorSession {
             return;
         }
         if let Some(install) = event.get::<ViewInstall>() {
-            self.members = install.view.members.clone();
-            self.member_set = self.members.iter().copied().collect();
-            self.suspected.retain(|node| self.member_set.contains(node));
-            self.counters
-                .retain(|node, _| self.member_set.contains(node));
-            // Drop expelled members' timestamps too: a member expelled and
-            // later re-admitted by a join must get a fresh grace period, not
-            // be instantly re-suspected off its stale pre-expulsion age.
-            self.last_advance
-                .retain(|node, _| self.member_set.contains(node));
-            let now = ctx.now_ms();
-            for member in &self.members {
-                self.last_advance.entry(*member).or_insert(now);
-            }
+            self.members.clone_from(&install.view.members);
+            // Expelled members' rows go with the rest of their state: a
+            // member expelled and later re-admitted by a join must get a
+            // fresh grace period, not be instantly re-suspected off its
+            // stale pre-expulsion age.
+            self.install_members(ctx.now_ms());
             if self.relayed_view != Some(install.view.id) {
                 self.relayed_view = Some(install.view.id);
                 let here = ctx.channel_id();
@@ -297,10 +426,12 @@ impl Session for FailureDetectorSession {
                     return;
                 };
                 let source = hb.header.source;
-                // A heartbeat whose digest is missing or truncated merges
+                // A heartbeat whose digest is missing or malformed merges
                 // nothing; its sender is demonstrably alive all the same.
-                if let Ok(digest) = hb.message.pop::<LivenessDigest>() {
-                    self.merge_digest(&digest, now, ctx);
+                if let Some(header) = hb.message.pop_header() {
+                    if LivenessDigest::decode_into(&header, &mut self.digest.entries).is_ok() {
+                        self.merge_digest(now, ctx);
+                    }
                 }
                 self.heard_from(source, now, ctx);
                 // Heartbeats are absorbed; they carry no application meaning.
@@ -323,6 +454,7 @@ impl Session for FailureDetectorSession {
 mod tests {
     use morpheus_appia::platform::TestPlatform;
     use morpheus_appia::testing::Harness;
+    use morpheus_appia::wire::Wire;
 
     use super::*;
 
@@ -710,6 +842,184 @@ mod tests {
                 .count();
         }
         assert_eq!(suspects, 1);
+    }
+
+    /// Fires the pending tick and returns the digest it pushed.
+    fn next_digest(fd: &mut Harness, platform: &mut TestPlatform) -> Vec<(NodeId, u64)> {
+        fire_pending_timers(fd, platform);
+        let down = fd.drain_down();
+        let hb = down.iter().find(|event| event.is::<Heartbeat>()).unwrap();
+        let mut message = hb.get::<Heartbeat>().unwrap().message.clone();
+        message.pop::<LivenessDigest>().unwrap().entries
+    }
+
+    /// The nodes a batch of upward events suspects.
+    fn suspects_in(events: Vec<Event>) -> Vec<NodeId> {
+        events
+            .into_iter()
+            .filter_map(|event| event.get::<Suspect>().map(|s| s.node))
+            .collect()
+    }
+
+    #[test]
+    fn a_joiner_heard_from_before_its_view_install_keeps_that_time() {
+        // Node 3 is heard from at t = 100 while still outside the view and
+        // then goes silent. The view that admits it at t = 300 must not
+        // reset its age: it is suspected at the t = 400 tick, 300 ms after
+        // it was last heard, not 300 ms after it joined.
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut fd = Harness::new(
+            FailureDetectorLayer,
+            &fd_params(&[1, 2], 100, 300),
+            &mut platform,
+        );
+        let mut suspected = Vec::new();
+        for round in 1..=6u64 {
+            platform.advance(100);
+            let now = round * 100;
+            let bare = |from| {
+                Event::up(Heartbeat::new(
+                    NodeId(from),
+                    Dest::Node(NodeId(1)),
+                    Message::new(),
+                ))
+            };
+            fd.run_up(bare(2), &mut platform);
+            if now == 100 {
+                fd.run_up(bare(3), &mut platform);
+            }
+            if now == 300 {
+                let view = crate::view::View::new(1, vec![NodeId(1), NodeId(2), NodeId(3)]);
+                fd.run_down(Event::down(ViewInstall { view }), &mut platform);
+            }
+            fire_pending_timers(&mut fd, &mut platform);
+            suspected.extend(
+                suspects_in(fd.drain_up())
+                    .into_iter()
+                    .map(|node| (now, node)),
+            );
+        }
+        assert_eq!(suspected, vec![(400, NodeId(3))]);
+    }
+
+    #[test]
+    fn a_non_members_heartbeat_creates_no_digest_row() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut fd = Harness::new(
+            FailureDetectorLayer,
+            &fd_params(&[1, 2, 3], 100, 1000),
+            &mut platform,
+        );
+        fd.run_up(digest_heartbeat(9, 1, &[(9, 5), (2, 4)]), &mut platform);
+        fd.run_up(
+            Event::up(DataEvent::new(
+                NodeId(8),
+                Dest::Node(NodeId(1)),
+                Message::with_payload(&b"from outside"[..]),
+            )),
+            &mut platform,
+        );
+        platform.advance(100);
+        // The member named in the digest is merged; the two outsiders are
+        // tracked as heard-from but never advertised.
+        assert_eq!(
+            next_digest(&mut fd, &mut platform),
+            vec![(NodeId(1), 1), (NodeId(2), 4)]
+        );
+
+        // The next view drops the outsiders' rows: admitting node 9 later
+        // starts it without a counter, so it is still not advertised.
+        let view = crate::view::View::new(1, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        fd.run_down(Event::down(ViewInstall { view }), &mut platform);
+        let view = crate::view::View::new(2, vec![NodeId(1), NodeId(2), NodeId(9)]);
+        fd.run_down(Event::down(ViewInstall { view }), &mut platform);
+        platform.advance(100);
+        assert_eq!(
+            next_digest(&mut fd, &mut platform),
+            vec![(NodeId(1), 2), (NodeId(2), 4)]
+        );
+    }
+
+    #[test]
+    fn descending_digest_rows_merge_exactly_as_ascending_ones() {
+        let ascending = [(2, 3), (3, 0), (4, 7), (5, 2), (9, 8)];
+        let mut descending = ascending;
+        descending.reverse();
+
+        let mut runs = Vec::new();
+        for rows in [&ascending[..], &descending[..]] {
+            let mut platform = TestPlatform::new(NodeId(1));
+            let mut fd = Harness::new(
+                FailureDetectorLayer,
+                &fd_params(&[1, 2, 3, 4, 5, 6], 100, 250),
+                &mut platform,
+            );
+            let mut seen = Vec::new();
+            for round in 0..5u64 {
+                platform.advance(100);
+                // Node 6 is silent until a relayed counter revives it.
+                let mut rows = rows.to_vec();
+                if round == 4 {
+                    rows.insert(if rows[0].0 < rows[1].0 { 4 } else { 1 }, (6, 1));
+                }
+                let alive: Vec<NodeId> = fd
+                    .run_up(digest_heartbeat(2, 1, &rows), &mut platform)
+                    .into_iter()
+                    .filter_map(|event| event.get::<Alive>().map(|alive| alive.node))
+                    .collect();
+                let digest = next_digest(&mut fd, &mut platform);
+                seen.push((alive, digest, suspects_in(fd.drain_up())));
+            }
+            runs.push(seen);
+        }
+        assert_eq!(runs[0], runs[1]);
+        // The runs did exercise a suspicion and its healing.
+        assert!(runs[0]
+            .iter()
+            .any(|(_, _, suspects)| suspects.contains(&NodeId(6))));
+        assert_eq!(runs[0][4].0, vec![NodeId(6)]);
+        // A digest row at counter 0 still earns the member a row of its own.
+        assert!(runs[0][0].1.contains(&(NodeId(3), 0)));
+    }
+
+    #[test]
+    fn a_truncated_or_padded_digest_merges_nothing_but_proves_its_sender_alive() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut fd = Harness::new(
+            FailureDetectorLayer,
+            &fd_params(&[1, 2, 3], 100, 250),
+            &mut platform,
+        );
+        let encoded = LivenessDigest {
+            entries: vec![(NodeId(2), 7), (NodeId(3), 9)],
+        }
+        .to_bytes();
+        let mut suspected = Vec::new();
+        for round in 0..6usize {
+            platform.advance(100);
+            // Alternately cut the last byte off and append a stray one.
+            let header = if round % 2 == 0 {
+                encoded.slice(..encoded.len() - 1).to_vec()
+            } else {
+                let mut padded = encoded.to_vec();
+                padded.push(0);
+                padded
+            };
+            let mut message = Message::new();
+            message.push_header(header);
+            fd.run_up(
+                Event::up(Heartbeat::new(NodeId(2), Dest::Node(NodeId(1)), message)),
+                &mut platform,
+            );
+            suspected.extend(suspects_in(fd.drain_up()));
+            let digest = next_digest(&mut fd, &mut platform);
+            assert!(
+                digest.iter().all(|(node, _)| *node == NodeId(1)),
+                "nothing merged: {digest:?}"
+            );
+            suspected.extend(suspects_in(fd.drain_up()));
+        }
+        assert_eq!(suspected, vec![NodeId(3)], "only the silent member");
     }
 
     #[test]

@@ -419,6 +419,22 @@ pub struct LivenessDigest {
     pub entries: Vec<(NodeId, u64)>,
 }
 
+impl LivenessDigest {
+    /// Decodes the digest carried in `header` (a popped message header)
+    /// into `entries`, a caller-owned scratch that keeps its capacity
+    /// across digests. All or nothing, as [`Message::pop`]: a malformed row
+    /// or trailing bytes is an error and leaves `entries` empty.
+    pub fn decode_into(header: &[u8], entries: &mut Vec<(NodeId, u64)>) -> Result<(), WireError> {
+        let mut r = WireReader::new(header);
+        r.get_id_table_into(entries)?;
+        if r.remaining() != 0 {
+            entries.clear();
+            return Err(WireError::Malformed("trailing bytes in header"));
+        }
+        Ok(())
+    }
+}
+
 impl Wire for LivenessDigest {
     fn encode(&self, w: &mut WireWriter) {
         w.put_id_table(&self.entries);

@@ -11,6 +11,9 @@
 //!
 //! The repair pass is off (`repair_interval_ms` 0): its log and digests
 //! keep tree nodes of their own, which this budget does not cover.
+//!
+//! The failure detector's heartbeat arrival is pinned here too: a digest
+//! decodes into the session's scratch and merges into its table in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,9 +25,10 @@ use morpheus_appia::message::Message;
 use morpheus_appia::platform::{InPacket, NodeId, PacketClass, TestPlatform};
 use morpheus_appia::testing::Harness;
 use morpheus_appia::timer::TimerKey;
-use morpheus_groupcomm::events::GossipBatch;
+use morpheus_groupcomm::events::{GossipBatch, Heartbeat};
+use morpheus_groupcomm::failure_detector::FailureDetectorLayer;
 use morpheus_groupcomm::gossip::GossipLayer;
-use morpheus_groupcomm::headers::{GossipBatchBody, GossipHeader};
+use morpheus_groupcomm::headers::{GossipBatchBody, GossipHeader, LivenessDigest};
 
 struct CountingAllocator;
 
@@ -237,4 +241,55 @@ fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() 
         "a {K}-entry batch relayed to {P} peers: {K} frame blocks, every \
          event box reused"
     );
+}
+
+/// A heartbeat arrives whose digest advances no counter. The digest decodes
+/// into the session's scratch and merges into its table in place, and the
+/// decode box comes from the free list: the arrival allocates nothing.
+#[test]
+fn a_warm_heartbeat_that_advances_no_counter_allocates_nothing() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut params = LayerParams::new();
+    params.insert("members".into(), "0,1,2,3,4,5,6,7".into());
+    let mut harness = Harness::new(FailureDetectorLayer, &params, &mut platform);
+    Heartbeat::register(harness.kernel_mut().events_mut());
+    let packet = || -> InPacket {
+        let mut message = Message::new();
+        message.push(&LivenessDigest {
+            entries: (0..8).map(|id| (NodeId(id), 100 + u64::from(id))).collect(),
+        });
+        let heartbeat = Heartbeat::new(NodeId(2), Dest::Node(NodeId(1)), message);
+        InPacket {
+            from: NodeId(2),
+            to: NodeId(1),
+            class: PacketClass::Control,
+            channel: "harness".into(),
+            payload: morpheus_appia::registry::encode_event(&heartbeat),
+        }
+    };
+
+    // The first arrival raises every counter; the rest repeat them.
+    for _ in 0..WARM_UP_ROUNDS {
+        let arrival = packet();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        assert!(harness.drain_up().is_empty(), "heartbeats are absorbed");
+    }
+
+    let mut total = 0;
+    for _ in 0..ROUNDS {
+        let arrival = packet();
+        let before = allocations();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        total += allocations() - before;
+        assert!(harness.drain_up().is_empty(), "heartbeats are absorbed");
+        assert!(harness.drain_down().is_empty(), "nothing is sent back");
+    }
+
+    assert_eq!(total, 0, "a warm heartbeat arrival allocates nothing");
 }

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
-use morpheus_appia::wire::{Wire, WireWriter};
+use morpheus_appia::wire::{Wire, WireReader, WireWriter};
 use morpheus_groupcomm::headers::{
     CausalHeader, FecParityHeader, FlushBody, GossipBatchBody, GossipHeader, LivenessDigest,
     McastHeader, McastMode, NackHeader, OrderHeader, RepairDigest, RepairFloorBody, RepairPull,
@@ -233,11 +233,74 @@ fn group_table(around: u64, spread: u64) -> Vec<(NodeId, u64)> {
         .collect()
 }
 
+/// The scratch decoders of a member-indexed table against the allocating
+/// one: `get_id_table_into` yields the same rows or the same error, leaves
+/// the reader at the same place, and on an error leaves `buffer` empty —
+/// whatever an earlier decode left in it. `LivenessDigest::decode_into`
+/// likewise agrees with `from_bytes`.
+fn id_table_decoders_agree(input: &[u8], buffer: &mut Vec<(NodeId, u64)>) {
+    let mut fresh_reader = WireReader::new(input);
+    let fresh = fresh_reader.get_id_table::<NodeId>();
+    let mut reader = WireReader::new(input);
+    let into = reader.get_id_table_into(buffer);
+    assert_eq!(reader.remaining(), fresh_reader.remaining(), "{input:?}");
+    match fresh {
+        Ok(rows) => {
+            assert_eq!(into, Ok(()), "{input:?}");
+            assert_eq!(*buffer, rows);
+        }
+        Err(error) => {
+            assert_eq!(into, Err(error), "{input:?}");
+            assert!(buffer.is_empty(), "a failed decode left {buffer:?}");
+        }
+    }
+    match LivenessDigest::from_bytes(input) {
+        Ok(digest) => {
+            assert_eq!(LivenessDigest::decode_into(input, buffer), Ok(()));
+            assert_eq!(*buffer, digest.entries);
+        }
+        Err(_) => {
+            // The same rejection, worded as `Message::pop` words it.
+            assert!(LivenessDigest::decode_into(input, buffer).is_err());
+            assert!(buffer.is_empty(), "a failed decode left {buffer:?}");
+        }
+    }
+}
+
 /// Every truncation and every single-bit flip of a group-sized encoding
-/// decodes to a value or an error — through both readers alike.
+/// decodes to a value or an error — through both readers alike, and
+/// through the scratch decoders as through the allocating ones.
 #[test]
 fn group_sized_tables_survive_truncation_and_bit_flips() {
-    roundtrip_every_table_over(&group_table(100_000, 2_000));
+    let rows = group_table(100_000, 2_000);
+    roundtrip_every_table_over(&rows);
+
+    let bytes = LivenessDigest {
+        entries: rows.clone(),
+    }
+    .to_bytes();
+    // Stale rows, so a decoder that forgot to clear would show.
+    let mut buffer = vec![(NodeId(7), 7)];
+    id_table_decoders_agree(&bytes, &mut buffer);
+    assert_eq!(buffer, rows);
+    for len in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
+        id_table_decoders_agree(&bytes[..len], &mut buffer);
+        // Refill, so the next failure has something to clear.
+        id_table_decoders_agree(&bytes, &mut buffer);
+    }
+    for index in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
+        for bit in 0..8 {
+            let mut mutated = bytes.to_vec();
+            mutated[index] ^= 1 << bit;
+            id_table_decoders_agree(&mutated, &mut buffer);
+        }
+    }
+    // Trailing bytes: the reader-level decode succeeds, the header-level
+    // one does not.
+    let mut padded = bytes.to_vec();
+    padded.push(0);
+    id_table_decoders_agree(&padded, &mut buffer);
+    assert!(buffer.is_empty());
 }
 
 /// The bytes this codec exists for, pinned where `cargo test` sees them.
