@@ -32,6 +32,7 @@ pub mod config;
 pub mod error;
 pub mod event;
 pub mod events;
+pub mod hash;
 pub mod intern;
 pub mod kernel;
 pub mod layer;

@@ -370,7 +370,7 @@ impl CocaditemSession {
         exclude: &[NodeId],
         ctx: &mut EventContext<'_>,
     ) -> Vec<NodeId> {
-        morpheus_groupcomm::gossip::sample_peers(&self.members, exclude, limit, ctx)
+        morpheus_groupcomm::sample::sample_peers(&self.members, exclude, limit, ctx)
     }
 
     /// Sends one snapshot to explicit targets with the given forwarding TTL.
@@ -463,11 +463,11 @@ impl CocaditemSession {
         self.behind_peers
             .retain(|peer| *peer != local && member_set.binary_search(peer).is_ok());
         let behind: Vec<NodeId> = self.behind_peers.iter().copied().collect();
-        let mut targets = morpheus_groupcomm::gossip::sample_peers(&behind, &[local], FANOUT, ctx);
+        let mut targets = morpheus_groupcomm::sample::sample_peers(&behind, &[local], FANOUT, ctx);
         if targets.len() < FANOUT {
             let mut exclude = targets.clone();
             exclude.push(local);
-            targets.extend(morpheus_groupcomm::gossip::sample_peers(
+            targets.extend(morpheus_groupcomm::sample::sample_peers(
                 &self.members,
                 &exclude,
                 FANOUT - targets.len(),

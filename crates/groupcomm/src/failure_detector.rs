@@ -70,8 +70,8 @@ use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
 
 use crate::events::{Alive, Heartbeat, Suspect, ViewInstall};
-use crate::gossip::sample_peers_into;
 use crate::headers::LivenessDigest;
+use crate::sample::sample_peers_into;
 use crate::sorted::seek;
 
 /// Registered name of the failure detector layer.

@@ -24,11 +24,12 @@
 //!    delivery tracker — are suppressed, so coverage converges to 100%
 //!    shortly after the push phase tops out without ever re-delivering.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
+use morpheus_appia::hash::{HashMap, HashSet};
 use morpheus_appia::kernel::EventContext;
 use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
@@ -45,6 +46,7 @@ use crate::headers::{
     RepairRange,
 };
 use crate::repair::{Delivered, RepairLog, StreamKey};
+use crate::sample::{slot_of, slot_table, Sampler};
 
 /// Registered name of the gossip multicast layer.
 pub const GOSSIP_LAYER: &str = "gossip";
@@ -99,59 +101,6 @@ const DEFAULT_BATCH_MAX: usize = 1;
 /// are already in the repair log, so the digest-announce + pull path
 /// recovers them.
 const DEFAULT_OUTBOX_CAP: usize = 1_024;
-
-/// Picks up to `limit` distinct members uniformly at random, excluding
-/// `exclude` — the peer-sampling primitive shared by every gossip mechanism
-/// (epidemic multicast, liveness-digest failure detection, context
-/// anti-entropy). A partial Fisher-Yates driven by the platform's
-/// deterministic RNG, so simulation runs stay reproducible.
-pub fn sample_peers(
-    members: &[NodeId],
-    exclude: &[NodeId],
-    limit: usize,
-    ctx: &mut EventContext<'_>,
-) -> Vec<NodeId> {
-    let mut pool = Vec::new();
-    sample_peers_into(members, exclude, limit, ctx, &mut pool);
-    pool
-}
-
-/// [`sample_peers`] into a caller-owned buffer (cleared first), so a caller
-/// sampling on every message arrival reuses one allocation. Same draws, same
-/// order.
-pub fn sample_peers_into(
-    members: &[NodeId],
-    exclude: &[NodeId],
-    limit: usize,
-    ctx: &mut EventContext<'_>,
-    pool: &mut Vec<NodeId>,
-) {
-    pool.clear();
-    pool.extend(
-        members
-            .iter()
-            .copied()
-            .filter(|member| !exclude.contains(member)),
-    );
-    if pool.len() <= limit {
-        return;
-    }
-    for index in 0..limit {
-        let remaining = pool.len() - index;
-        let pick = index + (ctx.random_u64() % remaining as u64) as usize;
-        pool.swap(index, pick);
-    }
-    pool.truncate(limit);
-}
-
-/// Position of every member in `members` — its first, should one repeat.
-fn member_slots(members: &[NodeId]) -> HashMap<NodeId, u32> {
-    let mut slots = HashMap::with_capacity(members.len());
-    for (slot, member) in (0u32..).zip(members) {
-        slots.entry(*member).or_insert(slot);
-    }
-    slots
-}
 
 /// One push waiting in the outbox.
 #[derive(Debug)]
@@ -272,12 +221,13 @@ impl Layer for GossipLayer {
 pub struct GossipSession {
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    /// Every member's position in `members` (its first one), refreshed on
-    /// every view install: the guard that keeps repair traffic (digest
-    /// replies, NACK-pull answers) from flowing to expelled or crashed peers
-    /// that are no longer in the view, and the outbox's flush order.
+    /// Every member's position in `members` (its first one), sorted by id
+    /// and refreshed on every view install: the guard that keeps repair
+    /// traffic (digest replies, NACK-pull answers) from flowing to expelled
+    /// or crashed peers that are no longer in the view, the outbox's flush
+    /// order, and the index of every per-peer table below.
     // bound: <= view size; rebuilt on every view install.
-    member_slots: HashMap<NodeId, u32>,
+    member_slots: Vec<(NodeId, u32)>,
     fanout: usize,
     ttl: u32,
     seen_cap: usize,
@@ -344,17 +294,26 @@ pub struct GossipSession {
     outbox_pending: Vec<usize>,
     /// Arrival stamp of the next outbox entry.
     outbox_arrivals: u64,
-    /// Send-side credit remaining per peer, refilled by digest grants.
-    // bound: <= view size keys, pruned on view install.
-    credits: HashMap<NodeId, u32>,
-    /// Receive-side remainder of the credit last granted to each peer; when
-    /// it falls to half the window a fresh grant is sent.
-    // bound: <= view size keys, pruned on view install.
-    granted: HashMap<NodeId, u32>,
+    /// Send-side credit remaining per peer, indexed by slot, refilled by
+    /// digest grants. A peer starts with a full window.
+    // bound: one value per position in `members`; carried over on every view install.
+    credits: Vec<u32>,
+    /// Receive-side remainder of the credit last granted to each peer,
+    /// indexed by slot; when it falls to half the window a fresh grant is
+    /// sent.
+    // bound: one value per position in `members`; carried over on every view install.
+    granted: Vec<u32>,
     flush_timer: Option<u64>,
-    /// Scratch for the push targets drawn on every send and push arrival.
-    // bound: <= view size; overwritten by every sample.
-    push_targets: Vec<NodeId>,
+    /// Scratch for the slots of the push targets drawn on every send and
+    /// push arrival.
+    // bound: <= `fanout`; overwritten by every sample.
+    push_targets: Vec<u32>,
+    /// Scratch of the peer draw, which builds no pool of members.
+    // bound: scratch lists of <= 2 x `fanout` entries, or <= view size for a member list with repeats; cleared by every draw (see `Sampler`).
+    sampler: Sampler,
+    /// Scratch the rows of a received repair digest decode into.
+    // bound: capacity <= the largest digest received (`get_count` caps a count at packet bytes / 4); overwritten by every digest.
+    digest_rows: Vec<RepairRange>,
     /// Scratch the entries of a received batch decode into. The messages
     /// are slices of the packet, so it is drained before the batch handler
     /// returns: no decoded message outlives the event that carried it.
@@ -369,9 +328,13 @@ impl GossipSession {
     fn from_params(params: &LayerParams) -> Self {
         let members = param_node_list(params, "members");
         let credit_window = param_or(params, "credit_window", DEFAULT_CREDIT_WINDOW);
+        let mut member_slots = Vec::new();
+        slot_table(&members, &mut member_slots);
         Self {
-            member_slots: member_slots(&members),
+            member_slots,
             outbox_pending: vec![0; members.len()],
+            credits: vec![credit_window as u32; members.len()],
+            granted: vec![credit_window as u32; members.len()],
             members,
             fanout: param_or(params, "fanout", 3usize).max(1),
             ttl: param_or(params, "ttl", 4u32),
@@ -387,10 +350,10 @@ impl GossipSession {
             inc: 0,
             inc_ready: false,
             next_seq: 0,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             seen_order: VecDeque::new(),
-            delivered: HashMap::new(),
-            floor_breaches: HashMap::new(),
+            delivered: HashMap::default(),
+            floor_breaches: HashMap::default(),
             log: RepairLog::new(),
             pulls_this_interval: 0,
             pushes_this_interval: 0,
@@ -404,10 +367,10 @@ impl GossipSession {
             },
             outbox: Vec::new(),
             outbox_arrivals: 0,
-            credits: HashMap::new(),
-            granted: HashMap::new(),
             flush_timer: None,
             push_targets: Vec::new(),
+            sampler: Sampler::default(),
+            digest_rows: Vec::new(),
             batch_entries: Vec::new(),
             stats: GossipStats::default(),
         }
@@ -489,19 +452,28 @@ impl GossipSession {
     /// actual delivery — never on query paths, so digest contents cannot
     /// fabricate (or displace) delivery records.
     fn record_delivered(&mut self, origin: NodeId, inc: u64, seq: u64) -> bool {
-        if !self.delivered.contains_key(&(origin, inc)) {
-            let mut incs: Vec<u64> = self
-                .delivered
-                .keys()
-                .filter(|(node, _)| *node == origin)
-                .map(|(_, inc)| *inc)
-                .collect();
-            while incs.len() >= Self::TRACKED_INCS_PER_ORIGIN {
-                incs.sort_unstable();
-                let oldest = incs.remove(0);
-                self.delivered.remove(&(origin, oldest));
-                self.drop_stream_log(&(origin, oldest));
-            }
+        if let Some(tracker) = self.delivered.get_mut(&(origin, inc)) {
+            return tracker.record(seq);
+        }
+        let mut incs: Vec<u64> = self
+            .delivered
+            .keys()
+            .filter(|(node, _)| *node == origin)
+            .map(|(_, inc)| *inc)
+            .collect();
+        incs.sort_unstable();
+        // An incarnation older than every tracked one is past every repair
+        // log's TTL: its message is a late duplicate. Tracking it would
+        // evict a newer stream whose messages peers can still re-serve.
+        if incs.len() >= Self::TRACKED_INCS_PER_ORIGIN
+            && incs.first().is_some_and(|oldest| inc < *oldest)
+        {
+            return false;
+        }
+        let excess = (incs.len() + 1).saturating_sub(Self::TRACKED_INCS_PER_ORIGIN);
+        for oldest in incs.drain(..excess) {
+            self.delivered.remove(&(origin, oldest));
+            self.drop_stream_log(&(origin, oldest));
         }
         self.delivered.entry((origin, inc)).or_default().record(seq)
     }
@@ -529,8 +501,30 @@ impl GossipSession {
             .retain(|key, _| delivered.contains_key(key));
     }
 
-    fn random_targets(&self, exclude: &[NodeId], ctx: &mut EventContext<'_>) -> Vec<NodeId> {
-        sample_peers(&self.members, exclude, self.fanout, ctx)
+    /// Draws the slots of up to `fanout` members not in `exclude` into the
+    /// `push_targets` scratch.
+    fn draw_push_targets(&mut self, exclude: &[NodeId], ctx: &mut EventContext<'_>) {
+        let rng = &mut || ctx.random_u64();
+        let (members, slots) = (&self.members, &self.member_slots);
+        let targets = &mut self.push_targets;
+        self.sampler
+            .draw_slots_into(members, slots, exclude, self.fanout, rng, targets);
+    }
+
+    /// Draws up to `fanout` members not in `exclude` into a list of their
+    /// own.
+    fn random_targets(&mut self, exclude: &[NodeId], ctx: &mut EventContext<'_>) -> Vec<NodeId> {
+        self.draw_push_targets(exclude, ctx);
+        self.drawn_members()
+    }
+
+    /// The members at the slots `push_targets` holds, in a list of their
+    /// own.
+    fn drawn_members(&self) -> Vec<NodeId> {
+        let mut targets = Vec::with_capacity(self.push_targets.len());
+        let drawn = self.push_targets.iter();
+        targets.extend(drawn.filter_map(|slot| self.members.get(*slot as usize)));
+        targets
     }
 
     fn arm_repair_timer(&mut self, ctx: &mut EventContext<'_>) {
@@ -548,15 +542,15 @@ impl GossipSession {
         }
     }
 
-    /// Queues one push into `peer`'s outbox. Shed policy: drop-newest
-    /// beyond the cap — the message is already in the repair log, so
-    /// digest-announce + pull recovers it. Returns `false` when shed (or
-    /// when `peer` is outside the view, which sampling never picks).
-    fn outbox_enqueue(&mut self, peer: NodeId, header: GossipHeader, frame: Bytes) -> bool {
-        let Some(&slot) = self.member_slots.get(&peer) else {
-            return false;
-        };
-        let Some(pending) = self.outbox_pending.get_mut(slot as usize) else {
+    /// Queues one push into the outbox of the member at `slot`. Shed
+    /// policy: drop-newest beyond the cap — the message is already in the
+    /// repair log, so digest-announce + pull recovers it. Returns `false`
+    /// when shed (or when `slot` is outside the view).
+    fn outbox_enqueue(&mut self, slot: u32, header: GossipHeader, frame: Bytes) -> bool {
+        let (Some(&peer), Some(pending)) = (
+            self.members.get(slot as usize),
+            self.outbox_pending.get_mut(slot as usize),
+        ) else {
             return false;
         };
         if *pending >= self.outbox_cap {
@@ -574,26 +568,19 @@ impl GossipSession {
         true
     }
 
-    /// Defers one push into `peer`'s outbox and schedules the zero-delay
-    /// flush that sends it out as part of an aggregated batch.
+    /// Defers one push into the outbox of the member at `slot` and
+    /// schedules the zero-delay flush that sends it out as part of an
+    /// aggregated batch.
     fn enqueue_push(
         &mut self,
-        peer: NodeId,
+        slot: u32,
         header: GossipHeader,
         frame: Bytes,
         ctx: &mut EventContext<'_>,
     ) {
-        if self.outbox_enqueue(peer, header, frame) {
+        if self.outbox_enqueue(slot, header, frame) {
             self.arm_flush_timer(ctx);
         }
-    }
-
-    /// Whether a push to `peer` is waiting in the outbox.
-    fn outbox_holds(&self, peer: NodeId) -> bool {
-        self.member_slots
-            .get(&peer)
-            .and_then(|slot| self.outbox_pending.get(*slot as usize))
-            .is_some_and(|pending| *pending > 0)
     }
 
     /// Sends every credit-covered outbox entry as aggregated
@@ -617,10 +604,9 @@ impl GossipSession {
                 .count();
             let end = start + waiting;
             let available = if credit_on {
-                *self
-                    .credits
-                    .entry(peer)
-                    .or_insert(self.credit_window as u32) as usize
+                self.credits
+                    .get(slot as usize)
+                    .map_or(0, |credit| *credit as usize)
             } else {
                 usize::MAX
             };
@@ -638,7 +624,7 @@ impl GossipSession {
                 )));
             }
             if credit_on {
-                if let Some(credit) = self.credits.get_mut(&peer) {
+                if let Some(credit) = self.credits.get_mut(slot as usize) {
                     *credit = credit.saturating_sub(take as u32);
                 }
             }
@@ -656,19 +642,21 @@ impl GossipSession {
         self.outbox.truncate(kept);
     }
 
-    /// The spans the repair log can currently serve, in deterministic
-    /// `(origin, inc)` order — the digest payload.
-    fn digest_entries(&self) -> Vec<RepairRange> {
-        self.log
-            .spans()
-            .into_iter()
-            .map(|((origin, inc), lo, hi)| RepairRange {
-                origin,
-                inc,
-                lo,
-                hi,
-            })
-            .collect()
+    /// A [`RepairDigest`] carrying `credit` and the spans the repair log
+    /// can currently serve, in `(origin, inc)` order, encoded straight from
+    /// the log.
+    fn digest_message(&mut self, credit: u32) -> Message {
+        let rows = self.log.rows().map(|((origin, inc), lo, hi)| RepairRange {
+            origin,
+            inc,
+            lo,
+            hi,
+        });
+        let mut message = Message::new();
+        message.push_header(encode_pooled(|w| {
+            RepairDigest::encode_rows(credit, rows, w)
+        }));
+        message
     }
 
     /// The credit value piggybacked on outgoing digests.
@@ -683,11 +671,14 @@ impl GossipSession {
     /// Charges `count` push-path arrivals from `from` against the credit we
     /// granted it, re-granting once half the window is consumed.
     fn note_arrivals(&mut self, from: NodeId, count: u32, ctx: &mut EventContext<'_>) {
-        if !self.credit_enabled() || !self.member_slots.contains_key(&from) {
+        if !self.credit_enabled() {
             return;
         }
+        let slot = slot_of(&self.member_slots, from);
+        let Some(remaining) = slot.and_then(|slot| self.granted.get_mut(slot as usize)) else {
+            return;
+        };
         let window = self.credit_window as u32;
-        let remaining = self.granted.entry(from).or_insert(window);
         *remaining = remaining.saturating_sub(count);
         if *remaining <= window / 2 {
             *remaining = window;
@@ -695,11 +686,7 @@ impl GossipSession {
             // its credit field, and the log spans come along for free.
             let local = ctx.node_id();
             self.stats.repair_digests += 1;
-            let mut message = Message::new();
-            message.push(&RepairDigest {
-                credit: window,
-                entries: self.digest_entries(),
-            });
+            let message = self.digest_message(window);
             ctx.dispatch(Event::down(GossipRepairDigest::new(
                 local,
                 Dest::Node(from),
@@ -774,14 +761,8 @@ impl GossipSession {
         if header.ttl > 0 {
             // The sender plainly has the message too — relaying back to it
             // is a guaranteed duplicate, so it joins the exclusion list.
-            let mut targets = std::mem::take(&mut self.push_targets);
-            sample_peers_into(
-                &self.members,
-                &[local, header.origin, from],
-                self.fanout,
-                ctx,
-                &mut targets,
-            );
+            self.draw_push_targets(&[local, header.origin, from], ctx);
+            let targets = std::mem::take(&mut self.push_targets);
             if !targets.is_empty() {
                 self.stats.forwarded += 1;
                 let relay = GossipHeader {
@@ -812,15 +793,10 @@ impl GossipSession {
         self.pulls_this_interval = 0;
         self.pushes_this_interval = 0;
         if !self.log.is_empty() {
-            let entries = self.digest_entries();
             let targets = self.random_targets(&[local], ctx);
             if !targets.is_empty() {
                 self.stats.repair_digests += 1;
-                let mut message = Message::new();
-                message.push(&RepairDigest {
-                    credit: self.grant_value(),
-                    entries,
-                });
+                let message = self.digest_message(self.grant_value());
                 ctx.dispatch(Event::down(GossipRepairDigest::new(
                     local,
                     Dest::Nodes(targets),
@@ -875,19 +851,31 @@ impl GossipSession {
     /// A peer's digest arrived: refill its push credit from the piggybacked
     /// grant, then NACK-pull the gaps it can serve, within the per-interval
     /// budget.
-    fn on_repair_digest(&mut self, from: NodeId, digest: RepairDigest, ctx: &mut EventContext<'_>) {
+    fn on_repair_digest(
+        &mut self,
+        from: NodeId,
+        credit: u32,
+        rows: &[RepairRange],
+        ctx: &mut EventContext<'_>,
+    ) {
         if !self.repair_enabled() {
             return;
         }
         // A digest from outside the installed view (an expelled member, a
         // stale incarnation) gets no pull: answering would re-open a repair
         // conversation with a peer the view agreement removed.
-        if !self.member_slots.contains_key(&from) {
+        let Some(slot) = slot_of(&self.member_slots, from) else {
             return;
-        }
-        if digest.credit > 0 && self.credit_enabled() {
-            self.credits.insert(from, digest.credit);
-            if self.outbox_holds(from) {
+        };
+        if credit > 0 && self.credit_enabled() {
+            if let Some(granted) = self.credits.get_mut(slot as usize) {
+                *granted = credit;
+            }
+            if self
+                .outbox_pending
+                .get(slot as usize)
+                .is_some_and(|pending| *pending > 0)
+            {
                 self.arm_flush_timer(ctx);
             }
         }
@@ -897,7 +885,7 @@ impl GossipSession {
         let local = ctx.node_id();
         let mut wants: Vec<(NodeId, u64, Vec<u64>)> = Vec::new();
         let mut total = 0usize;
-        for entry in &digest.entries {
+        for entry in rows {
             if entry.origin == local || entry.lo > entry.hi || total >= self.repair_window {
                 continue;
             }
@@ -913,10 +901,9 @@ impl GossipSession {
             // late retention can still repair, and escalating the whole
             // group into snapshot transfers at once is the heavier failure.
             let key = (entry.origin, entry.inc);
-            let evicted_below = match self.delivered.get(&key) {
-                Some(tracker) => tracker.floor + 1 < entry.lo,
-                None => entry.lo > 1,
-            };
+            let tracker = self.delivered.get(&key);
+            let evicted_below =
+                tracker.map_or(entry.lo > 1, |tracker| tracker.floor + 1 < entry.lo);
             if evicted_below {
                 let now = ctx.now_ms();
                 let breach = self
@@ -925,21 +912,17 @@ impl GossipSession {
                     .or_insert((now, entry.lo, from));
                 breach.1 = breach.1.max(entry.lo);
                 breach.2 = from;
-            } else {
+            } else if !self.floor_breaches.is_empty() {
                 self.floor_breaches.remove(&key);
             }
             // Query only — a digest must never create (or displace) a
             // delivery record. An unknown stream is missing in its
             // entirety within the advertised span.
             let mut missing = Vec::new();
-            match self.delivered.get(&(entry.origin, entry.inc)) {
-                Some(tracker) => {
-                    tracker.missing_in(entry.lo, entry.hi, self.repair_window - total, &mut missing)
-                }
-                None => {
-                    let limit = self.repair_window - total;
-                    missing.extend((entry.lo..=entry.hi).take(limit));
-                }
+            let limit = self.repair_window - total;
+            match tracker {
+                Some(tracker) => tracker.missing_in(entry.lo, entry.hi, limit, &mut missing),
+                None => missing.extend((entry.lo..=entry.hi).take(limit)),
             }
             if !missing.is_empty() {
                 total += missing.len();
@@ -969,7 +952,7 @@ impl GossipSession {
         // Serve log entries only to current view members — an expelled peer
         // re-syncs through the recovery layer's state transfer, not through
         // the repair path.
-        if !self.member_slots.contains_key(&from) {
+        if slot_of(&self.member_slots, from).is_none() {
             return;
         }
         let local = ctx.node_id();
@@ -980,8 +963,7 @@ impl GossipSession {
         // (a greedy or corrupt puller cannot amplify this node's send rate).
         let interval_cap = self.repair_window * 4;
         for (origin, inc, seqs) in pull.wants {
-            let stream = self.log.stream(&(origin, inc));
-            let servable_floor = stream.and_then(|stream| stream.keys().next().copied());
+            let servable_floor = self.log.lowest(&(origin, inc));
             let delivered_floor = self
                 .delivered
                 .get(&(origin, inc))
@@ -1004,9 +986,9 @@ impl GossipSession {
                     message,
                 )));
             }
-            let Some(stream) = stream else {
+            if servable_floor.is_none() {
                 continue;
-            };
+            }
             for seq in seqs {
                 if budget == 0 {
                     return;
@@ -1016,7 +998,8 @@ impl GossipSession {
                     return;
                 }
                 // The log wrote the frame itself; it always reads back.
-                let Some(Ok(mut message)) = stream.get(&seq).map(Message::from_shared) else {
+                let logged = self.log.get(&(origin, inc), seq);
+                let Some(Ok(mut message)) = logged.map(Message::from_shared) else {
                     continue;
                 };
                 budget -= 1;
@@ -1038,7 +1021,7 @@ impl GossipSession {
     /// recovery layer above for a targeted state-section pull against the
     /// responder — snapshot catch-up without a view change.
     fn on_repair_floor(&mut self, from: NodeId, body: RepairFloorBody, ctx: &mut EventContext<'_>) {
-        if !self.repair_enabled() || !self.member_slots.contains_key(&from) {
+        if !self.repair_enabled() || slot_of(&self.member_slots, from).is_none() {
             return;
         }
         if body.floor == 0 {
@@ -1124,14 +1107,16 @@ impl Session for GossipSession {
 
         if let Some(install) = event.get::<ViewInstall>() {
             self.members = install.view.members.clone();
-            self.member_slots = member_slots(&self.members);
+            let old_slots = std::mem::take(&mut self.member_slots);
+            slot_table(&self.members, &mut self.member_slots);
             // Per-peer backpressure state follows the membership: queued
             // pushes, credits and grants of expelled peers are dropped, and
-            // the survivors' pushes move to their new slots.
+            // the survivors' pushes, credits and grants move to their new
+            // slots.
             let slots = &self.member_slots;
             self.outbox
-                .retain_mut(|entry| match slots.get(&entry.peer) {
-                    Some(&slot) => {
+                .retain_mut(|entry| match slot_of(slots, entry.peer) {
+                    Some(slot) => {
                         entry.slot = slot;
                         true
                     }
@@ -1144,8 +1129,16 @@ impl Session for GossipSession {
                     *pending += 1;
                 }
             }
-            self.credits.retain(|peer, _| slots.contains_key(peer));
-            self.granted.retain(|peer, _| slots.contains_key(peer));
+            let window = self.credit_window as u32;
+            for values in [&mut self.credits, &mut self.granted] {
+                let old = std::mem::replace(values, vec![window; self.members.len()]);
+                for (peer, slot) in slots {
+                    let kept = slot_of(&old_slots, *peer).and_then(|at| old.get(at as usize));
+                    if let (Some(kept), Some(value)) = (kept, values.get_mut(*slot as usize)) {
+                        *value = *kept;
+                    }
+                }
+            }
             ctx.forward(event);
             return;
         }
@@ -1159,10 +1152,14 @@ impl Session for GossipSession {
                 return;
             };
             let from = digest.header.source;
-            let Ok(body) = digest.message.pop::<RepairDigest>() else {
+            let Some(body) = digest.message.pop_header() else {
                 return;
             };
-            self.on_repair_digest(from, body, ctx);
+            let mut rows = std::mem::take(&mut self.digest_rows);
+            if let Ok(credit) = RepairDigest::decode_into(&body, &mut rows) {
+                self.on_repair_digest(from, credit, &rows, ctx);
+            }
+            self.digest_rows = rows;
             return;
         }
 
@@ -1262,14 +1259,8 @@ impl Session for GossipSession {
                             // the outbox and leaves this instant as
                             // aggregated packets, credit permitting. The
                             // targets are drawn into the session's scratch.
-                            let mut targets = std::mem::take(&mut self.push_targets);
-                            sample_peers_into(
-                                &self.members,
-                                &[local],
-                                self.fanout,
-                                ctx,
-                                &mut targets,
-                            );
+                            self.draw_push_targets(&[local], ctx);
+                            let targets = std::mem::take(&mut self.push_targets);
                             for target in &targets {
                                 self.enqueue_push(*target, header, original.clone(), ctx);
                             }
@@ -1328,19 +1319,21 @@ impl Session for GossipSession {
                             seq: header.seq,
                             ttl: header.ttl - 1,
                         };
-                        let targets = self.random_targets(&[local, header.origin], ctx);
-                        if !targets.is_empty() {
+                        self.draw_push_targets(&[local, header.origin], ctx);
+                        if !self.push_targets.is_empty() {
                             self.stats.forwarded += 1;
                             if self.aggregating() {
-                                for target in targets {
-                                    self.enqueue_push(target, relay, kept.clone(), ctx);
+                                let targets = std::mem::take(&mut self.push_targets);
+                                for target in &targets {
+                                    self.enqueue_push(*target, relay, kept.clone(), ctx);
                                 }
+                                self.push_targets = targets;
                             } else {
                                 let mut forwarded_message = data.message.clone();
                                 forwarded_message.push(&relay);
                                 ctx.dispatch(Event::down(DataEvent::new(
                                     header.origin,
-                                    Dest::Nodes(targets),
+                                    Dest::Nodes(self.drawn_members()),
                                     forwarded_message,
                                 )));
                             }
@@ -2150,6 +2143,40 @@ mod tests {
         assert_eq!(gossip.log_len(), 0, "TTL drains the log once churn stops");
     }
 
+    /// A message of an incarnation older than every tracked one arrives
+    /// (a late pull answer, a packet delayed across two restarts). It was
+    /// delivered before its record was pruned, so it is a late duplicate —
+    /// and tracking it afresh would evict a newer stream, whose messages a
+    /// peer's log could then deliver a second time.
+    #[test]
+    fn a_straggler_from_an_untracked_old_incarnation_is_refused() {
+        let mut gossip = test_session(&[0, 1, 2, 3]);
+        for inc in [10, 20, 30, 40] {
+            assert!(gossip.record_delivered(NodeId(3), inc, 1));
+        }
+        assert!(
+            !gossip.record_delivered(NodeId(3), 5, 1),
+            "inc 5 is older than every tracked incarnation"
+        );
+        assert!(
+            !gossip.record_delivered(NodeId(3), 10, 1),
+            "inc 10 seq 1 was delivered once and stays delivered"
+        );
+        let mut tracked: Vec<u64> = gossip
+            .delivered
+            .keys()
+            .filter(|(node, _)| *node == NodeId(3))
+            .map(|(_, inc)| *inc)
+            .collect();
+        tracked.sort_unstable();
+        assert_eq!(tracked, vec![10, 20, 30, 40]);
+
+        // A newer incarnation still displaces the oldest, as before.
+        assert!(gossip.record_delivered(NodeId(3), 50, 1));
+        assert!(!gossip.delivered.contains_key(&(NodeId(3), 10)));
+        assert!(!gossip.record_delivered(NodeId(3), 50, 1));
+    }
+
     #[test]
     fn same_instant_pushes_leave_as_aggregated_batches() {
         let mut platform = TestPlatform::new(NodeId(0));
@@ -2340,7 +2367,7 @@ mod tests {
             ttl: 2,
         };
         for seq in 1..=10u64 {
-            gossip.outbox_enqueue(NodeId(1), header(seq), Message::new().to_bytes());
+            gossip.outbox_enqueue(1, header(seq), Message::new().to_bytes());
         }
         let queue: Vec<u64> = gossip
             .outbox

@@ -176,16 +176,24 @@ pub struct RepairDigest {
     pub entries: Vec<RepairRange>,
 }
 
-impl Wire for RepairDigest {
-    fn encode(&self, w: &mut WireWriter) {
-        w.reserve(8 + 6 * self.entries.len());
-        w.put_varint(self.credit.into());
-        w.put_varint(self.entries.len() as u64);
+impl RepairDigest {
+    /// Encodes a digest from its rows, as they are read — byte for byte
+    /// what [`Wire::encode`] writes for the same credit and entries. The
+    /// gossip session encodes its digests straight from its repair log.
+    pub fn encode_rows<I>(credit: u32, rows: I, w: &mut WireWriter)
+    where
+        I: IntoIterator<Item = RepairRange>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let rows = rows.into_iter();
+        w.reserve(8 + 6 * rows.len());
+        w.put_varint(credit.into());
+        w.put_varint(rows.len() as u64);
         // Origins as gaps, `inc` and `lo` against the first row's, `hi`
         // against its own `lo` (the span is a handful of messages).
         let mut prev = 0;
         let mut base = None;
-        for entry in &self.entries {
+        for entry in rows {
             let (inc_base, lo_base) = base.unwrap_or((0, 0));
             w.put_delta(prev, entry.origin.into());
             prev = entry.origin.into();
@@ -196,10 +204,33 @@ impl Wire for RepairDigest {
         }
     }
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    /// Decodes the digest carried in `header` (a popped message header)
+    /// into `entries`, a caller-owned scratch that keeps its capacity
+    /// across digests, and returns its credit. All or nothing, as
+    /// [`Message::pop`]: a malformed row or trailing bytes is an error and
+    /// leaves `entries` empty.
+    pub fn decode_into(header: &[u8], entries: &mut Vec<RepairRange>) -> Result<u32, WireError> {
+        entries.clear();
+        let mut r = WireReader::new(header);
+        let decoded = Self::decode_rows(&mut r, entries).and_then(|credit| match r.remaining() {
+            0 => Ok(credit),
+            _ => Err(WireError::Malformed("trailing bytes in header")),
+        });
+        if decoded.is_err() {
+            entries.clear();
+        }
+        decoded
+    }
+
+    /// Appends the rows of one encoded digest to `entries`; returns the
+    /// credit.
+    fn decode_rows(
+        r: &mut WireReader<'_>,
+        entries: &mut Vec<RepairRange>,
+    ) -> Result<u32, WireError> {
         let credit = narrow(r.get_varint()?)?;
         let count = r.get_count(4)?;
-        let mut entries = Vec::with_capacity(count);
+        entries.reserve(count);
         let mut prev = 0;
         let mut base = None;
         for _ in 0..count {
@@ -216,6 +247,18 @@ impl Wire for RepairDigest {
                 hi,
             });
         }
+        Ok(credit)
+    }
+}
+
+impl Wire for RepairDigest {
+    fn encode(&self, w: &mut WireWriter) {
+        Self::encode_rows(self.credit, self.entries.iter().copied(), w);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let mut entries = Vec::new();
+        let credit = Self::decode_rows(r, &mut entries)?;
         Ok(Self { credit, entries })
     }
 }
@@ -902,6 +945,56 @@ mod tests {
                     let _ = GossipBatchBody::from_bytes(&mutated);
                     let _ = RepairFloorBody::from_bytes(&mutated);
                 }
+            }
+        }
+    }
+
+    /// The scratch decode agrees with [`Wire::decode`] on every prefix and
+    /// every single-bit flip of a digest, and a failure leaves the scratch
+    /// empty however full it was.
+    #[test]
+    fn a_digest_decodes_into_scratch_all_or_nothing() {
+        let digest = RepairDigest {
+            credit: 32,
+            entries: (0..5u32)
+                .map(|at| RepairRange {
+                    origin: NodeId(at * 3),
+                    inc: 1_000 + u64::from(at),
+                    lo: 40 + u64::from(at),
+                    hi: 44 + u64::from(at) * 2,
+                })
+                .collect(),
+        };
+        let bytes = digest.to_bytes().to_vec();
+        let mut rows = vec![RepairRange {
+            origin: NodeId(9),
+            inc: 9,
+            lo: 9,
+            hi: 9,
+        }];
+        assert_eq!(RepairDigest::decode_into(&bytes, &mut rows), Ok(32));
+        assert_eq!(rows, digest.entries);
+        let mut variants: Vec<Vec<u8>> =
+            (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        variants.push([&bytes[..], &[0]].concat());
+        for index in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut mutated = bytes.clone();
+                mutated[index] ^= 1 << bit;
+                variants.push(mutated);
+            }
+        }
+        for variant in variants {
+            rows.clone_from(&digest.entries);
+            match (
+                RepairDigest::decode_into(&variant, &mut rows),
+                RepairDigest::from_bytes(&variant),
+            ) {
+                (Ok(credit), Ok(decoded)) => {
+                    assert_eq!((credit, &rows), (decoded.credit, &decoded.entries));
+                }
+                (Err(_), Err(_)) => assert!(rows.is_empty(), "a failed decode left rows behind"),
+                (scratch, whole) => panic!("{variant:?}: {scratch:?} against {whole:?}"),
             }
         }
     }

@@ -39,6 +39,7 @@ pub mod recovery;
 pub mod reliable;
 pub mod repair;
 pub mod round;
+pub mod sample;
 pub mod sorted;
 pub mod suite;
 pub mod total;

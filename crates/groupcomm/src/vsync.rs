@@ -59,9 +59,9 @@ use crate::events::{
     Alive, BlockRequest, FlushAck, JoinRequest, Rejoin, ResumeRequest, StaleBallot, Suspect,
     ViewCommit, ViewInstall, ViewPrepare,
 };
-use crate::gossip::sample_peers;
 use crate::headers::FlushBody;
 use crate::round::{Ballot, Engine as RoundEngine, Promise, Tick};
+use crate::sample::sample_peers;
 use crate::view::View;
 
 /// Registered name of the view-synchrony / membership layer.

@@ -9,8 +9,11 @@
 //! boxes: every one comes from its type's free list, refilled by the events
 //! the previous round dropped.
 //!
-//! The repair pass is off (`repair_interval_ms` 0): its log and digests
-//! keep tree nodes of their own, which this budget does not cover.
+//! The push-path tests run with the repair pass off (`repair_interval_ms`
+//! 0), so the repair log's buffers stay out of their budget. The repair
+//! pass has budgets of its own: a received digest decodes into the
+//! session's scratch, and the repair tick encodes its digest straight from
+//! the log and draws its targets without a pool of members.
 //!
 //! The failure detector's heartbeat arrival is pinned here too: a digest
 //! decodes into the session's scratch and merges into its table in place.
@@ -25,10 +28,12 @@ use morpheus_appia::message::Message;
 use morpheus_appia::platform::{InPacket, NodeId, PacketClass, TestPlatform};
 use morpheus_appia::testing::Harness;
 use morpheus_appia::timer::TimerKey;
-use morpheus_groupcomm::events::{GossipBatch, Heartbeat};
+use morpheus_groupcomm::events::{GossipBatch, GossipRepairDigest, Heartbeat};
 use morpheus_groupcomm::failure_detector::FailureDetectorLayer;
 use morpheus_groupcomm::gossip::GossipLayer;
-use morpheus_groupcomm::headers::{GossipBatchBody, GossipHeader, LivenessDigest};
+use morpheus_groupcomm::headers::{
+    GossipBatchBody, GossipHeader, LivenessDigest, RepairDigest, RepairRange,
+};
 
 struct CountingAllocator;
 
@@ -73,10 +78,10 @@ const K: usize = 4;
 const P: usize = 6;
 /// Rounds before the measured ones. The duplicate-suppression set and its
 /// ring only grow here (the default cap evicts nothing), and they are
-/// hash- and doubling-sized: a set that evicted would leave tombstones and
-/// rehash at a time its random hash seed decides. 160 ids warm grow the set
-/// to 256 buckets (224 ids) and the ring to 256 slots, which hold the 48
-/// ids the measured rounds add.
+/// hash- and doubling-sized. The set hashes with a fixed seed, so where it
+/// grows is the same in every run; 160 ids warm grow it to 256 buckets
+/// (224 ids) and the ring to 256 slots, which hold the 48 ids the measured
+/// rounds add.
 const WARM_UP_ROUNDS: usize = 40;
 /// Measured rounds.
 const ROUNDS: u64 = 12;
@@ -292,4 +297,146 @@ fn a_warm_heartbeat_that_advances_no_counter_allocates_nothing() {
     }
 
     assert_eq!(total, 0, "a warm heartbeat arrival allocates nothing");
+}
+
+/// A gossip session with the repair pass on, at node 1 of nine members,
+/// pushing singletons to 3 peers.
+fn repairing_gossip(platform: &mut TestPlatform) -> Harness {
+    let mut params = LayerParams::new();
+    params.insert("members".into(), "0,1,2,3,4,5,6,7,8".into());
+    Harness::new(GossipLayer, &params, platform)
+}
+
+/// A packet from node 2 carrying a repair digest that advertises `spans`.
+fn digest_packet(spans: &[(u32, u64, u64)]) -> InPacket {
+    let mut message = Message::new();
+    message.push(&RepairDigest {
+        credit: 0,
+        entries: spans
+            .iter()
+            .map(|&(origin, lo, hi)| RepairRange {
+                origin: NodeId(origin),
+                inc: 5,
+                lo,
+                hi,
+            })
+            .collect(),
+    });
+    let digest = GossipRepairDigest::new(NodeId(2), Dest::Node(NodeId(1)), message);
+    InPacket {
+        from: NodeId(2),
+        to: NodeId(1),
+        class: PacketClass::Control,
+        channel: "harness".into(),
+        payload: morpheus_appia::registry::encode_event(&digest),
+    }
+}
+
+/// A digest arrives that advertises only what the node already delivered:
+/// it pulls nothing. The rows decode into the session's scratch and the
+/// decode box comes from the free list, so the arrival allocates nothing.
+#[test]
+fn a_warm_repair_digest_that_pulls_nothing_allocates_nothing() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut harness = repairing_gossip(&mut platform);
+    GossipBatch::register(harness.kernel_mut().events_mut());
+    GossipRepairDigest::register(harness.kernel_mut().events_mut());
+    // Node 1 delivers seqs 1..=8 of four origins' streams (inc 5).
+    for origin in [0, 3, 4, 6] {
+        let entries = (1..=8)
+            .map(|seq| {
+                let header = GossipHeader {
+                    origin: NodeId(origin),
+                    inc: 5,
+                    seq,
+                    ttl: 0,
+                };
+                (header, Message::with_payload(&b"logged"[..]))
+            })
+            .collect();
+        let mut message = Message::new();
+        message.push(&GossipBatchBody { entries });
+        let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), message);
+        let arrival = InPacket {
+            from: NodeId(2),
+            to: NodeId(1),
+            class: PacketClass::Data,
+            channel: "harness".into(),
+            payload: morpheus_appia::registry::encode_event(&batch),
+        };
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        assert_eq!(harness.drain_up().len(), 8);
+    }
+    // Spans at or below the floor, and one of the node's own streams.
+    let spans = [(0, 1, 8), (1, 1, 30), (3, 2, 8), (4, 8, 8), (6, 1, 5)];
+
+    for _ in 0..WARM_UP_ROUNDS {
+        let arrival = digest_packet(&spans);
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        assert!(harness.drain_down().is_empty(), "nothing to pull");
+    }
+
+    let mut total = 0;
+    for _ in 0..ROUNDS {
+        let arrival = digest_packet(&spans);
+        let before = allocations();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        total += allocations() - before;
+        assert!(harness.drain_down().is_empty(), "nothing to pull");
+        assert!(harness.drain_up().is_empty(), "digests are absorbed");
+    }
+
+    assert_eq!(
+        total, 0,
+        "a warm digest that pulls nothing allocates nothing"
+    );
+}
+
+/// The repair tick gossips a digest of the log to `fanout` peers. The
+/// digest is encoded straight from the log into the shared frame scratch,
+/// which the previous tick's digest gave back, and the peers are drawn
+/// without a pool of members. What the tick allocates is the one thing
+/// that leaves the node with the event: its `Dest::Nodes` target list.
+#[test]
+fn a_warm_repair_tick_allocates_only_its_target_list() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut harness = repairing_gossip(&mut platform);
+    // Log a few of the node's own sends.
+    for _ in 0..8 {
+        let send = Event::down(DataEvent::to_group(
+            NodeId(1),
+            Message::with_payload(&b"logged"[..]),
+        ));
+        assert_eq!(harness.run_down(send, &mut platform).len(), 1);
+    }
+
+    let mut keys = Vec::with_capacity(4);
+    for _ in 0..WARM_UP_ROUNDS {
+        fire_armed(&mut harness, &mut platform, &mut keys);
+        let down = harness.drain_down();
+        assert_eq!(down.len(), 1);
+        assert!(down[0].is::<GossipRepairDigest>());
+    }
+
+    let mut total = 0;
+    for _ in 0..ROUNDS {
+        assert_eq!(platform.timers.len(), 1, "the repair timer, re-armed");
+        let before = allocations();
+        fire_armed(&mut harness, &mut platform, &mut keys);
+        total += allocations() - before;
+        let down = harness.drain_down();
+        assert_eq!(down.len(), 1, "one digest per tick");
+        assert!(down[0].is::<GossipRepairDigest>());
+    }
+
+    assert_eq!(total, ROUNDS, "a repair tick: one target list");
 }
