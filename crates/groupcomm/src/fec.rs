@@ -85,7 +85,7 @@ struct ReceiveState {
 }
 
 impl ReceiveState {
-    fn remember(&mut self, seq: u64, bytes: Vec<u8>) {
+    fn store(&mut self, seq: u64, bytes: Vec<u8>) {
         self.window.insert(seq, bytes);
         while self.window.len() > RECEIVE_WINDOW {
             let oldest = *self.window.keys().next().expect("non-empty");
@@ -208,7 +208,7 @@ impl Session for FecSession {
             if recovered_message.pop::<SeqHeader>().is_err() {
                 return;
             }
-            state.remember(missing_seq, reconstructed);
+            state.store(missing_seq, reconstructed);
             self.recovered += 1;
             let local = ctx.node_id();
             ctx.dispatch(Event::up(DataEvent::new(
@@ -250,7 +250,7 @@ impl Session for FecSession {
                 if state.window.contains_key(&header.seq) {
                     return; // duplicate (possibly already recovered via parity)
                 }
-                state.remember(header.seq, encoded);
+                state.store(header.seq, encoded);
                 ctx.forward(event);
             }
         }

@@ -19,17 +19,18 @@
 //!    NACK-pulls the gaps ([`RepairPull`], rate-limited to
 //!    `repair_pull_budget` digest senders and `repair_window` messages per
 //!    interval); the peer answers with the logged originals
-//!    ([`GossipRepairPush`]). Late duplicates — including messages already
-//!    evicted from the push-phase suppression set but still recorded in the
-//!    delivery tracker — are suppressed, so coverage converges to 100%
-//!    shortly after the push phase tops out without ever re-delivering.
-
-use std::collections::VecDeque;
+//!    ([`GossipRepairPush`]). Coverage converges to 100% shortly after the
+//!    push phase tops out, without ever re-delivering.
+//!
+//! Both phases check duplicates in one place: the per-stream delivery
+//! tracker ([`Delivered`]), a contiguous floor plus the few sequence
+//! numbers above it. Its memory grows with the streams a member hears, not
+//! with the messages, and it never forgets a delivery.
 
 use bytes::Bytes;
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
-use morpheus_appia::hash::{HashMap, HashSet};
+use morpheus_appia::hash::HashMap;
 use morpheus_appia::kernel::EventContext;
 use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
@@ -57,15 +58,6 @@ const REPAIR_TAG: u32 = 1;
 /// Timer tag of the zero-delay outbox flush: pushes enqueued within one
 /// simulation instant leave together as aggregated [`GossipBatch`] packets.
 const FLUSH_TAG: u32 = 2;
-
-/// Default cap on message identifiers remembered for duplicate suppression.
-const DEFAULT_SEEN_CAP: usize = 65_536;
-
-/// Default age after which a remembered identifier is evicted. Far beyond
-/// any realistic propagation delay of an epidemic round, so eviction can
-/// only re-admit a duplicate that stopped circulating long ago — while a
-/// long-running chat no longer pins one entry per message ever seen.
-const DEFAULT_SEEN_TTL_MS: u64 = 60_000;
 
 /// Default cadence of the repair digest gossip (`0` disables the repair
 /// pass entirely, leaving the pure push-phase protocol).
@@ -122,7 +114,9 @@ pub struct GossipStats {
     /// Push-phase forwards performed (first receptions re-pushed while the
     /// TTL lasted).
     pub forwarded: u64,
-    /// Push-phase duplicates suppressed by the seen set.
+    /// Push-phase arrivals of messages already delivered, refused by the
+    /// delivery tracker; their relays still queued in the outbox are
+    /// dropped with them.
     pub duplicates: u64,
     /// Repair digests gossiped.
     pub repair_digests: u64,
@@ -135,9 +129,8 @@ pub struct GossipStats {
     /// Messages delivered to the application through the repair pass (gaps
     /// the push phase missed).
     pub repaired_deliveries: u64,
-    /// Late duplicates suppressed by the delivery tracker — arrivals (push
-    /// or repair) of messages already delivered, including ones whose seen
-    /// set entry had been evicted.
+    /// Repair pushes of messages already delivered (by the push phase or an
+    /// earlier repair), refused by the delivery tracker.
     pub late_duplicates: u64,
     /// Push-flush deferrals: messages left waiting in a per-peer outbox at
     /// a flush because the peer's credit was exhausted (one count per
@@ -160,10 +153,6 @@ pub struct GossipStats {
 /// * `members` — comma-separated initial membership;
 /// * `fanout` — number of random targets per push (default 3);
 /// * `ttl` — number of forwarding rounds a message survives (default 4);
-/// * `seen_cap` — ring-buffer cap on the duplicate-suppression set
-///   (default 65536);
-/// * `seen_ttl_ms` — age-based eviction of suppression entries (default
-///   60000 ms; `0` disables age eviction);
 /// * `repair_interval_ms` — cadence of the repair digest gossip (default
 ///   1000 ms; `0` disables the repair pass);
 /// * `repair_log_cap` — cap on messages held in the repair log (default
@@ -230,8 +219,6 @@ pub struct GossipSession {
     member_slots: Vec<(NodeId, u32)>,
     fanout: usize,
     ttl: u32,
-    seen_cap: usize,
-    seen_ttl_ms: u64,
     repair_interval_ms: u64,
     repair_log_cap: usize,
     repair_log_ttl_ms: u64,
@@ -243,18 +230,9 @@ pub struct GossipSession {
     inc: u64,
     inc_ready: bool,
     next_seq: u64,
-    // bound: capped at `seen_cap` and aged out after `seen_ttl_ms`, enforced via `seen_order`.
-    seen: HashSet<(NodeId, u64, u64)>,
-    /// Insertion-ordered `(id, remembered-at ms)` ring backing the eviction
-    /// policy: bounded capacity plus age-based expiry, so the
-    /// duplicate-suppression memory stays capped no matter how long the
-    /// epidemic data path runs.
-    // bound: the ring itself -- `seen_cap` entries, `seen_ttl_ms` age.
-    seen_order: VecDeque<((NodeId, u64, u64), u64)>,
-    /// Per-stream delivery record — the repair pass's ground truth. Never
-    /// capacity-evicted (unlike `seen`), so a message that fell out of the
-    /// seen set is still known as delivered when a late NACK pull re-streams
-    /// it.
+    /// Per-stream delivery record: the one duplicate check of both the push
+    /// phase and the repair pass. Never capacity-evicted, so a late NACK
+    /// pull that re-streams a long-delivered message is still refused.
     // bound: <= TRACKED_INCS_PER_ORIGIN streams per origin (stale incarnations evicted); each entry is a contiguous floor plus a DELIVERED_GAP_CAP-capped sparse set.
     delivered: HashMap<StreamKey, Delivered>,
     /// Per-stream `(first-seen ms, advertised lo, last advertiser)` for
@@ -338,8 +316,6 @@ impl GossipSession {
             members,
             fanout: param_or(params, "fanout", 3usize).max(1),
             ttl: param_or(params, "ttl", 4u32),
-            seen_cap: param_or(params, "seen_cap", DEFAULT_SEEN_CAP).max(16),
-            seen_ttl_ms: param_or(params, "seen_ttl_ms", DEFAULT_SEEN_TTL_MS),
             repair_interval_ms: param_or(params, "repair_interval_ms", DEFAULT_REPAIR_INTERVAL_MS),
             repair_log_cap: param_or(params, "repair_log_cap", DEFAULT_REPAIR_LOG_CAP).max(16),
             repair_log_ttl_ms: param_or(params, "repair_log_ttl_ms", DEFAULT_REPAIR_LOG_TTL_MS)
@@ -350,8 +326,6 @@ impl GossipSession {
             inc: 0,
             inc_ready: false,
             next_seq: 0,
-            seen: HashSet::default(),
-            seen_order: VecDeque::new(),
             delivered: HashMap::default(),
             floor_breaches: HashMap::default(),
             log: RepairLog::new(),
@@ -374,11 +348,6 @@ impl GossipSession {
             batch_entries: Vec::new(),
             stats: GossipStats::default(),
         }
-    }
-
-    /// Entries currently held for duplicate suppression.
-    pub fn seen_len(&self) -> usize {
-        self.seen.len()
     }
 
     /// Messages currently held in the repair log.
@@ -415,29 +384,6 @@ impl GossipSession {
         }
     }
 
-    fn remember(&mut self, id: (NodeId, u64, u64), now_ms: u64) -> bool {
-        // Age-based expiry first (cheap: entries are insertion-ordered).
-        if self.seen_ttl_ms > 0 {
-            while let Some((oldest, at)) = self.seen_order.front().copied() {
-                if now_ms.saturating_sub(at) < self.seen_ttl_ms {
-                    break;
-                }
-                self.seen_order.pop_front();
-                self.seen.remove(&oldest);
-            }
-        }
-        if !self.seen.insert(id) {
-            return false;
-        }
-        self.seen_order.push_back((id, now_ms));
-        while self.seen_order.len() > self.seen_cap {
-            if let Some((oldest, _)) = self.seen_order.pop_front() {
-                self.seen.remove(&oldest);
-            }
-        }
-        true
-    }
-
     /// Incarnations of one origin whose delivery records are retained. A
     /// node can plausibly produce several incarnations inside one repair
     /// window (pre-restart stack, rejoin boot stack, control-plane repair
@@ -447,39 +393,49 @@ impl GossipSession {
     /// long past every repair log's TTL) incarnation is dropped.
     const TRACKED_INCS_PER_ORIGIN: usize = 4;
 
-    /// Records a delivered message in the per-stream tracker; returns
-    /// `false` for a late duplicate. Trackers are created only here — on an
-    /// actual delivery — never on query paths, so digest contents cannot
-    /// fabricate (or displace) delivery records.
+    /// Records a delivered message in its stream's tracker; returns `false`
+    /// for a duplicate, which every receive path refuses on.
     fn record_delivered(&mut self, origin: NodeId, inc: u64, seq: u64) -> bool {
+        // A known stream, the per-message case, costs one lookup.
         if let Some(tracker) = self.delivered.get_mut(&(origin, inc)) {
             return tracker.record(seq);
         }
-        let mut incs: Vec<u64> = self
-            .delivered
-            .keys()
-            .filter(|(node, _)| *node == origin)
-            .map(|(_, inc)| *inc)
-            .collect();
-        incs.sort_unstable();
-        // An incarnation older than every tracked one is past every repair
-        // log's TTL: its message is a late duplicate. Tracking it would
-        // evict a newer stream whose messages peers can still re-serve.
-        if incs.len() >= Self::TRACKED_INCS_PER_ORIGIN
-            && incs.first().is_some_and(|oldest| inc < *oldest)
-        {
-            return false;
-        }
-        let excess = (incs.len() + 1).saturating_sub(Self::TRACKED_INCS_PER_ORIGIN);
-        for oldest in incs.drain(..excess) {
-            self.delivered.remove(&(origin, oldest));
-            self.drop_stream_log(&(origin, oldest));
-        }
-        self.delivered.entry((origin, inc)).or_default().record(seq)
+        self.admit(origin, inc)
+            .is_some_and(|tracker| tracker.record(seq))
     }
 
-    fn drop_stream_log(&mut self, key: &StreamKey) {
-        self.log.drop_stream(key);
+    /// The delivery tracker of `(origin, inc)`, opened under the one
+    /// admission rule if the stream is new: at most
+    /// [`Self::TRACKED_INCS_PER_ORIGIN`] per origin, the oldest making room
+    /// for a newer one. `None` for an incarnation older than every tracked
+    /// one. Trackers are opened only on a delivery or a floor answer —
+    /// never on a digest, whose contents must not fabricate (or displace)
+    /// delivery records.
+    fn admit(&mut self, origin: NodeId, inc: u64) -> Option<&mut Delivered> {
+        if !self.delivered.contains_key(&(origin, inc)) {
+            let mut incs: Vec<u64> = self
+                .delivered
+                .keys()
+                .filter(|(node, _)| *node == origin)
+                .map(|(_, inc)| *inc)
+                .collect();
+            incs.sort_unstable();
+            // An incarnation older than every tracked one is past every
+            // repair log's TTL: its message is a late duplicate. Tracking it
+            // would evict a newer stream whose messages peers can still
+            // re-serve.
+            if incs.len() >= Self::TRACKED_INCS_PER_ORIGIN
+                && incs.first().is_some_and(|oldest| inc < *oldest)
+            {
+                return None;
+            }
+            let excess = (incs.len() + 1).saturating_sub(Self::TRACKED_INCS_PER_ORIGIN);
+            for oldest in incs.drain(..excess) {
+                self.delivered.remove(&(origin, oldest));
+                self.log.drop_stream(&(origin, oldest));
+            }
+        }
+        Some(self.delivered.entry((origin, inc)).or_default())
     }
 
     /// Stores a delivered message (in wire form) in the bounded repair log.
@@ -509,13 +465,6 @@ impl GossipSession {
         let targets = &mut self.push_targets;
         self.sampler
             .draw_slots_into(members, slots, exclude, self.fanout, rng, targets);
-    }
-
-    /// Draws up to `fanout` members not in `exclude` into a list of their
-    /// own.
-    fn random_targets(&mut self, exclude: &[NodeId], ctx: &mut EventContext<'_>) -> Vec<NodeId> {
-        self.draw_push_targets(exclude, ctx);
-        self.drawn_members()
     }
 
     /// The members at the slots `push_targets` holds, in a list of their
@@ -568,19 +517,32 @@ impl GossipSession {
         true
     }
 
-    /// Defers one push into the outbox of the member at `slot` and
-    /// schedules the zero-delay flush that sends it out as part of an
-    /// aggregated batch.
-    fn enqueue_push(
+    /// Pushes one message, under `header`, to the members drawn into
+    /// `push_targets` — an own send and a relay alike. When aggregating,
+    /// the wire-form `frame` joins each target's outbox and the zero-delay
+    /// flush sends it as part of an aggregated batch, credit permitting;
+    /// otherwise `message` leaves at once as one unbatched [`DataEvent`].
+    fn push_to_drawn(
         &mut self,
-        slot: u32,
         header: GossipHeader,
-        frame: Bytes,
+        message: &Message,
+        frame: &Bytes,
         ctx: &mut EventContext<'_>,
     ) {
-        if self.outbox_enqueue(slot, header, frame) {
-            self.arm_flush_timer(ctx);
+        if !self.aggregating() {
+            let mut pushed = message.clone();
+            pushed.push(&header);
+            let targets = Dest::Nodes(self.drawn_members());
+            ctx.dispatch(Event::down(DataEvent::new(header.origin, targets, pushed)));
+            return;
         }
+        let targets = std::mem::take(&mut self.push_targets);
+        for target in &targets {
+            if self.outbox_enqueue(*target, header, frame.clone()) {
+                self.arm_flush_timer(ctx);
+            }
+        }
+        self.push_targets = targets;
     }
 
     /// Sends every credit-covered outbox entry as aggregated
@@ -730,8 +692,9 @@ impl GossipSession {
         });
     }
 
-    /// The push-phase receive path for one batched message: dedup, track,
-    /// log, relay while the TTL lasts, deliver upward.
+    /// The push-phase receive path, for a batched entry and an unbatched
+    /// [`DataEvent`] alike: dedup, log, relay while the TTL lasts, deliver
+    /// upward. The delivery tracker is the one duplicate check.
     fn on_push_arrival(
         &mut self,
         from: NodeId,
@@ -742,38 +705,30 @@ impl GossipSession {
         if header.seq == 0 {
             return;
         }
-        let local = ctx.node_id();
-        let now = ctx.now_ms();
-        if !self.remember((header.origin, header.inc, header.seq), now) {
+        if !self.record_delivered(header.origin, header.inc, header.seq) {
             self.stats.duplicates += 1;
             self.suppress_pending_relays(header.origin, header.inc, header.seq);
             return;
         }
-        if !self.record_delivered(header.origin, header.inc, header.seq) {
-            self.stats.late_duplicates += 1;
-            return;
-        }
+        let local = ctx.node_id();
         // The log, and a relay waiting in a credit-starved outbox, outlive
-        // the batch packet this message is a slice of: one private copy in
-        // wire form serves them all.
+        // the packet this message is a slice of: one private copy in wire
+        // form serves them all.
         let frame = message.to_bytes();
-        self.log_store((header.origin, header.inc), header.seq, frame.clone(), now);
+        let key = (header.origin, header.inc);
+        self.log_store(key, header.seq, frame.clone(), ctx.now_ms());
         if header.ttl > 0 {
             // The sender plainly has the message too — relaying back to it
             // is a guaranteed duplicate, so it joins the exclusion list.
             self.draw_push_targets(&[local, header.origin, from], ctx);
-            let targets = std::mem::take(&mut self.push_targets);
-            if !targets.is_empty() {
+            if !self.push_targets.is_empty() {
                 self.stats.forwarded += 1;
                 let relay = GossipHeader {
                     ttl: header.ttl - 1,
                     ..header
                 };
-                for target in &targets {
-                    self.enqueue_push(*target, relay, frame.clone(), ctx);
-                }
+                self.push_to_drawn(relay, &message, &frame, ctx);
             }
-            self.push_targets = targets;
         }
         ctx.dispatch(Event::up(DataEvent::new(
             header.origin,
@@ -793,7 +748,8 @@ impl GossipSession {
         self.pulls_this_interval = 0;
         self.pushes_this_interval = 0;
         if !self.log.is_empty() {
-            let targets = self.random_targets(&[local], ctx);
+            self.draw_push_targets(&[local], ctx);
+            let targets = self.drawn_members();
             if !targets.is_empty() {
                 self.stats.repair_digests += 1;
                 let message = self.digest_message(self.grant_value());
@@ -1027,7 +983,11 @@ impl GossipSession {
         if body.floor == 0 {
             return;
         }
-        let tracker = self.delivered.entry((body.origin, body.inc)).or_default();
+        // An incarnation older than every tracked one was delivered before
+        // its record was pruned: there is nothing left to catch up on.
+        let Some(tracker) = self.admit(body.origin, body.inc) else {
+            return;
+        };
         if tracker.floor + 1 >= body.floor {
             // Nothing below the floor is missing here: either a stale
             // answer or a duplicate — no escalation.
@@ -1046,21 +1006,17 @@ impl GossipSession {
         original: Message,
         ctx: &mut EventContext<'_>,
     ) {
-        let now = ctx.now_ms();
-        let local = ctx.node_id();
-        let id = (header.origin, header.inc, header.seq);
-        self.remember(id, now);
         if !self.record_delivered(header.origin, header.inc, header.seq) {
-            // Already delivered — possibly long ago, with the seen-set entry
-            // evicted since. The tracker is what prevents the re-delivery.
+            // Already delivered, by the push phase or an earlier repair.
             self.stats.late_duplicates += 1;
             return;
         }
+        let local = ctx.node_id();
         self.log_store(
             (header.origin, header.inc),
             header.seq,
             original.to_bytes(),
-            now,
+            ctx.now_ms(),
         );
         self.stats.repaired_deliveries += 1;
         ctx.dispatch(Event::up(DataEvent::new(
@@ -1240,41 +1196,16 @@ impl Session for GossipSession {
                             seq: self.next_seq,
                             ttl: self.ttl,
                         };
-                        let now = ctx.now_ms();
                         // Log the pre-header message (what receivers deliver)
                         // so the origin itself can serve repair pulls, and
                         // record the own send as delivered so the node never
                         // pulls its own messages.
                         let original = data.message.to_bytes();
-                        self.remember((header.origin, header.inc, header.seq), now);
                         self.record_delivered(header.origin, header.inc, header.seq);
-                        self.log_store(
-                            (header.origin, header.inc),
-                            header.seq,
-                            original.clone(),
-                            now,
-                        );
-                        if self.aggregating() {
-                            // Batched push path: the send is deferred into
-                            // the outbox and leaves this instant as
-                            // aggregated packets, credit permitting. The
-                            // targets are drawn into the session's scratch.
-                            self.draw_push_targets(&[local], ctx);
-                            let targets = std::mem::take(&mut self.push_targets);
-                            for target in &targets {
-                                self.enqueue_push(*target, header, original.clone(), ctx);
-                            }
-                            self.push_targets = targets;
-                            return;
-                        }
-                        let targets = self.random_targets(&[local], ctx);
-                        data.message.push(&header);
-                        event
-                            .get_mut::<DataEvent>()
-                            .expect("checked above")
-                            .header
-                            .dest = Dest::Nodes(targets);
-                        ctx.forward(event);
+                        let key = (header.origin, header.inc);
+                        self.log_store(key, header.seq, original.clone(), ctx.now_ms());
+                        self.draw_push_targets(&[local], ctx);
+                        self.push_to_drawn(header, &data.message, &original, ctx);
                         return;
                     }
                     data.message.push(&GossipHeader {
@@ -1287,7 +1218,6 @@ impl Session for GossipSession {
                 ctx.forward(event);
             }
             Direction::Up => {
-                let local = ctx.node_id();
                 let Some(data) = event.get_mut::<DataEvent>() else {
                     ctx.forward(event);
                     return;
@@ -1295,53 +1225,17 @@ impl Session for GossipSession {
                 let Ok(header) = data.message.pop::<GossipHeader>() else {
                     return;
                 };
-                let now = ctx.now_ms();
-                if header.seq != 0 {
-                    if !self.remember((header.origin, header.inc, header.seq), now) {
-                        self.stats.duplicates += 1;
-                        return;
-                    }
-                    if !self.record_delivered(header.origin, header.inc, header.seq) {
-                        // The seen-set entry was evicted but the delivery
-                        // tracker still knows the message: suppress the late
-                        // duplicate instead of re-delivering it.
-                        self.stats.late_duplicates += 1;
-                        return;
-                    }
-                    // One private copy for the log and the outbox, which
-                    // both outlive the packet.
-                    let kept = data.message.to_bytes();
-                    self.log_store((header.origin, header.inc), header.seq, kept.clone(), now);
-                    if header.ttl > 0 {
-                        let relay = GossipHeader {
-                            origin: header.origin,
-                            inc: header.inc,
-                            seq: header.seq,
-                            ttl: header.ttl - 1,
-                        };
-                        self.draw_push_targets(&[local, header.origin], ctx);
-                        if !self.push_targets.is_empty() {
-                            self.stats.forwarded += 1;
-                            if self.aggregating() {
-                                let targets = std::mem::take(&mut self.push_targets);
-                                for target in &targets {
-                                    self.enqueue_push(*target, relay, kept.clone(), ctx);
-                                }
-                                self.push_targets = targets;
-                            } else {
-                                let mut forwarded_message = data.message.clone();
-                                forwarded_message.push(&relay);
-                                ctx.dispatch(Event::down(DataEvent::new(
-                                    header.origin,
-                                    Dest::Nodes(self.drawn_members()),
-                                    forwarded_message,
-                                )));
-                            }
-                        }
-                    }
+                if header.seq == 0 {
+                    // A point-to-point send, not gossiped: delivered as is.
+                    data.header.source = header.origin;
+                    ctx.forward(event);
+                    return;
                 }
-                data.header.source = header.origin;
-                ctx.forward(event);
+                // An unbatched push: its sender relays under the origin's
+                // name, so `from` is the origin itself.
+                let from = data.header.source;
+                let message = std::mem::take(&mut data.message);
+                self.on_push_arrival(from, header, message, ctx);
             }
         }
     }
@@ -1579,33 +1473,76 @@ mod tests {
         }
     }
 
+    /// What a session reads off its own state, through the downcast hook.
+    fn inspect<T>(gossip: &mut Harness, read: impl FnOnce(&GossipSession) -> T) -> T {
+        let session = gossip
+            .kernel_mut()
+            .channel_by_name("harness")
+            .unwrap()
+            .session_of(GOSSIP_LAYER)
+            .unwrap();
+        let session = session.borrow();
+        read(
+            session
+                .as_any()
+                .and_then(|any| any.downcast_ref::<GossipSession>())
+                .unwrap(),
+        )
+    }
+
+    /// An unbatched push of `(origin, inc, seq)` arriving at node 1, as a
+    /// relay sends it: under the origin's name.
+    fn push_of(origin: u32, inc: u64, seq: u64, ttl: u32) -> Event {
+        let mut message = Message::with_payload(&b"x"[..]);
+        let header = GossipHeader {
+            origin: NodeId(origin),
+            inc,
+            seq,
+            ttl,
+        };
+        message.push(&header);
+        let to = Dest::Node(NodeId(1));
+        Event::up(DataEvent::new(NodeId(origin), to, message))
+    }
+
+    /// Duplicate suppression costs memory per stream, not per message: a
+    /// hundred thousand in-order arrivals leave one tracker per origin,
+    /// each a bare floor, and the floor alone still refuses the oldest.
     #[test]
-    fn duplicate_suppression_memory_is_capped_by_ring_and_ttl() {
-        let mut gossip = test_session(&[0, 1, 2]);
-        gossip.seen_cap = 16;
-        gossip.seen_ttl_ms = 1000;
-
-        // The ring caps the set no matter how many distinct ids arrive.
-        for seq in 0..100u64 {
-            assert!(gossip.remember((NodeId(1), 0, seq), 0));
+    fn duplicate_suppression_memory_is_per_stream_not_per_message() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let members: Vec<u32> = (0..8).collect();
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
+        let origins = [0u32, 2, 3];
+        for arrival in 0..100_000u64 {
+            let origin = origins[(arrival % 3) as usize];
+            let up = gossip.run_up(push_of(origin, 1, arrival / 3 + 1, 0), &mut platform);
+            assert_eq!(up.len(), 1, "arrival {arrival} is delivered");
         }
-        assert_eq!(gossip.seen_len(), 16, "ring eviction bounds the memory");
-        assert!(
-            gossip.remember((NodeId(1), 0, 5), 10),
-            "an id evicted by the ring is (correctly) treated as new again"
-        );
-        assert!(
-            !gossip.remember((NodeId(1), 0, 99), 10),
-            "recent ids suppress"
+        gossip.drain_down();
+        let trackers = inspect(&mut gossip, |session| {
+            let mut trackers: Vec<(NodeId, u64, usize)> = session
+                .delivered
+                .iter()
+                .map(|((origin, _), tracker)| (*origin, tracker.floor, tracker.above.len()))
+                .collect();
+            trackers.sort_unstable();
+            trackers
+        });
+        assert_eq!(
+            trackers,
+            [
+                (NodeId(0), 33_334, 0),
+                (NodeId(2), 33_333, 0),
+                (NodeId(3), 33_333, 0)
+            ],
+            "one tracker per origin, nothing held above its floor"
         );
 
-        // Age-based expiry clears the set even without capacity pressure.
-        assert!(!gossip.remember((NodeId(1), 0, 99), 999));
-        assert!(
-            gossip.remember((NodeId(1), 0, 99), 1010),
-            "entries older than the TTL are evicted"
-        );
-        assert!(gossip.seen_len() <= 16);
+        let up = gossip.run_up(push_of(0, 1, 1, 2), &mut platform);
+        assert!(up.is_empty(), "a re-arrival of seq 1 is refused");
+        assert!(gossip.drain_down().is_empty(), "and is not relayed");
+        assert_eq!(inspect(&mut gossip, GossipSession::stats).duplicates, 1);
     }
 
     #[test]
@@ -1877,38 +1814,26 @@ mod tests {
 
     #[test]
     fn seen_set_eviction_does_not_cause_redelivery_on_late_pulls() {
-        // The regression the repair pass must not introduce: a message whose
-        // seen-set entry was evicted (ring pressure) but that is still in
-        // the repair log / delivery tracker must NOT reach the application
-        // again when a late NACK pull re-streams it.
+        // The regression the repair pass must not introduce: a message
+        // delivered long ago, with many deliveries since, must NOT reach the
+        // application again when a late NACK pull re-streams it.
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..4).collect();
-        let mut params = gossip_params(&members);
-        params.insert("seen_cap".into(), "16".into());
-        let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
 
         // Deliver (origin 0, inc 1, seq 1) through the normal push phase.
-        let deliver = |seq: u64| {
-            let mut message = Message::with_payload(&b"x"[..]);
-            message.push(&GossipHeader {
-                origin: NodeId(0),
-                inc: 1,
-                seq,
-                ttl: 0,
-            });
-            Event::up(DataEvent::new(NodeId(0), Dest::Node(NodeId(1)), message))
-        };
+        let deliver = |seq: u64| push_of(0, 1, seq, 0);
         let up = gossip.run_up(deliver(1), &mut platform);
         assert_eq!(up.iter().filter(|event| event.is::<DataEvent>()).count(), 1);
 
-        // Flood the seen set far past its cap so (0, 1, 1) is evicted.
+        // A hundred deliveries later, seq 1 is long past.
         for seq in 100..200u64 {
             gossip.run_up(deliver(seq), &mut platform);
         }
         gossip.drain_down();
 
         // A late repair push re-streams seq 1: the delivery tracker — which
-        // is never capacity-evicted — suppresses the re-delivery.
+        // never forgets a delivery — suppresses the re-delivery.
         let mut push = Message::with_payload(&b"x"[..]);
         push.push(&RepairPushHeader {
             origin: NodeId(0),
@@ -1928,8 +1853,8 @@ mod tests {
             "an already-delivered message must never be re-delivered"
         );
 
-        // The same holds on the push-phase path: re-receiving the evicted
-        // message as a plain gossip forward is suppressed by the tracker.
+        // The same holds on the push-phase path: re-receiving the message as
+        // a plain gossip forward is suppressed by the tracker.
         let up = gossip.run_up(deliver(1), &mut platform);
         assert!(up.iter().all(|event| !event.is::<DataEvent>()));
     }
@@ -1944,16 +1869,7 @@ mod tests {
         let members: Vec<u32> = (0..4).collect();
         let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
 
-        let deliver = |inc: u64, seq: u64| {
-            let mut message = Message::with_payload(&b"x"[..]);
-            message.push(&GossipHeader {
-                origin: NodeId(0),
-                inc,
-                seq,
-                ttl: 0,
-            });
-            Event::up(DataEvent::new(NodeId(0), Dest::Node(NodeId(1)), message))
-        };
+        let deliver = |inc: u64, seq: u64| push_of(0, inc, seq, 0);
         let first = gossip.run_up(deliver(1, 1), &mut platform);
         assert_eq!(
             first.iter().filter(|event| event.is::<DataEvent>()).count(),
@@ -2091,18 +2007,16 @@ mod tests {
     #[test]
     fn sustained_churn_keeps_delivery_and_repair_memory_bounded() {
         let mut gossip = test_session(&[0, 1, 2, 3]);
-        gossip.seen_cap = 64;
         gossip.repair_log_cap = 128;
         gossip.repair_interval_ms = 500;
 
         // A flapping member (node 3) rejoins fifty times; every incarnation
-        // opens a fresh stream whose burst is remembered, tracked and
-        // logged. All three memories must stay inside their bounds at every
-        // step of the churn, not just at the end.
+        // opens a fresh stream whose burst is tracked and logged. Both
+        // memories must stay inside their bounds at every step of the churn,
+        // not just at the end.
         for incarnation in 0..50u64 {
             let now = incarnation * 1_000;
             for seq in 1..=20u64 {
-                gossip.remember((NodeId(3), incarnation, seq), now);
                 assert!(gossip.record_delivered(NodeId(3), incarnation, seq));
                 gossip.log_store(
                     (NodeId(3), incarnation),
@@ -2112,7 +2026,6 @@ mod tests {
                 );
             }
             gossip.evict_log(now);
-            assert!(gossip.seen_len() <= 64, "seen ring bound");
             assert!(gossip.log_len() <= 128, "repair log cap bound");
             let tracked = gossip
                 .delivered
@@ -2175,6 +2088,41 @@ mod tests {
         assert!(gossip.record_delivered(NodeId(3), 50, 1));
         assert!(!gossip.delivered.contains_key(&(NodeId(3), 10)));
         assert!(!gossip.record_delivered(NodeId(3), 50, 1));
+    }
+
+    /// A floor answer for an incarnation older than every tracked one
+    /// passes the same admission rule as a delivery: it opens no fifth
+    /// tracker, and it asks for no snapshot of a stream long delivered.
+    #[test]
+    fn a_floor_for_an_untracked_old_incarnation_opens_no_tracker_and_no_catchup() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let members: Vec<u32> = (0..4).collect();
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
+        for inc in [10, 20, 30, 40] {
+            assert_eq!(gossip.run_up(push_of(3, inc, 1, 0), &mut platform).len(), 1);
+        }
+        let mut message = Message::new();
+        message.push(&RepairFloorBody {
+            origin: NodeId(3),
+            inc: 5,
+            floor: 10,
+        });
+        let floor = Event::up(GossipRepairFloor::new(
+            NodeId(2),
+            Dest::Node(NodeId(1)),
+            message,
+        ));
+        let up = gossip.run_up(floor, &mut platform);
+        assert!(
+            up.iter().all(|event| !event.is::<CatchupRequest>()),
+            "no catch-up for a stream older than every tracked one"
+        );
+        let tracked = inspect(&mut gossip, |session| {
+            let mut incs: Vec<u64> = session.delivered.keys().map(|(_, inc)| *inc).collect();
+            incs.sort_unstable();
+            (incs, session.stats.floor_escalations)
+        });
+        assert_eq!(tracked, (vec![10, 20, 30, 40], 0), "still four trackers");
     }
 
     #[test]
@@ -2437,18 +2385,7 @@ mod tests {
     }
 
     fn stats_of(gossip: &mut Harness) -> GossipStats {
-        let session = gossip
-            .kernel_mut()
-            .channel_by_name("harness")
-            .unwrap()
-            .session_of(GOSSIP_LAYER)
-            .unwrap();
-        let session = session.borrow();
-        session
-            .as_any()
-            .and_then(|any| any.downcast_ref::<GossipSession>())
-            .unwrap()
-            .stats()
+        inspect(gossip, GossipSession::stats)
     }
 
     fn grant(gossip: &mut Harness, platform: &mut TestPlatform, from: u32, credit: u32) {
@@ -2669,16 +2606,7 @@ mod tests {
 
         // Deliver seqs 1..=6 of (origin 0, inc 1), then age them out of the
         // repair log: delivered knowledge survives, servability does not.
-        let deliver = |seq: u64| {
-            let mut message = Message::with_payload(&b"x"[..]);
-            message.push(&GossipHeader {
-                origin: NodeId(0),
-                inc: 1,
-                seq,
-                ttl: 0,
-            });
-            Event::up(DataEvent::new(NodeId(0), Dest::Node(NodeId(1)), message))
-        };
+        let deliver = |seq: u64| push_of(0, 1, seq, 0);
         for seq in 1..=6u64 {
             gossip.run_up(deliver(seq), &mut platform);
         }
@@ -2734,18 +2662,8 @@ mod tests {
 
         // Seqs 1..=2 of (origin 0, inc 1) were delivered before the
         // partition; 3..=6 are gone from every reachable repair log.
-        let deliver = |seq: u64| {
-            let mut message = Message::with_payload(&b"x"[..]);
-            message.push(&GossipHeader {
-                origin: NodeId(0),
-                inc: 1,
-                seq,
-                ttl: 0,
-            });
-            Event::up(DataEvent::new(NodeId(0), Dest::Node(NodeId(1)), message))
-        };
-        gossip.run_up(deliver(1), &mut platform);
-        gossip.run_up(deliver(2), &mut platform);
+        gossip.run_up(push_of(0, 1, 1, 0), &mut platform);
+        gossip.run_up(push_of(0, 1, 2, 0), &mut platform);
         gossip.drain_down();
 
         let floor_answer = || {
@@ -2836,16 +2754,7 @@ mod tests {
 
         // Seqs 1..=2 delivered before the cut; the advertiser's log now
         // starts at 9.
-        let deliver = |seq: u64| {
-            let mut message = Message::with_payload(&b"x"[..]);
-            message.push(&GossipHeader {
-                origin: NodeId(0),
-                inc: 1,
-                seq,
-                ttl: 0,
-            });
-            Event::up(DataEvent::new(NodeId(0), Dest::Node(NodeId(1)), message))
-        };
+        let deliver = |seq: u64| push_of(0, 1, seq, 0);
         gossip.run_up(deliver(1), &mut platform);
         gossip.run_up(deliver(2), &mut platform);
         gossip.drain_down();
@@ -2927,16 +2836,7 @@ mod tests {
         let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
 
         // Twenty logged messages of (origin 0, inc 1).
-        let deliver = |seq: u64| {
-            let mut message = Message::with_payload(&b"x"[..]);
-            message.push(&GossipHeader {
-                origin: NodeId(0),
-                inc: 1,
-                seq,
-                ttl: 0,
-            });
-            Event::up(DataEvent::new(NodeId(0), Dest::Node(NodeId(1)), message))
-        };
+        let deliver = |seq: u64| push_of(0, 1, seq, 0);
         for seq in 1..=20u64 {
             gossip.run_up(deliver(seq), &mut platform);
         }

@@ -25,14 +25,15 @@ pub const RELIABLE_LAYER: &str = "reliable";
 /// Timer tag used for the periodic gap check.
 const GAP_CHECK_TAG: u32 = 1;
 
+/// How often gaps are re-examined and NACKed.
+const NACK_INTERVAL_MS: u64 = 200;
+
 /// The NACK-based reliable multicast layer.
 ///
 /// Parameters:
 ///
 /// * `retention` — number of sent messages kept for retransmission
-///   (default 2048);
-/// * `nack_interval_ms` — how often gaps are re-examined and NACKed
-///   (default 200 ms).
+///   (default 2048).
 pub struct ReliableLayer;
 
 impl Layer for ReliableLayer {
@@ -56,7 +57,6 @@ impl Layer for ReliableLayer {
     fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
         Box::new(ReliableSession {
             retention: param_or(params, "retention", 2048usize).max(16),
-            nack_interval_ms: param_or(params, "nack_interval_ms", 200u64).max(10),
             next_seq: 0,
             sent: BTreeMap::new(),
             incoming: BTreeMap::new(),
@@ -76,7 +76,6 @@ struct IncomingState {
 #[derive(Debug)]
 pub struct ReliableSession {
     retention: usize,
-    nack_interval_ms: u64,
     next_seq: u64,
     /// Recently sent messages (with the sequence header already pushed).
     // bound: capped at `retention` -- the oldest entry is evicted on overflow.
@@ -146,7 +145,7 @@ impl Session for ReliableSession {
             if timer.owner == RELIABLE_LAYER {
                 if timer.tag == GAP_CHECK_TAG {
                     self.send_nacks(ctx);
-                    ctx.set_timer(self.nack_interval_ms, GAP_CHECK_TAG);
+                    ctx.set_timer(NACK_INTERVAL_MS, GAP_CHECK_TAG);
                 }
                 return;
             }
@@ -154,7 +153,7 @@ impl Session for ReliableSession {
             return;
         }
         if event.is::<ChannelInit>() {
-            ctx.set_timer(self.nack_interval_ms, GAP_CHECK_TAG);
+            ctx.set_timer(NACK_INTERVAL_MS, GAP_CHECK_TAG);
             ctx.forward(event);
             return;
         }

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator wraps the system allocator. A gossip session
 //! is warmed through [`Harness`] (outbox, decode scratch, target scratch,
-//! duplicate-suppression memory and the kernel's queues all sized for the
-//! measured rounds), then each round of sends or arrivals must allocate exactly what
+//! delivery tracker and the kernel's queues all sized for the measured
+//! rounds), then each round of sends or arrivals must allocate exactly what
 //! the test names: one buffer block per kept message. The outbox, the batch
 //! decode and the target sampling allocate nothing, and neither do the event
 //! boxes: every one comes from its type's free list, refilled by the events
@@ -76,13 +76,12 @@ const K: usize = 4;
 /// Peers every message is pushed to: the group minus the node itself and,
 /// for a relay, the origin and the batch's sender.
 const P: usize = 6;
-/// Rounds before the measured ones. The duplicate-suppression set and its
-/// ring only grow here (the default cap evicts nothing), and they are
-/// hash- and doubling-sized. The set hashes with a fixed seed, so where it
-/// grows is the same in every run; 160 ids warm grow it to 256 buckets
-/// (224 ids) and the ring to 256 slots, which hold the 48 ids the measured
-/// rounds add.
-const WARM_UP_ROUNDS: usize = 40;
+/// Rounds before the measured ones. Nothing a session keeps grows with the
+/// messages: duplicates are checked against one delivery tracker per stream,
+/// which in-order arrivals keep at a bare floor. So one round sizes every
+/// buffer — the outbox, the decode and target scratches, the kernel's queue
+/// — and fills the event-box free lists; the second is margin.
+const WARM_UP_ROUNDS: usize = 2;
 /// Measured rounds.
 const ROUNDS: u64 = 12;
 

@@ -20,6 +20,7 @@ pub const RULE_IDS: &[&str] = &[
     "decode:cast",
     "alloc:cap",
     "state:bound",
+    "dead:param",
     "waiver:syntax",
     "waiver:unknown-rule",
     "waiver:unused",

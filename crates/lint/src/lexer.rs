@@ -20,8 +20,10 @@ pub struct Token {
     pub line: u32,
 }
 
-/// Token payload. Literals keep no text: rules never need to look inside a
-/// string or number beyond knowing "a literal sat here".
+/// Token payload. A string literal keeps its text, as written between the
+/// quotes (escapes unexpanded): the one rule that reads inside a string is
+/// `dead:param`, which looks for layer-param keys. Other literals keep no
+/// text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
     Ident(String),
@@ -31,7 +33,9 @@ pub enum TokenKind {
     Punct(char),
     /// Integer or float literal.
     Num,
-    /// String, byte-string, raw-string or char literal.
+    /// String, byte-string or raw-string literal.
+    Str(String),
+    /// Char or byte literal.
     Lit,
 }
 
@@ -128,19 +132,19 @@ pub fn lex(source: &str) -> Lexed {
             '"' => {
                 let consumed = skip_cooked_string(&bytes[i..], &mut line);
                 tokens.push(Token {
-                    kind: TokenKind::Lit,
+                    kind: string_literal(source, i + 1, i + consumed - 1),
                     line,
                 });
                 i += consumed;
             }
             '\'' => {
                 // Lifetime vs char literal: `'a` followed by anything but a
-                // closing quote is a lifetime; `'a'`, `'\n'`, `'\u{1F}'`
-                // are char literals.
-                let next = bytes.get(i + 1).copied();
-                let after = bytes.get(i + 2).copied();
-                let is_lifetime = matches!(next, Some(n) if (n as char).is_alphabetic() || n == b'_')
-                    && after != Some(b'\'');
+                // closing quote is a lifetime; `'a'`, `'é'`, `'\n'`,
+                // `'\u{1F}'` are char literals.
+                let next = source[i + 1..].chars().next();
+                let after = next.and_then(|n| bytes.get(i + 1 + n.len_utf8())).copied();
+                let is_lifetime =
+                    next.is_some_and(|n| n.is_alphabetic() || n == '_') && after != Some(b'\'');
                 if is_lifetime {
                     let start = i + 1;
                     let mut end = start;
@@ -207,8 +211,10 @@ pub fn lex(source: &str) -> Lexed {
                     && matches!(bytes.get(end), Some(b'"') | Some(b'#'));
                 if is_str_prefix && word.contains('r') {
                     if let Some(consumed) = skip_raw_string(&bytes[end..], &mut line) {
+                        let hashes = bytes[end..].iter().take_while(|b| **b == b'#').count();
+                        let (open, close) = (end + hashes + 1, end + consumed - hashes - 1);
                         tokens.push(Token {
-                            kind: TokenKind::Lit,
+                            kind: string_literal(source, open, close),
                             line,
                         });
                         i = end + consumed;
@@ -218,7 +224,7 @@ pub fn lex(source: &str) -> Lexed {
                 if is_str_prefix && bytes.get(end) == Some(&b'"') {
                     let consumed = skip_cooked_string(&bytes[end..], &mut line);
                     tokens.push(Token {
-                        kind: TokenKind::Lit,
+                        kind: string_literal(source, end + 1, end + consumed - 1),
                         line,
                     });
                     i = end + consumed;
@@ -262,8 +268,17 @@ pub fn lex(source: &str) -> Lexed {
     }
 }
 
+/// A string literal whose text spans `source[open..close]`; an unterminated
+/// literal keeps what there is of it.
+fn string_literal(source: &str, open: usize, close: usize) -> TokenKind {
+    let text = source.get(open..close.max(open)).unwrap_or_default();
+    TokenKind::Str(text.to_string())
+}
+
+/// Every byte of a non-ASCII character continues an identifier, so a
+/// token never ends inside a character.
 fn is_ident_continue(b: u8) -> bool {
-    (b as char).is_alphanumeric() || b == b'_'
+    b.is_ascii_alphanumeric() || b == b'_' || !b.is_ascii()
 }
 
 /// Skips a `"..."` string starting at `bytes[0] == '"'`; returns consumed

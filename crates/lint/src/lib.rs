@@ -3,7 +3,8 @@
 //! The whole seed-deterministic test/replay story rests on conventions that
 //! used to live in reviewers' heads: protocol code reads no wall clock and
 //! no OS entropy and keeps no state outside the run, decode paths never panic, pre-allocation from decoded
-//! counts is capped, and every long-lived session collection has a bound.
+//! counts is capped, every long-lived session collection has a bound, and
+//! every layer param read is set somewhere.
 //! This crate turns those conventions into a dependency-free static
 //! analysis (no `syn` — CI and dev containers are offline): a hand-rolled,
 //! comment- and string-aware token scanner over the workspace sources.
@@ -16,6 +17,7 @@
 //! | `decode` | `decode:panic`, `decode:index`, `decode:cast`      |
 //! | `alloc`  | `alloc:cap`                                        |
 //! | `state`  | `state:bound`                                      |
+//! | `dead`   | `dead:param`                                       |
 //!
 //! Suppression is only possible through an explicit in-source waiver
 //! comment carrying a justification (see [`diag::Waiver`]); stale or
@@ -97,6 +99,30 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
         .collect())
 }
 
+/// Collects the workspace's consumer sources: code that uses the linted
+/// crates but is not linted itself — `tests/`, `examples/`,
+/// `benchmark/src` and each crate's `tests/` — in sorted order. The
+/// `dead:param` rule reads them for the params they set.
+pub fn workspace_consumers(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut dirs = vec![
+        root.join("tests"),
+        root.join("examples"),
+        root.join("benchmark").join("src"),
+    ];
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        for entry in std::fs::read_dir(&crates_dir)? {
+            dirs.push(entry?.path().join("tests"));
+        }
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|dir| dir.is_dir()) {
+        collect_rs_files(dir, &mut files)?;
+    }
+    files.sort();
+    Ok(files)
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
@@ -110,12 +136,16 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Runs every rule over the given files and returns the surviving
-/// diagnostics, sorted by file, line and rule.
-pub fn run(files: &[SourceFile]) -> io::Result<Vec<Diagnostic>> {
+/// diagnostics, sorted by file, line and rule. `consumers` are read, not
+/// linted: sources whose layer params count as set (see
+/// [`workspace_consumers`]).
+pub fn run(files: &[SourceFile], consumers: &[PathBuf]) -> io::Result<Vec<Diagnostic>> {
     // Lex everything first: the bounded-session-state rule needs the set of
-    // `Session`-implementing types per crate before any file is checked.
+    // `Session`-implementing types per crate, and the dead-param rule every
+    // key the workspace sets, before any file is checked.
     let mut lexed_files = Vec::with_capacity(files.len());
     let mut session_types: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    let mut params_set = BTreeSet::new();
     for file in files {
         let source = std::fs::read_to_string(&file.path)?;
         let lexed = lexer::lex(&source);
@@ -123,12 +153,19 @@ pub fn run(files: &[SourceFile]) -> io::Result<Vec<Diagnostic>> {
             .entry(file.crate_name.as_str())
             .or_default()
             .extend(rules::session_impl_types(&lexed));
-        lexed_files.push((file, lexed));
+        let param_keys = rules::param_key_positions(&lexed);
+        rules::param_keys_set(&lexed, &param_keys, &mut params_set);
+        lexed_files.push((file, lexed, param_keys));
+    }
+    for path in consumers {
+        let lexed = lexer::lex(&std::fs::read_to_string(path)?);
+        let param_keys = rules::param_key_positions(&lexed);
+        rules::param_keys_set(&lexed, &param_keys, &mut params_set);
     }
 
     let empty = BTreeSet::new();
     let mut all = Vec::new();
-    for (file, lexed) in &lexed_files {
+    for (file, lexed, param_keys) in &lexed_files {
         let ctx = rules::FileCtx::new(&file.path, &file.crate_name, lexed);
         let mut diagnostics = Vec::new();
         rules::check_determinism(&ctx, &mut diagnostics);
@@ -138,6 +175,7 @@ pub fn run(files: &[SourceFile]) -> io::Result<Vec<Diagnostic>> {
             .get(file.crate_name.as_str())
             .unwrap_or(&empty);
         rules::check_session_bounds(&ctx, types, &mut diagnostics);
+        rules::check_dead_params(&ctx, param_keys, &params_set, &mut diagnostics);
 
         let mut waiver_diags = Vec::new();
         let mut waivers = diag::parse_waivers(&lexed.comments, &file.path, &mut waiver_diags);

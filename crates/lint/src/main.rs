@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use morpheus_lint::{run, to_json, workspace_files, SourceFile};
+use morpheus_lint::{run, to_json, workspace_consumers, workspace_files, SourceFile};
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -45,12 +45,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let sources: Vec<SourceFile> = if workspace {
+    let (sources, consumers) = if workspace {
         if !files.is_empty() {
             return usage("--workspace and explicit files are mutually exclusive");
         }
-        match workspace_files(&root) {
-            Ok(sources) => sources,
+        match workspace_files(&root).and_then(|files| Ok((files, workspace_consumers(&root)?))) {
+            Ok(walked) => walked,
             Err(err) => {
                 eprintln!("morpheus-lint: cannot walk {}: {err}", root.display());
                 return ExitCode::from(2);
@@ -59,13 +59,14 @@ fn main() -> ExitCode {
     } else if files.is_empty() {
         return usage("nothing to lint: pass --workspace or file paths");
     } else {
-        files
+        let sources = files
             .into_iter()
             .map(|path| SourceFile::with_inferred_crate(path, crate_override.as_deref()))
-            .collect()
+            .collect();
+        (sources, Vec::new())
     };
 
-    let diagnostics = match run(&sources) {
+    let diagnostics = match run(&sources, &consumers) {
         Ok(diagnostics) => diagnostics,
         Err(err) => {
             eprintln!("morpheus-lint: {err}");

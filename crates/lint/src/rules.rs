@@ -1,4 +1,4 @@
-//! The four rule families.
+//! The five rule families.
 //!
 //! Every rule works on the lexed token stream of one file (plus, for the
 //! bounded-session-state rule, the set of `Session`-implementing type names
@@ -79,6 +79,9 @@ const HASH_ITER_METHODS: &[&str] = &[
     "into_values",
     "drain",
 ];
+
+/// Layer-param readers: the second argument names the key read.
+const PARAM_READERS: &[&str] = &["param_or", "param_node_list"];
 
 /// Collection types that count as unbounded session state unless annotated.
 const COLLECTIONS: &[&str] = &[
@@ -804,4 +807,92 @@ fn has_bound_annotation(ctx: &FileCtx<'_>, field_line: u32) -> bool {
         line = line.saturating_sub(1);
     }
     false
+}
+
+/// The token positions of the keys every layer-param read names: the
+/// string literal `"key"` of each `param_or(params, "key", ..)` or
+/// `param_node_list(params, "key")`.
+pub fn param_key_positions(lexed: &Lexed) -> Vec<usize> {
+    let tokens = &lexed.tokens;
+    let mut positions = Vec::new();
+    for i in 0..tokens.len() {
+        let reads = tokens[i]
+            .ident()
+            .is_some_and(|name| PARAM_READERS.contains(&name));
+        if !reads || !tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
+            continue;
+        }
+        // The key follows the first comma at the call's own depth.
+        let mut depth = 0u32;
+        for j in i + 2..tokens.len() {
+            let token = &tokens[j];
+            if token.is_punct('(') || token.is_punct('[') || token.is_punct('{') {
+                depth += 1;
+            } else if token.is_punct(')') || token.is_punct(']') || token.is_punct('}') {
+                if depth == 0 {
+                    break;
+                }
+                depth -= 1;
+            } else if token.is_punct(',') && depth == 0 {
+                if matches!(tokens.get(j + 1).map(|t| &t.kind), Some(TokenKind::Str(_))) {
+                    positions.push(j + 1);
+                }
+                break;
+            }
+        }
+    }
+    positions
+}
+
+/// Every layer-param key a file's string literals could set — each literal
+/// but the keys of reads (`key_positions`), and the `key` attribute of any
+/// `<param key="..">` element an XML description literal holds — into
+/// `keys`. A heuristic by design: any other literal spelling a key counts
+/// as setting it, whether it feeds `with_param`, `insert` or a test's
+/// `(key, value)` list.
+pub fn param_keys_set(lexed: &Lexed, key_positions: &[usize], keys: &mut BTreeSet<String>) {
+    for (i, token) in lexed.tokens.iter().enumerate() {
+        let TokenKind::Str(text) = &token.kind else {
+            continue;
+        };
+        if key_positions.contains(&i) {
+            continue;
+        }
+        keys.insert(text.clone());
+        for (at, _) in text.match_indices("key=") {
+            let value = text[at + 4..].trim_start_matches(['\\', '"']);
+            let end = value
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(value.len());
+            keys.insert(value[..end].to_string());
+        }
+    }
+}
+
+/// A layer param read outside test code that nothing sets is a constant
+/// dressed as a knob: every run reads its default. `key_positions` are the
+/// file's [`param_key_positions`]; `set` is every key the workspace sets
+/// ([`param_keys_set`] over the linted files and their consumers).
+pub fn check_dead_params(
+    ctx: &FileCtx<'_>,
+    key_positions: &[usize],
+    set: &BTreeSet<String>,
+    out: &mut Vec<Diagnostic>,
+) {
+    for &at in key_positions {
+        let Some(TokenKind::Str(key)) = ctx.tokens().get(at).map(|t| &t.kind) else {
+            continue;
+        };
+        if ctx.in_test(at) || set.contains(key) {
+            continue;
+        }
+        out.push(ctx.diag(
+            ctx.tokens()[at].line,
+            "dead:param",
+            format!(
+                "layer param \"{key}\" is read here but nothing sets it (no `with_param`, \
+                 `insert`, XML description or test names it): make it a constant"
+            ),
+        ));
+    }
 }

@@ -15,11 +15,17 @@ fn fixture(name: &str) -> PathBuf {
 /// Runs the pass over one fixture as if it lived in `crate_name`, returning
 /// the sorted list of tripped rule ids.
 fn rules_for(name: &str, crate_name: &str) -> Vec<&'static str> {
+    rules_with_consumers(name, crate_name, &[])
+}
+
+/// [`rules_for`], with other fixtures read as the linted one's consumers.
+fn rules_with_consumers(name: &str, crate_name: &str, consumers: &[&str]) -> Vec<&'static str> {
     let source = SourceFile {
         path: fixture(name),
         crate_name: crate_name.to_string(),
     };
-    let diagnostics = run(std::slice::from_ref(&source)).expect("fixture readable");
+    let consumers: Vec<PathBuf> = consumers.iter().map(|name| fixture(name)).collect();
+    let diagnostics = run(std::slice::from_ref(&source), &consumers).expect("fixture readable");
     diagnostics.iter().map(|d| d.rule).collect()
 }
 
@@ -138,6 +144,17 @@ fn session_state_fixtures() {
 }
 
 #[test]
+fn dead_param_fixtures() {
+    assert_trips("dead_param.rs", &["dead:param"]);
+    assert_trips("dead_param_clean.rs", &[]);
+    assert_eq!(
+        rules_with_consumers("dead_param.rs", "appia", &["dead_param_clean.rs"]),
+        Vec::<&str>::new(),
+        "a key a consumer sets (here in a test's key list) is not dead"
+    );
+}
+
+#[test]
 fn waiver_fixtures() {
     assert_trips("det_time_waivered.rs", &[]);
     assert_trips("waiver_unused.rs", &["waiver:unused"]);
@@ -151,7 +168,7 @@ fn diagnostics_carry_file_and_line() {
         path: fixture("det_time.rs"),
         crate_name: "appia".to_string(),
     };
-    let diagnostics = run(std::slice::from_ref(&source)).expect("fixture readable");
+    let diagnostics = run(std::slice::from_ref(&source), &[]).expect("fixture readable");
     assert_eq!(diagnostics.len(), 1);
     let rendered = diagnostics[0].to_string();
     assert!(

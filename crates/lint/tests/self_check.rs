@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use morpheus_lint::{run, workspace_files};
+use morpheus_lint::{run, workspace_consumers, workspace_files};
 
 #[test]
 fn workspace_is_clean() {
@@ -18,7 +18,8 @@ fn workspace_is_clean() {
         "the walk must cover the whole workspace, found only {} files",
         files.len()
     );
-    let diagnostics = run(&files).expect("all sources readable");
+    let consumers = workspace_consumers(&root).expect("consumer walk succeeds");
+    let diagnostics = run(&files, &consumers).expect("all sources readable");
     let rendered: Vec<String> = diagnostics.iter().map(|d| d.to_string()).collect();
     assert!(
         diagnostics.is_empty(),
