@@ -186,8 +186,8 @@ impl Channel {
 
     /// Names of the layers in the stack, bottom-up.
     ///
-    /// Cold accessor for diagnostics and tests; the dispatch loop uses
-    /// [`Channel::layer_name_at`] instead, which does not allocate.
+    /// Cold accessor for diagnostics and tests; the dispatch loop borrows
+    /// one slot's name instead, which does not allocate.
     pub fn layer_names(&self) -> Vec<Name> {
         self.slots
             .iter()
@@ -205,6 +205,11 @@ impl Channel {
         self.slots
             .iter()
             .any(|slot| slot.layer_name.as_str() == layer_name)
+    }
+
+    /// The slot at a stack position [`Channel::next_hop`] returned.
+    pub(crate) fn slot(&self, index: usize) -> &StackSlot {
+        &self.slots[index]
     }
 
     /// The session at the given stack position (0 = bottom).

@@ -13,7 +13,9 @@
 //! [`HashMap`] and [`HashSet`] are std's collections on that hasher. Build
 //! them with `default()` / `with_capacity_and_hasher`. Their iteration
 //! order is fixed but arbitrary, so protocol code still sorts what it
-//! collects from one (`det:map-iter`).
+//! collects from one (`det:map-iter`). They are the only hash collections
+//! protocol code uses: `morpheus-lint`'s `det:hash` rejects std's
+//! `RandomState`.
 
 use std::hash::{BuildHasher, Hasher};
 

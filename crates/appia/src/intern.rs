@@ -1,12 +1,14 @@
 //! Interned identifiers for the kernel hot path.
 //!
-//! Channel and layer names used to be `String`s cloned on every event hop,
-//! which made name handling the dominant allocation source in the dispatch
-//! loop. [`Name`] wraps the name in an `Rc<str>`: it is created once when a
-//! channel is built and from then on every hand-off — into an
-//! [`crate::kernel::EventContext`], an [`crate::platform::OutPacket`], an
-//! [`crate::platform::AppDelivery`] or a timer record — is a reference-count
-//! bump instead of a heap allocation.
+//! [`Name`] wraps a channel or layer name in an `Rc<str>`, created once when
+//! a channel is built. A hop clones none: the
+//! [`crate::kernel::EventContext`] a session handles an event in borrows
+//! both names from the channel. What outlives the hop — an
+//! [`crate::platform::OutPacket`], an [`crate::platform::AppDelivery`], a
+//! timer record — takes a clone, which is a reference-count bump instead of
+//! a heap allocation. A received packet carries its channel's `Name`, and
+//! the kernel finds the channel by comparing it: two clones of one name
+//! compare by pointer.
 //!
 //! `Name` hashes and compares like the `str` it wraps (including a
 //! `Borrow<str>` impl), so maps keyed by `Name` can be probed with plain

@@ -10,13 +10,20 @@
 //!
 //! ## Hot-path discipline
 //!
-//! The dispatch loop is allocation-free in steady state: channel and layer
-//! names are interned [`Name`]s (cloning bumps a refcount), routing is a
-//! bitmask scan (`Channel::next_hop`), and outgoing packets
-//! are serialised into a kernel-owned scratch buffer whose allocation is
-//! recycled once the packets produced from it have been consumed.
+//! A hop looks nothing up and clones nothing. A node holds two or three
+//! channels, kept in a `Vec` in [`ChannelId`] order (ids only grow), so
+//! finding an event's channel is a search of a few entries; routing is a
+//! bitmask scan (`Channel::next_hop`); and the [`EventContext`] a session
+//! handles an event in borrows the channel name, the layer name and the
+//! session from the channel. Names are interned [`Name`]s, cloned (a
+//! refcount bump) only into what outlives the hop: an outgoing packet, an
+//! application delivery, a timer record. A received packet finds its
+//! channel by comparing that name. Outgoing packets are serialised into a
+//! kernel-owned scratch buffer whose allocation is recycled once the packets
+//! produced from it have been consumed, and the tables keyed by an event or
+//! timer name hash with [`crate::hash`]'s fixed-seed hasher.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 
@@ -25,6 +32,7 @@ use crate::config::ChannelConfig;
 use crate::error::{AppiaError, Result};
 use crate::event::{Direction, Event, Sendable};
 use crate::events::{ChannelClose, ChannelInit, TimerExpired};
+use crate::hash::HashMap;
 use crate::intern::Name;
 use crate::layers;
 use crate::platform::{
@@ -68,10 +76,11 @@ struct TimerTable {
 /// kernel itself.
 pub struct EventContext<'a> {
     channel_id: ChannelId,
-    channel_name: Name,
-    layer_name: Name,
+    channel_name: &'a Name,
+    layer_name: &'a Name,
+    session: &'a SessionRef,
     session_index: usize,
-    channels: &'a HashMap<ChannelId, Channel>,
+    channels: &'a [Channel],
     queue: &'a mut VecDeque<Pending>,
     timers: &'a mut TimerTable,
     scratch: &'a mut WireWriter,
@@ -86,12 +95,12 @@ impl EventContext<'_> {
 
     /// Name of the channel the current event belongs to.
     pub fn channel_name(&self) -> &str {
-        &self.channel_name
+        self.channel_name
     }
 
     /// Name of the layer whose session is handling the event.
     pub fn layer_name(&self) -> &str {
-        &self.layer_name
+        self.layer_name
     }
 
     /// Position of the handling session in the stack (0 = bottom).
@@ -151,23 +160,13 @@ impl EventContext<'_> {
     /// holds — every session that is not shared — reaches its own channel
     /// only.
     pub fn dispatch_to_holders(&mut self, mut event_for: impl FnMut(ChannelId) -> Option<Event>) {
-        let Some(session) = self
-            .channels
-            .get(&self.channel_id)
-            .and_then(|channel| channel.session_at(self.session_index))
-        else {
-            return;
-        };
-        let mut holders: Vec<(ChannelId, usize)> = self
-            .channels
-            .iter()
-            .filter_map(|(id, channel)| channel.slot_of(&session).map(|slot| (*id, slot)))
-            .collect();
-        holders.sort_unstable();
-        for (channel, slot) in holders {
-            if let Some(event) = event_for(channel) {
+        for channel in self.channels {
+            let Some(slot) = channel.slot_of(self.session) else {
+                continue;
+            };
+            if let Some(event) = event_for(channel.id()) {
                 self.queue.push_back(Pending {
-                    channel,
+                    channel: channel.id(),
                     from: Some(slot),
                     event,
                 });
@@ -249,8 +248,8 @@ impl EventContext<'_> {
 pub struct Kernel {
     layers: LayerRegistry,
     events: EventFactoryRegistry,
-    channels: HashMap<ChannelId, Channel>,
-    names: HashMap<Name, ChannelId>,
+    /// Every channel, in [`ChannelId`] order.
+    channels: Vec<Channel>,
     shared_sessions: HashMap<String, SessionRef>,
     queue: VecDeque<Pending>,
     timers: TimerTable,
@@ -271,9 +270,8 @@ impl Kernel {
         let mut kernel = Self {
             layers: LayerRegistry::new(),
             events: EventFactoryRegistry::new(),
-            channels: HashMap::new(),
-            names: HashMap::new(),
-            shared_sessions: HashMap::new(),
+            channels: Vec::new(),
+            shared_sessions: HashMap::default(),
             queue: VecDeque::new(),
             timers: TimerTable::default(),
             scratch: WireWriter::new(),
@@ -307,28 +305,33 @@ impl Kernel {
 
     /// Identifier of the channel with the given name, if any.
     pub fn channel_id(&self, name: &str) -> Option<ChannelId> {
-        self.names.get(name).copied()
+        self.channel_by_name(name).map(Channel::id)
     }
 
     /// The channel with the given identifier, if any.
     pub fn channel(&self, id: ChannelId) -> Option<&Channel> {
-        self.channels.get(&id)
+        self.position(id).map(|at| &self.channels[at])
     }
 
     /// The channel with the given name, if any.
     pub fn channel_by_name(&self, name: &str) -> Option<&Channel> {
-        self.channel_id(name).and_then(|id| self.channels.get(&id))
+        self.channels.iter().find(|channel| channel.name() == name)
     }
 
     /// Names of all existing channels, sorted.
     pub fn channel_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
-            .names
-            .keys()
-            .map(|name| name.as_str().to_string())
+            .channels
+            .iter()
+            .map(|channel| channel.name().to_string())
             .collect();
         names.sort();
         names
+    }
+
+    /// Where the channel with the given identifier sits in `channels`.
+    fn position(&self, id: ChannelId) -> Option<usize> {
+        self.channels.binary_search_by_key(&id, Channel::id).ok()
     }
 
     /// Number of events currently queued for processing.
@@ -375,10 +378,8 @@ impl Kernel {
     fn install_channel(&mut self, config: &ChannelConfig, slots: Vec<StackSlot>) -> ChannelId {
         self.next_channel += 1;
         let id = ChannelId(self.next_channel);
-        let name = Name::from(config.name.as_str());
-        let channel = Channel::new(id, name.clone(), slots);
-        self.channels.insert(id, channel);
-        self.names.insert(name, id);
+        self.channels
+            .push(Channel::new(id, config.name.as_str(), slots));
         id
     }
 
@@ -389,7 +390,7 @@ impl Kernel {
         config: &ChannelConfig,
         platform: &mut dyn Platform,
     ) -> Result<ChannelId> {
-        if self.names.contains_key(config.name.as_str()) {
+        if self.channel_by_name(&config.name).is_some() {
             return Err(AppiaError::DuplicateChannel(config.name.clone()));
         }
         let slots = self.build_slots(config)?;
@@ -414,8 +415,7 @@ impl Kernel {
             event: Event::up(ChannelClose {}),
         });
         self.process(platform);
-        self.channels.remove(&id);
-        self.names.remove(name);
+        self.channels.retain(|channel| channel.id() != id);
         self.timers.records.retain(|_, record| record.channel != id);
         Ok(())
     }
@@ -434,7 +434,7 @@ impl Kernel {
         config: &ChannelConfig,
         platform: &mut dyn Platform,
     ) -> Result<ChannelId> {
-        if !self.names.contains_key(name) {
+        if self.channel_by_name(name).is_none() {
             return Err(AppiaError::UnknownChannel(name.to_string()));
         }
         // Build the new slots first so a bad configuration leaves the old
@@ -502,7 +502,10 @@ impl Kernel {
 
     fn enqueue_packet(&mut self, packet: InPacket) -> Result<()> {
         let id = self
-            .channel_id(&packet.channel)
+            .channels
+            .iter()
+            .find(|channel| *channel.interned_name() == packet.channel)
+            .map(Channel::id)
             .ok_or_else(|| AppiaError::UnknownChannel(packet.channel.as_str().to_string()))?;
         let mut payload = decode_event(&self.events, &packet.payload)?;
         if let Some(sendable) = payload.as_sendable_mut() {
@@ -550,7 +553,7 @@ impl Kernel {
         let Some(record) = self.timers.records.remove(&key.timer_id) else {
             return;
         };
-        if !self.channels.contains_key(&record.channel) {
+        if self.position(record.channel).is_none() {
             return;
         }
         self.queue.push_back(Pending {
@@ -568,30 +571,23 @@ impl Kernel {
     /// Processes queued events until the queue drains.
     pub fn process(&mut self, platform: &mut dyn Platform) {
         while let Some(pending) = self.queue.pop_front() {
-            let Some(channel) = self.channels.get_mut(&pending.channel) else {
+            let Some(at) = self.position(pending.channel) else {
                 continue;
             };
-            let Some(index) = channel.next_hop(
+            let Some(index) = self.channels[at].next_hop(
                 pending.event.payload.as_ref(),
                 pending.event.direction,
                 pending.from,
             ) else {
                 continue;
             };
-            let session = channel
-                .session_at(index)
-                .expect("next_hop returned a valid index");
-            // Interned names: cloning is a refcount bump, not an allocation.
-            let channel_name = channel.interned_name().clone();
-            let layer_name = channel
-                .layer_name_at(index)
-                .expect("next_hop returned a valid index")
-                .clone();
-
+            let channel = &self.channels[at];
+            let slot = channel.slot(index);
             let mut ctx = EventContext {
                 channel_id: pending.channel,
-                channel_name,
-                layer_name,
+                channel_name: channel.interned_name(),
+                layer_name: &slot.layer_name,
+                session: &slot.session,
                 session_index: index,
                 channels: &self.channels,
                 queue: &mut self.queue,
@@ -599,7 +595,7 @@ impl Kernel {
                 scratch: &mut self.scratch,
                 platform,
             };
-            session.borrow_mut().handle(pending.event, &mut ctx);
+            slot.session.borrow_mut().handle(pending.event, &mut ctx);
         }
     }
 }
@@ -1008,6 +1004,95 @@ mod tests {
             announce(&mut kernel, &mut platform, id_b),
             vec![(id_b, "above")]
         );
+        // A replaced channel that keeps the shared session takes the
+        // highest id, so it is visited last.
+        let c_shared = ChannelConfig::new("c")
+            .with_layer(LayerSpec::new("below"))
+            .with_layer(shared())
+            .with_layer(LayerSpec::new("middle"))
+            .with_layer(LayerSpec::new("above"));
+        let new_c = kernel
+            .replace_channel("c", &c_shared, &mut platform)
+            .unwrap();
+        assert!(new_c > id_b);
+        assert_eq!(
+            announce(&mut kernel, &mut platform, id_b),
+            vec![(id_b, "above"), (new_c, "middle"), (new_c, "above")]
+        );
+    }
+
+    /// On [`ChannelInit`], arms two timers and cancels the first; records
+    /// the tag of every [`TimerExpired`] it is handed.
+    struct TimerLayer {
+        fired: std::rc::Rc<std::cell::RefCell<Vec<u32>>>,
+    }
+
+    impl crate::layer::Layer for TimerLayer {
+        fn name(&self) -> &str {
+            "timers"
+        }
+
+        fn accepted_events(&self) -> Vec<crate::event::EventSpec> {
+            vec![
+                crate::event::EventSpec::of::<ChannelInit>(),
+                crate::event::EventSpec::of::<TimerExpired>(),
+            ]
+        }
+
+        fn create_session(
+            &self,
+            _params: &crate::layer::LayerParams,
+        ) -> Box<dyn crate::session::Session> {
+            Box::new(TimerLayer {
+                fired: self.fired.clone(),
+            })
+        }
+    }
+
+    impl crate::session::Session for TimerLayer {
+        fn layer_name(&self) -> &str {
+            "timers"
+        }
+
+        fn handle(&mut self, event: Event, ctx: &mut EventContext<'_>) {
+            if let Some(timer) = event.get::<TimerExpired>() {
+                self.fired.borrow_mut().push(timer.tag);
+            } else {
+                let cancelled = ctx.set_timer(10, 1);
+                ctx.set_timer(20, 2);
+                ctx.cancel_timer(cancelled);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancelled_timer_reaches_no_session_and_an_armed_one_fires() {
+        let fired = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut kernel = Kernel::new();
+        kernel.layers_mut().register(TimerLayer {
+            fired: fired.clone(),
+        });
+        let mut platform = TestPlatform::new(NodeId(1));
+        let config = ChannelConfig::new("data")
+            .with_layer(LayerSpec::new("network"))
+            .with_layer(LayerSpec::new("timers"));
+        kernel.create_channel(&config, &mut platform).unwrap();
+        let [(_, cancelled), (_, armed)] = platform.timers[..] else {
+            panic!("two timers armed: {:?}", platform.timers);
+        };
+        assert_eq!(platform.cancelled, vec![cancelled]);
+
+        // A platform that hands the cancelled timer back anyway: the kernel
+        // has no record of it, so nothing is queued and no session runs.
+        kernel.timer_expired(cancelled, &mut platform);
+        assert_eq!(kernel.pending_events(), 0);
+        assert!(fired.borrow().is_empty());
+
+        kernel.timer_expired(armed, &mut platform);
+        assert_eq!(*fired.borrow(), vec![2]);
+        // A timer fires once.
+        kernel.timer_expired(armed, &mut platform);
+        assert_eq!(*fired.borrow(), vec![2]);
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! kernel when instantiating channels and when reconstructing events received
 //! from the network.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use crate::error::{AppiaError, Result};
 use crate::event::{EventPayload, SendHeader, Sendable};
+use crate::hash::HashMap;
 use crate::layer::{Layer, LayerRef};
 use crate::message::Message;
 use crate::wire::{Wire, WireReader, WireWriter};

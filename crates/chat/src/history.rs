@@ -134,7 +134,7 @@ impl StateSection for ChatHistorySection {
 #[derive(Debug, Default)]
 pub struct ChatHistoryBinding {
     room: String,
-    histories: std::collections::HashMap<morpheus_appia::platform::NodeId, RoomHistory>,
+    histories: morpheus_appia::hash::HashMap<morpheus_appia::platform::NodeId, RoomHistory>,
     decode_failures: u64,
 }
 
@@ -143,7 +143,7 @@ impl ChatHistoryBinding {
     pub fn new(room: impl Into<String>) -> Self {
         Self {
             room: room.into(),
-            histories: std::collections::HashMap::new(),
+            histories: morpheus_appia::hash::HashMap::default(),
             decode_failures: 0,
         }
     }

@@ -250,7 +250,7 @@ impl Layer for CocaditemLayer {
             last_published: None,
             publications: 0,
             converged_reported: false,
-            recent_pulls: std::collections::HashMap::new(),
+            recent_pulls: morpheus_appia::hash::HashMap::default(),
             behind_peers: std::collections::BTreeSet::new(),
             digest_entries: Vec::new(),
         })
@@ -323,7 +323,7 @@ pub struct CocaditemSession {
     /// longer costs a whole extra interval), while still keeping the boot
     /// transient far below the flood it replaces.
     // bound: pruned to live members on view install; a node's entry drops when its snapshot arrives.
-    recent_pulls: std::collections::HashMap<NodeId, (u64, u32)>,
+    recent_pulls: morpheus_appia::hash::HashMap<NodeId, (u64, u32)>,
     /// Peers whose most recent digest advertised a staler view of the store
     /// than ours. Our own digest targets are biased towards them: a peer
     /// that is behind learns what to pull from us one interval sooner than

@@ -8,10 +8,11 @@
 //! parity block; a receiver that misses exactly one message of a block can
 //! reconstruct it locally, without any round trip to the sender.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::DataEvent;
+use morpheus_appia::hash::HashMap;
 use morpheus_appia::kernel::EventContext;
 use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
@@ -63,7 +64,7 @@ impl Layer for FecLayer {
             next_seq: 0,
             block: Vec::new(),
             parity: Vec::new(),
-            received: HashMap::new(),
+            received: HashMap::default(),
             recovered: 0,
         })
     }

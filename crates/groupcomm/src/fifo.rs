@@ -6,10 +6,11 @@
 //! recover losses (see [`crate::reliable`] for that); a missing message only
 //! delays later ones until a bounded reordering window fills up.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use morpheus_appia::event::{Direction, Event, EventSpec};
 use morpheus_appia::events::DataEvent;
+use morpheus_appia::hash::HashMap;
 use morpheus_appia::kernel::EventContext;
 use morpheus_appia::layer::{param_or, Layer, LayerParams};
 use morpheus_appia::platform::NodeId;
@@ -41,7 +42,7 @@ impl Layer for FifoLayer {
         Box::new(FifoSession {
             window: param_or(params, "window", 64usize).max(1),
             next_seq: 0,
-            incoming: HashMap::new(),
+            incoming: HashMap::default(),
         })
     }
 }

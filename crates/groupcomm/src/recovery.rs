@@ -30,12 +30,13 @@
 //! On every *non*-joining node the layer is a pass-through that answers
 //! state requests when it is chosen as donor.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
+use morpheus_appia::hash::HashMap;
 use morpheus_appia::kernel::EventContext;
 use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
@@ -244,7 +245,7 @@ impl Layer for RecoveryLayer {
             transfer_timeout_ms: param_or(params, "transfer_timeout_ms", 4000u64).max(100),
             chunk_bytes: param_or(params, "chunk_bytes", 1024usize).max(16),
             suspected: BTreeSet::new(),
-            serving: HashMap::new(),
+            serving: HashMap::default(),
             timer: None,
             phase_started_ms: 0,
             catchup: None,
@@ -1304,7 +1305,7 @@ mod tests {
             transfer_timeout_ms: 1000,
             chunk_bytes: 16,
             suspected: BTreeSet::new(),
-            serving: HashMap::new(),
+            serving: HashMap::default(),
             timer: None,
             phase_started_ms: 0,
             catchup: None,
@@ -1698,7 +1699,7 @@ mod tests {
             transfer_timeout_ms: 1000,
             chunk_bytes: 16,
             suspected: BTreeSet::new(),
-            serving: HashMap::new(),
+            serving: HashMap::default(),
             timer: None,
             phase_started_ms: 0,
             catchup: None,

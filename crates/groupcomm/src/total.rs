@@ -6,10 +6,11 @@
 //! Every member (including the sender, which keeps a local copy of its own
 //! messages) delivers data strictly in global-sequence order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::DataEvent;
+use morpheus_appia::hash::HashMap;
 use morpheus_appia::kernel::EventContext;
 use morpheus_appia::layer::{param_node_list, Layer, LayerParams};
 use morpheus_appia::message::Message;
@@ -55,7 +56,7 @@ impl Layer for TotalLayer {
             next_global_assignment: 1,
             next_delivery: 1,
             order: BTreeMap::new(),
-            buffered: HashMap::new(),
+            buffered: HashMap::default(),
             delivered: 0,
         })
     }

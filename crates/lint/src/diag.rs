@@ -15,6 +15,7 @@ pub const RULE_IDS: &[&str] = &[
     "det:entropy",
     "det:map-iter",
     "det:global",
+    "det:hash",
     "decode:panic",
     "decode:index",
     "decode:cast",

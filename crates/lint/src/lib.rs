@@ -13,7 +13,7 @@
 //!
 //! | family   | rules                                              |
 //! |----------|----------------------------------------------------|
-//! | `det`    | `det:time`, `det:thread`, `det:process`, `det:entropy`, `det:map-iter`, `det:global` |
+//! | `det`    | `det:time`, `det:thread`, `det:process`, `det:entropy`, `det:map-iter`, `det:global`, `det:hash` |
 //! | `decode` | `decode:panic`, `decode:index`, `decode:cast`      |
 //! | `alloc`  | `alloc:cap`                                        |
 //! | `state`  | `state:bound`                                      |

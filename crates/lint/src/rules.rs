@@ -260,9 +260,10 @@ fn matching_brace(tokens: &[Token], open: usize) -> usize {
 // Rule family 1: determinism
 // ---------------------------------------------------------------------------
 
-/// Wall clocks, OS threads/processes, OS entropy, hash-order iteration and
-/// state that outlives a run in protocol/simulation crates: all of them
-/// make a `(seed, schedule)` replay lie.
+/// Wall clocks, OS threads/processes, OS entropy, hash-order iteration,
+/// randomly seeded hashers and state that outlives a run in
+/// protocol/simulation crates: all of them make a `(seed, schedule)` replay
+/// lie.
 pub fn check_determinism(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     if !PROTOCOL_CRATES.contains(&ctx.crate_name) {
         return;
@@ -304,6 +305,7 @@ pub fn check_determinism(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
         }
     }
     check_hash_iteration(ctx, out);
+    check_std_hasher(ctx, out);
     if ctx.crate_name != GLOBAL_STATE_CRATE {
         check_global_state(ctx, out);
     }
@@ -353,6 +355,78 @@ fn check_global_state(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
             _ => i + 1,
         };
     }
+}
+
+/// Flags a `HashMap` / `HashSet` on std's randomly seeded `RandomState`:
+/// one imported from `collections`, a `collections::HashMap` path that
+/// names no hasher, and any `RandomState`. Each instance draws its own
+/// seed, so where a table rehashes — and allocates — differs from run to
+/// run; protocol tables use `morpheus_appia::hash`'s fixed-seed aliases.
+fn check_std_hasher(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let tokens = ctx.tokens();
+    let mut in_collections_use = false;
+    for (i, token) in tokens.iter().enumerate() {
+        if token.is_ident("use") {
+            in_collections_use = tokens[i..]
+                .iter()
+                .take_while(|t| !t.is_punct(';'))
+                .any(|t| t.is_ident("collections"));
+        } else if token.is_punct(';') {
+            in_collections_use = false;
+        }
+        if ctx.in_test(i) {
+            continue;
+        }
+        let Some(name) = token.ident() else { continue };
+        let flagged = match name {
+            "RandomState" => true,
+            "HashMap" | "HashSet" => {
+                let on_path = i >= 3
+                    && tokens[i - 1].is_punct(':')
+                    && tokens[i - 2].is_punct(':')
+                    && tokens[i - 3].is_ident("collections");
+                let hasher_arg = if name == "HashMap" { 2 } else { 1 };
+                in_collections_use || (on_path && generic_arg_count(tokens, i + 1) <= hasher_arg)
+            }
+            _ => false,
+        };
+        if flagged {
+            out.push(ctx.diag(
+                token.line,
+                "det:hash",
+                format!(
+                    "`{name}` on std's randomly seeded `RandomState` — use \
+                     `morpheus_appia::hash`'s fixed-seed `HashMap` / `HashSet`"
+                ),
+            ));
+        }
+    }
+}
+
+/// The number of type arguments in the `<..>` list opening at `open`; 0
+/// when there is none.
+fn generic_arg_count(tokens: &[Token], open: usize) -> usize {
+    if !tokens.get(open).is_some_and(|t| t.is_punct('<')) {
+        return 0;
+    }
+    let mut depth = 0i32;
+    let mut args = 1;
+    for (j, token) in tokens.iter().enumerate().skip(open) {
+        if token.is_punct('<') || token.is_punct('(') || token.is_punct('[') {
+            depth += 1;
+        } else if (token.is_punct('>') && !tokens[j - 1].is_punct('-'))
+            || token.is_punct(')')
+            || token.is_punct(']')
+        {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        } else if token.is_punct(',') && depth == 1 {
+            args += 1;
+        }
+    }
+    args
 }
 
 /// `name ::` lookahead: true when token `i` is followed by `:: tail`.

@@ -45,6 +45,17 @@ fn determinism_fixtures() {
     assert_trips("det_process.rs", &["det:process"]);
     assert_trips("det_entropy.rs", &["det:entropy"]);
     assert_trips("det_map_iter.rs", &["det:map-iter"]);
+    assert_trips("det_hash.rs", &["det:hash"; 5]);
+}
+
+#[test]
+fn fixed_seed_hashers_are_clean() {
+    assert_trips("det_hash_clean.rs", &[]);
+    assert_eq!(
+        rules_for("det_hash.rs", "lint"),
+        Vec::<&str>::new(),
+        "tools outside the protocol crates may use std's hasher"
+    );
 }
 
 #[test]

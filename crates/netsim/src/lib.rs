@@ -12,8 +12,8 @@
 //! The crate provides:
 //!
 //! * [`time::SimTime`] — simulated time in milliseconds;
-//! * [`engine::EventQueue`] — a time-ordered event queue with deterministic
-//!   FIFO tie-breaking;
+//! * [`engine::EventQueue`] — a calendar queue of one bucket per simulated
+//!   millisecond, time-ordered with deterministic FIFO tie-breaking;
 //! * [`rng::SimRng`] — a seeded random number generator;
 //! * [`node`] / [`battery`] — device classes and an energy model;
 //! * [`link`] — wired LAN, 802.11b-like wireless and WAN link models;

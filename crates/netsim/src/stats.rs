@@ -4,8 +4,10 @@
 //! reports: the number of messages transmitted by each node, broken down into
 //! data and control traffic, plus bytes and energy for the extension
 //! experiments.
-
-use std::collections::BTreeMap;
+//!
+//! A packet is accounted on its way through the network, so the tables are
+//! plain arrays: a node's counters indexed by [`TrafficClass`], the
+//! network's by node id.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,22 +38,30 @@ impl TrafficClass {
         TrafficClass::Repair,
         TrafficClass::Overlay,
     ];
+
+    /// The class's position in [`TrafficClass::ALL`].
+    fn index(self) -> usize {
+        self as usize
+    }
 }
+
+/// One counter per [`TrafficClass`].
+type PerClass = [u64; TrafficClass::ALL.len()];
 
 /// Counters for one node.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodeStats {
     /// Messages sent, per traffic class.
-    pub sent: BTreeMap<TrafficClass, u64>,
+    sent: PerClass,
     /// Messages received, per traffic class.
-    pub received: BTreeMap<TrafficClass, u64>,
+    received: PerClass,
     /// Messages lost in transit that this node originated (all classes).
     /// Counts only losses on links towards *live* receivers — the safety
     /// metric; packets addressed to a crashed node are accounted under
     /// [`NodeStats::lost_to_dead`] instead.
     pub lost: u64,
     /// Messages lost in transit, per traffic class (live receivers only).
-    pub lost_by_class: BTreeMap<TrafficClass, u64>,
+    lost_by_class: PerClass,
     /// Messages this node addressed to a receiver that was crashed (or
     /// battery-depleted) at delivery time. Kept separate from `lost` so
     /// "zero data loss for surviving members" stays assertable across a
@@ -68,7 +78,7 @@ pub struct NodeStats {
     /// Bytes sent, per traffic class — what lets the evaluation assert that
     /// a node's data+overlay cost tracks its subscriptions while repair and
     /// control stay bounded.
-    pub bytes_sent_by_class: BTreeMap<TrafficClass, u64>,
+    bytes_sent_by_class: PerClass,
     /// Bytes received (sum over all classes).
     pub bytes_received: u64,
     /// Energy consumed by the radio, in joules.
@@ -78,15 +88,15 @@ pub struct NodeStats {
 impl NodeStats {
     /// Records one transmitted message.
     pub fn record_sent(&mut self, class: TrafficClass, bytes: usize, energy_j: f64) {
-        *self.sent.entry(class).or_insert(0) += 1;
+        self.sent[class.index()] += 1;
         self.bytes_sent += bytes as u64;
-        *self.bytes_sent_by_class.entry(class).or_insert(0) += bytes as u64;
+        self.bytes_sent_by_class[class.index()] += bytes as u64;
         self.energy_joules += energy_j;
     }
 
     /// Records one received message.
     pub fn record_received(&mut self, class: TrafficClass, bytes: usize, energy_j: f64) {
-        *self.received.entry(class).or_insert(0) += 1;
+        self.received[class.index()] += 1;
         self.bytes_received += bytes as u64;
         self.energy_joules += energy_j;
     }
@@ -94,7 +104,7 @@ impl NodeStats {
     /// Records one lost message originated by this node.
     pub fn record_lost(&mut self, class: TrafficClass) {
         self.lost += 1;
-        *self.lost_by_class.entry(class).or_insert(0) += 1;
+        self.lost_by_class[class.index()] += 1;
     }
 
     /// Records one message addressed to a dead receiver.
@@ -109,39 +119,40 @@ impl NodeStats {
 
     /// Messages lost of one class.
     pub fn lost_of(&self, class: TrafficClass) -> u64 {
-        self.lost_by_class.get(&class).copied().unwrap_or(0)
+        self.lost_by_class[class.index()]
     }
 
     /// Total messages sent across every class.
     pub fn total_sent(&self) -> u64 {
-        self.sent.values().sum()
+        self.sent.iter().sum()
     }
 
     /// Total messages received across every class.
     pub fn total_received(&self) -> u64 {
-        self.received.values().sum()
+        self.received.iter().sum()
     }
 
     /// Messages sent of one class.
     pub fn sent_of(&self, class: TrafficClass) -> u64 {
-        self.sent.get(&class).copied().unwrap_or(0)
+        self.sent[class.index()]
     }
 
     /// Messages received of one class.
     pub fn received_of(&self, class: TrafficClass) -> u64 {
-        self.received.get(&class).copied().unwrap_or(0)
+        self.received[class.index()]
     }
 
     /// Bytes sent of one class.
     pub fn bytes_sent_of(&self, class: TrafficClass) -> u64 {
-        self.bytes_sent_by_class.get(&class).copied().unwrap_or(0)
+        self.bytes_sent_by_class[class.index()]
     }
 }
 
 /// Statistics for the whole network, indexed by node.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkStats {
-    per_node: BTreeMap<NodeId, NodeStats>,
+    /// Indexed by node id; `None` for a node that never sent or received.
+    per_node: Vec<Option<NodeStats>>,
 }
 
 impl NetworkStats {
@@ -152,58 +163,63 @@ impl NetworkStats {
 
     /// Mutable counters for one node, created on first use.
     pub fn node_mut(&mut self, node: NodeId) -> &mut NodeStats {
-        self.per_node.entry(node).or_default()
+        let index = node.0 as usize;
+        if index >= self.per_node.len() {
+            self.per_node.resize_with(index + 1, || None);
+        }
+        self.per_node[index].get_or_insert_with(NodeStats::default)
     }
 
     /// Counters for one node, if it ever sent or received anything.
     pub fn node(&self, node: NodeId) -> Option<&NodeStats> {
-        self.per_node.get(&node)
+        self.per_node.get(node.0 as usize)?.as_ref()
     }
 
     /// Counters for one node, or empty defaults.
     pub fn node_or_default(&self, node: NodeId) -> NodeStats {
-        self.per_node.get(&node).cloned().unwrap_or_default()
+        self.node(node).cloned().unwrap_or_default()
     }
 
     /// Iterates over every node's counters in node-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &NodeStats)> {
-        self.per_node.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeStats)> {
+        self.per_node
+            .iter()
+            .enumerate()
+            .filter_map(|(index, stats)| Some((NodeId(index as u32), stats.as_ref()?)))
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = &NodeStats> {
+        self.per_node.iter().flatten()
     }
 
     /// Total messages sent by every node.
     pub fn total_sent(&self) -> u64 {
-        self.per_node.values().map(NodeStats::total_sent).sum()
+        self.nodes().map(NodeStats::total_sent).sum()
     }
 
     /// Total messages received by every node.
     pub fn total_received(&self) -> u64 {
-        self.per_node.values().map(NodeStats::total_received).sum()
+        self.nodes().map(NodeStats::total_received).sum()
     }
 
     /// Total messages lost in transit.
     pub fn total_lost(&self) -> u64 {
-        self.per_node.values().map(|stats| stats.lost).sum()
+        self.nodes().map(|stats| stats.lost).sum()
     }
 
     /// Total messages lost in transit of one class.
     pub fn total_lost_of(&self, class: TrafficClass) -> u64 {
-        self.per_node
-            .values()
-            .map(|stats| stats.lost_of(class))
-            .sum()
+        self.nodes().map(|stats| stats.lost_of(class)).sum()
     }
 
     /// Total messages addressed to dead receivers.
     pub fn total_lost_to_dead(&self) -> u64 {
-        self.per_node.values().map(|stats| stats.lost_to_dead).sum()
+        self.nodes().map(|stats| stats.lost_to_dead).sum()
     }
 
     /// Total messages swallowed by injected faults.
     pub fn total_fault_dropped(&self) -> u64 {
-        self.per_node
-            .values()
-            .map(|stats| stats.fault_dropped)
-            .sum()
+        self.nodes().map(|stats| stats.fault_dropped).sum()
     }
 
     /// Clears every counter (used between benchmark repetitions).
@@ -238,6 +254,9 @@ mod tests {
         assert_eq!(stats.lost_of(TrafficClass::Data), 1);
         assert_eq!(stats.lost_of(TrafficClass::Control), 0);
         assert!((stats.energy_joules - 0.8).abs() < 1e-9);
+        for (position, class) in TrafficClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), position, "{class:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The platform binding between a Morpheus node and the network simulator.
 
-use std::collections::HashSet;
-
 use morpheus_appia::platform::{
     AppDelivery, NodeId, NodeProfile, OutPacket, Platform, ReconfigRequest,
 };
@@ -25,8 +23,6 @@ pub struct SimPlatform {
     pub out_packets: Vec<OutPacket>,
     /// Timers armed since the last drain: `(delay_ms, key)`.
     pub timer_requests: Vec<(u64, TimerKey)>,
-    /// Timers cancelled since the last drain.
-    pub cancelled_timers: HashSet<TimerKey>,
     /// Application deliveries produced since the last drain.
     pub deliveries: Vec<AppDelivery>,
     /// Reconfiguration requests raised since the last drain.
@@ -43,7 +39,6 @@ impl SimPlatform {
             rng: SimRng::new(seed),
             out_packets: Vec::new(),
             timer_requests: Vec::new(),
-            cancelled_timers: HashSet::new(),
             deliveries: Vec::new(),
             reconfig_requests: Vec::new(),
         }
@@ -86,11 +81,6 @@ impl SimPlatform {
     pub fn take_reconfig_requests(&mut self) -> Vec<ReconfigRequest> {
         std::mem::take(&mut self.reconfig_requests)
     }
-
-    /// Whether the timer was cancelled (and forgets the cancellation).
-    pub fn consume_cancellation(&mut self, key: &TimerKey) -> bool {
-        self.cancelled_timers.remove(key)
-    }
 }
 
 impl Platform for SimPlatform {
@@ -114,9 +104,10 @@ impl Platform for SimPlatform {
         self.timer_requests.push((delay_ms, key));
     }
 
-    fn cancel_timer(&mut self, key: TimerKey) {
-        self.cancelled_timers.insert(key);
-    }
+    /// Nothing to do: the kernel forgets a cancelled timer's record, and
+    /// [`morpheus_appia::Kernel::timer_expired`] ignores a key it has no
+    /// record for, so the runner hands every timer back when it falls due.
+    fn cancel_timer(&mut self, _key: TimerKey) {}
 
     fn deliver(&mut self, delivery: AppDelivery) {
         self.deliveries.push(delivery);
@@ -181,15 +172,6 @@ mod tests {
         packets.clear();
         platform.swap_packets(&mut packets);
         assert!(packets.is_empty());
-    }
-
-    #[test]
-    fn cancellations_are_consumed_once() {
-        let mut platform = SimPlatform::new(NodeProfile::fixed_pc(NodeId(0)), 1);
-        let key = TimerKey::new(ChannelId(2), 9);
-        platform.cancel_timer(key);
-        assert!(platform.consume_cancellation(&key));
-        assert!(!platform.consume_cancellation(&key));
     }
 
     #[test]

@@ -534,9 +534,7 @@ impl Runner {
                 SimEvent::Timer {
                     key, incarnation, ..
                 } => {
-                    if incarnation == incarnations[index]
-                        && !platforms[index].consume_cancellation(&key)
-                    {
+                    if incarnation == incarnations[index] {
                         nodes[index].timer_fired(key, &mut platforms[index]);
                     }
                 }
