@@ -214,14 +214,7 @@ impl<E> EventQueue<E> {
         let window = self.base * BLOCK_MS;
         // The bucket of the window's first millisecond.
         let start = ring_index(window);
-        let from = start + (self.cursor - window) as usize;
-        let index = if from < RING {
-            self.ring
-                .first_set(from, RING)
-                .or_else(|| self.ring.first_set(0, start))
-        } else {
-            self.ring.first_set(from - RING, start)
-        }?;
+        let index = self.ring.first_set_round(ring_index(self.cursor), start)?;
         self.cursor = window + ((index + RING - start) % RING) as u64;
         Some(index)
     }
@@ -230,11 +223,7 @@ impl<E> EventQueue<E> {
     fn next_block(&self) -> Option<u64> {
         let first = self.base + 2;
         let start = level2_index(first);
-        match self
-            .level2
-            .first_set(start, LEVEL2_BLOCKS)
-            .or_else(|| self.level2.first_set(0, start))
-        {
+        match self.level2.first_set_round(start, start) {
             Some(index) => Some(first + ((index + LEVEL2_BLOCKS - start) % LEVEL2_BLOCKS) as u64),
             None => self.far.peek().map(|Reverse((at, _, _))| at / BLOCK_MS),
         }
@@ -347,6 +336,18 @@ impl Lists {
     fn clear(&mut self, list: usize) {
         self.tail[list] = NIL;
         self.occupied[list / 64] &= !(1 << (list % 64));
+    }
+
+    /// The first non-empty list at or after `from`, going round past the
+    /// last list to the one before `stop` — all the way round when `stop`
+    /// is `from`.
+    fn first_set_round(&self, from: usize, stop: usize) -> Option<usize> {
+        if from < stop {
+            self.first_set(from, stop)
+        } else {
+            self.first_set(from, self.head.len())
+                .or_else(|| self.first_set(0, stop))
+        }
     }
 
     /// The first non-empty list in `from..to`.
