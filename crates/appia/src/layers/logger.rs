@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use crate::event::{Direction, Event, EventSpec};
 use crate::events::ChannelClose;
 use crate::kernel::EventContext;
-use crate::layer::{param_or, Layer, LayerParams};
+use crate::layer::{Layer, LayerParams};
 use crate::platform::DeliveryKind;
 use crate::session::Session;
 
@@ -14,8 +14,7 @@ pub const LOGGER_LAYER: &str = "logger";
 
 /// Layer that counts every event flowing through it and forwards it
 /// unchanged. When the channel closes it reports a summary notification to
-/// the application; with the `verbose` parameter set to `true` it reports a
-/// notification for every event.
+/// the application. It reads no parameters.
 pub struct LoggerLayer;
 
 impl Layer for LoggerLayer {
@@ -27,9 +26,8 @@ impl Layer for LoggerLayer {
         vec![EventSpec::All]
     }
 
-    fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
+    fn create_session(&self, _params: &LayerParams) -> Box<dyn Session> {
         Box::new(LoggerSession {
-            verbose: param_or(params, "verbose", false),
             counts: BTreeMap::new(),
         })
     }
@@ -38,7 +36,6 @@ impl Layer for LoggerLayer {
 /// Session state of the logger layer.
 #[derive(Debug)]
 pub struct LoggerSession {
-    verbose: bool,
     // bound: one counter per (layer, direction) pair -- at most 2 x stack depth entries.
     counts: BTreeMap<(String, &'static str), u64>,
 }
@@ -62,14 +59,8 @@ impl Session for LoggerSession {
             event.type_name().to_string(),
             Self::direction_name(event.direction),
         );
-        *self.counts.entry(key.clone()).or_insert(0) += 1;
+        *self.counts.entry(key).or_insert(0) += 1;
 
-        if self.verbose {
-            ctx.deliver(DeliveryKind::Notification(format!(
-                "logger: {} {}",
-                key.0, key.1
-            )));
-        }
         if event.is::<ChannelClose>() {
             let total: u64 = self.counts.values().sum();
             ctx.deliver(DeliveryKind::Notification(format!(
@@ -120,28 +111,5 @@ mod tests {
             .collect();
         assert_eq!(notes.len(), 1);
         assert!(notes[0].contains("events across"));
-    }
-
-    #[test]
-    fn verbose_logger_reports_every_event() {
-        let mut kernel = Kernel::new();
-        let mut platform = TestPlatform::new(NodeId(1));
-        let config = ChannelConfig::new("data")
-            .with_layer(LayerSpec::new("network"))
-            .with_layer(LayerSpec::new("logger").with_param("verbose", "true"))
-            .with_layer(LayerSpec::new("app"));
-        let id = kernel.create_channel(&config, &mut platform).unwrap();
-        platform.take_deliveries();
-
-        let event = Event::down(DataEvent::new(
-            NodeId(1),
-            Dest::Node(NodeId(2)),
-            Message::new(),
-        ));
-        kernel.dispatch_and_process(id, event, &mut platform);
-        let deliveries = platform.take_deliveries();
-        assert!(deliveries.iter().any(
-            |d| matches!(&d.kind, DeliveryKind::Notification(n) if n.contains("DataEvent down"))
-        ));
     }
 }

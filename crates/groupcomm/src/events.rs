@@ -85,10 +85,10 @@ sendable_event! {
 }
 
 sendable_event! {
-    /// Several app messages aggregated into one gossip packet (header:
-    /// [`crate::headers::GossipBatchBody`]). Data class: batches carry
-    /// application payloads and must experience the same loss and
-    /// accounting as singleton pushes.
+    /// Up to four app messages aggregated into one gossip packet (header:
+    /// [`crate::headers::GossipBatchBody`]): the only form a gossip push
+    /// travels in. Data class: batches carry application payloads and must
+    /// experience the same loss and accounting as any other data packet.
     pub struct GossipBatch, class: Data
 }
 

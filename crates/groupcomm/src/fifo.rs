@@ -12,7 +12,7 @@ use morpheus_appia::event::{Direction, Event, EventSpec};
 use morpheus_appia::events::DataEvent;
 use morpheus_appia::hash::HashMap;
 use morpheus_appia::kernel::EventContext;
-use morpheus_appia::layer::{param_or, Layer, LayerParams};
+use morpheus_appia::layer::{Layer, LayerParams};
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
 
@@ -21,12 +21,11 @@ use crate::headers::SeqHeader;
 /// Registered name of the FIFO ordering layer.
 pub const FIFO_LAYER: &str = "fifo";
 
-/// The FIFO ordering layer.
-///
-/// Parameters:
-///
-/// * `window` — maximum number of out-of-order messages buffered per sender
-///   before the gap is given up on and delivery skips ahead (default 64).
+/// Out-of-order messages buffered per sender before the gap is given up on
+/// and delivery skips ahead.
+const WINDOW: usize = 64;
+
+/// The FIFO ordering layer. It reads no parameters.
 pub struct FifoLayer;
 
 impl Layer for FifoLayer {
@@ -38,9 +37,8 @@ impl Layer for FifoLayer {
         vec![EventSpec::of::<DataEvent>()]
     }
 
-    fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
+    fn create_session(&self, _params: &LayerParams) -> Box<dyn Session> {
         Box::new(FifoSession {
-            window: param_or(params, "window", 64usize).max(1),
             next_seq: 0,
             incoming: HashMap::default(),
         })
@@ -56,9 +54,8 @@ struct SenderState {
 /// Session state of the FIFO layer.
 #[derive(Debug)]
 pub struct FifoSession {
-    window: usize,
     next_seq: u64,
-    // bound: one entry per sender heard from; each reordering buffer is capped by `window` (overflow skips the gap).
+    // bound: one entry per sender heard from; each reordering buffer is capped by `WINDOW` (overflow skips the gap).
     incoming: HashMap<NodeId, SenderState>,
 }
 
@@ -99,7 +96,7 @@ impl Session for FifoSession {
                     state.pending.insert(header.seq, event);
                     // If the reordering window overflows, give up on the gap:
                     // advance to the oldest buffered message.
-                    if state.pending.len() > self.window {
+                    if state.pending.len() > WINDOW {
                         if let Some((&oldest, _)) = state.pending.iter().next() {
                             state.expected = oldest;
                         }
@@ -140,18 +137,14 @@ mod tests {
         ))
     }
 
-    fn harness(platform: &mut TestPlatform, window: Option<&str>) -> Harness {
-        let mut params = LayerParams::new();
-        if let Some(window) = window {
-            params.insert("window".into(), window.into());
-        }
-        Harness::new(FifoLayer, &params, platform)
+    fn harness(platform: &mut TestPlatform) -> Harness {
+        Harness::new(FifoLayer, &LayerParams::new(), platform)
     }
 
     #[test]
     fn in_order_messages_pass_straight_through() {
         let mut platform = TestPlatform::new(NodeId(99));
-        let mut fifo = harness(&mut platform, None);
+        let mut fifo = harness(&mut platform);
         for seq in 1..=3 {
             let delivered = fifo.run_up(data_with_seq(1, seq, b"m"), &mut platform);
             assert_eq!(delivered.len(), 1, "seq {seq} delivered immediately");
@@ -161,7 +154,7 @@ mod tests {
     #[test]
     fn out_of_order_messages_are_buffered_and_released_in_order() {
         let mut platform = TestPlatform::new(NodeId(99));
-        let mut fifo = harness(&mut platform, None);
+        let mut fifo = harness(&mut platform);
 
         assert!(fifo
             .run_up(data_with_seq(1, 2, b"b"), &mut platform)
@@ -176,7 +169,7 @@ mod tests {
     #[test]
     fn duplicates_are_discarded() {
         let mut platform = TestPlatform::new(NodeId(99));
-        let mut fifo = harness(&mut platform, None);
+        let mut fifo = harness(&mut platform);
         assert_eq!(
             fifo.run_up(data_with_seq(1, 1, b"a"), &mut platform).len(),
             1
@@ -189,7 +182,7 @@ mod tests {
     #[test]
     fn senders_are_sequenced_independently() {
         let mut platform = TestPlatform::new(NodeId(99));
-        let mut fifo = harness(&mut platform, None);
+        let mut fifo = harness(&mut platform);
         assert_eq!(
             fifo.run_up(data_with_seq(1, 1, b"a"), &mut platform).len(),
             1
@@ -203,24 +196,25 @@ mod tests {
     #[test]
     fn window_overflow_skips_the_gap() {
         let mut platform = TestPlatform::new(NodeId(99));
-        let mut fifo = harness(&mut platform, Some("2"));
+        let mut fifo = harness(&mut platform);
 
-        // seq 1 is lost; 2 and 3 buffer; 4 overflows the window and forces
-        // delivery to resume from the oldest buffered message.
-        assert!(fifo
-            .run_up(data_with_seq(1, 2, b"b"), &mut platform)
-            .is_empty());
-        assert!(fifo
-            .run_up(data_with_seq(1, 3, b"c"), &mut platform)
-            .is_empty());
-        let released = fifo.run_up(data_with_seq(1, 4, b"d"), &mut platform);
-        assert_eq!(released.len(), 3);
+        // seq 1 is lost; a window's worth buffers; the next one overflows
+        // the window and forces delivery to resume from the oldest buffered
+        // message.
+        let last = WINDOW as u64 + 1;
+        for seq in 2..=last {
+            assert!(fifo
+                .run_up(data_with_seq(1, seq, b"b"), &mut platform)
+                .is_empty());
+        }
+        let released = fifo.run_up(data_with_seq(1, last + 1, b"d"), &mut platform);
+        assert_eq!(released.len(), WINDOW + 1);
     }
 
     #[test]
     fn downward_messages_get_increasing_sequence_numbers() {
         let mut platform = TestPlatform::new(NodeId(1));
-        let mut fifo = harness(&mut platform, None);
+        let mut fifo = harness(&mut platform);
         let out = fifo.run_down(
             Event::down(DataEvent::to_group(NodeId(1), Message::new())),
             &mut platform,

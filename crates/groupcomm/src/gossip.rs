@@ -17,10 +17,14 @@
 //!    spans its log can serve — to `fanout` random peers. A receiver
 //!    compares the spans against its own per-stream delivery record and
 //!    NACK-pulls the gaps ([`RepairPull`], rate-limited to
-//!    `repair_pull_budget` digest senders and `repair_window` messages per
+//!    `REPAIR_PULL_BUDGET` digest senders and `REPAIR_WINDOW` messages per
 //!    interval); the peer answers with the logged originals
 //!    ([`GossipRepairPush`]). Coverage converges to 100% shortly after the
 //!    push phase tops out, without ever re-delivering.
+//!
+//! Every push, an own send and a relay alike, leaves through a per-peer
+//! outbox as an aggregated [`GossipBatch`], paced by receiver-granted
+//! credits that ride on the repair digests.
 //!
 //! Both phases check duplicates in one place: the per-stream delivery
 //! tracker ([`Delivered`]), a contiguous floor plus the few sequence
@@ -63,36 +67,31 @@ const FLUSH_TAG: u32 = 2;
 /// pass entirely, leaving the pure push-phase protocol).
 const DEFAULT_REPAIR_INTERVAL_MS: u64 = 1_000;
 
-/// Default cap on messages held in the repair log.
-const DEFAULT_REPAIR_LOG_CAP: usize = 4_096;
+/// Cap on messages held in the repair log.
+const REPAIR_LOG_CAP: usize = 4_096;
 
-/// Default age after which a logged message is no longer served.
-const DEFAULT_REPAIR_LOG_TTL_MS: u64 = 10_000;
+/// Age after which a logged message is no longer served.
+const REPAIR_LOG_TTL_MS: u64 = 10_000;
 
-/// Default cap on message identifiers NACK-pulled per repair interval.
-const DEFAULT_REPAIR_WINDOW: usize = 64;
+/// Cap on message identifiers NACK-pulled per repair interval.
+const REPAIR_WINDOW: usize = 64;
 
-/// Default number of digest senders pulled from per repair interval (one
-/// redundant pull, mirroring the context anti-entropy budget, so a single
-/// lost push batch does not cost a whole extra interval).
-const DEFAULT_REPAIR_PULL_BUDGET: usize = 2;
+/// Digest senders pulled from per repair interval (one redundant pull,
+/// mirroring the context anti-entropy budget, so a single lost push batch
+/// does not cost a whole extra interval).
+const REPAIR_PULL_BUDGET: usize = 2;
 
-/// Default per-peer credit window: how many push-path messages a sender may
-/// stream to one peer before it must wait for a re-grant (piggybacked on
-/// [`RepairDigest`]). `0` disables credit backpressure; the layer-parameter
-/// default is off so bare sessions keep the legacy behaviour, while the
-/// stack builder turns it on for real stacks.
-const DEFAULT_CREDIT_WINDOW: usize = 0;
+/// Per-peer credit window: how many pushes a sender may stream to one peer
+/// before it must wait for a re-grant (piggybacked on [`RepairDigest`]).
+const CREDIT_WINDOW: u32 = 128;
 
-/// Default number of app messages aggregated per [`GossipBatch`] packet.
-/// `1` keeps the legacy one-packet-per-message push path.
-const DEFAULT_BATCH_MAX: usize = 1;
+/// App messages aggregated per [`GossipBatch`] packet.
+const BATCH_MAX: usize = 4;
 
-/// Per-peer outbox cap when credit backpressure is off (with credit on, the
-/// cap is `4 × credit_window`). Beyond it the newest pushes are shed — they
-/// are already in the repair log, so the digest-announce + pull path
-/// recovers them.
-const DEFAULT_OUTBOX_CAP: usize = 1_024;
+/// Per-peer outbox cap. Beyond it the newest pushes are shed — they are
+/// already in the repair log, so the digest-announce + pull path recovers
+/// them.
+const OUTBOX_CAP: usize = 4 * CREDIT_WINDOW as usize;
 
 /// One push waiting in the outbox.
 #[derive(Debug)]
@@ -154,19 +153,11 @@ pub struct GossipStats {
 /// * `fanout` — number of random targets per push (default 3);
 /// * `ttl` — number of forwarding rounds a message survives (default 4);
 /// * `repair_interval_ms` — cadence of the repair digest gossip (default
-///   1000 ms; `0` disables the repair pass);
-/// * `repair_log_cap` — cap on messages held in the repair log (default
-///   4096);
-/// * `repair_log_ttl_ms` — age after which a logged message is dropped
-///   (default 10000 ms);
-/// * `repair_window` — cap on message identifiers pulled per interval
-///   (default 64);
-/// * `repair_pull_budget` — digest senders pulled from per interval
-///   (default 2);
-/// * `batch_max` — app messages aggregated per gossip packet (default 1:
-///   legacy singleton pushes);
-/// * `credit_window` — per-peer credit window for push backpressure
-///   (default 0: off; requires the repair pass for the grant channel).
+///   1000 ms; `0` disables the repair pass, and with it the credit
+///   backpressure whose grants ride on its digests).
+///
+/// The repair log's bounds, the pull and push budgets, the credit window
+/// and the batch size are constants of this module.
 pub struct GossipLayer;
 
 impl Layer for GossipLayer {
@@ -220,10 +211,6 @@ pub struct GossipSession {
     fanout: usize,
     ttl: u32,
     repair_interval_ms: u64,
-    repair_log_cap: usize,
-    repair_log_ttl_ms: u64,
-    repair_window: usize,
-    repair_pull_budget: usize,
     /// The local stream incarnation (session creation time): what keeps the
     /// local sequence space distinct from any previous session of this node
     /// after a restart or stack redeployment.
@@ -244,28 +231,22 @@ pub struct GossipSession {
     // bound: <= one entry per `delivered` stream; cleared on closure or escalation, pruned against `delivered` each repair tick.
     floor_breaches: HashMap<StreamKey, (u64, u64, NodeId)>,
     /// The repair log: recently delivered original messages, servable on a
-    /// NACK pull. Bounded by `repair_log_cap` (ring) and
-    /// `repair_log_ttl_ms` (age). Held in wire form ([`Wire::to_bytes`]):
+    /// NACK pull. Bounded by `REPAIR_LOG_CAP` (ring) and
+    /// `REPAIR_LOG_TTL_MS` (age). Held in wire form ([`Wire::to_bytes`]):
     /// one exactly-sized buffer per message, never slices of the packet it
     /// arrived in — the log keeps entries for seconds, and a slice would pin
     /// the sender's whole packet buffer for as long.
-    // bound: `repair_log_cap` ring + `repair_log_ttl_ms` age, enforced inside `RepairLog`.
+    // bound: `REPAIR_LOG_CAP` ring + `REPAIR_LOG_TTL_MS` age, enforced inside `RepairLog`.
     log: RepairLog<Bytes>,
     pulls_this_interval: usize,
     pushes_this_interval: usize,
     repair_timer: Option<u64>,
-    /// App messages aggregated per gossip packet (1 = legacy singletons).
-    batch_max: usize,
-    /// Per-peer credit window (0 = no backpressure).
-    credit_window: usize,
-    /// Per-peer outbox cap (drop-newest beyond it).
-    outbox_cap: usize,
     /// Deferred pushes to every peer in one list, flushed as aggregated
     /// batches on the zero-delay flush timer once credit allows. Wire-form
     /// messages, like the log (whose buffers they share): a credit-starved
     /// entry waits here for whole repair intervals. The list keeps its
     /// capacity across flushes, so queueing a push allocates nothing.
-    // bound: <= `outbox_cap` entries per member (drop-newest, counted in `outbox_shed`); expelled peers' entries pruned on view install.
+    // bound: <= `OUTBOX_CAP` entries per member (drop-newest, counted in `outbox_shed`); expelled peers' entries pruned on view install.
     outbox: Vec<OutboxEntry>,
     /// Entries waiting in `outbox` per peer, indexed by the peer's slot.
     // bound: one counter per position in `members`; resized on every view install.
@@ -305,24 +286,17 @@ impl GossipSession {
     /// site shared by [`GossipLayer::create_session`] and the unit tests.
     fn from_params(params: &LayerParams) -> Self {
         let members = param_node_list(params, "members");
-        let credit_window = param_or(params, "credit_window", DEFAULT_CREDIT_WINDOW);
         let mut member_slots = Vec::new();
         slot_table(&members, &mut member_slots);
         Self {
             member_slots,
             outbox_pending: vec![0; members.len()],
-            credits: vec![credit_window as u32; members.len()],
-            granted: vec![credit_window as u32; members.len()],
+            credits: vec![CREDIT_WINDOW; members.len()],
+            granted: vec![CREDIT_WINDOW; members.len()],
             members,
             fanout: param_or(params, "fanout", 3usize).max(1),
             ttl: param_or(params, "ttl", 4u32),
             repair_interval_ms: param_or(params, "repair_interval_ms", DEFAULT_REPAIR_INTERVAL_MS),
-            repair_log_cap: param_or(params, "repair_log_cap", DEFAULT_REPAIR_LOG_CAP).max(16),
-            repair_log_ttl_ms: param_or(params, "repair_log_ttl_ms", DEFAULT_REPAIR_LOG_TTL_MS)
-                .max(100),
-            repair_window: param_or(params, "repair_window", DEFAULT_REPAIR_WINDOW).max(1),
-            repair_pull_budget: param_or(params, "repair_pull_budget", DEFAULT_REPAIR_PULL_BUDGET)
-                .max(1),
             inc: 0,
             inc_ready: false,
             next_seq: 0,
@@ -332,13 +306,6 @@ impl GossipSession {
             pulls_this_interval: 0,
             pushes_this_interval: 0,
             repair_timer: None,
-            batch_max: param_or(params, "batch_max", DEFAULT_BATCH_MAX).max(1),
-            credit_window,
-            outbox_cap: if credit_window > 0 {
-                credit_window * 4
-            } else {
-                DEFAULT_OUTBOX_CAP
-            },
             outbox: Vec::new(),
             outbox_arrivals: 0,
             flush_timer: None,
@@ -368,13 +335,7 @@ impl GossipSession {
     /// digests, and deferred/shed pushes rely on digest-announce + pull for
     /// eventual delivery. Without it senders would starve permanently.
     fn credit_enabled(&self) -> bool {
-        self.credit_window > 0 && self.repair_enabled()
-    }
-
-    /// Whether the push path routes through the outbox (aggregated
-    /// [`GossipBatch`] packets) instead of legacy singleton sends.
-    fn aggregating(&self) -> bool {
-        self.batch_max > 1 || self.credit_enabled()
+        self.repair_enabled()
     }
 
     fn ensure_inc(&mut self, ctx: &mut EventContext<'_>) {
@@ -443,12 +404,12 @@ impl GossipSession {
         if !self.repair_enabled() {
             return;
         }
-        self.log.store(key, seq, frame, now_ms, self.repair_log_cap);
+        self.log.store(key, seq, frame, now_ms, REPAIR_LOG_CAP);
     }
 
-    /// Drops logged messages older than `repair_log_ttl_ms`.
+    /// Drops logged messages older than `REPAIR_LOG_TTL_MS`.
     fn evict_log(&mut self, now_ms: u64) {
-        self.log.evict(now_ms, self.repair_log_ttl_ms);
+        self.log.evict(now_ms, REPAIR_LOG_TTL_MS);
         // Breach timestamps for streams the delivery map no longer tracks
         // (stale incarnations) go with them — the map stays bounded by the
         // tracked-stream set.
@@ -502,7 +463,7 @@ impl GossipSession {
         ) else {
             return false;
         };
-        if *pending >= self.outbox_cap {
+        if *pending >= OUTBOX_CAP {
             self.stats.outbox_shed += 1;
             return false;
         }
@@ -518,24 +479,10 @@ impl GossipSession {
     }
 
     /// Pushes one message, under `header`, to the members drawn into
-    /// `push_targets` — an own send and a relay alike. When aggregating,
-    /// the wire-form `frame` joins each target's outbox and the zero-delay
-    /// flush sends it as part of an aggregated batch, credit permitting;
-    /// otherwise `message` leaves at once as one unbatched [`DataEvent`].
-    fn push_to_drawn(
-        &mut self,
-        header: GossipHeader,
-        message: &Message,
-        frame: &Bytes,
-        ctx: &mut EventContext<'_>,
-    ) {
-        if !self.aggregating() {
-            let mut pushed = message.clone();
-            pushed.push(&header);
-            let targets = Dest::Nodes(self.drawn_members());
-            ctx.dispatch(Event::down(DataEvent::new(header.origin, targets, pushed)));
-            return;
-        }
+    /// `push_targets` — an own send and a relay alike: the wire-form
+    /// `frame` joins each target's outbox, and the zero-delay flush sends
+    /// it as part of an aggregated batch, credit permitting.
+    fn push_to_drawn(&mut self, header: GossipHeader, frame: &Bytes, ctx: &mut EventContext<'_>) {
         let targets = std::mem::take(&mut self.push_targets);
         for target in &targets {
             if self.outbox_enqueue(*target, header, frame.clone()) {
@@ -546,7 +493,7 @@ impl GossipSession {
     }
 
     /// Sends every credit-covered outbox entry as aggregated
-    /// [`GossipBatch`] packets, at most `batch_max` app messages per packet.
+    /// [`GossipBatch`] packets, at most `BATCH_MAX` app messages per packet.
     /// Entries beyond a peer's credit stay queued until a grant refills it.
     fn flush_outbox(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
@@ -574,7 +521,7 @@ impl GossipSession {
             };
             let take = waiting.min(available);
             self.stats.deferred_pushes += (waiting - take) as u64;
-            for chunk in self.outbox[start..start + take].chunks(self.batch_max) {
+            for chunk in self.outbox[start..start + take].chunks(BATCH_MAX) {
                 let mut message = Message::new();
                 message.push_header(encode_pooled(|w| {
                     GossipBatchBody::encode_frames(chunk.iter().map(|entry| &entry.push), w)
@@ -624,7 +571,7 @@ impl GossipSession {
     /// The credit value piggybacked on outgoing digests.
     fn grant_value(&self) -> u32 {
         if self.credit_enabled() {
-            self.credit_window as u32
+            CREDIT_WINDOW
         } else {
             0
         }
@@ -640,15 +587,14 @@ impl GossipSession {
         let Some(remaining) = slot.and_then(|slot| self.granted.get_mut(slot as usize)) else {
             return;
         };
-        let window = self.credit_window as u32;
         *remaining = remaining.saturating_sub(count);
-        if *remaining <= window / 2 {
-            *remaining = window;
+        if *remaining <= CREDIT_WINDOW / 2 {
+            *remaining = CREDIT_WINDOW;
             // The re-grant is a targeted repair digest: the grant rides in
             // its credit field, and the log spans come along for free.
             let local = ctx.node_id();
             self.stats.repair_digests += 1;
-            let message = self.digest_message(window);
+            let message = self.digest_message(CREDIT_WINDOW);
             ctx.dispatch(Event::down(GossipRepairDigest::new(
                 local,
                 Dest::Node(from),
@@ -692,9 +638,9 @@ impl GossipSession {
         });
     }
 
-    /// The push-phase receive path, for a batched entry and an unbatched
-    /// [`DataEvent`] alike: dedup, log, relay while the TTL lasts, deliver
-    /// upward. The delivery tracker is the one duplicate check.
+    /// The push-phase receive path of one batch entry: dedup, log, relay
+    /// while the TTL lasts, deliver upward. The delivery tracker is the one
+    /// duplicate check.
     fn on_push_arrival(
         &mut self,
         from: NodeId,
@@ -727,7 +673,7 @@ impl GossipSession {
                     ttl: header.ttl - 1,
                     ..header
                 };
-                self.push_to_drawn(relay, &message, &frame, ctx);
+                self.push_to_drawn(relay, &frame, ctx);
             }
         }
         ctx.dispatch(Event::up(DataEvent::new(
@@ -775,7 +721,7 @@ impl GossipSession {
     /// ages out, the stream's logs may have drained group-wide and digests
     /// for it stopped entirely.
     fn escalate_stale_breaches(&mut self, now: u64, ctx: &mut EventContext<'_>) {
-        let grace = self.repair_log_ttl_ms.saturating_mul(2);
+        let grace = REPAIR_LOG_TTL_MS * 2;
         let mut due: Vec<(StreamKey, u64, NodeId)> = self
             .floor_breaches
             .iter()
@@ -835,14 +781,14 @@ impl GossipSession {
                 self.arm_flush_timer(ctx);
             }
         }
-        if self.pulls_this_interval >= self.repair_pull_budget {
+        if self.pulls_this_interval >= REPAIR_PULL_BUDGET {
             return;
         }
         let local = ctx.node_id();
         let mut wants: Vec<(NodeId, u64, Vec<u64>)> = Vec::new();
         let mut total = 0usize;
         for entry in rows {
-            if entry.origin == local || entry.lo > entry.hi || total >= self.repair_window {
+            if entry.origin == local || entry.lo > entry.hi || total >= REPAIR_WINDOW {
                 continue;
             }
             // The advertised span starts above this node's contiguous
@@ -875,7 +821,7 @@ impl GossipSession {
             // delivery record. An unknown stream is missing in its
             // entirety within the advertised span.
             let mut missing = Vec::new();
-            let limit = self.repair_window - total;
+            let limit = REPAIR_WINDOW - total;
             match tracker {
                 Some(tracker) => tracker.missing_in(entry.lo, entry.hi, limit, &mut missing),
                 None => missing.extend((entry.lo..=entry.hi).take(limit)),
@@ -914,10 +860,10 @@ impl GossipSession {
         let local = ctx.node_id();
         // A malformed or adversarial pull cannot make the node stream more
         // than twice the advertised window per pull…
-        let mut budget = self.repair_window * 2;
+        let mut budget = REPAIR_WINDOW * 2;
         // …nor more than four windows per repair interval across all pulls
         // (a greedy or corrupt puller cannot amplify this node's send rate).
-        let interval_cap = self.repair_window * 4;
+        let interval_cap = REPAIR_WINDOW * 4;
         for (origin, inc, seqs) in pull.wants {
             let servable_floor = self.log.lowest(&(origin, inc));
             let delivered_floor = self
@@ -1085,9 +1031,8 @@ impl Session for GossipSession {
                     *pending += 1;
                 }
             }
-            let window = self.credit_window as u32;
             for values in [&mut self.credits, &mut self.granted] {
-                let old = std::mem::replace(values, vec![window; self.members.len()]);
+                let old = std::mem::replace(values, vec![CREDIT_WINDOW; self.members.len()]);
                 for (peer, slot) in slots {
                     let kept = slot_of(&old_slots, *peer).and_then(|at| old.get(at as usize));
                     if let (Some(kept), Some(value)) = (kept, values.get_mut(*slot as usize)) {
@@ -1205,7 +1150,7 @@ impl Session for GossipSession {
                         let key = (header.origin, header.inc);
                         self.log_store(key, header.seq, original.clone(), ctx.now_ms());
                         self.draw_push_targets(&[local], ctx);
-                        self.push_to_drawn(header, &data.message, &original, ctx);
+                        self.push_to_drawn(header, &original, ctx);
                         return;
                     }
                     data.message.push(&GossipHeader {
@@ -1225,17 +1170,13 @@ impl Session for GossipSession {
                 let Ok(header) = data.message.pop::<GossipHeader>() else {
                     return;
                 };
+                // A point-to-point send, not gossiped, is delivered as is.
+                // Every push travels in a `GossipBatch`, so a `DataEvent`
+                // carrying a pushed message's sequence number is dropped.
                 if header.seq == 0 {
-                    // A point-to-point send, not gossiped: delivered as is.
                     data.header.source = header.origin;
                     ctx.forward(event);
-                    return;
                 }
-                // An unbatched push: its sender relays under the origin's
-                // name, so `from` is the origin itself.
-                let from = data.header.source;
-                let message = std::mem::take(&mut data.message);
-                self.on_push_arrival(from, header, message, ctx);
             }
         }
     }
@@ -1246,7 +1187,7 @@ mod tests {
     use morpheus_appia::config::{ChannelConfig, LayerSpec};
     use morpheus_appia::platform::{InPacket, PacketDest, TestPlatform};
     use morpheus_appia::testing::Harness;
-    use morpheus_appia::{Kernel, Message};
+    use morpheus_appia::{EventPayload, Kernel, Message};
 
     use super::*;
     use crate::repair::DELIVERED_GAP_CAP;
@@ -1293,6 +1234,19 @@ mod tests {
         GossipSession::from_params(&gossip_params(members))
     }
 
+    /// Fires the timers due by now on `kernel` — the zero-delay outbox
+    /// flush; a repair tick armed for later stays armed.
+    fn fire_due(kernel: &mut Kernel, platform: &mut TestPlatform) {
+        let now = platform.now_ms;
+        let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut platform.timers)
+            .into_iter()
+            .partition(|(at_ms, _)| *at_ms <= now);
+        platform.timers = later;
+        for (_, key) in due {
+            kernel.timer_expired(key, platform);
+        }
+    }
+
     #[test]
     fn group_send_pushes_to_fanout_targets() {
         let mut kernel = Kernel::new();
@@ -1305,6 +1259,8 @@ mod tests {
 
         let event = Event::down(DataEvent::to_group(NodeId(0), Message::new()));
         kernel.dispatch_and_process(id, event, &mut platform);
+        assert!(platform.take_sent().is_empty(), "pushes wait for the flush");
+        fire_due(&mut kernel, &mut platform);
         let sent = platform.take_sent();
         assert_eq!(sent.len(), 4);
         assert!(sent
@@ -1322,6 +1278,7 @@ mod tests {
             .unwrap();
         let event = Event::down(DataEvent::to_group(NodeId(0), Message::new()));
         kernel.dispatch_and_process(id, event, &mut platform);
+        fire_due(&mut kernel, &mut platform);
         assert_eq!(platform.take_sent().len(), 2);
     }
 
@@ -1339,6 +1296,7 @@ mod tests {
             Message::with_payload(&b"g"[..]),
         ));
         sender.dispatch_and_process(sender_channel, event, &mut sender_platform);
+        fire_due(&mut sender, &mut sender_platform);
         let sent = sender_platform.take_sent();
         assert!(!sent.is_empty());
 
@@ -1367,12 +1325,14 @@ mod tests {
             .unwrap();
         assert_eq!(receiver_platform.data_delivery_count(), 1);
         receiver_platform.take_deliveries();
+        fire_due(&mut receiver, &mut receiver_platform);
         let forwarded = receiver_platform.take_sent();
         assert!(!forwarded.is_empty(), "first reception is forwarded onward");
 
         receiver
             .deliver_packet(packet, &mut receiver_platform)
             .unwrap();
+        fire_due(&mut receiver, &mut receiver_platform);
         assert_eq!(
             receiver_platform.data_delivery_count(),
             0,
@@ -1392,85 +1352,88 @@ mod tests {
     /// every packet an address of its own.
     #[test]
     fn logged_messages_do_not_pin_the_senders_packet_buffer() {
-        for batch_max in ["1", "4"] {
-            let config = ChannelConfig::new("data")
-                .with_layer(LayerSpec::new("network"))
-                .with_layer(
-                    LayerSpec::new("gossip")
-                        .with_param("members", "0,1")
-                        .with_param("ttl", "2")
-                        .with_param("repair_log_cap", "4096")
-                        .with_param("batch_max", batch_max),
-                )
-                .with_layer(LayerSpec::new("app"));
-            let mut sender = Kernel::new();
-            register_suite(&mut sender);
-            let mut sender_platform = TestPlatform::new(NodeId(0));
-            let sender_channel = sender
-                .create_channel(&config, &mut sender_platform)
-                .unwrap();
-            let mut receiver = Kernel::new();
-            register_suite(&mut receiver);
-            let mut receiver_platform = TestPlatform::new(NodeId(1));
-            receiver
-                .create_channel(&config, &mut receiver_platform)
-                .unwrap();
+        let config = ChannelConfig::new("data")
+            .with_layer(LayerSpec::new("network"))
+            .with_layer(
+                LayerSpec::new("gossip")
+                    .with_param("members", "0,1")
+                    .with_param("ttl", "2"),
+            )
+            .with_layer(LayerSpec::new("app"));
+        let mut sender = Kernel::new();
+        register_suite(&mut sender);
+        let mut sender_platform = TestPlatform::new(NodeId(0));
+        let sender_channel = sender
+            .create_channel(&config, &mut sender_platform)
+            .unwrap();
+        let mut receiver = Kernel::new();
+        register_suite(&mut receiver);
+        let mut receiver_platform = TestPlatform::new(NodeId(1));
+        receiver
+            .create_channel(&config, &mut receiver_platform)
+            .unwrap();
 
-            let mut starts = std::collections::BTreeSet::new();
-            for seq in 0..1_000u32 {
-                let event = Event::down(DataEvent::to_group(
-                    NodeId(0),
-                    Message::with_payload(seq.to_be_bytes().repeat(16)),
-                ));
-                sender.dispatch_and_process(sender_channel, event, &mut sender_platform);
-                // Batched pushes leave on the zero-delay flush timer. The
-                // repair timer stays unfired: a digest encoded while the data
-                // packet is still alive could exhaust the buffer under a
-                // (legitimate, transient) view and move it.
-                for (at_ms, key) in std::mem::take(&mut sender_platform.timers) {
-                    if at_ms == 0 {
-                        sender.timer_expired(key, &mut sender_platform);
-                    }
+        let mut starts = std::collections::BTreeSet::new();
+        for seq in 0..1_000u32 {
+            let event = Event::down(DataEvent::to_group(
+                NodeId(0),
+                Message::with_payload(seq.to_be_bytes().repeat(16)),
+            ));
+            sender.dispatch_and_process(sender_channel, event, &mut sender_platform);
+            // Pushes leave on the zero-delay flush timer. The repair timer
+            // stays unfired: a digest encoded while the data packet is still
+            // alive could exhaust the buffer under a (legitimate, transient)
+            // view and move it.
+            fire_due(&mut sender, &mut sender_platform);
+            for out in sender_platform.take_sent() {
+                if out.class != morpheus_appia::PacketClass::Data {
+                    continue;
                 }
-                for out in sender_platform.take_sent() {
-                    if out.class != morpheus_appia::PacketClass::Data {
-                        continue;
-                    }
-                    starts.insert(out.payload.as_ptr() as usize);
-                    let packet = InPacket {
-                        from: NodeId(0),
-                        to: NodeId(1),
-                        class: out.class,
-                        channel: out.channel,
-                        payload: out.payload,
-                    };
-                    receiver
-                        .deliver_packet(packet, &mut receiver_platform)
-                        .unwrap();
-                }
-                receiver_platform.take_deliveries();
-                receiver_platform.take_sent();
-                receiver_platform.timers.clear();
+                starts.insert(out.payload.as_ptr() as usize);
+                let packet = InPacket {
+                    from: NodeId(0),
+                    to: NodeId(1),
+                    class: out.class,
+                    channel: out.channel,
+                    payload: out.payload,
+                };
+                receiver
+                    .deliver_packet(packet, &mut receiver_platform)
+                    .unwrap();
             }
-
-            let session = receiver
-                .channel_by_name("data")
-                .unwrap()
-                .session_of("gossip")
-                .unwrap();
-            let session = session.borrow();
-            let gossip = session
-                .as_any()
-                .and_then(|any| any.downcast_ref::<GossipSession>())
-                .unwrap();
-            assert_eq!(gossip.log_len(), 1_000, "every received message is logged");
-            assert!(
-                starts.len() <= 4,
-                "batch_max={batch_max}: 1,000 packets left from {} distinct sender \
-                 buffer addresses — a retained slice stopped the buffer from being recycled",
-                starts.len()
-            );
+            receiver_platform.take_deliveries();
+            // A thousand sends stream past one credit window: the receiver's
+            // grant digests go back to the sender, as in a live stack.
+            for out in receiver_platform.take_sent() {
+                let grant = InPacket {
+                    from: NodeId(1),
+                    to: NodeId(0),
+                    class: out.class,
+                    channel: out.channel,
+                    payload: out.payload,
+                };
+                sender.deliver_packet(grant, &mut sender_platform).unwrap();
+            }
+            receiver_platform.timers.clear();
         }
+
+        let session = receiver
+            .channel_by_name("data")
+            .unwrap()
+            .session_of("gossip")
+            .unwrap();
+        let session = session.borrow();
+        let gossip = session
+            .as_any()
+            .and_then(|any| any.downcast_ref::<GossipSession>())
+            .unwrap();
+        assert_eq!(gossip.log_len(), 1_000, "every received message is logged");
+        assert!(
+            starts.len() <= 4,
+            "1,000 packets left from {} distinct sender buffer addresses — a \
+             retained slice stopped the buffer from being recycled",
+            starts.len()
+        );
     }
 
     /// What a session reads off its own state, through the downcast hook.
@@ -1490,19 +1453,55 @@ mod tests {
         )
     }
 
-    /// An unbatched push of `(origin, inc, seq)` arriving at node 1, as a
-    /// relay sends it: under the origin's name.
+    /// A push of `(origin, inc, seq)` arriving at node 1 from the origin
+    /// itself: a one-entry batch.
     fn push_of(origin: u32, inc: u64, seq: u64, ttl: u32) -> Event {
-        let mut message = Message::with_payload(&b"x"[..]);
         let header = GossipHeader {
             origin: NodeId(origin),
             inc,
             seq,
             ttl,
         };
-        message.push(&header);
+        let entries = vec![(header, Message::with_payload(&b"x"[..]))];
+        let mut message = Message::new();
+        message.push(&GossipBatchBody { entries });
         let to = Dest::Node(NodeId(1));
-        Event::up(DataEvent::new(NodeId(origin), to, message))
+        Event::up(GossipBatch::new(NodeId(origin), to, message))
+    }
+
+    /// A repair digest from `from` to `to`, granting `credit` and
+    /// advertising the `(inc, lo, hi)` spans of origin 0's streams.
+    fn digest_of(from: u32, to: u32, credit: u32, spans: &[(u64, u64, u64)]) -> Event {
+        let origin = NodeId(0);
+        let entries = spans
+            .iter()
+            .map(|&(inc, lo, hi)| RepairRange {
+                origin,
+                inc,
+                lo,
+                hi,
+            })
+            .collect();
+        let mut message = Message::new();
+        message.push(&RepairDigest { credit, entries });
+        let to = Dest::Node(NodeId(to));
+        Event::up(GossipRepairDigest::new(NodeId(from), to, message))
+    }
+
+    /// A NACK pull from `from` to `to` of the `seqs` of one stream.
+    fn pull_of(from: u32, to: u32, (origin, inc): (u32, u64), seqs: Vec<u64>) -> Event {
+        let mut message = Message::new();
+        let wants = vec![(NodeId(origin), inc, seqs)];
+        message.push(&RepairPull { wants });
+        let to = Dest::Node(NodeId(to));
+        Event::up(GossipRepairPull::new(NodeId(from), to, message))
+    }
+
+    /// How many events of type `T` the session sent down since the last
+    /// drain.
+    fn sent_down<T: EventPayload>(gossip: &mut Harness) -> usize {
+        let down = gossip.drain_down();
+        down.iter().filter(|event| event.is::<T>()).count()
     }
 
     /// Duplicate suppression costs memory per stream, not per message: a
@@ -1541,7 +1540,8 @@ mod tests {
 
         let up = gossip.run_up(push_of(0, 1, 1, 2), &mut platform);
         assert!(up.is_empty(), "a re-arrival of seq 1 is refused");
-        assert!(gossip.drain_down().is_empty(), "and is not relayed");
+        let queued = inspect(&mut gossip, |session| session.outbox.len());
+        assert_eq!(queued, 0, "and is not relayed");
         assert_eq!(inspect(&mut gossip, GossipSession::stats).duplicates, 1);
     }
 
@@ -1556,6 +1556,7 @@ mod tests {
             .unwrap();
         let event = Event::down(DataEvent::to_group(NodeId(0), Message::new()));
         sender.dispatch_and_process(sender_channel, event, &mut sender_platform);
+        fire_due(&mut sender, &mut sender_platform);
         let sent = sender_platform.take_sent();
         let data_packet = sent
             .iter()
@@ -1657,24 +1658,7 @@ mod tests {
 
         // The peer advertises seqs 1..=3 of origin 0; nothing was delivered
         // here yet, so all three are missing.
-        let mut message = Message::new();
-        message.push(&RepairDigest {
-            credit: 0,
-            entries: vec![RepairRange {
-                origin: NodeId(0),
-                inc: 7,
-                lo: 1,
-                hi: 3,
-            }],
-        });
-        gossip.run_up(
-            Event::up(GossipRepairDigest::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                message,
-            )),
-            &mut platform,
-        );
+        gossip.run_up(digest_of(2, 1, 0, &[(7, 1, 3)]), &mut platform);
         let down = gossip.drain_down();
         let pulls: Vec<&Event> = down
             .iter()
@@ -1724,48 +1708,18 @@ mod tests {
     fn pulls_are_rate_limited_per_interval() {
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..8).collect();
-        let mut params = gossip_params(&members);
-        params.insert("repair_pull_budget".into(), "1".into());
-        let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
 
-        let digest_from = |from: u32, hi: u64| {
-            let mut message = Message::new();
-            message.push(&RepairDigest {
-                credit: 0,
-                entries: vec![RepairRange {
-                    origin: NodeId(0),
-                    inc: 1,
-                    lo: 1,
-                    hi,
-                }],
-            });
-            Event::up(GossipRepairDigest::new(
-                NodeId(from),
-                Dest::Node(NodeId(1)),
-                message,
-            ))
-        };
-
-        gossip.run_up(digest_from(2, 3), &mut platform);
-        assert_eq!(
-            gossip
-                .drain_down()
-                .iter()
-                .filter(|event| event.is::<GossipRepairPull>())
-                .count(),
-            1
-        );
-        // The budget for this interval is spent: a second digest is ignored.
-        gossip.run_up(digest_from(3, 3), &mut platform);
-        assert_eq!(
-            gossip
-                .drain_down()
-                .iter()
-                .filter(|event| event.is::<GossipRepairPull>())
-                .count(),
-            0,
-            "per-interval pull budget enforced"
-        );
+        let digest_from = |from: u32| digest_of(from, 1, 0, &[(1, 1, 3)]);
+        let pulls = sent_down::<GossipRepairPull>;
+        let budget = REPAIR_PULL_BUDGET as u32;
+        for from in 2..2 + budget {
+            gossip.run_up(digest_from(from), &mut platform);
+            assert_eq!(pulls(&mut gossip), 1);
+        }
+        // The budget for this interval is spent: the next digest is ignored.
+        gossip.run_up(digest_from(2 + budget), &mut platform);
+        assert_eq!(pulls(&mut gossip), 0, "per-interval pull budget enforced");
     }
 
     #[test]
@@ -1783,18 +1737,7 @@ mod tests {
         }
         gossip.drain_down();
 
-        let mut message = Message::new();
-        message.push(&RepairPull {
-            wants: vec![(NodeId(0), 0, vec![1, 2, 9])],
-        });
-        gossip.run_up(
-            Event::up(GossipRepairPull::new(
-                NodeId(2),
-                Dest::Node(NodeId(0)),
-                message,
-            )),
-            &mut platform,
-        );
+        gossip.run_up(pull_of(2, 0, (0, 0), vec![1, 2, 9]), &mut platform);
         let down = gossip.drain_down();
         let pushes: Vec<(RepairPushHeader, Message)> = down
             .iter()
@@ -1905,23 +1848,10 @@ mod tests {
             &mut platform,
         );
         // No log is kept, so a pull finds nothing.
-        let mut message = Message::new();
-        message.push(&RepairPull {
-            wants: vec![(NodeId(0), 0, vec![1])],
-        });
-        gossip.run_up(
-            Event::up(GossipRepairPull::new(
-                NodeId(2),
-                Dest::Node(NodeId(0)),
-                message,
-            )),
-            &mut platform,
-        );
-        assert!(gossip
-            .drain_down()
-            .iter()
-            .all(|event| !event.is::<GossipRepairPush>()));
+        gossip.run_up(pull_of(2, 0, (0, 0), vec![1]), &mut platform);
+        assert_eq!(sent_down::<GossipRepairPush>(&mut gossip), 0);
     }
+
     #[test]
     fn repair_traffic_is_not_sent_to_expelled_members() {
         let mut platform = TestPlatform::new(NodeId(1));
@@ -1946,60 +1876,25 @@ mod tests {
         gossip.drain_down();
 
         // The expelled node's digest gets no NACK pull back...
-        let mut message = Message::new();
-        message.push(&RepairDigest {
-            credit: 0,
-            entries: vec![RepairRange {
-                origin: NodeId(0),
-                inc: 7,
-                lo: 1,
-                hi: 3,
-            }],
-        });
-        gossip.run_up(
-            Event::up(GossipRepairDigest::new(
-                NodeId(3),
-                Dest::Node(NodeId(1)),
-                message,
-            )),
-            &mut platform,
-        );
-        assert!(
-            gossip
-                .drain_down()
-                .iter()
-                .all(|event| !event.is::<GossipRepairPull>()),
+        gossip.run_up(digest_of(3, 1, 0, &[(7, 1, 3)]), &mut platform);
+        assert_eq!(
+            sent_down::<GossipRepairPull>(&mut gossip),
+            0,
             "no pull goes back to an expelled digest sender"
         );
 
         // ...and its pull is not served from the log, while a live member's
         // identical pull is.
-        let pull_from = |from: u32| {
-            let mut message = Message::new();
-            message.push(&RepairPull {
-                wants: vec![(NodeId(1), 0, vec![1])],
-            });
-            Event::up(GossipRepairPull::new(
-                NodeId(from),
-                Dest::Node(NodeId(1)),
-                message,
-            ))
-        };
+        let pull_from = |from: u32| pull_of(from, 1, (1, 0), vec![1]);
         gossip.run_up(pull_from(3), &mut platform);
-        assert!(
-            gossip
-                .drain_down()
-                .iter()
-                .all(|event| !event.is::<GossipRepairPush>()),
+        assert_eq!(
+            sent_down::<GossipRepairPush>(&mut gossip),
+            0,
             "the repair log is not served to expelled members"
         );
         gossip.run_up(pull_from(2), &mut platform);
         assert_eq!(
-            gossip
-                .drain_down()
-                .iter()
-                .filter(|event| event.is::<GossipRepairPush>())
-                .count(),
+            sent_down::<GossipRepairPush>(&mut gossip),
             1,
             "a current member's identical pull is served"
         );
@@ -2007,16 +1902,17 @@ mod tests {
     #[test]
     fn sustained_churn_keeps_delivery_and_repair_memory_bounded() {
         let mut gossip = test_session(&[0, 1, 2, 3]);
-        gossip.repair_log_cap = 128;
-        gossip.repair_interval_ms = 500;
 
         // A flapping member (node 3) rejoins fifty times; every incarnation
-        // opens a fresh stream whose burst is tracked and logged. Both
-        // memories must stay inside their bounds at every step of the churn,
-        // not just at the end.
+        // opens a fresh stream whose burst is tracked and logged, and the
+        // bursts of the tracked incarnations overflow the log. Both memories
+        // must stay inside their bounds at every step of the churn, not just
+        // at the end.
+        let burst = REPAIR_LOG_CAP as u64 / 3;
+        let mut peak = 0;
         for incarnation in 0..50u64 {
             let now = incarnation * 1_000;
-            for seq in 1..=20u64 {
+            for seq in 1..=burst {
                 assert!(gossip.record_delivered(NodeId(3), incarnation, seq));
                 gossip.log_store(
                     (NodeId(3), incarnation),
@@ -2026,7 +1922,8 @@ mod tests {
                 );
             }
             gossip.evict_log(now);
-            assert!(gossip.log_len() <= 128, "repair log cap bound");
+            assert!(gossip.log_len() <= REPAIR_LOG_CAP, "repair log cap bound");
+            peak = peak.max(gossip.log_len());
             let tracked = gossip
                 .delivered
                 .keys()
@@ -2052,7 +1949,11 @@ mod tests {
             newest.iter().all(|inc| *inc >= 46),
             "oldest incs pruned first"
         );
-        gossip.evict_log(50_000 + gossip.repair_log_ttl_ms + 1);
+        assert_eq!(
+            peak, REPAIR_LOG_CAP,
+            "the cap, not the TTL, bounded the bursts"
+        );
+        gossip.evict_log(50_000 + REPAIR_LOG_TTL_MS + 1);
         assert_eq!(gossip.log_len(), 0, "TTL drains the log once churn stops");
     }
 
@@ -2130,7 +2031,6 @@ mod tests {
         let mut platform = TestPlatform::new(NodeId(0));
         let members: Vec<u32> = (0..4).collect();
         let mut params = gossip_params(&members);
-        params.insert("batch_max".into(), "4".into());
         params.insert("repair_interval_ms".into(), "0".into());
         let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
 
@@ -2173,7 +2073,6 @@ mod tests {
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..8).collect();
         let mut params = gossip_params(&members);
-        params.insert("batch_max".into(), "4".into());
         params.insert("repair_interval_ms".into(), "0".into());
         let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
 
@@ -2228,18 +2127,10 @@ mod tests {
     #[test]
     fn credit_exhaustion_defers_pushes_until_a_grant_refills() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let members = [0u32, 1];
-        let mut params = gossip_params(&members);
-        params.insert("credit_window".into(), "2".into());
-        params.insert("batch_max".into(), "4".into());
-        let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&[0, 1]), &mut platform);
 
-        for text in [&b"m1"[..], &b"m2"[..], &b"m3"[..]] {
-            gossip.run_down(
-                Event::down(DataEvent::to_group(NodeId(0), Message::with_payload(text))),
-                &mut platform,
-            );
-        }
+        let window = CREDIT_WINDOW as usize;
+        send_to_group(&mut gossip, &mut platform, window + 1);
         // Fire only the zero-delay flush (the 1000 ms repair tick stays).
         let timers: Vec<_> = std::mem::take(&mut platform.timers);
         for (deadline, key) in timers {
@@ -2252,35 +2143,23 @@ mod tests {
             .iter()
             .filter(|event| event.is::<GossipBatch>())
             .collect();
-        assert_eq!(batches.len(), 1);
-        let body = batches[0]
-            .get::<GossipBatch>()
-            .unwrap()
-            .message
-            .clone()
-            .pop::<GossipBatchBody>()
-            .unwrap();
+        assert_eq!(batches.len(), window / BATCH_MAX);
+        let sent: usize = batches
+            .iter()
+            .map(|event| {
+                let batch = event.get::<GossipBatch>().unwrap();
+                let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
+                body.entries.len()
+            })
+            .sum();
         assert_eq!(
-            body.entries.len(),
-            2,
+            sent, window,
             "the credit window caps what one flush may send"
         );
 
         // A grant digest from the peer refills the credit and re-arms the
         // flush, releasing the deferred push.
-        let mut message = Message::new();
-        message.push(&RepairDigest {
-            credit: 2,
-            entries: vec![],
-        });
-        gossip.run_up(
-            Event::up(GossipRepairDigest::new(
-                NodeId(1),
-                Dest::Node(NodeId(0)),
-                message,
-            )),
-            &mut platform,
-        );
+        gossip.run_up(digest_of(1, 0, 2, &[]), &mut platform);
         let timers: Vec<_> = std::mem::take(&mut platform.timers);
         assert!(!timers.is_empty(), "the grant re-arms the flush timer");
         for (_, key) in timers {
@@ -2300,21 +2179,19 @@ mod tests {
             .pop::<GossipBatchBody>()
             .unwrap();
         assert_eq!(body.entries.len(), 1);
-        assert_eq!(body.entries[0].0.seq, 3);
+        assert_eq!(body.entries[0].0.seq, window as u64 + 1);
     }
 
     #[test]
     fn outbox_overflow_sheds_newest_and_stays_bounded() {
         let mut gossip = test_session(&[0, 1]);
-        gossip.credit_window = 2;
-        gossip.outbox_cap = 8;
         let header = |seq: u64| GossipHeader {
             origin: NodeId(0),
             inc: 1,
             seq,
             ttl: 2,
         };
-        for seq in 1..=10u64 {
+        for seq in 1..=OUTBOX_CAP as u64 + 2 {
             gossip.outbox_enqueue(1, header(seq), Message::new().to_bytes());
         }
         let queue: Vec<u64> = gossip
@@ -2323,15 +2200,23 @@ mod tests {
             .filter(|entry| entry.peer == NodeId(1))
             .map(|entry| entry.push.0.seq)
             .collect();
-        assert_eq!(queue.len(), 8, "the outbox never grows past its cap");
+        assert_eq!(
+            queue.len(),
+            OUTBOX_CAP,
+            "the outbox never grows past its cap"
+        );
         assert_eq!(queue.first(), Some(&1), "drop-newest keeps the oldest");
-        assert_eq!(queue.last(), Some(&8), "the newest pushes are shed");
-        assert_eq!(gossip.outbox_pending, [0, 8]);
+        assert_eq!(
+            queue.last(),
+            Some(&(OUTBOX_CAP as u64)),
+            "the newest pushes are shed"
+        );
+        assert_eq!(gossip.outbox_pending, [0, OUTBOX_CAP]);
         assert_eq!(gossip.stats.outbox_shed, 2);
     }
 
-    /// A harness around one gossip session with the batched push path on
-    /// (`batch_max` 16) and `extra` params on top.
+    /// A harness around one gossip session with `extra` params on top of
+    /// its `members`.
     fn batching_harness(
         platform: &mut TestPlatform,
         members: &str,
@@ -2339,7 +2224,6 @@ mod tests {
     ) -> Harness {
         let mut params = LayerParams::new();
         params.insert("members".into(), members.into());
-        params.insert("batch_max".into(), "16".into());
         for (key, value) in extra {
             params.insert((*key).into(), (*value).into());
         }
@@ -2347,8 +2231,8 @@ mod tests {
     }
 
     /// Fires the zero-delay flush (the repair tick, if armed, stays) and
-    /// returns every batch it sent: destination and sequence numbers, in
-    /// dispatch order.
+    /// returns what it sent to each peer: destination and sequence numbers,
+    /// the consecutive batches to one peer joined, in dispatch order.
     fn flush(gossip: &mut Harness, platform: &mut TestPlatform) -> Vec<(NodeId, Vec<u64>)> {
         let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut platform.timers)
             .into_iter()
@@ -2357,19 +2241,24 @@ mod tests {
         for (_, key) in due {
             gossip.fire_timer(key, platform);
         }
-        gossip
+        let mut sent: Vec<(NodeId, Vec<u64>)> = Vec::new();
+        for batch in gossip
             .drain_down()
             .iter()
             .filter_map(|event| event.get::<GossipBatch>())
-            .map(|batch| {
-                let Dest::Node(peer) = batch.header.dest else {
-                    panic!("a batch goes to one peer");
-                };
-                let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
-                let seqs = body.entries.iter().map(|(header, _)| header.seq).collect();
-                (peer, seqs)
-            })
-            .collect()
+        {
+            let Dest::Node(peer) = batch.header.dest else {
+                panic!("a batch goes to one peer");
+            };
+            let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
+            assert!(body.entries.len() <= BATCH_MAX);
+            let seqs = body.entries.iter().map(|(header, _)| header.seq);
+            match sent.last_mut() {
+                Some((last, joined)) if *last == peer => joined.extend(seqs),
+                _ => sent.push((peer, seqs.collect())),
+            }
+        }
+        sent
     }
 
     fn send_to_group(gossip: &mut Harness, platform: &mut TestPlatform, count: usize) {
@@ -2389,19 +2278,7 @@ mod tests {
     }
 
     fn grant(gossip: &mut Harness, platform: &mut TestPlatform, from: u32, credit: u32) {
-        let mut message = Message::new();
-        message.push(&RepairDigest {
-            credit,
-            entries: vec![],
-        });
-        gossip.run_up(
-            Event::up(GossipRepairDigest::new(
-                NodeId(from),
-                Dest::Node(NodeId(0)),
-                message,
-            )),
-            platform,
-        );
+        gossip.run_up(digest_of(from, 0, credit, &[]), platform);
     }
 
     /// Pushes queue in the order sampling draws their targets; the flush
@@ -2445,26 +2322,30 @@ mod tests {
     #[test]
     fn a_credit_limited_flush_keeps_each_remainder_in_order() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut gossip = batching_harness(
-            &mut platform,
-            "0,2,1",
-            &[("fanout", "2"), ("credit_window", "2")],
-        );
-        send_to_group(&mut gossip, &mut platform, 5);
+        let mut gossip = batching_harness(&mut platform, "0,2,1", &[("fanout", "2")]);
+        let window = u64::from(CREDIT_WINDOW);
+        send_to_group(&mut gossip, &mut platform, window as usize + 3);
+        let first: Vec<u64> = (1..=window).collect();
         assert_eq!(
             flush(&mut gossip, &mut platform),
-            [(NodeId(2), vec![1, 2]), (NodeId(1), vec![1, 2])]
+            [(NodeId(2), first.clone()), (NodeId(1), first)]
         );
         assert_eq!(stats_of(&mut gossip).deferred_pushes, 6);
 
         grant(&mut gossip, &mut platform, 1, 2);
-        assert_eq!(flush(&mut gossip, &mut platform), [(NodeId(1), vec![3, 4])]);
+        assert_eq!(
+            flush(&mut gossip, &mut platform),
+            [(NodeId(1), vec![window + 1, window + 2])]
+        );
         grant(&mut gossip, &mut platform, 1, 2);
-        assert_eq!(flush(&mut gossip, &mut platform), [(NodeId(1), vec![5])]);
+        assert_eq!(
+            flush(&mut gossip, &mut platform),
+            [(NodeId(1), vec![window + 3])]
+        );
         grant(&mut gossip, &mut platform, 2, 8);
         assert_eq!(
             flush(&mut gossip, &mut platform),
-            [(NodeId(2), vec![3, 4, 5])]
+            [(NodeId(2), vec![window + 1, window + 2, window + 3])]
         );
         // Peer 2 waited out three flushes with three pushes queued, peer 1
         // one flush with one left over.
@@ -2599,10 +2480,7 @@ mod tests {
     fn pulls_below_the_log_floor_are_answered_with_a_repair_floor() {
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..4).collect();
-        let mut params = gossip_params(&members);
-        params.insert("repair_interval_ms".into(), "100".into());
-        params.insert("repair_log_ttl_ms".into(), "100".into());
-        let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
 
         // Deliver seqs 1..=6 of (origin 0, inc 1), then age them out of the
         // repair log: delivered knowledge survives, servability does not.
@@ -2610,7 +2488,7 @@ mod tests {
         for seq in 1..=6u64 {
             gossip.run_up(deliver(seq), &mut platform);
         }
-        platform.advance(150);
+        platform.advance(REPAIR_LOG_TTL_MS);
         let timers: Vec<_> = std::mem::take(&mut platform.timers);
         for (_, key) in timers {
             gossip.fire_timer(key, &mut platform);
@@ -2620,18 +2498,7 @@ mod tests {
 
         // A pull for the evicted span gets a floor answer; the still-logged
         // seq is served normally alongside it.
-        let mut message = Message::new();
-        message.push(&RepairPull {
-            wants: vec![(NodeId(0), 1, vec![1, 2, 7])],
-        });
-        gossip.run_up(
-            Event::up(GossipRepairPull::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                message,
-            )),
-            &mut platform,
-        );
+        gossip.run_up(pull_of(2, 1, (0, 1), vec![1, 2, 7]), &mut platform);
         let down = gossip.drain_down();
         let floors: Vec<RepairFloorBody> = down
             .iter()
@@ -2693,29 +2560,11 @@ mod tests {
 
         // The abandoned span stops being pulled: a digest advertising it
         // finds nothing missing below the floor...
-        let digest = |lo: u64, hi: u64| {
-            let mut message = Message::new();
-            message.push(&RepairDigest {
-                credit: 0,
-                entries: vec![RepairRange {
-                    origin: NodeId(0),
-                    inc: 1,
-                    lo,
-                    hi,
-                }],
-            });
-            Event::up(GossipRepairDigest::new(
-                NodeId(3),
-                Dest::Node(NodeId(1)),
-                message,
-            ))
-        };
+        let digest = |lo: u64, hi: u64| digest_of(3, 1, 0, &[(1, lo, hi)]);
         gossip.run_up(digest(1, 6), &mut platform);
-        assert!(
-            gossip
-                .drain_down()
-                .iter()
-                .all(|event| !event.is::<GossipRepairPull>()),
+        assert_eq!(
+            sent_down::<GossipRepairPull>(&mut gossip),
+            0,
             "the fast-forwarded span is never pulled again"
         );
         // ...while newer seqs above the floor still repair normally.
@@ -2748,9 +2597,7 @@ mod tests {
         // answer and escalates to a snapshot catch-up.
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..4).collect();
-        let mut params = gossip_params(&members);
-        params.insert("repair_pull_budget".into(), "16".into());
-        let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
 
         // Seqs 1..=2 delivered before the cut; the advertiser's log now
         // starts at 9.
@@ -2759,23 +2606,7 @@ mod tests {
         gossip.run_up(deliver(2), &mut platform);
         gossip.drain_down();
 
-        let digest = |lo: u64, hi: u64| {
-            let mut message = Message::new();
-            message.push(&RepairDigest {
-                credit: 0,
-                entries: vec![RepairRange {
-                    origin: NodeId(0),
-                    inc: 1,
-                    lo,
-                    hi,
-                }],
-            });
-            Event::up(GossipRepairDigest::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                message,
-            ))
-        };
+        let digest = |lo: u64, hi: u64| digest_of(2, 1, 0, &[(1, lo, hi)]);
         // First sighting: the breach is recorded but nothing escalates —
         // the advertised span is still pulled normally.
         let up = gossip.run_up(digest(9, 10), &mut platform);
@@ -2799,7 +2630,7 @@ mod tests {
         // open: the next repair tick escalates it — even though no further
         // digest for the stream ever arrives (its logs may have drained
         // group-wide by then).
-        platform.advance(DEFAULT_REPAIR_LOG_TTL_MS * 2);
+        platform.advance(REPAIR_LOG_TTL_MS * 2);
         let timers: Vec<_> = std::mem::take(&mut platform.timers);
         for (_, key) in timers {
             gossip.fire_timer(key, &mut platform);
@@ -2831,44 +2662,34 @@ mod tests {
     fn repair_push_responses_are_rate_limited_per_interval() {
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..4).collect();
-        let mut params = gossip_params(&members);
-        params.insert("repair_window".into(), "2".into());
-        let mut gossip = Harness::new(GossipLayer, &params, &mut platform);
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
 
-        // Twenty logged messages of (origin 0, inc 1).
+        // More logged messages of (origin 0, inc 1) than one interval may
+        // serve.
+        let window = REPAIR_WINDOW as u64;
         let deliver = |seq: u64| push_of(0, 1, seq, 0);
-        for seq in 1..=20u64 {
+        for seq in 1..=4 * window + 2 {
             gossip.run_up(deliver(seq), &mut platform);
         }
         gossip.drain_down();
 
-        let pull = |seqs: Vec<u64>| {
-            let mut message = Message::new();
-            message.push(&RepairPull {
-                wants: vec![(NodeId(0), 1, seqs)],
-            });
-            Event::up(GossipRepairPull::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                message,
-            ))
-        };
-        let pushes = |gossip: &mut Harness| {
-            gossip
-                .drain_down()
-                .iter()
-                .filter(|event| event.is::<GossipRepairPush>())
-                .count()
-        };
+        let pull = |seqs: Vec<u64>| pull_of(2, 1, (0, 1), seqs);
+        let pushes = sent_down::<GossipRepairPush>;
 
-        // Per-pull budget: 2 × window = 4 of the 6 asked-for seqs.
-        gossip.run_up(pull((1..=6).collect()), &mut platform);
-        assert_eq!(pushes(&mut gossip), 4, "per-pull budget of 2x window");
-        // The interval cap (4 × window = 8) lets one more pull through...
-        gossip.run_up(pull((7..=10).collect()), &mut platform);
-        assert_eq!(pushes(&mut gossip), 4);
+        // Per-pull budget: 2 × window of the 2 × window + 2 asked-for seqs.
+        let per_pull = 2 * REPAIR_WINDOW;
+        gossip.run_up(pull((1..=2 * window + 2).collect()), &mut platform);
+        assert_eq!(
+            pushes(&mut gossip),
+            per_pull,
+            "per-pull budget of 2x window"
+        );
+        // The interval cap (4 × window) lets one more full pull through...
+        gossip.run_up(pull((2 * window + 1..=4 * window).collect()), &mut platform);
+        assert_eq!(pushes(&mut gossip), per_pull);
         // ...then cuts every further response until the next repair tick.
-        gossip.run_up(pull(vec![11, 12]), &mut platform);
+        let rest = vec![4 * window + 1, 4 * window + 2];
+        gossip.run_up(pull(rest.clone()), &mut platform);
         assert_eq!(
             pushes(&mut gossip),
             0,
@@ -2881,7 +2702,55 @@ mod tests {
             gossip.fire_timer(key, &mut platform);
         }
         gossip.drain_down();
-        gossip.run_up(pull(vec![11, 12]), &mut platform);
+        gossip.run_up(pull(rest), &mut platform);
         assert_eq!(pushes(&mut gossip), 2, "the tick resets the push budget");
+    }
+
+    /// Every push leaves in a [`GossipBatch`]. A [`DataEvent`] carrying a
+    /// pushed message's header is not one this layer sends: it is dropped,
+    /// neither delivered nor relayed. A point-to-point send (`seq` 0) is
+    /// still delivered.
+    #[test]
+    fn an_unbatched_push_from_the_wire_is_dropped() {
+        let mut kernel = Kernel::new();
+        register_suite(&mut kernel);
+        let mut platform = TestPlatform::new(NodeId(1));
+        let members: Vec<u32> = (0..4).collect();
+        kernel
+            .create_channel(&gossip_config(&members, 3, 3), &mut platform)
+            .unwrap();
+        let packet = |seq: u64| {
+            let mut message = Message::with_payload(&b"x"[..]);
+            message.push(&GossipHeader {
+                origin: NodeId(0),
+                inc: 5,
+                seq,
+                ttl: 3,
+            });
+            let data = DataEvent::new(NodeId(0), Dest::Node(NodeId(1)), message);
+            InPacket {
+                from: NodeId(0),
+                to: NodeId(1),
+                class: morpheus_appia::PacketClass::Data,
+                channel: "data".into(),
+                payload: morpheus_appia::registry::encode_event(&data),
+            }
+        };
+
+        kernel.deliver_packet(packet(1), &mut platform).unwrap();
+        fire_due(&mut kernel, &mut platform);
+        assert_eq!(
+            platform.data_delivery_count(),
+            0,
+            "the push is not delivered"
+        );
+        assert!(platform.take_sent().is_empty(), "nor relayed");
+
+        kernel.deliver_packet(packet(0), &mut platform).unwrap();
+        assert_eq!(
+            platform.data_delivery_count(),
+            1,
+            "a point-to-point send is"
+        );
     }
 }

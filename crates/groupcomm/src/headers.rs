@@ -365,16 +365,15 @@ impl Wire for RepairFloorBody {
 }
 
 /// Body of an aggregated gossip push: several app messages, each with its
-/// own [`GossipHeader`], batched into one packet. Same-instant sends and
-/// relays that would otherwise cost one packet per message travel together;
-/// the receiver unbatches and runs every entry through the ordinary gossip
-/// up path (dedup, delivery tracking, repair logging, re-forwarding).
+/// own [`GossipHeader`], batched into one packet. Every push travels in
+/// one: same-instant sends and relays to one peer share a packet, and the
+/// receiver unbatches and runs every entry through the one push receive
+/// path (dedup, delivery tracking, repair logging, re-forwarding).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GossipBatchBody {
     /// `(gossip header, original message)` per batched app message; the
     /// message carries the higher layers' headers and payload, without the
-    /// gossip header (which rides alongside, exactly as it would have been
-    /// pushed on a singleton send).
+    /// gossip header, which rides alongside.
     pub entries: Vec<(GossipHeader, Message)>,
 }
 

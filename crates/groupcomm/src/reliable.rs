@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
 use morpheus_appia::kernel::EventContext;
-use morpheus_appia::layer::{param_or, Layer, LayerParams};
+use morpheus_appia::layer::{Layer, LayerParams};
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
@@ -28,12 +28,10 @@ const GAP_CHECK_TAG: u32 = 1;
 /// How often gaps are re-examined and NACKed.
 const NACK_INTERVAL_MS: u64 = 200;
 
-/// The NACK-based reliable multicast layer.
-///
-/// Parameters:
-///
-/// * `retention` — number of sent messages kept for retransmission
-///   (default 2048).
+/// Sent messages kept for retransmission.
+const RETENTION: usize = 2048;
+
+/// The NACK-based reliable multicast layer. It reads no parameters.
 pub struct ReliableLayer;
 
 impl Layer for ReliableLayer {
@@ -54,9 +52,8 @@ impl Layer for ReliableLayer {
         vec!["NackRequest"]
     }
 
-    fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
+    fn create_session(&self, _params: &LayerParams) -> Box<dyn Session> {
         Box::new(ReliableSession {
-            retention: param_or(params, "retention", 2048usize).max(16),
             next_seq: 0,
             sent: BTreeMap::new(),
             incoming: BTreeMap::new(),
@@ -75,10 +72,9 @@ struct IncomingState {
 /// Session state of the reliable multicast layer.
 #[derive(Debug)]
 pub struct ReliableSession {
-    retention: usize,
     next_seq: u64,
     /// Recently sent messages (with the sequence header already pushed).
-    // bound: capped at `retention` -- the oldest entry is evicted on overflow.
+    // bound: capped at `RETENTION` -- the oldest entry is evicted on overflow.
     sent: BTreeMap<u64, Message>,
     // A BTreeMap, not a HashMap: `send_nacks` iterates per-origin state and
     // emits NACK packets — their on-wire order must not depend on hash
@@ -192,7 +188,7 @@ impl Session for ReliableSession {
                     // Kept for retransmission: a copy of its own, so the
                     // window does not pin the pooled header scratch.
                     self.sent.insert(self.next_seq, data.message.compact());
-                    if self.sent.len() > self.retention {
+                    if self.sent.len() > RETENTION {
                         let oldest = *self.sent.keys().next().expect("non-empty");
                         self.sent.remove(&oldest);
                     }
@@ -383,10 +379,9 @@ mod tests {
     #[test]
     fn retention_is_bounded() {
         let mut platform = TestPlatform::new(NodeId(1));
-        let mut params = LayerParams::new();
-        params.insert("retention".into(), "16".into());
-        let mut reliable = Harness::new(ReliableLayer, &params, &mut platform);
-        for _ in 0..64 {
+        let mut reliable = harness(&mut platform);
+        let sends = RETENTION as u64 + 1;
+        for _ in 0..sends {
             reliable.run_down(
                 Event::down(DataEvent::to_group(
                     NodeId(1),
@@ -399,7 +394,7 @@ mod tests {
         let mut message = Message::new();
         message.push(&NackHeader {
             origin: NodeId(5),
-            missing: vec![1, 64],
+            missing: vec![1, sends],
         });
         reliable.run_up(
             Event::up(NackRequest::new(NodeId(5), Dest::Node(NodeId(1)), message)),

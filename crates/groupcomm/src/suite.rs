@@ -123,13 +123,6 @@ pub enum Ordering {
 /// failure detector's liveness digests and view synchrony's flush gossip.
 const CONTROL_FANOUT: usize = 3;
 
-/// Per-peer credit window of generated gossip stacks: pushes a sender may
-/// have in flight towards one peer before it defers into the bounded outbox.
-const GOSSIP_CREDIT_WINDOW: usize = 128;
-
-/// Application messages one packet of a generated gossip stack aggregates.
-const GOSSIP_BATCH_MAX: usize = 4;
-
 /// View size at which view synchrony's flush collection rides the gossip
 /// plane.
 const VSYNC_GOSSIP_THRESHOLD: usize = 50;
@@ -315,9 +308,7 @@ impl StackBuilder {
                 .with_param(
                     "repair_interval_ms",
                     self.gossip_repair_interval_ms.to_string(),
-                )
-                .with_param("credit_window", GOSSIP_CREDIT_WINDOW.to_string())
-                .with_param("batch_max", GOSSIP_BATCH_MAX.to_string()),
+                ),
         });
 
         match self.reliability {
@@ -461,6 +452,24 @@ mod tests {
             config.layer_names(),
             vec!["network", "gossip", "fec", "fd", "recovery", "vsync", "causal", "app"]
         );
+    }
+
+    /// The gossip layer's description carries exactly the params the layer
+    /// reads: its credit window, batch size and repair bounds are constants
+    /// of `gossip.rs`, not knobs a stack could set.
+    #[test]
+    fn a_gossip_stack_sets_only_the_params_gossip_reads() {
+        let config = StackBuilder::new("data", members(16))
+            .gossip(4, 3)
+            .gossip_repair_interval_ms(500)
+            .build();
+        let gossip = config
+            .layers
+            .iter()
+            .find(|layer| layer.layer == "gossip")
+            .expect("a gossip stack has a gossip layer");
+        let keys: Vec<&str> = gossip.params.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["fanout", "members", "repair_interval_ms", "ttl"]);
     }
 
     #[test]

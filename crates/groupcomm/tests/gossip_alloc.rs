@@ -9,8 +9,11 @@
 //! boxes: every one comes from its type's free list, refilled by the events
 //! the previous round dropped.
 //!
-//! The push-path tests run with the repair pass off (`repair_interval_ms`
-//! 0), so the repair log's buffers stay out of their budget. The repair
+//! Every push leaves the same way: queued in a per-peer outbox and sent,
+//! up to four messages a packet, by the zero-delay flush. The push-path
+//! tests run with the repair pass off (`repair_interval_ms` 0), so the
+//! repair log's buffers, and the credit grants that ride on its digests,
+//! stay out of their budget. The repair
 //! pass has budgets of its own: a received digest decodes into the
 //! session's scratch, and the repair tick encodes its digest straight from
 //! the log and draws its targets without a pool of members.
@@ -71,7 +74,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Messages per round: sent by the origin, or carried in one batch.
+/// Messages per round: sent by the origin, or carried in one batch. Each
+/// peer's share of a round fits one batch.
 const K: usize = 4;
 /// Peers every message is pushed to: the group minus the node itself and,
 /// for a relay, the origin and the batch's sender.
@@ -92,7 +96,6 @@ fn gossip(platform: &mut TestPlatform, members: &str) -> Harness {
     for (key, value) in [
         ("members", members),
         ("fanout", "8"),
-        ("batch_max", "16"),
         ("repair_interval_ms", "0"),
     ] {
         params.insert(key.into(), value.into());
@@ -299,7 +302,7 @@ fn a_warm_heartbeat_that_advances_no_counter_allocates_nothing() {
 }
 
 /// A gossip session with the repair pass on, at node 1 of nine members,
-/// pushing singletons to 3 peers.
+/// pushing to 3 peers.
 fn repairing_gossip(platform: &mut TestPlatform) -> Harness {
     let mut params = LayerParams::new();
     params.insert("members".into(), "0,1,2,3,4,5,6,7,8".into());
@@ -409,16 +412,19 @@ fn a_warm_repair_digest_that_pulls_nothing_allocates_nothing() {
 fn a_warm_repair_tick_allocates_only_its_target_list() {
     let mut platform = TestPlatform::new(NodeId(1));
     let mut harness = repairing_gossip(&mut platform);
-    // Log a few of the node's own sends.
+    // Log a few of the node's own sends; their pushes wait for the flush,
+    // which fires with the first tick.
     for _ in 0..8 {
         let send = Event::down(DataEvent::to_group(
             NodeId(1),
             Message::with_payload(&b"logged"[..]),
         ));
-        assert_eq!(harness.run_down(send, &mut platform).len(), 1);
+        assert!(harness.run_down(send, &mut platform).is_empty());
     }
-
     let mut keys = Vec::with_capacity(4);
+    fire_armed(&mut harness, &mut platform, &mut keys);
+    harness.drain_down();
+
     for _ in 0..WARM_UP_ROUNDS {
         fire_armed(&mut harness, &mut platform, &mut keys);
         let down = harness.drain_down();

@@ -1,7 +1,7 @@
-//! Fixture: every param a layer reads is set somewhere — by `with_param`,
-//! by a description's `<param key="..">`, or by a test's `(key, value)`
-//! list. Expect no findings. Linted as a consumer of `dead_param.rs`, it
-//! sets that fixture's orphan key too.
+//! Fixture: every param a layer reads is set outside test code — by
+//! `with_param`, by a description's `<param key="..">`, or by a
+//! `(key, value)` list. Expect no findings. Its test sets
+//! `dead_param.rs`'s orphan key, which does not make that key live.
 
 fn create_session(params: &LayerParams) -> Box<dyn Session> {
     Box::new(FixtureSession {
@@ -16,6 +16,14 @@ fn describe() -> LayerSpec {
 }
 
 const DESCRIPTION: &str = "<layer name=\"fixture\"><param key=\"mode\" value=\"wireless\"/></layer>";
+
+fn fast_retry() -> LayerParams {
+    let mut params = LayerParams::new();
+    for (key, value) in [("retry_ms", "50")] {
+        params.insert(key.into(), value.into());
+    }
+    params
+}
 
 #[cfg(test)]
 mod tests {

@@ -100,21 +100,12 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
 }
 
 /// Collects the workspace's consumer sources: code that uses the linted
-/// crates but is not linted itself — `tests/`, `examples/`,
-/// `benchmark/src` and each crate's `tests/` — in sorted order. The
-/// `dead:param` rule reads them for the params they set.
+/// crates but is not linted itself — `examples/` and `benchmark/src` — in
+/// sorted order. The `dead:param` rule reads them for the params they set.
+/// Test directories are not consumers: a param only a test sets is still a
+/// constant in every run.
 pub fn workspace_consumers(root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut dirs = vec![
-        root.join("tests"),
-        root.join("examples"),
-        root.join("benchmark").join("src"),
-    ];
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        for entry in std::fs::read_dir(&crates_dir)? {
-            dirs.push(entry?.path().join("tests"));
-        }
-    }
+    let dirs = [root.join("examples"), root.join("benchmark").join("src")];
     let mut files = Vec::new();
     for dir in dirs.iter().filter(|dir| dir.is_dir()) {
         collect_rs_files(dir, &mut files)?;

@@ -919,17 +919,18 @@ pub fn param_key_positions(lexed: &Lexed) -> Vec<usize> {
 }
 
 /// Every layer-param key a file's string literals could set — each literal
-/// but the keys of reads (`key_positions`), and the `key` attribute of any
-/// `<param key="..">` element an XML description literal holds — into
-/// `keys`. A heuristic by design: any other literal spelling a key counts
-/// as setting it, whether it feeds `with_param`, `insert` or a test's
-/// `(key, value)` list.
+/// outside test code but the keys of reads (`key_positions`), and the `key`
+/// attribute of any `<param key="..">` element an XML description literal
+/// holds — into `keys`. A heuristic by design: any other literal spelling a
+/// key counts as setting it, whether it feeds `with_param`, `insert` or a
+/// `(key, value)` list. A test's setter is not a caller: a key only test
+/// code names is read at its default in every run.
 pub fn param_keys_set(lexed: &Lexed, key_positions: &[usize], keys: &mut BTreeSet<String>) {
     for (i, token) in lexed.tokens.iter().enumerate() {
         let TokenKind::Str(text) = &token.kind else {
             continue;
         };
-        if key_positions.contains(&i) {
+        if key_positions.contains(&i) || lexed.in_test.get(i).copied().unwrap_or(false) {
             continue;
         }
         keys.insert(text.clone());
@@ -964,8 +965,8 @@ pub fn check_dead_params(
             ctx.tokens()[at].line,
             "dead:param",
             format!(
-                "layer param \"{key}\" is read here but nothing sets it (no `with_param`, \
-                 `insert`, XML description or test names it): make it a constant"
+                "layer param \"{key}\" is read here but nothing outside tests sets it (no \
+                 `with_param`, `insert` or XML description names it): make it a constant"
             ),
         ));
     }

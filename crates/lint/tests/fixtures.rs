@@ -158,10 +158,17 @@ fn session_state_fixtures() {
 fn dead_param_fixtures() {
     assert_trips("dead_param.rs", &["dead:param"]);
     assert_trips("dead_param_clean.rs", &[]);
+    assert_trips("dead_param_test_only.rs", &["dead:param"]);
+    assert_trips("dead_param_spec.rs", &[]);
     assert_eq!(
         rules_with_consumers("dead_param.rs", "appia", &["dead_param_clean.rs"]),
+        vec!["dead:param"],
+        "a key only a consumer's test sets is still dead"
+    );
+    assert_eq!(
+        rules_with_consumers("dead_param.rs", "appia", &["dead_param_spec.rs"]),
         Vec::<&str>::new(),
-        "a key a consumer sets (here in a test's key list) is not dead"
+        "a key a consumer's `LayerSpec` sets is not dead"
     );
 }
 

@@ -27,3 +27,26 @@ fn workspace_is_clean() {
         rendered.join("\n")
     );
 }
+
+/// A key only a test sets is read at its default in every run, so test
+/// directories are not consumers: only `examples/` and `benchmark/src` are.
+#[test]
+fn test_directories_are_not_consumers() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves");
+    let consumers = workspace_consumers(&root).expect("consumer walk succeeds");
+    assert!(
+        consumers
+            .iter()
+            .any(|path| path.starts_with(root.join("examples"))),
+        "the examples are consumers"
+    );
+    assert!(
+        consumers
+            .iter()
+            .all(|path| !path.components().any(|part| part.as_os_str() == "tests")),
+        "no file under a `tests/` directory is a consumer"
+    );
+}
