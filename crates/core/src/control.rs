@@ -823,6 +823,7 @@ mod tests {
     use morpheus_cocaditem::{ContextKey, ContextValue};
 
     use super::*;
+    use crate::node::NodeOptions;
 
     /// The local node's view of the context, fed the way Cocaditem feeds it
     /// at run time: the local node's context arrives as a sample in the
@@ -875,7 +876,7 @@ mod tests {
         };
         let layer = CoreLayer::new(
             Rc::clone(&feed.store),
-            Rc::new(StackCatalog::new("data", group)),
+            Rc::new(StackCatalog::new(&NodeOptions::new(group))),
         );
         (Harness::new(layer, &params, platform), feed)
     }

@@ -85,7 +85,9 @@ pub struct NodeOptions {
 }
 
 impl NodeOptions {
-    /// Sensible defaults for a group of the given members.
+    /// Sensible defaults for a group of the given members. These are the
+    /// only timing defaults: the node's [`StackCatalog`] is built from its
+    /// options.
     pub fn new(members: Vec<NodeId>) -> Self {
         Self {
             members,
@@ -159,13 +161,7 @@ impl MorpheusNode {
         kernel
             .layers_mut()
             .register(RecoveryLayer::with_sections(sections));
-        let catalog = Rc::new(
-            StackCatalog::new(&options.data_channel, options.members.clone())
-                .with_failure_detection(options.hb_interval_ms, options.suspect_timeout_ms)
-                .with_view_change_timing(options.retransmit_interval_ms, options.round_timeout_ms)
-                .with_transfer_chunk_bytes(options.transfer_chunk_bytes)
-                .with_gossip_repair(options.gossip_repair_interval_ms),
-        );
+        let catalog = Rc::new(StackCatalog::new(&options));
         register_core(&mut kernel, context_store, Rc::clone(&catalog));
 
         let data_config = catalog.boot_config(&options.initial_stack, options.rejoining);
@@ -506,7 +502,7 @@ mod tests {
             StackKind::Reliable,
             StackKind::ErrorMasking { k: 4 },
             StackKind::HybridMecho { relay: NodeId(0) },
-            StackKind::Gossip { fanout, ttl: 2 },
+            StackKind::Gossip { fanout },
         ];
         for (epoch, kind) in (1..).zip(&kinds) {
             replace_data_stack(&mut node, kind, epoch, &mut platform);

@@ -27,11 +27,12 @@ pub enum StackKind {
         relay: NodeId,
     },
     /// Epidemic multicast for large, geographically distributed groups.
+    /// The push TTL is not part of the kind: each gossip session derives it
+    /// from its installed view, so a group that grows or shrinks keeps its
+    /// stack.
     Gossip {
         /// Push fan-out.
         fanout: usize,
-        /// Forwarding rounds.
-        ttl: u32,
     },
 }
 
@@ -44,7 +45,7 @@ impl StackKind {
             StackKind::Reliable => "reliable".to_string(),
             StackKind::ErrorMasking { k } => format!("fec-k{k}"),
             StackKind::HybridMecho { relay } => format!("hybrid-mecho-relay{}", relay.0),
-            StackKind::Gossip { fanout, ttl } => format!("gossip-f{fanout}-t{ttl}"),
+            StackKind::Gossip { fanout } => format!("gossip-f{fanout}"),
         }
     }
 }
@@ -184,7 +185,7 @@ mod tests {
             StackKind::Reliable,
             StackKind::ErrorMasking { k: 4 },
             StackKind::HybridMecho { relay: NodeId(0) },
-            StackKind::Gossip { fanout: 3, ttl: 4 },
+            StackKind::Gossip { fanout: 3 },
         ];
         let mut names: Vec<String> = kinds.iter().map(StackKind::name).collect();
         assert_eq!(names[3], "hybrid-mecho-relay0");

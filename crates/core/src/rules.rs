@@ -1,29 +1,9 @@
 //! The default rule-based adaptation policy.
 
 use morpheus_cocaditem::RoomContext;
+use morpheus_groupcomm::gossip::derived_gossip_ttl;
 
 use crate::policy::{AdaptationPolicy, GlobalContext, RoomStackKind, StackKind};
-
-/// The smallest TTL at which an epidemic push phase plausibly covers a group
-/// of size `n` at the given fan-out: the number of forwarding rounds after
-/// which `fanout^rounds >= n`, plus one slack round for the push targets
-/// lost to duplication. Floored at the historical default of 4 (small
-/// groups keep their behaviour) and capped at 12 (the repair pass closes
-/// whatever tail remains — deeper flooding only buys duplicates).
-///
-/// This is the plumbing-style per-size tuning (van Renesse et al.): the
-/// policy derives the dissemination parameters from the *live* group size
-/// instead of hard-coding one constant for every scale.
-pub fn derived_gossip_ttl(group_size: usize, fanout: usize) -> u32 {
-    let fanout = fanout.max(2);
-    let mut rounds: u32 = 0;
-    let mut covered: usize = 1;
-    while covered < group_size {
-        covered = covered.saturating_mul(fanout);
-        rounds += 1;
-    }
-    (rounds + 1).clamp(4, 12)
-}
 
 /// The rule-based per-room adaptation: maps one room's context slice to the
 /// dissemination stack that shard should run.
@@ -77,8 +57,9 @@ impl RoomRules {
 /// 1. **Hybrid group** (some participants fixed, some mobile) → the Mecho
 ///    stack, with the best-resourced fixed node as relay.
 /// 2. **Large group** (at or above `large_group_threshold`) → epidemic
-///    multicast, with `ttl` derived from the live view size
-///    ([`derived_gossip_ttl`]).
+///    multicast at `gossip_fanout`. The choice is the same at any size past
+///    the threshold: each gossip session derives its push TTL from its own
+///    view ([`derived_gossip_ttl`]).
 /// 3. **High error rate** (at or above `fec_error_threshold`) → forward error
 ///    correction ("mask the errors").
 /// 4. **Moderate error rate** (at or above `retransmit_error_threshold`) →
@@ -127,7 +108,6 @@ impl AdaptationPolicy for DefaultPolicy {
         if context.group_size() >= self.large_group_threshold {
             return Some(StackKind::Gossip {
                 fanout: self.gossip_fanout,
-                ttl: derived_gossip_ttl(context.group_size(), self.gossip_fanout),
             });
         }
         let error_rate = context.max_error_rate();
@@ -254,27 +234,18 @@ mod tests {
         assert_eq!(derived_gossip_ttl(2, 3), 4);
         assert_eq!(derived_gossip_ttl(usize::MAX, 2), 12);
 
-        // The policy wires the derivation: a 250-member view gets a deeper
-        // push phase than a 20-member one, without any parameter change.
-        let small = context_with((0..20).map(fixed).collect());
-        let large = context_with((0..250).map(fixed).collect());
+        // The derivation lives in the gossip session, not in the policy: a
+        // 250-member view and a 20-member one get the same stack, so a
+        // group that crosses 27, 81 or 243 members is not reconfigured.
         let policy = DefaultPolicy::default();
-        let Some(StackKind::Gossip {
-            fanout: f1,
-            ttl: t1,
-        }) = small.decide(&policy)
-        else {
-            panic!("small large-group context must select gossip");
-        };
-        let Some(StackKind::Gossip {
-            fanout: f2,
-            ttl: t2,
-        }) = large.decide(&policy)
-        else {
-            panic!("250-member context must select gossip");
-        };
-        assert_eq!((f1, t1), (3, 4));
-        assert_eq!((f2, t2), (3, 7));
+        for size in [20, 250] {
+            let group = context_with((0..size).map(fixed).collect());
+            assert_eq!(
+                group.decide(&policy),
+                Some(StackKind::Gossip { fanout: 3 }),
+                "{size} members"
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use morpheus_appia::config::{ChannelConfig, LayerSpec};
 use morpheus_appia::platform::NodeId;
 use morpheus_groupcomm::suite::{liveness_layer, StackBuilder};
 
+use crate::node::NodeOptions;
 use crate::policy::StackKind;
 
 /// Key every generated data stack shares its view-synchrony session under.
@@ -43,46 +44,19 @@ pub struct StackCatalog {
 }
 
 impl StackCatalog {
-    /// Creates a catalogue for the given data channel and boot membership.
-    pub fn new(channel: impl Into<String>, members: Vec<NodeId>) -> Self {
+    /// Creates the catalogue of a node: its data channel, boot membership
+    /// and protocol timing, as the node's options set them.
+    pub fn new(options: &NodeOptions) -> Self {
         Self {
-            channel: channel.into(),
-            members,
-            hb_interval_ms: 1000,
-            suspect_timeout_ms: 5000,
-            retransmit_interval_ms: 500,
-            round_timeout_ms: 4000,
-            transfer_chunk_bytes: 1024,
-            gossip_repair_interval_ms: 1000,
+            channel: options.data_channel.clone(),
+            members: options.members.clone(),
+            hb_interval_ms: options.hb_interval_ms,
+            suspect_timeout_ms: options.suspect_timeout_ms,
+            retransmit_interval_ms: options.retransmit_interval_ms,
+            round_timeout_ms: options.round_timeout_ms,
+            transfer_chunk_bytes: options.transfer_chunk_bytes,
+            gossip_repair_interval_ms: options.gossip_repair_interval_ms,
         }
-    }
-
-    /// Overrides the failure-detection timing of generated stacks.
-    pub fn with_failure_detection(mut self, hb_interval_ms: u64, suspect_timeout_ms: u64) -> Self {
-        self.hb_interval_ms = hb_interval_ms;
-        self.suspect_timeout_ms = suspect_timeout_ms;
-        self
-    }
-
-    /// Overrides the view-change round timing of generated stacks (also the
-    /// recovery layer's retry cadence and transfer failover timeout).
-    pub fn with_view_change_timing(mut self, retransmit_ms: u64, round_timeout_ms: u64) -> Self {
-        self.retransmit_interval_ms = retransmit_ms;
-        self.round_timeout_ms = round_timeout_ms;
-        self
-    }
-
-    /// Overrides the rejoin state-transfer chunk size of generated stacks.
-    pub fn with_transfer_chunk_bytes(mut self, bytes: usize) -> Self {
-        self.transfer_chunk_bytes = bytes;
-        self
-    }
-
-    /// Overrides the epidemic repair-pass cadence of generated gossip stacks
-    /// (`0` disables the NACK/anti-entropy repair).
-    pub fn with_gossip_repair(mut self, interval_ms: u64) -> Self {
-        self.gossip_repair_interval_ms = interval_ms;
-        self
     }
 
     /// Name of the data channel the catalogue's stacks are rendered for.
@@ -178,7 +152,7 @@ fn render(builder: StackBuilder, kind: &StackKind) -> ChannelConfig {
         StackKind::Reliable => builder.beb(false).reliable().build(),
         StackKind::ErrorMasking { k } => builder.beb(false).fec(*k).build(),
         StackKind::HybridMecho { relay } => builder.mecho("auto", Some(*relay)).build(),
-        StackKind::Gossip { fanout, ttl } => builder.gossip(*fanout, *ttl).build(),
+        StackKind::Gossip { fanout } => builder.gossip(*fanout).build(),
     }
 }
 
@@ -189,7 +163,6 @@ mod tests {
     fn members(count: u32) -> Vec<NodeId> {
         (0..count).map(NodeId).collect()
     }
-
     /// One of every stack kind Core can command.
     fn every_kind(relay: NodeId) -> [StackKind; 5] {
         [
@@ -197,7 +170,7 @@ mod tests {
             StackKind::Reliable,
             StackKind::ErrorMasking { k: 4 },
             StackKind::HybridMecho { relay },
-            StackKind::Gossip { fanout: 3, ttl: 4 },
+            StackKind::Gossip { fanout: 3 },
         ]
     }
 
@@ -211,7 +184,7 @@ mod tests {
 
     #[test]
     fn every_kind_produces_a_distinct_stack() {
-        let catalog = StackCatalog::new("data", members(4));
+        let catalog = StackCatalog::new(&NodeOptions::new(members(4)));
         let mut multicast_layers = Vec::new();
         for kind in every_kind(NodeId(0)) {
             let config = catalog.config_for(&kind);
@@ -229,7 +202,7 @@ mod tests {
 
     #[test]
     fn generated_stacks_share_the_vsync_session() {
-        let catalog = StackCatalog::new("data", members(3));
+        let catalog = StackCatalog::new(&NodeOptions::new(members(3)));
         let best_effort = catalog.config_for(&StackKind::BestEffort);
         let hybrid = catalog.config_for(&StackKind::HybridMecho { relay: NodeId(0) });
         let key = |config: &ChannelConfig| {
@@ -245,7 +218,11 @@ mod tests {
 
     #[test]
     fn control_config_stacks_fd_and_cocaditem_under_core() {
-        let catalog = StackCatalog::new("data", members(3)).with_failure_detection(250, 900);
+        let catalog = StackCatalog::new(&NodeOptions {
+            hb_interval_ms: 250,
+            suspect_timeout_ms: 900,
+            ..NodeOptions::new(members(3))
+        });
         let config = catalog.control_config("ctrl", 500, true, &StackKind::BestEffort);
         assert_eq!(
             config.layer_names(),
@@ -284,7 +261,11 @@ mod tests {
         // boot stack — fixes its parameters, so the boot stack renders the
         // control channel's spec exactly. A commanded stack reuses the
         // session; its spec differs only in naming no member.
-        let catalog = StackCatalog::new("data", members(3)).with_failure_detection(250, 900);
+        let catalog = StackCatalog::new(&NodeOptions {
+            hb_interval_ms: 250,
+            suspect_timeout_ms: 900,
+            ..NodeOptions::new(members(3))
+        });
         let control = spec(
             &catalog.control_config("ctrl", 500, true, &StackKind::BestEffort),
             "fd",
@@ -302,7 +283,7 @@ mod tests {
     #[test]
     fn no_commanded_description_names_a_member() {
         let ids = [7001, 7002, 7003, 7004];
-        let catalog = StackCatalog::new("data", ids.into_iter().map(NodeId).collect());
+        let catalog = StackCatalog::new(&NodeOptions::new(ids.into_iter().map(NodeId).collect()));
         for kind in every_kind(NodeId(7002)) {
             let mut config = catalog.config_for(&kind);
             for spec in &mut config.layers {
@@ -321,8 +302,8 @@ mod tests {
 
     #[test]
     fn a_commanded_description_is_the_same_bytes_at_any_group_size() {
-        let small = StackCatalog::new("data", members(4));
-        let large = StackCatalog::new("data", members(200));
+        let small = StackCatalog::new(&NodeOptions::new(members(4)));
+        let large = StackCatalog::new(&NodeOptions::new(members(200)));
         for kind in every_kind(NodeId(0)) {
             assert_eq!(
                 small.config_for(&kind).to_xml(),
@@ -333,7 +314,7 @@ mod tests {
 
     #[test]
     fn only_the_boot_stack_renders_rejoining_and_the_boot_view() {
-        let catalog = StackCatalog::new("data", members(3));
+        let catalog = StackCatalog::new(&NodeOptions::new(members(3)));
         let commanded = catalog.config_for(&StackKind::BestEffort);
         let rejoining = catalog.boot_config(&StackKind::BestEffort, true);
         for layer in ["recovery", "vsync"] {
@@ -355,11 +336,11 @@ mod tests {
 
     #[test]
     fn configs_roundtrip_through_xml() {
-        let catalog = StackCatalog::new("data", members(5));
+        let catalog = StackCatalog::new(&NodeOptions::new(members(5)));
         for kind in [
             StackKind::BestEffort,
             StackKind::HybridMecho { relay: NodeId(2) },
-            StackKind::Gossip { fanout: 2, ttl: 3 },
+            StackKind::Gossip { fanout: 2 },
         ] {
             let config = catalog.config_for(&kind);
             let parsed = ChannelConfig::from_xml(&config.to_xml()).unwrap();

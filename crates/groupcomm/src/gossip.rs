@@ -93,6 +93,28 @@ const BATCH_MAX: usize = 4;
 /// them.
 const OUTBOX_CAP: usize = 4 * CREDIT_WINDOW as usize;
 
+/// The push TTL a group of `group_size` members gets at the given fan-out:
+/// the number of forwarding rounds after which `fanout^rounds >= n`, plus
+/// one slack round for the push targets lost to duplication. Floored at 4
+/// (small groups keep the historical default) and capped at 12 (the repair
+/// pass closes whatever tail remains — deeper flooding only buys
+/// duplicates).
+///
+/// This is the per-size tuning of van Renesse et al.: every session derives
+/// it from its installed view instead of one constant serving every scale.
+/// The origin stamps it in each [`GossipHeader`], so members that briefly
+/// derive different values still relay each other's pushes correctly.
+pub fn derived_gossip_ttl(group_size: usize, fanout: usize) -> u32 {
+    let fanout = fanout.max(2);
+    let mut rounds: u32 = 0;
+    let mut covered: usize = 1;
+    while covered < group_size {
+        covered = covered.saturating_mul(fanout);
+        rounds += 1;
+    }
+    (rounds + 1).clamp(4, 12)
+}
+
 /// One push waiting in the outbox.
 #[derive(Debug)]
 struct OutboxEntry {
@@ -151,13 +173,15 @@ pub struct GossipStats {
 ///
 /// * `members` — comma-separated initial membership;
 /// * `fanout` — number of random targets per push (default 3);
-/// * `ttl` — number of forwarding rounds a message survives (default 4);
 /// * `repair_interval_ms` — cadence of the repair digest gossip (default
 ///   1000 ms; `0` disables the repair pass, and with it the credit
 ///   backpressure whose grants ride on its digests).
 ///
-/// The repair log's bounds, the pull and push budgets, the credit window
-/// and the batch size are constants of this module.
+/// The push TTL — the forwarding rounds a message survives — is no
+/// parameter: the session derives it from its view and fan-out
+/// ([`derived_gossip_ttl`]) at creation and on every view install. The
+/// repair log's bounds, the pull and push budgets, the credit window and
+/// the batch size are constants of this module.
 pub struct GossipLayer;
 
 impl Layer for GossipLayer {
@@ -209,6 +233,8 @@ pub struct GossipSession {
     // bound: <= view size; rebuilt on every view install.
     member_slots: Vec<(NodeId, u32)>,
     fanout: usize,
+    /// The TTL own sends are stamped with: [`derived_gossip_ttl`] of the
+    /// installed view, refreshed on every view install.
     ttl: u32,
     repair_interval_ms: u64,
     /// The local stream incarnation (session creation time): what keeps the
@@ -288,14 +314,15 @@ impl GossipSession {
         let members = param_node_list(params, "members");
         let mut member_slots = Vec::new();
         slot_table(&members, &mut member_slots);
+        let fanout = param_or(params, "fanout", 3usize).max(1);
         Self {
             member_slots,
             outbox_pending: vec![0; members.len()],
             credits: vec![CREDIT_WINDOW; members.len()],
             granted: vec![CREDIT_WINDOW; members.len()],
+            ttl: derived_gossip_ttl(members.len(), fanout),
             members,
-            fanout: param_or(params, "fanout", 3usize).max(1),
-            ttl: param_or(params, "ttl", 4u32),
+            fanout,
             repair_interval_ms: param_or(params, "repair_interval_ms", DEFAULT_REPAIR_INTERVAL_MS),
             inc: 0,
             inc_ready: false,
@@ -1009,6 +1036,7 @@ impl Session for GossipSession {
 
         if let Some(install) = event.get::<ViewInstall>() {
             self.members = install.view.members.clone();
+            self.ttl = derived_gossip_ttl(self.members.len(), self.fanout);
             let old_slots = std::mem::take(&mut self.member_slots);
             slot_table(&self.members, &mut self.member_slots);
             // Per-peer backpressure state follows the membership: queued
@@ -1193,7 +1221,7 @@ mod tests {
     use crate::repair::DELIVERED_GAP_CAP;
     use crate::suite::register_suite;
 
-    fn gossip_config(members: &[u32], fanout: usize, ttl: u32) -> ChannelConfig {
+    fn gossip_config(members: &[u32], fanout: usize) -> ChannelConfig {
         let members_param = members
             .iter()
             .map(|id| id.to_string())
@@ -1204,8 +1232,7 @@ mod tests {
             .with_layer(
                 LayerSpec::new("gossip")
                     .with_param("members", members_param)
-                    .with_param("fanout", fanout.to_string())
-                    .with_param("ttl", ttl.to_string()),
+                    .with_param("fanout", fanout.to_string()),
             )
             .with_layer(LayerSpec::new("app"))
     }
@@ -1254,7 +1281,7 @@ mod tests {
         let mut platform = TestPlatform::new(NodeId(0));
         let members: Vec<u32> = (0..20).collect();
         let id = kernel
-            .create_channel(&gossip_config(&members, 4, 3), &mut platform)
+            .create_channel(&gossip_config(&members, 4), &mut platform)
             .unwrap();
 
         let event = Event::down(DataEvent::to_group(NodeId(0), Message::new()));
@@ -1274,7 +1301,7 @@ mod tests {
         register_suite(&mut kernel);
         let mut platform = TestPlatform::new(NodeId(0));
         let id = kernel
-            .create_channel(&gossip_config(&[0, 1, 2], 5, 3), &mut platform)
+            .create_channel(&gossip_config(&[0, 1, 2], 5), &mut platform)
             .unwrap();
         let event = Event::down(DataEvent::to_group(NodeId(0), Message::new()));
         kernel.dispatch_and_process(id, event, &mut platform);
@@ -1284,61 +1311,29 @@ mod tests {
 
     #[test]
     fn receivers_deliver_once_and_forward_while_ttl_lasts() {
-        let mut sender = Kernel::new();
-        register_suite(&mut sender);
-        let mut sender_platform = TestPlatform::new(NodeId(0));
+        let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..10).collect();
-        let sender_channel = sender
-            .create_channel(&gossip_config(&members, 3, 2), &mut sender_platform)
-            .unwrap();
-        let event = Event::down(DataEvent::to_group(
-            NodeId(0),
-            Message::with_payload(&b"g"[..]),
-        ));
-        sender.dispatch_and_process(sender_channel, event, &mut sender_platform);
-        fire_due(&mut sender, &mut sender_platform);
-        let sent = sender_platform.take_sent();
-        assert!(!sent.is_empty());
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
+        let delivered = |up: Vec<Event>| up.iter().filter(|event| event.is::<DataEvent>()).count();
 
-        // Deliver the same packet to node 1 twice: first delivery forwards,
-        // second is suppressed as a duplicate.
-        let mut receiver = Kernel::new();
-        register_suite(&mut receiver);
-        let mut receiver_platform = TestPlatform::new(NodeId(1));
-        receiver
-            .create_channel(&gossip_config(&members, 3, 2), &mut receiver_platform)
-            .unwrap();
+        // A first reception with two rounds left is delivered, and relayed
+        // with one round left.
+        let up = gossip.run_up(push_of(0, 1, 1, 2), &mut platform);
+        assert_eq!(delivered(up), 1);
+        let relayed = pushed_ttls(&mut gossip, &mut platform);
+        assert!(!relayed.is_empty(), "first reception is forwarded onward");
+        assert!(relayed.iter().all(|ttl| *ttl == 1), "{relayed:?}");
 
-        let data_packet = sent
-            .iter()
-            .find(|p| p.class == morpheus_appia::PacketClass::Data)
-            .expect("push-phase packet");
-        let packet = InPacket {
-            from: NodeId(0),
-            to: NodeId(1),
-            class: data_packet.class,
-            channel: data_packet.channel.clone(),
-            payload: data_packet.payload.clone(),
-        };
-        receiver
-            .deliver_packet(packet.clone(), &mut receiver_platform)
-            .unwrap();
-        assert_eq!(receiver_platform.data_delivery_count(), 1);
-        receiver_platform.take_deliveries();
-        fire_due(&mut receiver, &mut receiver_platform);
-        let forwarded = receiver_platform.take_sent();
-        assert!(!forwarded.is_empty(), "first reception is forwarded onward");
+        // The same push again is suppressed: neither delivered nor relayed.
+        let up = gossip.run_up(push_of(0, 1, 1, 2), &mut platform);
+        assert_eq!(delivered(up), 0, "duplicate is suppressed");
+        assert!(pushed_ttls(&mut gossip, &mut platform).is_empty());
 
-        receiver
-            .deliver_packet(packet, &mut receiver_platform)
-            .unwrap();
-        fire_due(&mut receiver, &mut receiver_platform);
-        assert_eq!(
-            receiver_platform.data_delivery_count(),
-            0,
-            "duplicate is suppressed"
-        );
-        assert!(receiver_platform.take_sent().is_empty());
+        // A push on its last round is relayed with none left.
+        let up = gossip.run_up(push_of(0, 1, 2, 1), &mut platform);
+        assert_eq!(delivered(up), 1);
+        let relayed = pushed_ttls(&mut gossip, &mut platform);
+        assert!(!relayed.is_empty() && relayed.iter().all(|ttl| *ttl == 0));
     }
 
     /// The retention rule, end to end: decoded messages are slices of the
@@ -1354,11 +1349,7 @@ mod tests {
     fn logged_messages_do_not_pin_the_senders_packet_buffer() {
         let config = ChannelConfig::new("data")
             .with_layer(LayerSpec::new("network"))
-            .with_layer(
-                LayerSpec::new("gossip")
-                    .with_param("members", "0,1")
-                    .with_param("ttl", "2"),
-            )
+            .with_layer(LayerSpec::new("gossip").with_param("members", "0,1"))
             .with_layer(LayerSpec::new("app"));
         let mut sender = Kernel::new();
         register_suite(&mut sender);
@@ -1469,6 +1460,28 @@ mod tests {
         Event::up(GossipBatch::new(NodeId(origin), to, message))
     }
 
+    /// Fires the zero-delay flush and returns the TTL of every push entry
+    /// the session sent down since the last drain.
+    fn pushed_ttls(gossip: &mut Harness, platform: &mut TestPlatform) -> Vec<u32> {
+        let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut platform.timers)
+            .into_iter()
+            .partition(|(deadline, _)| *deadline <= platform.now_ms);
+        platform.timers = later;
+        for (_, key) in due {
+            gossip.fire_timer(key, platform);
+        }
+        let mut ttls = Vec::new();
+        for batch in gossip
+            .drain_down()
+            .iter()
+            .filter_map(|event| event.get::<GossipBatch>())
+        {
+            let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
+            ttls.extend(body.entries.iter().map(|(header, _)| header.ttl));
+        }
+        ttls
+    }
+
     /// A repair digest from `from` to `to`, granting `credit` and
     /// advertising the `(inc, lo, hi)` spans of origin 0's streams.
     fn digest_of(from: u32, to: u32, credit: u32, spans: &[(u64, u64, u64)]) -> Event {
@@ -1547,45 +1560,38 @@ mod tests {
 
     #[test]
     fn ttl_zero_messages_are_not_forwarded() {
-        let mut sender = Kernel::new();
-        register_suite(&mut sender);
-        let mut sender_platform = TestPlatform::new(NodeId(0));
+        let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..6).collect();
-        let sender_channel = sender
-            .create_channel(&gossip_config(&members, 2, 0), &mut sender_platform)
-            .unwrap();
-        let event = Event::down(DataEvent::to_group(NodeId(0), Message::new()));
-        sender.dispatch_and_process(sender_channel, event, &mut sender_platform);
-        fire_due(&mut sender, &mut sender_platform);
-        let sent = sender_platform.take_sent();
-        let data_packet = sent
-            .iter()
-            .find(|p| p.class == morpheus_appia::PacketClass::Data)
-            .expect("push-phase packet");
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
+        let up = gossip.run_up(push_of(0, 1, 1, 0), &mut platform);
+        assert_eq!(up.iter().filter(|event| event.is::<DataEvent>()).count(), 1);
+        assert!(pushed_ttls(&mut gossip, &mut platform).is_empty());
+    }
 
-        let mut receiver = Kernel::new();
-        register_suite(&mut receiver);
-        let mut receiver_platform = TestPlatform::new(NodeId(1));
-        receiver
-            .create_channel(&gossip_config(&members, 2, 0), &mut receiver_platform)
-            .unwrap();
-        receiver
-            .deliver_packet(
-                InPacket {
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    class: data_packet.class,
-                    channel: data_packet.channel.clone(),
-                    payload: data_packet.payload.clone(),
-                },
-                &mut receiver_platform,
-            )
-            .unwrap();
-        assert_eq!(receiver_platform.data_delivery_count(), 1);
-        assert!(receiver_platform
-            .take_sent()
-            .iter()
-            .all(|p| p.class != morpheus_appia::PacketClass::Data));
+    /// The origin stamps its sends with the TTL its view derives: 27
+    /// members at fan-out 3 take 3 rounds plus one, floored at 4; a 28th
+    /// member needs a fourth round. A session created over 28 members
+    /// stamps 5, an installed view of 27 moves it to 4 and one of 28 back.
+    #[test]
+    fn the_origin_stamps_the_ttl_its_view_derives() {
+        assert_eq!(derived_gossip_ttl(27, 3), 4);
+        assert_eq!(derived_gossip_ttl(28, 3), 5);
+        let mut platform = TestPlatform::new(NodeId(0));
+        let members: Vec<u32> = (0..28).collect();
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
+        for (install, ttl) in [(None, 5), (Some(27u32), 4), (Some(28), 5)] {
+            if let Some(size) = install {
+                let view = crate::view::View::new(u64::from(size), (0..size).map(NodeId).collect());
+                gossip.run_up(Event::up(ViewInstall { view }), &mut platform);
+            }
+            let send = Event::down(DataEvent::to_group(NodeId(0), Message::new()));
+            gossip.run_down(send, &mut platform);
+            let stamped = pushed_ttls(&mut gossip, &mut platform);
+            assert_eq!(
+                stamped, [ttl; 3],
+                "view of {install:?}: one push per target"
+            );
+        }
     }
 
     #[test]
@@ -2717,7 +2723,7 @@ mod tests {
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..4).collect();
         kernel
-            .create_channel(&gossip_config(&members, 3, 3), &mut platform)
+            .create_channel(&gossip_config(&members, 3), &mut platform)
             .unwrap();
         let packet = |seq: u64| {
             let mut message = Message::with_payload(&b"x"[..]);

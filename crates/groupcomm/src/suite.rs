@@ -83,12 +83,12 @@ pub enum Multicast {
         /// The fixed relay mobile nodes send to.
         relay: Option<NodeId>,
     },
-    /// Epidemic multicast.
+    /// Epidemic multicast. The push TTL is not part of the stack: every
+    /// session derives it from its view
+    /// ([`derived_gossip_ttl`](crate::gossip::derived_gossip_ttl)).
     Gossip {
         /// Number of random targets per push.
         fanout: usize,
-        /// Number of forwarding rounds.
-        ttl: u32,
     },
 }
 
@@ -195,8 +195,8 @@ impl StackBuilder {
     }
 
     /// Uses epidemic multicast.
-    pub fn gossip(mut self, fanout: usize, ttl: u32) -> Self {
-        self.multicast = Multicast::Gossip { fanout, ttl };
+    pub fn gossip(mut self, fanout: usize) -> Self {
+        self.multicast = Multicast::Gossip { fanout };
         self
     }
 
@@ -301,10 +301,9 @@ impl StackBuilder {
                 }
                 spec
             }
-            Multicast::Gossip { fanout, ttl } => LayerSpec::new("gossip")
+            Multicast::Gossip { fanout } => LayerSpec::new("gossip")
                 .with_param("members", &members)
                 .with_param("fanout", fanout.to_string())
-                .with_param("ttl", ttl.to_string())
                 .with_param(
                     "repair_interval_ms",
                     self.gossip_repair_interval_ms.to_string(),
@@ -444,7 +443,7 @@ mod tests {
     #[test]
     fn gossip_and_fec_stacks_compose() {
         let config = StackBuilder::new("data", members(16))
-            .gossip(4, 3)
+            .gossip(4)
             .fec(8)
             .causal()
             .build();
@@ -460,7 +459,7 @@ mod tests {
     #[test]
     fn a_gossip_stack_sets_only_the_params_gossip_reads() {
         let config = StackBuilder::new("data", members(16))
-            .gossip(4, 3)
+            .gossip(4)
             .gossip_repair_interval_ms(500)
             .build();
         let gossip = config
@@ -469,7 +468,7 @@ mod tests {
             .find(|layer| layer.layer == "gossip")
             .expect("a gossip stack has a gossip layer");
         let keys: Vec<&str> = gossip.params.keys().map(String::as_str).collect();
-        assert_eq!(keys, ["fanout", "members", "repair_interval_ms", "ttl"]);
+        assert_eq!(keys, ["fanout", "members", "repair_interval_ms"]);
     }
 
     #[test]
@@ -479,10 +478,7 @@ mod tests {
             StackBuilder::new("b", members(3))
                 .mecho("auto", Some(NodeId(0)))
                 .reliable(),
-            StackBuilder::new("c", members(3))
-                .gossip(2, 2)
-                .fifo()
-                .causal(),
+            StackBuilder::new("c", members(3)).gossip(2).fifo().causal(),
             StackBuilder::new("d", members(3)).beb(true).fec(4).total(),
             StackBuilder::new("e", members(3))
                 .reliable()

@@ -5,10 +5,12 @@
 //!
 //! The example compares the per-sender transmission count and the delivery
 //! coverage of plain best-effort multicast against gossip, on WAN topologies
-//! of increasing size.
+//! of increasing size. The gossip `ttl` column is the push TTL every gossip
+//! session derives from its view at that size (`derived_gossip_ttl`).
 //!
 //! Run with `cargo run --release --example gossip_scale`.
 
+use morpheus::groupcomm::gossip::derived_gossip_ttl;
 use morpheus::prelude::*;
 
 fn run(devices: usize, stack: StackKind, messages: u64) -> RunReport {
@@ -30,17 +32,17 @@ fn main() {
     let messages = 100;
     println!("Epidemic multicast at scale (WAN, {messages} messages from node 0)");
     println!(
-        "{:>8}  {:>26}  {:>26}",
-        "nodes", "best-effort (pt2pt)", "gossip (fanout 3, ttl 4)"
+        "{:>8}  {:>26}  {:>30}",
+        "nodes", "best-effort (pt2pt)", "gossip (fanout 3)"
     );
     println!(
-        "{:>8}  {:>13} {:>12}  {:>13} {:>12}",
-        "", "sender-msgs", "coverage", "sender-msgs", "coverage"
+        "{:>8}  {:>13} {:>12}  {:>3} {:>13} {:>12}",
+        "", "sender-msgs", "coverage", "ttl", "sender-msgs", "coverage"
     );
 
     for devices in [8, 16, 32, 64] {
         let beb = run(devices, StackKind::BestEffort, messages);
-        let gossip = run(devices, StackKind::Gossip { fanout: 3, ttl: 4 }, messages);
+        let gossip = run(devices, StackKind::Gossip { fanout: 3 }, messages);
         let expected = messages * (devices as u64 - 1);
 
         let coverage = |report: &RunReport| {
@@ -50,9 +52,10 @@ fn main() {
             )
         };
         println!(
-            "{devices:>8}  {:>13} {}  {:>13} {}",
+            "{devices:>8}  {:>13} {}  {:>3} {:>13} {}",
             beb.node(NodeId(0)).unwrap().sent_data,
             coverage(&beb),
+            derived_gossip_ttl(devices, 3),
             gossip.node(NodeId(0)).unwrap().sent_data,
             coverage(&gossip),
         );

@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn prelude_exposes_a_usable_api_surface() {
         let members: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let catalog = StackCatalog::new("data", members);
+        let catalog = StackCatalog::new(&NodeOptions::new(members));
         let config = catalog.config_for(&StackKind::BestEffort);
         assert!(config.has_layer("beb"));
     }

@@ -169,6 +169,36 @@ fn a_rejoiner_repaired_twice_onto_the_same_stack_is_never_handed_a_message_twice
 }
 
 #[test]
+fn a_group_crossing_27_members_keeps_its_stack_and_hands_no_message_twice() {
+    // At fan-out 3 a view of 28 derives a push TTL of 5 and one of 27 a TTL
+    // of 4. The expulsion takes the group from 28 to 27 and the rejoin back:
+    // each gossip session re-derives its TTL on the view install, so the
+    // policy's choice stays put and no member redeploys its stack — a
+    // redeploy would start empty delivery trackers and re-pull the repair
+    // log's window.
+    for control_loss in [0.0, 0.1] {
+        for seed in 1..=3 {
+            let scenario = Scenario::member_restart(28, control_loss).with_seed(seed);
+            let mut binding = DuplicateCounter::default();
+            let report = Runner::new().run_with_binding(&scenario, &mut binding);
+            let case = format!("loss {control_loss}, seed {seed}");
+            for node in &report.nodes {
+                assert_eq!(
+                    node.reconfigurations, 1,
+                    "{case}: node {} reconfigured {} times",
+                    node.node, node.reconfigurations
+                );
+            }
+            assert_eq!(report.total_reconfigurations(), 28, "{case}");
+            assert_eq!(
+                binding.duplicates, 0,
+                "{case}: a (sender, seq) pair reached one incarnation twice"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_donor_crash_mid_transfer_fails_over_to_the_next_donor() {
     let scenario = Scenario::donor_crash_mid_transfer();
     let restarting = scenario.restarting_members()[0];

@@ -32,7 +32,7 @@ use morpheus::appia::{Dest, Event, Message};
 use morpheus::cocaditem::dissemination::ContextUpdated;
 use morpheus::cocaditem::{ContextSnapshot, ContextStore};
 use morpheus::core::control::CoreLayer;
-use morpheus::core::{ReconfigAck, ReconfigCommand, StackCatalog};
+use morpheus::core::{NodeOptions, ReconfigAck, ReconfigCommand, StackCatalog};
 use morpheus::groupcomm::events::{FlushAck, Suspect, ViewCommit, ViewInstall, ViewPrepare};
 use morpheus::groupcomm::recovery::{StateChunk, StateChunkHeader, StateRequest};
 use morpheus::groupcomm::vsync::VsyncLayer;
@@ -197,7 +197,10 @@ fn control_params() -> LayerParams {
 fn control_layer(store: &Rc<RefCell<ContextStore>>) -> CoreLayer {
     CoreLayer::new(
         Rc::clone(store),
-        Rc::new(StackCatalog::new("data", vec![NodeId(0), NodeId(1)])),
+        Rc::new(StackCatalog::new(&NodeOptions::new(vec![
+            NodeId(0),
+            NodeId(1),
+        ]))),
     )
 }
 

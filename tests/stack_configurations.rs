@@ -13,7 +13,7 @@ fn members(count: u32) -> Vec<NodeId> {
 
 #[test]
 fn homogeneous_configuration_matches_figure_2a() {
-    let catalog = StackCatalog::new("data", members(3));
+    let catalog = StackCatalog::new(&NodeOptions::new(members(3)));
     let config = catalog.config_for(&StackKind::BestEffort);
 
     // Figure 2(a): application over the group communication suite over the
@@ -27,7 +27,7 @@ fn homogeneous_configuration_matches_figure_2a() {
 
 #[test]
 fn hybrid_configuration_matches_figure_2b() {
-    let catalog = StackCatalog::new("data", members(3));
+    let catalog = StackCatalog::new(&NodeOptions::new(members(3)));
     let config = catalog.config_for(&StackKind::HybridMecho { relay: NodeId(0) });
 
     // Figure 2(b): the stack is extended with Mecho below the group
@@ -53,7 +53,7 @@ fn hybrid_configuration_matches_figure_2b() {
 
 #[test]
 fn both_configurations_roundtrip_through_the_description_language() {
-    let catalog = StackCatalog::new("data", members(4));
+    let catalog = StackCatalog::new(&NodeOptions::new(members(4)));
     for kind in [
         StackKind::BestEffort,
         StackKind::HybridMecho { relay: NodeId(0) },
@@ -67,7 +67,7 @@ fn both_configurations_roundtrip_through_the_description_language() {
 
 #[test]
 fn both_configurations_instantiate_on_a_kernel() {
-    let catalog = StackCatalog::new("data", members(4));
+    let catalog = StackCatalog::new(&NodeOptions::new(members(4)));
     for kind in [
         StackKind::BestEffort,
         StackKind::HybridMecho { relay: NodeId(0) },
