@@ -13,8 +13,8 @@ pub enum AppiaError {
     UnknownChannel(String),
     /// A channel with the given name already exists.
     DuplicateChannel(String),
-    /// An event type received from the wire has no registered factory.
-    UnknownEventType(String),
+    /// A packet's event tag has no registered factory.
+    UnknownEventType(u16),
     /// A QoS composition failed validation (missing required events, empty stack, ...).
     InvalidComposition(String),
     /// A declarative stack description could not be parsed.
@@ -29,7 +29,7 @@ impl fmt::Display for AppiaError {
             AppiaError::UnknownLayer(name) => write!(f, "unknown layer `{name}`"),
             AppiaError::UnknownChannel(name) => write!(f, "unknown channel `{name}`"),
             AppiaError::DuplicateChannel(name) => write!(f, "channel `{name}` already exists"),
-            AppiaError::UnknownEventType(name) => write!(f, "unknown event type `{name}`"),
+            AppiaError::UnknownEventType(tag) => write!(f, "unknown event type tag {tag:#06x}"),
             AppiaError::InvalidComposition(reason) => write!(f, "invalid composition: {reason}"),
             AppiaError::Config(reason) => write!(f, "configuration error: {reason}"),
             AppiaError::Wire(err) => write!(f, "wire error: {err}"),
@@ -67,8 +67,8 @@ mod tests {
             "channel `data` already exists"
         );
         assert_eq!(
-            AppiaError::UnknownEventType("Foo".into()).to_string(),
-            "unknown event type `Foo`"
+            AppiaError::UnknownEventType(0x2a).to_string(),
+            "unknown event type tag 0x002a"
         );
     }
 

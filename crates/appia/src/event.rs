@@ -26,7 +26,7 @@ use std::fmt;
 
 use crate::message::Message;
 use crate::platform::{NodeId, PacketClass};
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
+use crate::wire::{narrow, Wire, WireError, WireReader, WireWriter};
 
 /// Direction of travel of an event inside a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,16 +145,16 @@ impl SendHeader {
 }
 
 /// Wire representation of a [`SendHeader`]. Only the information the remote
-/// side needs is serialised: the source and the accounting class. The
-/// destination is implicit in the packet addressing.
+/// side needs is serialised: the source, as a varint, and the accounting
+/// class. The destination is implicit in the packet addressing.
 impl Wire for SendHeader {
     fn encode(&self, w: &mut WireWriter) {
-        self.source.encode(w);
+        w.put_varint(self.source.into());
         self.class.encode(w);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let source = NodeId::decode(r)?;
+        let source = narrow(r.get_varint()?)?;
         let class = PacketClass::decode(r)?;
         Ok(Self {
             source,
@@ -178,10 +178,16 @@ pub trait Sendable: EventPayload {
     /// Mutable access to the carried message.
     fn message_mut(&mut self) -> &mut Message;
 
-    /// The name used to reconstruct the payload type on the receiving node.
+    /// The payload type's name, for logs and diagnostics; the wire carries
+    /// its [`Sendable::wire_tag`].
     fn wire_name(&self) -> &'static str {
         self.type_name()
     }
+
+    /// The 16-bit tag that stands for the payload type on the wire
+    /// ([`crate::registry::wire_tag`] of its name), by which the receiving
+    /// node finds the factory that rebuilds it.
+    fn wire_tag(&self) -> u16;
 }
 
 /// A typed event payload.
@@ -532,8 +538,11 @@ macro_rules! sendable_event {
         }
 
         impl $name {
-            /// Name used on the wire to reconstruct this payload type.
+            /// Name of this payload type, for logs and diagnostics.
             pub const WIRE_NAME: &'static str = stringify!($name);
+
+            /// Tag that stands for this payload type on the wire.
+            pub const WIRE_TAG: u16 = $crate::registry::wire_tag(Self::WIRE_NAME);
 
             /// Creates a new event payload with the given addressing.
             pub fn new(
@@ -638,6 +647,10 @@ macro_rules! sendable_event {
 
                 fn message_mut(&mut self) -> &mut $crate::message::Message {
                     &mut self.message
+                }
+
+                fn wire_tag(&self) -> u16 {
+                    Self::WIRE_TAG
                 }
             }
         };

@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
+use crate::wire::{varint_len, Wire, WireError, WireReader, WireWriter};
 
 /// Headers a message holds without a heap allocation. A catalogue stack
 /// pushes at most four (multicast, reliability, causal and total order);
@@ -134,10 +134,13 @@ impl Message {
     }
 
     /// Exact number of bytes [`Wire::encode`] writes for this message: the
-    /// header count, then every header and the payload behind a 4-byte
-    /// length prefix each.
+    /// header count as a varint, then every header and the payload behind a
+    /// varint length each.
     pub fn encoded_len(&self) -> usize {
-        4 + 4 * (self.headers.len() + 1) + self.size()
+        let field = |bytes: &Bytes| varint_len(bytes.len() as u64) + bytes.len();
+        varint_len(self.headers.len() as u64)
+            + self.headers.iter().map(field).sum::<usize>()
+            + field(&self.payload)
     }
 
     /// A copy of the message in one exactly-sized buffer of its own, headers
@@ -226,7 +229,7 @@ impl Message {
 
 impl Wire for Message {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.headers.len() as u32);
+        w.put_varint(self.headers.len() as u64);
         for header in self.headers.iter() {
             w.put_bytes(header);
         }
@@ -244,15 +247,16 @@ impl Wire for Message {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        // Every header costs at least a 4-byte length prefix, so a count
-        // larger than the remaining input is provably malformed. Rejecting
-        // it here also bounds the pre-allocation below: an adversarial
-        // count can make us reserve at most `remaining / 4` entries, i.e.
-        // no more memory than the attacker already paid for in input bytes.
-        if count > r.remaining() / 4 {
-            return Err(WireError::LengthOutOfRange(count as u64));
-        }
+        let count = r.get_varint()?;
+        // Every header costs at least its 1-byte length, so a count larger
+        // than the remaining input is provably malformed. Rejecting it here
+        // also bounds the pre-allocation below: an adversarial count can make
+        // us reserve at most `remaining` entries, i.e. no more memory than the
+        // attacker already paid for in input bytes.
+        let count = match usize::try_from(count) {
+            Ok(count) if count <= r.remaining() => count,
+            _ => return Err(WireError::LengthOutOfRange(count)),
+        };
         let mut headers = HeaderStack::default();
         headers.spill.reserve(count.saturating_sub(INLINE_HEADERS));
         for _ in 0..count {
@@ -434,25 +438,38 @@ mod tests {
 
     #[test]
     fn adversarial_header_counts_are_rejected_before_preallocation() {
-        // A forged count claiming ~4 billion headers followed by almost no
-        // actual data must fail fast without reserving memory for them.
-        let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        w.put_bytes(b"tiny");
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert!(matches!(
-            Message::decode(&mut r),
-            Err(WireError::LengthOutOfRange(_))
-        ));
+        // A forged count claiming ~4 billion headers (or the widest a varint
+        // holds) followed by almost no actual data must fail fast without
+        // reserving memory for them.
+        for forged in [u64::from(u32::MAX), u64::MAX] {
+            let mut w = WireWriter::new();
+            w.put_varint(forged);
+            w.put_bytes(b"tiny");
+            let bytes = w.finish();
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(
+                Message::decode(&mut r),
+                Err(WireError::LengthOutOfRange(forged))
+            );
+        }
 
-        // Same for a count that merely exceeds what the input could hold.
+        // A count one past what the input could hold (every header costs at
+        // least its 1-byte length) is rejected at the count, too.
         let mut w = WireWriter::new();
-        w.put_u32(3); // claims 3 headers...
-        w.put_bytes(b""); // ...but only one fits
+        w.put_varint(3); // claims 3 headers...
+        w.put_bytes(b""); // ...but the input is 1 byte
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        assert!(Message::decode(&mut r).is_err());
+        assert_eq!(Message::decode(&mut r), Err(WireError::LengthOutOfRange(3)));
+
+        // A count the input could hold but does not is a plain truncation.
+        let mut w = WireWriter::new();
+        w.put_varint(2); // claims 2 headers...
+        w.put_bytes(b"");
+        w.put_bytes(b""); // ...and brings them, but no payload
+        let bytes = w.finish();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(Message::decode(&mut r), Err(WireError::UnexpectedEof));
     }
 
     #[test]

@@ -70,10 +70,36 @@ impl std::fmt::Debug for LayerRegistry {
 /// typed payload.
 pub type EventFactory = fn(SendHeader, Message) -> Box<dyn EventPayload>;
 
-/// Maps wire names of sendable event types to their factories.
+/// The 16-bit tag a packet carries in place of its event type's name: the
+/// 32-bit FNV-1a hash of the name, its two halves folded together by XOR.
+/// `sendable_event!` evaluates it at compile time (`WIRE_TAG`), and
+/// [`EventFactoryRegistry::register`] refuses a second name with a tag
+/// already taken.
+pub const fn wire_tag(name: &str) -> u16 {
+    const FNV_OFFSET: u32 = 0x811c_9dc5;
+    const FNV_PRIME: u32 = 0x0100_0193;
+    let bytes = name.as_bytes();
+    let mut hash = FNV_OFFSET;
+    let mut at = 0;
+    while at < bytes.len() {
+        hash = (hash ^ bytes[at] as u32).wrapping_mul(FNV_PRIME);
+        at += 1;
+    }
+    ((hash >> 16) ^ (hash & 0xffff)) as u16
+}
+
+/// One registered sendable event type.
+struct FactoryEntry {
+    tag: u16,
+    name: &'static str,
+    factory: EventFactory,
+}
+
+/// Maps the wire tags of sendable event types to their names and factories:
+/// one table, sorted by tag, searched by tag on every received packet.
 #[derive(Default)]
 pub struct EventFactoryRegistry {
-    factories: HashMap<&'static str, EventFactory>,
+    entries: Vec<FactoryEntry>,
 }
 
 impl EventFactoryRegistry {
@@ -82,33 +108,59 @@ impl EventFactoryRegistry {
         Self::default()
     }
 
-    /// Registers a factory for the given wire name.
+    /// Registers a factory under the name's [`wire_tag`], replacing an
+    /// earlier registration of the same name.
+    ///
+    /// # Panics
+    ///
+    /// If a different name already holds the tag: packets of the two types
+    /// could not be told apart, so one of them must be renamed. Every
+    /// registration happens when a node is built, so a collision stops the
+    /// program before a single packet is sent.
     pub fn register(&mut self, name: &'static str, factory: EventFactory) {
-        self.factories.insert(name, factory);
+        let entry = FactoryEntry {
+            tag: wire_tag(name),
+            name,
+            factory,
+        };
+        let at = self
+            .entries
+            .binary_search_by_key(&entry.tag, |taken| taken.tag);
+        match at {
+            Ok(at) => {
+                let taken = &mut self.entries[at];
+                assert_eq!(
+                    taken.name, name,
+                    "event types `{}` and `{name}` share the wire tag {:#06x}; rename one",
+                    taken.name, entry.tag
+                );
+                *taken = entry;
+            }
+            Err(at) => self.entries.insert(at, entry),
+        }
     }
 
-    /// Whether a factory exists for the given wire name.
+    fn entry(&self, tag: u16) -> Option<&FactoryEntry> {
+        let at = self.entries.binary_search_by_key(&tag, |entry| entry.tag);
+        at.ok().and_then(|at| self.entries.get(at))
+    }
+
+    /// Whether a factory is registered under the given name.
     pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
+        self.entry(wire_tag(name))
+            .is_some_and(|entry| entry.name == name)
     }
 
-    /// Reconstructs a payload of the named type.
-    pub fn create(
-        &self,
-        name: &str,
-        header: SendHeader,
-        message: Message,
-    ) -> Result<Box<dyn EventPayload>> {
-        let factory = self
-            .factories
-            .get(name)
-            .ok_or_else(|| AppiaError::UnknownEventType(name.to_string()))?;
-        Ok(factory(header, message))
+    /// The factory registered under a wire tag.
+    pub fn factory(&self, tag: u16) -> Result<EventFactory> {
+        self.entry(tag)
+            .map(|entry| entry.factory)
+            .ok_or(AppiaError::UnknownEventType(tag))
     }
 
     /// Names of all registered event types, sorted.
     pub fn names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self.factories.keys().copied().collect();
+        let mut names: Vec<&'static str> = self.entries.iter().map(|entry| entry.name).collect();
         names.sort_unstable();
         names
     }
@@ -122,12 +174,12 @@ impl std::fmt::Debug for EventFactoryRegistry {
     }
 }
 
-/// Room for the wire name (length-prefixed) and the send header of a frame;
-/// event names in the suite stay well under 50 bytes.
-const ENVELOPE_RESERVE: usize = 64;
+/// Room for a frame's envelope: the 2-byte tag and the send header, a
+/// varint source (5 bytes at most) and the class byte.
+const ENVELOPE_RESERVE: usize = 8;
 
 /// Serialises a sendable event into the byte form carried by a packet:
-/// `[wire name][send header][message]`.
+/// `[wire tag][send header][message]`.
 pub fn encode_event(event: &dyn Sendable) -> Bytes {
     let mut w = WireWriter::with_capacity(ENVELOPE_RESERVE + event.message().encoded_len());
     encode_event_body(&mut w, event);
@@ -151,27 +203,27 @@ pub fn encode_event_into(scratch: &mut WireWriter, event: &dyn Sendable) -> Byte
 }
 
 fn encode_event_body(w: &mut WireWriter, event: &dyn Sendable) {
-    w.put_str(event.wire_name());
+    w.put_u16(event.wire_tag());
     event.header().encode(w);
     event.message().encode(w);
 }
 
 /// Decodes the byte form produced by [`encode_event`] back into a typed
-/// payload, using the factory registered for its wire name.
+/// payload, using the factory registered for its wire tag.
 ///
-/// Zero-copy: the wire name is matched in place and the message's headers
-/// and payload are slices of `payload`. The factory takes the payload's box
-/// from its type's free list, so nothing allocates unless that list is
-/// empty.
+/// Zero-copy: the tag is looked up in the registry's sorted table, with no
+/// string to hash or validate, and the message's headers and payload are
+/// slices of `payload`. The factory takes the payload's box from its type's
+/// free list, so nothing allocates unless that list is empty.
 pub fn decode_event(
     factories: &EventFactoryRegistry,
     payload: &Bytes,
 ) -> Result<Box<dyn EventPayload>> {
     let mut r = WireReader::over(payload);
-    let name = r.get_str_ref()?;
+    let tag = r.get_u16()?;
     let header = SendHeader::decode(&mut r)?;
     let message = Message::decode(&mut r)?;
-    factories.create(name, header, message)
+    Ok(factories.factory(tag)?(header, message))
 }
 
 #[cfg(test)]
@@ -207,7 +259,43 @@ mod tests {
         let event = DataEvent::to_group(NodeId(1), Message::new());
         let bytes = encode_event(&event);
         let err = decode_event(&factories, &bytes).unwrap_err();
-        assert!(matches!(err, AppiaError::UnknownEventType(name) if name == "DataEvent"));
+        assert_eq!(err, AppiaError::UnknownEventType(DataEvent::WIRE_TAG));
+        // The tag is the frame's first two bytes, and all that names the type.
+        assert_eq!(bytes.get(..2), Some(&DataEvent::WIRE_TAG.to_be_bytes()[..]));
+        assert!(!bytes.windows(9).any(|window| window == b"DataEvent"));
+    }
+
+    #[test]
+    fn wire_tags_fold_the_fnv1a_hash_of_the_name() {
+        // FNV-1a of the empty string is the offset basis, 0x811c9dc5.
+        assert_eq!(wire_tag(""), 0x811c ^ 0x9dc5);
+        // FNV-1a("a") = 0xe40c292c.
+        assert_eq!(wire_tag("a"), 0xe40c ^ 0x292c);
+        assert_eq!(DataEvent::WIRE_TAG, wire_tag("DataEvent"));
+    }
+
+    fn dummy_factory(header: SendHeader, message: Message) -> Box<dyn EventPayload> {
+        crate::event::EventPayload::boxed(DataEvent { header, message })
+    }
+
+    #[test]
+    fn registering_a_name_again_replaces_it() {
+        let mut factories = EventFactoryRegistry::new();
+        DataEvent::register(&mut factories);
+        factories.register("DataEvent", dummy_factory);
+        assert_eq!(factories.names(), vec!["DataEvent"]);
+        assert!(factories.factory(DataEvent::WIRE_TAG).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "share the wire tag")]
+    fn a_tag_collision_between_two_names_is_refused_at_registration() {
+        // Two names whose tags collide, found by search.
+        let (first, second) = ("Event90", "Event230");
+        assert_eq!(wire_tag(first), wire_tag(second));
+        let mut factories = EventFactoryRegistry::new();
+        factories.register(first, dummy_factory);
+        factories.register(second, dummy_factory);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! The format is intentionally simple:
 //!
 //! * fixed-width integers are encoded big-endian;
-//! * strings and byte slices are length-prefixed with a `u32`;
-//! * lists are length-prefixed with a `u32` element count.
+//! * strings and byte slices are length-prefixed with a LEB128 varint, so
+//!   a field under 128 bytes costs one byte of framing;
+//! * generic lists are length-prefixed with a `u32` element count.
 //!
 //! Member-indexed tables and per-message counters — the control plane's
-//! bytes — use the compact primitives instead: a LEB128 varint
+//! bytes — use the compact primitives: a LEB128 varint
 //! ([`WireWriter::put_varint`]), a zigzag offset from a base value
 //! ([`WireWriter::put_delta`]) and a varint list count that is checked
 //! against the bytes present before anything is allocated
@@ -182,7 +183,11 @@ impl WireWriter {
     /// Appends a LEB128 varint: seven value bits per byte, least significant
     /// group first, 1 byte below 128 and at most 10.
     pub fn put_varint(&mut self, value: u64) {
-        self.put_leb128(Leb128::default().with(u128::from(value)));
+        // Lengths, counts and ids are nearly always one byte.
+        match u8::try_from(value) {
+            Ok(byte) if byte < 0x80 => self.buf.put_u8(byte),
+            _ => self.put_leb128(Leb128::default().with(u128::from(value))),
+        }
     }
 
     /// Appends `value` as its zigzag offset from `base` (0, −1, +1, −2, … →
@@ -242,9 +247,10 @@ impl WireWriter {
             .put_slice(staged.bytes.get(..staged.len).unwrap_or_default());
     }
 
-    /// Appends a length-prefixed byte slice.
+    /// Appends a byte slice behind its length as a varint
+    /// ([`varint_len`] bytes of framing).
     pub fn put_bytes(&mut self, value: &[u8]) {
-        self.put_u32(value.len() as u32);
+        self.put_varint(value.len() as u64);
         self.buf.put_slice(value);
     }
 
@@ -253,7 +259,7 @@ impl WireWriter {
         self.buf.put_slice(encoded);
     }
 
-    /// Appends a length-prefixed UTF-8 string.
+    /// Appends a UTF-8 string behind its length as a varint.
     pub fn put_str(&mut self, value: &str) {
         self.put_bytes(value.as_bytes());
     }
@@ -282,6 +288,17 @@ impl WireWriter {
     /// Finalises the writer and returns the encoded bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+}
+
+/// Bytes [`WireWriter::put_varint`] writes for `value`: 1 below 128, one
+/// more per further seven bits, 10 at most.
+pub const fn varint_len(value: u64) -> usize {
+    let bits = 64 - value.leading_zeros() as usize;
+    if bits == 0 {
+        1
+    } else {
+        bits.div_ceil(7)
     }
 }
 
@@ -591,17 +608,19 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Reads a length-prefixed byte field, borrowed from the input.
+    /// Reads a varint-length-prefixed byte field, borrowed from the input.
+    /// A length above [`MAX_FIELD_LEN`] is rejected before anything is
+    /// taken.
     pub fn get_bytes_ref(&mut self) -> Result<&'a [u8], WireError> {
-        let len = u64::from(self.get_u32()?);
+        let len = self.get_varint()?;
         if len > MAX_FIELD_LEN {
             return Err(WireError::LengthOutOfRange(len));
         }
         self.take(len as usize)
     }
 
-    /// Reads a length-prefixed byte field: a slice of the backing buffer when
-    /// the reader has one, a fresh copy otherwise.
+    /// Reads a varint-length-prefixed byte field: a slice of the backing
+    /// buffer when the reader has one, a fresh copy otherwise.
     pub fn get_bytes(&mut self) -> Result<Bytes, WireError> {
         let field = self.get_bytes_ref()?;
         Ok(match self.backing {
@@ -611,12 +630,12 @@ impl<'a> WireReader<'a> {
         })
     }
 
-    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    /// Reads a varint-length-prefixed UTF-8 string, borrowed from the input.
     pub fn get_str_ref(&mut self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.get_bytes_ref()?).map_err(|_| WireError::InvalidUtf8)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a varint-length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
         self.get_str_ref().map(str::to_owned)
     }
@@ -809,14 +828,43 @@ mod tests {
 
     #[test]
     fn corrupted_length_prefix_is_rejected() {
-        let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert!(matches!(
-            r.get_bytes().unwrap_err(),
-            WireError::LengthOutOfRange(_)
-        ));
+        // A varint length one past the sanity limit, and the widest one a
+        // varint holds, are out of range before any byte is taken.
+        for len in [MAX_FIELD_LEN + 1, u64::MAX] {
+            let mut w = WireWriter::new();
+            w.put_varint(len);
+            w.put_raw(&[0; 16]);
+            let bytes = w.finish();
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(r.get_bytes().unwrap_err(), WireError::LengthOutOfRange(len));
+            assert_eq!(r.remaining(), 16, "nothing of the field was taken");
+        }
+        // A varint whose tenth byte still says "more follows" is eleven
+        // bytes or longer, which no writer produces.
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0x01);
+        assert_eq!(
+            WireReader::new(&eleven).get_bytes().unwrap_err(),
+            WireError::Malformed("varint longer than 10 bytes")
+        );
+    }
+
+    #[test]
+    fn varint_len_matches_what_put_varint_writes() {
+        for value in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut w = WireWriter::new();
+            w.put_varint(value);
+            assert_eq!(varint_len(value), w.len(), "{value}");
+        }
     }
 
     #[test]

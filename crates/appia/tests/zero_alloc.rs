@@ -293,8 +293,8 @@ fn upward_delivery_path_is_allocation_free() {
     );
 }
 
-/// The receive path decodes a packet by slicing it: the wire name is matched
-/// in place, the four layer headers and the payload are views of the packet
+/// The receive path decodes a packet by slicing it: the 16-bit event tag is
+/// looked up in the registry's sorted table, the four layer headers and the payload are views of the packet
 /// buffer, and the header stack lives inline in the message. The typed
 /// event's box is the one the previous packet's event gave back to
 /// `DataEvent`'s free list when the sink dropped it.
@@ -345,6 +345,72 @@ fn steady_state_packet_receive_allocates_only_the_event_box() {
         "the delivered payload {:?} is a view of the packet buffer {packet_buffer:?}, not a copy",
         platform.last_payload
     );
+}
+
+/// A frame with a hostile length field is refused on the field, before the
+/// decoder reserves or copies anything: a varint length past
+/// `MAX_FIELD_LEN`, a header count past the bytes present, an 11-byte varint
+/// and an unknown event tag all fail without one allocation.
+#[test]
+fn hostile_frames_are_rejected_without_allocating() {
+    use morpheus_appia::error::AppiaError;
+    use morpheus_appia::registry::{decode_event, EventFactoryRegistry};
+    use morpheus_appia::wire::{WireError, WireWriter, MAX_FIELD_LEN};
+
+    let mut factories = EventFactoryRegistry::new();
+    DataEvent::register(&mut factories);
+    // Tag, then a send header (source 2, data class).
+    let frame = |tag: u16, rest: &dyn Fn(&mut WireWriter)| {
+        let mut w = WireWriter::new();
+        w.put_u16(tag);
+        w.put_varint(2);
+        w.put_u8(0);
+        rest(&mut w);
+        w.put_raw(&[0; 32]);
+        w.finish()
+    };
+    let over_long_header = frame(DataEvent::WIRE_TAG, &|w| {
+        w.put_varint(1);
+        w.put_varint(MAX_FIELD_LEN + 1);
+    });
+    let forged_count = frame(DataEvent::WIRE_TAG, &|w| w.put_varint(u64::from(u32::MAX)));
+    let eleven_byte_payload_length = frame(DataEvent::WIRE_TAG, &|w| {
+        w.put_varint(0);
+        w.put_raw(&[0x80; 10]);
+        w.put_u8(0x01);
+    });
+    let unknown_tag = frame(DataEvent::WIRE_TAG.wrapping_add(1), &|w| {
+        w.put_varint(0);
+        w.put_varint(0);
+    });
+
+    let before = allocations();
+    let results = [
+        decode_event(&factories, &over_long_header).map(drop),
+        decode_event(&factories, &forged_count).map(drop),
+        decode_event(&factories, &eleven_byte_payload_length).map(drop),
+        decode_event(&factories, &unknown_tag).map(drop),
+    ];
+    let after = allocations();
+
+    assert_eq!(
+        results,
+        [
+            Err(AppiaError::Wire(WireError::LengthOutOfRange(
+                MAX_FIELD_LEN + 1
+            ))),
+            Err(AppiaError::Wire(WireError::LengthOutOfRange(u64::from(
+                u32::MAX
+            )))),
+            Err(AppiaError::Wire(WireError::Malformed(
+                "varint longer than 10 bytes"
+            ))),
+            Err(AppiaError::UnknownEventType(
+                DataEvent::WIRE_TAG.wrapping_add(1)
+            )),
+        ]
+    );
+    assert_eq!(after - before, 0, "rejecting hostile frames allocated");
 }
 
 internal_event! {

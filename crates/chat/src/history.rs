@@ -108,10 +108,10 @@ impl StateSection for ChatHistorySection {
         let Ok(count) = r.get_u32() else {
             return false;
         };
-        // A chat message encodes to at least 16 bytes (three length-prefixed
-        // strings plus the sequence number); reject adversarial counts
-        // before allocating.
-        if count as usize > r.remaining() / 16 {
+        // A chat message encodes to at least 11 bytes (three strings' varint
+        // lengths plus the 8-byte sequence number); reject adversarial
+        // counts before allocating.
+        if count as usize > r.remaining() / 11 {
             return false;
         }
         for _ in 0..count {
@@ -262,5 +262,20 @@ mod tests {
             !section.install(&w.finish()),
             "adversarial count rejected before allocation"
         );
+    }
+
+    /// The count bound is the smallest message's size: three empty strings
+    /// (a 1-byte varint length each) and the sequence number.
+    #[test]
+    fn a_history_of_minimum_size_messages_installs() {
+        let donor = RoomHistory::new();
+        for seq in 1..=5 {
+            donor.record(ChatMessage::new("", "", seq, ""));
+        }
+        let exported = ChatHistorySection::new(donor).export();
+        assert_eq!(exported.len(), 4 + 5 * 11);
+        let rejoiner = RoomHistory::new();
+        assert!(ChatHistorySection::new(rejoiner.clone()).install(&exported));
+        assert_eq!(rejoiner.len(), 5);
     }
 }

@@ -2,10 +2,13 @@
 //! leg of the CI `miri` job, beside the `appia` and `groupcomm` ones. No
 //! clocks, no threads, no simulator: encode/decode only.
 
+use morpheus_appia::event::Dest;
+use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
+use morpheus_appia::registry::encode_event;
 use morpheus_appia::wire::{Wire, WireWriter};
 use morpheus_cocaditem::{
-    BatchBody, ContextKey, ContextSnapshot, ContextValue, DigestBody, PullBody,
+    BatchBody, ContextDigest, ContextKey, ContextSnapshot, ContextValue, DigestBody, PullBody,
 };
 
 #[cfg(miri)]
@@ -134,4 +137,17 @@ fn batches_roundtrip_and_reject_overstated_counts() {
 fn a_group_digest_fits_its_byte_budget() {
     let digest = group_digest(30_000, 2_000);
     assert!(digest.to_bytes().len() <= 3 * GROUP as usize + 4);
+}
+
+/// The whole digest packet: the body plus at most 9 bytes of frame (the
+/// event tag, a varint source, the class byte and three varint lengths) —
+/// 34 with the name string and fixed-width `u32` fields it replaced.
+#[test]
+fn a_group_digest_packet_fits_its_byte_budget() {
+    let digest = group_digest(30_000, 2_000);
+    let body = digest.to_bytes().len();
+    let mut message = Message::new();
+    message.push(&digest);
+    let packet = encode_event(&ContextDigest::new(NodeId(GROUP - 1), Dest::Group, message));
+    assert!(packet.len() <= body + 9);
 }

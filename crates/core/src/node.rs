@@ -458,6 +458,66 @@ mod tests {
         options
     }
 
+    /// A packet names its event type by a 16-bit hash of the type's name,
+    /// so two types of any crate must not share one. Registration refuses a
+    /// collision; this pins that a node registers every sendable type of
+    /// `appia`, `groupcomm`, `cocaditem` and `core`, and that their tags are
+    /// pairwise distinct.
+    #[test]
+    fn every_sendable_event_of_every_crate_has_a_distinct_wire_tag() {
+        use morpheus_appia::registry::wire_tag;
+        use morpheus_cocaditem::{ContextBatch, ContextDigest, ContextPull};
+        use morpheus_groupcomm::events::{
+            FecParity, FlushAck, GossipBatch, GossipRepairDigest, GossipRepairFloor,
+            GossipRepairPull, GossipRepairPush, JoinRequest, NackRequest, OrderInfo, StaleBallot,
+            ViewCommit, ViewPrepare,
+        };
+        use morpheus_groupcomm::recovery::{StateChunk, StateRequest};
+
+        use crate::control::ReconfigCommand;
+
+        let mut every_type = vec![
+            (DataEvent::WIRE_NAME, DataEvent::WIRE_TAG),
+            (Heartbeat::WIRE_NAME, Heartbeat::WIRE_TAG),
+            (NackRequest::WIRE_NAME, NackRequest::WIRE_TAG),
+            (GossipRepairDigest::WIRE_NAME, GossipRepairDigest::WIRE_TAG),
+            (GossipRepairPull::WIRE_NAME, GossipRepairPull::WIRE_TAG),
+            (GossipRepairPush::WIRE_NAME, GossipRepairPush::WIRE_TAG),
+            (GossipRepairFloor::WIRE_NAME, GossipRepairFloor::WIRE_TAG),
+            (GossipBatch::WIRE_NAME, GossipBatch::WIRE_TAG),
+            (ViewPrepare::WIRE_NAME, ViewPrepare::WIRE_TAG),
+            (FlushAck::WIRE_NAME, FlushAck::WIRE_TAG),
+            (ViewCommit::WIRE_NAME, ViewCommit::WIRE_TAG),
+            (JoinRequest::WIRE_NAME, JoinRequest::WIRE_TAG),
+            (StaleBallot::WIRE_NAME, StaleBallot::WIRE_TAG),
+            (StateRequest::WIRE_NAME, StateRequest::WIRE_TAG),
+            (StateChunk::WIRE_NAME, StateChunk::WIRE_TAG),
+            (FecParity::WIRE_NAME, FecParity::WIRE_TAG),
+            (OrderInfo::WIRE_NAME, OrderInfo::WIRE_TAG),
+            (ContextPublish::WIRE_NAME, ContextPublish::WIRE_TAG),
+            (ContextDigest::WIRE_NAME, ContextDigest::WIRE_TAG),
+            (ContextPull::WIRE_NAME, ContextPull::WIRE_TAG),
+            (ContextBatch::WIRE_NAME, ContextBatch::WIRE_TAG),
+            (ReconfigCommand::WIRE_NAME, ReconfigCommand::WIRE_TAG),
+            (ReconfigAck::WIRE_NAME, ReconfigAck::WIRE_TAG),
+        ];
+        every_type.sort_unstable();
+
+        let mut platform = TestPlatform::new(NodeId(0));
+        let node = MorpheusNode::new(NodeOptions::new(members(3)), &mut platform).unwrap();
+        let registered = node.kernel.events().names();
+        let names: Vec<&str> = every_type.iter().map(|(name, _)| *name).collect();
+        assert_eq!(registered, names, "a node registers every sendable type");
+
+        let tags: std::collections::BTreeSet<u16> =
+            every_type.iter().map(|(_, tag)| *tag).collect();
+        assert_eq!(tags.len(), every_type.len(), "wire tags collide");
+        for (name, tag) in every_type {
+            assert_eq!(wire_tag(name), tag, "{name}");
+            assert!(node.kernel.events().factory(tag).is_ok(), "{name}");
+        }
+    }
+
     #[test]
     fn node_starts_with_data_and_control_channels() {
         let mut platform = TestPlatform::new(NodeId(0));

@@ -2424,6 +2424,29 @@ mod tests {
         );
     }
 
+    /// The smallest entry a batch can carry is 6 bytes: a gossip header of
+    /// four 1-byte varints and an empty message (a zero header count and a
+    /// zero payload length). A full batch of them is exactly as long as the
+    /// decoder's per-entry bound allows, and must still decode.
+    #[test]
+    fn a_full_batch_of_minimum_size_entries_round_trips() {
+        let zero = GossipHeader {
+            origin: NodeId(0),
+            inc: 0,
+            seq: 0,
+            ttl: 0,
+        };
+        let body = GossipBatchBody {
+            entries: vec![(zero, Message::new()); BATCH_MAX],
+        };
+        let bytes = body.to_bytes();
+        assert_eq!(bytes.len(), 1 + 6 * BATCH_MAX);
+        let mut entries = Vec::new();
+        GossipBatchBody::decode_into(&bytes, &mut entries).unwrap();
+        assert_eq!(entries, body.entries);
+        assert_eq!(GossipBatchBody::from_bytes(&bytes).unwrap(), body);
+    }
+
     /// Batch decoding is all or nothing, and the decoded entries — slices
     /// of the packet — never stay in the session: the scratch they decode
     /// into is empty again once the batch is handled, delivered or not.

@@ -421,9 +421,10 @@ impl GossipBatchBody {
         r: &mut WireReader<'_>,
         entries: &mut Vec<(GossipHeader, Message)>,
     ) -> Result<(), WireError> {
-        // Every entry occupies at least 12 wire bytes: a gossip header's four
-        // varints plus an empty message's two length prefixes.
-        let count = r.get_count(12)?;
+        // Every entry occupies at least 6 wire bytes: a gossip header's four
+        // varints plus an empty message's two (its header count and its
+        // payload length).
+        let count = r.get_count(6)?;
         entries.reserve(count);
         for _ in 0..count {
             let header = GossipHeader::decode(r)?;

@@ -4,9 +4,13 @@
 //! against adversarial truncations at acceptable cost.
 
 use bytes::Bytes;
+use morpheus_appia::event::{Dest, Sendable};
+use morpheus_appia::events::DataEvent;
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
+use morpheus_appia::registry::{decode_event, encode_event, EventFactoryRegistry};
 use morpheus_appia::wire::{Wire, WireReader, WireWriter};
+use morpheus_groupcomm::events::{GossipBatch, GossipRepairDigest, Heartbeat};
 use morpheus_groupcomm::headers::{
     CausalHeader, FecParityHeader, FlushBody, GossipBatchBody, GossipHeader, LivenessDigest,
     McastHeader, McastMode, NackHeader, OrderHeader, RepairDigest, RepairFloorBody, RepairPull,
@@ -392,4 +396,120 @@ fn unknown_mode_tag_is_rejected() {
     let mut corrupted = bytes.to_vec();
     corrupted[0] = 0xFF;
     assert!(McastHeader::from_bytes(&corrupted).is_err());
+}
+
+/// Sample events of the packet kinds the large workloads send most, each
+/// carrying the header its layer pushes.
+fn sample_events() -> Vec<Box<dyn Sendable>> {
+    let to = Dest::Node(NodeId(1));
+    let mut batch = Message::new();
+    batch.push(&GossipBatchBody {
+        entries: batch_entries(),
+    });
+    let mut liveness = Message::new();
+    liveness.push(&LivenessDigest {
+        entries: group_table(7_200, 8),
+    });
+    let mut repair = Message::new();
+    repair.push(&RepairDigest {
+        credit: 128,
+        entries: vec![RepairRange {
+            origin: NodeId(3),
+            inc: 120_000,
+            lo: 40,
+            hi: 52,
+        }],
+    });
+    let mut data = Message::with_payload(vec![b'd'; 40]);
+    data.push(&SeqHeader { seq: 9 });
+    vec![
+        Box::new(GossipBatch::new(NodeId(199), to.clone(), batch)),
+        Box::new(Heartbeat::new(NodeId(199), to.clone(), liveness)),
+        Box::new(GossipRepairDigest::new(NodeId(4), to.clone(), repair)),
+        Box::new(DataEvent::new(NodeId(0), to, data)),
+    ]
+}
+
+fn sample_factories() -> EventFactoryRegistry {
+    let mut factories = EventFactoryRegistry::new();
+    DataEvent::register(&mut factories);
+    GossipBatch::register(&mut factories);
+    Heartbeat::register(&mut factories);
+    GossipRepairDigest::register(&mut factories);
+    factories
+}
+
+/// Decodes a whole packet and, if that succeeds, the header its layer
+/// would pop: either step may fail, neither may panic.
+fn decode_packet(factories: &EventFactoryRegistry, packet: &Bytes) -> bool {
+    let Ok(event) = decode_event(factories, packet) else {
+        return false;
+    };
+    let Some(sendable) = event.as_sendable() else {
+        return false;
+    };
+    let mut message = sendable.message().clone();
+    let Some(header) = message.pop_header() else {
+        return true;
+    };
+    match sendable.wire_name() {
+        "GossipBatch" => GossipBatchBody::decode_into(&header, &mut Vec::new()).is_ok(),
+        "Heartbeat" => LivenessDigest::decode_into(&header, &mut Vec::new()).is_ok(),
+        "GossipRepairDigest" => RepairDigest::decode_into(&header, &mut Vec::new()).is_ok(),
+        _ => SeqHeader::from_shared(&header).is_ok(),
+    }
+}
+
+/// Whole packets — event tag, send header, message framing and the layer
+/// header inside — round-trip; every truncation is an error and every
+/// single-bit flip decodes to a value or an error, never a panic.
+#[test]
+fn whole_events_survive_truncation_and_bit_flips() {
+    let factories = sample_factories();
+    for event in sample_events() {
+        let packet = encode_event(event.as_ref());
+        let decoded = decode_event(&factories, &packet).unwrap();
+        let decoded = decoded.as_sendable().unwrap();
+        assert_eq!(decoded.wire_name(), event.wire_name());
+        assert_eq!(decoded.header().source, event.header().source);
+        assert_eq!(decoded.header().class, event.header().class);
+        assert_eq!(decoded.message(), event.message());
+        assert!(decode_packet(&factories, &packet));
+
+        for len in (0..packet.len()).step_by(TRUNCATION_STRIDE.max(1)) {
+            assert!(
+                decode_event(&factories, &packet.slice(..len)).is_err(),
+                "{}: truncation to {len} of {} bytes must not decode",
+                event.wire_name(),
+                packet.len()
+            );
+        }
+        for index in (0..packet.len()).step_by(TRUNCATION_STRIDE.max(1)) {
+            for bit in 0..8 {
+                let mut mutated = packet.to_vec();
+                mutated[index] ^= 1 << bit;
+                decode_packet(&factories, &Bytes::from(mutated));
+            }
+        }
+    }
+}
+
+/// The packet frame's own bytes — what a packet costs beyond its layer
+/// headers and payload — pinned where `cargo test` sees them: a 2-byte
+/// event tag, a varint source, the class byte and a varint before the
+/// header count, each header and the payload.
+#[test]
+fn the_packet_frame_fits_its_byte_budget() {
+    for event in sample_events() {
+        let packet = encode_event(event.as_ref());
+        let frame = packet.len() - event.message().size();
+        // With the name string and fixed-width `u32` fields:
+        // 4 + name + 4 + 1 + 4 + 4 per header + 4, i.e. 30 bytes and up.
+        assert!(
+            frame <= 9,
+            "{}: {frame} bytes of framing around {} bytes",
+            event.wire_name(),
+            event.message().size()
+        );
+    }
 }

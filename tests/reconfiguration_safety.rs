@@ -221,3 +221,45 @@ fn a_crashed_member_does_not_wedge_an_in_flight_round() {
     }
     assert_eq!(report.total_app_deliveries(), 150 * 3);
 }
+
+/// A sender whose `ReconfigCommand` is lost keeps sending on the old stack
+/// until the coordinator's retransmit reaches it. At seed 2945101225 of the
+/// benchmark's `quiet_restart` group (200 members, 10 % control loss), node
+/// 1 misses the command that moves the group from `best-effort` to
+/// `gossip-f3` at 8,004 ms and switches at 8,304 ms. Its chat message of
+/// 8,200 ms leaves as 199 best-effort `DataEvent`s: the 185 members already
+/// on gossip drop them (a gossip stack only takes pushes in a
+/// `GossipBatch`), and the message never enters node 1's gossip repair log,
+/// so no repair pass brings it back. The 14 members still on `best-effort`
+/// deliver it. The benchmark counts 184 lost pairs: node 199 crashes too
+/// soon after the send to be owed it. Ignored until a member that missed
+/// the command cannot send on the old stack past the switch.
+#[test]
+#[ignore = "reproduces a known loss; run: cargo test --release --test reconfiguration_safety -- --ignored a_sender_that_misses_the_reconfiguration_command_still_reaches_every_member"]
+fn a_sender_that_misses_the_reconfiguration_command_still_reaches_every_member() {
+    let scenario = Scenario::member_restart(200, 0.1).with_seed(2945101225);
+    let mut binding = ChatHistoryBinding::new("icdcs");
+    Runner::new().run_with_binding(&scenario, &mut binding);
+
+    let restarting = NodeId(199);
+    let sent = scenario
+        .workload
+        .seqs_sent_between(0, scenario.end_time_ms());
+    for receiver in (0..200).map(NodeId).filter(|node| *node != restarting) {
+        let history = binding.history(receiver).expect("every node has a history");
+        for sender in &scenario.workload.senders {
+            if *sender == receiver {
+                continue;
+            }
+            let name = ChatHistoryBinding::sender_name(*sender);
+            let missing: Vec<u64> = sent
+                .clone()
+                .filter(|seq| !history.contains("icdcs", &name, *seq))
+                .collect();
+            assert!(
+                missing.is_empty(),
+                "{receiver} never got {name}'s messages {missing:?}"
+            );
+        }
+    }
+}
