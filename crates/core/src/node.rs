@@ -411,7 +411,8 @@ mod tests {
             .collect()
     }
 
-    /// A digest-less heartbeat: proof of life of its sender, nothing more.
+    /// A heartbeat without a probe body: proof of life of its sender,
+    /// nothing more.
     fn heartbeat(from: u32, to: u32) -> InPacket {
         let beat = Heartbeat::new(NodeId(from), Dest::Node(NodeId(to)), Message::new());
         InPacket {
@@ -449,8 +450,8 @@ mod tests {
         node.apply_reconfiguration(request, platform).unwrap();
     }
 
-    /// Options for a three-member group whose failure detector suspects
-    /// after four 500 ms heartbeat intervals.
+    /// Options for a three-member group whose failure detector probes every
+    /// 500 ms and suspects after four intervals.
     fn fast_suspicion() -> NodeOptions {
         let mut options = NodeOptions::new(members(3));
         options.hb_interval_ms = 500;
@@ -795,8 +796,10 @@ mod tests {
     #[test]
     fn one_heartbeat_per_interval_leaves_the_node_across_data_stack_replacements() {
         // The control channel and every data stack hold one failure-detector
-        // session: one digest per interval to `fanout` = 3 peers, on the
-        // interval's beat, however often the data stack is replaced.
+        // session: one ping per interval, on the interval's beat, however
+        // often the data stack is replaced. Nobody answers here, so half an
+        // interval later the ping is retried and `fanout` = 3 peers are asked
+        // to ping for it.
         let mut platform = TestPlatform::new(NodeId(0));
         let mut node = MorpheusNode::new(NodeOptions::new(members(8)), &mut platform).unwrap();
         let interval = node.options.hb_interval_ms;
@@ -823,15 +826,18 @@ mod tests {
             }
         }
         assert_eq!(node.reconfigurations(), 3);
-        let expected: Vec<(u64, usize)> = (1..=6).map(|tick| (tick * interval, 3)).collect();
+        let expected: Vec<(u64, usize)> = (2..=12)
+            .map(|half| (half * interval / 2, if half % 2 == 0 { 1 } else { 4 }))
+            .collect();
         assert_eq!(beats, expected);
     }
 
     #[test]
     fn a_member_silent_since_before_a_replacement_is_suspected_on_time() {
-        // Node 2 is silent from boot; the data stack is replaced halfway to
-        // its timeout. The replacement must not restart its suspicion clock:
-        // view synchrony proposes its removal at 2,000 ms, not 3,000.
+        // Node 2 is silent from boot; its first ping goes unanswered at
+        // 500 ms, and the data stack is replaced a quarter into its timeout.
+        // The replacement must not restart its suspicion clock: view
+        // synchrony proposes its removal at 2,500 ms, not 3,500.
         let mut platform = TestPlatform::new(NodeId(0));
         let mut node = MorpheusNode::new(fast_suspicion(), &mut platform).unwrap();
         let mut proposed_at = None;
@@ -846,7 +852,7 @@ mod tests {
                 proposed_at = Some(platform.now_ms);
             }
         }
-        assert_eq!(proposed_at, Some(2000));
+        assert_eq!(proposed_at, Some(2500));
     }
 
     #[test]
@@ -866,8 +872,9 @@ mod tests {
         node.kernel
             .dispatch_and_process(node.control_channel, Event::up(ack), &mut platform);
 
-        // Node 2, silent from boot, never acks: one suspicion at its timeout
-        // both proposes its removal and lets the round complete without it.
+        // Node 2, silent from boot, never acks: one suspicion, raised the
+        // timeout after its first unanswered ping, both proposes its removal
+        // and lets the round complete without it.
         let (mut proposed_at, mut completed) = (None, None);
         while completed.is_none() && platform.now_ms < 3000 {
             platform.advance(250);
@@ -888,10 +895,10 @@ mod tests {
         }
         assert_eq!(
             proposed_at,
-            Some(2000),
+            Some(2500),
             "view synchrony heard the suspicion"
         );
-        assert_eq!(completed, Some((2000, 2)), "Core's quorum dropped node 2");
+        assert_eq!(completed, Some((2500, 2)), "Core's quorum dropped node 2");
     }
 
     #[test]

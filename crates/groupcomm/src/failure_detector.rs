@@ -1,65 +1,58 @@
-//! A gossip-based failure detector.
+//! A SWIM failure detector (Das, Gupta, Motivala, DSN 2002) with
+//! Lifeguard's local health (Dadgar, Phillips, Currey, DSN-W 2018).
 //!
-//! Every `hb_interval_ms` the layer increments its own heartbeat counter and
-//! pushes a compact [`LivenessDigest`] — every member's highest known counter
-//! — to `fanout` random peers. Receivers merge entries that are newer than
-//! their own, so counters spread epidemically in `O(log n)` rounds while each
-//! node sends only `fanout` control messages per interval (instead of the
-//! `n - 1` of an all-to-all heartbeat multicast). Suspicion is derived from
-//! *digest age*: a member whose counter has not advanced (and that has not
-//! been heard from directly) for `suspect_timeout_ms` is suspected, and a
-//! [`Suspect`] event travels up the stack so the membership layer can propose
-//! a new view. When a suspected member's counter advances again, an [`Alive`]
-//! event heals the false suspicion.
+//! **Probing.** Every `hb_interval_ms` the layer pings one member, walking a
+//! shuffled round-robin of the installed view and passing over members heard
+//! from within the last period. Half a period later, with no ack, it pings
+//! again and asks `fanout` others to ping for it ([`ProbeKind::PingReq`]);
+//! the relayed ping and ack carry the prober's id and sequence number, so a
+//! helper keeps no state. With no ack by the period's end the member is
+//! *suspect* inside the layer, dated from the first ping; the next period
+//! pings it again, and only if that fails too does the suspicion spread. A
+//! node sends one ping a period and answers about one, at any group size.
 //!
-//! Because counter propagation takes roughly `log_fanout(n)` intervals,
-//! `suspect_timeout_ms` should be at least `(log_fanout(n) + 2)` heartbeat
-//! intervals for large groups.
+//! **Rumours.** A suspicion nobody refutes within `suspect_timeout_ms`
+//! raises [`Suspect`] and a *confirm* rumour, sent at once to the view's
+//! lowest live member (the coordinator that acts on it); a confirm raises
+//! [`Suspect`] wherever it arrives. Suspect, confirm and alive rumours ride
+//! on pings and acks, at most `RUMOUR_CAP` a packet, newest first but one
+//! naming the receiver first, each sent λ·⌈log₂(n+1)⌉ times
+//! (`RETRANSMIT_MULT`). A suspected member refutes with a higher
+//! incarnation. Any direct packet, or a higher incarnation, ends a suspicion
+//! and heals a raised one with [`Alive`]. The incarnation starts at
+//! `now / hb_interval_ms`, so a restart never looks older than its past.
 //!
-//! ## One liveness table per node
+//! **Local health.** A probe that fails while no member at all was heard
+//! from since its ping, or a refutation of its own suspicion, raises the
+//! node's health score; an acked probe lowers it. Suspicion timeouts stretch
+//! `1 + health`-fold, up to `HEALTH_CAP`.
 //!
-//! Generated stacks and the control channel declare the layer shared under
-//! one key ([`crate::suite::liveness_layer`]), so a node keeps one table, one
-//! tick timer and one digest stream however many channels hold the session
-//! and however often the data stack is replaced:
+//! **Isolation.** A node answers no probe from outside its installed view
+//! and takes no evidence from it. A node that has heard from no member for
+//! `suspect_timeout_ms` suspects all of them at once, without a rumour:
+//! that is how `recovery` notices an expulsion. A new view restarts that
+//! clock.
+//!
+//! **One liveness session per node.** Generated stacks and the control
+//! channel share the layer under one key ([`crate::suite::liveness_layer`]),
+//! so a node keeps one table, one tick timer and one probe stream however
+//! many channels hold the session and however often the data stack is
+//! replaced:
 //!
 //! * `Suspect` and `Alive` reach every channel holding the session
 //!   ([`EventContext::dispatch_to_holders`]) — view synchrony and recovery on
 //!   the data channel, Cocaditem and Core on the control channel;
 //! * the tick timer is re-armed on every `ChannelInit`, keeping its phase,
-//!   so the digests ride the holder initialised last: the control channel
-//!   from boot until the first data-stack replacement, the data channel
-//!   after it;
+//!   so the probes ride the holder initialised last;
 //! * a `ViewInstall` the layer sees is re-announced upward on every *other*
 //!   holder, once per view id — how the control plane learns the views view
 //!   synchrony installs on the data channel;
-//! * the "everyone is fresh" grace runs when the session is created, never
-//!   when a later holder is initialised: a replacement does not reset
-//!   suspicion ages.
+//! * any data packet from a member counts as word from it, and so does a
+//!   restarted member's `JoinRequest`;
+//! * the "everyone is fresh" grace runs when the session is created, not
+//!   when a later holder is initialised.
 //!
-//! ## The liveness table
-//!
-//! Every control packet the layer handles walks the table, so it is one
-//! `Vec` of 24-byte rows sorted by node id — no hash set or map per field.
-//! A row holds the node's highest known counter, when it last advanced (or
-//! the node was last heard from directly), and flags: member, has a
-//! counter, has been heard from, suspected.
-//!
-//! * A received digest is decoded into the session's scratch
-//!   ([`LivenessDigest::decode_into`]), all or nothing, and merged in one
-//!   pass: digests list ids in ascending order, and [`seek`] tries the row
-//!   after the previous hit before it falls back to a binary search, so a
-//!   row usually costs O(1). A digest row naming a member gives it a
-//!   counter (0 until one arrives), which this node then advertises.
-//! * The tick walks the table, already in id order, to build its digest,
-//!   and walks `members` — in view order, the order `Suspect` events are
-//!   raised in — for the suspicion scan.
-//! * A node heard from outside the view gets a row no digest carries. The
-//!   view that admits it keeps its last-heard time; any other view install
-//!   drops the row.
-//! * One row per id: a member listed twice rides a digest once. Views are
-//!   sorted and distinct ([`crate::view::View::new`]), and the boot
-//!   `members` parameter lists a scenario's distinct ids.
+//! The table is one `Vec` of rows sorted by node id, one per view member.
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
@@ -69,27 +62,34 @@ use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
 
-use crate::events::{Alive, Heartbeat, Suspect, ViewInstall};
-use crate::headers::LivenessDigest;
-use crate::sample::sample_peers_into;
-use crate::sorted::seek;
+use crate::events::{Alive, Heartbeat, JoinRequest, Suspect, ViewInstall};
+use crate::headers::{ProbeBody, ProbeKind, Rumour, RumourKind};
+use crate::sample::{sample_peers_into, shuffle_into};
 
 /// Registered name of the failure detector layer.
 pub const FD_LAYER: &str = "fd";
 
-/// Timer tag for the heartbeat/suspicion check.
+/// Timer tag of the half-period tick.
 const TICK_TAG: u32 = 1;
 
-/// The gossip failure detector layer.
+/// Rumours one packet carries at most.
+const RUMOUR_CAP: usize = 6;
+
+/// λ: each rumour is sent λ·⌈log₂(n+1)⌉ times.
+const RETRANSMIT_MULT: u32 = 2;
+
+/// Lifeguard's cap on the local health score.
+const HEALTH_CAP: u64 = 3;
+
+/// The SWIM failure detector layer.
 ///
 /// Parameters:
 ///
 /// * `members` — comma-separated initial group membership;
-/// * `hb_interval_ms` — gossip period (default 500 ms);
-/// * `suspect_timeout_ms` — digest-age threshold before suspicion
-///   (default 2000 ms);
-/// * `fanout` — random peers each digest is pushed to per interval
-///   (default 3, at least 1).
+/// * `hb_interval_ms` — probe period (default 500 ms);
+/// * `suspect_timeout_ms` — how long a suspicion may go unrefuted before
+///   [`Suspect`] is raised (default 2000 ms);
+/// * `fanout` — members asked to probe indirectly (default 3, at least 1).
 pub struct FailureDetectorLayer;
 
 impl Layer for FailureDetectorLayer {
@@ -100,6 +100,7 @@ impl Layer for FailureDetectorLayer {
     fn accepted_events(&self) -> Vec<EventSpec> {
         vec![
             EventSpec::of::<DataEvent>(),
+            EventSpec::of::<JoinRequest>(),
             EventSpec::of::<Heartbeat>(),
             EventSpec::of::<ChannelInit>(),
             EventSpec::of::<TimerExpired>(),
@@ -112,125 +113,116 @@ impl Layer for FailureDetectorLayer {
     }
 
     fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
-        let members = param_node_list(params, "members");
-        let mut rows: Vec<Row> = members.iter().map(|id| Row::new(*id, MEMBER)).collect();
-        rows.sort_unstable_by_key(|row| row.id);
-        rows.dedup_by_key(|row| row.id);
-        Box::new(FailureDetectorSession {
-            members,
-            rows,
+        let mut session = FailureDetectorSession {
+            members: param_node_list(params, "members"),
             hb_interval_ms: param_or(params, "hb_interval_ms", 500u64).max(10),
             suspect_timeout_ms: param_or(params, "suspect_timeout_ms", 2000u64).max(50),
             fanout: param_or(params, "fanout", 3usize).max(1),
-            next_tick_ms: None,
-            tick_timer: None,
-            relayed_view: None,
-            peers: Vec::new(),
-            digest: LivenessDigest::default(),
-        })
+            ..FailureDetectorSession::default()
+        };
+        session.install_members(0);
+        Box::new(session)
     }
 }
 
-/// Row flag: the node is a member of the installed view.
+/// Row flag: the member is in the view being installed.
 const MEMBER: u8 = 1;
-/// Row flag: `counter` is a heartbeat counter this node knows.
-const COUNTER: u8 = 1 << 1;
-/// Row flag: `last_heard` is set.
-const HEARD: u8 = 1 << 2;
-/// Row flag: the node is suspected.
-const SUSPECTED: u8 = 1 << 3;
+/// Row flag: the member failed a probe (or was rumoured to), and
+/// [`Suspect`] is raised unless the suspicion is refuted in time.
+const SUSPICION: u8 = 1 << 1;
+/// Row flag: [`Suspect`] was raised for the member.
+const SUSPECTED: u8 = 1 << 2;
 
-/// One row of the liveness table (24 bytes).
+/// One member's row of the liveness table.
 #[derive(Debug, Clone, Copy)]
 struct Row {
     id: NodeId,
-    /// [`MEMBER`], [`COUNTER`], [`HEARD`] and [`SUSPECTED`].
+    /// [`MEMBER`], [`SUSPICION`] and [`SUSPECTED`].
     flags: u8,
-    /// Highest known heartbeat counter; 0 until [`COUNTER`] is set.
-    counter: u64,
-    /// Local time at which the counter last advanced, or the node was last
-    /// heard from directly; 0 until [`HEARD`] is set.
+    /// The member's highest incarnation this node knows.
+    incarnation: u64,
+    /// When the member was last heard from directly (or acked a probe).
     last_heard: u64,
+    /// When the suspicion began; meaningful under [`SUSPICION`].
+    since: u64,
 }
 
-// Every node keeps a row per member: flags instead of `Option`s keep a row
-// at half the size.
-const _: () = assert!(std::mem::size_of::<Row>() == 24);
-
 impl Row {
-    fn new(id: NodeId, flags: u8) -> Self {
-        Self {
-            id,
-            flags,
-            counter: 0,
-            last_heard: 0,
-        }
-    }
-
-    /// Whether every flag of `mask` is set.
     fn has(&self, mask: u8) -> bool {
-        self.flags & mask == mask
+        self.flags & mask != 0
     }
+}
 
-    /// Records that the node was heard from at `now`, healing a false
-    /// suspicion.
-    fn heard(&mut self, now: u64, ctx: &mut EventContext<'_>) {
-        self.last_heard = now;
-        self.flags |= HEARD;
-        if self.has(SUSPECTED) {
-            self.flags &= !SUSPECTED;
-            // The suspicion was false: announce the recovery so upper layers
-            // (e.g. the Core control layer's ack quorum) can re-admit the node.
-            let node = self.id;
-            ctx.dispatch_to_holders(|_| Some(Event::up(Alive { node })));
-        }
-    }
+/// The probe of the current period.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    target: NodeId,
+    seq: u64,
+    sent_ms: u64,
+    acked: bool,
+}
+
+/// A rumour waiting to be piggybacked `sends_left` more times.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    rumour: Rumour,
+    sends_left: u32,
 }
 
 /// Session state of the failure detector.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FailureDetectorSession {
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    /// The liveness table, sorted by id: a row per member, plus a row per
-    /// node heard from (or, for the local node, ticked) outside the view,
-    /// which never enters a digest and is dropped by the next view install.
-    // bound: <= view size + the outsiders heard since the last view install, whose rows it drops.
+    /// A row per member, sorted by id.
+    // bound: rebuilt from `members` on every view install; <= view size.
     rows: Vec<Row>,
     hb_interval_ms: u64,
     suspect_timeout_ms: u64,
-    /// Digest push fan-out.
+    /// Members asked to probe indirectly.
     fanout: usize,
     /// When the next tick is due; `None` until the first `ChannelInit`.
     next_tick_ms: Option<u64>,
     /// The one live tick timer.
     tick_timer: Option<u64>,
+    /// Whether the next tick is the half-period ack deadline (else it
+    /// starts a period).
+    mid_period: bool,
     /// The last view id re-announced to the other holders.
     relayed_view: Option<u64>,
-    /// Scratch for the per-tick peer sample.
-    // bound: cleared on every tick; <= view size.
+    /// This node's incarnation.
+    incarnation: u64,
+    /// Lifeguard's local health score, `0..=HEALTH_CAP`.
+    health: u64,
+    /// When any member was last heard from directly.
+    last_heard_any: u64,
+    /// The shuffled round-robin of probe targets.
+    // bound: refilled from `members` at every lap; <= view size.
+    order: Vec<NodeId>,
+    /// The position of the next probe target in `order`.
+    next_in_order: usize,
+    probe: Option<Probe>,
+    /// A member this node just began to suspect: the next period's target.
+    reprobe: Option<NodeId>,
+    /// The last probe sequence number used.
+    seq: u64,
+    /// Rumours to piggyback, oldest first.
+    // bound: one per member at most (a newer rumour replaces it), dropped after its sends; <= view size.
+    rumours: Vec<Queued>,
+    /// Scratch for the indirect probers.
+    // bound: cleared on every draw; <= fanout.
     peers: Vec<NodeId>,
-    /// Scratch for the digest a tick sends and for each one received (the
-    /// tick and the merge never use it at the same time).
-    // bound: refilled on every tick (<= view size) and every heartbeat (<= the rows its packet holds).
-    digest: LivenessDigest,
+    /// Scratch for each probe received.
+    // bound: refilled on every heartbeat; <= the rumours its packet holds.
+    inbound: ProbeBody,
+    /// Scratch for each probe sent.
+    // bound: refilled on every send; <= RUMOUR_CAP rumours.
+    outbound: ProbeBody,
 }
 
 impl FailureDetectorSession {
-    /// The row of `id`, inserted without flags if the table has none.
-    fn row_mut(&mut self, id: NodeId) -> &mut Row {
-        let at = match self.rows.binary_search_by_key(&id, |row| row.id) {
-            Ok(at) => at,
-            Err(at) => {
-                self.rows.insert(at, Row::new(id, 0));
-                at
-            }
-        };
-        &mut self.rows[at]
-    }
-
-    fn heard_from(&mut self, node: NodeId, now: u64, ctx: &mut EventContext<'_>) {
-        self.row_mut(node).heard(now, ctx);
+    fn row(&self, id: NodeId) -> Option<usize> {
+        self.rows.binary_search_by_key(&id, |row| row.id).ok()
     }
 
     /// Arms the one tick timer for `due` on the current channel, cancelling
@@ -243,125 +235,351 @@ impl FailureDetectorSession {
         self.tick_timer = Some(ctx.set_timer(due.saturating_sub(ctx.now_ms()), TICK_TAG));
     }
 
-    /// Merges the digest decoded into `self.digest`, in one pass over it:
-    /// entries with a higher counter than the local view count as fresh
-    /// liveness evidence for that member. A member the digest names gets a
-    /// counter of its own (0 until one arrives), which this node's digests
-    /// then advertise.
-    fn merge_digest(&mut self, now: u64, ctx: &mut EventContext<'_>) {
-        let mut cursor = 0;
-        for (node, counter) in &self.digest.entries {
-            let Ok(at) = seek(&self.rows, &mut cursor, *node, |row| row.id) else {
-                continue;
-            };
-            let row = &mut self.rows[at];
-            if !row.has(MEMBER) {
-                continue;
-            }
-            row.flags |= COUNTER;
-            if *counter > row.counter {
-                row.counter = *counter;
-                row.heard(now, ctx);
-            }
-        }
-    }
-
     /// Makes the table match `members`: rows of nodes outside the view are
-    /// dropped, and a member without a last-heard time gets `now`. A member
-    /// heard from before it joined keeps that time.
+    /// dropped with their suspicions, and a new member starts unsuspected
+    /// and heard from at `now`.
     fn install_members(&mut self, now: u64) {
+        let kept = self.rows.len();
         for row in &mut self.rows {
             row.flags &= !MEMBER;
         }
-        let sorted = self.rows.len();
-        let mut appended = false;
-        let mut cursor = 0;
         for member in &self.members {
             let found = self
                 .rows
-                .get(..sorted)
-                .and_then(|rows| seek(rows, &mut cursor, *member, |row| row.id).ok());
+                .get(..kept)
+                .and_then(|rows| rows.binary_search_by_key(member, |row| row.id).ok());
             match found {
-                Some(at) => {
-                    let row = &mut self.rows[at];
-                    row.flags |= MEMBER;
-                    if !row.has(HEARD) {
-                        row.flags |= HEARD;
-                        row.last_heard = now;
-                    }
-                }
-                None => {
-                    let mut row = Row::new(*member, MEMBER | HEARD);
-                    row.last_heard = now;
-                    self.rows.push(row);
-                    appended = true;
-                }
+                Some(at) => self.rows[at].flags |= MEMBER,
+                None => self.rows.push(Row {
+                    id: *member,
+                    flags: MEMBER,
+                    incarnation: 0,
+                    last_heard: now,
+                    since: 0,
+                }),
             }
         }
         self.rows.retain(|row| row.has(MEMBER));
-        if appended {
-            self.rows.sort_unstable_by_key(|row| row.id);
-            self.rows.dedup_by_key(|row| row.id);
+        self.rows.sort_unstable_by_key(|row| row.id);
+        self.rows.dedup_by_key(|row| row.id);
+        // The next probe starts a fresh lap over the new view.
+        self.order.clear();
+        let rows = &self.rows;
+        let is_member = |id: NodeId| rows.binary_search_by_key(&id, |row| row.id).is_ok();
+        self.rumours.retain(|queued| is_member(queued.rumour.node));
+        self.probe = self.probe.filter(|probe| is_member(probe.target));
+        self.reprobe = self.reprobe.filter(|node| is_member(*node));
+    }
+
+    fn heard_from(&mut self, node: NodeId, now: u64, ctx: &mut EventContext<'_>) {
+        if let Some(at) = self.row(node) {
+            self.heard(at, now, ctx);
         }
     }
 
-    fn tick(&mut self, ctx: &mut EventContext<'_>) {
+    /// Direct evidence that the member of row `at` is alive: it ends a
+    /// suspicion of it, and this node stops spreading one.
+    fn heard(&mut self, at: usize, now: u64, ctx: &mut EventContext<'_>) {
+        self.rows[at].last_heard = now;
+        self.last_heard_any = now;
+        // A queued suspect or confirm rumour implies a suspicion here.
+        if self.rows[at].has(SUSPICION | SUSPECTED) {
+            let node = self.rows[at].id;
+            let kept = |queued: &Queued| queued.rumour.node != node;
+            self.rumours
+                .retain(|queued| kept(queued) || queued.rumour.kind == RumourKind::Alive);
+            self.clear_suspicion(at, ctx);
+        }
+    }
+
+    /// Ends a suspicion of row `at`'s member, healing a raised one with
+    /// [`Alive`] so upper layers (the Core control layer's ack quorum, view
+    /// synchrony's pending removals) can re-admit it.
+    fn clear_suspicion(&mut self, at: usize, ctx: &mut EventContext<'_>) {
+        let row = &mut self.rows[at];
+        let raised = row.has(SUSPECTED);
+        row.flags &= !(SUSPICION | SUSPECTED);
+        if raised {
+            let node = row.id;
+            ctx.dispatch_to_holders(|_| Some(Event::up(Alive { node })));
+        }
+    }
+
+    fn raise_suspect(&mut self, at: usize, ctx: &mut EventContext<'_>) {
+        let row = &mut self.rows[at];
+        row.flags = (row.flags & !SUSPICION) | SUSPECTED;
+        let node = row.id;
+        ctx.dispatch_to_holders(|_| Some(Event::up(Suspect { node })));
+    }
+
+    /// Queues a rumour for λ·⌈log₂(n+1)⌉ sends, replacing any about the
+    /// same node.
+    fn spread(&mut self, kind: RumourKind, node: NodeId, incarnation: u64) {
+        let n = self.members.len() as u64;
+        let sends_left = (RETRANSMIT_MULT * (n + 1).next_power_of_two().trailing_zeros()).max(1);
+        self.rumours.retain(|queued| queued.rumour.node != node);
+        let rumour = Rumour::new(kind, node, incarnation);
+        self.rumours.push(Queued { rumour, sends_left });
+    }
+
+    /// Sends one probe packet to `to`, with the rumours it carries.
+    fn send(
+        &mut self,
+        kind: ProbeKind,
+        to: NodeId,
+        seq: u64,
+        relay: Option<NodeId>,
+        ctx: &mut EventContext<'_>,
+    ) {
+        let body = &mut self.outbound;
+        body.kind = kind;
+        body.seq = seq;
+        body.incarnation = self.incarnation;
+        body.relay = relay;
+        body.rumours.clear();
+        // A suspicion of the receiver first: it can refute at once.
+        let mut rumours = self.rumours.iter_mut();
+        let first = rumours.find(|q| q.rumour.node == to && q.rumour.kind != RumourKind::Alive);
+        if let Some(queued) = first {
+            body.rumours.push(queued.rumour);
+            queued.sends_left -= 1;
+        }
+        for queued in self.rumours.iter_mut().rev() {
+            if body.rumours.len() == RUMOUR_CAP {
+                break;
+            }
+            if queued.rumour.node != to {
+                body.rumours.push(queued.rumour);
+                queued.sends_left -= 1;
+            }
+        }
+        self.rumours.retain(|queued| queued.sends_left > 0);
+        let mut message = Message::new();
+        message.push(&self.outbound);
         let local = ctx.node_id();
+        ctx.dispatch(Event::down(Heartbeat::new(local, Dest::Node(to), message)));
+    }
+
+    fn tick(&mut self, ctx: &mut EventContext<'_>) {
         let now = ctx.now_ms();
+        let half = self.hb_interval_ms / 2;
+        let next = if !self.mid_period {
+            self.end_probe();
+            self.start_probe(now, ctx);
+            now + half
+        } else {
+            if let Some(probe) = self.probe.filter(|probe| !probe.acked) {
+                // The ack is overdue: ping once more, and ask `fanout`
+                // others to ping on this node's behalf.
+                self.send(ProbeKind::Ping, probe.target, probe.seq, None, ctx);
+                let exclude = [ctx.node_id(), probe.target];
+                sample_peers_into(&self.members, &exclude, self.fanout, ctx, &mut self.peers);
+                for at in 0..self.peers.len() {
+                    let (helper, target) = (self.peers[at], Some(probe.target));
+                    self.send(ProbeKind::PingReq, helper, probe.seq, target, ctx);
+                }
+            }
+            now + self.hb_interval_ms - half
+        };
+        self.mid_period = !self.mid_period;
+        self.expire_suspicions(now, ctx);
+        self.arm_tick(next, ctx);
+    }
 
-        // Advance the local counter and push the digest. The counter is
-        // floored at the local tick count (`now / interval`) so it stays
-        // monotonic across a restart: a fresh kernel's session restarting
-        // from 1 would look *stale* to peers still holding the pre-restart
-        // counter, and the node would silently lose its third-party liveness
-        // evidence until the counter caught up. `merge_digest` lets any peer
-        // raise any entry, the local one included, so the step saturates: a
-        // digest naming this node at `u64::MAX` must not overflow the tick.
-        let tick_floor = now / self.hb_interval_ms;
-        let row = self.row_mut(local);
-        row.counter = row.counter.saturating_add(1).max(tick_floor);
-        row.last_heard = now;
-        row.flags |= COUNTER | HEARD;
-        sample_peers_into(&self.members, &[local], self.fanout, ctx, &mut self.peers);
-        if !self.peers.is_empty() {
-            // The table is in id order, so the digest needs no sort.
-            self.digest.entries.clear();
-            self.digest.entries.extend(
-                self.rows
-                    .iter()
-                    .filter(|row| row.has(MEMBER | COUNTER))
-                    .map(|row| (row.id, row.counter)),
-            );
-            let mut message = Message::new();
-            message.push(&self.digest);
-            ctx.dispatch(Event::down(Heartbeat::new(
-                local,
-                Dest::Nodes(self.peers.clone()),
-                message,
-            )));
+    /// Closes the period's probe: an ack lowers the health score. No ack
+    /// (and no word from the target since the ping) makes the target
+    /// suspect, and the next period pings it again. The suspicion spreads
+    /// only once that ping fails too: a lost ping and its lost retries stay
+    /// this node's business. Then the round-robin resumes.
+    fn end_probe(&mut self) {
+        let Some(probe) = self.probe.take() else {
+            return;
+        };
+        if probe.acked {
+            self.health = self.health.saturating_sub(1);
+            return;
         }
+        if self.last_heard_any < probe.sent_ms {
+            self.health = (self.health + 1).min(HEALTH_CAP);
+        }
+        let Some(at) = self.row(probe.target) else {
+            return;
+        };
+        let row = &mut self.rows[at];
+        if row.has(SUSPECTED) || row.last_heard >= probe.sent_ms {
+            return;
+        }
+        if row.has(SUSPICION) {
+            let (node, incarnation) = (row.id, row.incarnation);
+            self.spread(RumourKind::Suspect, node, incarnation);
+        } else {
+            row.flags |= SUSPICION;
+            row.since = probe.sent_ms;
+            self.reprobe = Some(probe.target);
+        }
+    }
 
-        // Raise suspicions for members whose counter went stale, in
-        // `members` order.
-        let mut cursor = 0;
-        for member in &self.members {
-            if *member == local {
+    fn start_probe(&mut self, now: u64, ctx: &mut EventContext<'_>) {
+        let Some(target) = self.reprobe.take().or_else(|| self.next_target(now, ctx)) else {
+            return;
+        };
+        self.seq += 1;
+        self.probe = Some(Probe {
+            target,
+            seq: self.seq,
+            sent_ms: now,
+            acked: false,
+        });
+        self.send(ProbeKind::Ping, target, self.seq, None, ctx);
+    }
+
+    /// The next member of the round-robin not heard from directly within
+    /// the last period, walking at most one lap.
+    fn next_target(&mut self, now: u64, ctx: &mut EventContext<'_>) -> Option<NodeId> {
+        let local = ctx.node_id();
+        for _ in 0..self.members.len() {
+            if self.next_in_order >= self.order.len() {
+                shuffle_into(&self.members, &[local], ctx, &mut self.order);
+                self.next_in_order = 0;
+            }
+            let candidate = *self.order.get(self.next_in_order)?;
+            self.next_in_order += 1;
+            let due = self.row(candidate).is_some_and(|at| {
+                now.saturating_sub(self.rows[at].last_heard) >= self.hb_interval_ms
+            });
+            if due {
+                return Some(candidate);
+            }
+        }
+        None
+    }
+
+    /// Raises [`Suspect`] for every suspicion older than the (health
+    /// stretched) timeout, and for every member once none was heard from for
+    /// `suspect_timeout_ms`.
+    fn expire_suspicions(&mut self, now: u64, ctx: &mut EventContext<'_>) {
+        let local = ctx.node_id();
+        let isolated = now.saturating_sub(self.last_heard_any) >= self.suspect_timeout_ms;
+        let timeout = self.suspect_timeout_ms * (1 + self.health);
+        let mut confirmed = false;
+        for at in 0..self.rows.len() {
+            let row = self.rows[at];
+            if row.id == local || row.has(SUSPECTED) {
                 continue;
             }
-            // Every member has a row (`install_members`).
-            let Ok(at) = seek(&self.rows, &mut cursor, *member, |row| row.id) else {
-                continue;
-            };
-            let row = &mut self.rows[at];
-            if row.has(SUSPECTED) || now.saturating_sub(row.last_heard) < self.suspect_timeout_ms {
-                continue;
+            if isolated {
+                self.raise_suspect(at, ctx);
+            } else if row.has(SUSPICION) && now.saturating_sub(row.since) >= timeout {
+                self.raise_suspect(at, ctx);
+                self.spread(RumourKind::Confirm, row.id, row.incarnation);
+                confirmed = true;
             }
-            row.flags |= SUSPECTED;
-            let node = *member;
-            ctx.dispatch_to_holders(|_| Some(Event::up(Suspect { node })));
         }
+        // The view's lowest live member coordinates the view change a
+        // confirm calls for: it gets the rumour at once, on a ping of its
+        // own, instead of when the epidemic reaches it.
+        let coordinator = self
+            .rows
+            .iter()
+            .find(|row| !row.has(SUSPECTED))
+            .map(|row| row.id);
+        if let Some(to) = coordinator.filter(|to| confirmed && *to != local) {
+            self.send(ProbeKind::Ping, to, 0, None, ctx);
+        }
+    }
 
-        self.arm_tick(now + self.hb_interval_ms, ctx);
+    /// Handles one probe packet from `source`; `header` is its body.
+    fn on_probe(&mut self, source: NodeId, header: Option<&[u8]>, ctx: &mut EventContext<'_>) {
+        let now = ctx.now_ms();
+        let Some(at) = self.row(source) else {
+            return;
+        };
+        // A packet whose body is missing or malformed proves its sender
+        // alive all the same.
+        self.heard(at, now, ctx);
+        let Some(header) = header else {
+            return;
+        };
+        if ProbeBody::decode_into(header, &mut self.inbound).is_err() {
+            return;
+        }
+        // The rumours first, so a refutation rides the reply. The sender's
+        // own incarnation is a rumour too: a restarted member's new one is
+        // news to spread on.
+        let mut rumours = std::mem::take(&mut self.inbound.rumours);
+        for rumour in rumours.drain(..) {
+            self.learn(rumour, now, ctx);
+        }
+        self.inbound.rumours = rumours;
+        let alive = Rumour::new(RumourKind::Alive, source, self.inbound.incarnation);
+        self.learn(alive, now, ctx);
+        let (seq, relay) = (self.inbound.seq, self.inbound.relay);
+        let relay_is_peer =
+            relay.is_some_and(|node| node != ctx.node_id() && self.row(node).is_some());
+        match (self.inbound.kind, relay) {
+            (ProbeKind::Ping, _) => self.send(ProbeKind::Ack, source, seq, relay, ctx),
+            (ProbeKind::PingReq, Some(target)) if relay_is_peer => {
+                self.send(ProbeKind::Ping, target, seq, Some(source), ctx);
+            }
+            // A relayed ping's answer: pass it on to the prober.
+            (ProbeKind::Ack, Some(prober)) if relay_is_peer => {
+                self.send(ProbeKind::Ack, prober, seq, None, ctx);
+            }
+            (ProbeKind::Ack, None) => {
+                if let Some(probe) = self.probe.as_mut().filter(|p| p.seq == seq && !p.acked) {
+                    probe.acked = true;
+                    let target = probe.target;
+                    self.heard_from(target, now, ctx);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Applies one rumour, and spreads it on if it was news.
+    fn learn(&mut self, rumour: Rumour, now: u64, ctx: &mut EventContext<'_>) {
+        if rumour.node == ctx.node_id() {
+            if rumour.kind != RumourKind::Alive && rumour.incarnation >= self.incarnation {
+                self.incarnation = rumour.incarnation.saturating_add(1);
+                self.health = (self.health + 1).min(HEALTH_CAP);
+                self.spread(RumourKind::Alive, rumour.node, self.incarnation);
+            }
+            return;
+        }
+        let Some(at) = self.row(rumour.node) else {
+            return;
+        };
+        let row = self.rows[at];
+        // Direct word from the member within the last period outranks a
+        // rumour that it failed.
+        let fresh = now.saturating_sub(row.last_heard) < self.hb_interval_ms;
+        let stale = rumour.incarnation < row.incarnation;
+        match rumour.kind {
+            RumourKind::Alive => {
+                if rumour.incarnation <= row.incarnation {
+                    return;
+                }
+                self.rows[at].incarnation = rumour.incarnation;
+                self.clear_suspicion(at, ctx);
+            }
+            RumourKind::Suspect => {
+                if stale || fresh || row.has(SUSPICION | SUSPECTED) {
+                    return;
+                }
+                let row = &mut self.rows[at];
+                row.incarnation = rumour.incarnation;
+                row.flags |= SUSPICION;
+                row.since = now;
+            }
+            RumourKind::Confirm => {
+                if stale || fresh || row.has(SUSPECTED) {
+                    return;
+                }
+                self.rows[at].incarnation = rumour.incarnation;
+                self.raise_suspect(at, ctx);
+            }
+        }
+        self.spread(rumour.kind, rumour.node, rumour.incarnation);
     }
 }
 
@@ -375,13 +593,18 @@ impl Session for FailureDetectorSession {
             let due = match self.next_tick_ms {
                 Some(due) => due,
                 None => {
-                    // The session is new: every member starts fresh.
+                    // The session is new: every member starts fresh, and
+                    // the incarnation outranks any earlier life's.
                     let now = ctx.now_ms();
                     for row in &mut self.rows {
-                        if row.has(MEMBER) {
-                            row.last_heard = now;
-                            row.flags |= HEARD;
-                        }
+                        row.last_heard = now;
+                    }
+                    self.last_heard_any = now;
+                    self.incarnation = now / self.hb_interval_ms;
+                    if self.incarnation > 0 {
+                        // A restart: members that suspected the previous
+                        // life learn of this one.
+                        self.spread(RumourKind::Alive, ctx.node_id(), self.incarnation);
                     }
                     now + self.hb_interval_ms
                 }
@@ -402,14 +625,13 @@ impl Session for FailureDetectorSession {
             return;
         }
         if let Some(install) = event.get::<ViewInstall>() {
+            let now = ctx.now_ms();
             self.members.clone_from(&install.view.members);
-            // Expelled members' rows go with the rest of their state: a
-            // member expelled and later re-admitted by a join must get a
-            // fresh grace period, not be instantly re-suspected off its
-            // stale pre-expulsion age.
-            self.install_members(ctx.now_ms());
+            self.install_members(now);
             if self.relayed_view != Some(install.view.id) {
                 self.relayed_view = Some(install.view.id);
+                // A new view is word from the group.
+                self.last_heard_any = now;
                 let here = ctx.channel_id();
                 let view = &install.view;
                 ctx.dispatch_to_holders(|channel| {
@@ -421,28 +643,23 @@ impl Session for FailureDetectorSession {
         }
         if event.is::<Heartbeat>() {
             if event.direction == Direction::Up {
-                let now = ctx.now_ms();
-                let Some(hb) = event.get_mut::<Heartbeat>() else {
-                    return;
-                };
-                let source = hb.header.source;
-                // A heartbeat whose digest is missing or malformed merges
-                // nothing; its sender is demonstrably alive all the same.
-                if let Some(header) = hb.message.pop_header() {
-                    if LivenessDigest::decode_into(&header, &mut self.digest.entries).is_ok() {
-                        self.merge_digest(now, ctx);
-                    }
+                if let Some(hb) = event.get_mut::<Heartbeat>() {
+                    let source = hb.header.source;
+                    let header = hb.message.pop_header();
+                    self.on_probe(source, header.as_deref(), ctx);
                 }
-                self.heard_from(source, now, ctx);
-                // Heartbeats are absorbed; they carry no application meaning.
+                // Probes are absorbed; they carry no application meaning.
                 return;
             }
             ctx.forward(event);
             return;
         }
         if event.direction == Direction::Up {
-            if let Some(data) = event.get_mut::<DataEvent>() {
-                let source = data.header.source;
+            // Data is word from its sender, and so is the join request a
+            // restarted member multicasts to the whole view.
+            let source = event.get::<DataEvent>().map(|data| data.header.source);
+            let source = source.or_else(|| event.get::<JoinRequest>().map(|j| j.header.source));
+            if let Some(source) = source {
                 self.heard_from(source, ctx.now_ms(), ctx);
             }
         }
@@ -457,604 +674,375 @@ mod tests {
     use morpheus_appia::wire::Wire;
 
     use super::*;
+    use crate::view::View;
 
-    fn fd_params(members: &[u32], interval: u64, timeout: u64) -> LayerParams {
+    /// Node 1's detector over `members`, created at `now`: a 100 ms period.
+    fn detector(members: &[u32], timeout: u64, now: u64) -> (Harness, TestPlatform) {
         let mut params = LayerParams::new();
-        params.insert(
-            "members".into(),
-            members
-                .iter()
-                .map(|id| id.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        params.insert("hb_interval_ms".into(), interval.to_string());
+        let members: Vec<String> = members.iter().map(u32::to_string).collect();
+        params.insert("members".into(), members.join(","));
+        params.insert("hb_interval_ms".into(), "100".into());
         params.insert("suspect_timeout_ms".into(), timeout.to_string());
-        params
+        let mut platform = TestPlatform::new(NodeId(1));
+        platform.now_ms = now;
+        let fd = Harness::new(FailureDetectorLayer, &params, &mut platform);
+        (fd, platform)
     }
 
-    fn fire_pending_timers(harness: &mut Harness, platform: &mut TestPlatform) {
-        let timers: Vec<_> = std::mem::take(&mut platform.timers);
-        for (_, key) in timers {
-            harness.fire_timer(key, platform);
+    /// Moves the clock to `until`, firing the ticks due on the way.
+    fn run_to(fd: &mut Harness, platform: &mut TestPlatform, until: u64) {
+        while let Some(position) = platform.timers.iter().position(|(at, _)| *at <= until) {
+            let (at, key) = platform.timers.remove(position);
+            platform.now_ms = at;
+            fd.fire_timer(key, platform);
         }
+        platform.now_ms = until;
     }
 
-    /// A digest-carrying heartbeat as a peer's fd layer would emit it.
-    fn digest_heartbeat(from: u32, to: u32, entries: &[(u32, u64)]) -> Event {
+    /// The probes sent since the last call, as `(receiver, body)`.
+    fn sent(fd: &mut Harness) -> Vec<(NodeId, ProbeBody)> {
+        let down = fd.drain_down();
+        let probes = down.iter().filter_map(|event| event.get::<Heartbeat>());
+        probes
+            .map(|hb| {
+                let Dest::Node(to) = hb.header.dest else {
+                    panic!("a probe goes to one node");
+                };
+                (to, hb.message.clone().pop::<ProbeBody>().unwrap())
+            })
+            .collect()
+    }
+
+    fn probe(from: u32, kind: ProbeKind, seq: u64, relay: Option<u32>, said: &[Rumour]) -> Event {
+        let (incarnation, relay, rumours) = (0, relay.map(NodeId), said.to_vec());
         let mut message = Message::new();
-        message.push(&LivenessDigest {
-            entries: entries
-                .iter()
-                .map(|(node, counter)| (NodeId(*node), *counter))
-                .collect(),
+        message.push(&ProbeBody {
+            kind,
+            seq,
+            incarnation,
+            relay,
+            rumours,
         });
-        Event::up(Heartbeat::new(
-            NodeId(from),
-            Dest::Node(NodeId(to)),
-            message,
-        ))
+        Event::up(Heartbeat::new(NodeId(from), Dest::Node(NodeId(1)), message))
+    }
+
+    fn ack(from: u32, seq: u64) -> Event {
+        probe(from, ProbeKind::Ack, seq, None, &[])
+    }
+
+    fn rumour(kind: RumourKind, node: u32, incarnation: u64) -> Rumour {
+        Rumour::new(kind, NodeId(node), incarnation)
+    }
+
+    fn data_from(from: u32) -> Event {
+        let message = Message::with_payload(&b"still here"[..]);
+        Event::up(DataEvent::new(NodeId(from), Dest::Node(NodeId(1)), message))
+    }
+
+    /// The nodes the upward events suspect and heal.
+    fn raised(events: &[Event]) -> (Vec<NodeId>, Vec<NodeId>) {
+        let suspects = events.iter().filter_map(|e| e.get::<Suspect>());
+        let alive = events.iter().filter_map(|e| e.get::<Alive>());
+        (
+            suspects.map(|s| s.node).collect(),
+            alive.map(|a| a.node).collect(),
+        )
+    }
+
+    /// Runs period by period to `until`: `talk` feeds what arrives in a
+    /// period; every ping node 1 sends to a member of `alive` is acked.
+    /// Returns `(time, suspect)` for every `Suspect` raised.
+    fn run_periods(
+        fd: &mut Harness,
+        platform: &mut TestPlatform,
+        until: u64,
+        alive: &[u32],
+        mut talk: impl FnMut(u64, &mut Harness, &mut TestPlatform),
+    ) -> Vec<(u64, NodeId)> {
+        let mut suspected = Vec::new();
+        while platform.now_ms < until {
+            let now = platform.now_ms + 50;
+            run_to(fd, platform, now);
+            let (suspects, _) = raised(&fd.drain_up());
+            suspected.extend(suspects.into_iter().map(|node| (now, node)));
+            talk(now, fd, platform);
+            for (to, body) in sent(fd) {
+                if body.kind == ProbeKind::Ping && alive.contains(&to.0) {
+                    fd.run_up(ack(to.0, body.seq), platform);
+                }
+            }
+        }
+        suspected
     }
 
     #[test]
-    fn each_tick_pushes_one_digest_to_at_most_fanout_peers() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let members: Vec<u32> = (1..=8).collect();
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&members, 100, 1000),
-            &mut platform,
-        );
-
-        fire_pending_timers(&mut fd, &mut platform);
-        let down = fd.drain_down();
-        let heartbeats: Vec<&Event> = down
-            .iter()
-            .filter(|event| event.is::<Heartbeat>())
-            .collect();
-        assert_eq!(heartbeats.len(), 1, "one digest push per tick");
-        let hb = heartbeats[0].get::<Heartbeat>().unwrap();
-        let Dest::Nodes(targets) = &hb.header.dest else {
-            panic!("gossip heartbeat must address a node list");
-        };
-        assert_eq!(targets.len(), 3, "fan-out bounds the per-tick traffic");
-        assert!(targets.iter().all(|node| *node != NodeId(1)));
-
-        // The carried digest lists the local node's advanced counter.
-        let digest = hb.message.clone().pop::<LivenessDigest>().unwrap();
-        assert!(digest.entries.contains(&(NodeId(1), 1)));
-    }
-
-    #[test]
-    fn small_groups_are_covered_entirely() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2, 3], 100, 1000),
-            &mut platform,
-        );
-        fire_pending_timers(&mut fd, &mut platform);
-        let down = fd.drain_down();
-        let hb = down.iter().find(|event| event.is::<Heartbeat>()).unwrap();
+    fn each_period_pings_one_member_and_every_ping_is_answered() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3, 4, 5, 6, 7, 8], 1000, 0);
+        for period in 1..=7u64 {
+            run_to(&mut fd, &mut platform, period * 100);
+            let pings = sent(&mut fd);
+            assert_eq!(pings.len(), 1, "one ping a period");
+            let (to, body) = &pings[0];
+            assert!(to.0 != 1 && body.kind == ProbeKind::Ping && body.relay.is_none());
+            fd.run_up(ack(to.0, body.seq), &mut platform);
+        }
+        // A ping is answered, and absorbed: nothing goes up.
+        let up = fd.run_up(probe(5, ProbeKind::Ping, 44, None, &[]), &mut platform);
+        let reply = sent(&mut fd);
+        assert!(up.is_empty());
+        let (to, body) = (reply[0].0, &reply[0].1);
         assert_eq!(
-            hb.get::<Heartbeat>().unwrap().header.dest,
-            Dest::Nodes(vec![NodeId(2), NodeId(3)])
+            (reply.len(), to, body.kind, body.seq),
+            (1, NodeId(5), ProbeKind::Ack, 44)
         );
+        // A ping without rumours costs four bytes of body.
+        assert_eq!(body.to_bytes().len(), 4);
     }
 
     #[test]
-    fn silent_members_are_eventually_suspected() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2], 100, 250),
-            &mut platform,
-        );
-
-        let mut suspects = Vec::new();
-        for _ in 0..5 {
-            platform.advance(100);
-            fire_pending_timers(&mut fd, &mut platform);
-            suspects.extend(
-                fd.drain_up()
-                    .into_iter()
-                    .filter(|event| event.is::<Suspect>()),
-            );
-        }
-        assert_eq!(suspects.len(), 1, "member 2 suspected exactly once");
-        assert_eq!(suspects[0].get::<Suspect>().unwrap().node, NodeId(2));
-    }
-
-    #[test]
-    fn advancing_counters_keep_members_alive() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2], 100, 250),
-            &mut platform,
-        );
-
-        let mut suspects = 0;
-        for round in 0..6u64 {
-            platform.advance(100);
-            // Node 2's digest arrives with a freshly advanced counter.
-            fd.run_up(digest_heartbeat(2, 1, &[(2, round + 1)]), &mut platform);
-            fire_pending_timers(&mut fd, &mut platform);
-            suspects += fd
-                .drain_up()
+    fn a_silent_member_is_suspected_once_after_the_timeout_and_reprobed_first() {
+        // Node 2 talks every period, so every ping goes to silent node 3.
+        let (mut fd, mut platform) = detector(&[1, 2, 3], 250, 0);
+        let mut targets = Vec::new();
+        let suspected = run_periods(&mut fd, &mut platform, 1000, &[], |now, fd, platform| {
+            fd.run_up(data_from(2), platform);
+            targets.extend(fd.drain_down().iter().filter_map(|e| {
+                let hb = e.get::<Heartbeat>()?;
+                let body = hb.message.clone().pop::<ProbeBody>().ok()?;
+                Some((now, hb.header.dest.clone(), body.kind, body.rumours))
+            }));
+        });
+        // Pinged at 100, retried with 2 as the only helper at 150, suspected
+        // from 100 on: `Suspect` at the first tick 250 ms later.
+        assert_eq!(suspected, vec![(350, NodeId(3))]);
+        let at_150: Vec<_> = targets.iter().filter(|t| t.0 == 150).collect();
+        assert_eq!(at_150.len(), 2, "a retry and one ping-req: {at_150:?}");
+        // The next periods ping the suspect again; once that fails too, the
+        // suspicion spreads, the suspect hearing of it first.
+        let ping = |at| {
+            targets
                 .iter()
-                .filter(|event| event.is::<Suspect>())
-                .count();
-        }
-        assert_eq!(suspects, 0);
+                .find(|t| t.0 == at)
+                .map(|t| (t.1.clone(), t.3.clone()))
+        };
+        let to_3 = Dest::Node(NodeId(3));
+        assert_eq!(ping(200), Some((to_3.clone(), vec![])));
+        assert_eq!(
+            ping(300),
+            Some((to_3, vec![rumour(RumourKind::Suspect, 3, 0)]))
+        );
     }
 
     #[test]
-    fn a_heartbeat_without_a_digest_still_counts_its_sender_alive() {
-        // Input checking: a missing or truncated digest merges nothing, but
-        // the packet itself proves its sender alive.
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2, 3], 100, 250),
-            &mut platform,
-        );
-
-        let mut suspected = Vec::new();
-        for _ in 0..6 {
-            platform.advance(100);
-            let bare = Heartbeat::new(NodeId(2), Dest::Node(NodeId(1)), Message::new());
-            fd.run_up(Event::up(bare), &mut platform);
-            fire_pending_timers(&mut fd, &mut platform);
-            suspected.extend(
-                fd.drain_up()
-                    .into_iter()
-                    .filter_map(|event| event.get::<Suspect>().map(|s| s.node)),
-            );
+    fn an_unanswered_ping_asks_fanout_helpers_whose_relayed_ack_counts() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3, 4, 5, 6], 250, 0);
+        run_to(&mut fd, &mut platform, 100);
+        let (target, ping) = sent(&mut fd).remove(0);
+        run_to(&mut fd, &mut platform, 150);
+        let retry = sent(&mut fd);
+        let helpers: Vec<NodeId> = retry.iter().skip(1).map(|(to, _)| *to).collect();
+        assert_eq!(retry[0].0, target, "the direct ping is retried");
+        assert_eq!(helpers.len(), 3);
+        for (to, body) in &retry[1..] {
+            assert!(*to != target && to.0 != 1);
+            let asked = (body.kind, body.seq, body.relay);
+            assert_eq!(asked, (ProbeKind::PingReq, ping.seq, Some(target)));
         }
-        assert_eq!(suspected, vec![NodeId(3)], "only the silent member");
+        fd.run_up(ack(helpers[0].0, ping.seq), &mut platform);
+        run_to(&mut fd, &mut platform, 200);
+        let next = sent(&mut fd);
+        assert!(next[0].1.rumours.is_empty(), "no suspicion: {next:?}");
     }
 
     #[test]
-    fn third_party_digests_count_as_liveness_evidence() {
-        // Node 1 never hears node 3 directly — only through node 2's digests.
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2, 3], 100, 250),
+    fn a_helper_pings_for_the_prober_and_passes_the_ack_on() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3], 1000, 0);
+        fd.run_up(probe(2, ProbeKind::PingReq, 7, Some(3), &[]), &mut platform);
+        let summary = |sent: Vec<(NodeId, ProbeBody)>| -> Vec<_> {
+            sent.into_iter()
+                .map(|(to, b)| (to.0, b.kind, b.seq, b.relay))
+                .collect()
+        };
+        let relayed = summary(sent(&mut fd));
+        assert_eq!(relayed, vec![(3, ProbeKind::Ping, 7, Some(NodeId(2)))]);
+        fd.run_up(probe(3, ProbeKind::Ack, 7, Some(2), &[]), &mut platform);
+        assert_eq!(summary(sent(&mut fd)), vec![(2, ProbeKind::Ack, 7, None)]);
+        // Nor a relayed ping for an outsider.
+        fd.run_up(probe(2, ProbeKind::PingReq, 8, Some(9), &[]), &mut platform);
+        assert!(sent(&mut fd).is_empty());
+    }
+
+    #[test]
+    fn a_node_refutes_its_suspicion_with_an_incarnation_above_its_restart_floor() {
+        // Created at 5 s: the incarnation starts at 5000 / 100.
+        let (mut fd, mut platform) = detector(&[1, 2, 3], 1000, 5000);
+        fd.run_up(probe(2, ProbeKind::Ping, 1, None, &[]), &mut platform);
+        assert_eq!(sent(&mut fd)[0].1.incarnation, 50);
+        let suspicion = [rumour(RumourKind::Suspect, 1, 50)];
+        fd.run_up(
+            probe(2, ProbeKind::Ping, 2, None, &suspicion),
             &mut platform,
         );
+        let ack = &sent(&mut fd)[0].1;
+        assert_eq!(ack.incarnation, 51);
+        assert_eq!(ack.rumours, vec![rumour(RumourKind::Alive, 1, 51)]);
+    }
 
-        let mut suspects = 0;
-        for round in 0..6u64 {
-            platform.advance(100);
-            fd.run_up(
-                digest_heartbeat(2, 1, &[(2, round + 1), (3, round + 1)]),
+    #[test]
+    fn rumours_raise_and_heal_suspicions() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3, 4], 1000, 0);
+        // Past the first period, whose grace counts as word from everyone.
+        run_periods(&mut fd, &mut platform, 450, &[2, 3, 4], |_, _, _| {});
+        run_to(&mut fd, &mut platform, 500);
+        let (pinged, ping) = sent(&mut fd).remove(0);
+        fd.run_up(ack(pinged.0, ping.seq), &mut platform);
+        let talk = |fd: &mut Harness, platform: &mut TestPlatform, rumours: &[Rumour]| {
+            raised(&fd.run_up(probe(2, ProbeKind::Ack, 0, None, rumours), platform))
+        };
+        // A confirm raises `Suspect` at once; a stale one does nothing.
+        let (confirm, alive) = (
+            rumour(RumourKind::Confirm, 3, 4),
+            rumour(RumourKind::Alive, 3, 5),
+        );
+        let (none, three) = (vec![], vec![NodeId(3)]);
+        assert_eq!(
+            talk(&mut fd, &mut platform, &[confirm]),
+            (three.clone(), none.clone())
+        );
+        assert_eq!(
+            talk(&mut fd, &mut platform, &[alive]),
+            (none.clone(), three)
+        );
+        assert_eq!(
+            talk(&mut fd, &mut platform, &[confirm]),
+            (none.clone(), none)
+        );
+        // A suspect rumour starts this node's own suspicion — unless the
+        // member was heard from within the period.
+        let other = if pinged == NodeId(4) { 3 } else { 4 };
+        for node in [pinged.0, other] {
+            talk(
+                &mut fd,
                 &mut platform,
-            );
-            fire_pending_timers(&mut fd, &mut platform);
-            suspects += fd
-                .drain_up()
-                .iter()
-                .filter(|event| event.is::<Suspect>())
-                .count();
-        }
-        assert_eq!(suspects, 0, "relayed counters prove node 3 alive");
-    }
-
-    #[test]
-    fn stale_counters_do_not_refresh_liveness() {
-        // Node 3 crashed at counter 5; node 2 keeps gossiping the stale
-        // value, which must not prevent node 3's suspicion.
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2, 3], 100, 250),
-            &mut platform,
-        );
-        fd.run_up(digest_heartbeat(2, 1, &[(2, 1), (3, 5)]), &mut platform);
-
-        let mut suspected = Vec::new();
-        for round in 0..6u64 {
-            platform.advance(100);
-            fd.run_up(
-                digest_heartbeat(2, 1, &[(2, round + 2), (3, 5)]),
-                &mut platform,
-            );
-            fire_pending_timers(&mut fd, &mut platform);
-            suspected.extend(
-                fd.drain_up()
-                    .into_iter()
-                    .filter_map(|event| event.get::<Suspect>().map(|s| s.node)),
+                &[rumour(RumourKind::Suspect, node, 5)],
             );
         }
-        assert_eq!(suspected, vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn an_advancing_counter_heals_a_false_suspicion() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2, 3], 100, 250),
-            &mut platform,
-        );
-        fd.run_up(digest_heartbeat(2, 1, &[(2, 1), (3, 1)]), &mut platform);
-
-        // Node 3 goes silent long enough to be suspected.
-        let mut suspects = 0;
-        for round in 0..4u64 {
-            platform.advance(100);
-            suspects += fd
-                .run_up(
-                    digest_heartbeat(2, 1, &[(2, round + 2), (3, 1)]),
-                    &mut platform,
-                )
-                .iter()
-                .filter(|event| event.is::<Suspect>())
-                .count();
-            fire_pending_timers(&mut fd, &mut platform);
-            suspects += fd
-                .drain_up()
-                .iter()
-                .filter(|event| event.is::<Suspect>())
-                .count();
-        }
-        assert_eq!(suspects, 1);
-
-        // Its counter advances again (relayed by node 2): Alive is raised.
-        let alive: Vec<NodeId> = fd
-            .run_up(digest_heartbeat(2, 1, &[(2, 9), (3, 2)]), &mut platform)
-            .into_iter()
-            .filter_map(|event| event.get::<Alive>().map(|alive| alive.node))
-            .collect();
-        assert_eq!(alive, vec![NodeId(3)]);
+        let suspected = run_periods(&mut fd, &mut platform, 1500, &[], |_, fd, platform| {
+            fd.run_up(data_from(2), platform);
+            fd.run_up(data_from(pinged.0), platform);
+        });
+        assert_eq!(suspected, vec![(1500, NodeId(other))]);
     }
 
     #[test]
     fn data_traffic_also_counts_as_liveness() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2], 100, 250),
-            &mut platform,
-        );
-
-        let mut suspects = 0;
-        for _ in 0..6 {
-            platform.advance(100);
-            let delivered = fd.run_up(
-                Event::up(DataEvent::new(
-                    NodeId(2),
-                    Dest::Node(NodeId(1)),
-                    Message::with_payload(&b"still here"[..]),
-                )),
-                &mut platform,
-            );
-            assert_eq!(delivered.len(), 1, "data is forwarded, not absorbed");
-            fire_pending_timers(&mut fd, &mut platform);
-            suspects += fd
-                .drain_up()
-                .iter()
-                .filter(|event| event.is::<Suspect>())
-                .count();
-        }
-        assert_eq!(suspects, 0);
+        // Data from node 2, a join request from node 3: both forwarded.
+        let (mut fd, mut platform) = detector(&[1, 2, 3], 250, 0);
+        let suspected = run_periods(&mut fd, &mut platform, 2000, &[], |_, fd, platform| {
+            assert_eq!(fd.run_up(data_from(2), platform).len(), 1, "forwarded");
+            let join = JoinRequest::new(NodeId(3), Dest::Node(NodeId(1)), Message::new());
+            assert_eq!(fd.run_up(Event::up(join), platform).len(), 1, "forwarded");
+        });
+        assert!(suspected.is_empty());
     }
 
     #[test]
-    fn heartbeats_are_absorbed_and_not_delivered_upward() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2], 100, 1000),
-            &mut platform,
-        );
-        let delivered = fd.run_up(digest_heartbeat(2, 1, &[(2, 1)]), &mut platform);
-        assert!(delivered.is_empty());
+    fn a_non_member_gets_no_answer_and_no_row() {
+        let (mut fd, mut platform) = detector(&[1, 2], 250, 0);
+        let suspected = run_periods(&mut fd, &mut platform, 400, &[], |_, fd, platform| {
+            fd.run_up(probe(9, ProbeKind::Ping, 1, None, &[]), platform);
+            fd.run_up(data_from(8), platform);
+        });
+        // The outsiders' packets are no word from the group.
+        assert_eq!(suspected, vec![(250, NodeId(2))]);
+        assert!(fd.drain_down().is_empty());
+        let view = View::new(1, vec![NodeId(1), NodeId(2), NodeId(9)]);
+        fd.run_down(Event::down(ViewInstall { view }), &mut platform);
+        fd.run_up(probe(9, ProbeKind::Ping, 2, None, &[]), &mut platform);
+        assert_eq!(sent(&mut fd)[0].0, NodeId(9), "a member now");
     }
 
     #[test]
-    fn digest_entries_for_unknown_nodes_are_ignored() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2], 100, 250),
-            &mut platform,
-        );
-        // An entry for node 9 (not a member) must not create tracking state.
-        fd.run_up(digest_heartbeat(2, 1, &[(2, 1), (9, 44)]), &mut platform);
-        platform.advance(300);
-        fire_pending_timers(&mut fd, &mut platform);
-        let suspected: Vec<NodeId> = fd
-            .drain_up()
-            .into_iter()
-            .filter_map(|event| event.get::<Suspect>().map(|s| s.node))
-            .collect();
-        assert_eq!(suspected, vec![NodeId(2)], "node 9 is never tracked");
-    }
-
-    #[test]
-    fn a_digest_raising_the_local_counter_to_the_maximum_does_not_overflow_the_tick() {
-        // Any peer can raise any entry of the table, the receiver's own
-        // included; the next tick used to compute `u64::MAX + 1`.
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2], 100, 250),
-            &mut platform,
-        );
-        fd.run_up(
-            digest_heartbeat(2, 1, &[(1, u64::MAX), (2, 1)]),
-            &mut platform,
-        );
-        platform.advance(100);
-        fire_pending_timers(&mut fd, &mut platform);
-        let down = fd.drain_down();
-        let hb = down.iter().find(|event| event.is::<Heartbeat>()).unwrap();
-        let digest = hb
-            .get::<Heartbeat>()
-            .unwrap()
-            .message
-            .clone()
-            .pop::<LivenessDigest>()
-            .unwrap();
-        assert!(digest.entries.contains(&(NodeId(1), u64::MAX)));
+    fn a_node_that_hears_from_nobody_suspects_every_member_at_once() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3, 4, 5], 300, 0);
+        let suspected = run_periods(&mut fd, &mut platform, 1000, &[], |_, _, _| {});
+        let every: Vec<_> = (2..=5).map(|id| (300, NodeId(id))).collect();
+        assert_eq!(suspected, every);
     }
 
     #[test]
     fn a_readmitted_member_gets_a_fresh_grace_period() {
-        // Regression: expulsion must drop the member's last-advance
-        // timestamp — a member expelled and later re-admitted by a join
-        // used to be re-suspected off its stale pre-expulsion age on the
-        // very next tick, before its first digest could possibly arrive.
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2], 100, 300),
-            &mut platform,
-        );
-
-        // Node 2 is expelled, then stays away far past the suspect timeout.
-        let solo = crate::view::View::new(1, vec![NodeId(1)]);
+        let (mut fd, mut platform) = detector(&[1, 2], 300, 0);
+        let solo = View::new(1, vec![NodeId(1)]);
         fd.run_down(Event::down(ViewInstall { view: solo }), &mut platform);
-        platform.advance(5000);
-
-        // Node 2 rejoins; the next tick must not suspect it instantly.
-        let rejoined = crate::view::View::new(2, vec![NodeId(1), NodeId(2)]);
+        run_to(&mut fd, &mut platform, 5000);
+        let rejoined = View::new(2, vec![NodeId(1), NodeId(2)]);
         fd.run_down(Event::down(ViewInstall { view: rejoined }), &mut platform);
-        fire_pending_timers(&mut fd, &mut platform);
-        assert!(
-            fd.drain_up().iter().all(|event| !event.is::<Suspect>()),
-            "a rejoiner gets the same grace period as a fresh member"
-        );
-
-        // The grace period is a grace period, not immunity: staying silent
-        // past the timeout still raises the suspicion.
-        let mut suspects = 0;
-        for _ in 0..4 {
-            platform.advance(100);
-            fire_pending_timers(&mut fd, &mut platform);
-            suspects += fd
-                .drain_up()
-                .iter()
-                .filter(|event| event.is::<Suspect>())
-                .count();
-        }
-        assert_eq!(suspects, 1);
-    }
-
-    /// Fires the pending tick and returns the digest it pushed.
-    fn next_digest(fd: &mut Harness, platform: &mut TestPlatform) -> Vec<(NodeId, u64)> {
-        fire_pending_timers(fd, platform);
-        let down = fd.drain_down();
-        let hb = down.iter().find(|event| event.is::<Heartbeat>()).unwrap();
-        let mut message = hb.get::<Heartbeat>().unwrap().message.clone();
-        message.pop::<LivenessDigest>().unwrap().entries
-    }
-
-    /// The nodes a batch of upward events suspects.
-    fn suspects_in(events: Vec<Event>) -> Vec<NodeId> {
-        events
-            .into_iter()
-            .filter_map(|event| event.get::<Suspect>().map(|s| s.node))
-            .collect()
-    }
-
-    #[test]
-    fn a_joiner_heard_from_before_its_view_install_keeps_that_time() {
-        // Node 3 is heard from at t = 100 while still outside the view and
-        // then goes silent. The view that admits it at t = 300 must not
-        // reset its age: it is suspected at the t = 400 tick, 300 ms after
-        // it was last heard, not 300 ms after it joined.
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2], 100, 300),
-            &mut platform,
-        );
-        let mut suspected = Vec::new();
-        for round in 1..=6u64 {
-            platform.advance(100);
-            let now = round * 100;
-            let bare = |from| {
-                Event::up(Heartbeat::new(
-                    NodeId(from),
-                    Dest::Node(NodeId(1)),
-                    Message::new(),
-                ))
-            };
-            fd.run_up(bare(2), &mut platform);
-            if now == 100 {
-                fd.run_up(bare(3), &mut platform);
-            }
-            if now == 300 {
-                let view = crate::view::View::new(1, vec![NodeId(1), NodeId(2), NodeId(3)]);
-                fd.run_down(Event::down(ViewInstall { view }), &mut platform);
-            }
-            fire_pending_timers(&mut fd, &mut platform);
-            suspected.extend(
-                suspects_in(fd.drain_up())
-                    .into_iter()
-                    .map(|node| (now, node)),
-            );
-        }
-        assert_eq!(suspected, vec![(400, NodeId(3))]);
-    }
-
-    #[test]
-    fn a_non_members_heartbeat_creates_no_digest_row() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2, 3], 100, 1000),
-            &mut platform,
-        );
-        fd.run_up(digest_heartbeat(9, 1, &[(9, 5), (2, 4)]), &mut platform);
-        fd.run_up(
-            Event::up(DataEvent::new(
-                NodeId(8),
-                Dest::Node(NodeId(1)),
-                Message::with_payload(&b"from outside"[..]),
-            )),
-            &mut platform,
-        );
-        platform.advance(100);
-        // The member named in the digest is merged; the two outsiders are
-        // tracked as heard-from but never advertised.
-        assert_eq!(
-            next_digest(&mut fd, &mut platform),
-            vec![(NodeId(1), 1), (NodeId(2), 4)]
-        );
-
-        // The next view drops the outsiders' rows: admitting node 9 later
-        // starts it without a counter, so it is still not advertised.
-        let view = crate::view::View::new(1, vec![NodeId(1), NodeId(2), NodeId(3)]);
-        fd.run_down(Event::down(ViewInstall { view }), &mut platform);
-        let view = crate::view::View::new(2, vec![NodeId(1), NodeId(2), NodeId(9)]);
-        fd.run_down(Event::down(ViewInstall { view }), &mut platform);
-        platform.advance(100);
-        assert_eq!(
-            next_digest(&mut fd, &mut platform),
-            vec![(NodeId(1), 2), (NodeId(2), 4)]
-        );
-    }
-
-    #[test]
-    fn descending_digest_rows_merge_exactly_as_ascending_ones() {
-        let ascending = [(2, 3), (3, 0), (4, 7), (5, 2), (9, 8)];
-        let mut descending = ascending;
-        descending.reverse();
-
-        let mut runs = Vec::new();
-        for rows in [&ascending[..], &descending[..]] {
-            let mut platform = TestPlatform::new(NodeId(1));
-            let mut fd = Harness::new(
-                FailureDetectorLayer,
-                &fd_params(&[1, 2, 3, 4, 5, 6], 100, 250),
-                &mut platform,
-            );
-            let mut seen = Vec::new();
-            for round in 0..5u64 {
-                platform.advance(100);
-                // Node 6 is silent until a relayed counter revives it.
-                let mut rows = rows.to_vec();
-                if round == 4 {
-                    rows.insert(if rows[0].0 < rows[1].0 { 4 } else { 1 }, (6, 1));
-                }
-                let alive: Vec<NodeId> = fd
-                    .run_up(digest_heartbeat(2, 1, &rows), &mut platform)
-                    .into_iter()
-                    .filter_map(|event| event.get::<Alive>().map(|alive| alive.node))
-                    .collect();
-                let digest = next_digest(&mut fd, &mut platform);
-                seen.push((alive, digest, suspects_in(fd.drain_up())));
-            }
-            runs.push(seen);
-        }
-        assert_eq!(runs[0], runs[1]);
-        // The runs did exercise a suspicion and its healing.
-        assert!(runs[0]
-            .iter()
-            .any(|(_, _, suspects)| suspects.contains(&NodeId(6))));
-        assert_eq!(runs[0][4].0, vec![NodeId(6)]);
-        // A digest row at counter 0 still earns the member a row of its own.
-        assert!(runs[0][0].1.contains(&(NodeId(3), 0)));
-    }
-
-    #[test]
-    fn a_truncated_or_padded_digest_merges_nothing_but_proves_its_sender_alive() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2, 3], 100, 250),
-            &mut platform,
-        );
-        let encoded = LivenessDigest {
-            entries: vec![(NodeId(2), 7), (NodeId(3), 9)],
-        }
-        .to_bytes();
-        let mut suspected = Vec::new();
-        for round in 0..6usize {
-            platform.advance(100);
-            // Alternately cut the last byte off and append a stray one.
-            let header = if round % 2 == 0 {
-                encoded.slice(..encoded.len() - 1).to_vec()
-            } else {
-                let mut padded = encoded.to_vec();
-                padded.push(0);
-                padded
-            };
-            let mut message = Message::new();
-            message.push_header(header);
-            fd.run_up(
-                Event::up(Heartbeat::new(NodeId(2), Dest::Node(NodeId(1)), message)),
-                &mut platform,
-            );
-            suspected.extend(suspects_in(fd.drain_up()));
-            let digest = next_digest(&mut fd, &mut platform);
-            assert!(
-                digest.iter().all(|(node, _)| *node == NodeId(1)),
-                "nothing merged: {digest:?}"
-            );
-            suspected.extend(suspects_in(fd.drain_up()));
-        }
-        assert_eq!(suspected, vec![NodeId(3)], "only the silent member");
+        // Not suspected before the timeout, but silence past it still is.
+        let suspected = run_periods(&mut fd, &mut platform, 6000, &[], |_, _, _| {});
+        assert_eq!(suspected, vec![(5300, NodeId(2))]);
     }
 
     #[test]
     fn view_install_clears_suspicions_of_removed_members() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut fd = Harness::new(
-            FailureDetectorLayer,
-            &fd_params(&[1, 2, 3], 100, 150),
-            &mut platform,
-        );
-
-        platform.advance(200);
-        fire_pending_timers(&mut fd, &mut platform);
-        let suspects = fd
-            .drain_up()
-            .iter()
-            .filter(|event| event.is::<Suspect>())
-            .count();
-        assert_eq!(suspects, 2);
-
-        // Install a view that removes node 3; only nodes 1 and 2 remain.
-        let view = crate::view::View::new(1, vec![NodeId(1), NodeId(2)]);
+        let (mut fd, mut platform) = detector(&[1, 2, 3], 150, 0);
+        let suspected = run_periods(&mut fd, &mut platform, 200, &[], |_, _, _| {});
+        assert_eq!(suspected.len(), 2);
+        let view = View::new(1, vec![NodeId(1), NodeId(2)]);
         fd.run_down(Event::down(ViewInstall { view }), &mut platform);
+        let late = run_periods(&mut fd, &mut platform, 1000, &[2], |_, _, _| {});
+        assert!(late.is_empty(), "{late:?}");
+        // Node 3's suspicion went with its row: no rumour names it.
+        let rumours: Vec<Rumour> = sent(&mut fd)
+            .into_iter()
+            .flat_map(|(_, b)| b.rumours)
+            .collect();
+        assert!(rumours.iter().all(|r| r.node != NodeId(3)));
+    }
 
-        // Node 2 resumes gossiping and is therefore never re-suspected.
-        for round in 0..3u64 {
-            platform.advance(100);
-            fd.run_up(digest_heartbeat(2, 1, &[(2, round + 1)]), &mut platform);
-            fire_pending_timers(&mut fd, &mut platform);
+    #[test]
+    fn a_malformed_probe_is_ignored_but_proves_its_sender_alive() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3], 250, 0);
+        let encoded = ProbeBody::default().to_bytes();
+        let mut round = 0;
+        let suspected = run_periods(&mut fd, &mut platform, 1000, &[], |_, fd, platform| {
+            round += 1;
+            let header = match round % 3 {
+                0 => encoded.slice(..encoded.len() - 1).to_vec(),
+                1 => [&encoded[..], &[0]].concat(),
+                _ => Vec::new(),
+            };
+            let mut message = Message::new();
+            if !header.is_empty() {
+                message.push_header(header);
+            }
+            let hb = Heartbeat::new(NodeId(2), Dest::Node(NodeId(1)), message);
+            fd.drain_down();
+            fd.run_up(Event::up(hb), platform);
+            assert!(fd.drain_down().is_empty(), "nothing is answered");
+        });
+        assert_eq!(suspected, vec![(350, NodeId(3))]);
+    }
+
+    #[test]
+    fn probes_failing_while_nobody_is_heard_stretch_the_suspicion_timeout() {
+        // Node 2 talks every period (by data, so it is never pinged): node
+        // 3's suspicion runs its 500 ms. Talking every third period, node 1's
+        // own silent periods count against it, up to a fourfold timeout.
+        let mut at = Vec::new();
+        for every in [1, 3] {
+            let (mut fd, mut platform) = detector(&[1, 2, 3], 500, 0);
+            let mut period = 0;
+            let suspected = run_periods(&mut fd, &mut platform, 3000, &[], |_, fd, platform| {
+                period += 1;
+                if period % (2 * every) == 1 {
+                    fd.run_up(data_from(2), platform);
+                }
+            });
+            at.push(suspected);
         }
-        let late_suspects = fd
-            .drain_up()
-            .iter()
-            .filter(|event| event.is::<Suspect>())
-            .count();
-        assert_eq!(late_suspects, 0);
+        assert_eq!(at[0], vec![(600, NodeId(3))]);
+        assert_eq!(at[1].len(), 1);
+        assert!(at[1][0].0 >= 1600, "{:?}", at[1]);
     }
 }

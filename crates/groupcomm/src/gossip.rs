@@ -264,6 +264,9 @@ pub struct GossipSession {
     /// the sender's whole packet buffer for as long.
     // bound: `REPAIR_LOG_CAP` ring + `REPAIR_LOG_TTL_MS` age, enforced inside `RepairLog`.
     log: RepairLog<Bytes>,
+    /// The origin at which the last pull ran out of `REPAIR_WINDOW`: the
+    /// next digest's pull starts there.
+    pull_resume: NodeId,
     pulls_this_interval: usize,
     pushes_this_interval: usize,
     repair_timer: Option<u64>,
@@ -330,6 +333,7 @@ impl GossipSession {
             delivered: HashMap::default(),
             floor_breaches: HashMap::default(),
             log: RepairLog::new(),
+            pull_resume: NodeId(0),
             pulls_this_interval: 0,
             pushes_this_interval: 0,
             repair_timer: None,
@@ -814,8 +818,16 @@ impl GossipSession {
         let local = ctx.node_id();
         let mut wants: Vec<(NodeId, u64, Vec<u64>)> = Vec::new();
         let mut total = 0usize;
-        for entry in rows {
-            if entry.origin == local || entry.lo > entry.hi || total >= REPAIR_WINDOW {
+        // Digest rows come in origin order. Each pull starts where the last
+        // one ran out of window, so under a backlog every origin gets its
+        // turn, not only the lowest ones.
+        let (before, after) = rows.split_at(rows.partition_point(|e| e.origin < self.pull_resume));
+        for entry in after.iter().chain(before) {
+            if total >= REPAIR_WINDOW {
+                self.pull_resume = entry.origin;
+                break;
+            }
+            if entry.origin == local || entry.lo > entry.hi {
                 continue;
             }
             // The advertised span starts above this node's contiguous
@@ -1726,6 +1738,40 @@ mod tests {
         // The budget for this interval is spent: the next digest is ignored.
         gossip.run_up(digest_from(2 + budget), &mut platform);
         assert_eq!(pulls(&mut gossip), 0, "per-interval pull budget enforced");
+    }
+
+    #[test]
+    fn each_pull_starts_where_the_last_ran_out_of_window() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let members: Vec<u32> = (0..8).collect();
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
+        // Origins 3..=7 each advertise 40 messages node 1 never got: one
+        // pull's 64-message window holds a stream and a half.
+        let entries: Vec<RepairRange> = (3..=7)
+            .map(|origin| RepairRange {
+                origin: NodeId(origin),
+                inc: 1,
+                lo: 1,
+                hi: 40,
+            })
+            .collect();
+        let mut first_origins = Vec::new();
+        for from in [2, 4] {
+            let mut message = Message::new();
+            message.push(&RepairDigest {
+                credit: 0,
+                entries: entries.clone(),
+            });
+            let digest = GossipRepairDigest::new(NodeId(from), Dest::Node(NodeId(1)), message);
+            gossip.run_up(Event::up(digest), &mut platform);
+            for event in gossip.drain_down() {
+                if let Some(pull) = event.get::<GossipRepairPull>() {
+                    let wants = pull.message.clone().pop::<RepairPull>().unwrap().wants;
+                    first_origins.push(wants.iter().map(|want| want.0 .0).collect::<Vec<_>>());
+                }
+            }
+        }
+        assert_eq!(first_origins, vec![vec![3, 4], vec![5, 6]]);
     }
 
     #[test]

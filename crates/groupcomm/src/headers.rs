@@ -451,31 +451,14 @@ impl Wire for GossipBatchBody {
     }
 }
 
-/// Header of a gossip heartbeat: the sender's view of every member's
-/// heartbeat counter. Counters only ever grow; a receiver merges entries
-/// that are newer than its own and derives suspicion from how long a
-/// member's counter has failed to advance — no direct pairwise silence
-/// measurement (and therefore no all-to-all heartbeat traffic) is needed.
+/// A member-indexed table of `(member, counter)` rows: what a digest-push
+/// failure detector would send every interval. No layer sends one any more
+/// (the failure detector probes instead, see [`ProbeBody`]); the benchmark
+/// prices its codec as the cost of an `n`-row id table.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LivenessDigest {
     /// `(member, heartbeat counter)` pairs, one per known member.
     pub entries: Vec<(NodeId, u64)>,
-}
-
-impl LivenessDigest {
-    /// Decodes the digest carried in `header` (a popped message header)
-    /// into `entries`, a caller-owned scratch that keeps its capacity
-    /// across digests. All or nothing, as [`Message::pop`]: a malformed row
-    /// or trailing bytes is an error and leaves `entries` empty.
-    pub fn decode_into(header: &[u8], entries: &mut Vec<(NodeId, u64)>) -> Result<(), WireError> {
-        let mut r = WireReader::new(header);
-        r.get_id_table_into(entries)?;
-        if r.remaining() != 0 {
-            entries.clear();
-            return Err(WireError::Malformed("trailing bytes in header"));
-        }
-        Ok(())
-    }
 }
 
 impl Wire for LivenessDigest {
@@ -487,6 +470,178 @@ impl Wire for LivenessDigest {
         Ok(Self {
             entries: r.get_id_table()?,
         })
+    }
+}
+
+/// What a failure-detector probe packet asks or answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeKind {
+    /// "Are you alive?" Answered with an [`ProbeKind::Ack`] of the same
+    /// sequence number.
+    Ping,
+    /// "Ping `relay` for me": the indirect probe of a member whose direct
+    /// ack is overdue.
+    PingReq,
+    /// The answer to a ping.
+    Ack,
+}
+
+/// What a piggybacked membership rumour says about its node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RumourKind {
+    /// The node is alive at this incarnation (a refutation, when it is the
+    /// node's own).
+    Alive,
+    /// The node failed a probe and is suspected at this incarnation.
+    Suspect,
+    /// A suspicion of the node went unrefuted for the suspicion timeout.
+    Confirm,
+}
+
+/// One membership rumour: `node` is `kind` at `incarnation`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rumour {
+    /// What the rumour says.
+    pub kind: RumourKind,
+    /// The node it is about.
+    pub node: NodeId,
+    /// The node's incarnation it refers to; a higher one supersedes it.
+    pub incarnation: u64,
+}
+
+impl Rumour {
+    /// The rumour that `node` is `kind` at `incarnation`.
+    pub fn new(kind: RumourKind, node: NodeId, incarnation: u64) -> Self {
+        Self {
+            kind,
+            node,
+            incarnation,
+        }
+    }
+}
+
+/// Body of a failure-detector [`crate::events::Heartbeat`]: one SWIM probe
+/// message plus the rumours riding on it.
+///
+/// Wire form: a byte holding the kind (and whether `relay` follows), the
+/// varint sequence number and sender incarnation, the optional varint
+/// `relay`, then a count and per rumour a varint of `node · 4 + kind` and a
+/// varint incarnation. A ping without rumours is four bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeBody {
+    /// Ping, ping-req or ack.
+    pub kind: ProbeKind,
+    /// The prober's sequence number, echoed by the ack.
+    pub seq: u64,
+    /// The sender's own incarnation.
+    pub incarnation: u64,
+    /// A ping-req's member to probe; on a ping or ack, the prober a relayed
+    /// probe is made for.
+    pub relay: Option<NodeId>,
+    /// Piggybacked membership rumours.
+    pub rumours: Vec<Rumour>,
+}
+
+impl Default for ProbeBody {
+    fn default() -> Self {
+        Self {
+            kind: ProbeKind::Ping,
+            seq: 0,
+            incarnation: 0,
+            relay: None,
+            rumours: Vec::new(),
+        }
+    }
+}
+
+/// The flag of [`ProbeBody`]'s first byte saying that `relay` follows.
+const PROBE_RELAY: u8 = 1 << 2;
+
+impl ProbeBody {
+    /// Decodes the body carried in `header` (a popped message header) into
+    /// `body`, whose rumour list keeps its capacity across probes. All or
+    /// nothing, as [`Message::pop`]: on an error, or trailing bytes, `body`
+    /// holds no rumours. A ping-req without a member to probe is malformed.
+    pub fn decode_into(header: &[u8], body: &mut ProbeBody) -> Result<(), WireError> {
+        body.rumours.clear();
+        let mut r = WireReader::new(header);
+        let decoded = Self::decode_fields(&mut r, body).and_then(|()| match r.remaining() {
+            0 => Ok(()),
+            _ => Err(WireError::Malformed("trailing bytes in header")),
+        });
+        if decoded.is_err() {
+            body.rumours.clear();
+        }
+        decoded
+    }
+
+    fn decode_fields(r: &mut WireReader<'_>, body: &mut ProbeBody) -> Result<(), WireError> {
+        let tag = r.get_u8()?;
+        body.kind = match tag & !PROBE_RELAY {
+            0 => ProbeKind::Ping,
+            1 => ProbeKind::PingReq,
+            2 => ProbeKind::Ack,
+            _ => return Err(WireError::InvalidTag(tag)),
+        };
+        body.seq = r.get_varint()?;
+        body.incarnation = r.get_varint()?;
+        body.relay = match tag & PROBE_RELAY {
+            0 => None,
+            _ => Some(narrow(r.get_varint()?)?),
+        };
+        if body.kind == ProbeKind::PingReq && body.relay.is_none() {
+            return Err(WireError::Malformed("ping-req without a member to probe"));
+        }
+        // A rumour is at least two one-byte varints.
+        let count = r.get_count(2)?;
+        body.rumours.reserve(count);
+        for _ in 0..count {
+            let tagged = r.get_varint()?;
+            let kind = match tagged & 3 {
+                0 => RumourKind::Alive,
+                1 => RumourKind::Suspect,
+                2 => RumourKind::Confirm,
+                _ => return Err(WireError::Malformed("unknown rumour kind")),
+            };
+            body.rumours.push(Rumour {
+                kind,
+                node: narrow(tagged >> 2)?,
+                incarnation: r.get_varint()?,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl Wire for ProbeBody {
+    fn encode(&self, w: &mut WireWriter) {
+        let kind = match self.kind {
+            ProbeKind::Ping => 0,
+            ProbeKind::PingReq => 1,
+            ProbeKind::Ack => 2,
+        };
+        w.put_u8(kind | if self.relay.is_some() { PROBE_RELAY } else { 0 });
+        w.put_varint(self.seq);
+        w.put_varint(self.incarnation);
+        if let Some(relay) = self.relay {
+            w.put_varint(relay.into());
+        }
+        w.put_varint(self.rumours.len() as u64);
+        for rumour in &self.rumours {
+            let kind = match rumour.kind {
+                RumourKind::Alive => 0,
+                RumourKind::Suspect => 1,
+                RumourKind::Confirm => 2,
+            };
+            w.put_varint(u64::from(rumour.node) << 2 | kind);
+            w.put_varint(rumour.incarnation);
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let mut body = Self::default();
+        Self::decode_fields(r, &mut body)?;
+        Ok(body)
     }
 }
 
@@ -717,6 +872,30 @@ mod tests {
             entries: vec![(NodeId(0), 12), (NodeId(7), 3)],
         });
         roundtrip(LivenessDigest::default());
+        roundtrip(ProbeBody::default());
+        roundtrip(ProbeBody {
+            kind: ProbeKind::PingReq,
+            seq: 300,
+            incarnation: 41,
+            relay: Some(NodeId(199)),
+            rumours: vec![
+                Rumour {
+                    kind: RumourKind::Suspect,
+                    node: NodeId(7),
+                    incarnation: 40,
+                },
+                Rumour {
+                    kind: RumourKind::Confirm,
+                    node: NodeId(0),
+                    incarnation: 0,
+                },
+                Rumour {
+                    kind: RumourKind::Alive,
+                    node: NodeId(u32::MAX),
+                    incarnation: u64::MAX,
+                },
+            ],
+        });
         roundtrip(FlushBody {
             epoch: 9,
             proposer: NodeId(1),
@@ -759,6 +938,23 @@ mod tests {
     #[test]
     fn adversarial_liveness_digest_counts_are_rejected() {
         assert!(LivenessDigest::from_bytes(&overstated(&[], 2)).is_err());
+    }
+
+    #[test]
+    fn adversarial_rumour_counts_are_rejected_before_anything_is_reserved() {
+        // A ping (kind byte 0, seq 5, incarnation 1) claiming `u32::MAX`
+        // rumours over 40 bytes.
+        let mut w = WireWriter::new();
+        w.put_u8(0);
+        w.put_raw(&overstated(&[5, 1], 40));
+        let bytes = w.finish();
+        let mut body = ProbeBody::default();
+        assert!(ProbeBody::decode_into(&bytes, &mut body).is_err());
+        assert_eq!(body.rumours.capacity(), 0, "nothing was reserved");
+        // A ping-req must name the member to probe; an unknown kind is an error.
+        assert!(ProbeBody::from_bytes(&[1, 5, 1, 0]).is_err());
+        assert!(ProbeBody::from_bytes(&[3, 5, 1, 0]).is_err());
+        assert!(ProbeBody::from_bytes(&[0, 5, 1, 1, 3, 0]).is_err());
     }
 
     #[test]

@@ -42,6 +42,31 @@ pub fn sample_peers_into(
     draw_pooled(members, exclude, limit, &mut || ctx.random_u64(), pool);
 }
 
+/// Every member not in `exclude`, in a uniformly random order, into `pool`
+/// (cleared first).
+pub(crate) fn shuffle_into(
+    members: &[NodeId],
+    exclude: &[NodeId],
+    ctx: &mut EventContext<'_>,
+    pool: &mut Vec<NodeId>,
+) {
+    fill_pool(members, exclude, pool);
+    let len = pool.len();
+    let rng = &mut || ctx.random_u64();
+    shuffle_prefix(len, len.saturating_sub(1), rng, |a, b| pool.swap(a, b));
+}
+
+/// Every member not in `exclude` into `pool` (cleared first), in order.
+fn fill_pool(members: &[NodeId], exclude: &[NodeId], pool: &mut Vec<NodeId>) {
+    pool.clear();
+    pool.extend(
+        members
+            .iter()
+            .copied()
+            .filter(|member| !exclude.contains(member)),
+    );
+}
+
 /// The pool-building draw: every member not in `exclude` is copied into
 /// `pool`, which the draw then shuffles in place and truncates.
 fn draw_pooled(
@@ -51,13 +76,7 @@ fn draw_pooled(
     rng: &mut impl FnMut() -> u64,
     pool: &mut Vec<NodeId>,
 ) {
-    pool.clear();
-    pool.extend(
-        members
-            .iter()
-            .copied()
-            .filter(|member| !exclude.contains(member)),
-    );
+    fill_pool(members, exclude, pool);
     if shuffle_prefix(pool.len(), limit, rng, |a, b| pool.swap(a, b)) {
         pool.truncate(limit);
     }

@@ -74,15 +74,33 @@ impl View {
     }
 }
 
+/// A 16-bit check over a view's id and members (FNV-1a over the values,
+/// folded). A corrupted byte can turn an encoded view into another view
+/// that still decodes — one gap off shifts every later id — and a joining
+/// node installs whatever view names it; with the check it fails to decode
+/// instead.
+fn check(id: u64, members: &[NodeId]) -> u16 {
+    let values = std::iter::once(id).chain(members.iter().map(|member| u64::from(member.0)));
+    let hash = values.fold(0x811c_9dc5u32, |hash, value| {
+        (hash ^ value as u32 ^ (value >> 32) as u32).wrapping_mul(0x0100_0193)
+    });
+    (hash ^ hash >> 16) as u16
+}
+
 impl Wire for View {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.id);
         w.put_gap_list(&self.members);
+        w.put_u16(check(self.id, &self.members));
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let id = r.get_varint()?;
-        Ok(View::new(id, r.get_gap_list()?))
+        let view = View::new(id, r.get_gap_list()?);
+        if r.get_u16()? != check(view.id, &view.members) {
+            return Err(WireError::Malformed("view check mismatch"));
+        }
+        Ok(view)
     }
 }
 
@@ -136,5 +154,23 @@ mod tests {
         let view = View::new(42, nodes(&[4, 8, 15]));
         let bytes = view.to_bytes();
         assert_eq!(View::from_bytes(&bytes).unwrap(), view);
+    }
+
+    #[test]
+    fn a_view_a_corrupted_byte_turns_into_another_fails_to_decode() {
+        // Id, count, the first member, then its gap to the second: a larger
+        // gap shifts every later member, and the list still decodes.
+        let view = View::new(0, (0..16).map(NodeId).collect());
+        let mut bytes = view.to_bytes().to_vec();
+        bytes[3] += 2;
+        let mut r = WireReader::new(&bytes);
+        r.get_varint().unwrap();
+        let shifted: Vec<NodeId> = r.get_gap_list().unwrap();
+        assert_eq!(shifted.len(), 16);
+        assert!(shifted[1..]
+            .iter()
+            .zip(&view.members[1..])
+            .all(|(new, old)| new > old));
+        assert!(View::from_bytes(&bytes).is_err(), "the check rejects it");
     }
 }

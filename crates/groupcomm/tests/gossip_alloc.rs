@@ -18,8 +18,8 @@
 //! session's scratch, and the repair tick encodes its digest straight from
 //! the log and draws its targets without a pool of members.
 //!
-//! The failure detector's heartbeat arrival is pinned here too: a digest
-//! decodes into the session's scratch and merges into its table in place.
+//! The failure detector's probe arrivals are pinned here too: a probe
+//! decodes into the session's scratch, and a ping's reply reuses a box.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -35,7 +35,8 @@ use morpheus_groupcomm::events::{GossipBatch, GossipRepairDigest, Heartbeat};
 use morpheus_groupcomm::failure_detector::FailureDetectorLayer;
 use morpheus_groupcomm::gossip::GossipLayer;
 use morpheus_groupcomm::headers::{
-    GossipBatchBody, GossipHeader, LivenessDigest, RepairDigest, RepairRange,
+    GossipBatchBody, GossipHeader, ProbeBody, ProbeKind, RepairDigest, RepairRange, Rumour,
+    RumourKind,
 };
 
 struct CountingAllocator;
@@ -250,9 +251,10 @@ fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() 
     );
 }
 
-/// A heartbeat arrives whose digest advances no counter. The digest decodes
-/// into the session's scratch and merges into its table in place, and the
-/// decode box comes from the free list: the arrival allocates nothing.
+/// Probes arrive at a warm failure detector. The body decodes into the
+/// session's scratch, rumours and all, and the decode box comes from the
+/// free list. A ping's reply is encoded through the shared header scratch
+/// into a box from the free list too: neither an ack nor a ping allocates.
 #[test]
 fn a_warm_heartbeat_that_advances_no_counter_allocates_nothing() {
     let mut platform = TestPlatform::new(NodeId(1));
@@ -260,10 +262,20 @@ fn a_warm_heartbeat_that_advances_no_counter_allocates_nothing() {
     params.insert("members".into(), "0,1,2,3,4,5,6,7".into());
     let mut harness = Harness::new(FailureDetectorLayer, &params, &mut platform);
     Heartbeat::register(harness.kernel_mut().events_mut());
-    let packet = || -> InPacket {
+    let packet = |kind: ProbeKind| -> InPacket {
         let mut message = Message::new();
-        message.push(&LivenessDigest {
-            entries: (0..8).map(|id| (NodeId(id), 100 + u64::from(id))).collect(),
+        message.push(&ProbeBody {
+            kind,
+            seq: 9,
+            incarnation: 3,
+            relay: None,
+            rumours: (4..7)
+                .map(|node| Rumour {
+                    kind: RumourKind::Alive,
+                    node: NodeId(node),
+                    incarnation: 0,
+                })
+                .collect(),
         });
         let heartbeat = Heartbeat::new(NodeId(2), Dest::Node(NodeId(1)), message);
         InPacket {
@@ -275,30 +287,30 @@ fn a_warm_heartbeat_that_advances_no_counter_allocates_nothing() {
         }
     };
 
-    // The first arrival raises every counter; the rest repeat them.
-    for _ in 0..WARM_UP_ROUNDS {
-        let arrival = packet();
-        harness
-            .kernel_mut()
-            .deliver_packet(arrival, &mut platform)
-            .unwrap();
-        assert!(harness.drain_up().is_empty(), "heartbeats are absorbed");
+    for (kind, replies) in [(ProbeKind::Ack, 0), (ProbeKind::Ping, 1)] {
+        for _ in 0..WARM_UP_ROUNDS {
+            let arrival = packet(kind);
+            harness
+                .kernel_mut()
+                .deliver_packet(arrival, &mut platform)
+                .unwrap();
+            assert!(harness.drain_up().is_empty(), "probes are absorbed");
+            harness.drain_down();
+        }
+        let mut total = 0;
+        for _ in 0..ROUNDS {
+            let arrival = packet(kind);
+            let before = allocations();
+            harness
+                .kernel_mut()
+                .deliver_packet(arrival, &mut platform)
+                .unwrap();
+            total += allocations() - before;
+            assert!(harness.drain_up().is_empty(), "probes are absorbed");
+            assert_eq!(harness.drain_down().len(), replies);
+        }
+        assert_eq!(total, 0, "a warm {kind:?} arrival allocates nothing");
     }
-
-    let mut total = 0;
-    for _ in 0..ROUNDS {
-        let arrival = packet();
-        let before = allocations();
-        harness
-            .kernel_mut()
-            .deliver_packet(arrival, &mut platform)
-            .unwrap();
-        total += allocations() - before;
-        assert!(harness.drain_up().is_empty(), "heartbeats are absorbed");
-        assert!(harness.drain_down().is_empty(), "nothing is sent back");
-    }
-
-    assert_eq!(total, 0, "a warm heartbeat arrival allocates nothing");
 }
 
 /// A gossip session with the repair pass on, at node 1 of nine members,
