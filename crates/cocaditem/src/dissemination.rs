@@ -17,14 +17,20 @@
 //!   to another 3 peers while `FORWARD_TTL` (3 rounds) lasts — `O(n · fanout)`
 //!   messages per publication instead of `n · (n - 1)`, converging in
 //!   `O(log n)` hops;
-//! * every publish interval the layer additionally gossips a compact
-//!   [`ContextDigest`] — its `(node, version)` view of the store — to
-//!   `FANOUT` random peers. A digest receiver **pulls** the snapshots its
-//!   peer holds newer versions of ([`ContextPull`], rate-limited per node so
-//!   concurrent digests do not re-request the same snapshots) and the answer
-//!   arrives as one batched [`ContextBatch`], so any snapshot lost in
-//!   transit is repaired within a few intervals without periodically
-//!   re-flooding full snapshots.
+//! * every publish interval the layer sends a [`ContextDigest`] carrying
+//!   the store's constant-size [`StoreSummary`] — its row count and an
+//!   order-independent hash of its `(node, version)` rows — to `FANOUT`
+//!   random peers (anti-entropy by summary, Demers et al., PODC 1987). A
+//!   receiver whose own summary matches sends nothing, which is the usual
+//!   case once the group has settled. On a mismatch it answers with its
+//!   rows in a [`ContextPull`], and the summary's sender replies with one
+//!   [`ContextBatch`] of every member snapshot it holds newer. So a snapshot
+//!   lost in transit is repaired within a few intervals, without re-flooding
+//!   full snapshots and without sending the table while nothing changed.
+//!
+//! The store holds view members only: a snapshot of a node outside the view
+//! is refused, and a view install drops the rows of the nodes it removes.
+//! A row no peer would ever hold again cannot keep two summaries apart.
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, TimerExpired};
@@ -36,6 +42,7 @@ use morpheus_appia::session::Session;
 use morpheus_appia::wire::{encode_pooled, Wire, WireError, WireReader, WireWriter};
 use morpheus_appia::{internal_event, sendable_event, Kernel};
 use morpheus_groupcomm::events::ViewInstall;
+use morpheus_groupcomm::sample::sample_peers_into;
 use morpheus_groupcomm::sorted::seek;
 
 use std::cell::RefCell;
@@ -43,7 +50,7 @@ use std::rc::Rc;
 
 use crate::context::ContextSnapshot;
 use crate::retriever::{default_retrievers, ContextRetriever};
-use crate::store::ContextStore;
+use crate::store::{ContextStore, StoreSummary};
 
 /// Registered name of the Cocaditem dissemination layer.
 pub const COCADITEM_LAYER: &str = "cocaditem";
@@ -64,21 +71,24 @@ sendable_event! {
 }
 
 sendable_event! {
-    /// An anti-entropy digest: the sender's `(node, version)` view of its
-    /// context store (payload: the encoded [`DigestBody`]).
+    /// An anti-entropy digest: the sender's [`StoreSummary`] (payload: the
+    /// encoded summary).
     pub struct ContextDigest, class: Context
 }
 
 sendable_event! {
-    /// A pull request for snapshots the digest sender holds newer versions
-    /// of (payload: the encoded [`PullBody`]).
+    /// The answer to a [`ContextDigest`] whose summary differs from the
+    /// receiver's: the receiver's `(node, version)` rows (payload: the
+    /// encoded [`DigestBody`]), which ask the digest's sender for every
+    /// snapshot it holds newer.
     pub struct ContextPull, class: Context
 }
 
 sendable_event! {
-    /// The answer to a [`ContextPull`]: every requested snapshot batched
-    /// into one message (payload: the encoded [`BatchBody`]), so repairing a
-    /// freshly booted node costs one message instead of one per member.
+    /// The answer to a [`ContextPull`]: every member snapshot the puller's
+    /// rows show it lacks, batched into one message (payload: the encoded
+    /// [`BatchBody`]), so repairing a freshly booted node costs one message
+    /// instead of one per member.
     pub struct ContextBatch, class: Context
 }
 
@@ -96,8 +106,9 @@ internal_event! {
     categories: [Internal]
 }
 
-/// Wire body of a [`ContextDigest`]: every store entry as `(node, version)`,
-/// where the version is the snapshot's capture time (monotonic per node).
+/// Wire body of a [`ContextPull`]: every store entry as `(node, version)`,
+/// where the version is the snapshot's capture time (monotonic per node) —
+/// the rows of [`ContextStore::digest`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DigestBody {
     /// `(node, version)` pairs, in node-id order.
@@ -105,10 +116,10 @@ pub struct DigestBody {
 }
 
 impl DigestBody {
-    /// Decodes the digest carried in `header` (a popped message header)
-    /// into `entries`, a caller-owned scratch that keeps its capacity
-    /// across digests. All or nothing, as [`Message::pop`]: a malformed row
-    /// or trailing bytes is an error and leaves `entries` empty.
+    /// Decodes the rows carried in `header` (a popped message header) into
+    /// `entries`, a caller-owned scratch that keeps its capacity across
+    /// pulls. All or nothing, as [`Message::pop`]: a malformed row or
+    /// trailing bytes is an error and leaves `entries` empty.
     pub fn decode_into(header: &[u8], entries: &mut Vec<(NodeId, u64)>) -> Result<(), WireError> {
         let mut r = WireReader::new(header);
         r.get_id_table_into(entries)?;
@@ -132,38 +143,31 @@ impl Wire for DigestBody {
     }
 }
 
-/// Wire body of a [`ContextPull`]: the nodes whose snapshots are requested.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PullBody {
-    /// Nodes whose snapshots the requester is missing or holds stale.
-    pub nodes: Vec<NodeId>,
-}
-
-impl Wire for PullBody {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_gap_list(&self.nodes);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            nodes: r.get_gap_list()?,
-        })
-    }
-}
-
-/// Wire body of a [`ContextBatch`]: the requested snapshots.
+/// Wire body of a [`ContextBatch`]: the snapshots a puller lacks.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchBody {
-    /// The snapshots, in the order they were requested.
+    /// The snapshots, in node-id order.
     pub snapshots: Vec<ContextSnapshot>,
+}
+
+impl BatchBody {
+    /// Encodes the `count` snapshots `snapshots` yields as a [`BatchBody`],
+    /// from wherever they are held.
+    fn encode_from<'a>(
+        count: usize,
+        snapshots: impl Iterator<Item = &'a ContextSnapshot>,
+        w: &mut WireWriter,
+    ) {
+        w.put_varint(count as u64);
+        for snapshot in snapshots.take(count) {
+            snapshot.encode(w);
+        }
+    }
 }
 
 impl Wire for BatchBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.snapshots.len() as u64);
-        for snapshot in &self.snapshots {
-            snapshot.encode(w);
-        }
+        Self::encode_from(self.snapshots.len(), self.snapshots.iter(), w);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -204,7 +208,7 @@ pub struct CocaditemLayer {
 
 impl CocaditemLayer {
     /// A layer whose sessions write the given context store.
-    pub(crate) fn new(store: Rc<RefCell<ContextStore>>) -> Self {
+    pub fn new(store: Rc<RefCell<ContextStore>>) -> Self {
         Self { store }
     }
 }
@@ -250,9 +254,8 @@ impl Layer for CocaditemLayer {
             last_published: None,
             publications: 0,
             converged_reported: false,
-            recent_pulls: morpheus_appia::hash::HashMap::default(),
-            behind_peers: std::collections::BTreeSet::new(),
-            digest_entries: Vec::new(),
+            targets: Vec::new(),
+            rows: Vec::new(),
         })
     }
 }
@@ -286,27 +289,14 @@ fn changed_significantly(previous: &ContextSnapshot, current: &ContextSnapshot) 
         || previous.get(ContextKey::NativeMulticast) != current.get(ContextKey::NativeMulticast)
 }
 
-/// `node`'s snapshot in the id-sorted `snapshots` of a store, looked up
-/// with [`seek`] from `cursor`.
-fn stored<'a>(
-    snapshots: &'a [ContextSnapshot],
-    cursor: &mut usize,
-    node: NodeId,
-) -> Option<&'a ContextSnapshot> {
-    seek(snapshots, cursor, node, |snapshot| snapshot.node)
-        .ok()
-        .and_then(|at| snapshots.get(at))
-}
-
 /// Session state of the Cocaditem dissemination layer.
 pub struct CocaditemSession {
     /// The membership in view order, which the random peer draws index
     /// into.
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    /// The same membership sorted by id, for the membership checks of a
-    /// received digest: the digest and the store are in id order too, so
-    /// one [`seek`] walk checks them all in O(n).
+    /// The same membership sorted by id, for membership checks: one [`seek`]
+    /// walk checks an id-sorted list against it in O(n).
     // bound: mirrors `members` -- rebuilt on view install, <= view size.
     member_set: Vec<NodeId>,
     publish_interval_ms: u64,
@@ -316,24 +306,12 @@ pub struct CocaditemSession {
     last_published: Option<ContextSnapshot>,
     publications: u64,
     converged_reported: bool,
-    /// Pull budget per snapshot: `(window start ms, pulls issued in the
-    /// window)`. Up to **two** digest senders per publish interval may be
-    /// pulled from for the same missing snapshot — one redundant pull
-    /// halves the tail under heavy control loss (a single lost answer no
-    /// longer costs a whole extra interval), while still keeping the boot
-    /// transient far below the flood it replaces.
-    // bound: pruned to live members on view install; a node's entry drops when its snapshot arrives.
-    recent_pulls: morpheus_appia::hash::HashMap<NodeId, (u64, u32)>,
-    /// Peers whose most recent digest advertised a staler view of the store
-    /// than ours. Our own digest targets are biased towards them: a peer
-    /// that is behind learns what to pull from us one interval sooner than
-    /// uniform random targeting would manage, which shortens the last
-    /// stragglers' convergence tail.
-    // bound: <= view size; retained against the membership on view install.
-    behind_peers: std::collections::BTreeSet<NodeId>,
-    /// Scratch for the rows of each received digest.
-    // bound: refilled on every received digest; <= the rows its packet holds.
-    digest_entries: Vec<(NodeId, u64)>,
+    /// Scratch for each random peer draw.
+    // bound: refilled by every draw; <= view size.
+    targets: Vec<NodeId>,
+    /// Scratch for the rows of each received pull.
+    // bound: refilled on every received pull; <= the rows its packet holds.
+    rows: Vec<(NodeId, u64)>,
 }
 
 impl std::fmt::Debug for CocaditemSession {
@@ -363,32 +341,22 @@ impl CocaditemSession {
         snapshot
     }
 
-    /// Picks up to `limit` random members, excluding `exclude`.
-    fn random_targets(
-        &self,
-        limit: usize,
-        exclude: &[NodeId],
-        ctx: &mut EventContext<'_>,
-    ) -> Vec<NodeId> {
-        morpheus_groupcomm::sample::sample_peers(&self.members, exclude, limit, ctx)
+    /// Draws up to `FANOUT` random members, excluding `exclude`, into
+    /// `targets`; whether there were any.
+    fn draw_targets(&mut self, exclude: &[NodeId], ctx: &mut EventContext<'_>) -> bool {
+        sample_peers_into(&self.members, exclude, FANOUT, ctx, &mut self.targets);
+        !self.targets.is_empty()
     }
 
-    /// Sends one snapshot to explicit targets with the given forwarding TTL.
-    fn send_snapshot(
-        snapshot: &ContextSnapshot,
-        ttl: u32,
-        targets: Vec<NodeId>,
-        ctx: &mut EventContext<'_>,
-    ) {
-        if targets.is_empty() {
-            return;
-        }
+    /// Sends one snapshot to the drawn targets with the given forwarding TTL.
+    fn send_snapshot(&self, snapshot: &ContextSnapshot, ttl: u32, ctx: &mut EventContext<'_>) {
         let mut message = Message::new();
         message.push(snapshot);
         message.push(&ttl);
+        let dest = Dest::Nodes(self.targets.clone());
         ctx.dispatch(Event::down(ContextPublish::new(
             ctx.node_id(),
-            Dest::Nodes(targets),
+            dest,
             message,
         )));
     }
@@ -401,10 +369,12 @@ impl CocaditemSession {
         }
         let store = self.store.borrow();
         let mut cursor = 0;
-        let covered = self
-            .member_set
-            .iter()
-            .all(|member| stored(store.as_slice(), &mut cursor, *member).is_some());
+        let covered = self.member_set.iter().all(|member| {
+            seek(store.as_slice(), &mut cursor, *member, |snapshot| {
+                snapshot.node
+            })
+            .is_ok()
+        });
         drop(store);
         if covered {
             self.converged_reported = true;
@@ -416,7 +386,7 @@ impl CocaditemSession {
 
     /// Samples the local context and, when it changed significantly since
     /// the last publication, pushes the snapshot to `FANOUT` random peers
-    /// (anti-entropy digests repair any loss).
+    /// (anti-entropy repairs any loss).
     fn publish(&mut self, ctx: &mut EventContext<'_>, force: bool) {
         let local = ctx.node_id();
         let snapshot = self.sample_local(ctx);
@@ -440,57 +410,35 @@ impl CocaditemSession {
             return;
         }
 
-        // The store (and therefore the digest) only ever advances to
+        // The store (and therefore the summary) only ever advances to
         // *published* versions: an unpublished local re-sample must not bump
-        // the advertised version, or every digest receiver would pull the
-        // "newer" snapshot on every interval forever.
+        // the advertised version, or every peer's summary would differ from
+        // this node's on every interval forever.
         self.store.borrow_mut().update(snapshot.clone());
         self.maybe_report_convergence(ctx);
 
-        let targets = self.random_targets(FANOUT, &[local], ctx);
-        if !targets.is_empty() {
+        if self.draw_targets(&[local], ctx) {
             self.publications += 1;
-            Self::send_snapshot(&snapshot, FORWARD_TTL, targets, ctx);
+            self.send_snapshot(&snapshot, FORWARD_TTL, ctx);
         }
         self.last_published = Some(snapshot);
     }
 
-    /// Gossips the store digest to `FANOUT` peers — stale-looking peers
-    /// first, the rest uniformly random.
-    fn gossip_digest(&mut self, ctx: &mut EventContext<'_>) {
+    /// Sends the store's summary to `FANOUT` random peers.
+    fn gossip_summary(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
-        let member_set = &self.member_set;
-        self.behind_peers
-            .retain(|peer| *peer != local && member_set.binary_search(peer).is_ok());
-        let behind: Vec<NodeId> = self.behind_peers.iter().copied().collect();
-        let mut targets = morpheus_groupcomm::sample::sample_peers(&behind, &[local], FANOUT, ctx);
-        if targets.len() < FANOUT {
-            let mut exclude = targets.clone();
-            exclude.push(local);
-            targets.extend(morpheus_groupcomm::sample::sample_peers(
-                &self.members,
-                &exclude,
-                FANOUT - targets.len(),
-                ctx,
-            ));
-        }
-        if targets.is_empty() {
+        if !self.draw_targets(&[local], ctx) {
             return;
         }
-        // A `DigestBody` encoded straight from the store.
-        let store = self.store.borrow();
         let mut message = Message::new();
-        message.push_header(encode_pooled(|w| w.put_id_rows(store.digest_rows())));
-        drop(store);
-        ctx.dispatch(Event::down(ContextDigest::new(
-            local,
-            Dest::Nodes(targets),
-            message,
-        )));
+        message.push(&self.store.borrow().summary());
+        let dest = Dest::Nodes(self.targets.clone());
+        ctx.dispatch(Event::down(ContextDigest::new(local, dest, message)));
     }
 
     /// Handles a received snapshot: store it, signal it upward and — while
-    /// the TTL lasts — keep spreading it if it was news.
+    /// the TTL lasts — keep spreading it if it was news. A non-member's
+    /// snapshot is refused.
     fn on_snapshot(
         &mut self,
         snapshot: ContextSnapshot,
@@ -498,126 +446,70 @@ impl CocaditemSession {
         from: NodeId,
         ctx: &mut EventContext<'_>,
     ) {
-        let fresh = self.store.borrow_mut().update(snapshot.clone());
-        if !fresh {
+        let node = snapshot.node;
+        if !self.is_member(node) || !self.store.borrow_mut().update(snapshot) {
             return;
         }
         ctx.dispatch(Event::up(ContextUpdated { local_sample: None }));
         self.maybe_report_convergence(ctx);
-        if ttl > 0 {
-            let local = ctx.node_id();
-            let targets = self.random_targets(FANOUT, &[local, from, snapshot.node], ctx);
-            Self::send_snapshot(&snapshot, ttl - 1, targets, ctx);
+        if ttl > 0 && self.draw_targets(&[ctx.node_id(), from, node], ctx) {
+            let store = self.store.borrow();
+            if let Some(snapshot) = store.get(node) {
+                self.send_snapshot(snapshot, ttl - 1, ctx);
+            }
         }
     }
 
-    /// Handles the digest decoded into `digest_entries`: pull what the peer
-    /// holds newer (pull-only anti-entropy). Pulls are rate-limited per
-    /// node — several digests arrive each interval and must not all
-    /// re-request the same snapshots — and retried after a publish interval,
-    /// which bounds convergence under loss without any periodic full
-    /// republish.
-    fn on_digest(&mut self, from: NodeId, ctx: &mut EventContext<'_>) {
-        // A digest from outside the installed view is ignored wholesale: no
-        // pull goes back, and the sender is not tracked as a behind peer —
-        // expelled members must stop receiving anti-entropy traffic.
-        if !self.is_member(from) {
-            return;
-        }
-        let now = ctx.now_ms();
-        let entries = &self.digest_entries;
+    /// Handles a peer's summary: a mismatch is answered with this node's
+    /// rows, which ask the peer for what it holds newer. A summary from
+    /// outside the installed view is ignored — expelled members must stop
+    /// receiving anti-entropy traffic.
+    fn on_summary(&mut self, summary: StoreSummary, from: NodeId, ctx: &mut EventContext<'_>) {
         let store = self.store.borrow();
-        let snapshots = store.as_slice();
-        // Does the sender itself look *behind* (older versions than ours, or
-        // snapshots it does not list at all)? If so, bias our next digest
-        // rounds towards it so it learns what to pull from us.
-        // The store, the member list and a digest (produced from
-        // `digest_rows`) are all in node-id order, so one merge scan decides
-        // it in O(n). A malformed unsorted digest only degrades the *bias*,
-        // never correctness.
-        let mut members = 0;
-        let mut next = 0;
-        let mut sender_behind = false;
-        for snapshot in snapshots {
-            let node = snapshot.node;
-            if seek(&self.member_set, &mut members, node, |id| *id).is_err() {
-                continue;
-            }
-            while entries
-                .get(next)
-                .is_some_and(|(digest_node, _)| *digest_node < node)
-            {
-                next += 1;
-            }
-            match entries.get(next) {
-                Some((digest_node, version))
-                    if *digest_node == node && *version >= snapshot.captured_at_ms => {}
-                _ => {
-                    sender_behind = true;
-                    break;
-                }
-            }
-        }
-        if sender_behind {
-            self.behind_peers.insert(from);
-        } else {
-            self.behind_peers.remove(&from);
-        }
-
-        // What to pull: a second merge scan, in digest order.
-        let mut wants: Vec<NodeId> = Vec::new();
-        let mut members = 0;
-        let mut cursor = 0;
-        for (node, version) in entries {
-            if seek(&self.member_set, &mut members, *node, |id| *id).is_err() {
-                continue;
-            }
-            let known =
-                stored(snapshots, &mut cursor, *node).map(|snapshot| snapshot.captured_at_ms);
-            if known >= Some(*version) {
-                continue;
-            }
-            let window = self.recent_pulls.entry(*node).or_insert((now, 0));
-            if now.saturating_sub(window.0) >= self.publish_interval_ms {
-                *window = (now, 0);
-            }
-            if window.1 < 2 {
-                window.1 += 1;
-                wants.push(*node);
-            }
-        }
-        drop(store);
-        if !wants.is_empty() {
-            let mut message = Message::new();
-            message.push(&PullBody { nodes: wants });
-            ctx.dispatch(Event::down(ContextPull::new(
-                ctx.node_id(),
-                Dest::Node(from),
-                message,
-            )));
-        }
-    }
-
-    /// Handles a pull request: answer with every requested snapshot batched
-    /// into a single message.
-    fn on_pull(&mut self, body: PullBody, from: NodeId, ctx: &mut EventContext<'_>) {
-        // Snapshots are served to current view members only; a removed peer
-        // rebuilds its context store through the rejoin state transfer.
-        if !self.is_member(from) {
-            return;
-        }
-        let store = self.store.borrow();
-        let snapshots: Vec<ContextSnapshot> = body
-            .nodes
-            .into_iter()
-            .filter_map(|node| store.get(node).cloned())
-            .collect();
-        drop(store);
-        if snapshots.is_empty() {
+        if !self.is_member(from) || store.summary() == summary {
             return;
         }
         let mut message = Message::new();
-        message.push(&BatchBody { snapshots });
+        message.push_header(encode_pooled(|w| w.put_id_rows(store.digest_rows())));
+        drop(store);
+        ctx.dispatch(Event::down(ContextPull::new(
+            ctx.node_id(),
+            Dest::Node(from),
+            message,
+        )));
+    }
+
+    /// Handles the rows decoded into `rows`: answer with one batch of every
+    /// member snapshot the puller lacks or holds older, encoded straight
+    /// from the store. Snapshots are served to current view members only; a
+    /// removed peer rebuilds its store through the rejoin state transfer.
+    fn on_rows(&mut self, from: NodeId, ctx: &mut EventContext<'_>) {
+        if !self.is_member(from) {
+            return;
+        }
+        // A well-formed pull is already sorted; an unsorted one must get the
+        // same answer.
+        self.rows.sort_unstable_by_key(|(node, _)| *node);
+        let (rows, member_set) = (&self.rows, &self.member_set);
+        let store = self.store.borrow();
+        let newer = || {
+            let (mut members, mut cursor) = (0, 0);
+            store.as_slice().iter().filter(move |snapshot| {
+                let node = snapshot.node;
+                let theirs = seek(rows, &mut cursor, node, |(id, _)| *id)
+                    .ok()
+                    .and_then(|at| rows.get(at));
+                seek(member_set, &mut members, node, |id| *id).is_ok()
+                    && theirs.is_none_or(|(_, version)| *version < snapshot.captured_at_ms)
+            })
+        };
+        let count = newer().count();
+        if count == 0 {
+            return;
+        }
+        let mut message = Message::new();
+        message.push_header(encode_pooled(|w| BatchBody::encode_from(count, newer(), w)));
+        drop(store);
         ctx.dispatch(Event::down(ContextBatch::new(
             ctx.node_id(),
             Dest::Node(from),
@@ -625,15 +517,13 @@ impl CocaditemSession {
         )));
     }
 
-    /// Handles a batched pull answer: each snapshot is stored and signalled
-    /// like a directly received publication (no further forwarding — the
-    /// batch was explicitly requested, so spreading it again would only
-    /// re-create the redundancy the pull rate limit removed).
+    /// Handles a batched pull answer: each member snapshot is stored and
+    /// signalled like a directly received publication (no further
+    /// forwarding — the batch was explicitly requested, so spreading it
+    /// again would only add redundancy).
     fn on_batch(&mut self, body: BatchBody, ctx: &mut EventContext<'_>) {
         for snapshot in body.snapshots {
-            let node = snapshot.node;
-            if self.store.borrow_mut().update(snapshot) {
-                self.recent_pulls.remove(&node);
+            if self.is_member(snapshot.node) && self.store.borrow_mut().update(snapshot) {
                 ctx.dispatch(Event::up(ContextUpdated { local_sample: None }));
             }
         }
@@ -659,7 +549,7 @@ impl Session for CocaditemSession {
             if timer.owner == COCADITEM_LAYER {
                 if timer.tag == PUBLISH_TAG {
                     self.publish(ctx, false);
-                    self.gossip_digest(ctx);
+                    self.gossip_summary(ctx);
                     ctx.set_timer(self.publish_interval_ms, PUBLISH_TAG);
                 }
                 return;
@@ -672,27 +562,18 @@ impl Session for CocaditemSession {
             self.member_set.clone_from(&self.members);
             self.member_set.sort_unstable();
             self.member_set.dedup();
-            // Expelled members must stop occupying the store (their digest
-            // entry would otherwise ride every future digest), the pull
-            // rate-limit map or the staleness bias.
+            // Expelled members must stop occupying the store: their rows
+            // would keep this node's summary apart from its peers'.
             self.store.borrow_mut().retain_members(&self.member_set);
-            let member_set = &self.member_set;
-            self.recent_pulls
-                .retain(|node, _| member_set.binary_search(node).is_ok());
-            self.behind_peers
-                .retain(|node| member_set.binary_search(node).is_ok());
             self.converged_reported = false;
             ctx.forward(event);
             return;
         }
-        if event.is::<ContextPublish>() {
-            if event.direction == Direction::Down {
-                ctx.forward(event);
-                return;
-            }
-            let Some(publish) = event.get_mut::<ContextPublish>() else {
-                return;
-            };
+        if event.direction == Direction::Down {
+            ctx.forward(event);
+            return;
+        }
+        if let Some(publish) = event.get_mut::<ContextPublish>() {
             let from = publish.header.source;
             let Ok(ttl) = publish.message.pop::<u32>() else {
                 return;
@@ -703,51 +584,27 @@ impl Session for CocaditemSession {
             self.on_snapshot(snapshot, ttl, from, ctx);
             return;
         }
-        if event.is::<ContextDigest>() {
-            if event.direction == Direction::Down {
-                ctx.forward(event);
-                return;
-            }
-            let Some(digest) = event.get_mut::<ContextDigest>() else {
-                return;
-            };
+        if let Some(digest) = event.get_mut::<ContextDigest>() {
             let from = digest.header.source;
-            let Some(header) = digest.message.pop_header() else {
-                return;
-            };
-            if DigestBody::decode_into(&header, &mut self.digest_entries).is_err() {
-                return;
+            if let Ok(summary) = digest.message.pop::<StoreSummary>() {
+                self.on_summary(summary, from, ctx);
             }
-            self.on_digest(from, ctx);
             return;
         }
-        if event.is::<ContextPull>() {
-            if event.direction == Direction::Down {
-                ctx.forward(event);
-                return;
-            }
-            let Some(pull) = event.get_mut::<ContextPull>() else {
-                return;
-            };
+        if let Some(pull) = event.get_mut::<ContextPull>() {
             let from = pull.header.source;
-            let Ok(body) = pull.message.pop::<PullBody>() else {
+            let Some(header) = pull.message.pop_header() else {
                 return;
             };
-            self.on_pull(body, from, ctx);
+            if DigestBody::decode_into(&header, &mut self.rows).is_ok() {
+                self.on_rows(from, ctx);
+            }
             return;
         }
-        if event.is::<ContextBatch>() {
-            if event.direction == Direction::Down {
-                ctx.forward(event);
-                return;
+        if let Some(batch) = event.get_mut::<ContextBatch>() {
+            if let Ok(body) = batch.message.pop::<BatchBody>() {
+                self.on_batch(body, ctx);
             }
-            let Some(batch) = event.get_mut::<ContextBatch>() else {
-                return;
-            };
-            let Ok(body) = batch.message.pop::<BatchBody>() else {
-                return;
-            };
-            self.on_batch(body, ctx);
             return;
         }
         ctx.forward(event);
@@ -780,6 +637,71 @@ mod tests {
         message.push(snapshot);
         message.push(&ttl);
         message
+    }
+
+    fn fixed(node: u32, at: u64) -> ContextSnapshot {
+        ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(node)), at)
+    }
+
+    /// Node 1's layer over `members`; its store holds its own snapshot at
+    /// version 0 and a fixed node's at each of `known`'s versions.
+    fn node_one(
+        members: &[u32],
+        known: &[(u32, u64)],
+    ) -> (Harness, TestPlatform, Rc<RefCell<ContextStore>>) {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let store = Rc::new(RefCell::new(ContextStore::new()));
+        let mut cocaditem = Harness::new(
+            CocaditemLayer::new(store.clone()),
+            &params(members, 1000),
+            &mut platform,
+        );
+        for (node, at) in known {
+            store.borrow_mut().update(fixed(*node, *at));
+        }
+        cocaditem.drain_down();
+        (cocaditem, platform, store)
+    }
+
+    /// The summary of a store holding `rows`.
+    fn summary_of(rows: &[(u32, u64)]) -> StoreSummary {
+        let mut store = ContextStore::new();
+        for (node, at) in rows {
+            store.update(fixed(*node, *at));
+        }
+        store.summary()
+    }
+
+    fn digest_from(from: u32, summary: StoreSummary) -> Event {
+        let mut message = Message::new();
+        message.push(&summary);
+        Event::up(ContextDigest::new(
+            NodeId(from),
+            Dest::Node(NodeId(1)),
+            message,
+        ))
+    }
+
+    fn pull_from(from: u32, rows: &[(u32, u64)]) -> Event {
+        let entries = rows.iter().map(|(node, at)| (NodeId(*node), *at)).collect();
+        let mut message = Message::new();
+        message.push(&DigestBody { entries });
+        Event::up(ContextPull::new(
+            NodeId(from),
+            Dest::Node(NodeId(1)),
+            message,
+        ))
+    }
+
+    /// The `(node, version)` of every snapshot in the one batch `down` holds.
+    fn batched(down: &[Event]) -> Vec<(NodeId, u64)> {
+        assert_eq!(down.len(), 1, "one batch: {down:?}");
+        let batch = down[0].get::<ContextBatch>().expect("a batch");
+        let body = batch.message.clone().pop::<BatchBody>().unwrap();
+        body.snapshots
+            .iter()
+            .map(|s| (s.node, s.captured_at_ms))
+            .collect()
     }
 
     fn fire_publish_timer(harness: &mut Harness, platform: &mut TestPlatform) {
@@ -827,9 +749,8 @@ mod tests {
             panic!("digest must address a node list");
         };
         assert_eq!(digest_targets.len(), 3);
-        let body = digest.message.clone().pop::<DigestBody>().unwrap();
-        assert_eq!(body.entries.len(), 1, "digest lists the known store");
-        assert_eq!(body.entries[0].0, NodeId(0));
+        let summary = digest.message.clone().pop::<StoreSummary>().unwrap();
+        assert_eq!(summary.rows, 1, "the digest sums up the known store");
     }
 
     #[test]
@@ -890,300 +811,86 @@ mod tests {
     }
 
     #[test]
-    fn digests_trigger_rate_limited_pulls_for_stale_entries() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut cocaditem = Harness::new(
-            CocaditemLayer::new(Rc::default()),
-            &params(&[1, 2, 3], 1000),
-            &mut platform,
-        );
+    fn a_matching_summary_sends_nothing_and_a_mismatch_answers_with_the_rows() {
+        let (mut cocaditem, mut platform, _) = node_one(&[1, 2, 3], &[(3, 50)]);
+        let digest = digest_from(2, summary_of(&[(3, 50), (1, 0)]));
+        cocaditem.run_up(digest, &mut platform);
+        assert!(cocaditem.drain_down().is_empty(), "a match sends nothing");
 
-        // Node 1 knows node 3's context at version 50.
-        let known = ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(3)), 50);
-        cocaditem.run_up(
-            Event::up(ContextPublish::new(
-                NodeId(3),
-                Dest::Node(NodeId(1)),
-                publish_message(&known, 0),
-            )),
-            &mut platform,
-        );
-        cocaditem.drain_down();
-
-        // Node 2's digest: it holds node 3 at version 90 (newer) and its own
-        // context, which node 1 has never seen.
-        let digest = |entries: Vec<(NodeId, u64)>| {
-            let mut message = Message::new();
-            message.push(&DigestBody { entries });
-            message
-        };
-        cocaditem.run_up(
-            Event::up(ContextDigest::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                digest(vec![(NodeId(2), 10), (NodeId(3), 90)]),
-            )),
-            &mut platform,
-        );
-
+        // Node 2 holds node 3's snapshot newer, and its own.
+        let digest = digest_from(2, summary_of(&[(1, 0), (2, 10), (3, 90)]));
+        cocaditem.run_up(digest, &mut platform);
         let down = cocaditem.drain_down();
-        let pulls: Vec<&Event> = down
-            .iter()
-            .filter(|event| event.is::<ContextPull>())
-            .collect();
-        assert_eq!(pulls.len(), 1);
-        let pull = pulls[0].get::<ContextPull>().unwrap();
+        assert_eq!(down.len(), 1);
+        let pull = down[0].get::<ContextPull>().expect("the rows");
         assert_eq!(pull.header.dest, Dest::Node(NodeId(2)));
-        let body = pull.message.clone().pop::<PullBody>().unwrap();
-        assert_eq!(body.nodes, vec![NodeId(2), NodeId(3)]);
-        assert!(
-            down.iter().all(|event| !event.is::<ContextPublish>()),
-            "pull-only anti-entropy pushes nothing back"
-        );
-
-        // A second digest sender within the same interval may be pulled from
-        // once more (redundancy halves the tail under loss: one lost answer
-        // no longer costs a whole interval)...
-        cocaditem.run_up(
-            Event::up(ContextDigest::new(
-                NodeId(3),
-                Dest::Node(NodeId(1)),
-                digest(vec![(NodeId(2), 10), (NodeId(3), 90)]),
-            )),
-            &mut platform,
-        );
-        let second = cocaditem.drain_down();
-        assert_eq!(
-            second
-                .iter()
-                .filter(|event| event.is::<ContextPull>())
-                .count(),
-            1,
-            "up to two digest senders per interval are pulled from"
-        );
-        assert_eq!(
-            second
-                .iter()
-                .find_map(|event| event.get::<ContextPull>())
-                .unwrap()
-                .header
-                .dest,
-            Dest::Node(NodeId(3))
-        );
-
-        // ... but a third digest in the same interval is not.
-        cocaditem.run_up(
-            Event::up(ContextDigest::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                digest(vec![(NodeId(2), 10), (NodeId(3), 90)]),
-            )),
-            &mut platform,
-        );
-        assert!(
-            cocaditem
-                .drain_down()
-                .iter()
-                .all(|event| !event.is::<ContextPull>()),
-            "the per-interval pull budget is two"
-        );
-
-        // After a publish interval the pull budget resets (the answers may
-        // have been lost on a degraded control channel).
-        platform.advance(1000);
-        cocaditem.run_up(
-            Event::up(ContextDigest::new(
-                NodeId(3),
-                Dest::Node(NodeId(1)),
-                digest(vec![(NodeId(2), 10), (NodeId(3), 90)]),
-            )),
-            &mut platform,
-        );
-        assert_eq!(
-            cocaditem
-                .drain_down()
-                .iter()
-                .filter(|event| event.is::<ContextPull>())
-                .count(),
-            1,
-            "lost answers are re-pulled on the next digest"
-        );
+        let rows = pull.message.clone().pop::<DigestBody>().unwrap().entries;
+        assert_eq!(rows, vec![(NodeId(1), 0), (NodeId(3), 50)]);
     }
 
     #[test]
-    fn an_unsorted_digest_pulls_exactly_what_the_sorted_one_pulls() {
-        let sorted = vec![
-            (NodeId(2), 10),
-            (NodeId(3), 90),
-            (NodeId(4), 5),
-            (NodeId(5), 80),
-            (NodeId(6), 1),
-            (NodeId(9), 4),
-        ];
-        let mut unsorted = sorted.clone();
-        unsorted.reverse();
-        unsorted.swap(1, 3);
-
-        let mut pulled = Vec::new();
-        for entries in [sorted, unsorted] {
-            let mut platform = TestPlatform::new(NodeId(1));
-            let mut cocaditem = Harness::new(
-                CocaditemLayer::new(Rc::default()),
-                &params(&[1, 2, 3, 4, 5, 6], 1000),
-                &mut platform,
-            );
-            // Node 3 is known at an older version, node 5 at the same one.
-            for (node, version) in [(3, 50), (5, 80)] {
-                let known =
-                    ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(node)), version);
-                cocaditem.run_up(
-                    Event::up(ContextPublish::new(
-                        NodeId(node),
-                        Dest::Node(NodeId(1)),
-                        publish_message(&known, 0),
-                    )),
-                    &mut platform,
-                );
-            }
-            cocaditem.drain_down();
-
-            let mut message = Message::new();
-            message.push(&DigestBody { entries });
-            cocaditem.run_up(
-                Event::up(ContextDigest::new(
-                    NodeId(2),
-                    Dest::Node(NodeId(1)),
-                    message,
-                )),
-                &mut platform,
-            );
-            let down = cocaditem.drain_down();
-            let pull = down
-                .iter()
-                .find_map(|event| event.get::<ContextPull>())
-                .expect("a pull");
-            let mut nodes = pull.message.clone().pop::<PullBody>().unwrap().nodes;
-            nodes.sort();
-            pulled.push(nodes);
-        }
-        assert_eq!(pulled[0], vec![NodeId(2), NodeId(3), NodeId(4), NodeId(6)]);
-        assert_eq!(pulled[0], pulled[1]);
-    }
-
-    #[test]
-    fn digest_targets_are_biased_towards_stale_looking_peers() {
-        let mut platform = TestPlatform::new(NodeId(0));
-        let members: Vec<u32> = (0..12).collect();
-        let mut cocaditem = Harness::new(
-            CocaditemLayer::new(Rc::default()),
-            &params(&members, 500),
-            &mut platform,
-        );
-
-        // Node 0 knows node 5's context at version 80.
-        let known = ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(5)), 80);
-        cocaditem.run_up(
-            Event::up(ContextPublish::new(
-                NodeId(5),
-                Dest::Node(NodeId(0)),
-                publish_message(&known, 0),
-            )),
-            &mut platform,
-        );
-        cocaditem.drain_down();
-
-        // Node 7's digest only knows node 5 at version 10: node 7 is behind.
-        let mut message = Message::new();
-        message.push(&DigestBody {
-            entries: vec![(NodeId(5), 10)],
-        });
-        cocaditem.run_up(
-            Event::up(ContextDigest::new(
-                NodeId(7),
-                Dest::Node(NodeId(0)),
-                message,
-            )),
-            &mut platform,
-        );
-        cocaditem.drain_down();
-
-        // Every digest round now includes node 7 among its targets until it
-        // catches up.
-        for _ in 0..3 {
-            fire_publish_timer(&mut cocaditem, &mut platform);
-            let down = cocaditem.drain_down();
-            let digest = down
-                .iter()
-                .find(|event| event.is::<ContextDigest>())
-                .expect("digest round");
-            let Dest::Nodes(targets) = &digest.get::<ContextDigest>().unwrap().header.dest else {
-                panic!("digest must address a node list");
-            };
-            assert!(
-                targets.contains(&NodeId(7)),
-                "stale peer biased into the digest targets (got {targets:?})"
-            );
-        }
-
-        // Once node 7's digest shows it caught up, the bias is dropped.
-        let mut message = Message::new();
-        message.push(&DigestBody {
-            entries: vec![(NodeId(5), 80), (NodeId(0), 1)],
-        });
-        cocaditem.run_up(
-            Event::up(ContextDigest::new(
-                NodeId(7),
-                Dest::Node(NodeId(0)),
-                message,
-            )),
-            &mut platform,
-        );
-        // (No assertion on absence — targets are random — but the bias set
-        // no longer forces node 7; this exercises the removal path.)
-    }
-
-    #[test]
-    fn pull_requests_are_answered_with_one_batched_message() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut cocaditem = Harness::new(
-            CocaditemLayer::new(Rc::default()),
-            &params(&[1, 2, 3], 1000),
-            &mut platform,
-        );
-        let known = ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(3)), 50);
-        cocaditem.run_up(
-            Event::up(ContextPublish::new(
-                NodeId(3),
-                Dest::Node(NodeId(1)),
-                publish_message(&known, 0),
-            )),
-            &mut platform,
-        );
-        cocaditem.drain_down();
-
-        let mut message = Message::new();
-        message.push(&PullBody {
-            nodes: vec![NodeId(1), NodeId(3), NodeId(9)],
-        });
-        cocaditem.run_up(
-            Event::up(ContextPull::new(NodeId(2), Dest::Node(NodeId(1)), message)),
-            &mut platform,
-        );
+    fn rows_get_one_batch_of_exactly_the_member_snapshots_held_newer() {
+        // Node 9 is no member, but its row is in the store.
+        let known = [(2, 20), (3, 50), (4, 40), (5, 7), (9, 5)];
+        let (mut cocaditem, mut platform, _) = node_one(&[1, 2, 3, 4, 5], &known);
+        // Node 2 lacks node 1's snapshot and holds node 3's newer, node
+        // 4's the same and node 5's older.
+        let rows = [(2, 20), (3, 90), (4, 40), (5, 3)];
+        cocaditem.run_up(pull_from(2, &rows), &mut platform);
         let down = cocaditem.drain_down();
-        let answers: Vec<&Event> = down
-            .iter()
-            .filter(|event| event.is::<ContextBatch>())
-            .collect();
-        assert_eq!(answers.len(), 1, "one batch per pull");
-        let batch = answers[0].get::<ContextBatch>().unwrap();
-        assert_eq!(batch.header.dest, Dest::Node(NodeId(2)));
-        let body = batch.message.clone().pop::<BatchBody>().unwrap();
-        let nodes: Vec<NodeId> = body.snapshots.iter().map(|s| s.node).collect();
         assert_eq!(
-            nodes,
-            vec![NodeId(1), NodeId(3)],
-            "the local snapshot and node 3's are known; node 9 is not"
+            down[0].get::<ContextBatch>().unwrap().header.dest,
+            Dest::Node(NodeId(2))
         );
+        assert_eq!(batched(&down), vec![(NodeId(1), 0), (NodeId(5), 7)]);
+
+        // The same rows out of order get the same answer.
+        let reversed: Vec<_> = rows.iter().rev().copied().collect();
+        cocaditem.run_up(pull_from(2, &reversed), &mut platform);
+        assert_eq!(
+            batched(&cocaditem.drain_down()),
+            vec![(NodeId(1), 0), (NodeId(5), 7)]
+        );
+
+        // Rows that miss nothing get no answer.
+        let rows = [(1, 0), (2, 20), (3, 90), (4, 40), (5, 7)];
+        cocaditem.run_up(pull_from(2, &rows), &mut platform);
+        assert!(cocaditem.drain_down().is_empty());
+    }
+
+    #[test]
+    fn a_non_members_snapshot_is_refused_so_it_keeps_no_summaries_apart() {
+        let (mut cocaditem, mut platform, store) = node_one(&[1, 2, 3], &[(2, 10)]);
+        let before = store.borrow().summary();
+        // Node 9 is no member: its snapshot is neither stored nor forwarded,
+        // whether pushed or batched.
+        let publish = ContextPublish::new(
+            NodeId(2),
+            Dest::Node(NodeId(1)),
+            publish_message(&fixed(9, 5), 2),
+        );
+        let mut batch = Message::new();
+        batch.push(&BatchBody {
+            snapshots: vec![fixed(9, 6)],
+        });
+        for event in [
+            Event::up(publish),
+            Event::up(ContextBatch::new(NodeId(2), Dest::Node(NodeId(1)), batch)),
+        ] {
+            let up = cocaditem.run_up(event, &mut platform);
+            assert!(up.iter().all(|event| !event.is::<ContextUpdated>()));
+        }
+        assert!(cocaditem.drain_down().is_empty());
+        assert_eq!(
+            (store.borrow().summary(), store.borrow().get(NodeId(9))),
+            (before, None)
+        );
+        // A member holding the same member rows matches.
+        cocaditem.run_up(
+            digest_from(2, summary_of(&[(1, 0), (2, 10)])),
+            &mut platform,
+        );
+        assert!(cocaditem.drain_down().is_empty());
     }
 
     #[test]
@@ -1374,27 +1081,25 @@ mod tests {
             entries: vec![(NodeId(1), 10), (NodeId(2), 20)],
         };
         assert_eq!(DigestBody::from_bytes(&body.to_bytes()).unwrap(), body);
-        let pull = PullBody {
-            nodes: vec![NodeId(4)],
+        let summary = StoreSummary {
+            rows: 200,
+            hash: u64::MAX - 7,
         };
-        assert_eq!(PullBody::from_bytes(&pull.to_bytes()).unwrap(), pull);
+        assert_eq!(
+            StoreSummary::from_bytes(&summary.to_bytes()).unwrap(),
+            summary
+        );
 
         let mut w = WireWriter::new();
         w.put_u32(u32::MAX);
         w.put_u64(1);
         assert!(DigestBody::from_bytes(&w.finish()).is_err());
-        let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        assert!(PullBody::from_bytes(&w.finish()).is_err());
+        assert!(StoreSummary::from_bytes(&summary.to_bytes()[..9]).is_err());
     }
+
     #[test]
     fn expelled_members_get_no_anti_entropy_replies() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let mut cocaditem = Harness::new(
-            CocaditemLayer::new(Rc::default()),
-            &params(&[1, 2, 3], 1000),
-            &mut platform,
-        );
+        let (mut cocaditem, mut platform, _) = node_one(&[1, 2, 3], &[]);
         cocaditem.run_down(
             Event::down(ViewInstall {
                 view: morpheus_groupcomm::View::new(2, vec![NodeId(1), NodeId(2)]),
@@ -1403,54 +1108,19 @@ mod tests {
         );
         cocaditem.drain_down();
 
-        // The expelled node 3 advertises a version node 1 has never seen:
-        // no pull goes back to it.
-        let mut digest = Message::new();
-        digest.push(&DigestBody {
-            entries: vec![(NodeId(2), 90)],
-        });
-        cocaditem.run_up(
-            Event::up(ContextDigest::new(NodeId(3), Dest::Node(NodeId(1)), digest)),
-            &mut platform,
-        );
+        // The expelled node 3's summary differs: no rows go back to it.
+        cocaditem.run_up(digest_from(3, summary_of(&[(2, 90)])), &mut platform);
         assert!(
-            cocaditem
-                .drain_down()
-                .iter()
-                .all(|event| !event.is::<ContextPull>()),
-            "an expelled member's digest triggers no pull"
+            cocaditem.drain_down().is_empty(),
+            "an expelled member's summary gets no rows"
         );
-
-        // Its pull for the (present) local snapshot is not answered either,
-        // while the same pull from a live member is.
-        let pull_from = |from: u32| {
-            let mut message = Message::new();
-            message.push(&PullBody {
-                nodes: vec![NodeId(1)],
-            });
-            Event::up(ContextPull::new(
-                NodeId(from),
-                Dest::Node(NodeId(1)),
-                message,
-            ))
-        };
-        cocaditem.run_up(pull_from(3), &mut platform);
+        // Its rows get no batch, while a current member's identical rows do.
+        cocaditem.run_up(pull_from(3, &[]), &mut platform);
         assert!(
-            cocaditem
-                .drain_down()
-                .iter()
-                .all(|event| !event.is::<ContextBatch>()),
+            cocaditem.drain_down().is_empty(),
             "snapshots are not served to expelled members"
         );
-        cocaditem.run_up(pull_from(2), &mut platform);
-        assert_eq!(
-            cocaditem
-                .drain_down()
-                .iter()
-                .filter(|event| event.is::<ContextBatch>())
-                .count(),
-            1,
-            "a current member's identical pull is answered"
-        );
+        cocaditem.run_up(pull_from(2, &[]), &mut platform);
+        assert_eq!(batched(&cocaditem.drain_down()), vec![(NodeId(1), 0)]);
     }
 }

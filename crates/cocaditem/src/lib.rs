@@ -26,8 +26,8 @@ pub mod store;
 pub use context::{ContextKey, ContextSnapshot, ContextValue};
 pub use dissemination::{
     register_cocaditem_with_store, BatchBody, ContextBatch, ContextDigest, ContextPublish,
-    ContextPull, ContextUpdated, DigestBody, PullBody, COCADITEM_LAYER,
+    ContextPull, ContextUpdated, DigestBody, COCADITEM_LAYER,
 };
 pub use retriever::{default_retrievers, ContextRetriever};
 pub use room::RoomContext;
-pub use store::ContextStore;
+pub use store::{ContextStore, StoreSummary};

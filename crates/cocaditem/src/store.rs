@@ -11,11 +11,66 @@ use morpheus_groupcomm::sorted::seek;
 
 use crate::context::ContextSnapshot;
 
+/// A constant-size summary of a [`ContextStore`]: its row count and an
+/// order-independent hash of its `(node, version)` rows. Two stores that
+/// hold the same rows have equal summaries, whatever order they learned
+/// them in; the anti-entropy protocol exchanges rows only when two
+/// summaries differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreSummary {
+    /// How many rows the store holds.
+    pub rows: u64,
+    /// The wrapping sum of a fixed 64-bit hash of each row's
+    /// `(node, version)`.
+    pub hash: u64,
+}
+
+impl StoreSummary {
+    fn add(&mut self, snapshot: &ContextSnapshot) {
+        self.rows += 1;
+        self.hash = self.hash.wrapping_add(row_hash(snapshot));
+    }
+
+    fn remove(&mut self, snapshot: &ContextSnapshot) {
+        self.rows -= 1;
+        self.hash = self.hash.wrapping_sub(row_hash(snapshot));
+    }
+}
+
+impl Wire for StoreSummary {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_varint(self.rows);
+        w.put_u64(self.hash);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            rows: r.get_varint()?,
+            hash: r.get_u64()?,
+        })
+    }
+}
+
+/// splitmix64's finaliser: a fixed bijection that spreads every input bit
+/// over the whole word.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One row's share of a [`StoreSummary`] hash: its `(node, version)`.
+fn row_hash(snapshot: &ContextSnapshot) -> u64 {
+    mix(mix(u64::from(snapshot.node.0)) ^ snapshot.captured_at_ms)
+}
+
 /// A table of the most recent context snapshot received from each node.
 #[derive(Debug, Clone, Default)]
 pub struct ContextStore {
     /// One snapshot per node, sorted by node id.
     snapshots: Vec<ContextSnapshot>,
+    /// The summary of `snapshots`, kept up to date by every change.
+    summary: StoreSummary,
 }
 
 impl ContextStore {
@@ -37,6 +92,7 @@ impl ContextStore {
     pub fn update(&mut self, snapshot: ContextSnapshot) -> bool {
         match self.find(snapshot.node) {
             Err(at) => {
+                self.summary.add(&snapshot);
                 self.snapshots.insert(at, snapshot);
                 true
             }
@@ -49,6 +105,8 @@ impl ContextStore {
                 // one millisecond must not be ignored), but it is not news —
                 // an epidemic forwarder receiving it must not spread it again.
                 let news = existing.captured_at_ms < snapshot.captured_at_ms;
+                self.summary.remove(existing);
+                self.summary.add(&snapshot);
                 *existing = snapshot;
                 news
             }
@@ -59,6 +117,11 @@ impl ContextStore {
     /// anti-entropy protocol compares (capture times are monotonic per node).
     pub fn version_of(&self, node: NodeId) -> Option<u64> {
         self.get(node).map(|snapshot| snapshot.captured_at_ms)
+    }
+
+    /// The store's [`StoreSummary`], kept as the store changes.
+    pub fn summary(&self) -> StoreSummary {
+        self.summary
     }
 
     /// The `(node, version)` digest of the whole store, in node-id order.
@@ -81,9 +144,14 @@ impl ContextStore {
             sorted.sort_unstable();
             return self.retain_members(&sorted);
         }
-        let mut cursor = 0;
-        self.snapshots
-            .retain(|snapshot| seek(members, &mut cursor, snapshot.node, |id| *id).is_ok());
+        let (mut cursor, summary) = (0, &mut self.summary);
+        self.snapshots.retain(|snapshot| {
+            let member = seek(members, &mut cursor, snapshot.node, |id| *id).is_ok();
+            if !member {
+                summary.remove(snapshot);
+            }
+            member
+        });
     }
 
     /// The snapshot of one node, if known.
@@ -231,6 +299,40 @@ mod tests {
         );
         store.retain_members(&[]);
         assert!(store.is_empty());
+    }
+
+    /// The summary of `store` computed from scratch.
+    fn recomputed(store: &ContextStore) -> StoreSummary {
+        let mut summary = StoreSummary::default();
+        store.as_slice().iter().for_each(|s| summary.add(s));
+        summary
+    }
+
+    #[test]
+    fn the_kept_summary_equals_one_computed_from_scratch_after_every_change() {
+        let mut store = ContextStore::new();
+        assert_eq!(store.summary(), StoreSummary::default());
+        for (node, at) in [(4, 10), (1, 30), (9, 5), (1, 40), (1, 35), (4, 10)] {
+            store.update(fixed(node, at));
+            assert_eq!(store.summary(), recomputed(&store), "after ({node}, {at})");
+        }
+        assert_eq!(store.summary().rows, 3);
+        store.retain_members(&[NodeId(1), NodeId(9)]);
+        assert_eq!(store.summary(), recomputed(&store));
+
+        // A store filled from an export, in another order, sums the same.
+        let mut other = ContextStore::new();
+        other.update(mobile(1, 20));
+        assert_eq!(other.import_merge(&store.export_bytes()).unwrap(), 2);
+        assert_eq!(other.summary(), recomputed(&other));
+        assert_eq!(other.summary(), store.summary());
+
+        // The rows are all it hashes: a different version differs.
+        other.update(fixed(9, 6));
+        assert_ne!(other.summary(), store.summary());
+        assert_eq!(other.summary().rows, store.summary().rows);
+        store.retain_members(&[]);
+        assert_eq!(store.summary(), StoreSummary::default());
     }
 
     #[test]

@@ -8,7 +8,8 @@ use morpheus_appia::platform::NodeId;
 use morpheus_appia::registry::encode_event;
 use morpheus_appia::wire::{Wire, WireWriter};
 use morpheus_cocaditem::{
-    BatchBody, ContextDigest, ContextKey, ContextSnapshot, ContextValue, DigestBody, PullBody,
+    BatchBody, ContextDigest, ContextKey, ContextPull, ContextSnapshot, ContextValue, DigestBody,
+    StoreSummary,
 };
 
 #[cfg(miri)]
@@ -65,8 +66,8 @@ fn rows(rows: &[(u32, u64)]) -> Vec<(NodeId, u64)> {
     rows.iter().map(|(id, v)| (NodeId(*id), *v)).collect()
 }
 
-/// A digest as a settled group gossips it: ids ascending by one, versions
-/// (capture times) within `spread` ms of `around`.
+/// A store's rows as a pull carries them in a settled group: ids ascending
+/// by one, versions (capture times) within `spread` ms of `around`.
 fn group_digest(around: u64, spread: u64) -> DigestBody {
     DigestBody {
         entries: (0..GROUP)
@@ -80,8 +81,12 @@ fn group_digest(around: u64, spread: u64) -> DigestBody {
 
 #[test]
 fn digests_and_pulls_roundtrip_in_every_shape() {
-    // Empty, one row, descending ids, duplicate ids, and versions at both
-    // ends of the range next to each other.
+    // A digest is a summary: empty, one row, and both fields at their ends.
+    for (rows, hash) in [(0, 0), (1, 0x9E37_79B9_7F4A_7C15), (u64::MAX, u64::MAX)] {
+        roundtrip(StoreSummary { rows, hash });
+    }
+    // A pull is rows: empty, one row, descending ids, duplicate ids, and
+    // versions at both ends of the range next to each other.
     for entries in [
         rows(&[]),
         rows(&[(u32::MAX, u64::MAX)]),
@@ -89,20 +94,17 @@ fn digests_and_pulls_roundtrip_in_every_shape() {
         rows(&[(3, 5), (3, 5), (3, 6), (1, 0), (1, 0)]),
         rows(&[(0, u64::MAX), (1, 0), (2, u64::MAX), (3, 1)]),
     ] {
-        roundtrip(PullBody {
-            nodes: entries.iter().map(|(node, _)| *node).collect(),
-        });
         roundtrip(DigestBody { entries });
     }
 }
 
 #[test]
 fn group_sized_bodies_survive_truncation_and_bit_flips() {
-    let digest = group_digest(30_000, 2_000);
-    roundtrip(PullBody {
-        nodes: digest.entries.iter().map(|(node, _)| *node).collect(),
+    roundtrip(group_digest(30_000, 2_000));
+    roundtrip(StoreSummary {
+        rows: u64::from(GROUP),
+        hash: 0x0123_4567_89AB_CDEF,
     });
-    roundtrip(digest);
 }
 
 #[test]
@@ -126,12 +128,12 @@ fn batches_roundtrip_and_reject_overstated_counts() {
     assert!(BatchBody::from_bytes(&w.finish()).is_err());
     for body in [&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1][..], &[0x05, 1, 1]] {
         assert!(DigestBody::from_bytes(body).is_err());
-        assert!(PullBody::from_bytes(body).is_err());
+        assert!(StoreSummary::from_bytes(body).is_err());
     }
 }
 
 /// The context plane's bytes, pinned where `cargo test` sees them: a
-/// group-sized digest whose versions sit within ±2,000 ms costs at most
+/// group-sized pull whose versions sit within ±2,000 ms costs at most
 /// three bytes a member (twelve before the compact codec).
 #[test]
 fn a_group_digest_fits_its_byte_budget() {
@@ -139,15 +141,31 @@ fn a_group_digest_fits_its_byte_budget() {
     assert!(digest.to_bytes().len() <= 3 * GROUP as usize + 4);
 }
 
-/// The whole digest packet: the body plus at most 9 bytes of frame (the
+/// The whole pull packet: the body plus at most 9 bytes of frame (the
 /// event tag, a varint source, the class byte and three varint lengths) —
 /// 34 with the name string and fixed-width `u32` fields it replaced.
 #[test]
 fn a_group_digest_packet_fits_its_byte_budget() {
-    let digest = group_digest(30_000, 2_000);
-    let body = digest.to_bytes().len();
+    let rows = group_digest(30_000, 2_000);
+    let body = rows.to_bytes().len();
     let mut message = Message::new();
-    message.push(&digest);
-    let packet = encode_event(&ContextDigest::new(NodeId(GROUP - 1), Dest::Group, message));
+    message.push(&rows);
+    let packet = encode_event(&ContextPull::new(NodeId(GROUP - 1), Dest::Group, message));
     assert!(packet.len() <= body + 9);
+}
+
+/// What a settled store gossips each interval: one summary packet of at
+/// most 20 bytes, at any group size up to 16,383 members — where a digest
+/// of the whole table cost two to three bytes a member.
+#[test]
+fn a_summary_packet_fits_twenty_bytes_at_any_group_size() {
+    for n in [1u32, GROUP, 16_383] {
+        let mut message = Message::new();
+        message.push(&StoreSummary {
+            rows: u64::from(n),
+            hash: u64::MAX,
+        });
+        let packet = encode_event(&ContextDigest::new(NodeId(n - 1), Dest::Group, message));
+        assert!(packet.len() <= 20, "{} bytes at n = {n}", packet.len());
+    }
 }

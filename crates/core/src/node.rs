@@ -837,11 +837,13 @@ mod tests {
         // Node 2 is silent from boot; its first ping goes unanswered at
         // 500 ms, and the data stack is replaced a quarter into its timeout.
         // The replacement must not restart its suspicion clock: view
-        // synchrony proposes its removal at 2,500 ms, not 3,500.
+        // synchrony proposes its removal at 4,500 ms, not 5,500. (No
+        // member's rumour backs the suspicion, and node 1 could: it waits
+        // twice the 2,000 ms timeout.)
         let mut platform = TestPlatform::new(NodeId(0));
         let mut node = MorpheusNode::new(fast_suspicion(), &mut platform).unwrap();
         let mut proposed_at = None;
-        while proposed_at.is_none() && platform.now_ms < 4000 {
+        while proposed_at.is_none() && platform.now_ms < 6000 {
             platform.advance(250);
             node.deliver_packet(heartbeat(1, 0), &mut platform).unwrap();
             if platform.now_ms == 1000 {
@@ -852,13 +854,18 @@ mod tests {
                 proposed_at = Some(platform.now_ms);
             }
         }
-        assert_eq!(proposed_at, Some(2500));
+        assert_eq!(proposed_at, Some(4500));
     }
 
     #[test]
     fn a_suspicion_reaches_view_synchrony_and_the_cores_ack_quorum() {
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut node = MorpheusNode::new(fast_suspicion(), &mut platform).unwrap();
+        // The round outlasts the suspicion.
+        let options = NodeOptions {
+            round_timeout_ms: 6000,
+            ..fast_suspicion()
+        };
+        let mut node = MorpheusNode::new(options, &mut platform).unwrap();
         // Node 1 is mobile: the group is hybrid and coordinator 0 commands a
         // round, which it deploys itself and node 1 acknowledges.
         publish_context(&mut node, NodeProfile::mobile_pda(NodeId(1)), &mut platform);
@@ -872,11 +879,11 @@ mod tests {
         node.kernel
             .dispatch_and_process(node.control_channel, Event::up(ack), &mut platform);
 
-        // Node 2, silent from boot, never acks: one suspicion, raised the
-        // timeout after its first unanswered ping, both proposes its removal
-        // and lets the round complete without it.
+        // Node 2, silent from boot, never acks: one suspicion, raised two
+        // timeouts after its first unanswered ping (no rumour backs it),
+        // both proposes its removal and lets the round complete without it.
         let (mut proposed_at, mut completed) = (None, None);
-        while completed.is_none() && platform.now_ms < 3000 {
+        while completed.is_none() && platform.now_ms < 5000 {
             platform.advance(250);
             node.deliver_packet(heartbeat(1, 0), &mut platform).unwrap();
             fire_due_timers(&mut node, &mut platform);
@@ -895,10 +902,10 @@ mod tests {
         }
         assert_eq!(
             proposed_at,
-            Some(2500),
+            Some(4500),
             "view synchrony heard the suspicion"
         );
-        assert_eq!(completed, Some((2500, 2)), "Core's quorum dropped node 2");
+        assert_eq!(completed, Some((4500, 2)), "Core's quorum dropped node 2");
     }
 
     #[test]

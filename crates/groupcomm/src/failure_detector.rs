@@ -19,13 +19,33 @@
 //! naming the receiver first, each sent λ·⌈log₂(n+1)⌉ times
 //! (`RETRANSMIT_MULT`). A suspected member refutes with a higher
 //! incarnation. Any direct packet, or a higher incarnation, ends a suspicion
-//! and heals a raised one with [`Alive`]. The incarnation starts at
-//! `now / hb_interval_ms`, so a restart never looks older than its past.
+//! and heals a raised one with [`Alive`]. A node that hears a suspicion
+//! older than the incarnation it knows, and suspects nothing itself, spreads
+//! that incarnation as an alive rumour: the sender missed the refutation.
+//! The incarnation starts at `now / hb_interval_ms`, so a restart never
+//! looks older than its past.
+//!
+//! **Checking a rumour.** A node that adopts a suspect rumour pings the
+//! suspect ahead of its round-robin, the rumour riding first on that ping
+//! (Lifeguard's buddy system): a rumour whose sends run out before it
+//! reaches the suspect would otherwise leave the suspect nothing to refute,
+//! while every adopter waits out its timeout and confirms. Such suspects
+//! queue one a period, behind a member this node just began to suspect.
 //!
 //! **Local health.** A probe that fails while no member at all was heard
 //! from since its ping, or a refutation of its own suspicion, raises the
 //! node's health score; an acked probe lowers it. Suspicion timeouts stretch
-//! `1 + health`-fold, up to `HEALTH_CAP`.
+//! `1 + health`-fold, up to `HEALTH_CAP`. A suspicion that rests on this
+//! node's own probes alone, backed by no other member's rumour, waits the
+//! full `1 + HEALTH_CAP` timeouts — fewer in a group too small to hold
+//! that many other members who could back it, and one in a group of two.
+//! A suspicion gathered while this node was cut off is such a one.
+//!
+//! **Coming back.** A node that hears from a member after two or more
+//! periods of hearing from nobody was cut off, and whoever suspected it
+//! meanwhile may have spent the rumours it could have refuted. It takes a
+//! new incarnation and spreads it as an alive rumour, which ends every such
+//! suspicion.
 //!
 //! **Isolation.** A node answers no probe from outside its installed view
 //! and takes no evidence from it. A node that has heard from no member for
@@ -132,12 +152,14 @@ const MEMBER: u8 = 1;
 const SUSPICION: u8 = 1 << 1;
 /// Row flag: [`Suspect`] was raised for the member.
 const SUSPECTED: u8 = 1 << 2;
+/// Row flag: another member's rumour backs the [`SUSPICION`].
+const BACKED: u8 = 1 << 3;
 
 /// One member's row of the liveness table.
 #[derive(Debug, Clone, Copy)]
 struct Row {
     id: NodeId,
-    /// [`MEMBER`], [`SUSPICION`] and [`SUSPECTED`].
+    /// [`MEMBER`], [`SUSPICION`], [`SUSPECTED`] and [`BACKED`].
     flags: u8,
     /// The member's highest incarnation this node knows.
     incarnation: u64,
@@ -202,8 +224,11 @@ pub struct FailureDetectorSession {
     /// The position of the next probe target in `order`.
     next_in_order: usize,
     probe: Option<Probe>,
-    /// A member this node just began to suspect: the next period's target.
-    reprobe: Option<NodeId>,
+    /// Suspects to ping ahead of the round-robin, one a period: the member
+    /// this node just began to suspect first, then those it learned of by
+    /// rumour.
+    // bound: one entry per member at most; pruned to the view on install; <= view size.
+    reprobe: Vec<NodeId>,
     /// The last probe sequence number used.
     seq: u64,
     /// Rumours to piggyback, oldest first.
@@ -268,7 +293,7 @@ impl FailureDetectorSession {
         let is_member = |id: NodeId| rows.binary_search_by_key(&id, |row| row.id).is_ok();
         self.rumours.retain(|queued| is_member(queued.rumour.node));
         self.probe = self.probe.filter(|probe| is_member(probe.target));
-        self.reprobe = self.reprobe.filter(|node| is_member(*node));
+        self.reprobe.retain(|node| is_member(*node));
     }
 
     fn heard_from(&mut self, node: NodeId, now: u64, ctx: &mut EventContext<'_>) {
@@ -280,6 +305,12 @@ impl FailureDetectorSession {
     /// Direct evidence that the member of row `at` is alive: it ends a
     /// suspicion of it, and this node stops spreading one.
     fn heard(&mut self, at: usize, now: u64, ctx: &mut EventContext<'_>) {
+        if now.saturating_sub(self.last_heard_any) >= 2 * self.hb_interval_ms {
+            // Word after two silent periods: refute whatever was said of
+            // this node meanwhile.
+            self.incarnation = (self.incarnation + 1).max(now / self.hb_interval_ms);
+            self.spread(RumourKind::Alive, ctx.node_id(), self.incarnation);
+        }
         self.rows[at].last_heard = now;
         self.last_heard_any = now;
         // A queued suspect or confirm rumour implies a suspicion here.
@@ -298,7 +329,7 @@ impl FailureDetectorSession {
     fn clear_suspicion(&mut self, at: usize, ctx: &mut EventContext<'_>) {
         let row = &mut self.rows[at];
         let raised = row.has(SUSPECTED);
-        row.flags &= !(SUSPICION | SUSPECTED);
+        row.flags &= !(SUSPICION | SUSPECTED | BACKED);
         if raised {
             let node = row.id;
             ctx.dispatch_to_holders(|_| Some(Event::up(Alive { node })));
@@ -307,7 +338,7 @@ impl FailureDetectorSession {
 
     fn raise_suspect(&mut self, at: usize, ctx: &mut EventContext<'_>) {
         let row = &mut self.rows[at];
-        row.flags = (row.flags & !SUSPICION) | SUSPECTED;
+        row.flags = (row.flags & !(SUSPICION | BACKED)) | SUSPECTED;
         let node = row.id;
         ctx.dispatch_to_holders(|_| Some(Event::up(Suspect { node })));
     }
@@ -415,12 +446,13 @@ impl FailureDetectorSession {
         } else {
             row.flags |= SUSPICION;
             row.since = probe.sent_ms;
-            self.reprobe = Some(probe.target);
+            self.reprobe.retain(|node| *node != probe.target);
+            self.reprobe.insert(0, probe.target);
         }
     }
 
     fn start_probe(&mut self, now: u64, ctx: &mut EventContext<'_>) {
-        let Some(target) = self.reprobe.take().or_else(|| self.next_target(now, ctx)) else {
+        let Some(target) = self.next_reprobe().or_else(|| self.next_target(now, ctx)) else {
             return;
         };
         self.seq += 1;
@@ -431,6 +463,20 @@ impl FailureDetectorSession {
             acked: false,
         });
         self.send(ProbeKind::Ping, target, self.seq, None, ctx);
+    }
+
+    /// The first queued suspect still under suspicion.
+    fn next_reprobe(&mut self) -> Option<NodeId> {
+        while !self.reprobe.is_empty() {
+            let node = self.reprobe.remove(0);
+            if self
+                .row(node)
+                .is_some_and(|at| self.rows[at].has(SUSPICION))
+            {
+                return Some(node);
+            }
+        }
+        None
     }
 
     /// The next member of the round-robin not heard from directly within
@@ -454,13 +500,16 @@ impl FailureDetectorSession {
         None
     }
 
-    /// Raises [`Suspect`] for every suspicion older than the (health
-    /// stretched) timeout, and for every member once none was heard from for
+    /// Raises [`Suspect`] for every suspicion older than the (stretched)
+    /// timeout, and for every member once none was heard from for
     /// `suspect_timeout_ms`.
     fn expire_suspicions(&mut self, now: u64, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
         let isolated = now.saturating_sub(self.last_heard_any) >= self.suspect_timeout_ms;
-        let timeout = self.suspect_timeout_ms * (1 + self.health);
+        let backed = self.suspect_timeout_ms * (1 + self.health);
+        // The members other than this node and the suspect who could back it.
+        let backers = self.members.len().saturating_sub(2) as u64;
+        let unbacked = backed.max(self.suspect_timeout_ms * (1 + backers.min(HEALTH_CAP)));
         let mut confirmed = false;
         for at in 0..self.rows.len() {
             let row = self.rows[at];
@@ -469,7 +518,9 @@ impl FailureDetectorSession {
             }
             if isolated {
                 self.raise_suspect(at, ctx);
-            } else if row.has(SUSPICION) && now.saturating_sub(row.since) >= timeout {
+            } else if row.has(SUSPICION)
+                && now.saturating_sub(row.since) >= if row.has(BACKED) { backed } else { unbacked }
+            {
                 self.raise_suspect(at, ctx);
                 self.spread(RumourKind::Confirm, row.id, row.incarnation);
                 confirmed = true;
@@ -554,6 +605,11 @@ impl FailureDetectorSession {
         // rumour that it failed.
         let fresh = now.saturating_sub(row.last_heard) < self.hb_interval_ms;
         let stale = rumour.incarnation < row.incarnation;
+        if stale && rumour.kind != RumourKind::Alive && !row.has(SUSPICION | SUSPECTED) {
+            // The sender missed the member's refutation: pass it on.
+            self.spread(RumourKind::Alive, rumour.node, row.incarnation);
+            return;
+        }
         match rumour.kind {
             RumourKind::Alive => {
                 if rumour.incarnation <= row.incarnation {
@@ -563,13 +619,21 @@ impl FailureDetectorSession {
                 self.clear_suspicion(at, ctx);
             }
             RumourKind::Suspect => {
-                if stale || fresh || row.has(SUSPICION | SUSPECTED) {
+                if stale || fresh || row.has(SUSPECTED) {
                     return;
                 }
                 let row = &mut self.rows[at];
+                let held = row.has(SUSPICION);
+                row.flags |= SUSPICION | BACKED;
+                if held {
+                    return;
+                }
                 row.incarnation = rumour.incarnation;
-                row.flags |= SUSPICION;
                 row.since = now;
+                // Check the rumour with the suspect itself.
+                if !self.reprobe.contains(&rumour.node) {
+                    self.reprobe.push(rumour.node);
+                }
             }
             RumourKind::Confirm => {
                 if stale || fresh || row.has(SUSPECTED) {
@@ -813,8 +877,9 @@ mod tests {
             }));
         });
         // Pinged at 100, retried with 2 as the only helper at 150, suspected
-        // from 100 on: `Suspect` at the first tick 250 ms later.
-        assert_eq!(suspected, vec![(350, NodeId(3))]);
+        // from 100 on. No rumour backs the suspicion, and one other member
+        // could: `Suspect` at the first tick twice 250 ms later.
+        assert_eq!(suspected, vec![(600, NodeId(3))]);
         let at_150: Vec<_> = targets.iter().filter(|t| t.0 == 150).collect();
         assert_eq!(at_150.len(), 2, "a retry and one ping-req: {at_150:?}");
         // The next periods ping the suspect again; once that fails too, the
@@ -1021,14 +1086,16 @@ mod tests {
             fd.run_up(Event::up(hb), platform);
             assert!(fd.drain_down().is_empty(), "nothing is answered");
         });
-        assert_eq!(suspected, vec![(350, NodeId(3))]);
+        // Suspected from 100 on, with no rumour backing it: twice 250 ms.
+        assert_eq!(suspected, vec![(600, NodeId(3))]);
     }
 
     #[test]
     fn probes_failing_while_nobody_is_heard_stretch_the_suspicion_timeout() {
         // Node 2 talks every period (by data, so it is never pinged): node
-        // 3's suspicion runs its 500 ms. Talking every third period, node 1's
-        // own silent periods count against it, up to a fourfold timeout.
+        // 3's suspicion, which no rumour backs, runs twice its 500 ms.
+        // Talking every third period, node 1's own silent periods count
+        // against it, up to a fourfold timeout.
         let mut at = Vec::new();
         for every in [1, 3] {
             let (mut fd, mut platform) = detector(&[1, 2, 3], 500, 0);
@@ -1041,8 +1108,103 @@ mod tests {
             });
             at.push(suspected);
         }
-        assert_eq!(at[0], vec![(600, NodeId(3))]);
+        assert_eq!(at[0], vec![(1100, NodeId(3))]);
         assert_eq!(at[1].len(), 1);
         assert!(at[1][0].0 >= 1600, "{:?}", at[1]);
+    }
+
+    /// Node 1 over `members` (a 250 ms timeout) while node 2 talks every
+    /// period, node 3 stays silent and every other member answers its
+    /// pings. With `backed`, node 2 rumours node 3's suspicion when node 1
+    /// first pings node 3. Returns when that was, and the `Suspect`s raised.
+    fn silent_member_three(members: &[u32], backed: bool) -> (u64, Vec<(u64, NodeId)>) {
+        let (mut fd, mut platform) = detector(members, 250, 0);
+        let mut first = None;
+        let suspected = run_periods(&mut fd, &mut platform, 3000, &[], |now, fd, platform| {
+            fd.run_up(data_from(2), platform);
+            for (to, body) in sent(fd) {
+                if to == NodeId(3) && first.is_none() {
+                    first = Some(now);
+                    let said = [rumour(RumourKind::Suspect, 3, 0)];
+                    if backed {
+                        fd.run_up(probe(2, ProbeKind::Ack, 0, None, &said), platform);
+                    }
+                } else if to != NodeId(3) && body.kind == ProbeKind::Ping {
+                    fd.run_up(ack(to.0, body.seq), platform);
+                }
+            }
+        });
+        (first.expect("node 3 is pinged"), suspected)
+    }
+
+    #[test]
+    fn a_suspicion_no_rumour_backs_waits_as_many_timeouts_as_could_back_it() {
+        // One other member could back it in a group of three: twice the
+        // timeout. Four could in a group of six: `1 + HEALTH_CAP` times.
+        let (at, suspected) = silent_member_three(&[1, 2, 3], false);
+        assert_eq!(suspected, vec![(at + 500, NodeId(3))]);
+        let six = [1, 2, 3, 4, 5, 6];
+        let (at, suspected) = silent_member_three(&six, false);
+        assert_eq!(suspected, vec![(at + 1000, NodeId(3))]);
+        // Another member's rumour backs it: the timeout itself.
+        let (at, suspected) = silent_member_three(&six, true);
+        assert_eq!(suspected, vec![(at + 250, NodeId(3))]);
+    }
+
+    #[test]
+    fn a_suspect_rumour_is_checked_with_the_suspect_itself() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3, 4], 1000, 0);
+        run_periods(&mut fd, &mut platform, 450, &[2, 3, 4], |_, _, _| {});
+        run_to(&mut fd, &mut platform, 500);
+        let (pinged, ping) = sent(&mut fd).remove(0);
+        fd.run_up(ack(pinged.0, ping.seq), &mut platform);
+        // A member not heard from within the period is rumoured suspect.
+        let other = if pinged == NodeId(4) { 3 } else { 4 };
+        let said = rumour(RumourKind::Suspect, other, 0);
+        fd.run_up(probe(2, ProbeKind::Ack, 0, None, &[said]), &mut platform);
+        run_to(&mut fd, &mut platform, 600);
+        let (to, body) = sent(&mut fd).remove(0);
+        assert_eq!(to, NodeId(other), "the next period pings the suspect");
+        assert_eq!(body.rumours.first(), Some(&said), "with the rumour first");
+        // Its ack ends the suspicion here.
+        fd.run_up(ack(other, body.seq), &mut platform);
+        let suspected = run_periods(&mut fd, &mut platform, 2500, &[2, 3, 4], |_, _, _| {});
+        assert!(suspected.is_empty(), "{suspected:?}");
+    }
+
+    #[test]
+    fn a_node_heard_again_after_two_silent_periods_takes_a_new_incarnation() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3], 1000, 0);
+        run_to(&mut fd, &mut platform, 300);
+        sent(&mut fd);
+        // Word from node 2 after three periods of silence.
+        fd.run_up(data_from(2), &mut platform);
+        run_to(&mut fd, &mut platform, 400);
+        let (_, body) = sent(&mut fd).remove(0);
+        assert_eq!(body.incarnation, 3, "the period it came back in");
+        assert!(body.rumours.contains(&rumour(RumourKind::Alive, 1, 3)));
+    }
+
+    #[test]
+    fn a_stale_suspicion_is_answered_with_the_incarnation_that_refuted_it() {
+        let (mut fd, mut platform) = detector(&[1, 2, 3], 1000, 0);
+        let refuted = rumour(RumourKind::Alive, 3, 2);
+        fd.run_up(probe(2, ProbeKind::Ack, 0, None, &[refuted]), &mut platform);
+        // Spend the refutation's sends, and one more ping to see it spent.
+        for seq in 1..=5 {
+            fd.run_up(probe(2, ProbeKind::Ping, seq, None, &[]), &mut platform);
+        }
+        let acks = sent(&mut fd);
+        assert!(acks[3].1.rumours == [refuted] && acks[4].1.rumours.is_empty());
+        // Node 2 still spreads the suspicion node 3 refuted.
+        let stale = rumour(RumourKind::Suspect, 3, 0);
+        fd.run_up(probe(2, ProbeKind::Ping, 6, None, &[stale]), &mut platform);
+        let (to, ack) = sent(&mut fd).remove(0);
+        assert_eq!(
+            (to, ack.kind, ack.rumours),
+            (NodeId(2), ProbeKind::Ack, vec![refuted])
+        );
+        let suspected = run_periods(&mut fd, &mut platform, 3000, &[2, 3], |_, _, _| {});
+        assert!(suspected.is_empty(), "{suspected:?}");
     }
 }

@@ -3,8 +3,8 @@
 //! The control plane costs a node the same at any group size: failure
 //! detection probes one member per interval (asking `fanout` others to
 //! probe indirectly when an ack is overdue), and context dissemination
-//! gossips `(node, version)` digests and pulls only missing/stale
-//! snapshots. These tests pin down, with deterministic seeds,
+//! gossips a constant-size summary of its store, exchanging rows and
+//! pulling missing/stale snapshots only when two summaries differ. These tests pin down, with deterministic seeds,
 //! that both mechanisms converge within bounded time at n = 50 under
 //! 0/10/30% control-plane loss — with no periodic full republish — and that
 //! a 100-node group completes its large-group reconfiguration without losing
@@ -274,20 +274,22 @@ fn a_member_partitioned_past_the_log_ttl_heals_via_catchup_not_rejoin() {
 /// The control and context planes' wire cost, pinned at run level: a quiet
 /// 50-member group with a crash, an expulsion and a rejoin, 10 % control
 /// loss. Each node's one failure detector pings one member per interval and
-/// answers about one, a few bytes each, and Cocaditem gossips its
-/// `(node, version)` table once a second at two to three bytes a row
-/// (varint counts, gap-coded ids, values relative to the first row). The
-/// bound sits 10 % above the worst seed measured; a second failure detector
-/// per node (one on the control channel, one in every data stack) exceeded
-/// it, and so would the digest-push failure detector or the fixed-width
+/// answers about one, a few bytes each, and Cocaditem gossips a summary of
+/// its store once a second, a packet of at most 20 bytes, sending its
+/// `(node, version)` rows (two to three bytes a row) only to a peer whose
+/// summary differs. The bound sits 10 % above the worst seed measured;
+/// gossiping the whole table every second exceeded it, and so would a
+/// second failure detector per node (one on the control channel, one in
+/// every data stack), the digest-push failure detector or the fixed-width
 /// packet frame (a name string and `u32` lengths and source).
 #[test]
 fn control_and_context_bytes_stay_within_their_budget_across_a_restart() {
-    // Measured 842–854 on the four seeds (with a digest-push failure
-    // detector gossiping the whole liveness table: 1,467–1,477; with the
+    // Measured 630–644 on the four seeds (gossiping the whole context
+    // table every second: 842–854; with a digest-push failure detector
+    // gossiping the whole liveness table as well: 1,467–1,477; with the
     // fixed-width frame as well: 1,783–1,797; two such detectors per node:
     // 2,596–2,610; and with fixed-width rows: 9,403–9,493).
-    const BOUND_BYTES_PER_NODE_S: u64 = 940;
+    const BOUND_BYTES_PER_NODE_S: u64 = 708;
     let n = 50;
     for seed in 1..=4 {
         let report = Runner::new().run(&Scenario::member_restart(n, 0.1).with_seed(seed));
@@ -327,5 +329,26 @@ fn control_cost_per_node_stays_flat_as_the_group_grows() {
     assert!(
         large <= 2 * small,
         "control costs {small} B/node/s at n = 50 but {large} at n = 200"
+    );
+}
+
+/// A settled store gossips a summary of a few bytes, whatever the group's
+/// size, so a node's context cost grows with n only while stores differ:
+/// at boot, when every node must learn n snapshots, and after a restart.
+/// Measured on seed 1: 334 B/node/s at n = 50 and 762 at n = 200, 2.28×.
+/// Gossiping the whole `(node, version)` table every second cost 556 and
+/// 1,633, 2.94×.
+#[test]
+fn context_cost_per_node_grows_slower_than_the_group_once_stores_settle() {
+    let context_per_node_s = |n: usize| {
+        let report = Runner::new().run(&Scenario::member_restart(n, 0.1).with_seed(1));
+        assert_eq!(report.messages_lost, 0, "n = {n}");
+        assert!(report.context_convergence_ms().is_some(), "n = {n}");
+        report.wire_bytes_totals().context * 1_000 / (n as u64 * report.duration_ms)
+    };
+    let (small, large) = (context_per_node_s(50), context_per_node_s(200));
+    assert!(
+        large * 100 <= small * 250,
+        "context costs {small} B/node/s at n = 50 but {large} at n = 200"
     );
 }
