@@ -103,11 +103,6 @@ impl EventContext<'_> {
         self.layer_name
     }
 
-    /// Position of the handling session in the stack (0 = bottom).
-    pub fn stack_position(&self) -> usize {
-        self.session_index
-    }
-
     /// Current local time in milliseconds.
     pub fn now_ms(&self) -> u64 {
         self.platform.now_ms()

@@ -280,11 +280,6 @@ impl WireWriter {
         }
     }
 
-    /// Appends a nested `Wire` value.
-    pub fn put_wire<T: Wire>(&mut self, value: &T) {
-        value.encode(self);
-    }
-
     /// Finalises the writer and returns the encoded bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
@@ -670,11 +665,6 @@ impl<'a> WireReader<'a> {
             out.push(self.get_u64()?);
         }
         Ok(out)
-    }
-
-    /// Reads a nested `Wire` value.
-    pub fn get_wire<T: Wire>(&mut self) -> Result<T, WireError> {
-        T::decode(self)
     }
 }
 

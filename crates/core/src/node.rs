@@ -216,18 +216,16 @@ impl MorpheusNode {
             .map(morpheus_groupcomm::gossip::GossipSession::stats)
     }
 
-    /// Counters of the data channel's recovery session as
-    /// `(buffer_shed, catchups)`: application sends shed from the bounded
-    /// join-view buffer, and completed repair→snapshot catch-up transfers.
-    /// `None` when the data stack carries no recovery layer.
-    pub fn recovery_stats(&self) -> Option<(u64, u64)> {
+    /// Join-view messages the data channel's recovery session shed at its
+    /// buffer cap. `None` when the data stack carries no recovery layer.
+    pub fn recovery_buffer_shed(&self) -> Option<u64> {
         let channel = self.kernel.channel(self.data_channel)?;
         let session = channel.session_of(morpheus_groupcomm::recovery::RECOVERY_LAYER)?;
         let session = session.borrow();
         session
             .as_any()?
             .downcast_ref::<morpheus_groupcomm::recovery::RecoverySession>()
-            .map(|recovery| (recovery.buffer_shed(), recovery.catchup_count()))
+            .map(morpheus_groupcomm::recovery::RecoverySession::buffer_shed)
     }
 
     /// Layer names of the data channel, bottom-first.

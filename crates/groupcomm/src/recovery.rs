@@ -28,7 +28,11 @@
 //!    application sees the snapshot first, then the join view's messages.
 //!
 //! On every *non*-joining node the layer is a pass-through that answers
-//! state requests when it is chosen as donor.
+//! state requests when it is chosen as donor. A member that gossip repair
+//! cannot bring up to date (its missed span was evicted from every repair
+//! log, [`CatchupRequest`]) pulls the same snapshot through the same
+//! transfer machine from the one donor gossip named — a *catch-up*, under
+//! its own range of transfer epochs — without leaving the view.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -263,17 +267,21 @@ enum Phase {
     Member,
     /// Restarted, multicasting join requests until a view admits it.
     Joining,
-    /// Admitted; pulling the state snapshot from a donor. Boxed: the sync
-    /// state (round engine, chunk map) dwarfs the other variants.
-    Syncing(Box<SyncState>),
+    /// Admitted; pulling the state snapshot from a donor. Boxed: the
+    /// transfer (round engine, chunk map) dwarfs the other variants.
+    Syncing(Box<Transfer>),
 }
 
-/// Joiner-side state of one snapshot transfer.
+/// Puller-side state of one snapshot transfer: a rejoin's (after the join
+/// view installs) or a catch-up's (a member whose missed span gossip repair
+/// reported evicted). The two differ only in their donors, their epoch
+/// namespace and what a finished or failed transfer leads to.
 #[derive(Debug)]
-struct SyncState {
-    /// Donor candidates: members of the join view, ascending id (the
-    /// deterministic donor is the lowest live id).
-    candidates: Vec<NodeId>,
+struct Transfer {
+    /// Donor candidates, never empty: the join view's other members in
+    /// ascending id (the deterministic donor is the lowest live id), or the
+    /// one targeted catch-up donor.
+    donors: Vec<NodeId>,
     donor_index: usize,
     /// The shared round engine instantiated over *chunk indices*: the
     /// transfer epoch is the round ballot (held by the donor), received
@@ -282,25 +290,123 @@ struct SyncState {
     engine: RoundEngine<u32>,
     version: Option<u64>,
     total: Option<u32>,
-    // bound: at most `total` chunks of one snapshot; cleared on failover.
+    // bound: at most `total` chunks of one snapshot; dropped with the transfer on failover, completion or abandonment.
     chunks: BTreeMap<u32, Bytes>,
     // bound: <= WINDOW indices (one request window).
     outstanding: BTreeSet<u32>,
     bytes: u64,
 }
 
-impl SyncState {
-    fn donor(&self) -> Option<NodeId> {
-        if self.candidates.is_empty() {
-            return None;
-        }
-        Some(self.candidates[self.donor_index % self.candidates.len()])
+/// What one arriving chunk did to a [`Transfer`].
+enum Accepted {
+    /// Another epoch's or another node's chunk, or a torn stream's: ignored.
+    NotOurs,
+    /// Recorded; chunks are still missing.
+    Pending,
+    /// Recorded, and the snapshot is whole.
+    Whole,
+}
+
+impl Transfer {
+    /// A fresh transfer from `donors[donor_index]` under `transfer_epoch`.
+    fn open(donors: Vec<NodeId>, donor_index: usize, transfer_epoch: u64, now: u64) -> Self {
+        let mut transfer = Self {
+            donors,
+            donor_index,
+            engine: RoundEngine::new(),
+            version: None,
+            total: None,
+            chunks: BTreeMap::new(),
+            outstanding: BTreeSet::new(),
+            bytes: 0,
+        };
+        let ballot = Ballot::new(transfer_epoch, transfer.donor());
+        transfer.engine.open_at(ballot, [], now);
+        transfer
     }
 
-    /// The transfer epoch: the in-flight round's ballot epoch (bumped by
-    /// re-opening the round on every donor failover).
+    fn donor(&self) -> NodeId {
+        let index = self.donor_index % self.donors.len().max(1);
+        self.donors.get(index).copied().unwrap_or_default()
+    }
+
+    /// The transfer epoch: the in-flight round's ballot epoch.
     fn transfer_epoch(&self) -> u64 {
         self.engine.round_epoch().unwrap_or(0)
+    }
+
+    /// Asks the donor for the next (or the still-missing) window of chunks.
+    fn send_request(&mut self, ctx: &mut EventContext<'_>) {
+        // Before the first chunk the total is unknown: an empty missing list
+        // asks the donor for a fresh snapshot's first window. Afterwards the
+        // engine's un-acked chunk indices are exactly what is missing.
+        let missing: Vec<u32> = match self.total {
+            None => Vec::new(),
+            Some(_) => self.engine.missing().into_iter().take(WINDOW).collect(),
+        };
+        self.outstanding = missing.iter().copied().collect();
+        let mut message = Message::new();
+        message.push(&StateRequestBody {
+            transfer_epoch: self.transfer_epoch(),
+            missing,
+        });
+        ctx.dispatch(Event::down(StateRequest::new(
+            ctx.node_id(),
+            Dest::Node(self.donor()),
+            message,
+        )));
+    }
+
+    /// Accounts one arriving chunk.
+    fn accept(
+        &mut self,
+        from: NodeId,
+        header: StateChunkHeader,
+        payload: Bytes,
+        now: u64,
+    ) -> Accepted {
+        if header.transfer_epoch != self.transfer_epoch() || from != self.donor() {
+            return Accepted::NotOurs; // a late chunk from a previous donor or transfer
+        }
+        match self.version {
+            None => {
+                self.version = Some(header.version);
+                self.total = Some(header.total);
+                // The first chunk reveals the participant set: one round
+                // participant per chunk index. The initial request could
+                // not name indices (the total was unknown); the donor
+                // answered with the first window, which is what is
+                // outstanding now.
+                self.engine.extend_participants(0..header.total);
+                self.outstanding = (0..header.total.min(WINDOW as u32)).collect();
+            }
+            Some(version) if version != header.version => return Accepted::NotOurs,
+            _ => {}
+        }
+        if header.index >= self.total.unwrap_or(0) {
+            return Accepted::NotOurs;
+        }
+        let len = payload.len() as u64;
+        if self.chunks.insert(header.index, payload).is_none() {
+            self.bytes += len;
+        }
+        self.engine.record_ack(header.transfer_epoch, header.index);
+        self.outstanding.remove(&header.index);
+        self.engine.note_progress(now);
+        if self.engine.completed(&BTreeSet::new()) {
+            Accepted::Whole
+        } else {
+            Accepted::Pending
+        }
+    }
+
+    /// The snapshot: every chunk, in index order.
+    fn blob(&self) -> Vec<u8> {
+        let mut blob = Vec::with_capacity(self.bytes as usize);
+        for chunk in self.chunks.values() {
+            blob.extend_from_slice(chunk);
+        }
+        blob
     }
 }
 
@@ -314,33 +420,6 @@ struct OutgoingTransfer {
     /// When the joiner last asked for a window — the cache holds a full
     /// snapshot copy, so entries whose transfer went quiet are evicted.
     last_request_ms: u64,
-}
-
-/// One in-flight *catch-up* transfer: a full member pulling a targeted
-/// snapshot from a donor because gossip repair reported its missed span
-/// evicted from every reachable repair log. Unlike a rejoin sync the stack
-/// stays up, sends keep flowing and no view changes — only the snapshot
-/// sections are refreshed underneath the running application.
-#[derive(Debug)]
-struct CatchupState {
-    donor: NodeId,
-    /// Round engine over chunk indices, opened at the catch-up epoch
-    /// namespace (`CATCHUP_EPOCH_BASE + n`) so donor streams never mix with
-    /// rejoin transfers.
-    engine: RoundEngine<u32>,
-    version: Option<u64>,
-    total: Option<u32>,
-    // bound: at most `total` chunks of one snapshot; dropped when the transfer completes or is abandoned.
-    chunks: BTreeMap<u32, Bytes>,
-    // bound: <= WINDOW indices (one request window).
-    outstanding: BTreeSet<u32>,
-    bytes: u64,
-}
-
-impl CatchupState {
-    fn transfer_epoch(&self) -> u64 {
-        self.engine.round_epoch().unwrap_or(0)
-    }
 }
 
 /// Session state of the recovery layer.
@@ -366,9 +445,10 @@ pub struct RecoverySession {
     serving: HashMap<NodeId, OutgoingTransfer>,
     timer: Option<u64>,
     phase_started_ms: u64,
-    /// The in-flight catch-up transfer, if any (at most one at a time).
-    catchup: Option<CatchupState>,
-    /// Completed catch-up transfers (drives the epoch counter and reports).
+    /// The in-flight catch-up transfer, if any (at most one at a time). Its
+    /// epochs start at `CATCHUP_EPOCH_BASE`, which routes its chunks here.
+    catchup: Option<Transfer>,
+    /// Completed catch-up transfers (numbers the catch-up epochs).
     catchup_count: u64,
     /// When the last catch-up completed — cooldown against floor-answer
     /// storms re-pulling a snapshot that was just installed.
@@ -396,19 +476,9 @@ impl std::fmt::Debug for RecoverySession {
 }
 
 impl RecoverySession {
-    /// Whether the node is fully (re)joined.
-    pub fn is_member(&self) -> bool {
-        matches!(self.phase, Phase::Member)
-    }
-
     /// Join-view messages shed at the buffer cap (see `BUFFER_CAP`).
     pub fn buffer_shed(&self) -> u64 {
         self.buffer_shed
-    }
-
-    /// Completed targeted catch-up transfers.
-    pub fn catchup_count(&self) -> u64 {
-        self.catchup_count
     }
 
     fn arm_timer(&mut self, ctx: &mut EventContext<'_>) {
@@ -436,36 +506,6 @@ impl RecoverySession {
         )));
     }
 
-    /// Asks the current donor for the next (or the still-missing) window of
-    /// chunks.
-    fn send_request(&mut self, ctx: &mut EventContext<'_>) {
-        let local = ctx.node_id();
-        let Phase::Syncing(sync) = &mut self.phase else {
-            return;
-        };
-        let Some(donor) = sync.donor() else {
-            return;
-        };
-        // Before the first chunk the total is unknown: an empty missing list
-        // asks the donor for a fresh snapshot's first window. Afterwards the
-        // engine's un-acked chunk indices are exactly what is missing.
-        let missing: Vec<u32> = match sync.total {
-            None => Vec::new(),
-            Some(_) => sync.engine.missing().into_iter().take(WINDOW).collect(),
-        };
-        sync.outstanding = missing.iter().copied().collect();
-        let mut message = Message::new();
-        message.push(&StateRequestBody {
-            transfer_epoch: sync.transfer_epoch(),
-            missing,
-        });
-        ctx.dispatch(Event::down(StateRequest::new(
-            local,
-            Dest::Node(donor),
-            message,
-        )));
-    }
-
     /// Starts (or ignores) a targeted catch-up against the given donor:
     /// gossip repair reported a missed span evicted from the donor's log, so
     /// only a snapshot section pull can close the gap. The stack stays up —
@@ -484,124 +524,40 @@ impl RecoverySession {
                 return;
             }
         }
-        let mut engine = RoundEngine::new();
-        engine.open_at(
-            Ballot::new(CATCHUP_EPOCH_BASE + self.catchup_count, donor),
-            [],
-            now,
-        );
-        self.catchup = Some(CatchupState {
-            donor,
-            engine,
-            version: None,
-            total: None,
-            chunks: BTreeMap::new(),
-            outstanding: BTreeSet::new(),
-            bytes: 0,
-        });
+        let epoch = CATCHUP_EPOCH_BASE + self.catchup_count;
+        let catchup = self
+            .catchup
+            .insert(Transfer::open(vec![donor], 0, epoch, now));
         ctx.deliver(DeliveryKind::Notification(format!(
             "repair floor from {donor}: pulling a targeted state snapshot to \
              close the evicted span"
         )));
-        self.send_catchup_request(ctx);
+        catchup.send_request(ctx);
         self.arm_timer(ctx);
     }
 
-    /// Asks the catch-up donor for the next (or still-missing) chunk window.
-    fn send_catchup_request(&mut self, ctx: &mut EventContext<'_>) {
-        let local = ctx.node_id();
-        let Some(catchup) = &mut self.catchup else {
-            return;
-        };
-        let missing: Vec<u32> = match catchup.total {
-            None => Vec::new(),
-            Some(_) => catchup.engine.missing().into_iter().take(WINDOW).collect(),
-        };
-        catchup.outstanding = missing.iter().copied().collect();
-        let mut message = Message::new();
-        message.push(&StateRequestBody {
-            transfer_epoch: catchup.transfer_epoch(),
-            missing,
-        });
-        ctx.dispatch(Event::down(StateRequest::new(
-            local,
-            Dest::Node(catchup.donor),
-            message,
-        )));
-    }
-
-    /// Accounts one catch-up chunk; installs the snapshot when complete.
-    /// Failures abandon the transfer instead of failing over — the donor was
+    /// A whole catch-up snapshot arrived: install it and report. A malformed
+    /// one abandons the transfer instead of failing over — the donor was
     /// *targeted* (its digest proved it complete), and if the gap persists
     /// gossip raises a fresh [`CatchupRequest`] with the next floor answer.
-    fn on_catchup_chunk(
-        &mut self,
-        from: NodeId,
-        header: StateChunkHeader,
-        payload: Bytes,
-        ctx: &mut EventContext<'_>,
-    ) {
-        let now = ctx.now_ms();
-        let complete = {
-            let Some(catchup) = &mut self.catchup else {
-                return;
-            };
-            if header.transfer_epoch != catchup.transfer_epoch() || from != catchup.donor {
-                return; // a late chunk from an abandoned catch-up
-            }
-            match catchup.version {
-                None => {
-                    catchup.version = Some(header.version);
-                    catchup.total = Some(header.total);
-                    catchup.engine.extend_participants(0..header.total);
-                    catchup.outstanding = (0..header.total.min(WINDOW as u32)).collect();
-                }
-                Some(version) if version != header.version => return,
-                _ => {}
-            }
-            if header.index >= catchup.total.unwrap_or(0) {
-                return;
-            }
-            let len = payload.len() as u64;
-            if catchup.chunks.insert(header.index, payload).is_none() {
-                catchup.bytes += len;
-            }
-            catchup
-                .engine
-                .record_ack(header.transfer_epoch, header.index);
-            catchup.outstanding.remove(&header.index);
-            catchup.engine.note_progress(now);
-            catchup.engine.completed(&BTreeSet::new())
+    fn finish_catchup(&mut self, ctx: &mut EventContext<'_>) {
+        let Some(catchup) = self.catchup.take() else {
+            return;
         };
-        if complete {
-            let catchup = self.catchup.take().expect("checked above");
-            let mut blob = Vec::with_capacity(catchup.bytes as usize);
-            for chunk in catchup.chunks.values() {
-                blob.extend_from_slice(chunk);
-            }
-            if self.install_snapshot(&blob) {
-                self.catchup_count += 1;
-                self.catchup_done_ms = Some(now);
-                ctx.deliver(DeliveryKind::CaughtUp {
-                    donor: catchup.donor,
-                    bytes: catchup.bytes,
-                    chunks: catchup.total.unwrap_or(0),
-                });
-            } else {
-                ctx.deliver(DeliveryKind::Notification(format!(
-                    "catch-up donor {} streamed a malformed snapshot; abandoning \
-                     (gossip will re-escalate if the gap persists)",
-                    catchup.donor
-                )));
-            }
+        let donor = catchup.donor();
+        if self.install_snapshot(&catchup.blob()) {
+            self.catchup_count += 1;
+            self.catchup_done_ms = Some(ctx.now_ms());
+            ctx.deliver(DeliveryKind::CaughtUp {
+                donor,
+                bytes: catchup.bytes,
+                chunks: catchup.total.unwrap_or(0),
+            });
         } else {
-            let drained = self
-                .catchup
-                .as_ref()
-                .is_some_and(|catchup| catchup.outstanding.is_empty());
-            if drained {
-                self.send_catchup_request(ctx);
-            }
+            ctx.deliver(DeliveryKind::Notification(format!(
+                "catch-up donor {donor} streamed a malformed snapshot; abandoning \
+                 (gossip will re-escalate if the gap persists)"
+            )));
         }
     }
 
@@ -623,65 +579,39 @@ impl RecoverySession {
         let Phase::Syncing(sync) = &mut self.phase else {
             return;
         };
-        let failed = sync
-            .donor()
-            .map(|node| node.to_string())
-            .unwrap_or_else(|| "<none>".into());
-        sync.donor_index = donor_index;
-        // Abort the old donor's round and open a fresh epoch under the new
-        // donor: chunks from different donors or epochs must never be mixed.
-        sync.engine.abort();
-        let donor = sync.donor().unwrap_or_else(|| ctx.node_id());
-        sync.engine.open(donor, [], now);
-        sync.version = None;
-        sync.total = None;
-        sync.chunks.clear();
-        sync.outstanding.clear();
-        sync.bytes = 0;
-        let next = sync
-            .donor()
-            .map(|node| node.to_string())
-            .unwrap_or_else(|| "<none>".into());
+        let failed = sync.donor();
+        let epoch = sync.transfer_epoch() + 1;
+        **sync = Transfer::open(std::mem::take(&mut sync.donors), donor_index, epoch, now);
         ctx.deliver(DeliveryKind::Notification(format!(
-            "state transfer from {failed} {reason}; failing over to {next} \
-             under transfer epoch {}",
-            sync.transfer_epoch()
+            "state transfer from {failed} {reason}; failing over to {} \
+             under transfer epoch {epoch}",
+            sync.donor()
         )));
-        self.send_request(ctx);
+        sync.send_request(ctx);
     }
 
     /// The join view installed: pick the deterministic donor (lowest live
     /// id) and start pulling the snapshot.
     fn begin_sync(&mut self, view: &View, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
-        let now = ctx.now_ms();
         let candidates = view.others(local);
         if candidates.is_empty() {
             // Degenerate solo view: nothing to pull.
-            self.finish(local, 0, ctx);
+            self.finish(local, ctx);
             return;
         }
-        let mut engine = RoundEngine::new();
-        engine.open(candidates[0], [], now); // transfer epoch 1, first donor
-        self.phase = Phase::Syncing(Box::new(SyncState {
-            candidates,
-            donor_index: 0,
-            engine,
-            version: None,
-            total: None,
-            chunks: BTreeMap::new(),
-            outstanding: BTreeSet::new(),
-            bytes: 0,
-        }));
-        self.send_request(ctx);
+        // Transfer epoch 1, first donor.
+        let mut sync = Box::new(Transfer::open(candidates, 0, 1, ctx.now_ms()));
+        sync.send_request(ctx);
+        self.phase = Phase::Syncing(sync);
         self.arm_timer(ctx);
     }
 
     /// Snapshot complete (or nothing to transfer): install, report, replay.
-    fn finish(&mut self, donor: NodeId, chunk_count: u32, ctx: &mut EventContext<'_>) {
-        let (bytes, epochs) = match &self.phase {
-            Phase::Syncing(sync) => (sync.bytes, sync.transfer_epoch()),
-            _ => (0, 0),
+    fn finish(&mut self, donor: NodeId, ctx: &mut EventContext<'_>) {
+        let (bytes, chunks, transfer_epochs) = match &self.phase {
+            Phase::Syncing(sync) => (sync.bytes, sync.total.unwrap_or(0), sync.transfer_epoch()),
+            _ => (0, 0, 0),
         };
         let elapsed_ms = ctx.now_ms().saturating_sub(self.phase_started_ms);
         self.phase = Phase::Member;
@@ -691,8 +621,8 @@ impl RecoverySession {
         ctx.deliver(DeliveryKind::Rejoined {
             donor,
             bytes,
-            chunks: chunk_count,
-            transfer_epochs: epochs,
+            chunks,
+            transfer_epochs,
             elapsed_ms,
         });
         // Replay the join view's messages *after* the installed snapshot, in
@@ -801,8 +731,8 @@ impl RecoverySession {
         }
     }
 
-    /// Joiner side: account one arriving chunk; finish or pull the next
-    /// window.
+    /// Puller side: account one arriving chunk to the transfer its epoch
+    /// names; finish, fail, or pull the next window.
     fn on_chunk(
         &mut self,
         from: NodeId,
@@ -811,59 +741,32 @@ impl RecoverySession {
         ctx: &mut EventContext<'_>,
     ) {
         let now = ctx.now_ms();
-        let complete = {
-            let Phase::Syncing(sync) = &mut self.phase else {
-                return;
-            };
-            if header.transfer_epoch != sync.transfer_epoch() || Some(from) != sync.donor() {
-                return; // a late chunk from a failed-over donor
-            }
-            match sync.version {
-                None => {
-                    sync.version = Some(header.version);
-                    sync.total = Some(header.total);
-                    // The first chunk reveals the participant set: one round
-                    // participant per chunk index. The initial request could
-                    // not name indices (the total was unknown); the donor
-                    // answered with the first window, which is what is
-                    // outstanding now.
-                    sync.engine.extend_participants(0..header.total);
-                    sync.outstanding = (0..header.total.min(WINDOW as u32)).collect();
-                }
-                Some(version) if version != header.version => return,
-                _ => {}
-            }
-            if header.index >= sync.total.unwrap_or(0) {
-                return;
-            }
-            let len = payload.len() as u64;
-            if sync.chunks.insert(header.index, payload).is_none() {
-                sync.bytes += len;
-            }
-            sync.engine.record_ack(header.transfer_epoch, header.index);
-            sync.outstanding.remove(&header.index);
-            sync.engine.note_progress(now);
-            sync.engine.completed(&BTreeSet::new())
-        };
-        if complete {
-            let Phase::Syncing(sync) = &self.phase else {
-                return;
-            };
-            let total = sync.total.unwrap_or(0);
-            let mut blob = Vec::with_capacity(sync.bytes as usize);
-            for chunk in sync.chunks.values() {
-                blob.extend_from_slice(chunk);
-            }
-            if self.install_snapshot(&blob) {
-                self.finish(from, total, ctx);
-            } else {
-                self.failover("streamed a malformed snapshot", ctx);
-            }
+        let is_catchup = header.transfer_epoch >= CATCHUP_EPOCH_BASE;
+        let transfer = if is_catchup {
+            self.catchup.as_mut()
+        } else if let Phase::Syncing(sync) = &mut self.phase {
+            Some(&mut **sync)
         } else {
-            let outstanding_drained = matches!(&self.phase, Phase::Syncing(sync)
-                if sync.outstanding.is_empty());
-            if outstanding_drained {
-                self.send_request(ctx); // pull the next window
+            None
+        };
+        let Some(transfer) = transfer else {
+            return;
+        };
+        match transfer.accept(from, header, payload, now) {
+            Accepted::NotOurs => {}
+            Accepted::Pending => {
+                if transfer.outstanding.is_empty() {
+                    transfer.send_request(ctx); // pull the next window
+                }
+            }
+            Accepted::Whole if is_catchup => self.finish_catchup(ctx),
+            Accepted::Whole => {
+                let blob = transfer.blob();
+                if self.install_snapshot(&blob) {
+                    self.finish(from, ctx);
+                } else {
+                    self.failover("streamed a malformed snapshot", ctx);
+                }
             }
         }
     }
@@ -913,14 +816,14 @@ impl RecoverySession {
                     return; // no re-arm
                 };
                 if catchup.engine.tick(now, self.transfer_timeout_ms) == Tick::TimedOut {
-                    let donor = catchup.donor;
+                    let donor = catchup.donor();
                     self.catchup = None;
                     ctx.deliver(DeliveryKind::Notification(format!(
                         "catch-up from {donor} stalled; abandoning the transfer"
                     )));
                     return; // no re-arm
                 }
-                self.send_catchup_request(ctx);
+                catchup.send_request(ctx);
             }
             Phase::Joining => self.send_join_request(ctx),
             Phase::Syncing(sync) => {
@@ -929,7 +832,7 @@ impl RecoverySession {
                 } else {
                     // Re-request whatever is outstanding (lost chunks) or
                     // kick off the next window.
-                    self.send_request(ctx);
+                    sync.send_request(ctx);
                 }
             }
         }
@@ -983,7 +886,7 @@ impl Session for RecoverySession {
             if self
                 .catchup
                 .as_ref()
-                .is_some_and(|catchup| !view.contains(catchup.donor))
+                .is_some_and(|catchup| !view.contains(catchup.donor()))
             {
                 self.catchup = None;
             }
@@ -1002,10 +905,8 @@ impl Session for RecoverySession {
                 let donor = sync.donor();
                 let candidates = view.others(local);
                 if !candidates.is_empty() {
-                    sync.candidates = candidates;
-                    match donor
-                        .and_then(|donor| sync.candidates.iter().position(|node| *node == donor))
-                    {
+                    sync.donors = candidates;
+                    match sync.donors.iter().position(|node| *node == donor) {
                         Some(position) => sync.donor_index = position,
                         None => self.restart_transfer(0, "donor expelled from the view", ctx),
                     }
@@ -1019,14 +920,14 @@ impl Session for RecoverySession {
             let node = suspect.node;
             self.suspected.insert(node);
             let donor_died = matches!(&self.phase, Phase::Syncing(sync)
-                if sync.donor() == Some(node));
+                if sync.donor() == node);
             if donor_died {
                 self.failover("donor suspected", ctx);
             }
             if self
                 .catchup
                 .as_ref()
-                .is_some_and(|catchup| catchup.donor == node)
+                .is_some_and(|catchup| catchup.donor() == node)
             {
                 // A catch-up donor is not failed over — it was *targeted*;
                 // gossip re-escalates against a live digest sender instead.
@@ -1087,11 +988,7 @@ impl Session for RecoverySession {
             // Chunks are kept until the snapshot is whole: a copy, so the
             // chunk maps do not pin every packet of the transfer.
             let payload = Bytes::copy_from_slice(chunk.message.payload());
-            if header.transfer_epoch >= CATCHUP_EPOCH_BASE {
-                self.on_catchup_chunk(from, header, payload, ctx);
-            } else {
-                self.on_chunk(from, header, payload, ctx);
-            }
+            self.on_chunk(from, header, payload, ctx);
             return;
         }
 
@@ -1824,5 +1721,219 @@ mod tests {
             requests(&puller.drain_down()).is_empty(),
             "repeat escalations inside the cooldown are no-ops"
         );
+    }
+
+    /// A member (node 2) holding one empty section, ready to catch up.
+    fn catchup_puller() -> (Harness, TestPlatform, Rc<RefCell<Vec<u8>>>) {
+        let (puller_section, state) = section("s", b"");
+        let mut platform = TestPlatform::new(NodeId(2));
+        let puller = Harness::new(
+            RecoveryLayer::with_sections(vec![puller_section]),
+            &params(&[0, 1, 2], false),
+            &mut platform,
+        );
+        (puller, platform, state)
+    }
+
+    /// Raises a catch-up against `donor` and returns the state requests it
+    /// sent.
+    fn escalate(
+        puller: &mut Harness,
+        platform: &mut TestPlatform,
+        donor: u32,
+    ) -> Vec<(NodeId, StateRequestBody)> {
+        puller.run_up(
+            Event::up(CatchupRequest {
+                donor: NodeId(donor),
+            }),
+            platform,
+        );
+        requests(&puller.drain_down())
+    }
+
+    /// Hands node 2 a one-chunk snapshot from `from` under `transfer_epoch`.
+    fn send_whole_snapshot(
+        puller: &mut Harness,
+        platform: &mut TestPlatform,
+        from: u32,
+        transfer_epoch: u64,
+        blob: Bytes,
+    ) {
+        let mut message = Message::with_payload(blob);
+        message.push(&StateChunkHeader {
+            transfer_epoch,
+            version: 1,
+            index: 0,
+            total: 1,
+        });
+        puller.run_up(
+            Event::up(StateChunk::new(
+                NodeId(from),
+                Dest::Node(NodeId(2)),
+                message,
+            )),
+            platform,
+        );
+    }
+
+    fn caught_up(platform: &mut TestPlatform) -> bool {
+        platform
+            .take_deliveries()
+            .iter()
+            .any(|delivery| matches!(delivery.kind, DeliveryKind::CaughtUp { .. }))
+    }
+
+    #[test]
+    fn a_suspected_catchup_donor_abandons_the_catchup() {
+        let (mut puller, mut platform, _) = catchup_puller();
+        assert_eq!(escalate(&mut puller, &mut platform, 0).len(), 1);
+
+        let up = puller.run_up(Event::up(Suspect { node: NodeId(0) }), &mut platform);
+        assert!(up.iter().any(|event| event.is::<Suspect>()));
+        assert!(requests(&puller.drain_down()).is_empty());
+
+        // The retry tick finds no transfer: nothing is re-requested.
+        platform.advance(500);
+        fire_pending_timers(&mut puller, &mut platform);
+        assert!(
+            requests(&puller.drain_down()).is_empty(),
+            "a targeted donor is not failed over"
+        );
+    }
+
+    #[test]
+    fn a_stalled_catchup_is_abandoned_without_rearming_the_timer() {
+        let (mut puller, mut platform, _) = catchup_puller();
+        assert_eq!(escalate(&mut puller, &mut platform, 0).len(), 1);
+        platform.take_deliveries();
+
+        platform.advance(4000);
+        fire_pending_timers(&mut puller, &mut platform);
+        assert!(requests(&puller.drain_down()).is_empty());
+        assert!(platform.take_deliveries().iter().any(|delivery| matches!(
+            &delivery.kind,
+            DeliveryKind::Notification(text) if text.contains("stalled")
+        )));
+        assert!(
+            platform.timers.is_empty(),
+            "an abandoned catch-up leaves no retry tick behind"
+        );
+    }
+
+    #[test]
+    fn a_malformed_catchup_snapshot_is_reported_and_never_caught_up() {
+        let (mut puller, mut platform, state) = catchup_puller();
+        let sent = escalate(&mut puller, &mut platform, 0);
+        platform.take_deliveries();
+
+        send_whole_snapshot(
+            &mut puller,
+            &mut platform,
+            0,
+            sent[0].1.transfer_epoch,
+            Bytes::from_static(b"\xff\xff"),
+        );
+        let deliveries = platform.take_deliveries();
+        assert!(deliveries.iter().any(|delivery| matches!(
+            &delivery.kind,
+            DeliveryKind::Notification(text) if text.contains("malformed")
+        )));
+        assert!(deliveries
+            .iter()
+            .all(|delivery| !matches!(delivery.kind, DeliveryKind::CaughtUp { .. })));
+        assert!(state.borrow().is_empty());
+        assert!(requests(&puller.drain_down()).is_empty());
+    }
+
+    #[test]
+    fn catchup_chunks_from_a_stale_epoch_or_another_node_are_ignored() {
+        let (donor_section, _) = section("s", b"fresh");
+        let blob = encode_snapshot(&[donor_section]);
+        let (mut puller, mut platform, state) = catchup_puller();
+
+        // A first catch-up completes under the base epoch.
+        let first = escalate(&mut puller, &mut platform, 0);
+        assert_eq!(first[0].1.transfer_epoch, CATCHUP_EPOCH_BASE);
+        send_whole_snapshot(
+            &mut puller,
+            &mut platform,
+            0,
+            CATCHUP_EPOCH_BASE,
+            blob.clone(),
+        );
+        assert!(caught_up(&mut platform));
+        state.borrow_mut().clear();
+
+        // Past the cooldown the next one opens the next catch-up epoch.
+        platform.advance(4000);
+        let second = escalate(&mut puller, &mut platform, 0);
+        assert_eq!(second.len(), 1);
+        assert_eq!(second[0].1.transfer_epoch, CATCHUP_EPOCH_BASE + 1);
+
+        send_whole_snapshot(
+            &mut puller,
+            &mut platform,
+            0,
+            CATCHUP_EPOCH_BASE,
+            blob.clone(),
+        );
+        send_whole_snapshot(
+            &mut puller,
+            &mut platform,
+            1,
+            CATCHUP_EPOCH_BASE + 1,
+            blob.clone(),
+        );
+        assert!(!caught_up(&mut platform), "neither chunk belongs to it");
+        assert!(state.borrow().is_empty());
+
+        send_whole_snapshot(&mut puller, &mut platform, 0, CATCHUP_EPOCH_BASE + 1, blob);
+        assert!(caught_up(&mut platform));
+        assert_eq!(state.borrow().as_slice(), b"fresh");
+    }
+
+    #[test]
+    fn a_second_catchup_request_inside_the_cooldown_sends_nothing() {
+        let (donor_section, _) = section("s", b"fresh");
+        let blob = encode_snapshot(&[donor_section]);
+        let (mut puller, mut platform, _) = catchup_puller();
+        escalate(&mut puller, &mut platform, 0);
+        send_whole_snapshot(&mut puller, &mut platform, 0, CATCHUP_EPOCH_BASE, blob);
+        assert!(caught_up(&mut platform));
+
+        platform.advance(3999);
+        assert!(escalate(&mut puller, &mut platform, 1).is_empty());
+        platform.advance(1);
+        assert_eq!(
+            escalate(&mut puller, &mut platform, 1).len(),
+            1,
+            "the cooldown ends after the transfer timeout"
+        );
+    }
+
+    #[test]
+    fn a_catchup_request_while_joining_or_syncing_is_ignored() {
+        let mut platform = TestPlatform::new(NodeId(2));
+        let mut joiner = Harness::new(
+            RecoveryLayer::new(),
+            &params(&[0, 1, 2], true),
+            &mut platform,
+        );
+        assert!(
+            escalate(&mut joiner, &mut platform, 0).is_empty(),
+            "joining"
+        );
+
+        let pull = requests(&install_view(&mut joiner, &mut platform, &[0, 1, 2]));
+        assert_eq!(pull.len(), 1);
+        assert_eq!(pull[0].1.transfer_epoch, 1);
+        assert!(
+            escalate(&mut joiner, &mut platform, 1).is_empty(),
+            "syncing"
+        );
+        assert!(platform.take_deliveries().iter().all(|delivery| !matches!(
+            &delivery.kind,
+            DeliveryKind::Notification(text) if text.contains("repair floor")
+        )));
     }
 }

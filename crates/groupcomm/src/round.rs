@@ -344,13 +344,6 @@ impl<P: Ord + Copy> Engine<P> {
         }
     }
 
-    /// Whether `participant` has acked the in-flight round.
-    pub fn has_acked(&self, participant: P) -> bool {
-        self.round
-            .as_ref()
-            .is_some_and(|round| round.acked.contains(&participant))
-    }
-
     /// Replaces the in-flight round's participant set (a view installed
     /// mid-round changes who must ack a reconfiguration).
     pub fn set_participants(&mut self, participants: impl IntoIterator<Item = P>) {

@@ -206,16 +206,6 @@ impl VsyncSession {
         &self.view
     }
 
-    /// Whether the channel is currently blocked.
-    pub fn is_blocked(&self) -> bool {
-        self.blocked
-    }
-
-    /// Whether the node is still waiting to be admitted to a view.
-    pub fn is_joining(&self) -> bool {
-        self.joining
-    }
-
     /// Completed view changes so far.
     pub fn view_changes(&self) -> u64 {
         self.view_changes

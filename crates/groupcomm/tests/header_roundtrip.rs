@@ -17,7 +17,7 @@ use morpheus_groupcomm::headers::{
     RepairFloorBody, RepairPull, RepairPushHeader, RepairRange, Rumour, RumourKind, SeqHeader,
     TotalIdHeader,
 };
-use morpheus_groupcomm::recovery::StateRequestBody;
+use morpheus_groupcomm::recovery::{StateChunk, StateChunkHeader, StateRequest, StateRequestBody};
 use morpheus_groupcomm::view::View;
 
 #[cfg(miri)]
@@ -142,6 +142,35 @@ fn ordering_and_view_headers_roundtrip() {
         epoch: 9,
         proposer: NodeId(1),
         flushed: vec![NodeId(1), NodeId(4)],
+    });
+}
+
+/// A catch-up's transfer epochs start at 10^9, above every rejoin's.
+const CATCHUP_EPOCH: u64 = 1_000_000_000;
+
+#[test]
+fn state_transfer_headers_roundtrip() {
+    for transfer_epoch in [1, 2, CATCHUP_EPOCH, CATCHUP_EPOCH + 7, u64::MAX] {
+        roundtrip(StateRequestBody {
+            transfer_epoch,
+            missing: vec![],
+        });
+        roundtrip(StateRequestBody {
+            transfer_epoch,
+            missing: vec![0, 3, 4, 11, u32::MAX],
+        });
+        roundtrip(StateChunkHeader {
+            transfer_epoch,
+            version: 42_000,
+            index: 3,
+            total: 12,
+        });
+    }
+    roundtrip(StateChunkHeader {
+        transfer_epoch: 0,
+        version: u64::MAX,
+        index: u32::MAX,
+        total: u32::MAX,
     });
 }
 
@@ -408,8 +437,9 @@ fn full_probe() -> ProbeBody {
     }
 }
 
-/// Sample events of the packet kinds the large workloads send most, each
-/// carrying the header its layer pushes.
+/// Sample events of the packet kinds the large workloads send most, and of
+/// the recovery layer's snapshot transfer, each carrying the header its
+/// layer pushes.
 fn sample_events() -> Vec<Box<dyn Sendable>> {
     let to = Dest::Node(NodeId(1));
     let mut batch = Message::new();
@@ -432,12 +462,26 @@ fn sample_events() -> Vec<Box<dyn Sendable>> {
     });
     let mut data = Message::with_payload(vec![b'd'; 40]);
     data.push(&SeqHeader { seq: 9 });
+    let mut state_request = Message::new();
+    state_request.push(&StateRequestBody {
+        transfer_epoch: CATCHUP_EPOCH + 3,
+        missing: vec![8, 9, 13],
+    });
+    let mut state_chunk = Message::with_payload(vec![b's'; 64]);
+    state_chunk.push(&StateChunkHeader {
+        transfer_epoch: CATCHUP_EPOCH + 3,
+        version: 42_000,
+        index: 13,
+        total: 14,
+    });
     vec![
         Box::new(GossipBatch::new(NodeId(199), to.clone(), batch)),
         Box::new(Heartbeat::new(NodeId(199), to.clone(), ping)),
         Box::new(Heartbeat::new(NodeId(199), to.clone(), ack)),
         Box::new(GossipRepairDigest::new(NodeId(4), to.clone(), repair)),
-        Box::new(DataEvent::new(NodeId(0), to, data)),
+        Box::new(DataEvent::new(NodeId(0), to.clone(), data)),
+        Box::new(StateRequest::new(NodeId(2), to.clone(), state_request)),
+        Box::new(StateChunk::new(NodeId(0), to, state_chunk)),
     ]
 }
 
@@ -447,6 +491,8 @@ fn sample_factories() -> EventFactoryRegistry {
     GossipBatch::register(&mut factories);
     Heartbeat::register(&mut factories);
     GossipRepairDigest::register(&mut factories);
+    StateRequest::register(&mut factories);
+    StateChunk::register(&mut factories);
     factories
 }
 
@@ -467,6 +513,8 @@ fn decode_packet(factories: &EventFactoryRegistry, packet: &Bytes) -> bool {
         "GossipBatch" => GossipBatchBody::decode_into(&header, &mut Vec::new()).is_ok(),
         "Heartbeat" => ProbeBody::decode_into(&header, &mut ProbeBody::default()).is_ok(),
         "GossipRepairDigest" => RepairDigest::decode_into(&header, &mut Vec::new()).is_ok(),
+        "StateRequest" => StateRequestBody::from_shared(&header).is_ok(),
+        "StateChunk" => StateChunkHeader::from_shared(&header).is_ok(),
         _ => SeqHeader::from_shared(&header).is_ok(),
     }
 }

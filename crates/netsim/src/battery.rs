@@ -25,11 +25,6 @@ impl Battery {
         }
     }
 
-    /// Total capacity in joules.
-    pub fn capacity_joules(&self) -> f64 {
-        self.capacity_j
-    }
-
     /// Remaining charge in joules.
     pub fn remaining_joules(&self) -> f64 {
         self.remaining_j

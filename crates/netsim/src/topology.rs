@@ -100,18 +100,6 @@ impl Topology {
         self
     }
 
-    /// Overrides the wired link model (builder style).
-    pub fn with_wired(mut self, wired: WiredLan) -> Self {
-        self.wired = wired;
-        self
-    }
-
-    /// Overrides the WAN link model (builder style).
-    pub fn with_wan(mut self, wan: WanLink) -> Self {
-        self.wan = wan;
-        self
-    }
-
     /// The topology kind.
     pub fn kind(&self) -> TopologyKind {
         self.kind
@@ -120,11 +108,6 @@ impl Topology {
     /// The nodes, in id order.
     pub fn nodes(&self) -> &[SimNode] {
         &self.nodes
-    }
-
-    /// Mutable access to the nodes (battery drain, failures).
-    pub fn nodes_mut(&mut self) -> &mut [SimNode] {
-        &mut self.nodes
     }
 
     /// Number of nodes.

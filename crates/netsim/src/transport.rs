@@ -106,11 +106,6 @@ impl Network {
         &self.stats
     }
 
-    /// Clears the accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     fn energy_model_for(&self, node: NodeId) -> &EnergyModel {
         if self.topology.kind_of(node).is_mobile() {
             &self.wireless_energy

@@ -1001,10 +1001,7 @@ fn build_report(
             restarts: tally.restarts,
             rejoin: tally.rejoin.clone(),
             catchups: tally.catchups,
-            buffer_shed: node
-                .recovery_stats()
-                .map(|(buffer_shed, _)| buffer_shed)
-                .unwrap_or(0),
+            buffer_shed: node.recovery_buffer_shed().unwrap_or(0),
             gossip: node.gossip_stats().map(|stats| GossipReport {
                 forwarded: stats.forwarded,
                 duplicates: stats.duplicates,
