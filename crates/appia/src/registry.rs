@@ -158,6 +158,11 @@ impl EventFactoryRegistry {
             .ok_or(AppiaError::UnknownEventType(tag))
     }
 
+    /// The name registered under a wire tag.
+    pub fn name(&self, tag: u16) -> Option<&'static str> {
+        self.entry(tag).map(|entry| entry.name)
+    }
+
     /// Names of all registered event types, sorted.
     pub fn names(&self) -> Vec<&'static str> {
         let mut names: Vec<&'static str> = self.entries.iter().map(|entry| entry.name).collect();
@@ -200,6 +205,15 @@ pub fn encode_event_into(scratch: &mut WireWriter, event: &dyn Sendable) -> Byte
     scratch.reserve(ENVELOPE_RESERVE + event.message().encoded_len());
     encode_event_body(scratch, event);
     scratch.split_frame()
+}
+
+/// The wire tag of a packet [`encode_event`] produced: its first two bytes,
+/// big-endian. `None` for a packet shorter than that.
+pub fn packet_tag(packet: &[u8]) -> Option<u16> {
+    match packet {
+        [high, low, ..] => Some(u16::from_be_bytes([*high, *low])),
+        _ => None,
+    }
 }
 
 fn encode_event_body(w: &mut WireWriter, event: &dyn Sendable) {
@@ -245,6 +259,10 @@ mod tests {
         let event = DataEvent::new(NodeId(3), Dest::Node(NodeId(5)), message);
 
         let bytes = encode_event(&event);
+        assert_eq!(packet_tag(&bytes), Some(wire_tag("DataEvent")));
+        assert_eq!(factories.name(wire_tag("DataEvent")), Some("DataEvent"));
+        assert_eq!(factories.name(wire_tag("Nope")), None);
+        assert_eq!(packet_tag(&bytes[..1]), None);
         let decoded = decode_event(&factories, &bytes).unwrap();
         let data = decoded.as_any().downcast_ref::<DataEvent>().unwrap();
         assert_eq!(data.header.source, NodeId(3));

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use morpheus_appia::platform::{DeviceClass, NodeId, NodeProfile};
-use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
+use morpheus_appia::wire::{narrow, Wire, WireError, WireReader, WireWriter};
 use serde::{Deserialize, Serialize};
 
 /// The context attributes the prototype captures.
@@ -37,6 +37,16 @@ impl ContextKey {
         ContextKey::ErrorRate,
         ContextKey::NativeMulticast,
     ];
+
+    /// The keys another node reads, and so the only ones a node publishes,
+    /// forwards, batches and stores for its peers. Two readers look at a
+    /// remote node's snapshot, and both read these two keys and nothing
+    /// else: the adaptation policy's `GlobalContext::{is_hybrid,
+    /// best_relay, max_error_rate}` (`morpheus-core`'s `policy.rs`) and
+    /// [`crate::room::RoomContext::from_store`]. Battery, link quality,
+    /// bandwidth and native multicast are read only on the node that sampled
+    /// them.
+    pub const SHARED: [ContextKey; 2] = [ContextKey::DeviceClass, ContextKey::ErrorRate];
 
     /// The pub/sub topic name the key is published under.
     pub fn topic_name(self) -> &'static str {
@@ -161,6 +171,10 @@ pub struct ContextSnapshot {
 }
 
 impl ContextSnapshot {
+    /// The fewest bytes a snapshot encodes to: a one-byte varint each for
+    /// the node, the capture time and an entry count of zero.
+    pub const MIN_ENCODED_BYTES: usize = 3;
+
     /// Creates an empty snapshot.
     pub fn new(node: NodeId, captured_at_ms: u64) -> Self {
         Self {
@@ -201,6 +215,18 @@ impl ContextSnapshot {
         snapshot
     }
 
+    /// The snapshot restricted to [`ContextKey::SHARED`]: what the node
+    /// publishes of this sample.
+    pub fn shared(&self) -> Self {
+        let mut shared = Self::new(self.node, self.captured_at_ms);
+        for key in ContextKey::SHARED {
+            if let Some(value) = self.get(key) {
+                shared.set(key, value.clone());
+            }
+        }
+        shared
+    }
+
     /// Sets one attribute.
     pub fn set(&mut self, key: ContextKey, value: ContextValue) {
         self.values.insert(key, value);
@@ -235,11 +261,14 @@ impl ContextSnapshot {
     }
 }
 
+/// The node, the capture time and the entry count are varints (a published
+/// snapshot at n = 200 is about 19 bytes); values stay exact `f64`s, so a
+/// reader sees bit-identical numbers.
 impl Wire for ContextSnapshot {
     fn encode(&self, w: &mut WireWriter) {
-        self.node.encode(w);
-        w.put_u64(self.captured_at_ms);
-        w.put_u32(self.values.len() as u32);
+        w.put_varint(self.node.into());
+        w.put_varint(self.captured_at_ms);
+        w.put_varint(self.values.len() as u64);
         for (key, value) in &self.values {
             key.encode(w);
             value.encode(w);
@@ -247,16 +276,13 @@ impl Wire for ContextSnapshot {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let node = NodeId::decode(r)?;
-        let captured_at_ms = r.get_u64()?;
-        let count = r.get_u32()? as usize;
-        // An adversarial length prefix cannot claim more entries than the
-        // remaining bytes could possibly hold (every entry is at least one
-        // key byte plus one value-tag byte): reject it up front instead of
-        // looping until the reader runs dry.
-        if count > r.remaining() / 2 {
-            return Err(WireError::Malformed("context entry count exceeds payload"));
-        }
+        let node = NodeId(narrow(r.get_varint()?)?);
+        let captured_at_ms = r.get_varint()?;
+        // An adversarial count cannot claim more entries than the remaining
+        // bytes could possibly hold (every entry is at least one key byte
+        // plus one value-tag byte): reject it up front instead of looping
+        // until the reader runs dry.
+        let count = r.get_count(2)?;
         let mut values = BTreeMap::new();
         for _ in 0..count {
             let key = ContextKey::decode(r)?;
@@ -313,19 +339,21 @@ mod tests {
     fn adversarial_entry_counts_are_rejected() {
         // A snapshot whose count field claims u32::MAX entries over an
         // almost-empty payload must fail fast instead of looping.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&3u32.to_be_bytes()); // node id
-        bytes.extend_from_slice(&42u64.to_be_bytes()); // captured_at_ms
-        bytes.extend_from_slice(&u32::MAX.to_be_bytes()); // hostile count
-        bytes.extend_from_slice(&[0, 0]); // two stray bytes
-        assert!(ContextSnapshot::from_bytes(&bytes).is_err());
+        let mut w = WireWriter::new();
+        w.put_varint(3); // node id
+        w.put_varint(42); // captured_at_ms
+        w.put_varint(u64::from(u32::MAX)); // hostile count
+        w.put_raw(&[0, 0]); // two stray bytes
+        assert!(ContextSnapshot::from_bytes(&w.finish()).is_err());
 
         // A count that overstates the (non-empty) payload is also rejected.
         let profile = NodeProfile::fixed_pc(NodeId(1));
         let valid = ContextSnapshot::from_profile(&profile, 7).to_bytes();
         let mut inflated = valid.to_vec();
-        // count sits after node id (4 bytes) + timestamp (8 bytes)
-        inflated[12..16].copy_from_slice(&10_000u32.to_be_bytes());
+        // The count sits after the one-byte node id and timestamp; a
+        // one-byte varint of 127 is far more than the entries left.
+        assert_eq!(inflated[2], 6, "six entries");
+        inflated[2] = 127;
         assert!(ContextSnapshot::from_bytes(&inflated).is_err());
     }
 

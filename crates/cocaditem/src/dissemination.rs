@@ -10,9 +10,15 @@
 //! exactly the coordination the paper's prototype performs over a shared
 //! control channel.
 //!
+//! What travels is only what another node reads: a published snapshot
+//! carries the [`ContextKey::SHARED`] keys (device class and error rate) in
+//! a varint-coded frame of about 19 bytes, and only a change to one of them
+//! is significant enough to publish. The full local sample goes upward to
+//! Core on every tick and never leaves the node.
+//!
 //! Dissemination is epidemic rather than an all-to-all flood:
 //!
-//! * when the local context changes significantly, the snapshot is **pushed
+//! * when a shared key changes significantly, the snapshot is **pushed
 //!   to `FANOUT` (3) random peers**, each of which forwards fresh snapshots
 //!   to another 3 peers while `FORWARD_TTL` (3 rounds) lasts — `O(n · fanout)`
 //!   messages per publication instead of `n · (n - 1)`, converging in
@@ -31,6 +37,8 @@
 //! The store holds view members only: a snapshot of a node outside the view
 //! is refused, and a view install drops the rows of the nodes it removes.
 //! A row no peer would ever hold again cannot keep two summaries apart.
+//!
+//! [`ContextKey::SHARED`]: crate::ContextKey::SHARED
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, TimerExpired};
@@ -171,9 +179,9 @@ impl Wire for BatchBody {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // A snapshot encodes to at least 16 bytes (node + capture time +
-        // value count).
-        let count = r.get_count(16)?;
+        // A snapshot encodes to at least `MIN_ENCODED_BYTES` (3): a one-byte
+        // varint each for the node, the capture time and the value count.
+        let count = r.get_count(ContextSnapshot::MIN_ENCODED_BYTES)?;
         let mut snapshots = Vec::with_capacity(count);
         for _ in 0..count {
             snapshots.push(ContextSnapshot::decode(r)?);
@@ -261,32 +269,15 @@ impl Layer for CocaditemLayer {
 }
 
 /// Whether a freshly sampled snapshot differs enough from the last published
-/// one to be worth disseminating (battery drains continuously, so small
-/// numeric drifts are suppressed to keep the control traffic low).
+/// one to be worth disseminating: a rule per `ContextKey::SHARED` key, the
+/// only keys a peer reads. An error-rate drift within 0.01 is suppressed to
+/// keep the control traffic low.
 fn changed_significantly(previous: &ContextSnapshot, current: &ContextSnapshot) -> bool {
-    use crate::context::ContextKey;
-
-    if previous.device_class() != current.device_class() {
-        return true;
-    }
-    let numeric_changed = |key: ContextKey, tolerance: f64| {
-        let before = previous
-            .get(key)
-            .and_then(crate::context::ContextValue::as_number);
-        let after = current
-            .get(key)
-            .and_then(crate::context::ContextValue::as_number);
-        match (before, after) {
-            (Some(before), Some(after)) => (before - after).abs() > tolerance,
-            (None, None) => false,
-            _ => true,
-        }
+    let rate_moved = match (previous.error_rate(), current.error_rate()) {
+        (Some(before), Some(after)) => (before - after).abs() > 0.01,
+        (before, after) => before.is_some() != after.is_some(),
     };
-    numeric_changed(ContextKey::BatteryLevel, 0.05)
-        || numeric_changed(ContextKey::ErrorRate, 0.01)
-        || numeric_changed(ContextKey::LinkQuality, 0.05)
-        || numeric_changed(ContextKey::BandwidthKbps, 500.0)
-        || previous.get(ContextKey::NativeMulticast) != current.get(ContextKey::NativeMulticast)
+    previous.device_class() != current.device_class() || rate_moved
 }
 
 /// Session state of the Cocaditem dissemination layer.
@@ -384,17 +375,19 @@ impl CocaditemSession {
         }
     }
 
-    /// Samples the local context and, when it changed significantly since
-    /// the last publication, pushes the snapshot to `FANOUT` random peers
-    /// (anti-entropy repairs any loss).
+    /// Samples the local context and, when a shared key changed
+    /// significantly since the last publication, stores the sample's shared
+    /// keys and pushes them to `FANOUT` random peers (anti-entropy repairs
+    /// any loss).
     fn publish(&mut self, ctx: &mut EventContext<'_>, force: bool) {
         let local = ctx.node_id();
-        let snapshot = self.sample_local(ctx);
-        // Local context is reported upward on every tick so the local Core
-        // instance sees its own node's context without a network round trip
-        // — even a re-sample too small to publish.
+        let sample = self.sample_local(ctx);
+        let snapshot = sample.shared();
+        // The full local sample is reported upward on every tick so the
+        // local Core instance sees its own node's context without a network
+        // round trip — even a re-sample too small to publish.
         ctx.dispatch(Event::up(ContextUpdated {
-            local_sample: Some(snapshot.clone()),
+            local_sample: Some(sample),
         }));
         // Coverage can also be completed from outside the dissemination
         // exchanges — a rejoined node's store is installed wholesale by the
@@ -617,6 +610,7 @@ mod tests {
     use morpheus_appia::testing::Harness;
 
     use super::*;
+    use crate::context::ContextKey;
 
     fn params(members: &[u32], interval: u64) -> LayerParams {
         let mut params = LayerParams::new();
@@ -720,11 +714,11 @@ mod tests {
             &mut platform,
         );
 
-        // Drain the battery enough to re-trigger a significant change, then
-        // fire the publish timer.
-        let mut drained = NodeProfile::mobile_pda(NodeId(0));
-        drained.battery_level = 0.5;
-        platform.profile = drained;
+        // Raise the error rate enough to re-trigger a significant change,
+        // then fire the publish timer.
+        let mut lossy = NodeProfile::mobile_pda(NodeId(0));
+        lossy.error_rate += 0.1;
+        platform.profile = lossy;
         fire_publish_timer(&mut cocaditem, &mut platform);
 
         let down = cocaditem.drain_down();
@@ -995,15 +989,32 @@ mod tests {
                 .any(|update| update.local_sample.is_some()));
         }
 
-        // A significant battery drop is disseminated immediately.
+        // A battery drop is no peer's business: reported upward, not
+        // published.
         let mut drained = NodeProfile::mobile_pda(NodeId(2));
         drained.battery_level = 0.5;
-        platform.profile = drained;
+        platform.profile = drained.clone();
         fire_publish_timer(&mut cocaditem, &mut platform);
         assert!(cocaditem
             .drain_down()
             .iter()
-            .any(|event| event.is::<ContextPublish>()));
+            .all(|event| !event.is::<ContextPublish>()));
+
+        // A significant error-rate rise is disseminated immediately, with
+        // the shared keys only.
+        drained.error_rate += 0.1;
+        platform.profile = drained;
+        fire_publish_timer(&mut cocaditem, &mut platform);
+        let down = cocaditem.drain_down();
+        let publish = down
+            .iter()
+            .find_map(|event| event.get::<ContextPublish>())
+            .expect("a publication");
+        let mut message = publish.message.clone();
+        message.pop::<u32>().unwrap();
+        let snapshot = message.pop::<ContextSnapshot>().unwrap();
+        let keys: Vec<ContextKey> = snapshot.values.keys().copied().collect();
+        assert_eq!(keys, ContextKey::SHARED);
     }
 
     #[test]

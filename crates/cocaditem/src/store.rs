@@ -199,9 +199,8 @@ impl ContextStore {
     pub fn import_merge(&mut self, bytes: &[u8]) -> Result<usize, WireError> {
         let mut r = WireReader::new(bytes);
         let count = r.get_u32()? as usize;
-        // A snapshot encodes to at least 16 bytes; reject adversarial counts
-        // before allocating.
-        if count > r.remaining() / 16 {
+        // Reject adversarial counts before allocating.
+        if count > r.remaining() / ContextSnapshot::MIN_ENCODED_BYTES {
             return Err(WireError::Malformed("context store count exceeds payload"));
         }
         let mut merged = 0;

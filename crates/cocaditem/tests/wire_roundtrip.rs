@@ -126,9 +126,78 @@ fn batches_roundtrip_and_reject_overstated_counts() {
     w.put_varint(u64::from(u32::MAX));
     snapshot(1).encode(&mut w);
     assert!(BatchBody::from_bytes(&w.finish()).is_err());
+    // Empty snapshots at the smallest frame a snapshot has: a count of
+    // `remaining / MIN_ENCODED_BYTES` decodes, one more is rejected.
+    let empty = ContextSnapshot::new(NodeId(1), 1).to_bytes();
+    assert_eq!(empty.len(), ContextSnapshot::MIN_ENCODED_BYTES);
+    for (count, decodes) in [(4, true), (5, false)] {
+        let mut w = WireWriter::new();
+        w.put_varint(count);
+        for _ in 0..4 {
+            w.put_raw(&empty);
+        }
+        assert_eq!(
+            BatchBody::from_bytes(&w.finish()).is_ok(),
+            decodes,
+            "{count}"
+        );
+    }
     for body in [&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1][..], &[0x05, 1, 1]] {
         assert!(DigestBody::from_bytes(body).is_err());
         assert!(StoreSummary::from_bytes(body).is_err());
+    }
+}
+
+/// The compact snapshot frame: varint node, capture time and count. Wide
+/// node ids (at and past 2^28, where a varint takes five bytes) and capture
+/// times (past 2^35) round-trip; a node id past `u32::MAX`, every
+/// truncation, and a count above `remaining / 2` (an entry is at least a
+/// key byte and a value-tag byte) are rejected.
+#[test]
+fn compact_snapshots_roundtrip_at_wide_ids_and_reject_hostile_frames() {
+    let snapshot = |node: u32, at: u64| {
+        let mut snapshot = ContextSnapshot::new(NodeId(node), at);
+        snapshot.set(ContextKey::DeviceClass, ContextValue::Flag(true));
+        snapshot.set(ContextKey::ErrorRate, ContextValue::Flag(false));
+        snapshot
+    };
+    for (node, at) in [
+        (0, 0),
+        (127, 127),
+        (1 << 28, 1 << 35),
+        ((1 << 28) + 5, (1 << 35) + 9),
+        (u32::MAX, u64::MAX),
+    ] {
+        roundtrip(snapshot(node, at));
+    }
+    // A shared-key snapshot as published: node, time and count take one
+    // byte each at small values, so the frame is the entries plus three.
+    let mut published = ContextSnapshot::new(NodeId(3), 100);
+    published.set(ContextKey::ErrorRate, ContextValue::Number(0.125));
+    let bytes = published.to_bytes();
+    assert_eq!(bytes.len(), 3 + 1 + 1 + 8);
+    assert_eq!(ContextSnapshot::from_bytes(&bytes).unwrap(), published);
+
+    // A node id one past `u32::MAX`.
+    let mut w = WireWriter::new();
+    w.put_varint(u64::from(u32::MAX) + 1);
+    w.put_varint(1);
+    w.put_varint(0);
+    assert!(ContextSnapshot::from_bytes(&w.finish()).is_err());
+    // Every truncation of a wide snapshot, at every byte.
+    let wide = snapshot(u32::MAX, u64::MAX).to_bytes();
+    for len in 0..wide.len() {
+        assert!(ContextSnapshot::from_bytes(&wide[..len]).is_err(), "{len}");
+    }
+    // Counts above `remaining / 2` over four valid-looking entry bytes (a
+    // device key and a flag tag, twice).
+    for count in [3, u64::from(u32::MAX), u64::MAX] {
+        let mut w = WireWriter::new();
+        w.put_varint(1);
+        w.put_varint(1);
+        w.put_varint(count);
+        w.put_raw(&[0, 1, 0, 1]);
+        assert!(ContextSnapshot::from_bytes(&w.finish()).is_err(), "{count}");
     }
 }
 

@@ -153,6 +153,10 @@ impl Layer for CoreLayer {
 
     fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
         let (retransmit, round_timeout) = self.catalog.view_change_timing();
+        let initial_stack = params
+            .get("initial_stack")
+            .cloned()
+            .unwrap_or_else(|| "best-effort".to_string());
         Box::new(CoreSession {
             members: param_node_list(params, "members"),
             adaptive: param_or(params, "adaptive", true),
@@ -160,10 +164,8 @@ impl Layer for CoreLayer {
             catalog: Rc::clone(&self.catalog),
             store: Rc::clone(&self.store),
             local_sample: None,
-            current_stack: params
-                .get("initial_stack")
-                .cloned()
-                .unwrap_or_else(|| "best-effort".to_string()),
+            current_stack: initial_stack.clone(),
+            deployed_stack: initial_stack,
             // The engine starts at `Ballot::ZERO`: holder 0 makes every
             // epoch-0 ballot lose the tie-break, so epoch 0 is never a valid
             // round.
@@ -226,6 +228,10 @@ pub struct CoreSession {
     /// committed when a round *completes* (never optimistically), so an
     /// aborted round leaves the policy free to re-fire.
     current_stack: String,
+    /// The stack the local data channel last deployed (its deployment's ack
+    /// came back down through this layer). It runs ahead of
+    /// `current_stack` on a coordinator whose round for it was aborted.
+    deployed_stack: String,
     /// The shared round engine: ballot monotonicity (the highest epoch this
     /// node initiated or accepted, with the holding coordinator as the
     /// tie-break), the in-flight round's ack set, and the retransmit/timeout
@@ -400,6 +406,16 @@ impl CoreSession {
             .filter(|member| *member != local)
             .collect();
         self.send_command(others, ctx);
+        self.cancel_round_timer(ctx);
+        self.arm_round_timer(ctx);
+        if desired == self.deployed_stack {
+            // The local data channel already runs it: a round for the same
+            // stack timed out after this node deployed it. Count this node's
+            // ack for the new ballot instead of replacing its stack with an
+            // identical one, which would start from empty session state.
+            self.record_ack(local, ballot.epoch, &desired, ctx);
+            return;
+        }
         ctx.request_reconfiguration(ReconfigRequest {
             channel: self.catalog.channel().to_string(),
             stack_name: desired,
@@ -407,8 +423,6 @@ impl CoreSession {
             epoch: ballot.epoch,
             coordinator: local,
         });
-        self.cancel_round_timer(ctx);
-        self.arm_round_timer(ctx);
     }
 
     fn maybe_complete(&mut self, ctx: &mut EventContext<'_>) {
@@ -770,6 +784,7 @@ impl Session for CoreSession {
                 let Ok(epoch) = ack.message.pop::<u64>() else {
                     return;
                 };
+                self.deployed_stack.clone_from(&stack_name);
                 if dest == Dest::Node(local) {
                     // This node is the coordinator of the round: its own
                     // deployment just finished — count it instead of sending
@@ -1298,6 +1313,56 @@ mod tests {
             "hybrid-mecho-relay0"
         );
         assert_eq!(platform.reconfig_requests[1].epoch, 2);
+    }
+
+    #[test]
+    fn a_timed_out_round_for_the_stack_the_coordinator_runs_is_reopened_without_redeploying() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let (mut core, context) = core_layer(&[0, 1], true, &mut platform);
+        core.run_up(context.update(0, false), &mut platform);
+        core.run_up(context.update(1, true), &mut platform);
+        platform.take_deliveries();
+        let stack = "hybrid-mecho-relay0";
+
+        // The coordinator deploys; every ack of member 1 is lost, so the
+        // round times out and the policy re-fires with the same stack.
+        core.run_down(deployment_ack(0, 0, 1, stack), &mut platform);
+        for _ in 0..8 {
+            platform.advance(500);
+            fire_pending_timers(&mut core, &mut platform);
+        }
+        let epochs: BTreeSet<u64> = core
+            .drain_down()
+            .iter()
+            .filter_map(|event| event.get::<ReconfigCommand>())
+            .map(|command| {
+                let mut message = command.message.clone();
+                let _description: String = message.pop().unwrap();
+                assert_eq!(message.pop::<String>().unwrap(), stack);
+                message.pop::<u64>().unwrap()
+            })
+            .collect();
+        assert_eq!(epochs, BTreeSet::from([1, 2]), "the round reopened");
+        assert_eq!(
+            platform.reconfig_requests.len(),
+            1,
+            "one local deployment across both epochs"
+        );
+        assert_eq!(platform.reconfig_requests[0].stack_name, stack);
+
+        // Epoch 2 completes on the member's ack alone: the coordinator's
+        // own ack was counted when the round reopened.
+        core.run_up(
+            Event::up(ReconfigAck::new(
+                NodeId(1),
+                Dest::Node(NodeId(0)),
+                ack_message(2, stack),
+            )),
+            &mut platform,
+        );
+        let reports = completion_reports(&mut platform);
+        assert_eq!(reports.len(), 1);
+        assert_eq!((reports[0].0.as_str(), reports[0].1), (stack, 2));
     }
 
     #[test]

@@ -196,6 +196,11 @@ impl MorpheusNode {
         &self.current_stack
     }
 
+    /// The name of the sendable event type registered under a wire tag.
+    pub fn wire_event_name(&self, tag: u16) -> Option<&'static str> {
+        self.kernel.events().name(tag)
+    }
+
     /// Number of reconfigurations applied so far.
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigurations

@@ -28,9 +28,9 @@ sendable_event! {
 }
 
 sendable_event! {
-    /// A member acknowledges that it blocked and flushed for a view round
-    /// (header: [`crate::headers::FlushBody`] — the round's ballot plus the
-    /// flushed-member set, aggregated in gossip mode).
+    /// A member acknowledges to the proposer that it blocked and flushed for
+    /// a view round (header: [`crate::headers::FlushBody`] — the round's
+    /// ballot plus the flushed-member set, the sender itself).
     pub struct FlushAck, class: Control
 }
 

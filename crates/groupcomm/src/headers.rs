@@ -649,19 +649,17 @@ impl Wire for ProbeBody {
 /// to have flushed for the round identified by the ballot
 /// `(epoch, proposer)`.
 ///
-/// In small views every participant reports only itself, straight to the
-/// proposer. At gossip scale (`n >= gossip_threshold`) flush knowledge is
-/// *aggregated*: participants merge the sets they receive and re-gossip the
-/// union to the proposer plus `fanout` random peers, so the proposer collects
-/// coverage from `O(fanout · log n)` merged messages instead of `n`
-/// individual unicast acks.
+/// Every participant reports only itself, unicast to the proposer, at every
+/// view size: the proposer collects `n` flushes per view change. The
+/// `flushed` list can name several members, and the proposer merges every
+/// one it is sent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlushBody {
     /// The round's view epoch.
     pub epoch: u64,
     /// The proposer holding the epoch (the ballot tie-break half).
     pub proposer: NodeId,
-    /// Members known (transitively) to have blocked and flushed.
+    /// Members known to have blocked and flushed.
     pub flushed: Vec<NodeId>,
 }
 

@@ -332,7 +332,7 @@ impl<P: Ord + Copy> Engine<P> {
         }
     }
 
-    /// Records a batch of acks for round `epoch` (a gossiped flush set),
+    /// Records a batch of acks for round `epoch` (a received flush set),
     /// returning how many were new. Stale epochs record nothing.
     pub fn merge_acks(&mut self, epoch: u64, from: impl IntoIterator<Item = P>) -> usize {
         match &mut self.round {

@@ -1,11 +1,11 @@
 //! Peer sampling: the uniform random draw every gossip mechanism uses to
-//! pick its targets (epidemic multicast, liveness-digest failure
-//! detection, context anti-entropy, aggregated flush acks).
+//! pick its targets (epidemic multicast, the failure detector's indirect
+//! probes, context dissemination and anti-entropy).
 //!
 //! There is one draw, `shuffle_prefix`: a partial Fisher-Yates driven by
 //! the platform's deterministic RNG, so simulation runs stay reproducible.
-//! [`sample_peers`] / [`sample_peers_into`] run it over a pool of the
-//! members not excluded. A `Sampler` runs it over the same pool without
+//! [`sample_peers_into`] runs it over a pool of the members not
+//! excluded. A `Sampler` runs it over the same pool without
 //! building it — pool index `i` stands for the `i`-th member slot not
 //! excluded, and a short list of moved positions stands in for the swaps —
 //! so a gossip relay draws `fanout` peers in O(fanout), not O(members).
@@ -15,23 +15,11 @@ use morpheus_appia::kernel::EventContext;
 use morpheus_appia::platform::NodeId;
 
 /// Picks up to `limit` distinct members uniformly at random, excluding
-/// `exclude` — the peer-sampling primitive shared by every gossip
-/// mechanism. When no more than `limit` members remain, all of them are
-/// returned in member order and no random number is drawn.
-pub fn sample_peers(
-    members: &[NodeId],
-    exclude: &[NodeId],
-    limit: usize,
-    ctx: &mut EventContext<'_>,
-) -> Vec<NodeId> {
-    let mut pool = Vec::new();
-    sample_peers_into(members, exclude, limit, ctx, &mut pool);
-    pool
-}
-
-/// [`sample_peers`] into a caller-owned buffer (cleared first), so a caller
-/// sampling on every message arrival reuses one allocation. Same draws, same
-/// order.
+/// `exclude`, into a caller-owned buffer (cleared first) — the
+/// peer-sampling primitive shared by every gossip mechanism. A caller
+/// sampling on every message arrival reuses one allocation. When no more
+/// than `limit` members remain, all of them are returned in member order and
+/// no random number is drawn.
 pub fn sample_peers_into(
     members: &[NodeId],
     exclude: &[NodeId],

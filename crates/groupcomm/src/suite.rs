@@ -119,13 +119,9 @@ pub enum Ordering {
     Total,
 }
 
-/// Gossip fan-out of the control mechanisms in generated stacks: the
-/// failure detector's liveness digests and view synchrony's flush gossip.
+/// The failure detector's fan-out in generated stacks: the members asked
+/// to ping indirectly when a probe's ack is late.
 const CONTROL_FANOUT: usize = 3;
-
-/// View size at which view synchrony's flush collection rides the gossip
-/// plane.
-const VSYNC_GOSSIP_THRESHOLD: usize = 50;
 
 /// The failure detector's spec, shared under one key by every channel that
 /// carries it — the control channel and each generated data stack — so a
@@ -352,8 +348,6 @@ impl StackBuilder {
                 self.retransmit_interval_ms.to_string(),
             )
             .with_param("round_timeout_ms", self.round_timeout_ms.to_string())
-            .with_param("gossip_threshold", VSYNC_GOSSIP_THRESHOLD.to_string())
-            .with_param("fanout", CONTROL_FANOUT.to_string())
             .with_param("joining", self.joining.to_string());
         if let Some(key) = &self.vsync_share {
             vsync = vsync.shared(key.clone());

@@ -31,10 +31,10 @@
 //! * duplicate prepares are answered with an idempotent re-flush, and
 //!   duplicate flushes merge into the round's flush set without side
 //!   effects;
-//! * at gossip scale (`view len >= gossip_threshold`) flush collection rides
-//!   the epidemic plane: participants aggregate the flush sets they hear and
-//!   re-gossip the union to the proposer plus `fanout` random peers, instead
-//!   of every member unicasting its own ack at the proposer.
+//! * every participant unicasts its own flush to the proposer, at every
+//!   view size: the proposer takes in one flush per member (plus one per
+//!   retransmit interval from a straggler), and answers each flush after
+//!   its commit with the commit.
 //!
 //! # Joining mode
 //!
@@ -61,7 +61,6 @@ use crate::events::{
 };
 use crate::headers::FlushBody;
 use crate::round::{Ballot, Engine as RoundEngine, Promise, Tick};
-use crate::sample::sample_peers;
 use crate::view::View;
 
 /// Registered name of the view-synchrony / membership layer.
@@ -81,10 +80,6 @@ pub use crate::round::ballot_beats;
 ///   (default 500 ms);
 /// * `round_timeout_ms` — time budget of one view round before it is aborted
 ///   and re-proposed under a fresh epoch (default 4000 ms);
-/// * `gossip_threshold` — view size at which flush collection switches from
-///   participant→proposer unicast to gossip aggregation (default 50);
-/// * `fanout` — random peers each aggregated flush set is pushed to in
-///   gossip mode (default 3);
 /// * `joining` — start with an empty view, blocked, waiting to be admitted
 ///   (default false; used by restarted nodes, see [`crate::recovery`]).
 pub struct VsyncLayer;
@@ -145,8 +140,6 @@ impl Layer for VsyncLayer {
             view_changes: 0,
             retransmit_interval_ms: param_or(params, "retransmit_interval_ms", 500u64).max(10),
             round_timeout_ms: param_or(params, "round_timeout_ms", 4000u64).max(100),
-            gossip_threshold: param_or(params, "gossip_threshold", 50usize).max(2),
-            fanout: param_or(params, "fanout", 3usize).max(1),
             round_timer: None,
         })
     }
@@ -167,8 +160,7 @@ pub struct VsyncSession {
     /// The shared round machinery ([`crate::round`]): ballot monotonicity,
     /// the flush (ack) bookkeeping of the in-flight round, retransmit
     /// counting and the timeout clock. View-round flushes are the engine's
-    /// acks; in gossip mode the merged flush sets arrive via
-    /// [`RoundEngine::merge_acks`].
+    /// acks, merged on the proposer via [`RoundEngine::merge_acks`].
     engine: RoundEngine<NodeId>,
     /// The in-flight round's proposed view — the round *payload*; the
     /// ballot and flush bookkeeping live in `engine`. Always `Some` exactly
@@ -195,8 +187,6 @@ pub struct VsyncSession {
     view_changes: u64,
     retransmit_interval_ms: u64,
     round_timeout_ms: u64,
-    gossip_threshold: usize,
-    fanout: usize,
     round_timer: Option<u64>,
 }
 
@@ -337,31 +327,21 @@ impl VsyncSession {
         )));
     }
 
-    /// Sends this participant's flush knowledge towards the proposer — plus,
-    /// at gossip scale, to `fanout` random peers so coverage aggregates
-    /// epidemically instead of all acks converging on one node.
+    /// Sends this participant's flush to the proposer of its round.
     fn send_flush(&mut self, ctx: &mut EventContext<'_>) {
-        let (Some(round), Some(view)) = (self.engine.round(), self.proposal.as_ref()) else {
+        let Some(round) = self.engine.round() else {
             return;
         };
-        let local = ctx.node_id();
         let body = FlushBody {
             epoch: round.ballot.epoch,
             proposer: round.ballot.holder,
-            flushed: round.acked().iter().copied().collect(),
+            flushed: vec![ctx.node_id()],
         };
-        let proposer = round.ballot.holder;
-        let gossip = view.len() >= self.gossip_threshold;
-        let members = view.members.clone();
-        let mut targets = vec![proposer];
-        if gossip {
-            targets.extend(sample_peers(&members, &[local, proposer], self.fanout, ctx));
-        }
         let mut message = Message::new();
         message.push(&body);
         ctx.dispatch(Event::down(FlushAck::new(
-            local,
-            Dest::Nodes(targets),
+            ctx.node_id(),
+            Dest::Node(body.proposer),
             message,
         )));
     }
@@ -602,34 +582,24 @@ impl VsyncSession {
             .round()
             .is_some_and(|round| round.ballot == ballot)
         {
-            let Some(view) = self.proposal.clone() else {
+            // Only the proposer collects flushes. The sender itself
+            // demonstrably flushed (it sent this ack).
+            let Some(view) = self.proposal.as_ref().filter(|_| body.proposer == local) else {
                 return;
             };
-            let mut fresh = self.engine.merge_acks(
-                body.epoch,
-                body.flushed.iter().copied().filter(|m| view.contains(*m)),
-            );
-            // The sender itself demonstrably flushed (it sent this ack).
-            if view.contains(source) {
-                fresh += self.engine.merge_acks(body.epoch, [source]);
-            }
-            let grew = fresh > 0;
-            if body.proposer == local {
-                if grew {
-                    self.maybe_commit(ctx);
-                }
-            } else if grew && view.len() >= self.gossip_threshold {
-                // Aggregation: re-gossip the merged set so coverage
-                // converges towards the proposer epidemically.
-                self.send_flush(ctx);
+            let flushed = body.flushed.iter().copied().chain([source]);
+            let fresh = self
+                .engine
+                .merge_acks(body.epoch, flushed.filter(|m| view.contains(*m)));
+            if fresh > 0 {
+                self.maybe_commit(ctx);
             }
             return;
         }
         // A straggler still flushing for a round we already committed missed
         // the commit — answer with it. Only flushes addressed to *this*
-        // proposer count: in gossip mode flush sets also reach random peers,
-        // and a peer that committed its own same-epoch round must not
-        // answer a rival round's flush with its conflicting commit.
+        // proposer count: a peer that committed its own same-epoch round must
+        // not answer a rival round's flush with its conflicting commit.
         if let Some((epoch, view)) = &self.committed {
             if *epoch == body.epoch && body.proposer == local && view.contains(source) {
                 let mut message = Message::new();
@@ -1030,7 +1000,7 @@ mod tests {
         let acks: Vec<&Event> = down.iter().filter(|event| event.is::<FlushAck>()).collect();
         assert_eq!(acks.len(), 1);
         let ack = acks[0].get::<FlushAck>().unwrap();
-        assert_eq!(ack.header.dest, Dest::Nodes(vec![NodeId(1)]));
+        assert_eq!(ack.header.dest, Dest::Node(NodeId(1)));
         let body = ack.message.clone().pop::<FlushBody>().unwrap();
         assert_eq!(body.epoch, 4);
         assert_eq!(body.proposer, NodeId(1));
@@ -1548,62 +1518,41 @@ mod tests {
     }
 
     #[test]
-    fn gossip_mode_aggregates_flush_sets() {
-        let mut params = vsync_params(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        params.insert("gossip_threshold".into(), "4".into());
-        params.insert("fanout".into(), "2".into());
+    fn a_large_views_participant_sends_one_flush_to_the_proposer_only() {
+        let members: Vec<u32> = (0..60).collect();
         let mut platform = TestPlatform::new(NodeId(2));
-        let mut vsync = Harness::new(VsyncLayer, &params, &mut platform);
+        let mut vsync = Harness::new(VsyncLayer, &vsync_params(&members), &mut platform);
         platform.take_deliveries();
 
-        // Node 0 proposes the view without node 7.
-        let proposed = View::new(1, (0..7).map(NodeId).collect());
-        vsync.run_up(
+        // Node 0 proposes the view without node 59.
+        let proposed = View::new(1, (0..59).map(NodeId).collect());
+        let prepare = || {
             Event::up(ViewPrepare::new(
                 NodeId(0),
                 Dest::Node(NodeId(2)),
                 round_message(1, &proposed),
-            )),
-            &mut platform,
-        );
-        let down = vsync.drain_down();
-        let ack = down
-            .iter()
-            .find(|event| event.is::<FlushAck>())
-            .expect("flush sent");
-        let Dest::Nodes(targets) = &ack.get::<FlushAck>().unwrap().header.dest else {
-            panic!("gossip flush must address a node list");
+            ))
         };
-        assert!(targets.contains(&NodeId(0)), "proposer always included");
-        assert_eq!(targets.len(), 3, "proposer + fanout peers");
+        vsync.run_up(prepare(), &mut platform);
+        let flushes: Vec<FlushAck> = vsync
+            .drain_down()
+            .iter()
+            .filter_map(|event| event.get::<FlushAck>().cloned())
+            .collect();
+        assert_eq!(flushes.len(), 1, "one flush per participant");
+        assert_eq!(flushes[0].header.dest, Dest::Node(NodeId(0)));
+        let body = flushes[0].message.clone().pop::<FlushBody>().unwrap();
+        assert_eq!(
+            body.flushed,
+            vec![NodeId(2)],
+            "a participant reports itself"
+        );
 
-        // A peer's aggregated set arrives: the union grew, so it is
-        // re-gossiped; a duplicate of the same set is not.
+        // Another participant's flush reaching this node (a misrouted or
+        // replayed packet) is not passed on.
         vsync.run_up(
             Event::up(FlushAck::new(
                 NodeId(4),
-                Dest::Node(NodeId(2)),
-                flush_message(1, 0, &[4, 5]),
-            )),
-            &mut platform,
-        );
-        let down = vsync.drain_down();
-        let merged = down
-            .iter()
-            .find(|event| event.is::<FlushAck>())
-            .expect("grown set re-gossiped");
-        let body = merged
-            .get::<FlushAck>()
-            .unwrap()
-            .message
-            .clone()
-            .pop::<FlushBody>()
-            .unwrap();
-        assert_eq!(body.flushed, vec![NodeId(2), NodeId(4), NodeId(5)]);
-
-        vsync.run_up(
-            Event::up(FlushAck::new(
-                NodeId(5),
                 Dest::Node(NodeId(2)),
                 flush_message(1, 0, &[4, 5]),
             )),
@@ -1614,7 +1563,7 @@ mod tests {
                 .drain_down()
                 .iter()
                 .all(|event| !event.is::<FlushAck>()),
-            "an unchanged union is not re-gossiped"
+            "flushes are not re-gossiped"
         );
     }
 

@@ -21,6 +21,8 @@ pub mod runner;
 pub mod scenario;
 
 pub use platform::SimPlatform;
-pub use report::{NodeReport, RejoinReport, RoundReport, RunReport, WedgeReport, WireBytes};
+pub use report::{
+    NodeReport, RejoinReport, RoundReport, RunReport, WedgeReport, WireBytes, WireEventBytes,
+};
 pub use runner::{AppBinding, Runner};
 pub use scenario::{Scenario, TopologyChoice, Workload};

@@ -84,6 +84,23 @@ impl WireBytes {
     }
 }
 
+/// Packets and bytes every node of a run handed to the network for one
+/// sendable event type, framing included — what [`WireBytes`] splits by
+/// traffic class, split by wire event instead. Packets the runner drops for
+/// injected loss or a partition are not counted.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WireEventBytes {
+    /// The type's wire tag: the first two bytes of its packets.
+    pub tag: u16,
+    /// The name registered under the tag, resolved through the nodes'
+    /// event registries.
+    pub name: String,
+    /// Packets sent.
+    pub packets: u64,
+    /// Bytes sent, framing included.
+    pub bytes: u64,
+}
+
 /// Measurements for one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeReport {
@@ -246,6 +263,8 @@ pub struct RunReport {
     pub wedge: Option<WedgeReport>,
     /// Per-node measurements, in node-id order.
     pub nodes: Vec<NodeReport>,
+    /// Packets and bytes per sendable event type, in wire-tag order.
+    pub wire_events: Vec<WireEventBytes>,
 }
 
 impl RunReport {
@@ -499,6 +518,7 @@ mod tests {
             max_queue_depth: 0,
             wedge: None,
             nodes: vec![node(0, false, 10, 2), node(1, true, 4, 1)],
+            wire_events: Vec::new(),
         }
     }
 

@@ -8,6 +8,7 @@ use bytes::Bytes;
 use morpheus_appia::platform::{
     AppDelivery, DeliveryKind, InPacket, NodeId, NodeProfile, OutPacket, PacketClass, PacketDest,
 };
+use morpheus_appia::registry::packet_tag;
 use morpheus_appia::timer::TimerKey;
 use morpheus_core::{MorpheusNode, NodeOptions};
 use morpheus_groupcomm::recovery::StateSection;
@@ -19,6 +20,7 @@ use morpheus_netsim::{
 use crate::platform::SimPlatform;
 use crate::report::{
     GossipReport, NodeReport, RejoinReport, RoundReport, RunReport, WedgeReport, WireBytes,
+    WireEventBytes,
 };
 use crate::scenario::{Scenario, TopologyChoice};
 
@@ -104,6 +106,29 @@ struct FlushBuffers {
     deliveries: Vec<AppDelivery>,
 }
 
+/// Packets and bytes per wire tag, `(tag, packets, bytes)` in tag order:
+/// the run's [`WireEventBytes`] before their names are resolved.
+#[derive(Debug, Default)]
+struct WireTally(Vec<(u16, u64, u64)>);
+
+impl WireTally {
+    fn add(&mut self, packet: &[u8], bytes: usize) {
+        let Some(tag) = packet_tag(packet) else {
+            return;
+        };
+        let at = match self.0.binary_search_by_key(&tag, |(tag, _, _)| *tag) {
+            Ok(at) => at,
+            Err(at) => {
+                self.0.insert(at, (tag, 0, 0));
+                at
+            }
+        };
+        let (_, packets, total) = &mut self.0[at];
+        *packets += 1;
+        *total += bytes as u64;
+    }
+}
+
 /// Per-node bookkeeping collected during a run.
 #[derive(Debug, Default, Clone)]
 struct NodeTally {
@@ -177,6 +202,7 @@ impl Runner {
         let mut rng = SimRng::new(scenario.seed);
         let mut queue: EventQueue<SimEvent> = EventQueue::new();
         let mut spare = FlushBuffers::default();
+        let mut wire_events = WireTally::default();
 
         // Instantiate one Morpheus node per participant.
         let mut nodes: Vec<MorpheusNode> = Vec::with_capacity(members.len());
@@ -226,6 +252,7 @@ impl Runner {
                 &incarnations,
                 binding,
                 &mut spare,
+                &mut wire_events,
             );
         }
 
@@ -455,6 +482,7 @@ impl Runner {
                     &incarnations,
                     binding,
                     &mut spare,
+                    &mut wire_events,
                 );
                 continue;
             }
@@ -567,6 +595,7 @@ impl Runner {
                 &incarnations,
                 binding,
                 &mut spare,
+                &mut wire_events,
             );
         }
 
@@ -577,6 +606,7 @@ impl Runner {
             &network,
             &nodes,
             &tallies,
+            &wire_events,
             wedge,
             max_queue_depth,
         )
@@ -769,6 +799,7 @@ fn flush_node(
     incarnations: &[u32],
     binding: &mut dyn AppBinding,
     spare: &mut FlushBuffers,
+    wire_events: &mut WireTally,
 ) {
     loop {
         let mut progressed = false;
@@ -815,10 +846,12 @@ fn flush_node(
                 PacketDest::Node(to) => PacketTarget::Unicast(SimNodeId(to.0)),
                 PacketDest::Broadcast => PacketTarget::Broadcast,
             };
+            let size_bytes = out.payload.len() + FRAMING_OVERHEAD_BYTES;
+            wire_events.add(&out.payload, size_bytes);
             let packet = Packet {
                 from: SimNodeId(out.from.0),
                 target,
-                size_bytes: out.payload.len() + FRAMING_OVERHEAD_BYTES,
+                size_bytes,
                 class: traffic_class(out.class),
                 payload: NetPayload {
                     channel: out.channel,
@@ -961,6 +994,7 @@ fn build_report(
     network: &Network,
     nodes: &[MorpheusNode],
     tallies: &[NodeTally],
+    wire_events: &WireTally,
     wedge: Option<WedgeReport>,
     max_queue_depth: u64,
 ) -> RunReport {
@@ -1043,6 +1077,19 @@ fn build_report(
         max_queue_depth,
         wedge,
         nodes: node_reports,
+        wire_events: wire_events
+            .0
+            .iter()
+            .map(|&(tag, packets, bytes)| WireEventBytes {
+                tag,
+                name: nodes
+                    .iter()
+                    .find_map(|node| node.wire_event_name(tag))
+                    .map_or_else(|| format!("{tag:#06x}"), str::to_string),
+                packets,
+                bytes,
+            })
+            .collect(),
     }
 }
 
@@ -1066,6 +1113,30 @@ mod tests {
         assert_eq!(mobile.sent_data, 180);
         assert_eq!(mobile.final_stack, "best-effort");
         assert_eq!(mobile.reconfigurations, 0);
+    }
+
+    #[test]
+    fn the_wire_event_tally_adds_up_to_the_wire_bytes_and_names_every_tag() {
+        let report = Runner::new().run(&small_figure3(6, true));
+        let events = &report.wire_events;
+        let bytes: u64 = events.iter().map(|event| event.bytes).sum();
+        let packets: u64 = events.iter().map(|event| event.packets).sum();
+        assert_eq!(bytes, report.wire_bytes_totals().total());
+        let sent: u64 = report.nodes.iter().map(NodeReport::sent_total).sum();
+        assert_eq!(packets, sent);
+        assert!(events.windows(2).all(|pair| pair[0].tag < pair[1].tag));
+        for event in events {
+            assert_eq!(morpheus_appia::registry::wire_tag(&event.name), event.tag);
+        }
+        let names: Vec<&str> = events.iter().map(|event| event.name.as_str()).collect();
+        for name in [
+            "DataEvent",
+            "ContextPublish",
+            "ReconfigCommand",
+            "Heartbeat",
+        ] {
+            assert!(names.contains(&name), "{name} missing from {names:?}");
+        }
     }
 
     #[test]

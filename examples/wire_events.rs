@@ -1,0 +1,59 @@
+//! Bytes on the wire by event type: the per-wire-event tally
+//! ([`RunReport::wire_events`]) of two n = 200 runs, largest first.
+//!
+//! * `member_restart(200, 0.1)` — the benchmark's `quiet_restart` shape:
+//!   three senders, a crash, an expulsion, an empty restart and a rejoin, so
+//!   the failure detector, Cocaditem, view synchrony and recovery do the
+//!   work;
+//! * `chat_fanin(200, 200)` at 10 % data loss — the `fanin_lossy` shape:
+//!   every member sends, so gossip push and repair dominate.
+//!
+//! Each row is one sendable event type: packets and bytes (framing
+//! included) summed over every node, bytes per node, and the share of the
+//! run's bytes. Packets the runner drops for injected loss are not counted.
+//!
+//! Run with `cargo run --release --example wire_events`.
+
+use morpheus::prelude::*;
+
+fn print_table(title: &str, report: &RunReport) {
+    let nodes = report.nodes.len() as u64;
+    let total: u64 = report.wire_events.iter().map(|event| event.bytes).sum();
+    let mut events: Vec<_> = report.wire_events.iter().collect();
+    events.sort_by_key(|event| std::cmp::Reverse(event.bytes));
+
+    println!("\n{title}: {nodes} nodes, {} ms", report.duration_ms);
+    println!("| wire event | packets | bytes | B / node | share |");
+    println!("|---|---|---|---|---|");
+    for event in events {
+        println!(
+            "| `{}` | {} | {} | {} | {:.1} % |",
+            event.name,
+            event.packets,
+            event.bytes,
+            event.bytes / nodes.max(1),
+            100.0 * event.bytes as f64 / total.max(1) as f64
+        );
+    }
+    println!(
+        "| all | {} | {total} | {} | 100 % |",
+        report
+            .wire_events
+            .iter()
+            .map(|event| event.packets)
+            .sum::<u64>(),
+        total / nodes.max(1)
+    );
+}
+
+fn main() {
+    let restart = Runner::new().run(&Scenario::member_restart(200, 0.1).with_seed(1));
+    print_table("member_restart(200, 0.1), seed 1", &restart);
+
+    let fanin = Runner::new().run(
+        &Scenario::chat_fanin(200, 200)
+            .with_data_loss(0.1)
+            .with_seed(1),
+    );
+    print_table("chat_fanin(200, 200) at 10 % data loss, seed 1", &fanin);
+}

@@ -313,31 +313,57 @@ fn control_and_context_bytes_stay_within_their_budget_across_a_restart() {
     }
 }
 
+/// Control bytes per node and second of `member_restart(n, 0.1)` at seed 1,
+/// with the given share of data-channel packets dropped.
+fn control_per_node_s(n: usize, data_loss: f64) -> u64 {
+    let scenario = Scenario::member_restart(n, 0.1)
+        .with_seed(1)
+        .with_data_loss(data_loss);
+    let report = Runner::new().run(&scenario);
+    assert_eq!(report.messages_lost, 0, "n = {n}, data loss {data_loss}");
+    report.wire_bytes_totals().control * 1_000 / (n as u64 * report.duration_ms)
+}
+
 /// A node's control cost must not grow with the group. Probing costs one
-/// ping and about one ack per node and interval at any n; what still grows
-/// is view synchrony's `ViewCommit` / `FlushAck` traffic. Measured on seed 1:
-/// 295 B/node/s at n = 50 and 499 at n = 200, 1.69×. A failure detector
-/// pushing its whole liveness table each interval cost 914 and 2,825, 3.09×.
+/// ping and about one ack per node and interval at any n, and a view change
+/// one flush per member, unicast to the proposer. Measured on seed 1: 209
+/// B/node/s at n = 50 and 230 at n = 200, 1.10×. While flushes were
+/// re-gossiped to three random peers each time a participant's merged set
+/// grew, and every re-gossip drew a `ViewCommit` echo, it cost 296 and 503,
+/// 1.70×; a failure detector pushing its whole liveness table each interval
+/// cost 914 and 2,825, 3.09×.
 #[test]
 fn control_cost_per_node_stays_flat_as_the_group_grows() {
-    let control_per_node_s = |n: usize| {
-        let report = Runner::new().run(&Scenario::member_restart(n, 0.1).with_seed(1));
-        assert_eq!(report.messages_lost, 0, "n = {n}");
-        report.wire_bytes_totals().control * 1_000 / (n as u64 * report.duration_ms)
-    };
-    let (small, large) = (control_per_node_s(50), control_per_node_s(200));
+    let (small, large) = (control_per_node_s(50, 0.0), control_per_node_s(200, 0.0));
     assert!(
-        large <= 2 * small,
+        large * 10 <= small * 13,
         "control costs {small} B/node/s at n = 50 but {large} at n = 200"
+    );
+}
+
+/// Losing data-channel packets, flushes among them, costs a view change one
+/// retransmitted flush per lost one, not a storm. At n = 200, seed 1, control
+/// bytes with 10 % data loss were 3.29× the lossless run's (1,654 against
+/// 503 B/node/s) while flushes were re-gossiped, each re-gossip drawing a
+/// `ViewCommit` echo, and are 1.59× (366 against 230) with one flush per
+/// member.
+#[test]
+fn a_view_change_under_data_loss_sends_no_flush_storm() {
+    let (lossless, lossy) = (control_per_node_s(200, 0.0), control_per_node_s(200, 0.1));
+    assert!(
+        lossy <= 2 * lossless,
+        "control costs {lossless} B/node/s without data loss but {lossy} with 10 %"
     );
 }
 
 /// A settled store gossips a summary of a few bytes, whatever the group's
 /// size, so a node's context cost grows with n only while stores differ:
 /// at boot, when every node must learn n snapshots, and after a restart.
-/// Measured on seed 1: 334 B/node/s at n = 50 and 762 at n = 200, 2.28×.
-/// Gossiping the whole `(node, version)` table every second cost 556 and
-/// 1,633, 2.94×.
+/// Measured on seed 1: 237 B/node/s at n = 50 and 423 at n = 200, 1.78×,
+/// with snapshots that carry only the two keys a peer reads in a varint
+/// frame (about 19 bytes). Six keys at fixed width (62 bytes) cost 334 and
+/// 762, 2.28×; gossiping the whole `(node, version)` table every second on
+/// top cost 556 and 1,633, 2.94×.
 #[test]
 fn context_cost_per_node_grows_slower_than_the_group_once_stores_settle() {
     let context_per_node_s = |n: usize| {
@@ -348,7 +374,7 @@ fn context_cost_per_node_grows_slower_than_the_group_once_stores_settle() {
     };
     let (small, large) = (context_per_node_s(50), context_per_node_s(200));
     assert!(
-        large * 100 <= small * 250,
+        large <= small * 2,
         "context costs {small} B/node/s at n = 50 but {large} at n = 200"
     );
 }
