@@ -37,16 +37,13 @@ impl Layer for NetworkDriverLayer {
     }
 
     fn create_session(&self, _params: &LayerParams) -> Box<dyn Session> {
-        Box::new(NetworkDriverSession::default())
+        Box::new(NetworkDriverSession)
     }
 }
 
-/// Session state of the network driver (pure counters).
+/// Session of the network driver: it keeps no state.
 #[derive(Debug, Default)]
-pub struct NetworkDriverSession {
-    packets_sent: u64,
-    loopbacks: u64,
-}
+pub struct NetworkDriverSession;
 
 impl Session for NetworkDriverSession {
     fn layer_name(&self) -> &str {
@@ -69,7 +66,6 @@ impl Session for NetworkDriverSession {
         // instead of hitting the network. This is the only case that needs
         // the event by value, so it is handled before serialisation.
         if matches!(sendable.header().dest, Dest::Node(node) if node == local) {
-            self.loopbacks += 1;
             event.direction = Direction::Up;
             ctx.dispatch_from_edge(event);
             return;
@@ -82,24 +78,20 @@ impl Session for NetworkDriverSession {
         match &sendable.header().dest {
             Dest::Node(node) => {
                 let bytes = ctx.encode_sendable(sendable);
-                self.packets_sent += 1;
                 ctx.send_packet(PacketDest::Node(*node), class, bytes);
             }
             Dest::Nodes(nodes) => {
                 let bytes = ctx.encode_sendable(sendable);
                 for &node in nodes {
                     if node == local {
-                        self.loopbacks += 1;
                         continue;
                     }
-                    self.packets_sent += 1;
                     ctx.send_packet(PacketDest::Node(node), class, bytes.clone());
                 }
             }
             Dest::Group => {
                 if ctx.profile().has_native_multicast {
                     let bytes = ctx.encode_sendable(sendable);
-                    self.packets_sent += 1;
                     ctx.send_packet(PacketDest::Broadcast, class, bytes);
                 }
                 // Without native multicast a group destination reaching the

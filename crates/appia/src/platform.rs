@@ -15,6 +15,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::channel::ChannelId;
+use crate::config::ChannelConfig;
 use crate::intern::Name;
 use crate::timer::TimerKey;
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
@@ -420,9 +421,9 @@ pub struct ReconfigRequest {
     pub channel: String,
     /// Name of the stack configuration being installed (for reporting).
     pub stack_name: String,
-    /// The declarative channel description, in the textual format produced by
-    /// [`crate::config::ChannelConfig::to_xml`].
-    pub description: String,
+    /// The channel description to deploy, rendered by the requesting session
+    /// from the node's own stack catalogue.
+    pub config: ChannelConfig,
     /// Reconfiguration epoch the deployment belongs to. The local module
     /// stamps its acknowledgement with this epoch so the coordinator can
     /// reject acknowledgements left over from earlier rounds.

@@ -668,6 +668,16 @@ impl<'a> WireReader<'a> {
     }
 }
 
+impl Wire for u8 {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u8(*self);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.get_u8()
+    }
+}
+
 impl Wire for u32 {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u32(*self);

@@ -69,12 +69,13 @@ const PUBLISH_TAG: u32 = 1;
 /// Random peers each snapshot push and each digest round targets.
 const FANOUT: usize = 3;
 
-/// Epidemic forwarding rounds a freshly pushed snapshot survives.
-const FORWARD_TTL: u32 = 3;
+/// Epidemic forwarding rounds a freshly pushed snapshot survives; a
+/// received TTL is clamped to it, so no peer buys more rounds.
+const FORWARD_TTL: u8 = 3;
 
 sendable_event! {
-    /// A context snapshot travelling between nodes (payload: a forwarding
-    /// TTL on top of the encoded [`ContextSnapshot`]).
+    /// A context snapshot travelling between nodes (payload: a one-byte
+    /// forwarding TTL on top of the encoded [`ContextSnapshot`]).
     pub struct ContextPublish, class: Context
 }
 
@@ -340,7 +341,7 @@ impl CocaditemSession {
     }
 
     /// Sends one snapshot to the drawn targets with the given forwarding TTL.
-    fn send_snapshot(&self, snapshot: &ContextSnapshot, ttl: u32, ctx: &mut EventContext<'_>) {
+    fn send_snapshot(&self, snapshot: &ContextSnapshot, ttl: u8, ctx: &mut EventContext<'_>) {
         let mut message = Message::new();
         message.push(snapshot);
         message.push(&ttl);
@@ -435,7 +436,7 @@ impl CocaditemSession {
     fn on_snapshot(
         &mut self,
         snapshot: ContextSnapshot,
-        ttl: u32,
+        ttl: u8,
         from: NodeId,
         ctx: &mut EventContext<'_>,
     ) {
@@ -568,13 +569,13 @@ impl Session for CocaditemSession {
         }
         if let Some(publish) = event.get_mut::<ContextPublish>() {
             let from = publish.header.source;
-            let Ok(ttl) = publish.message.pop::<u32>() else {
+            let Ok(ttl) = publish.message.pop::<u8>() else {
                 return;
             };
             let Ok(snapshot) = publish.message.pop::<ContextSnapshot>() else {
                 return;
             };
-            self.on_snapshot(snapshot, ttl, from, ctx);
+            self.on_snapshot(snapshot, ttl.min(FORWARD_TTL), from, ctx);
             return;
         }
         if let Some(digest) = event.get_mut::<ContextDigest>() {
@@ -626,7 +627,7 @@ mod tests {
         params
     }
 
-    fn publish_message(snapshot: &ContextSnapshot, ttl: u32) -> Message {
+    fn publish_message(snapshot: &ContextSnapshot, ttl: u8) -> Message {
         let mut message = Message::new();
         message.push(snapshot);
         message.push(&ttl);
@@ -748,6 +749,28 @@ mod tests {
     }
 
     #[test]
+    fn a_received_ttl_is_clamped_to_the_forwarding_budget() {
+        let (mut cocaditem, mut platform, _store) = node_one(&(0..10).collect::<Vec<_>>(), &[]);
+        let snapshot = fixed(2, 77);
+        cocaditem.run_up(
+            Event::up(ContextPublish::new(
+                NodeId(2),
+                Dest::Node(NodeId(1)),
+                publish_message(&snapshot, u8::MAX),
+            )),
+            &mut platform,
+        );
+        let down = cocaditem.drain_down();
+        let forward = down
+            .iter()
+            .find_map(|event| event.get::<ContextPublish>())
+            .expect("a fresh snapshot is forwarded");
+        let mut message = forward.message.clone();
+        assert_eq!(message.pop::<u8>().unwrap(), FORWARD_TTL - 1);
+        assert_eq!(message.pop::<ContextSnapshot>().unwrap(), snapshot);
+    }
+
+    #[test]
     fn received_publications_are_reported_upward_and_forwarded_while_fresh() {
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..10).collect();
@@ -786,7 +809,7 @@ mod tests {
             .collect();
         assert_eq!(forwards.len(), 1);
         let mut message = forwards[0].get::<ContextPublish>().unwrap().message.clone();
-        assert_eq!(message.pop::<u32>().unwrap(), 1, "TTL decremented");
+        assert_eq!(message.pop::<u8>().unwrap(), 1, "TTL decremented");
 
         // A duplicate is neither reported nor forwarded.
         let up = cocaditem.run_up(
@@ -1011,7 +1034,7 @@ mod tests {
             .find_map(|event| event.get::<ContextPublish>())
             .expect("a publication");
         let mut message = publish.message.clone();
-        message.pop::<u32>().unwrap();
+        message.pop::<u8>().unwrap();
         let snapshot = message.pop::<ContextSnapshot>().unwrap();
         let keys: Vec<ContextKey> = snapshot.values.keys().copied().collect();
         assert_eq!(keys, ContextKey::SHARED);

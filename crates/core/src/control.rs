@@ -11,9 +11,11 @@
 //! store restricted to the live members. When the policy prefers a different
 //! stack configuration the coordinator:
 //!
-//! 1. opens a new **reconfiguration epoch** and ships the declarative channel
-//!    description to every participant in an epoch-stamped
-//!    [`ReconfigCommand`] (and asks its own local module to deploy it);
+//! 1. opens a new **reconfiguration epoch** and names the chosen
+//!    [`StackKind`] to every participant in an epoch-stamped
+//!    [`ReconfigCommand`] (and asks its own local module to deploy it). Each
+//!    node renders the named stack from its own [`StackCatalog`], the one its
+//!    boot stack came from, so no channel description crosses the wire;
 //! 2. retransmits the command to members that have not acknowledged, every
 //!    `retransmit_interval_ms`, until the round either completes or hits
 //!    `round_timeout_ms` (at which point it is aborted and the policy may
@@ -65,7 +67,7 @@ use morpheus_cocaditem::{ContextSnapshot, ContextStore};
 use morpheus_groupcomm::events::{Alive, Suspect, ViewInstall};
 use morpheus_groupcomm::round::{Ballot, Engine as RoundEngine, Tick};
 
-use crate::policy::{AdaptationPolicy, GlobalContext};
+use crate::policy::{AdaptationPolicy, GlobalContext, StackKind};
 use crate::rules::DefaultPolicy;
 use crate::stack_catalog::StackCatalog;
 
@@ -76,9 +78,9 @@ pub const CORE_LAYER: &str = "core";
 const ROUND_TAG: u32 = 1;
 
 sendable_event! {
-    /// Coordinator → members: deploy the carried stack configuration
-    /// (message headers, top-first: the channel description text, the stack
-    /// name, then the reconfiguration epoch).
+    /// Coordinator → members: deploy the named stack configuration
+    /// (message headers, top-first: the stack name, then the
+    /// reconfiguration epoch).
     pub struct ReconfigCommand, class: Control
 }
 
@@ -155,8 +157,8 @@ impl Layer for CoreLayer {
         let (retransmit, round_timeout) = self.catalog.view_change_timing();
         let initial_stack = params
             .get("initial_stack")
-            .cloned()
-            .unwrap_or_else(|| "best-effort".to_string());
+            .and_then(|name| StackKind::from_name(name))
+            .unwrap_or(StackKind::BestEffort);
         Box::new(CoreSession {
             members: param_node_list(params, "members"),
             adaptive: param_or(params, "adaptive", true),
@@ -164,7 +166,7 @@ impl Layer for CoreLayer {
             catalog: Rc::clone(&self.catalog),
             store: Rc::clone(&self.store),
             local_sample: None,
-            current_stack: initial_stack.clone(),
+            current_stack: initial_stack,
             deployed_stack: initial_stack,
             // The engine starts at `Ballot::ZERO`: holder 0 makes every
             // epoch-0 ballot lose the tie-break, so epoch 0 is never a valid
@@ -178,35 +180,22 @@ impl Layer for CoreLayer {
             round_timer: None,
             retransmit_interval_ms: retransmit.max(10),
             round_timeout_ms: round_timeout.max(100),
-            reconfigurations_started: 0,
-            reconfigurations_completed: 0,
-            reconfigurations_aborted: 0,
         })
     }
 }
 
-/// The proposal payload of the round in flight. Its ballot, ack set, start
-/// time and retransmit count live in the round engine.
-#[derive(Debug, Clone)]
-struct PendingReconfiguration {
-    stack_name: String,
-    description: String,
-}
-
 /// A stack configuration this node deployed (member side) or saw the group
 /// commit (coordinator side), kept so late joiners and healed members can be
-/// repaired onto it — with the description byte-for-byte, which names the
-/// stack, not the group.
-#[derive(Debug, Clone)]
+/// repaired onto it.
+#[derive(Debug, Clone, Copy)]
 struct InstalledStack {
     epoch: u64,
-    stack_name: String,
-    description: String,
+    kind: StackKind,
 }
 
 impl InstalledStack {
-    fn matches(&self, epoch: u64, stack_name: &str) -> bool {
-        self.epoch == epoch && self.stack_name == stack_name
+    fn matches(&self, epoch: u64, kind: StackKind) -> bool {
+        self.epoch == epoch && self.kind == kind
     }
 }
 
@@ -227,19 +216,20 @@ pub struct CoreSession {
     /// The stack the group has agreed on. On the coordinator this is only
     /// committed when a round *completes* (never optimistically), so an
     /// aborted round leaves the policy free to re-fire.
-    current_stack: String,
+    current_stack: StackKind,
     /// The stack the local data channel last deployed (its deployment's ack
     /// came back down through this layer). It runs ahead of
     /// `current_stack` on a coordinator whose round for it was aborted.
-    deployed_stack: String,
+    deployed_stack: StackKind,
     /// The shared round engine: ballot monotonicity (the highest epoch this
     /// node initiated or accepted, with the holding coordinator as the
     /// tie-break), the in-flight round's ack set, and the retransmit/timeout
     /// clock.
     engine: RoundEngine<NodeId>,
-    /// The in-flight proposal payload, kept in lockstep with the engine's
-    /// round on the coordinator.
-    pending: Option<PendingReconfiguration>,
+    /// The stack the in-flight round proposes, kept in lockstep with the
+    /// engine's round on the coordinator (which holds its ballot, ack set,
+    /// start time and retransmit count).
+    pending: Option<StackKind>,
     // bound: fed by the control-plane failure detector -- only current members appear.
     suspected: BTreeSet<NodeId>,
     /// The configuration accepted from the most recent command, kept until
@@ -261,9 +251,6 @@ pub struct CoreSession {
     round_timer: Option<u64>,
     retransmit_interval_ms: u64,
     round_timeout_ms: u64,
-    reconfigurations_started: u64,
-    reconfigurations_completed: u64,
-    reconfigurations_aborted: u64,
 }
 
 impl CoreSession {
@@ -290,14 +277,12 @@ impl CoreSession {
         }
     }
 
-    /// Dispatches a [`ReconfigCommand`] carrying the given configuration —
-    /// the single place the command's wire layout (description, stack name,
-    /// epoch) is produced, shared by round initiation, retransmission and
-    /// repair.
+    /// Dispatches a [`ReconfigCommand`] naming the given configuration —
+    /// the single place the command's wire layout (stack name, epoch) is
+    /// produced, shared by round initiation, retransmission and repair.
     fn dispatch_command(
         epoch: u64,
-        stack_name: &String,
-        description: &String,
+        kind: StackKind,
         targets: Vec<NodeId>,
         ctx: &mut EventContext<'_>,
     ) {
@@ -306,8 +291,7 @@ impl CoreSession {
         }
         let mut message = Message::new();
         message.push(&epoch);
-        message.push(stack_name);
-        message.push(description);
+        message.push(&kind.name());
         ctx.dispatch(Event::down(ReconfigCommand::new(
             ctx.node_id(),
             Dest::Nodes(targets),
@@ -318,15 +302,10 @@ impl CoreSession {
     /// Dispatches a [`ReconfigAck`] for a configuration this node already
     /// runs, straight from the control layer (a fresh deployment is
     /// acknowledged by the local module instead, after it succeeded).
-    fn dispatch_ack(
-        epoch: u64,
-        stack_name: &String,
-        coordinator: NodeId,
-        ctx: &mut EventContext<'_>,
-    ) {
+    fn dispatch_ack(epoch: u64, kind: StackKind, coordinator: NodeId, ctx: &mut EventContext<'_>) {
         let mut message = Message::new();
         message.push(&epoch);
-        message.push(stack_name);
+        message.push(&kind.name());
         ctx.dispatch(Event::down(ReconfigAck::new(
             ctx.node_id(),
             Dest::Node(coordinator),
@@ -335,16 +314,22 @@ impl CoreSession {
     }
 
     fn send_command(&self, targets: Vec<NodeId>, ctx: &mut EventContext<'_>) {
-        let (Some(pending), Some(round)) = (&self.pending, self.engine.round()) else {
+        let (Some(pending), Some(round)) = (self.pending, self.engine.round()) else {
             return;
         };
-        Self::dispatch_command(
-            round.ballot.epoch,
-            &pending.stack_name,
-            &pending.description,
-            targets,
-            ctx,
-        );
+        Self::dispatch_command(round.ballot.epoch, pending, targets, ctx);
+    }
+
+    /// Asks the local module to deploy `kind`, rendered from the node's
+    /// catalogue, and to acknowledge it to `coordinator` under `epoch`.
+    fn deploy(&self, kind: StackKind, epoch: u64, coordinator: NodeId, ctx: &mut EventContext<'_>) {
+        ctx.request_reconfiguration(ReconfigRequest {
+            channel: self.catalog.channel().to_string(),
+            stack_name: kind.name(),
+            config: self.catalog.config_for(&kind),
+            epoch,
+            coordinator,
+        });
     }
 
     fn evaluate(&mut self, ctx: &mut EventContext<'_>) {
@@ -369,8 +354,7 @@ impl CoreSession {
             self.repair_behind(ctx);
             return;
         };
-        let desired = kind.name();
-        if desired == self.current_stack {
+        if kind == self.current_stack {
             // The group already agreed on this stack — but members whose
             // command was lost while they were suspected (or that this node,
             // as a failover coordinator, never heard an ack from) may still
@@ -380,24 +364,18 @@ impl CoreSession {
             return;
         }
 
-        // Open a new epoch and initiate the round: ship the declarative
-        // description to every other participant (including suspected ones —
-        // a false suspicion must not starve a member of the command) and ask
-        // the local module to deploy it too. `current_stack` is *not* touched
-        // here; it is committed when the round completes. The description
-        // names no member: the stack learns the view from view synchrony.
-        let description = self.catalog.config_for(&kind).to_xml();
+        // Open a new epoch and initiate the round: name the stack to every
+        // other participant (including suspected ones — a false suspicion
+        // must not starve a member of the command) and ask the local module
+        // to deploy it too. `current_stack` is *not* touched here; it is
+        // committed when the round completes.
         // Every member must ack — the coordinator and suspected ones
         // included; completion excludes whoever is suspected *at completion
         // time* instead.
         let ballot = self
             .engine
             .open(local, self.members.iter().copied(), ctx.now_ms());
-        self.reconfigurations_started += 1;
-        self.pending = Some(PendingReconfiguration {
-            stack_name: desired.clone(),
-            description: description.clone(),
-        });
+        self.pending = Some(kind);
 
         let others: Vec<NodeId> = self
             .members
@@ -408,21 +386,15 @@ impl CoreSession {
         self.send_command(others, ctx);
         self.cancel_round_timer(ctx);
         self.arm_round_timer(ctx);
-        if desired == self.deployed_stack {
+        if kind == self.deployed_stack {
             // The local data channel already runs it: a round for the same
             // stack timed out after this node deployed it. Count this node's
             // ack for the new ballot instead of replacing its stack with an
             // identical one, which would start from empty session state.
-            self.record_ack(local, ballot.epoch, &desired, ctx);
+            self.record_ack(local, ballot.epoch, kind, ctx);
             return;
         }
-        ctx.request_reconfiguration(ReconfigRequest {
-            channel: self.catalog.channel().to_string(),
-            stack_name: desired,
-            description,
-            epoch: ballot.epoch,
-            coordinator: local,
-        });
+        self.deploy(kind, ballot.epoch, local, ctx);
     }
 
     fn maybe_complete(&mut self, ctx: &mut EventContext<'_>) {
@@ -432,19 +404,17 @@ impl CoreSession {
         let round = self.engine.complete().expect("completed round in flight");
         let pending = self.pending.take().expect("pending checked above");
         let elapsed = ctx.now_ms().saturating_sub(round.started_at_ms);
-        self.current_stack = pending.stack_name.clone();
-        self.reconfigurations_completed += 1;
+        self.current_stack = pending;
         // Remember what the group committed and who is known to run it, so
         // members that were cut out of the quorum can be repaired later.
         self.installed = Some(InstalledStack {
             epoch: round.ballot.epoch,
-            stack_name: pending.stack_name.clone(),
-            description: pending.description.clone(),
+            kind: pending,
         });
         self.confirmed = round.acked().clone();
         self.cancel_round_timer(ctx);
         ctx.deliver(DeliveryKind::ReconfigurationComplete {
-            stack: pending.stack_name,
+            stack: pending.name(),
             epoch: round.ballot.epoch,
             latency_ms: elapsed,
             retransmits: round.retransmits,
@@ -464,17 +434,14 @@ impl CoreSession {
     /// advanced past the committed round — it deployed a later round that was
     /// aborted, or its deployment failed after accepting the command — would
     /// reject a replay of the committed epoch as stale, but accepts the
-    /// re-assertion under a higher one. The description goes out byte for
-    /// byte as the round shipped it: it names no member, so a crash since
-    /// then changes nothing in it.
+    /// re-assertion under a higher one.
     fn repair_behind(&mut self, ctx: &mut EventContext<'_>) {
         if self.pending.is_some() {
             return;
         }
         if self
             .installed
-            .as_ref()
-            .is_none_or(|installed| installed.stack_name != self.current_stack)
+            .is_none_or(|installed| installed.kind != self.current_stack)
         {
             return;
         }
@@ -492,21 +459,13 @@ impl CoreSession {
             .adopt(Ballot::new(self.engine.epoch() + 1, local));
         let installed = self.installed.as_mut().expect("installed checked above");
         installed.epoch = self.engine.epoch();
-        Self::dispatch_command(
-            installed.epoch,
-            &installed.stack_name,
-            &installed.description,
-            behind,
-            ctx,
-        );
+        Self::dispatch_command(installed.epoch, installed.kind, behind, ctx);
     }
 
     /// Gives up on the in-flight round. `current_stack` keeps its pre-round
     /// value, so the policy is free to re-fire (with a fresh epoch).
     fn abort_round(&mut self, ctx: &mut EventContext<'_>) {
-        if self.pending.take().is_some() {
-            self.reconfigurations_aborted += 1;
-        }
+        self.pending = None;
         self.engine.abort();
         self.cancel_round_timer(ctx);
     }
@@ -525,7 +484,7 @@ impl CoreSession {
                 // The round failed (e.g. the command kept getting lost, or a
                 // member died without being suspected yet): abort and let the
                 // policy re-fire immediately under a fresh epoch.
-                let aborted = self.pending.clone();
+                let aborted = self.pending;
                 self.abort_round(ctx);
                 self.evaluate(ctx);
                 if self.pending.is_none() {
@@ -535,23 +494,10 @@ impl CoreSession {
                     // data channel back to the committed stack so the
                     // coordinator is not the one node silently running the
                     // abandoned one.
-                    let rollback = match (&aborted, &self.installed) {
-                        (Some(aborted), Some(installed))
-                            if installed.stack_name == self.current_stack
-                                && aborted.stack_name != self.current_stack =>
-                        {
-                            Some(installed.clone())
+                    if let (Some(aborted), Some(installed)) = (aborted, self.installed) {
+                        if installed.kind == self.current_stack && aborted != self.current_stack {
+                            self.deploy(installed.kind, installed.epoch, ctx.node_id(), ctx);
                         }
-                        _ => None,
-                    };
-                    if let Some(installed) = rollback {
-                        ctx.request_reconfiguration(ReconfigRequest {
-                            channel: self.catalog.channel().to_string(),
-                            stack_name: installed.stack_name,
-                            description: installed.description,
-                            epoch: installed.epoch,
-                            coordinator: ctx.node_id(),
-                        });
                     }
                 }
             }
@@ -598,13 +544,15 @@ impl CoreSession {
             return;
         };
         let coordinator = command.header.source;
-        let Ok(description) = command.message.pop::<String>() else {
-            return;
-        };
         let Ok(stack_name) = command.message.pop::<String>() else {
             return;
         };
         let Ok(epoch) = command.message.pop::<u64>() else {
+            return;
+        };
+        // A name no catalogue renders is dropped like an undecodable command:
+        // no ballot adopted, nothing deployed, no ack.
+        let Some(kind) = StackKind::from_name(&stack_name) else {
             return;
         };
 
@@ -618,46 +566,33 @@ impl CoreSession {
             }
             // A re-assertion of the stack this node already runs (a repair
             // whose earlier ack was lost on the way back): follow the ballot
-            // and acknowledge under the new epoch, but do not redeploy. The
-            // name encodes the whole stack kind, and the description is a
-            // function of it, so the name alone identifies the stack.
-            // Replacing the data channel with an identical one would hand the
-            // fresh stack empty per-session state for nothing — a new gossip
-            // session re-pulls and re-delivers what the old one had already
-            // delivered.
-            if self.current_stack == stack_name {
+            // and acknowledge under the new epoch, but do not redeploy: the
+            // kind is the whole stack. Replacing the data channel with an
+            // identical one would hand the fresh stack empty per-session
+            // state for nothing — a new gossip session re-pulls and
+            // re-delivers what the old one had already delivered.
+            if self.current_stack == kind {
                 if let Some(installed) = self
                     .installed
                     .as_mut()
-                    .filter(|installed| installed.stack_name == stack_name)
+                    .filter(|installed| installed.kind == kind)
                 {
                     installed.epoch = epoch;
-                    Self::dispatch_ack(epoch, &stack_name, coordinator, ctx);
+                    Self::dispatch_ack(epoch, kind, coordinator, ctx);
                     return;
                 }
             }
-            self.accepted = Some(InstalledStack {
-                epoch,
-                stack_name: stack_name.clone(),
-                description: description.clone(),
-            });
+            self.accepted = Some(InstalledStack { epoch, kind });
             // Deploy; the local module acknowledges after the deployment
             // succeeded (never before).
-            ctx.request_reconfiguration(ReconfigRequest {
-                channel: self.catalog.channel().to_string(),
-                stack_name,
-                description,
-                epoch,
-                coordinator,
-            });
+            self.deploy(kind, epoch, coordinator, ctx);
         } else if self
             .installed
-            .as_ref()
-            .is_some_and(|installed| installed.matches(epoch, &stack_name))
+            .is_some_and(|installed| installed.matches(epoch, kind))
         {
             // A retransmission of the round we already deployed: our ack was
             // probably lost, so resend it without redeploying.
-            Self::dispatch_ack(epoch, &stack_name, coordinator, ctx);
+            Self::dispatch_ack(epoch, kind, coordinator, ctx);
         }
         // Otherwise: a stale or reordered command from an earlier epoch —
         // rejected, the stack is never rolled back by old commands.
@@ -667,21 +602,15 @@ impl CoreSession {
         &mut self,
         source: NodeId,
         epoch: u64,
-        stack_name: &str,
+        kind: StackKind,
         ctx: &mut EventContext<'_>,
     ) {
-        let in_round = self.engine.round_epoch() == Some(epoch)
-            && self
-                .pending
-                .as_ref()
-                .is_some_and(|pending| pending.stack_name == stack_name);
-        if in_round {
+        if self.engine.round_epoch() == Some(epoch) && self.pending == Some(kind) {
             self.engine.record_ack(epoch, source);
             self.maybe_complete(ctx);
         } else if self
             .installed
-            .as_ref()
-            .is_some_and(|installed| installed.matches(epoch, stack_name))
+            .is_some_and(|installed| installed.matches(epoch, kind))
         {
             // A late (or repair-triggered) ack for the committed round: the
             // member is now known to run the installed stack.
@@ -784,7 +713,10 @@ impl Session for CoreSession {
                 let Ok(epoch) = ack.message.pop::<u64>() else {
                     return;
                 };
-                self.deployed_stack.clone_from(&stack_name);
+                let Some(kind) = StackKind::from_name(&stack_name) else {
+                    return;
+                };
+                self.deployed_stack = kind;
                 if dest == Dest::Node(local) {
                     // This node is the coordinator of the round: its own
                     // deployment just finished — count it instead of sending
@@ -793,20 +725,19 @@ impl Session for CoreSession {
                     // new configuration when the group commits it
                     // (`maybe_complete`), so an aborted round cannot destroy
                     // the record of the stack the group still agrees on.
-                    self.record_ack(local, epoch, &stack_name, ctx);
+                    self.record_ack(local, epoch, kind, ctx);
                 } else {
                     // Member: the deployment it accepted earlier is what
                     // commits the new stack locally; it becomes the base
                     // configuration for duplicate re-acks and repairs.
                     if self
                         .accepted
-                        .as_ref()
-                        .is_some_and(|accepted| accepted.matches(epoch, &stack_name))
+                        .is_some_and(|accepted| accepted.matches(epoch, kind))
                     {
                         self.installed = self.accepted.take();
                         self.confirmed = BTreeSet::from([local]);
                     }
-                    self.current_stack = stack_name.clone();
+                    self.current_stack = kind;
                     ack.message.push(&epoch);
                     ack.message.push(&stack_name);
                     ctx.forward(event);
@@ -823,7 +754,9 @@ impl Session for CoreSession {
             let Ok(epoch) = ack.message.pop::<u64>() else {
                 return;
             };
-            self.record_ack(source, epoch, &stack_name, ctx);
+            if let Some(kind) = StackKind::from_name(&stack_name) {
+                self.record_ack(source, epoch, kind, ctx);
+            }
             return;
         }
 
@@ -896,18 +829,11 @@ mod tests {
         (Harness::new(layer, &params, platform), feed)
     }
 
-    fn ack_message(epoch: u64, stack: &str) -> Message {
+    /// A command's or an ack's message: they share one layout.
+    fn stack_message(epoch: u64, stack: &str) -> Message {
         let mut message = Message::new();
         message.push(&epoch);
         message.push(&stack.to_string());
-        message
-    }
-
-    fn command_message(epoch: u64, stack: &str, description: &str) -> Message {
-        let mut message = Message::new();
-        message.push(&epoch);
-        message.push(&stack.to_string());
-        message.push(&description.to_string());
         message
     }
 
@@ -917,7 +843,7 @@ mod tests {
         Event::down(ReconfigAck::new(
             NodeId(local),
             Dest::Node(NodeId(coordinator)),
-            ack_message(epoch, stack),
+            stack_message(epoch, stack),
         ))
     }
 
@@ -967,7 +893,7 @@ mod tests {
         assert_eq!(request.stack_name, "hybrid-mecho-relay0");
         assert_eq!(request.epoch, 1, "first round opens epoch 1");
         assert_eq!(request.coordinator, NodeId(0));
-        assert!(request.description.contains("mecho"));
+        assert!(request.config.has_layer("mecho"));
 
         let down = core.drain_down();
         let commands: Vec<&Event> = down
@@ -1013,11 +939,7 @@ mod tests {
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(1)),
-                command_message(
-                    3,
-                    "hybrid-mecho-relay0",
-                    "<channel name=\"data\"><layer name=\"network\"/></channel>",
-                ),
+                stack_message(3, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1056,13 +978,12 @@ mod tests {
     fn stale_or_reordered_commands_are_rejected() {
         let mut platform = TestPlatform::new(NodeId(1));
         let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
-        let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
 
         core.run_up(
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(1)),
-                command_message(5, "reliable", description),
+                stack_message(5, "reliable"),
             )),
             &mut platform,
         );
@@ -1074,7 +995,7 @@ mod tests {
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(1)),
-                command_message(3, "best-effort", description),
+                stack_message(3, "best-effort"),
             )),
             &mut platform,
         );
@@ -1089,13 +1010,12 @@ mod tests {
     fn duplicate_commands_after_deployment_resend_the_ack() {
         let mut platform = TestPlatform::new(NodeId(1));
         let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
-        let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
 
         core.run_up(
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(1)),
-                command_message(2, "reliable", description),
+                stack_message(2, "reliable"),
             )),
             &mut platform,
         );
@@ -1107,7 +1027,7 @@ mod tests {
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(1)),
-                command_message(2, "reliable", description),
+                stack_message(2, "reliable"),
             )),
             &mut platform,
         );
@@ -1124,12 +1044,11 @@ mod tests {
     fn a_reasserted_configuration_is_acked_under_the_new_epoch_without_redeploying() {
         let mut platform = TestPlatform::new(NodeId(1));
         let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
-        let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
         let command = |epoch: u64, stack: &str| {
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(1)),
-                command_message(epoch, stack, description),
+                stack_message(epoch, stack),
             ))
         };
 
@@ -1194,7 +1113,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1235,7 +1154,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1249,7 +1168,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(2, "hybrid-mecho-relay0"),
+                stack_message(2, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1274,7 +1193,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1337,7 +1256,6 @@ mod tests {
             .filter_map(|event| event.get::<ReconfigCommand>())
             .map(|command| {
                 let mut message = command.message.clone();
-                let _description: String = message.pop().unwrap();
                 assert_eq!(message.pop::<String>().unwrap(), stack);
                 message.pop::<u64>().unwrap()
             })
@@ -1356,7 +1274,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(2, stack),
+                stack_message(2, stack),
             )),
             &mut platform,
         );
@@ -1382,7 +1300,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1449,7 +1367,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1476,7 +1394,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1516,7 +1434,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(2),
                 Dest::Node(NodeId(0)),
-                ack_message(3, "hybrid-mecho-relay0"),
+                stack_message(3, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1548,7 +1466,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1591,7 +1509,6 @@ mod tests {
         let command = repairs[0].get::<ReconfigCommand>().unwrap();
         assert_eq!(command.header.dest, Dest::Nodes(vec![NodeId(2)]));
         let mut message = command.message.clone();
-        let _description: String = message.pop().unwrap();
         assert_eq!(message.pop::<String>().unwrap(), "hybrid-mecho-relay0");
         assert!(
             message.pop::<u64>().unwrap() > 2,
@@ -1606,7 +1523,6 @@ mod tests {
         // run concurrent rounds under the same epoch number. The ballot
         // order (epoch, coordinator-id) makes exactly one of them win on
         // every member, regardless of arrival order.
-        let description = "<channel name=\"data\"><layer name=\"network\"/></channel>";
 
         // Arrival order A: higher-id coordinator first, lower-id second.
         let mut platform = TestPlatform::new(NodeId(5));
@@ -1615,7 +1531,7 @@ mod tests {
             Event::up(ReconfigCommand::new(
                 NodeId(1),
                 Dest::Node(NodeId(5)),
-                command_message(2, "reliable", description),
+                stack_message(2, "reliable"),
             )),
             &mut platform,
         );
@@ -1624,7 +1540,7 @@ mod tests {
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(5)),
-                command_message(2, "best-effort", description),
+                stack_message(2, "best-effort"),
             )),
             &mut platform,
         );
@@ -1640,7 +1556,7 @@ mod tests {
             Event::up(ReconfigCommand::new(
                 NodeId(1),
                 Dest::Node(NodeId(5)),
-                command_message(2, "fec-k4", description),
+                stack_message(2, "fec-k4"),
             )),
             &mut platform,
         );
@@ -1654,7 +1570,7 @@ mod tests {
             Event::up(ReconfigCommand::new(
                 NodeId(0),
                 Dest::Node(NodeId(5)),
-                command_message(2, "best-effort", description),
+                stack_message(2, "best-effort"),
             )),
             &mut platform,
         );
@@ -1662,12 +1578,61 @@ mod tests {
             Event::up(ReconfigCommand::new(
                 NodeId(1),
                 Dest::Node(NodeId(5)),
-                command_message(2, "reliable", description),
+                stack_message(2, "reliable"),
             )),
             &mut platform,
         );
         assert_eq!(platform.reconfig_requests.len(), 1);
         assert_eq!(platform.reconfig_requests[0].stack_name, "best-effort");
+    }
+
+    #[test]
+    fn a_command_naming_an_unknown_stack_is_dropped() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let (mut core, _context) = core_layer(&[0, 1], true, &mut platform);
+        let command = |epoch: u64, stack: &str| {
+            Event::up(ReconfigCommand::new(
+                NodeId(0),
+                Dest::Node(NodeId(1)),
+                stack_message(epoch, stack),
+            ))
+        };
+
+        // Each would be a winning ballot; none names a stack this node's
+        // catalogue renders, so none deploys, acks or moves the ballot.
+        for name in [
+            "no-such-stack",
+            "fec-k04",
+            "gossip-f3 ",
+            "",
+            "hybrid-mecho-relay4294967296",
+        ] {
+            core.run_up(command(9, name), &mut platform);
+            assert!(platform.reconfig_requests.is_empty(), "{name:?} deployed");
+            assert!(core.drain_down().is_empty(), "{name:?} answered");
+        }
+
+        // The ballot stayed where it was: a command under a lower epoch than
+        // the dropped ones still wins and deploys...
+        core.run_up(command(2, "reliable"), &mut platform);
+        assert_eq!(platform.reconfig_requests.len(), 1);
+        assert_eq!(platform.reconfig_requests[0].epoch, 2);
+        core.run_down(deployment_ack(1, 0, 2, "reliable"), &mut platform);
+        core.drain_down();
+
+        // ... and the stack stayed too: an unknown name under a newer epoch
+        // neither replaces `reliable` nor stops its re-assertion being
+        // re-acked without a redeploy.
+        core.run_up(command(5, "reliable-x"), &mut platform);
+        core.run_up(command(3, "reliable"), &mut platform);
+        assert_eq!(platform.reconfig_requests.len(), 1, "no redeployment");
+        let acks: Vec<Message> = core
+            .drain_down()
+            .iter()
+            .filter_map(|event| event.get::<ReconfigAck>())
+            .map(|ack| ack.message.clone())
+            .collect();
+        assert_eq!(acks, vec![stack_message(3, "reliable")]);
     }
 
     /// The commands a coordinator's harness emitted since the last drain.
@@ -1695,7 +1660,7 @@ mod tests {
         };
         let at_200 = encoded_command(200);
         assert_eq!(encoded_command(4), at_200);
-        assert!(at_200 <= 1300, "{at_200} B at n = 200");
+        assert!(at_200 <= 64, "{at_200} B at n = 200");
     }
 
     #[test]
@@ -1723,7 +1688,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1753,7 +1718,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );
@@ -1787,7 +1752,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(from),
                 Dest::Node(NodeId(0)),
-                ack_message(epoch, "hybrid-mecho-relay0"),
+                stack_message(epoch, "hybrid-mecho-relay0"),
             ))
         };
 
@@ -1814,12 +1779,12 @@ mod tests {
         core.drain_down();
 
         // Node 3 then crashes for good, and member 2's suspicion heals: the
-        // repair it receives is the round's description, byte for byte.
+        // repair it receives names the round's stack.
         core.run_up(Event::up(Suspect { node: NodeId(3) }), &mut platform);
         core.run_up(Event::up(Alive { node: NodeId(2) }), &mut platform);
         let repair = commands(&mut core).remove(0);
-        let description = |command: &ReconfigCommand| command.message.clone().pop::<String>();
-        assert_eq!(description(&repair), description(&round));
+        let stack = |command: &ReconfigCommand| command.message.clone().pop::<String>();
+        assert_eq!(stack(&repair), stack(&round));
 
         // So member 2, already running it, re-acks under the repair's epoch
         // without redeploying — its stack keeps its per-session state.
@@ -1857,7 +1822,7 @@ mod tests {
             Event::up(ReconfigAck::new(
                 NodeId(1),
                 Dest::Node(NodeId(0)),
-                ack_message(1, "hybrid-mecho-relay0"),
+                stack_message(1, "hybrid-mecho-relay0"),
             )),
             &mut platform,
         );

@@ -10,12 +10,12 @@
 //!   communication control channel. The deterministically elected coordinator
 //!   (lowest node id) evaluates the adaptation policy against the distributed
 //!   context assembled by Cocaditem and, when a different stack configuration
-//!   becomes preferable, ships the new declarative channel description to all
-//!   participants;
+//!   becomes preferable, names the new stack to all participants;
 //! * a set of **local modules** ([`node::MorpheusNode`]) — on each node,
 //!   the runtime that drives the data channel to quiescence (through the
-//!   view-synchrony block primitive), deploys the new stack via the kernel's
-//!   channel replacement and resumes the data flow.
+//!   view-synchrony block primitive), deploys the new stack (rendered from
+//!   the node's own [`stack_catalog`]) via the kernel's channel replacement
+//!   and resumes the data flow.
 //!
 //! The adaptation policies themselves live in [`policy`] and [`rules`]; the
 //! named stack configurations the policies can choose between are produced by

@@ -23,7 +23,6 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use morpheus_appia::config::ChannelConfig;
 use morpheus_appia::error::Result;
 use morpheus_appia::event::Event;
 use morpheus_appia::events::DataEvent;
@@ -289,8 +288,6 @@ impl MorpheusNode {
         request: ReconfigRequest,
         platform: &mut dyn Platform,
     ) -> Result<()> {
-        let config = ChannelConfig::from_xml(&request.description)?;
-
         // 1. Drive the data channel to quiescence: the view-synchrony layer
         //    buffers application sends from this point on.
         let old_channel = self.kernel.channel_id(&request.channel);
@@ -303,30 +300,31 @@ impl MorpheusNode {
         //    carry their state across the replacement. On failure the old
         //    stack is still in place: resume it so the channel does not stay
         //    blocked, and surface the error.
-        let new_channel = match self
-            .kernel
-            .replace_channel(&request.channel, &config, platform)
-        {
-            Ok(channel) => channel,
-            Err(error) => {
-                if let Some(channel) = old_channel {
-                    self.kernel.dispatch_and_process(
-                        channel,
-                        Event::down(ResumeRequest {}),
-                        platform,
-                    );
-                }
-                platform.deliver(AppDelivery {
-                    channel: request.channel.clone().into(),
-                    kind: DeliveryKind::Notification(format!(
-                        "reconfiguration to `{}` (epoch {}) failed: {error}; \
+        let new_channel =
+            match self
+                .kernel
+                .replace_channel(&request.channel, &request.config, platform)
+            {
+                Ok(channel) => channel,
+                Err(error) => {
+                    if let Some(channel) = old_channel {
+                        self.kernel.dispatch_and_process(
+                            channel,
+                            Event::down(ResumeRequest {}),
+                            platform,
+                        );
+                    }
+                    platform.deliver(AppDelivery {
+                        channel: request.channel.clone().into(),
+                        kind: DeliveryKind::Notification(format!(
+                            "reconfiguration to `{}` (epoch {}) failed: {error}; \
                          resumed the previous stack",
-                        request.stack_name, request.epoch
-                    )),
-                });
-                return Err(error);
-            }
-        };
+                            request.stack_name, request.epoch
+                        )),
+                    });
+                    return Err(error);
+                }
+            };
         if request.channel == self.options.data_channel {
             self.data_channel = new_channel;
         }
@@ -376,6 +374,7 @@ impl std::fmt::Debug for MorpheusNode {
 
 #[cfg(test)]
 mod tests {
+    use morpheus_appia::config::{ChannelConfig, LayerSpec};
     use morpheus_appia::event::Dest;
     use morpheus_appia::platform::{NodeProfile, PacketClass, PacketDest, TestPlatform};
     use morpheus_appia::registry::{decode_event, encode_event};
@@ -431,7 +430,7 @@ mod tests {
     fn publish_context(node: &mut MorpheusNode, from: NodeProfile, platform: &mut TestPlatform) {
         let mut message = Message::new();
         message.push(&ContextSnapshot::from_profile(&from, platform.now_ms));
-        message.push(&0u32);
+        message.push(&0u8);
         let publish = ContextPublish::new(from.node_id, Dest::Node(NodeId(0)), message);
         node.kernel
             .dispatch_and_process(node.control_channel, Event::up(publish), platform);
@@ -446,7 +445,7 @@ mod tests {
         let request = ReconfigRequest {
             channel: "data".into(),
             stack_name: kind.name(),
-            description: node.catalog().config_for(kind).to_xml(),
+            config: node.catalog().config_for(kind),
             epoch,
             coordinator: NodeId(0),
         };
@@ -608,7 +607,7 @@ mod tests {
             ReconfigRequest {
                 channel: "data".into(),
                 stack_name: "hybrid-mecho-relay0".into(),
-                description: hybrid.to_xml(),
+                config: hybrid,
                 epoch: 1,
                 coordinator: NodeId(0),
             },
@@ -663,7 +662,7 @@ mod tests {
             ReconfigRequest {
                 channel: "data".into(),
                 stack_name: "hybrid-mecho-relay0".into(),
-                description: hybrid.to_xml(),
+                config: hybrid,
                 epoch: 1,
                 coordinator: NodeId(0),
             },
@@ -682,6 +681,11 @@ mod tests {
         );
     }
 
+    /// A description with a layer this node's kernel does not know.
+    fn unknown_layer_config() -> ChannelConfig {
+        ChannelConfig::new("data").with_layer(LayerSpec::new("no-such-layer"))
+    }
+
     #[test]
     fn bad_reconfiguration_descriptions_are_rejected() {
         let mut platform = TestPlatform::new(NodeId(0));
@@ -690,7 +694,7 @@ mod tests {
             ReconfigRequest {
                 channel: "data".into(),
                 stack_name: "broken".into(),
-                description: "<not-xml".into(),
+                config: unknown_layer_config(),
                 epoch: 1,
                 coordinator: NodeId(0),
             },
@@ -702,8 +706,8 @@ mod tests {
 
     #[test]
     fn failed_replacement_resumes_the_old_stack_instead_of_leaking_a_block() {
-        // Regression test: a description that *parses* but cannot be
-        // instantiated (unknown layer) used to leave the data channel
+        // Regression test: a description that cannot be instantiated
+        // (unknown layer) used to leave the data channel
         // blocked forever after the BlockRequest had been dispatched.
         let mut platform = TestPlatform::new(NodeId(1));
         let mut node = MorpheusNode::new(NodeOptions::new(members(3)), &mut platform).unwrap();
@@ -714,8 +718,7 @@ mod tests {
             ReconfigRequest {
                 channel: "data".into(),
                 stack_name: "bogus".into(),
-                description: "<channel name=\"data\"><layer name=\"no-such-layer\"/></channel>"
-                    .into(),
+                config: unknown_layer_config(),
                 epoch: 1,
                 coordinator: NodeId(0),
             },
@@ -773,7 +776,7 @@ mod tests {
             &NodeProfile::mobile_pda(NodeId(1)),
             1,
         ));
-        message.push(&0u32);
+        message.push(&0u8);
         let publish = ContextPublish::new(NodeId(1), Dest::Node(NodeId(0)), message);
         node.kernel
             .dispatch_and_process(node.control_channel, Event::up(publish), &mut platform);
@@ -781,9 +784,9 @@ mod tests {
         assert_eq!(platform.reconfig_requests.len(), 1);
         let request = &platform.reconfig_requests[0];
         assert_eq!(request.stack_name, "hybrid-mecho-relay0");
-        let config = ChannelConfig::from_xml(&request.description).unwrap();
         for layer in ["recovery", "vsync"] {
-            let spec = config
+            let spec = request
+                .config
                 .layers
                 .iter()
                 .find(|spec| spec.layer == layer)

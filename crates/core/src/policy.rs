@@ -6,7 +6,7 @@ use morpheus_cocaditem::{ContextSnapshot, ContextStore};
 /// The stack configurations the Core subsystem can switch the data channel
 /// between. Each kind corresponds to a trade-off discussed in the paper's
 /// motivation section.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StackKind {
     /// Plain best-effort multicast: one point-to-point message per member.
     /// Adequate for small homogeneous groups.
@@ -47,6 +47,31 @@ impl StackKind {
             StackKind::HybridMecho { relay } => format!("hybrid-mecho-relay{}", relay.0),
             StackKind::Gossip { fanout } => format!("gossip-f{fanout}"),
         }
+    }
+
+    /// The kind a [`StackKind::name`] names, or `None` for any other string
+    /// (an unknown stack, a number with leading zeros, a sign or trailing
+    /// bytes, one that overflows its field).
+    pub fn from_name(name: &str) -> Option<StackKind> {
+        let kind = if let Some(k) = name.strip_prefix("fec-k") {
+            StackKind::ErrorMasking { k: k.parse().ok()? }
+        } else if let Some(relay) = name.strip_prefix("hybrid-mecho-relay") {
+            StackKind::HybridMecho {
+                relay: NodeId(relay.parse().ok()?),
+            }
+        } else if let Some(fanout) = name.strip_prefix("gossip-f") {
+            StackKind::Gossip {
+                fanout: fanout.parse().ok()?,
+            }
+        } else if name == "reliable" {
+            StackKind::Reliable
+        } else {
+            StackKind::BestEffort
+        };
+        // Only the canonical spelling passes: this refuses any other string
+        // that fell through to `BestEffort`, and the `+4` and `04` that
+        // `parse` takes.
+        (kind.name() == name).then_some(kind)
     }
 }
 
@@ -192,6 +217,68 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), kinds.len());
+    }
+
+    #[test]
+    fn every_name_parses_back_to_its_kind() {
+        let kinds = [
+            StackKind::BestEffort,
+            StackKind::Reliable,
+            StackKind::ErrorMasking { k: 4 },
+            StackKind::ErrorMasking { k: 0 },
+            StackKind::ErrorMasking { k: usize::MAX },
+            StackKind::HybridMecho { relay: NodeId(0) },
+            StackKind::HybridMecho { relay: NodeId(17) },
+            StackKind::HybridMecho {
+                relay: NodeId(u32::MAX),
+            },
+            StackKind::Gossip { fanout: 3 },
+            StackKind::Gossip { fanout: usize::MAX },
+        ];
+        for kind in kinds {
+            assert_eq!(StackKind::from_name(&kind.name()), Some(kind), "{kind:?}");
+        }
+        // Every kind the default policy can emit, with its own parameters.
+        let policy = crate::rules::DefaultPolicy::default();
+        for kind in [
+            StackKind::ErrorMasking { k: policy.fec_k },
+            StackKind::Gossip {
+                fanout: policy.gossip_fanout,
+            },
+        ] {
+            assert_eq!(StackKind::from_name(&kind.name()), Some(kind));
+        }
+    }
+
+    #[test]
+    fn anything_but_a_canonical_name_is_refused() {
+        let too_wide = format!("fec-k{}0", usize::MAX);
+        let refused = [
+            "",
+            "garbage",
+            "best-effort ",
+            " reliable",
+            "Reliable",
+            "fec-k",
+            "fec-k04",
+            "fec-k+4",
+            "fec-k-4",
+            "fec-k4x",
+            too_wide.as_str(),
+            "hybrid-mecho-relay",
+            "hybrid-mecho-relay00",
+            "hybrid-mecho-relay4294967296",
+            "hybrid-mecho-relay-1",
+            "gossip-f",
+            "gossip-f3 ",
+            "gossip-f03",
+            "gossip-f3-t6",
+            "gossip-f\u{0}",
+            "hybrid-mecho-relay\u{663}",
+        ];
+        for name in refused {
+            assert_eq!(StackKind::from_name(name), None, "{name:?}");
+        }
     }
 
     fn fixed(node: u32) -> ContextSnapshot {

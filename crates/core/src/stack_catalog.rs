@@ -18,8 +18,10 @@ const GROUP_SHARE_KEY: &str = "group";
 /// a stack replacement — this is what makes the reconfiguration lossless for
 /// the application.
 ///
-/// A commanded description names the stack, not the group: it is a function
-/// of its [`StackKind`] alone, the same bytes at any group size. The
+/// A reconfiguration command carries only the [`StackKind`]'s name; the node
+/// that deploys it renders the channel from its own catalogue. A commanded
+/// description is a function of the kind alone — it names the stack, not
+/// the group — so every node renders the same one at any group size. The
 /// catalogue's membership is the *boot* view, written only into the node's
 /// boot stack — the first data channel, which builds the shared liveness,
 /// recovery and view-synchrony sessions. Every later stack reuses those

@@ -41,7 +41,6 @@ impl Layer for CausalLayer {
             view,
             clock,
             pending: Vec::new(),
-            delayed: 0,
         })
     }
 }
@@ -54,7 +53,6 @@ pub struct CausalSession {
     clock: Vec<u64>,
     // bound: drained as the vector clock advances; flushed wholesale on view install.
     pending: Vec<(CausalHeader, Event)>,
-    delayed: u64,
 }
 
 impl CausalSession {
@@ -142,7 +140,6 @@ impl Session for CausalSession {
                     ctx.forward(event);
                     self.drain_pending(ctx);
                 } else {
-                    self.delayed += 1;
                     // Held past this event: must not pin the packet buffer.
                     event.compact();
                     self.pending.push((header, event));

@@ -41,6 +41,7 @@ use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
 use morpheus_appia::wire::{encode_pooled, Wire};
+use serde::{Deserialize, Serialize};
 
 use crate::events::{
     CatchupRequest, GossipBatch, GossipRepairDigest, GossipRepairFloor, GossipRepairPull,
@@ -130,7 +131,7 @@ struct OutboxEntry {
 
 /// Counters of one gossip session, exposed to the node runtime (and from
 /// there to testbed reports) via the session downcast hook.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GossipStats {
     /// Push-phase forwards performed (first receptions re-pushed while the
     /// TTL lasted).

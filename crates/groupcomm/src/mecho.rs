@@ -83,8 +83,6 @@ impl Layer for MechoLayer {
             members,
             mode: MechoMode::parse(params.get("mode")),
             relay,
-            relayed: 0,
-            group_sends: 0,
         })
     }
 }
@@ -96,8 +94,6 @@ pub struct MechoSession {
     members: Vec<NodeId>,
     mode: MechoMode,
     relay: Option<NodeId>,
-    relayed: u64,
-    group_sends: u64,
 }
 
 impl MechoSession {
@@ -147,7 +143,6 @@ impl Session for MechoSession {
                 let mode = self.effective_mode(ctx);
                 if let Some(data) = event.get_mut::<DataEvent>() {
                     if data.header.dest == Dest::Group {
-                        self.group_sends += 1;
                         let origin = data.header.source;
                         match (mode, self.relay) {
                             (MechoMode::Wireless, Some(relay)) if relay != local => {
@@ -195,7 +190,6 @@ impl Session for MechoSession {
                         });
                         let relayed =
                             DataEvent::new(header.origin, Dest::Nodes(recipients), relayed_message);
-                        self.relayed += 1;
                         ctx.dispatch(Event::down(relayed));
                     }
                 }

@@ -57,8 +57,6 @@ impl Layer for ReliableLayer {
             next_seq: 0,
             sent: BTreeMap::new(),
             incoming: BTreeMap::new(),
-            retransmissions: 0,
-            nacks_sent: 0,
         })
     }
 }
@@ -81,8 +79,6 @@ pub struct ReliableSession {
     // state (det:map-iter).
     // bound: one entry per origin in the group; each per-origin reorder buffer drains as NACK repair fills its gaps.
     incoming: BTreeMap<NodeId, IncomingState>,
-    retransmissions: u64,
-    nacks_sent: u64,
 }
 
 impl ReliableSession {
@@ -110,7 +106,6 @@ impl ReliableSession {
                 origin: local,
                 missing,
             });
-            self.nacks_sent += 1;
             ctx.dispatch(Event::down(NackRequest::new(
                 local,
                 Dest::Node(origin),
@@ -169,7 +164,6 @@ impl Session for ReliableSession {
             let local = ctx.node_id();
             for seq in header.missing {
                 if let Some(stored) = self.sent.get(&seq) {
-                    self.retransmissions += 1;
                     ctx.dispatch(Event::down(DataEvent::new(
                         local,
                         Dest::Node(requester),

@@ -172,8 +172,6 @@ pub struct Engine<P: Ord + Copy> {
     promised: Ballot,
     /// The in-flight round, if any.
     round: Option<Round<P>>,
-    /// Rounds opened over the engine's lifetime.
-    pub opened: u64,
     /// Rounds aborted (timeout, suspicion, or a stronger ballot).
     pub aborted: u64,
 }
@@ -190,7 +188,6 @@ impl<P: Ord + Copy> Engine<P> {
         Self {
             promised: Ballot::ZERO,
             round: None,
-            opened: 0,
             aborted: 0,
         }
     }
@@ -254,7 +251,6 @@ impl<P: Ord + Copy> Engine<P> {
             started_at_ms: now_ms,
             retransmits: 0,
         });
-        self.opened += 1;
     }
 
     /// Adopts `ballot` as the strongest seen if it beats the current

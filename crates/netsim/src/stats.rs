@@ -221,11 +221,6 @@ impl NetworkStats {
     pub fn total_fault_dropped(&self) -> u64 {
         self.nodes().map(|stats| stats.fault_dropped).sum()
     }
-
-    /// Clears every counter (used between benchmark repetitions).
-    pub fn reset(&mut self) {
-        self.per_node.clear();
-    }
 }
 
 #[cfg(test)]
@@ -279,8 +274,5 @@ mod tests {
         assert!(stats.node(NodeId(9)).is_none());
         assert_eq!(stats.node_or_default(NodeId(9)).total_sent(), 0);
         assert_eq!(stats.iter().count(), 2);
-
-        stats.reset();
-        assert_eq!(stats.total_sent(), 0);
     }
 }

@@ -125,6 +125,7 @@ impl Platform for SimPlatform {
 #[cfg(test)]
 mod tests {
     use morpheus_appia::channel::ChannelId;
+    use morpheus_appia::config::{ChannelConfig, LayerSpec};
     use morpheus_appia::platform::{DeliveryKind, PacketClass, PacketDest};
 
     use super::*;
@@ -152,7 +153,7 @@ mod tests {
         platform.request_reconfiguration(ReconfigRequest {
             channel: "data".into(),
             stack_name: "s".into(),
-            description: "<channel name=\"data\"><layer name=\"network\"/></channel>".into(),
+            config: ChannelConfig::new("data").with_layer(LayerSpec::new("network")),
             epoch: 1,
             coordinator: NodeId(0),
         });

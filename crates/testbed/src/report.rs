@@ -165,36 +165,9 @@ pub struct NodeReport {
 }
 
 /// End-of-run counters of one node's epidemic (gossip) data stack: the
-/// push phase plus the NACK/anti-entropy repair pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct GossipReport {
-    /// Push-phase forwards performed.
-    pub forwarded: u64,
-    /// Push-phase duplicates suppressed.
-    pub duplicates: u64,
-    /// Repair digests gossiped.
-    pub repair_digests: u64,
-    /// NACK pulls sent.
-    pub repair_pulls: u64,
-    /// Message identifiers requested across all pulls.
-    pub repair_pulled_seqs: u64,
-    /// Logged messages served in answer to pulls.
-    pub repair_pushes: u64,
-    /// Messages delivered through the repair pass (gaps the push phase
-    /// missed).
-    pub repaired_deliveries: u64,
-    /// Late duplicates suppressed by the delivery tracker.
-    pub late_duplicates: u64,
-    /// Pushes left waiting in the outbox by a flush because the peer was
-    /// out of credit (backpressure at work, not a loss).
-    pub deferred_pushes: u64,
-    /// Pushes shed at the outbox cap (drop-newest; recoverable via repair).
-    pub outbox_shed: u64,
-    /// Repair-floor answers that escalated to a snapshot catch-up.
-    pub floor_escalations: u64,
-    /// Pull responses refused by the per-interval push rate limit.
-    pub rate_limited_pushes: u64,
-}
+/// push phase plus the NACK/anti-entropy repair pass, as the session counts
+/// them.
+pub use morpheus_groupcomm::gossip::GossipStats as GossipReport;
 
 impl NodeReport {
     /// Total messages transmitted by this node, all classes included — the

@@ -19,8 +19,7 @@ use morpheus_netsim::{
 
 use crate::platform::SimPlatform;
 use crate::report::{
-    GossipReport, NodeReport, RejoinReport, RoundReport, RunReport, WedgeReport, WireBytes,
-    WireEventBytes,
+    NodeReport, RejoinReport, RoundReport, RunReport, WedgeReport, WireBytes, WireEventBytes,
 };
 use crate::scenario::{Scenario, TopologyChoice};
 
@@ -675,7 +674,7 @@ fn live_views_disagree(
 /// The node options every incarnation of a scenario node is built with.
 fn node_options(scenario: &Scenario, members: &[NodeId], rejoining: bool) -> NodeOptions {
     let mut options = NodeOptions::new(members.to_vec())
-        .with_initial_stack(scenario.initial_stack.clone())
+        .with_initial_stack(scenario.initial_stack)
         .with_publish_interval(scenario.publish_interval_ms);
     options.adaptive = scenario.adaptive;
     options.hb_interval_ms = scenario.hb_interval_ms;
@@ -1036,20 +1035,7 @@ fn build_report(
             rejoin: tally.rejoin.clone(),
             catchups: tally.catchups,
             buffer_shed: node.recovery_buffer_shed().unwrap_or(0),
-            gossip: node.gossip_stats().map(|stats| GossipReport {
-                forwarded: stats.forwarded,
-                duplicates: stats.duplicates,
-                repair_digests: stats.repair_digests,
-                repair_pulls: stats.repair_pulls,
-                repair_pulled_seqs: stats.repair_pulled_seqs,
-                repair_pushes: stats.repair_pushes,
-                repaired_deliveries: stats.repaired_deliveries,
-                late_duplicates: stats.late_duplicates,
-                deferred_pushes: stats.deferred_pushes,
-                outbox_shed: stats.outbox_shed,
-                floor_escalations: stats.floor_escalations,
-                rate_limited_pushes: stats.rate_limited_pushes,
-            }),
+            gossip: node.gossip_stats(),
         });
     }
     let stats = network.stats();

@@ -222,6 +222,39 @@ fn a_crashed_member_does_not_wedge_an_in_flight_round() {
     assert_eq!(report.total_app_deliveries(), 150 * 3);
 }
 
+/// A command names its stack; each node renders the channel description
+/// from its own catalogue, so no description crosses the wire. The tally
+/// sums bytes per event type, so the bound is on the mean packet; every
+/// round of this run names one stack under an 8-byte epoch from one
+/// coordinator, so every command packet has that one size.
+#[test]
+fn a_reconfiguration_command_fits_in_64_bytes() {
+    let report = Runner::new().run(&adaptive_scenario(9, 50));
+    let rounds = report.completed_rounds();
+    assert!(!rounds.is_empty(), "the hybrid group adapted");
+    for round in &rounds {
+        assert!(
+            round.stack.starts_with("hybrid-mecho-relay"),
+            "{}",
+            round.stack
+        );
+        assert_eq!(round.stack, rounds[0].stack);
+    }
+    let commands = report
+        .wire_events
+        .iter()
+        .find(|event| event.name == "ReconfigCommand")
+        .expect("the coordinator sent commands");
+    assert!(commands.packets > 0);
+    assert_eq!(commands.bytes % commands.packets, 0, "one packet size");
+    assert!(
+        commands.bytes <= 64 * commands.packets,
+        "{} B in {} packets",
+        commands.bytes,
+        commands.packets
+    );
+}
+
 /// A sender whose `ReconfigCommand` is lost keeps sending on the old stack
 /// until the coordinator's retransmit reaches it. At seed 2945101225 of the
 /// benchmark's `quiet_restart` group (200 members, 10 % control loss), node

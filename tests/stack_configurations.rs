@@ -99,7 +99,7 @@ fn a_node_can_be_reconfigured_from_one_figure_2_stack_to_the_other() {
         morpheus::appia::platform::ReconfigRequest {
             channel: "data".into(),
             stack_name: "hybrid-mecho-relay0".into(),
-            description: hybrid.to_xml(),
+            config: hybrid,
             epoch: 1,
             coordinator: NodeId(0),
         },
