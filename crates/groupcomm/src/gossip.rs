@@ -24,7 +24,13 @@
 //!
 //! Every push, an own send and a relay alike, leaves through a per-peer
 //! outbox as an aggregated [`GossipBatch`], paced by receiver-granted
-//! credits that ride on the repair digests.
+//! credits that ride on the repair digests. The pushes of one simulated
+//! instant share their peers, as in round-based gossip (Eugster et al.,
+//! "Lightweight Probabilistic Broadcast"): the instant's first push draws
+//! `fanout + 2` members, and each push goes to the first `fanout` of them
+//! that are neither its message's origin nor the peer it arrived from. So
+//! what a node pushes in one instant fills a few batches instead of
+//! scattering one message a packet over the group.
 //!
 //! Both phases check duplicates in one place: the per-stream delivery
 //! tracker ([`Delivered`]), a contiguous floor plus the few sequence
@@ -52,7 +58,7 @@ use crate::headers::{
     RepairRange,
 };
 use crate::repair::{Delivered, RepairLog, StreamKey};
-use crate::sample::{slot_of, slot_table, Sampler};
+use crate::sample::{shuffle_slots, slot_of, slot_table, Sampler};
 
 /// Registered name of the gossip multicast layer.
 pub const GOSSIP_LAYER: &str = "gossip";
@@ -173,7 +179,9 @@ pub struct GossipStats {
 /// Parameters:
 ///
 /// * `members` — comma-separated initial membership;
-/// * `fanout` — number of random targets per push (default 3);
+/// * `fanout` — number of random targets per push (default 3), picked
+///   from a draw of `fanout + 2` members shared by every push of one
+///   simulated instant;
 /// * `repair_interval_ms` — cadence of the repair digest gossip (default
 ///   1000 ms; `0` disables the repair pass, and with it the credit
 ///   backpressure whose grants ride on its digests).
@@ -293,10 +301,18 @@ pub struct GossipSession {
     // bound: one value per position in `members`; carried over on every view install.
     granted: Vec<u32>,
     flush_timer: Option<u64>,
-    /// Scratch for the slots of the push targets drawn on every send and
-    /// push arrival.
+    /// Scratch for the slots of one push's targets (picked from `window`)
+    /// and of the repair tick's digest targets.
     // bound: <= `fanout`; overwritten by every sample.
     push_targets: Vec<u32>,
+    /// The slots of the `fanout + 2` peers every push of one instant picks
+    /// its targets from, so that instant's pushes share their peers and
+    /// fill their batches; the `+ 2` covers a relay's origin and sender.
+    // bound: <= `fanout + 2`; redrawn at every new instant, cleared on every view install.
+    window: Vec<u32>,
+    /// The instant `window` was drawn at: `None` until the first push and
+    /// after a view install.
+    window_ms: Option<u64>,
     /// Scratch of the peer draw, which builds no pool of members.
     // bound: scratch lists of <= 2 x `fanout` entries, or <= view size for a member list with repeats; cleared by every draw (see `Sampler`).
     sampler: Sampler,
@@ -342,6 +358,8 @@ impl GossipSession {
             outbox_arrivals: 0,
             flush_timer: None,
             push_targets: Vec::new(),
+            window: Vec::new(),
+            window_ms: None,
             sampler: Sampler::default(),
             digest_rows: Vec::new(),
             batch_entries: Vec::new(),
@@ -451,13 +469,45 @@ impl GossipSession {
     }
 
     /// Draws the slots of up to `fanout` members not in `exclude` into the
-    /// `push_targets` scratch.
+    /// `push_targets` scratch: the repair tick's digest targets, drawn
+    /// afresh on every tick.
     fn draw_push_targets(&mut self, exclude: &[NodeId], ctx: &mut EventContext<'_>) {
         let rng = &mut || ctx.random_u64();
         let (members, slots) = (&self.members, &self.member_slots);
         let targets = &mut self.push_targets;
         self.sampler
             .draw_slots_into(members, slots, exclude, self.fanout, rng, targets);
+    }
+
+    /// Picks the targets of one push into `push_targets`: the first
+    /// `fanout` peers of this instant's window not in `skip` (a relay skips
+    /// its message's origin and the peer it arrived from). The first push
+    /// of an instant draws the window, `fanout + 2` members other than this
+    /// node.
+    fn draw_window_targets(&mut self, skip: &[NodeId], ctx: &mut EventContext<'_>) {
+        let now = ctx.now_ms();
+        if self.window_ms != Some(now) {
+            let (local, limit) = ([ctx.node_id()], self.fanout + 2);
+            let rng = &mut || ctx.random_u64();
+            let (members, slots) = (&self.members, &self.member_slots);
+            self.sampler
+                .draw_slots_into(members, slots, &local, limit, rng, &mut self.window);
+            // A draw from no more members than its limit returns them all in
+            // member order: shuffled, a group of a few more than `fanout`
+            // members does not favour its first ones.
+            if self.window.len() > self.fanout && slots.len() <= limit + 1 {
+                shuffle_slots(&mut self.window, rng);
+            }
+            self.window_ms = Some(now);
+        }
+        let members = &self.members;
+        let kept = self.window.iter().filter(|slot| {
+            members
+                .get(**slot as usize)
+                .is_some_and(|member| !skip.contains(member))
+        });
+        self.push_targets.clear();
+        self.push_targets.extend(kept.take(self.fanout));
     }
 
     /// The members at the slots `push_targets` holds, in a list of their
@@ -697,8 +747,8 @@ impl GossipSession {
         self.log_store(key, header.seq, frame.clone(), ctx.now_ms());
         if header.ttl > 0 {
             // The sender plainly has the message too — relaying back to it
-            // is a guaranteed duplicate, so it joins the exclusion list.
-            self.draw_push_targets(&[local, header.origin, from], ctx);
+            // is a guaranteed duplicate, so it is skipped with the origin.
+            self.draw_window_targets(&[header.origin, from], ctx);
             if !self.push_targets.is_empty() {
                 self.stats.forwarded += 1;
                 let relay = GossipHeader {
@@ -1049,6 +1099,7 @@ impl Session for GossipSession {
 
         if let Some(install) = event.get::<ViewInstall>() {
             self.members = install.view.members.clone();
+            self.window_ms = None;
             self.ttl = derived_gossip_ttl(self.members.len(), self.fanout);
             let old_slots = std::mem::take(&mut self.member_slots);
             slot_table(&self.members, &mut self.member_slots);
@@ -1171,7 +1222,6 @@ impl Session for GossipSession {
 
         match event.direction {
             Direction::Down => {
-                let local = ctx.node_id();
                 if let Some(data) = event.get_mut::<DataEvent>() {
                     if data.header.dest == Dest::Group {
                         self.ensure_inc(ctx);
@@ -1190,7 +1240,7 @@ impl Session for GossipSession {
                         self.record_delivered(header.origin, header.inc, header.seq);
                         let key = (header.origin, header.inc);
                         self.log_store(key, header.seq, original.clone(), ctx.now_ms());
-                        self.draw_push_targets(&[local], ctx);
+                        self.draw_window_targets(&[], ctx);
                         self.push_to_drawn(header, &original, ctx);
                         return;
                     }
@@ -2289,7 +2339,7 @@ mod tests {
     fn flush(gossip: &mut Harness, platform: &mut TestPlatform) -> Vec<(NodeId, Vec<u64>)> {
         let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut platform.timers)
             .into_iter()
-            .partition(|(deadline, _)| *deadline == 0);
+            .partition(|(deadline, _)| *deadline <= platform.now_ms);
         platform.timers = later;
         for (_, key) in due {
             gossip.fire_timer(key, platform);
@@ -2368,6 +2418,105 @@ mod tests {
             pushed.extend(seqs);
         }
         assert_eq!(pushed.len(), 12, "six sends at fanout 2");
+    }
+
+    /// Every push of one instant, own sends and relays alike, goes to peers
+    /// of one `fanout + 2` draw, skipping each relay's origin and sender;
+    /// the next instant draws again.
+    #[test]
+    fn one_instants_pushes_share_a_window_that_skips_origin_and_sender() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let members = (0..20).map(|id| id.to_string()).collect::<Vec<_>>();
+        let mut gossip = batching_harness(
+            &mut platform,
+            &members.join(","),
+            &[("fanout", "3"), ("repair_interval_ms", "0")],
+        );
+        // Relays of 20 messages per instant, each from its own
+        // (origin, sender) pair, then one own send (seq 1, 2, ...): who sent
+        // each relay, by seq.
+        let others: Vec<u32> = (0..20).filter(|id| *id != 1).collect();
+        let mut windows: Vec<Vec<NodeId>> = Vec::new();
+        for instant in 0..4u64 {
+            platform.now_ms = instant;
+            let mut skipped: HashMap<u64, [NodeId; 2]> = HashMap::default();
+            for index in 0..20usize {
+                let seq = 1_000 * (instant + 1) + index as u64;
+                let origin = others[(index + instant as usize) % others.len()];
+                let from = others[(index * 7 + 3) % others.len()];
+                let header = GossipHeader {
+                    origin: NodeId(origin),
+                    inc: 5,
+                    seq,
+                    ttl: 2,
+                };
+                let entries = vec![(header, Message::with_payload(&b"x"[..]))];
+                let mut message = Message::new();
+                message.push(&GossipBatchBody { entries });
+                let to = Dest::Node(NodeId(1));
+                gossip.run_up(
+                    Event::up(GossipBatch::new(NodeId(from), to, message)),
+                    &mut platform,
+                );
+                skipped.insert(seq, [NodeId(origin), NodeId(from)]);
+            }
+            send_to_group(&mut gossip, &mut platform, 1);
+            let mut copies: HashMap<u64, usize> = HashMap::default();
+            let mut peers: Vec<NodeId> = Vec::new();
+            for (peer, seqs) in flush(&mut gossip, &mut platform) {
+                peers.push(peer);
+                for seq in seqs {
+                    *copies.entry(seq).or_default() += 1;
+                    assert!(
+                        !skipped.get(&seq).is_some_and(|skip| skip.contains(&peer)),
+                        "instant {instant}: seq {seq} relayed to its origin or sender {peer:?}"
+                    );
+                }
+            }
+            peers.sort_unstable();
+            peers.dedup();
+            assert!(
+                peers.len() <= 3 + 2 && !peers.contains(&NodeId(1)),
+                "instant {instant}: pushes went to {peers:?}"
+            );
+            assert_eq!(copies.len(), 21, "instant {instant}: every message pushed");
+            assert!(
+                copies.values().all(|count| *count == 3),
+                "instant {instant}: every message reached `fanout` peers"
+            );
+            windows.push(peers);
+        }
+        windows.dedup();
+        assert!(windows.len() > 1, "every instant draws again: {windows:?}");
+    }
+
+    /// In a group of `fanout + 3` members the instant's window holds every
+    /// other member; it is shuffled, so own sends still reach each of them
+    /// first-hand, not only the first `fanout` in member order.
+    #[test]
+    fn a_group_just_above_fanout_spreads_its_pushes_over_every_peer() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut gossip = batching_harness(
+            &mut platform,
+            "0,1,2,3,4,5",
+            &[("fanout", "3"), ("repair_interval_ms", "0")],
+        );
+        let mut reached = [0usize; 6];
+        for instant in 0..30 {
+            platform.now_ms = instant;
+            send_to_group(&mut gossip, &mut platform, 2);
+            let batches = flush(&mut gossip, &mut platform);
+            assert_eq!(batches.len(), 3, "instant {instant}: `fanout` peers");
+            for (peer, seqs) in batches {
+                assert_eq!(seqs.len(), 2, "both sends of the instant");
+                reached[peer.0 as usize] += 1;
+            }
+        }
+        assert_eq!(reached[0], 0, "never itself");
+        assert!(
+            reached[1..].iter().all(|count| *count >= 5),
+            "every peer is drawn: {reached:?}"
+        );
     }
 
     /// A flush sends what the credit covers and keeps the rest queued, in

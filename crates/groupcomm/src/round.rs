@@ -172,8 +172,6 @@ pub struct Engine<P: Ord + Copy> {
     promised: Ballot,
     /// The in-flight round, if any.
     round: Option<Round<P>>,
-    /// Rounds aborted (timeout, suspicion, or a stronger ballot).
-    pub aborted: u64,
 }
 
 impl<P: Ord + Copy> Default for Engine<P> {
@@ -188,7 +186,6 @@ impl<P: Ord + Copy> Engine<P> {
         Self {
             promised: Ballot::ZERO,
             round: None,
-            aborted: 0,
         }
     }
 
@@ -294,11 +291,7 @@ impl<P: Ord + Copy> Engine<P> {
     /// Aborts the in-flight round, preserving the epoch (monotonicity: the
     /// re-propose opens above it). Returns the aborted round.
     pub fn abort(&mut self) -> Option<Round<P>> {
-        let round = self.round.take();
-        if round.is_some() {
-            self.aborted += 1;
-        }
-        round
+        self.round.take()
     }
 
     /// Completes (takes) the in-flight round on commit.
@@ -486,7 +479,6 @@ mod tests {
         assert!(engine.in_flight());
         engine.abort();
         assert_eq!(engine.tick(5_000, 4_000), Tick::Idle);
-        assert_eq!(engine.aborted, 1);
     }
 
     #[test]

@@ -44,6 +44,12 @@ pub(crate) fn shuffle_into(
     shuffle_prefix(len, len.saturating_sub(1), rng, |a, b| pool.swap(a, b));
 }
 
+/// Puts `slots` in a uniformly random order.
+pub(crate) fn shuffle_slots(slots: &mut [u32], rng: &mut impl FnMut() -> u64) {
+    let len = slots.len();
+    shuffle_prefix(len, len.saturating_sub(1), rng, |a, b| slots.swap(a, b));
+}
+
 /// Every member not in `exclude` into `pool` (cleared first), in order.
 fn fill_pool(members: &[NodeId], exclude: &[NodeId], pool: &mut Vec<NodeId>) {
     pool.clear();

@@ -11,6 +11,11 @@
 //! Each row is one sendable event type: packets and bytes (framing
 //! included) summed over every node, bytes per node, and the share of the
 //! run's bytes. Packets the runner drops for injected loss are not counted.
+//! Under each table, the push entries that arrived (application
+//! deliveries, less those the repair pass made, plus refused duplicates)
+//! per `GossipBatch` packet: how full the gossip layer's batches leave.
+//! Deliveries made before the group switched to the gossip stack count
+//! too, so on `member_restart` the figure reads a little high.
 //!
 //! Run with `cargo run --release --example wire_events`.
 
@@ -43,6 +48,18 @@ fn print_table(title: &str, report: &RunReport) {
             .map(|event| event.packets)
             .sum::<u64>(),
         total / nodes.max(1)
+    );
+    let gossip = report.gossip_totals();
+    let entries = report.total_app_deliveries() - gossip.repaired_deliveries + gossip.duplicates;
+    let batches: u64 = report
+        .wire_events
+        .iter()
+        .filter(|event| event.name == "GossipBatch")
+        .map(|event| event.packets)
+        .sum();
+    println!(
+        "`GossipBatch`: {entries} push entries arrived in {batches} packets, {:.3} per packet",
+        entries as f64 / batches.max(1) as f64
     );
 }
 

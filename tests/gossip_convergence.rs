@@ -159,6 +159,38 @@ fn the_repair_pass_closes_ten_percent_data_loss_with_every_member_sending() {
 }
 
 #[test]
+fn one_instants_pushes_share_their_peers_and_fill_their_batches() {
+    // All fifty members sending: a node relays dozens of messages in one
+    // simulated instant. Pushes that each drew their own peers scattered
+    // over the group and left about 1.24 messages per `GossipBatch` packet;
+    // drawn once per instant, they share their targets and the batches fill
+    // (about 2.93 at seeds 1 to 3).
+    for seed in 1..=3 {
+        let scenario = Scenario::chat_fanin(50, 50)
+            .with_data_loss(0.1)
+            .with_seed(seed);
+        let report = Runner::new().run(&scenario);
+        let coverage = report.delivery_coverage(50, scenario.workload.messages_per_sender);
+        assert_eq!(coverage, 1.0, "seed {seed}: every message reached everyone");
+        let gossip = report.gossip_totals();
+        // Every push-path arrival is a first delivery or a refused duplicate.
+        let arrivals =
+            report.total_app_deliveries() - gossip.repaired_deliveries + gossip.duplicates;
+        let batches: u64 = report
+            .wire_events
+            .iter()
+            .filter(|event| event.name == "GossipBatch")
+            .map(|event| event.packets)
+            .sum();
+        let per_batch = arrivals as f64 / batches.max(1) as f64;
+        assert!(
+            per_batch >= 2.5,
+            "seed {seed}: {per_batch:.3} pushed messages per batch ({arrivals} / {batches})"
+        );
+    }
+}
+
+#[test]
 fn sustained_overload_sheds_data_gracefully_without_wedging() {
     // Every member sends at twice the configured service rate for 10 s
     // against a deliberately small event-queue cap. The acceptance shape is
@@ -168,8 +200,12 @@ fn sustained_overload_sheds_data_gracefully_without_wedging() {
     // run neither wedges nor crashes a node.
     let mut scenario = Scenario::sustained_overload(50, 50, 10_000);
     // Sized against the queue this load builds: 4,000 engaged the shed path
-    // while every node ran two failure detectors, and no longer does with one.
-    scenario.wedge_queue_cap = 3_500;
+    // while every node ran two failure detectors, and no longer does with one;
+    // 3,500 engaged it while every push drew its own peers, and no longer does
+    // now that one instant's pushes share theirs (shed 0, depth 4,498). At
+    // 2,700 it sheds 608 at a depth of 4,672; 2,500 and below break the
+    // `2 × cap` envelope (depth 5,213 at 2,500).
+    scenario.wedge_queue_cap = 2_700;
     let report = Runner::new().run(&scenario);
 
     assert!(
