@@ -471,9 +471,9 @@ mod tests {
         use morpheus_appia::registry::wire_tag;
         use morpheus_cocaditem::{ContextBatch, ContextDigest, ContextPull};
         use morpheus_groupcomm::events::{
-            FecParity, FlushAck, GossipBatch, GossipRepairDigest, GossipRepairFloor,
-            GossipRepairPull, GossipRepairPush, JoinRequest, NackRequest, OrderInfo, StaleBallot,
-            ViewCommit, ViewPrepare,
+            FecParity, FlushAck, GossipBatch, GossipRepairDigest, GossipRepairPull,
+            GossipRepairPush, JoinRequest, NackRequest, OrderInfo, StaleBallot, ViewCommit,
+            ViewPrepare,
         };
         use morpheus_groupcomm::recovery::{StateChunk, StateRequest};
 
@@ -486,7 +486,6 @@ mod tests {
             (GossipRepairDigest::WIRE_NAME, GossipRepairDigest::WIRE_TAG),
             (GossipRepairPull::WIRE_NAME, GossipRepairPull::WIRE_TAG),
             (GossipRepairPush::WIRE_NAME, GossipRepairPush::WIRE_TAG),
-            (GossipRepairFloor::WIRE_NAME, GossipRepairFloor::WIRE_TAG),
             (GossipBatch::WIRE_NAME, GossipBatch::WIRE_TAG),
             (ViewPrepare::WIRE_NAME, ViewPrepare::WIRE_TAG),
             (FlushAck::WIRE_NAME, FlushAck::WIRE_TAG),

@@ -76,15 +76,6 @@ sendable_event! {
 }
 
 sendable_event! {
-    /// Retention fall-through answer to a [`GossipRepairPull`] that asked
-    /// for sequence numbers older than the responder's repair-log floor
-    /// (header: [`crate::headers::RepairFloorBody`]). Tells the puller NACK
-    /// repair can never close that gap; the puller escalates to a targeted
-    /// state-section pull against the responder instead.
-    pub struct GossipRepairFloor, class: Repair
-}
-
-sendable_event! {
     /// Up to four app messages aggregated into one gossip packet (header:
     /// [`crate::headers::GossipBatchBody`]): the only form a gossip push
     /// travels in. Data class: batches carry application payloads and must
@@ -160,14 +151,14 @@ internal_event! {
 }
 
 internal_event! {
-    /// Raised *up* the stack by the gossip layer when a
-    /// [`GossipRepairFloor`] told it a missed span was evicted from every
-    /// reachable repair log. The recovery layer above answers with a
-    /// targeted state-section pull against the donor — snapshot catch-up
-    /// without a view change or stack teardown.
+    /// Raised *up* the stack by the gossip layer when a missed span has
+    /// stayed above its delivery floor in peers' digests for two repair-log
+    /// TTLs: it was evicted from every reachable repair log. The recovery
+    /// layer above answers with a targeted state-section pull against the
+    /// donor — snapshot catch-up without a view change or stack teardown.
     pub struct CatchupRequest {
-        /// The member whose repair log floored the pull: known complete up
-        /// to its digest, so it serves as the snapshot donor.
+        /// The last member whose digest advertised the span's floor: known
+        /// complete up to that digest, so it serves as the snapshot donor.
         pub donor: NodeId,
     }
     categories: [Internal]

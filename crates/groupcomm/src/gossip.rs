@@ -20,12 +20,14 @@
 //!    `REPAIR_PULL_BUDGET` digest senders and `REPAIR_WINDOW` messages per
 //!    interval); the peer answers with the logged originals
 //!    ([`GossipRepairPush`]). Coverage converges to 100% shortly after the
-//!    push phase tops out, without ever re-delivering.
+//!    push phase tops out, without ever re-delivering. A gap that peers'
+//!    digests keep advertising above this member's delivery floor for two
+//!    log TTLs is beyond repair: the stream is fast-forwarded past it and
+//!    the recovery layer above fetches a snapshot ([`CatchupRequest`]).
 //!
 //! Every push, an own send and a relay alike, leaves through a per-peer
-//! outbox as an aggregated [`GossipBatch`], paced by receiver-granted
-//! credits that ride on the repair digests. The pushes of one simulated
-//! instant share their peers, as in round-based gossip (Eugster et al.,
+//! outbox as an aggregated [`GossipBatch`] on the instant's zero-delay
+//! flush. The pushes of one simulated instant share their peers, as in round-based gossip (Eugster et al.,
 //! "Lightweight Probabilistic Broadcast"): the instant's first push draws
 //! `fanout + 2` members, and each push goes to the first `fanout` of them
 //! that are neither its message's origin nor the peer it arrived from. So
@@ -50,12 +52,11 @@ use morpheus_appia::wire::{encode_pooled, Wire};
 use serde::{Deserialize, Serialize};
 
 use crate::events::{
-    CatchupRequest, GossipBatch, GossipRepairDigest, GossipRepairFloor, GossipRepairPull,
-    GossipRepairPush, ViewInstall,
+    CatchupRequest, GossipBatch, GossipRepairDigest, GossipRepairPull, GossipRepairPush,
+    ViewInstall,
 };
 use crate::headers::{
-    GossipBatchBody, GossipHeader, RepairDigest, RepairFloorBody, RepairPull, RepairPushHeader,
-    RepairRange,
+    GossipBatchBody, GossipHeader, RepairDigest, RepairPull, RepairPushHeader, RepairRange,
 };
 use crate::repair::{Delivered, RepairLog, StreamKey};
 use crate::sample::{shuffle_slots, slot_of, slot_table, Sampler};
@@ -88,17 +89,13 @@ const REPAIR_WINDOW: usize = 64;
 /// does not cost a whole extra interval).
 const REPAIR_PULL_BUDGET: usize = 2;
 
-/// Per-peer credit window: how many pushes a sender may stream to one peer
-/// before it must wait for a re-grant (piggybacked on [`RepairDigest`]).
-const CREDIT_WINDOW: u32 = 128;
-
 /// App messages aggregated per [`GossipBatch`] packet.
 const BATCH_MAX: usize = 4;
 
-/// Per-peer outbox cap. Beyond it the newest pushes are shed — they are
-/// already in the repair log, so the digest-announce + pull path recovers
-/// them.
-const OUTBOX_CAP: usize = 4 * CREDIT_WINDOW as usize;
+/// Per-peer cap on the pushes one instant may queue. Beyond it the newest
+/// pushes are shed — they are already in the repair log, so the
+/// digest-announce + pull path recovers them.
+const OUTBOX_CAP: usize = 512;
 
 /// The push TTL a group of `group_size` members gets at the given fan-out:
 /// the number of forwarding rounds after which `fanout^rounds >= n`, plus
@@ -160,15 +157,15 @@ pub struct GossipStats {
     /// Repair pushes of messages already delivered (by the push phase or an
     /// earlier repair), refused by the delivery tracker.
     pub late_duplicates: u64,
-    /// Push-flush deferrals: messages left waiting in a per-peer outbox at
-    /// a flush because the peer's credit was exhausted (one count per
-    /// message per flush attempt).
+    /// Pushes a flush left queued. Always 0: every flush sends the whole
+    /// outbox. The field stays for the reports that read it.
     pub deferred_pushes: u64,
     /// Pushes shed from a full per-peer outbox (drop-newest; the shed
     /// messages stay recoverable through the repair log).
     pub outbox_shed: u64,
-    /// Retention fall-throughs: `RepairFloor` answers that fast-forwarded a
-    /// stream past an un-servable span and escalated to a snapshot catch-up.
+    /// Retention fall-throughs: digest breaches that outlived two repair-log
+    /// TTLs, fast-forwarded their stream past the un-servable span and
+    /// escalated to a snapshot catch-up.
     pub floor_escalations: u64,
     /// Repair-pull answers cut short by the per-interval push rate limit.
     pub rate_limited_pushes: u64,
@@ -183,14 +180,14 @@ pub struct GossipStats {
 ///   from a draw of `fanout + 2` members shared by every push of one
 ///   simulated instant;
 /// * `repair_interval_ms` — cadence of the repair digest gossip (default
-///   1000 ms; `0` disables the repair pass, and with it the credit
-///   backpressure whose grants ride on its digests).
+///   1000 ms; `0` disables the repair pass, and with it the repair log and
+///   the catch-up escalation).
 ///
 /// The push TTL — the forwarding rounds a message survives — is no
 /// parameter: the session derives it from its view and fan-out
 /// ([`derived_gossip_ttl`]) at creation and on every view install. The
-/// repair log's bounds, the pull and push budgets, the credit window and
-/// the batch size are constants of this module.
+/// repair log's bounds, the pull and push budgets, the outbox cap and the
+/// batch size are constants of this module.
 pub struct GossipLayer;
 
 impl Layer for GossipLayer {
@@ -207,7 +204,6 @@ impl Layer for GossipLayer {
             EventSpec::of::<GossipRepairDigest>(),
             EventSpec::of::<GossipRepairPull>(),
             EventSpec::of::<GossipRepairPush>(),
-            EventSpec::of::<GossipRepairFloor>(),
             EventSpec::of::<GossipBatch>(),
         ]
     }
@@ -218,7 +214,6 @@ impl Layer for GossipLayer {
             "GossipRepairDigest",
             "GossipRepairPull",
             "GossipRepairPush",
-            "GossipRepairFloor",
             "GossipBatch",
             "CatchupRequest",
         ]
@@ -279,27 +274,17 @@ pub struct GossipSession {
     pulls_this_interval: usize,
     pushes_this_interval: usize,
     repair_timer: Option<u64>,
-    /// Deferred pushes to every peer in one list, flushed as aggregated
-    /// batches on the zero-delay flush timer once credit allows. Wire-form
-    /// messages, like the log (whose buffers they share): a credit-starved
-    /// entry waits here for whole repair intervals. The list keeps its
-    /// capacity across flushes, so queueing a push allocates nothing.
-    // bound: <= `OUTBOX_CAP` entries per member (drop-newest, counted in `outbox_shed`); expelled peers' entries pruned on view install.
+    /// The instant's pushes to every peer in one list, sent as aggregated
+    /// batches by the zero-delay flush timer. Wire-form messages, like the
+    /// log, whose buffers they share. The list keeps its capacity across
+    /// flushes, so queueing a push allocates nothing.
+    // bound: <= `OUTBOX_CAP` entries per member (drop-newest, counted in `outbox_shed`); emptied by every flush, expelled peers' entries pruned on view install.
     outbox: Vec<OutboxEntry>,
     /// Entries waiting in `outbox` per peer, indexed by the peer's slot.
     // bound: one counter per position in `members`; resized on every view install.
     outbox_pending: Vec<usize>,
     /// Arrival stamp of the next outbox entry.
     outbox_arrivals: u64,
-    /// Send-side credit remaining per peer, indexed by slot, refilled by
-    /// digest grants. A peer starts with a full window.
-    // bound: one value per position in `members`; carried over on every view install.
-    credits: Vec<u32>,
-    /// Receive-side remainder of the credit last granted to each peer,
-    /// indexed by slot; when it falls to half the window a fresh grant is
-    /// sent.
-    // bound: one value per position in `members`; carried over on every view install.
-    granted: Vec<u32>,
     flush_timer: Option<u64>,
     /// Scratch for the slots of one push's targets (picked from `window`)
     /// and of the repair tick's digest targets.
@@ -338,8 +323,6 @@ impl GossipSession {
         Self {
             member_slots,
             outbox_pending: vec![0; members.len()],
-            credits: vec![CREDIT_WINDOW; members.len()],
-            granted: vec![CREDIT_WINDOW; members.len()],
             ttl: derived_gossip_ttl(members.len(), fanout),
             members,
             fanout,
@@ -381,13 +364,6 @@ impl GossipSession {
         self.repair_interval_ms > 0
     }
 
-    /// Credit backpressure needs the repair pass: grants ride on repair
-    /// digests, and deferred/shed pushes rely on digest-announce + pull for
-    /// eventual delivery. Without it senders would starve permanently.
-    fn credit_enabled(&self) -> bool {
-        self.repair_enabled()
-    }
-
     fn ensure_inc(&mut self, ctx: &mut EventContext<'_>) {
         if !self.inc_ready {
             self.inc = ctx.now_ms();
@@ -419,9 +395,8 @@ impl GossipSession {
     /// admission rule if the stream is new: at most
     /// [`Self::TRACKED_INCS_PER_ORIGIN`] per origin, the oldest making room
     /// for a newer one. `None` for an incarnation older than every tracked
-    /// one. Trackers are opened only on a delivery or a floor answer —
-    /// never on a digest, whose contents must not fabricate (or displace)
-    /// delivery records.
+    /// one. Trackers are opened only on a delivery — never on a digest,
+    /// whose contents must not fabricate (or displace) delivery records.
     fn admit(&mut self, origin: NodeId, inc: u64) -> Option<&mut Delivered> {
         if !self.delivered.contains_key(&(origin, inc)) {
             let mut incs: Vec<u64> = self
@@ -563,7 +538,7 @@ impl GossipSession {
     /// Pushes one message, under `header`, to the members drawn into
     /// `push_targets` — an own send and a relay alike: the wire-form
     /// `frame` joins each target's outbox, and the zero-delay flush sends
-    /// it as part of an aggregated batch, credit permitting.
+    /// it as part of an aggregated batch.
     fn push_to_drawn(&mut self, header: GossipHeader, frame: &Bytes, ctx: &mut EventContext<'_>) {
         let targets = std::mem::take(&mut self.push_targets);
         for target in &targets {
@@ -574,69 +549,35 @@ impl GossipSession {
         self.push_targets = targets;
     }
 
-    /// Sends every credit-covered outbox entry as aggregated
-    /// [`GossipBatch`] packets, at most `BATCH_MAX` app messages per packet.
-    /// Entries beyond a peer's credit stay queued until a grant refills it.
+    /// Sends the whole outbox as aggregated [`GossipBatch`] packets, at
+    /// most `BATCH_MAX` app messages per packet.
     fn flush_outbox(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
-        let credit_on = self.credit_enabled();
         // Deterministic peer order — the members list, never hash order —
         // and each peer's queue FIFO. An unstable sort allocates nothing,
         // and the arrival stamps make the order total.
         self.outbox
             .sort_unstable_by_key(|entry| (entry.slot, entry.arrival));
-        let mut kept = 0;
-        let mut start = 0;
-        while let Some(first) = self.outbox.get(start) {
-            let (peer, slot) = (first.peer, first.slot);
-            let waiting = self.outbox[start..]
-                .iter()
-                .take_while(|entry| entry.slot == slot)
-                .count();
-            let end = start + waiting;
-            let available = if credit_on {
-                self.credits
-                    .get(slot as usize)
-                    .map_or(0, |credit| *credit as usize)
-            } else {
-                usize::MAX
-            };
-            let take = waiting.min(available);
-            self.stats.deferred_pushes += (waiting - take) as u64;
-            for chunk in self.outbox[start..start + take].chunks(BATCH_MAX) {
+        for queue in self.outbox.chunk_by(|a, b| a.slot == b.slot) {
+            for chunk in queue.chunks(BATCH_MAX) {
                 let mut message = Message::new();
                 message.push_header(encode_pooled(|w| {
                     GossipBatchBody::encode_frames(chunk.iter().map(|entry| &entry.push), w)
                 }));
                 ctx.dispatch(Event::down(GossipBatch::new(
                     local,
-                    Dest::Node(peer),
+                    Dest::Node(queue[0].peer),
                     message,
                 )));
             }
-            if credit_on {
-                if let Some(credit) = self.credits.get_mut(slot as usize) {
-                    *credit = credit.saturating_sub(take as u32);
-                }
-            }
-            if let Some(pending) = self.outbox_pending.get_mut(slot as usize) {
-                *pending = waiting - take;
-            }
-            // What credit held back moves to the front, still FIFO; the sent
-            // entries end up behind it and are dropped below.
-            for index in start + take..end {
-                self.outbox.swap(kept, index);
-                kept += 1;
-            }
-            start = end;
         }
-        self.outbox.truncate(kept);
+        self.outbox.clear();
+        self.outbox_pending.fill(0);
     }
 
-    /// A [`RepairDigest`] carrying `credit` and the spans the repair log
-    /// can currently serve, in `(origin, inc)` order, encoded straight from
-    /// the log.
-    fn digest_message(&mut self, credit: u32) -> Message {
+    /// A [`RepairDigest`] of the spans the repair log can currently serve,
+    /// in `(origin, inc)` order, encoded straight from the log.
+    fn digest_message(&mut self) -> Message {
         let rows = self.log.rows().map(|((origin, inc), lo, hi)| RepairRange {
             origin,
             inc,
@@ -644,68 +585,29 @@ impl GossipSession {
             hi,
         });
         let mut message = Message::new();
-        message.push_header(encode_pooled(|w| {
-            RepairDigest::encode_rows(credit, rows, w)
-        }));
+        message.push_header(encode_pooled(|w| RepairDigest::encode_rows(rows, w)));
         message
     }
 
-    /// The credit value piggybacked on outgoing digests.
-    fn grant_value(&self) -> u32 {
-        if self.credit_enabled() {
-            CREDIT_WINDOW
-        } else {
-            0
-        }
-    }
-
-    /// Charges `count` push-path arrivals from `from` against the credit we
-    /// granted it, re-granting once half the window is consumed.
-    fn note_arrivals(&mut self, from: NodeId, count: u32, ctx: &mut EventContext<'_>) {
-        if !self.credit_enabled() {
-            return;
-        }
-        let slot = slot_of(&self.member_slots, from);
-        let Some(remaining) = slot.and_then(|slot| self.granted.get_mut(slot as usize)) else {
-            return;
-        };
-        *remaining = remaining.saturating_sub(count);
-        if *remaining <= CREDIT_WINDOW / 2 {
-            *remaining = CREDIT_WINDOW;
-            // The re-grant is a targeted repair digest: the grant rides in
-            // its credit field, and the log spans come along for free.
-            let local = ctx.node_id();
-            self.stats.repair_digests += 1;
-            let message = self.digest_message(CREDIT_WINDOW);
-            ctx.dispatch(Event::down(GossipRepairDigest::new(
-                local,
-                Dest::Node(from),
-                message,
-            )));
-        }
-    }
-
     /// One aggregated batch arrived: run every entry through the ordinary
-    /// push-arrival path, then charge the batch against its sender's grant.
-    /// The entries are decoded into the session's scratch, and drained from
-    /// it here: they are slices of the packet and must not outlive it.
+    /// push-arrival path. The entries are decoded into the session's
+    /// scratch, and drained from it here: they are slices of the packet and
+    /// must not outlive it.
     fn on_batch(&mut self, from: NodeId, batch: &Bytes, ctx: &mut EventContext<'_>) {
         let mut entries = std::mem::take(&mut self.batch_entries);
         // All or nothing: a malformed batch delivers none of its entries.
         if GossipBatchBody::decode_into(batch, &mut entries).is_ok() {
-            let arrivals = entries.len() as u32;
             for (header, message) in entries.drain(..) {
                 self.on_push_arrival(from, header, message, ctx);
             }
-            self.note_arrivals(from, arrivals, ctx);
         }
         self.batch_entries = entries;
     }
 
     /// A duplicate arrival is evidence the message is already circulating
-    /// widely: any copy of it still waiting in an outbox (the zero-delay
-    /// flush window, or a credit-starved queue) is redundant — drop it
-    /// before it costs a transmission and a duplicate at the receiver.
+    /// widely: any copy of it still waiting in the outbox for the
+    /// zero-delay flush is redundant — drop it before it costs a
+    /// transmission and a duplicate at the receiver.
     fn suppress_pending_relays(&mut self, origin: NodeId, inc: u64, seq: u64) {
         let pending = &mut self.outbox_pending;
         self.outbox.retain(|entry| {
@@ -739,9 +641,9 @@ impl GossipSession {
             return;
         }
         let local = ctx.node_id();
-        // The log, and a relay waiting in a credit-starved outbox, outlive
-        // the packet this message is a slice of: one private copy in wire
-        // form serves them all.
+        // The log, and a relay waiting in the outbox, outlive the packet
+        // this message is a slice of: one private copy in wire form serves
+        // them all.
         let frame = message.to_bytes();
         let key = (header.origin, header.inc);
         self.log_store(key, header.seq, frame.clone(), ctx.now_ms());
@@ -765,9 +667,9 @@ impl GossipSession {
         )));
     }
 
-    /// The periodic repair tick: evict the log, gossip a digest of what the
-    /// log can serve, reset the per-interval pull and push budgets, retry
-    /// credit-deferred outbox entries.
+    /// The periodic repair tick: evict the log, escalate aged breaches,
+    /// gossip a digest of what the log can serve, reset the per-interval
+    /// pull and push budgets.
     fn on_repair_timer(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
         let now = ctx.now_ms();
@@ -780,18 +682,13 @@ impl GossipSession {
             let targets = self.drawn_members();
             if !targets.is_empty() {
                 self.stats.repair_digests += 1;
-                let message = self.digest_message(self.grant_value());
+                let message = self.digest_message();
                 ctx.dispatch(Event::down(GossipRepairDigest::new(
                     local,
                     Dest::Nodes(targets),
                     message,
                 )));
             }
-        }
-        // Credit-starved pushes get a periodic flush retry, so a grant
-        // lost on the wire delays deferred pushes by one interval at most.
-        if !self.outbox.is_empty() {
-            self.arm_flush_timer(ctx);
         }
         self.arm_repair_timer(ctx);
     }
@@ -814,54 +711,44 @@ impl GossipSession {
         due.sort_unstable_by_key(|(key, ..)| (key.0 .0, key.1));
         for (key, lo, donor) in due {
             self.floor_breaches.remove(&key);
-            let still_open = self
-                .delivered
-                .get(&key)
-                .map_or(lo > 1, |tracker| tracker.floor + 1 < lo);
-            if still_open {
-                self.on_repair_floor(
-                    donor,
-                    RepairFloorBody {
-                        origin: key.0,
-                        inc: key.1,
-                        floor: lo,
-                    },
-                    ctx,
-                );
-            }
+            self.escalate(key, lo, donor, ctx);
         }
     }
 
-    /// A peer's digest arrived: refill its push credit from the piggybacked
-    /// grant, then NACK-pull the gaps it can serve, within the per-interval
-    /// budget.
-    fn on_repair_digest(
-        &mut self,
-        from: NodeId,
-        credit: u32,
-        rows: &[RepairRange],
-        ctx: &mut EventContext<'_>,
-    ) {
+    /// A breach of `key` below `floor` aged out with its gap still open: the
+    /// missed span is gone from NACK-repair reach. Abandon it in the
+    /// delivery tracker (late copies must not re-deliver, pulls must stop
+    /// asking) and ask the recovery layer above for a targeted state-section
+    /// pull against `donor` — snapshot catch-up without a view change.
+    fn escalate(&mut self, key: StreamKey, floor: u64, donor: NodeId, ctx: &mut EventContext<'_>) {
+        if slot_of(&self.member_slots, donor).is_none() {
+            return;
+        }
+        // Query only, like the digest that sighted the breach: a stream
+        // with no delivery record has nothing to fast-forward.
+        let Some(tracker) = self.delivered.get_mut(&key) else {
+            return;
+        };
+        if tracker.floor + 1 >= floor {
+            // The gap closed while the breach aged: no escalation.
+            return;
+        }
+        tracker.fast_forward(floor - 1);
+        self.stats.floor_escalations += 1;
+        ctx.dispatch(Event::up(CatchupRequest { donor }));
+    }
+
+    /// A peer's digest arrived: NACK-pull the gaps it can serve, within the
+    /// per-interval budget.
+    fn on_repair_digest(&mut self, from: NodeId, rows: &[RepairRange], ctx: &mut EventContext<'_>) {
         if !self.repair_enabled() {
             return;
         }
         // A digest from outside the installed view (an expelled member, a
         // stale incarnation) gets no pull: answering would re-open a repair
         // conversation with a peer the view agreement removed.
-        let Some(slot) = slot_of(&self.member_slots, from) else {
+        if slot_of(&self.member_slots, from).is_none() {
             return;
-        };
-        if credit > 0 && self.credit_enabled() {
-            if let Some(granted) = self.credits.get_mut(slot as usize) {
-                *granted = credit;
-            }
-            if self
-                .outbox_pending
-                .get(slot as usize)
-                .is_some_and(|pending| *pending > 0)
-            {
-                self.arm_flush_timer(ctx);
-            }
         }
         if self.pulls_this_interval >= REPAIR_PULL_BUDGET {
             return;
@@ -936,10 +823,9 @@ impl GossipSession {
         )));
     }
 
-    /// A peer pulls gaps: serve them from the repair log. Wants older than
-    /// the log's floor that this node once delivered are answered with a
-    /// [`GossipRepairFloor`] instead — NACK repair can never close them, so
-    /// the puller escalates to a snapshot catch-up.
+    /// A peer pulls gaps: serve them from the repair log. A want the log no
+    /// longer holds gets no answer; the puller's digest-side breach rule
+    /// escalates a gap that no peer can serve.
     fn on_repair_pull(&mut self, from: NodeId, pull: RepairPull, ctx: &mut EventContext<'_>) {
         // Serve log entries only to current view members — an expelled peer
         // re-syncs through the recovery layer's state transfer, not through
@@ -955,30 +841,7 @@ impl GossipSession {
         // (a greedy or corrupt puller cannot amplify this node's send rate).
         let interval_cap = REPAIR_WINDOW * 4;
         for (origin, inc, seqs) in pull.wants {
-            let servable_floor = self.log.lowest(&(origin, inc));
-            let delivered_floor = self
-                .delivered
-                .get(&(origin, inc))
-                .map(|tracker| tracker.floor)
-                .unwrap_or(0);
-            // Retention fall-through: a wanted seq this node delivered but
-            // has already evicted from its log can never be NACK-served —
-            // answer with the floor so the puller stops asking and
-            // escalates to the snapshot catch-up path.
-            let floored = seqs
-                .iter()
-                .any(|seq| *seq <= delivered_floor && servable_floor.is_none_or(|lo| *seq < lo));
-            if floored {
-                let floor = servable_floor.unwrap_or(u64::MAX).min(delivered_floor + 1);
-                let mut message = Message::new();
-                message.push(&RepairFloorBody { origin, inc, floor });
-                ctx.dispatch(Event::down(GossipRepairFloor::new(
-                    local,
-                    Dest::Node(from),
-                    message,
-                )));
-            }
-            if servable_floor.is_none() {
+            if self.log.lowest(&(origin, inc)).is_none() {
                 continue;
             }
             for seq in seqs {
@@ -1005,33 +868,6 @@ impl GossipSession {
                 )));
             }
         }
-    }
-
-    /// A responder's log floored one of this node's pulls: the missed span
-    /// is gone from NACK-repair reach. Abandon it in the delivery tracker
-    /// (late copies must not re-deliver, pulls must stop asking) and ask the
-    /// recovery layer above for a targeted state-section pull against the
-    /// responder — snapshot catch-up without a view change.
-    fn on_repair_floor(&mut self, from: NodeId, body: RepairFloorBody, ctx: &mut EventContext<'_>) {
-        if !self.repair_enabled() || slot_of(&self.member_slots, from).is_none() {
-            return;
-        }
-        if body.floor == 0 {
-            return;
-        }
-        // An incarnation older than every tracked one was delivered before
-        // its record was pruned: there is nothing left to catch up on.
-        let Some(tracker) = self.admit(body.origin, body.inc) else {
-            return;
-        };
-        if tracker.floor + 1 >= body.floor {
-            // Nothing below the floor is missing here: either a stale
-            // answer or a duplicate — no escalation.
-            return;
-        }
-        tracker.fast_forward(body.floor - 1);
-        self.stats.floor_escalations += 1;
-        ctx.dispatch(Event::up(CatchupRequest { donor: from }));
     }
 
     /// A pulled message arrived: deliver it upward unless it is a late
@@ -1101,12 +937,9 @@ impl Session for GossipSession {
             self.members = install.view.members.clone();
             self.window_ms = None;
             self.ttl = derived_gossip_ttl(self.members.len(), self.fanout);
-            let old_slots = std::mem::take(&mut self.member_slots);
             slot_table(&self.members, &mut self.member_slots);
-            // Per-peer backpressure state follows the membership: queued
-            // pushes, credits and grants of expelled peers are dropped, and
-            // the survivors' pushes, credits and grants move to their new
-            // slots.
+            // Queued pushes follow the membership: those of expelled peers
+            // are dropped, and the survivors' move to their new slots.
             let slots = &self.member_slots;
             self.outbox
                 .retain_mut(|entry| match slot_of(slots, entry.peer) {
@@ -1121,15 +954,6 @@ impl Session for GossipSession {
             for entry in &self.outbox {
                 if let Some(pending) = self.outbox_pending.get_mut(entry.slot as usize) {
                     *pending += 1;
-                }
-            }
-            for values in [&mut self.credits, &mut self.granted] {
-                let old = std::mem::replace(values, vec![CREDIT_WINDOW; self.members.len()]);
-                for (peer, slot) in slots {
-                    let kept = slot_of(&old_slots, *peer).and_then(|at| old.get(at as usize));
-                    if let (Some(kept), Some(value)) = (kept, values.get_mut(*slot as usize)) {
-                        *value = *kept;
-                    }
                 }
             }
             ctx.forward(event);
@@ -1149,8 +973,8 @@ impl Session for GossipSession {
                 return;
             };
             let mut rows = std::mem::take(&mut self.digest_rows);
-            if let Ok(credit) = RepairDigest::decode_into(&body, &mut rows) {
-                self.on_repair_digest(from, credit, &rows, ctx);
+            if RepairDigest::decode_into(&body, &mut rows).is_ok() {
+                self.on_repair_digest(from, &rows, ctx);
             }
             self.digest_rows = rows;
             return;
@@ -1185,22 +1009,6 @@ impl Session for GossipSession {
             };
             let original = push.message.clone();
             self.on_repair_push(header, original, ctx);
-            return;
-        }
-
-        if event.is::<GossipRepairFloor>() {
-            if event.direction == Direction::Down {
-                ctx.forward(event);
-                return;
-            }
-            let Some(floor) = event.get_mut::<GossipRepairFloor>() else {
-                return;
-            };
-            let from = floor.header.source;
-            let Ok(body) = floor.message.pop::<RepairFloorBody>() else {
-                return;
-            };
-            self.on_repair_floor(from, body, ctx);
             return;
         }
 
@@ -1456,18 +1264,6 @@ mod tests {
                     .unwrap();
             }
             receiver_platform.take_deliveries();
-            // A thousand sends stream past one credit window: the receiver's
-            // grant digests go back to the sender, as in a live stack.
-            for out in receiver_platform.take_sent() {
-                let grant = InPacket {
-                    from: NodeId(1),
-                    to: NodeId(0),
-                    class: out.class,
-                    channel: out.channel,
-                    payload: out.payload,
-                };
-                sender.deliver_packet(grant, &mut sender_platform).unwrap();
-            }
             receiver_platform.timers.clear();
         }
 
@@ -1545,9 +1341,9 @@ mod tests {
         ttls
     }
 
-    /// A repair digest from `from` to `to`, granting `credit` and
-    /// advertising the `(inc, lo, hi)` spans of origin 0's streams.
-    fn digest_of(from: u32, to: u32, credit: u32, spans: &[(u64, u64, u64)]) -> Event {
+    /// A repair digest from `from` to `to`, advertising the `(inc, lo, hi)`
+    /// spans of origin 0's streams.
+    fn digest_of(from: u32, to: u32, spans: &[(u64, u64, u64)]) -> Event {
         let origin = NodeId(0);
         let entries = spans
             .iter()
@@ -1559,7 +1355,7 @@ mod tests {
             })
             .collect();
         let mut message = Message::new();
-        message.push(&RepairDigest { credit, entries });
+        message.push(&RepairDigest { entries });
         let to = Dest::Node(NodeId(to));
         Event::up(GossipRepairDigest::new(NodeId(from), to, message))
     }
@@ -1727,7 +1523,7 @@ mod tests {
 
         // The peer advertises seqs 1..=3 of origin 0; nothing was delivered
         // here yet, so all three are missing.
-        gossip.run_up(digest_of(2, 1, 0, &[(7, 1, 3)]), &mut platform);
+        gossip.run_up(digest_of(2, 1, &[(7, 1, 3)]), &mut platform);
         let down = gossip.drain_down();
         let pulls: Vec<&Event> = down
             .iter()
@@ -1779,7 +1575,7 @@ mod tests {
         let members: Vec<u32> = (0..8).collect();
         let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
 
-        let digest_from = |from: u32| digest_of(from, 1, 0, &[(1, 1, 3)]);
+        let digest_from = |from: u32| digest_of(from, 1, &[(1, 1, 3)]);
         let pulls = sent_down::<GossipRepairPull>;
         let budget = REPAIR_PULL_BUDGET as u32;
         for from in 2..2 + budget {
@@ -1810,7 +1606,6 @@ mod tests {
         for from in [2, 4] {
             let mut message = Message::new();
             message.push(&RepairDigest {
-                credit: 0,
                 entries: entries.clone(),
             });
             let digest = GossipRepairDigest::new(NodeId(from), Dest::Node(NodeId(1)), message);
@@ -1979,7 +1774,7 @@ mod tests {
         gossip.drain_down();
 
         // The expelled node's digest gets no NACK pull back...
-        gossip.run_up(digest_of(3, 1, 0, &[(7, 1, 3)]), &mut platform);
+        gossip.run_up(digest_of(3, 1, &[(7, 1, 3)]), &mut platform);
         assert_eq!(
             sent_down::<GossipRepairPull>(&mut gossip),
             0,
@@ -2094,9 +1889,10 @@ mod tests {
         assert!(!gossip.record_delivered(NodeId(3), 50, 1));
     }
 
-    /// A floor answer for an incarnation older than every tracked one
-    /// passes the same admission rule as a delivery: it opens no fifth
-    /// tracker, and it asks for no snapshot of a stream long delivered.
+    /// A breach sighted for an incarnation older than every tracked one
+    /// ages past two repair-log TTLs like any other, and a digest opens no
+    /// delivery record: it leaves no fifth tracker, and it asks for no
+    /// snapshot of a stream long delivered.
     #[test]
     fn a_floor_for_an_untracked_old_incarnation_opens_no_tracker_and_no_catchup() {
         let mut platform = TestPlatform::new(NodeId(1));
@@ -2105,18 +1901,17 @@ mod tests {
         for inc in [10, 20, 30, 40] {
             assert_eq!(gossip.run_up(push_of(3, inc, 1, 0), &mut platform).len(), 1);
         }
-        let mut message = Message::new();
-        message.push(&RepairFloorBody {
+        // Node 2's log holds origin 3's incarnation 5 from seq 10 only.
+        let entries = vec![RepairRange {
             origin: NodeId(3),
             inc: 5,
-            floor: 10,
-        });
-        let floor = Event::up(GossipRepairFloor::new(
-            NodeId(2),
-            Dest::Node(NodeId(1)),
-            message,
-        ));
-        let up = gossip.run_up(floor, &mut platform);
+            lo: 10,
+            hi: 12,
+        }];
+        let mut message = Message::new();
+        message.push(&RepairDigest { entries });
+        let digest = GossipRepairDigest::new(NodeId(2), Dest::Node(NodeId(1)), message);
+        let up = age_a_breach(&mut gossip, &mut platform, Event::up(digest));
         assert!(
             up.iter().all(|event| !event.is::<CatchupRequest>()),
             "no catch-up for a stream older than every tracked one"
@@ -2227,62 +2022,65 @@ mod tests {
             .all(|event| !event.is::<GossipBatch>()));
     }
 
+    /// A burst of 200 own sends in one instant leaves in that instant's
+    /// flush: each peer of a 4-member group gets all 200, in 50 full
+    /// batches, and nothing stays queued. The receiver of the whole burst
+    /// owes its sender nothing: it sends no digest before its repair tick.
     #[test]
-    fn credit_exhaustion_defers_pushes_until_a_grant_refills() {
+    fn a_burst_past_the_old_credit_window_leaves_in_its_instant() {
+        let members = [0, 1, 2, 3];
         let mut platform = TestPlatform::new(NodeId(0));
-        let mut gossip = Harness::new(GossipLayer, &gossip_params(&[0, 1]), &mut platform);
-
-        let window = CREDIT_WINDOW as usize;
-        send_to_group(&mut gossip, &mut platform, window + 1);
-        // Fire only the zero-delay flush (the 1000 ms repair tick stays).
-        let timers: Vec<_> = std::mem::take(&mut platform.timers);
-        for (deadline, key) in timers {
-            if deadline == 0 {
-                gossip.fire_timer(key, &mut platform);
-            }
-        }
-        let down = gossip.drain_down();
-        let batches: Vec<&Event> = down
-            .iter()
-            .filter(|event| event.is::<GossipBatch>())
-            .collect();
-        assert_eq!(batches.len(), window / BATCH_MAX);
-        let sent: usize = batches
-            .iter()
-            .map(|event| {
-                let batch = event.get::<GossipBatch>().unwrap();
-                let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
-                body.entries.len()
-            })
-            .sum();
-        assert_eq!(
-            sent, window,
-            "the credit window caps what one flush may send"
-        );
-
-        // A grant digest from the peer refills the credit and re-arms the
-        // flush, releasing the deferred push.
-        gossip.run_up(digest_of(1, 0, 2, &[]), &mut platform);
-        let timers: Vec<_> = std::mem::take(&mut platform.timers);
-        assert!(!timers.is_empty(), "the grant re-arms the flush timer");
-        for (_, key) in timers {
+        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
+        send_to_group(&mut gossip, &mut platform, 200);
+        let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut platform.timers)
+            .into_iter()
+            .partition(|(deadline, _)| *deadline <= platform.now_ms);
+        platform.timers = later;
+        for (_, key) in due {
             gossip.fire_timer(key, &mut platform);
         }
-        let down = gossip.drain_down();
-        let batches: Vec<&Event> = down
+        let mut batches: HashMap<NodeId, Vec<Message>> = HashMap::default();
+        for batch in gossip
+            .drain_down()
             .iter()
-            .filter(|event| event.is::<GossipBatch>())
-            .collect();
-        assert_eq!(batches.len(), 1, "the deferred push leaves after the grant");
-        let body = batches[0]
-            .get::<GossipBatch>()
-            .unwrap()
-            .message
-            .clone()
-            .pop::<GossipBatchBody>()
-            .unwrap();
-        assert_eq!(body.entries.len(), 1);
-        assert_eq!(body.entries[0].0.seq, window as u64 + 1);
+            .filter_map(|event| event.get::<GossipBatch>())
+        {
+            let Dest::Node(peer) = batch.header.dest else {
+                panic!("a batch goes to one peer");
+            };
+            batches.entry(peer).or_default().push(batch.message.clone());
+        }
+        for peer in [1, 2, 3].map(NodeId) {
+            let sent = batches.get(&peer).map_or(&[][..], Vec::as_slice);
+            let seqs: Vec<u64> = sent
+                .iter()
+                .flat_map(|message| message.clone().pop::<GossipBatchBody>().unwrap().entries)
+                .map(|(header, _)| header.seq)
+                .collect();
+            assert_eq!(sent.len(), 50, "{peer:?}: 200 pushes in full batches");
+            assert_eq!(seqs, (1..=200).collect::<Vec<u64>>(), "{peer:?}");
+        }
+        assert_eq!(stats_of(&mut gossip).deferred_pushes, 0);
+        assert_eq!(inspect(&mut gossip, |session| session.outbox.len()), 0);
+
+        let mut receiver_platform = TestPlatform::new(NodeId(1));
+        let mut receiver = Harness::new(
+            GossipLayer,
+            &gossip_params(&members),
+            &mut receiver_platform,
+        );
+        let mut delivered = 0;
+        for message in &batches[&NodeId(1)] {
+            let batch = GossipBatch::new(NodeId(0), Dest::Node(NodeId(1)), message.clone());
+            let up = receiver.run_up(Event::up(batch), &mut receiver_platform);
+            delivered += up.iter().filter(|event| event.is::<DataEvent>()).count();
+        }
+        assert_eq!(delivered, 200);
+        assert_eq!(
+            sent_down::<GossipRepairDigest>(&mut receiver),
+            0,
+            "arrivals alone send no digest"
+        );
     }
 
     #[test]
@@ -2378,10 +2176,6 @@ mod tests {
 
     fn stats_of(gossip: &mut Harness) -> GossipStats {
         inspect(gossip, GossipSession::stats)
-    }
-
-    fn grant(gossip: &mut Harness, platform: &mut TestPlatform, from: u32, credit: u32) {
-        gossip.run_up(digest_of(from, 0, credit, &[]), platform);
     }
 
     /// Pushes queue in the order sampling draws their targets; the flush
@@ -2517,42 +2311,6 @@ mod tests {
             reached[1..].iter().all(|count| *count >= 5),
             "every peer is drawn: {reached:?}"
         );
-    }
-
-    /// A flush sends what the credit covers and keeps the rest queued, in
-    /// order, per peer; a grant releases exactly the granting peer's queue.
-    #[test]
-    fn a_credit_limited_flush_keeps_each_remainder_in_order() {
-        let mut platform = TestPlatform::new(NodeId(0));
-        let mut gossip = batching_harness(&mut platform, "0,2,1", &[("fanout", "2")]);
-        let window = u64::from(CREDIT_WINDOW);
-        send_to_group(&mut gossip, &mut platform, window as usize + 3);
-        let first: Vec<u64> = (1..=window).collect();
-        assert_eq!(
-            flush(&mut gossip, &mut platform),
-            [(NodeId(2), first.clone()), (NodeId(1), first)]
-        );
-        assert_eq!(stats_of(&mut gossip).deferred_pushes, 6);
-
-        grant(&mut gossip, &mut platform, 1, 2);
-        assert_eq!(
-            flush(&mut gossip, &mut platform),
-            [(NodeId(1), vec![window + 1, window + 2])]
-        );
-        grant(&mut gossip, &mut platform, 1, 2);
-        assert_eq!(
-            flush(&mut gossip, &mut platform),
-            [(NodeId(1), vec![window + 3])]
-        );
-        grant(&mut gossip, &mut platform, 2, 8);
-        assert_eq!(
-            flush(&mut gossip, &mut platform),
-            [(NodeId(2), vec![window + 1, window + 2, window + 3])]
-        );
-        // Peer 2 waited out three flushes with three pushes queued, peer 1
-        // one flush with one left over.
-        assert_eq!(stats_of(&mut gossip).deferred_pushes, 6 + 1 + 3 + 3);
-        assert!(flush(&mut gossip, &mut platform).is_empty());
     }
 
     /// A duplicate arrival drops the message's queued relays to every peer,
@@ -2701,51 +2459,27 @@ mod tests {
         assert!(capacity >= 3, "the scratch keeps its memory");
     }
 
-    #[test]
-    fn pulls_below_the_log_floor_are_answered_with_a_repair_floor() {
-        let mut platform = TestPlatform::new(NodeId(1));
-        let members: Vec<u32> = (0..4).collect();
-        let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
-
-        // Deliver seqs 1..=6 of (origin 0, inc 1), then age them out of the
-        // repair log: delivered knowledge survives, servability does not.
-        let deliver = |seq: u64| push_of(0, 1, seq, 0);
-        for seq in 1..=6u64 {
-            gossip.run_up(deliver(seq), &mut platform);
-        }
-        platform.advance(REPAIR_LOG_TTL_MS);
+    /// Hands the session `digest`, then fires its repair tick two
+    /// repair-log TTLs later; returns what went up meanwhile.
+    fn age_a_breach(
+        gossip: &mut Harness,
+        platform: &mut TestPlatform,
+        digest: Event,
+    ) -> Vec<Event> {
+        let mut up = gossip.run_up(digest, platform);
+        platform.advance(REPAIR_LOG_TTL_MS * 2);
         let timers: Vec<_> = std::mem::take(&mut platform.timers);
         for (_, key) in timers {
-            gossip.fire_timer(key, &mut platform);
+            gossip.fire_timer(key, platform);
         }
-        gossip.run_up(deliver(7), &mut platform);
         gossip.drain_down();
-
-        // A pull for the evicted span gets a floor answer; the still-logged
-        // seq is served normally alongside it.
-        gossip.run_up(pull_of(2, 1, (0, 1), vec![1, 2, 7]), &mut platform);
-        let down = gossip.drain_down();
-        let floors: Vec<RepairFloorBody> = down
-            .iter()
-            .filter_map(|event| {
-                event
-                    .get::<GossipRepairFloor>()
-                    .map(|floor| floor.message.clone().pop::<RepairFloorBody>().unwrap())
-            })
-            .collect();
-        assert_eq!(floors.len(), 1, "one floor answer per floored stream");
-        assert_eq!(floors[0].origin, NodeId(0));
-        assert_eq!(floors[0].inc, 1);
-        assert_eq!(floors[0].floor, 7, "the log's floor is reported");
-        assert_eq!(
-            down.iter()
-                .filter(|event| event.is::<GossipRepairPush>())
-                .count(),
-            1,
-            "the still-servable want is pushed normally"
-        );
+        up.extend(gossip.drain_up());
+        up
     }
 
+    /// A breach that outlives two repair-log TTLs is the stream's floor:
+    /// the span below it is abandoned, and the digest's sender becomes the
+    /// snapshot donor.
     #[test]
     fn a_repair_floor_fast_forwards_and_escalates_to_catchup() {
         let mut platform = TestPlatform::new(NodeId(1));
@@ -2753,25 +2487,14 @@ mod tests {
         let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
 
         // Seqs 1..=2 of (origin 0, inc 1) were delivered before the
-        // partition; 3..=6 are gone from every reachable repair log.
+        // partition; 3..=6 are gone from every reachable repair log, and
+        // node 2's log starts at 7.
         gossip.run_up(push_of(0, 1, 1, 0), &mut platform);
         gossip.run_up(push_of(0, 1, 2, 0), &mut platform);
         gossip.drain_down();
 
-        let floor_answer = || {
-            let mut message = Message::new();
-            message.push(&RepairFloorBody {
-                origin: NodeId(0),
-                inc: 1,
-                floor: 7,
-            });
-            Event::up(GossipRepairFloor::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                message,
-            ))
-        };
-        let up = gossip.run_up(floor_answer(), &mut platform);
+        let floor_answer = || digest_of(2, 1, &[(1, 7, 7)]);
+        let up = age_a_breach(&mut gossip, &mut platform, floor_answer());
         let catchups: Vec<&Event> = up
             .iter()
             .filter(|event| event.is::<CatchupRequest>())
@@ -2785,7 +2508,7 @@ mod tests {
 
         // The abandoned span stops being pulled: a digest advertising it
         // finds nothing missing below the floor...
-        let digest = |lo: u64, hi: u64| digest_of(3, 1, 0, &[(1, lo, hi)]);
+        let digest = |lo: u64, hi: u64| digest_of(3, 1, &[(1, lo, hi)]);
         gossip.run_up(digest(1, 6), &mut platform);
         assert_eq!(
             sent_down::<GossipRepairPull>(&mut gossip),
@@ -2806,8 +2529,8 @@ mod tests {
         assert_eq!(pulls.len(), 1);
         assert_eq!(pulls[0].wants, vec![(NodeId(0), 1, vec![7, 8])]);
 
-        // A duplicate floor answer does not re-escalate.
-        let up = gossip.run_up(floor_answer(), &mut platform);
+        // The same floor, sighted and aged again, does not re-escalate.
+        let up = age_a_breach(&mut gossip, &mut platform, floor_answer());
         assert!(up.iter().all(|event| !event.is::<CatchupRequest>()));
     }
 
@@ -2818,8 +2541,8 @@ mod tests {
         // floor. Pulling below `lo` is futile by construction — but a
         // single sighting may be transient (another peer's later-arrival
         // retention can still serve the span), so the breach must persist
-        // for a full repair-log TTL before the digest becomes the floor
-        // answer and escalates to a snapshot catch-up.
+        // for two repair-log TTLs before it escalates to a snapshot
+        // catch-up.
         let mut platform = TestPlatform::new(NodeId(1));
         let members: Vec<u32> = (0..4).collect();
         let mut gossip = Harness::new(GossipLayer, &gossip_params(&members), &mut platform);
@@ -2831,7 +2554,7 @@ mod tests {
         gossip.run_up(deliver(2), &mut platform);
         gossip.drain_down();
 
-        let digest = |lo: u64, hi: u64| digest_of(2, 1, 0, &[(1, lo, hi)]);
+        let digest = |lo: u64, hi: u64| digest_of(2, 1, &[(1, lo, hi)]);
         // First sighting: the breach is recorded but nothing escalates —
         // the advertised span is still pulled normally.
         let up = gossip.run_up(digest(9, 10), &mut platform);

@@ -161,33 +161,23 @@ pub struct RepairRange {
 /// Body of a gossip repair digest: per origin stream, the span of messages
 /// the sender's bounded repair log currently holds. Receivers compare the
 /// spans against their own delivery record and NACK-pull the gaps.
-///
-/// The digest doubles as the backpressure grant carrier: `credit` is the
-/// number of further push-path data messages the digest sender is prepared
-/// to accept from the addressed peer before that peer must fall back to
-/// digest-announce + pull. `credit == 0` means the sender does not run
-/// credit backpressure (the pre-credit wire form encoded no grant, so zero
-/// keeps old behaviour: senders treat the peer as uncredited).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RepairDigest {
-    /// Push-path credit granted to the receiving peer (0 = no backpressure).
-    pub credit: u32,
     /// One entry per `(origin, inc)` stream held in the repair log.
     pub entries: Vec<RepairRange>,
 }
 
 impl RepairDigest {
     /// Encodes a digest from its rows, as they are read — byte for byte
-    /// what [`Wire::encode`] writes for the same credit and entries. The
-    /// gossip session encodes its digests straight from its repair log.
-    pub fn encode_rows<I>(credit: u32, rows: I, w: &mut WireWriter)
+    /// what [`Wire::encode`] writes for the same entries. The gossip session
+    /// encodes its digests straight from its repair log.
+    pub fn encode_rows<I>(rows: I, w: &mut WireWriter)
     where
         I: IntoIterator<Item = RepairRange>,
         I::IntoIter: ExactSizeIterator,
     {
         let rows = rows.into_iter();
         w.reserve(8 + 6 * rows.len());
-        w.put_varint(credit.into());
         w.put_varint(rows.len() as u64);
         // Origins as gaps, `inc` and `lo` against the first row's, `hi`
         // against its own `lo` (the span is a handful of messages).
@@ -206,14 +196,13 @@ impl RepairDigest {
 
     /// Decodes the digest carried in `header` (a popped message header)
     /// into `entries`, a caller-owned scratch that keeps its capacity
-    /// across digests, and returns its credit. All or nothing, as
-    /// [`Message::pop`]: a malformed row or trailing bytes is an error and
-    /// leaves `entries` empty.
-    pub fn decode_into(header: &[u8], entries: &mut Vec<RepairRange>) -> Result<u32, WireError> {
+    /// across digests. All or nothing, as [`Message::pop`]: a malformed row
+    /// or trailing bytes is an error and leaves `entries` empty.
+    pub fn decode_into(header: &[u8], entries: &mut Vec<RepairRange>) -> Result<(), WireError> {
         entries.clear();
         let mut r = WireReader::new(header);
-        let decoded = Self::decode_rows(&mut r, entries).and_then(|credit| match r.remaining() {
-            0 => Ok(credit),
+        let decoded = Self::decode_rows(&mut r, entries).and_then(|()| match r.remaining() {
+            0 => Ok(()),
             _ => Err(WireError::Malformed("trailing bytes in header")),
         });
         if decoded.is_err() {
@@ -222,13 +211,11 @@ impl RepairDigest {
         decoded
     }
 
-    /// Appends the rows of one encoded digest to `entries`; returns the
-    /// credit.
+    /// Appends the rows of one encoded digest to `entries`.
     fn decode_rows(
         r: &mut WireReader<'_>,
         entries: &mut Vec<RepairRange>,
-    ) -> Result<u32, WireError> {
-        let credit = narrow(r.get_varint()?)?;
+    ) -> Result<(), WireError> {
         let count = r.get_count(4)?;
         entries.reserve(count);
         let mut prev = 0;
@@ -247,19 +234,19 @@ impl RepairDigest {
                 hi,
             });
         }
-        Ok(credit)
+        Ok(())
     }
 }
 
 impl Wire for RepairDigest {
     fn encode(&self, w: &mut WireWriter) {
-        Self::encode_rows(self.credit, self.entries.iter().copied(), w);
+        Self::encode_rows(self.entries.iter().copied(), w);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let mut entries = Vec::new();
-        let credit = Self::decode_rows(r, &mut entries)?;
-        Ok(Self { credit, entries })
+        Self::decode_rows(r, &mut entries)?;
+        Ok(Self { entries })
     }
 }
 
@@ -327,39 +314,6 @@ impl Wire for RepairPushHeader {
             origin: narrow(r.get_varint()?)?,
             inc: r.get_varint()?,
             seq: r.get_varint()?,
-        })
-    }
-}
-
-/// Body of a retention fall-through answer: a `RepairPull` asked for
-/// sequence numbers of the `(origin, inc)` stream that are older than the
-/// responder's repair-log floor and can never be served by NACK repair.
-/// The puller reacts by fast-forwarding its delivery tracker past the
-/// un-servable span and escalating to a targeted state-section pull
-/// against the responder (the repair→snapshot catch-up path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairFloorBody {
-    /// The stream's originating node.
-    pub origin: NodeId,
-    /// The stream's incarnation.
-    pub inc: u64,
-    /// Smallest sequence number the responder can still serve; everything
-    /// below it has been evicted from the repair log.
-    pub floor: u64,
-}
-
-impl Wire for RepairFloorBody {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.origin.into());
-        w.put_varint(self.inc);
-        w.put_varint(self.floor);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            origin: narrow(r.get_varint()?)?,
-            inc: r.get_varint()?,
-            floor: r.get_varint()?,
         })
     }
 }
@@ -811,7 +765,6 @@ mod tests {
             ttl: 3,
         });
         roundtrip(RepairDigest {
-            credit: 128,
             entries: vec![
                 RepairRange {
                     origin: NodeId(1),
@@ -835,11 +788,6 @@ mod tests {
             origin: NodeId(1),
             inc: 12,
             seq: 4,
-        });
-        roundtrip(RepairFloorBody {
-            origin: NodeId(1),
-            inc: 12,
-            floor: 900,
         });
         let mut batched = Message::with_payload(&b"hello"[..]);
         batched.push(&SeqHeader { seq: 2 });
@@ -1014,7 +962,6 @@ mod tests {
     #[test]
     fn truncated_bodies_decode_to_clean_errors() {
         let digest = RepairDigest {
-            credit: 64,
             entries: vec![RepairRange {
                 origin: NodeId(3),
                 inc: 7,
@@ -1043,17 +990,11 @@ mod tests {
                 inner,
             )],
         };
-        let floor = RepairFloorBody {
-            origin: NodeId(3),
-            inc: 7,
-            floor: 41,
-        };
         let bodies: Vec<Vec<u8>> = vec![
             digest.to_bytes().to_vec(),
             pull.to_bytes().to_vec(),
             flush.to_bytes().to_vec(),
             batch.to_bytes().to_vec(),
-            floor.to_bytes().to_vec(),
         ];
         for (which, bytes) in bodies.iter().enumerate() {
             for cut in 0..bytes.len() {
@@ -1062,8 +1003,7 @@ mod tests {
                     0 => RepairDigest::from_bytes(truncated).is_err(),
                     1 => RepairPull::from_bytes(truncated).is_err(),
                     2 => FlushBody::from_bytes(truncated).is_err(),
-                    3 => GossipBatchBody::from_bytes(truncated).is_err(),
-                    _ => RepairFloorBody::from_bytes(truncated).is_err(),
+                    _ => GossipBatchBody::from_bytes(truncated).is_err(),
                 };
                 assert!(
                     failed,
@@ -1080,7 +1020,6 @@ mod tests {
         // to a different valid value or a clean error, never a panic or an
         // attacker-sized allocation.
         let digest = RepairDigest {
-            credit: 32,
             entries: vec![
                 RepairRange {
                     origin: NodeId(1),
@@ -1117,17 +1056,11 @@ mod tests {
                 inner,
             )],
         };
-        let floor = RepairFloorBody {
-            origin: NodeId(1),
-            inc: 2,
-            floor: 9,
-        };
         for bytes in [
             digest.to_bytes().to_vec(),
             pull.to_bytes().to_vec(),
             flush.to_bytes().to_vec(),
             batch.to_bytes().to_vec(),
-            floor.to_bytes().to_vec(),
         ] {
             for index in 0..bytes.len() {
                 for bit in 0..8 {
@@ -1137,7 +1070,6 @@ mod tests {
                     let _ = RepairPull::from_bytes(&mutated);
                     let _ = FlushBody::from_bytes(&mutated);
                     let _ = GossipBatchBody::from_bytes(&mutated);
-                    let _ = RepairFloorBody::from_bytes(&mutated);
                 }
             }
         }
@@ -1149,7 +1081,6 @@ mod tests {
     #[test]
     fn a_digest_decodes_into_scratch_all_or_nothing() {
         let digest = RepairDigest {
-            credit: 32,
             entries: (0..5u32)
                 .map(|at| RepairRange {
                     origin: NodeId(at * 3),
@@ -1166,7 +1097,7 @@ mod tests {
             lo: 9,
             hi: 9,
         }];
-        assert_eq!(RepairDigest::decode_into(&bytes, &mut rows), Ok(32));
+        assert_eq!(RepairDigest::decode_into(&bytes, &mut rows), Ok(()));
         assert_eq!(rows, digest.entries);
         let mut variants: Vec<Vec<u8>> =
             (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
@@ -1184,9 +1115,7 @@ mod tests {
                 RepairDigest::decode_into(&variant, &mut rows),
                 RepairDigest::from_bytes(&variant),
             ) {
-                (Ok(credit), Ok(decoded)) => {
-                    assert_eq!((credit, &rows), (decoded.credit, &decoded.entries));
-                }
+                (Ok(()), Ok(decoded)) => assert_eq!(rows, decoded.entries),
                 (Err(_), Err(_)) => assert!(rows.is_empty(), "a failed decode left rows behind"),
                 (scratch, whole) => panic!("{variant:?}: {scratch:?} against {whole:?}"),
             }

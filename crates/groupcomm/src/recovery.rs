@@ -539,7 +539,7 @@ impl RecoverySession {
     /// A whole catch-up snapshot arrived: install it and report. A malformed
     /// one abandons the transfer instead of failing over — the donor was
     /// *targeted* (its digest proved it complete), and if the gap persists
-    /// gossip raises a fresh [`CatchupRequest`] with the next floor answer.
+    /// gossip raises a fresh [`CatchupRequest`] on the next aged breach.
     fn finish_catchup(&mut self, ctx: &mut EventContext<'_>) {
         let Some(catchup) = self.catchup.take() else {
             return;
@@ -811,7 +811,7 @@ impl RecoverySession {
             Phase::Member => {
                 // The only member-phase timer work is an in-flight catch-up:
                 // re-request lost chunks, or abandon a donor that went quiet
-                // (gossip re-escalates with a fresh floor answer if needed).
+                // (gossip re-escalates on a fresh aged breach if needed).
                 let Some(catchup) = &mut self.catchup else {
                     return; // no re-arm
                 };
@@ -1710,8 +1710,8 @@ mod tests {
             DeliveryKind::CaughtUp { donor, .. } if *donor == NodeId(0)
         )));
 
-        // The floor answer that triggered the escalation may be repeated by
-        // other digest senders: inside the cooldown the puller stays quiet
+        // The breach that triggered the escalation may be seen again in
+        // other digest senders' rows: inside the cooldown the puller stays quiet
         // instead of re-pulling the same snapshot.
         puller.run_up(
             Event::up(CatchupRequest { donor: NodeId(0) }),

@@ -96,7 +96,7 @@ impl Delivered {
     }
 
     /// Abandons every gap at or below `upto`: the span was evicted from all
-    /// reachable repair logs (a floor answer) and is being covered by a
+    /// reachable repair logs (an aged floor breach) and is being covered by a
     /// snapshot catch-up instead, so NACK repair must stop asking for it
     /// and late copies must not re-deliver.
     pub fn fast_forward(&mut self, upto: u64) {

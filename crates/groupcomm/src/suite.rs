@@ -15,9 +15,8 @@ use morpheus_appia::platform::NodeId;
 use crate::beb::BebLayer;
 use crate::causal::CausalLayer;
 use crate::events::{
-    FecParity, FlushAck, GossipBatch, GossipRepairDigest, GossipRepairFloor, GossipRepairPull,
-    GossipRepairPush, Heartbeat, JoinRequest, NackRequest, OrderInfo, StaleBallot, ViewCommit,
-    ViewPrepare,
+    FecParity, FlushAck, GossipBatch, GossipRepairDigest, GossipRepairPull, GossipRepairPush,
+    Heartbeat, JoinRequest, NackRequest, OrderInfo, StaleBallot, ViewCommit, ViewPrepare,
 };
 use crate::failure_detector::FailureDetectorLayer;
 use crate::fec::FecLayer;
@@ -55,7 +54,6 @@ pub fn register_suite(kernel: &mut Kernel) {
     GossipRepairDigest::register(events);
     GossipRepairPull::register(events);
     GossipRepairPush::register(events);
-    GossipRepairFloor::register(events);
     GossipBatch::register(events);
     ViewPrepare::register(events);
     FlushAck::register(events);
@@ -392,7 +390,7 @@ mod tests {
         for event in [
             "Heartbeat",
             "NackRequest",
-            "GossipRepairFloor",
+            "GossipRepairDigest",
             "GossipBatch",
             "ViewPrepare",
             "FlushAck",
@@ -448,7 +446,7 @@ mod tests {
     }
 
     /// The gossip layer's description carries exactly the params the layer
-    /// reads: its credit window, batch size and repair bounds are constants
+    /// reads: its batch size, outbox cap and repair bounds are constants
     /// of `gossip.rs`, not knobs a stack could set.
     #[test]
     fn a_gossip_stack_sets_only_the_params_gossip_reads() {

@@ -12,9 +12,8 @@
 //! Every push leaves the same way: queued in a per-peer outbox and sent,
 //! up to four messages a packet, by the zero-delay flush. The push-path
 //! tests run with the repair pass off (`repair_interval_ms` 0), so the
-//! repair log's buffers, and the credit grants that ride on its digests,
-//! stay out of their budget. The repair
-//! pass has budgets of its own: a received digest decodes into the
+//! repair log's buffers stay out of their budget. The repair pass has
+//! budgets of its own: a received digest decodes into the
 //! session's scratch, and the repair tick encodes its digest straight from
 //! the log and draws its targets without a pool of members.
 //!
@@ -325,7 +324,6 @@ fn repairing_gossip(platform: &mut TestPlatform) -> Harness {
 fn digest_packet(spans: &[(u32, u64, u64)]) -> InPacket {
     let mut message = Message::new();
     message.push(&RepairDigest {
-        credit: 0,
         entries: spans
             .iter()
             .map(|&(origin, lo, hi)| RepairRange {

@@ -14,8 +14,7 @@ use morpheus_groupcomm::events::{GossipBatch, GossipRepairDigest, Heartbeat};
 use morpheus_groupcomm::headers::{
     CausalHeader, FecParityHeader, FlushBody, GossipBatchBody, GossipHeader, LivenessDigest,
     McastHeader, McastMode, NackHeader, OrderHeader, ProbeBody, ProbeKind, RepairDigest,
-    RepairFloorBody, RepairPull, RepairPushHeader, RepairRange, Rumour, RumourKind, SeqHeader,
-    TotalIdHeader,
+    RepairPull, RepairPushHeader, RepairRange, Rumour, RumourKind, SeqHeader, TotalIdHeader,
 };
 use morpheus_groupcomm::recovery::{StateChunk, StateChunkHeader, StateRequest, StateRequestBody};
 use morpheus_groupcomm::view::View;
@@ -93,18 +92,12 @@ fn data_plane_headers_roundtrip() {
 #[test]
 fn repair_headers_roundtrip() {
     roundtrip(RepairDigest {
-        credit: 128,
         entries: vec![RepairRange {
             origin: NodeId(1),
             inc: 12,
             lo: 3,
             hi: 9,
         }],
-    });
-    roundtrip(RepairFloorBody {
-        origin: NodeId(2),
-        inc: 12,
-        floor: 900,
     });
     roundtrip(RepairPull {
         wants: vec![(NodeId(1), 12, vec![4, 5]), (NodeId(4), 0, vec![1])],
@@ -196,7 +189,6 @@ fn roundtrip_every_table_over(rows: &[(NodeId, u64)]) {
         entries: rows.to_vec(),
     });
     roundtrip(RepairDigest {
-        credit: u32::MAX,
         entries: rows
             .iter()
             .map(|(origin, value)| RepairRange {
@@ -250,11 +242,6 @@ fn tables_roundtrip_in_every_shape() {
         origin: NodeId(u32::MAX),
         inc: u64::MAX,
         seq: u64::MAX,
-    });
-    roundtrip(RepairFloorBody {
-        origin: NodeId(u32::MAX),
-        inc: u64::MAX,
-        floor: u64::MAX,
     });
 }
 
@@ -341,7 +328,6 @@ fn control_plane_tables_fit_their_byte_budgets() {
     // One repair-log stream per member: incarnations (boot times) seconds
     // apart, a handful of messages logged in each.
     let repair = RepairDigest {
-        credit: 128,
         entries: group_table(120_000, 2_000)
             .into_iter()
             .map(|(origin, inc)| RepairRange {
@@ -452,7 +438,6 @@ fn sample_events() -> Vec<Box<dyn Sendable>> {
     ack.push(&full_probe());
     let mut repair = Message::new();
     repair.push(&RepairDigest {
-        credit: 128,
         entries: vec![RepairRange {
             origin: NodeId(3),
             inc: 120_000,

@@ -1,12 +1,16 @@
 //! Bytes on the wire by event type: the per-wire-event tally
-//! ([`RunReport::wire_events`]) of two n = 200 runs, largest first.
+//! ([`RunReport::wire_events`]) of the benchmark's three gossip shapes,
+//! largest first.
 //!
 //! * `member_restart(200, 0.1)` — the benchmark's `quiet_restart` shape:
 //!   three senders, a crash, an expulsion, an empty restart and a rejoin, so
 //!   the failure detector, Cocaditem, view synchrony and recovery do the
 //!   work;
 //! * `chat_fanin(200, 200)` at 10 % data loss — the `fanin_lossy` shape:
-//!   every member sends, so gossip push and repair dominate.
+//!   every member sends, so gossip push and repair dominate;
+//! * `sustained_overload(100, 100, 8_000)` — the `overload_2x` shape: 100
+//!   members send at twice the service rate for 8 s, so the push path runs
+//!   at its limit and the repair pass catches up on what it missed.
 //!
 //! Each row is one sendable event type: packets and bytes (framing
 //! included) summed over every node, bytes per node, and the share of the
@@ -73,4 +77,7 @@ fn main() {
             .with_seed(1),
     );
     print_table("chat_fanin(200, 200) at 10 % data loss, seed 1", &fanin);
+
+    let overload = Runner::new().run(&Scenario::sustained_overload(100, 100, 8_000).with_seed(1));
+    print_table("sustained_overload(100, 100, 8_000), seed 1", &overload);
 }

@@ -203,8 +203,8 @@ fn sustained_overload_sheds_data_gracefully_without_wedging() {
     // while every node ran two failure detectors, and no longer does with one;
     // 3,500 engaged it while every push drew its own peers, and no longer does
     // now that one instant's pushes share theirs (shed 0, depth 4,498). At
-    // 2,700 it sheds 608 at a depth of 4,672; 2,500 and below break the
-    // `2 × cap` envelope (depth 5,213 at 2,500).
+    // 2,700 it sheds 603 at a depth of 4,624; 2,500 and below break the
+    // `2 × cap` envelope (depth 5,207 at 2,500).
     scenario.wedge_queue_cap = 2_700;
     let report = Runner::new().run(&scenario);
 
