@@ -147,11 +147,13 @@ impl Message {
     /// and payload as slices of it.
     ///
     /// Decoded messages alias the packet they arrived in, and pushed headers
-    /// alias the pooled header scratch; both are 64 KiB chunks that are only
-    /// recycled once nothing views them. A layer that keeps a message past
-    /// the event that delivered it (a repair log, a hold-back buffer) stores
-    /// the compact copy, so what it retains is the message's own bytes and
-    /// not the chunk around them.
+    /// alias the pooled header scratch; both live in chunks shared with
+    /// other frames (8 KiB, `bytes::PINNED_CHUNK`, once a writer has
+    /// outgrown its first block) that are only recycled once nothing views
+    /// them. A layer that keeps a message past the event that delivered it
+    /// (a hold-back buffer, a retransmission window) stores the compact
+    /// copy, so what it retains is the message's own bytes and not the
+    /// chunk around them.
     pub fn compact(&self) -> Message {
         let mut buffer = Vec::with_capacity(self.size());
         for header in self.headers.iter() {
@@ -236,10 +238,12 @@ impl Wire for Message {
         w.put_bytes(&self.payload);
     }
 
-    /// The wire form in one exactly-sized buffer. This is the leanest way to
-    /// *keep* a message — one buffer behind one handle, turned back into a
-    /// message without copying by [`Wire::from_shared`] — which is what the
-    /// gossip repair log and outbox hold.
+    /// The wire form in one exactly-sized buffer: one buffer behind one
+    /// handle, turned back into a message without copying by
+    /// [`Wire::from_shared`]. A layer that keeps many messages for a while
+    /// can do better still by encoding them one after the other into a
+    /// writer of its own ([`WireWriter::split_frame`]), so they share its
+    /// chunks: that is what the gossip repair log and outbox hold.
     fn to_bytes(&self) -> Bytes {
         let mut w = WireWriter::with_capacity(self.encoded_len());
         self.encode(&mut w);

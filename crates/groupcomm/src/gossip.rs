@@ -48,7 +48,7 @@ use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
-use morpheus_appia::wire::{encode_pooled, Wire};
+use morpheus_appia::wire::{encode_pooled, Wire, WireWriter};
 use serde::{Deserialize, Serialize};
 
 use crate::events::{
@@ -56,7 +56,8 @@ use crate::events::{
     ViewInstall,
 };
 use crate::headers::{
-    GossipBatchBody, GossipHeader, RepairDigest, RepairPull, RepairPushHeader, RepairRange,
+    GossipBatchBody, GossipHeader, PullWants, RepairDigest, RepairPull, RepairPushHeader,
+    RepairRange,
 };
 use crate::repair::{Delivered, RepairLog, StreamKey};
 use crate::sample::{shuffle_slots, slot_of, slot_table, Sampler};
@@ -262,12 +263,18 @@ pub struct GossipSession {
     floor_breaches: HashMap<StreamKey, (u64, u64, NodeId)>,
     /// The repair log: recently delivered original messages, servable on a
     /// NACK pull. Bounded by `REPAIR_LOG_CAP` (ring) and
-    /// `REPAIR_LOG_TTL_MS` (age). Held in wire form ([`Wire::to_bytes`]):
-    /// one exactly-sized buffer per message, never slices of the packet it
-    /// arrived in — the log keeps entries for seconds, and a slice would pin
-    /// the sender's whole packet buffer for as long.
+    /// `REPAIR_LOG_TTL_MS` (age). Held in wire form ([`Wire::encode`]), as
+    /// frames of `frames`, never slices of the packet they arrived in — the
+    /// log keeps entries for seconds, and a slice would pin the sender's
+    /// whole packet buffer for as long.
     // bound: `REPAIR_LOG_CAP` ring + `REPAIR_LOG_TTL_MS` age, enforced inside `RepairLog`.
     log: RepairLog<Bytes>,
+    /// The writer the frames the log and the outbox share are encoded into,
+    /// one after the other in chunks of this session's own: a message
+    /// costs no allocation of its own, and the chunks hold frames of this
+    /// session only, so they go with the log.
+    // bound: the bytes of the frames the log and the outbox hold, plus two `bytes::PINNED_CHUNK`s (the current chunk and its spare); log eviction is FIFO, so a chunk is freed at most `REPAIR_LOG_TTL_MS` after its last frame was written.
+    frames: WireWriter,
     /// The origin at which the last pull ran out of `REPAIR_WINDOW`: the
     /// next digest's pull starts there.
     pull_resume: NodeId,
@@ -276,7 +283,7 @@ pub struct GossipSession {
     repair_timer: Option<u64>,
     /// The instant's pushes to every peer in one list, sent as aggregated
     /// batches by the zero-delay flush timer. Wire-form messages, like the
-    /// log, whose buffers they share. The list keeps its capacity across
+    /// log, whose frames they share. The list keeps its capacity across
     /// flushes, so queueing a push allocates nothing.
     // bound: <= `OUTBOX_CAP` entries per member (drop-newest, counted in `outbox_shed`); emptied by every flush, expelled peers' entries pruned on view install.
     outbox: Vec<OutboxEntry>,
@@ -304,6 +311,10 @@ pub struct GossipSession {
     /// Scratch the rows of a received repair digest decode into.
     // bound: capacity <= the largest digest received (`get_count` caps a count at packet bytes / 4); overwritten by every digest.
     digest_rows: Vec<RepairRange>,
+    /// Scratch the wants of a pull are built in (from a received digest)
+    /// or decoded into (from a received pull), and encoded or served from.
+    // bound: <= `REPAIR_WINDOW` wants when built; capacity <= the largest pull received (`get_count` caps every count at packet bytes) when decoded; overwritten by every pull.
+    pull_wants: PullWants,
     /// Scratch the entries of a received batch decode into. The messages
     /// are slices of the packet, so it is drained before the batch handler
     /// returns: no decoded message outlives the event that carried it.
@@ -333,6 +344,7 @@ impl GossipSession {
             delivered: HashMap::default(),
             floor_breaches: HashMap::default(),
             log: RepairLog::new(),
+            frames: WireWriter::new(),
             pull_resume: NodeId(0),
             pulls_this_interval: 0,
             pushes_this_interval: 0,
@@ -345,6 +357,7 @@ impl GossipSession {
             window_ms: None,
             sampler: Sampler::default(),
             digest_rows: Vec::new(),
+            pull_wants: PullWants::default(),
             batch_entries: Vec::new(),
             stats: GossipStats::default(),
         }
@@ -422,6 +435,14 @@ impl GossipSession {
             }
         }
         Some(self.delivered.entry((origin, inc)).or_default())
+    }
+
+    /// `message` in wire form, as the next frame of `frames`: what the log
+    /// and the outbox hold of a message.
+    fn frame_of(&mut self, message: &Message) -> Bytes {
+        self.frames.reserve(message.encoded_len());
+        message.encode(&mut self.frames);
+        self.frames.split_frame()
     }
 
     /// Stores a delivered message (in wire form) in the bounded repair log.
@@ -644,7 +665,7 @@ impl GossipSession {
         // The log, and a relay waiting in the outbox, outlive the packet
         // this message is a slice of: one private copy in wire form serves
         // them all.
-        let frame = message.to_bytes();
+        let frame = self.frame_of(&message);
         let key = (header.origin, header.inc);
         self.log_store(key, header.seq, frame.clone(), ctx.now_ms());
         if header.ttl > 0 {
@@ -754,14 +775,14 @@ impl GossipSession {
             return;
         }
         let local = ctx.node_id();
-        let mut wants: Vec<(NodeId, u64, Vec<u64>)> = Vec::new();
-        let mut total = 0usize;
+        let mut wants = std::mem::take(&mut self.pull_wants);
+        wants.clear();
         // Digest rows come in origin order. Each pull starts where the last
         // one ran out of window, so under a backlog every origin gets its
         // turn, not only the lowest ones.
         let (before, after) = rows.split_at(rows.partition_point(|e| e.origin < self.pull_resume));
         for entry in after.iter().chain(before) {
-            if total >= REPAIR_WINDOW {
+            if wants.len() >= REPAIR_WINDOW {
                 self.pull_resume = entry.origin;
                 break;
             }
@@ -797,36 +818,37 @@ impl GossipSession {
             // Query only — a digest must never create (or displace) a
             // delivery record. An unknown stream is missing in its
             // entirety within the advertised span.
-            let mut missing = Vec::new();
-            let limit = REPAIR_WINDOW - total;
+            let seqs = wants.seqs_mut();
             match tracker {
-                Some(tracker) => tracker.missing_in(entry.lo, entry.hi, limit, &mut missing),
-                None => missing.extend((entry.lo..=entry.hi).take(limit)),
+                Some(tracker) => tracker.missing_in(entry.lo, entry.hi, REPAIR_WINDOW, seqs),
+                None => {
+                    let room = REPAIR_WINDOW - seqs.len();
+                    seqs.extend((entry.lo..=entry.hi).take(room));
+                }
             }
-            if !missing.is_empty() {
-                total += missing.len();
-                wants.push((entry.origin, entry.inc, missing));
-            }
+            wants.end_stream(entry.origin, entry.inc);
         }
-        if wants.is_empty() {
-            return;
+        if !wants.is_empty() {
+            self.pulls_this_interval += 1;
+            self.stats.repair_pulls += 1;
+            self.stats.repair_pulled_seqs += wants.len() as u64;
+            let mut message = Message::new();
+            message.push_header(encode_pooled(|w| {
+                RepairPull::encode_wants(wants.streams(), w)
+            }));
+            ctx.dispatch(Event::down(GossipRepairPull::new(
+                local,
+                Dest::Node(from),
+                message,
+            )));
         }
-        self.pulls_this_interval += 1;
-        self.stats.repair_pulls += 1;
-        self.stats.repair_pulled_seqs += total as u64;
-        let mut message = Message::new();
-        message.push(&RepairPull { wants });
-        ctx.dispatch(Event::down(GossipRepairPull::new(
-            local,
-            Dest::Node(from),
-            message,
-        )));
+        self.pull_wants = wants;
     }
 
     /// A peer pulls gaps: serve them from the repair log. A want the log no
     /// longer holds gets no answer; the puller's digest-side breach rule
     /// escalates a gap that no peer can serve.
-    fn on_repair_pull(&mut self, from: NodeId, pull: RepairPull, ctx: &mut EventContext<'_>) {
+    fn on_repair_pull(&mut self, from: NodeId, wants: &PullWants, ctx: &mut EventContext<'_>) {
         // Serve log entries only to current view members — an expelled peer
         // re-syncs through the recovery layer's state transfer, not through
         // the repair path.
@@ -840,11 +862,11 @@ impl GossipSession {
         // …nor more than four windows per repair interval across all pulls
         // (a greedy or corrupt puller cannot amplify this node's send rate).
         let interval_cap = REPAIR_WINDOW * 4;
-        for (origin, inc, seqs) in pull.wants {
+        for (origin, inc, seqs) in wants.streams() {
             if self.log.lowest(&(origin, inc)).is_none() {
                 continue;
             }
-            for seq in seqs {
+            for &seq in seqs {
                 if budget == 0 {
                     return;
                 }
@@ -884,12 +906,8 @@ impl GossipSession {
             return;
         }
         let local = ctx.node_id();
-        self.log_store(
-            (header.origin, header.inc),
-            header.seq,
-            original.to_bytes(),
-            ctx.now_ms(),
-        );
+        let frame = self.frame_of(&original);
+        self.log_store((header.origin, header.inc), header.seq, frame, ctx.now_ms());
         self.stats.repaired_deliveries += 1;
         ctx.dispatch(Event::up(DataEvent::new(
             header.origin,
@@ -989,10 +1007,14 @@ impl Session for GossipSession {
                 return;
             };
             let from = pull.header.source;
-            let Ok(body) = pull.message.pop::<RepairPull>() else {
+            let Some(body) = pull.message.pop_header() else {
                 return;
             };
-            self.on_repair_pull(from, body, ctx);
+            let mut wants = std::mem::take(&mut self.pull_wants);
+            if RepairPull::decode_into(&body, &mut wants).is_ok() {
+                self.on_repair_pull(from, &wants, ctx);
+            }
+            self.pull_wants = wants;
             return;
         }
 
@@ -1044,7 +1066,7 @@ impl Session for GossipSession {
                         // so the origin itself can serve repair pulls, and
                         // record the own send as delivered so the node never
                         // pulls its own messages.
-                        let original = data.message.to_bytes();
+                        let original = self.frame_of(&data.message);
                         self.record_delivered(header.origin, header.inc, header.seq);
                         let key = (header.origin, header.inc);
                         self.log_store(key, header.seq, original.clone(), ctx.now_ms());

@@ -258,6 +258,131 @@ pub struct RepairPull {
     pub wants: Vec<(NodeId, u64, Vec<u64>)>,
 }
 
+impl RepairPull {
+    /// Encodes a pull from its streams, as they are read — byte for byte
+    /// what [`Wire::encode`] writes for the same wants. The gossip session
+    /// encodes its pulls straight from its [`PullWants`] scratch.
+    pub fn encode_wants<'a, I>(wants: I, w: &mut WireWriter)
+    where
+        I: IntoIterator<Item = (NodeId, u64, &'a [u64])>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let wants = wants.into_iter();
+        w.put_varint(wants.len() as u64);
+        let mut prev = 0;
+        let mut inc_base = None;
+        for (origin, inc, seqs) in wants {
+            w.put_delta(prev, origin.into());
+            prev = origin.into();
+            w.put_delta(inc_base.unwrap_or(0), inc);
+            inc_base.get_or_insert(inc);
+            w.put_gap_list(seqs);
+        }
+    }
+
+    /// Decodes the pull carried in `header` (a popped message header) into
+    /// `wants`, a caller-owned scratch that keeps its capacity across
+    /// pulls. All or nothing, as [`Message::pop`]: a malformed stream or
+    /// trailing bytes is an error and leaves `wants` empty. Every count is
+    /// checked against the bytes left ([`WireReader::get_count`]) before
+    /// anything is reserved.
+    pub fn decode_into(header: &[u8], wants: &mut PullWants) -> Result<(), WireError> {
+        wants.clear();
+        let mut r = WireReader::new(header);
+        let decoded = Self::decode_wants(&mut r, wants).and_then(|()| match r.remaining() {
+            0 => Ok(()),
+            _ => Err(WireError::Malformed("trailing bytes in header")),
+        });
+        if decoded.is_err() {
+            wants.clear();
+        }
+        decoded
+    }
+
+    /// Appends the streams of one encoded pull to `wants`.
+    fn decode_wants(r: &mut WireReader<'_>, wants: &mut PullWants) -> Result<(), WireError> {
+        // As in `Wire::decode`: a stream is at least three bytes, a
+        // sequence number at least one.
+        let count = r.get_count(3)?;
+        wants.streams.reserve(count);
+        let mut prev = 0;
+        let mut inc_base = None;
+        for _ in 0..count {
+            prev = r.get_delta(prev)?;
+            let inc = r.get_delta(inc_base.unwrap_or(0))?;
+            inc_base.get_or_insert(inc);
+            let origin = narrow(prev)?;
+            let len = r.get_count(1)?;
+            wants.seqs.reserve(len);
+            let mut seq = 0;
+            for _ in 0..len {
+                seq = r.get_delta(seq)?;
+                wants.seqs.push(seq);
+            }
+            wants.streams.push((origin, inc, wants.seqs.len()));
+        }
+        Ok(())
+    }
+}
+
+/// The wants of one [`RepairPull`] in two flat lists, so a session builds,
+/// encodes and decodes its pulls in buffers it keeps instead of a list per
+/// stream: the streams in wire order, and every wanted sequence number
+/// after the other.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct PullWants {
+    /// `(origin, inc, end)` per stream: its sequence numbers are
+    /// `seqs[previous stream's end..end]`.
+    streams: Vec<(NodeId, u64, usize)>,
+    seqs: Vec<u64>,
+}
+
+impl PullWants {
+    /// Empties both lists, keeping their memory.
+    pub fn clear(&mut self) {
+        self.streams.clear();
+        self.seqs.clear();
+    }
+
+    /// Sequence numbers wanted over all streams.
+    pub fn len(&self) -> usize {
+        self.seqs.len()
+    }
+
+    /// Whether no sequence number is wanted.
+    pub fn is_empty(&self) -> bool {
+        self.seqs.is_empty()
+    }
+
+    /// The list the next stream's sequence numbers are appended to, after
+    /// every stream's before it ([`crate::repair::Delivered::missing_in`]
+    /// appends into it). [`PullWants::end_stream`] gives them a stream.
+    pub fn seqs_mut(&mut self) -> &mut Vec<u64> {
+        &mut self.seqs
+    }
+
+    /// Makes the sequence numbers appended since the previous stream ended
+    /// the wants of `(origin, inc)`. A stream that got none is not kept.
+    pub fn end_stream(&mut self, origin: NodeId, inc: u64) {
+        let start = self.streams.last().map_or(0, |&(_, _, end)| end);
+        if self.seqs.len() > start {
+            self.streams.push((origin, inc, self.seqs.len()));
+        }
+    }
+
+    /// `(origin, inc, wanted sequence numbers)` per stream, in wire order.
+    pub fn streams(&self) -> impl ExactSizeIterator<Item = (NodeId, u64, &[u64])> + '_ {
+        let mut start = 0;
+        self.streams.iter().map(move |&(origin, inc, end)| {
+            // Every end is at most `seqs.len()` and no less than the one
+            // before it, so the range is always there.
+            let seqs = self.seqs.get(start..end).unwrap_or_default();
+            start = end;
+            (origin, inc, seqs)
+        })
+    }
+}
+
 impl Wire for RepairPull {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.wants.len() as u64);
@@ -332,8 +457,8 @@ pub struct GossipBatchBody {
 }
 
 impl GossipBatchBody {
-    /// Encodes a batch whose messages are already in wire form
-    /// ([`Wire::to_bytes`]) — byte for byte what [`Wire::encode`] writes for
+    /// Encodes a batch whose messages are already in wire form (the bytes
+    /// [`Wire::encode`] writes for them) — byte for byte what it writes for
     /// the same entries as [`Message`]s. The gossip outbox holds frames, so
     /// a flush copies them into the packet instead of re-encoding.
     pub fn encode_frames<'a, I>(entries: I, w: &mut WireWriter)
@@ -1117,6 +1242,97 @@ mod tests {
             ) {
                 (Ok(()), Ok(decoded)) => assert_eq!(rows, decoded.entries),
                 (Err(_), Err(_)) => assert!(rows.is_empty(), "a failed decode left rows behind"),
+                (scratch, whole) => panic!("{variant:?}: {scratch:?} against {whole:?}"),
+            }
+        }
+    }
+
+    fn wants_of(wants: &PullWants) -> Vec<(NodeId, u64, Vec<u64>)> {
+        let streams = wants.streams();
+        streams
+            .map(|(origin, inc, seqs)| (origin, inc, seqs.to_vec()))
+            .collect()
+    }
+
+    /// [`RepairPull`]'s reference decode over a whole header, as
+    /// [`Message::pop`] runs it.
+    fn reference_pull(header: &[u8]) -> Result<RepairPull, WireError> {
+        let mut r = WireReader::new(header);
+        let pull = RepairPull::decode(&mut r)?;
+        match r.remaining() {
+            0 => Ok(pull),
+            _ => Err(WireError::Malformed("trailing bytes in header")),
+        }
+    }
+
+    /// Wants built in the flat scratch, as a gossip session builds them,
+    /// encode to the reference encoder's bytes.
+    #[test]
+    fn a_pull_encodes_from_scratch_like_the_reference_codec() {
+        let pull = RepairPull {
+            wants: vec![
+                (NodeId(2), 1_000, vec![3, 4, 9]),
+                (NodeId(1), 999, vec![u64::MAX]),
+                (NodeId(300), 5, vec![1, 200, 70_000]),
+            ],
+        };
+        let mut wants = PullWants::default();
+        for (origin, inc, seqs) in &pull.wants {
+            wants.seqs_mut().extend(seqs);
+            wants.end_stream(*origin, *inc);
+            wants.end_stream(NodeId(8), 1);
+        }
+        assert_eq!(wants.len(), 7);
+        assert_eq!(
+            wants_of(&wants),
+            pull.wants,
+            "a stream wanting nothing is not kept"
+        );
+        let mut w = WireWriter::new();
+        RepairPull::encode_wants(wants.streams(), &mut w);
+        assert_eq!(w.finish(), pull.to_bytes());
+        wants.clear();
+        assert!(wants.is_empty() && wants.streams().len() == 0);
+    }
+
+    /// The scratch decode gives the reference decode's values and errors on
+    /// every prefix and every single-bit flip of a pull, and a failure
+    /// leaves the scratch empty however full it was.
+    #[test]
+    fn a_pull_decodes_into_scratch_like_the_reference_codec() {
+        let pull = RepairPull {
+            wants: vec![
+                (NodeId(2), 1_000, vec![3, 4, 9]),
+                (NodeId(7), 1_001, vec![]),
+                (NodeId(300), 5, vec![1, 200, 70_000]),
+            ],
+        };
+        let bytes = pull.to_bytes().to_vec();
+        let mut wants = PullWants::default();
+        assert_eq!(RepairPull::decode_into(&bytes, &mut wants), Ok(()));
+        assert_eq!(wants_of(&wants), pull.wants);
+        let full = wants.clone();
+        let mut variants: Vec<Vec<u8>> =
+            (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        variants.push([&bytes[..], &[0]].concat());
+        for index in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut mutated = bytes.clone();
+                mutated[index] ^= 1 << bit;
+                variants.push(mutated);
+            }
+        }
+        for variant in variants {
+            wants.clone_from(&full);
+            match (
+                RepairPull::decode_into(&variant, &mut wants),
+                reference_pull(&variant),
+            ) {
+                (Ok(()), Ok(decoded)) => assert_eq!(wants_of(&wants), decoded.wants),
+                (Err(scratch), Err(reference)) => {
+                    assert_eq!(scratch, reference, "{variant:?}");
+                    assert_eq!(wants, PullWants::default(), "a failed decode left wants");
+                }
                 (scratch, whole) => panic!("{variant:?}: {scratch:?} against {whole:?}"),
             }
         }

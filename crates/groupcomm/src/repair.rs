@@ -110,8 +110,9 @@ impl Delivered {
         }
     }
 
-    /// Appends the sequence numbers in `[lo, hi]` not yet delivered, up to
-    /// `limit` entries.
+    /// Appends the sequence numbers in `[lo, hi]` not yet delivered, until
+    /// `out` holds `limit` entries — those of earlier streams included, so
+    /// one flat list can collect a whole pull's wants.
     pub fn missing_in(&self, lo: u64, hi: u64, limit: usize, out: &mut Vec<u64>) {
         let start = lo.max(self.floor + 1);
         for seq in start..=hi {

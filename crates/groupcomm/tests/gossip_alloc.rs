@@ -4,18 +4,24 @@
 //! is warmed through [`Harness`] (outbox, decode scratch, target scratch,
 //! delivery tracker and the kernel's queues all sized for the measured
 //! rounds), then each round of sends or arrivals must allocate exactly what
-//! the test names: one buffer block per kept message. The outbox, the batch
-//! decode and the target sampling allocate nothing, and neither do the event
-//! boxes: every one comes from its type's free list, refilled by the events
-//! the previous round dropped.
+//! the test names. The outbox, the batch decode and the target sampling
+//! allocate nothing, and neither do the event boxes: every one comes from
+//! its type's free list, refilled by the events the previous round dropped.
+//! Neither does a kept message: its wire form is a frame of the session's
+//! frame writer, which allocates a chunk only when the one it writes in
+//! runs out while the frames in it are still kept.
 //!
 //! Every push leaves the same way: queued in a per-peer outbox and sent,
 //! up to four messages a packet, by the zero-delay flush. The push-path
-//! tests run with the repair pass off (`repair_interval_ms` 0), so the
-//! repair log's buffers stay out of their budget. The repair pass has
-//! budgets of its own: a received digest decodes into the
-//! session's scratch, and the repair tick encodes its digest straight from
-//! the log and draws its targets without a pool of members.
+//! tests run with the repair pass off (`repair_interval_ms` 0): the flush
+//! drops the last view of the instant's frames, so the frame writer
+//! reclaims its chunk in place and the push path allocates nothing. The
+//! repair pass has budgets of its own: a received digest decodes into the
+//! session's scratch and builds its pull in another, a received pull
+//! decodes into that scratch and is answered from the log, logged frames
+//! cost a chunk per chunk's worth of them, and the repair tick encodes its
+//! digest straight from the log and draws its targets without a pool of
+//! members. A live-bytes count checks that logged frames go with the log.
 //!
 //! The failure detector's probe arrivals are pinned here too: a probe
 //! decodes into the session's scratch, and a ping's reply reuses a box.
@@ -30,12 +36,14 @@ use morpheus_appia::message::Message;
 use morpheus_appia::platform::{InPacket, NodeId, PacketClass, TestPlatform};
 use morpheus_appia::testing::Harness;
 use morpheus_appia::timer::TimerKey;
-use morpheus_groupcomm::events::{GossipBatch, GossipRepairDigest, Heartbeat};
+use morpheus_groupcomm::events::{
+    GossipBatch, GossipRepairDigest, GossipRepairPull, GossipRepairPush, Heartbeat,
+};
 use morpheus_groupcomm::failure_detector::FailureDetectorLayer;
-use morpheus_groupcomm::gossip::GossipLayer;
+use morpheus_groupcomm::gossip::{GossipLayer, GossipSession};
 use morpheus_groupcomm::headers::{
-    GossipBatchBody, GossipHeader, ProbeBody, ProbeKind, RepairDigest, RepairRange, Rumour,
-    RumourKind,
+    GossipBatchBody, GossipHeader, ProbeBody, ProbeKind, RepairDigest, RepairPull, RepairRange,
+    Rumour, RumourKind,
 };
 
 struct CountingAllocator;
@@ -45,28 +53,40 @@ thread_local! {
     /// not count each other. `const` initialisation: reading the counter
     /// never allocates, so the allocator may touch it.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed by this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(grown: i64) {
     let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + grown));
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).expect("an allocation fits an i64")
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(size(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() - size(layout.size())));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(size(new_size) - size(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -121,10 +141,11 @@ fn batches_sent(harness: &mut Harness) -> usize {
 }
 
 /// An origin queues `K` sends for `P` peers, then the flush sends them as
-/// `P` batches. Queueing costs one wire-form copy of each message (the
-/// outbox shares it between peers) and nothing for the outbox itself; the
-/// flush costs nothing: the timer event and the `P` batch events take the
-/// boxes the previous round's dropped.
+/// `P` batches. Queueing writes one wire-form copy of each message (the
+/// outbox shares it between peers) into the frame writer's chunk, which the
+/// previous flush left unviewed, and costs nothing for the outbox itself;
+/// the flush costs nothing: the timer event and the `P` batch events take
+/// the boxes the previous round's dropped.
 #[test]
 fn queueing_and_flushing_pushes_allocate_only_frames_and_batch_boxes() {
     let mut platform = TestPlatform::new(NodeId(0));
@@ -168,9 +189,8 @@ fn queueing_and_flushing_pushes_allocate_only_frames_and_batch_boxes() {
     }
 
     assert_eq!(
-        queueing,
-        ROUNDS * K as u64,
-        "queueing {K} sends to {P} peers: one frame block per message, \
+        queueing, 0,
+        "queueing {K} sends to {P} peers: frames in a reclaimed chunk, \
          nothing for the outbox or the target draw"
     );
     assert_eq!(
@@ -180,11 +200,12 @@ fn queueing_and_flushing_pushes_allocate_only_frames_and_batch_boxes() {
 }
 
 /// A packet carrying a `K`-entry batch of new messages arrives; every entry
-/// is delivered up and relayed to `P` peers. Counted: per message one frame
-/// block (the copy the relays share). The batch entries decode into the
-/// session's scratch, and the decode box, the `K` `DataEvent`s going up, the
-/// timer event and the `P` relay batches take boxes the previous round's
-/// events gave back.
+/// is delivered up and relayed to `P` peers. The copies the relays share
+/// are frames in the frame writer's chunk, reclaimed in place once the
+/// previous flush dropped them. The batch entries decode into the session's
+/// scratch, and the decode box, the `K` `DataEvent`s going up, the timer
+/// event and the `P` relay batches take boxes the previous round's events
+/// gave back: the arrival allocates nothing.
 #[test]
 fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() {
     let mut platform = TestPlatform::new(NodeId(1));
@@ -243,10 +264,9 @@ fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() 
     }
 
     assert_eq!(
-        total,
-        ROUNDS * K as u64,
-        "a {K}-entry batch relayed to {P} peers: {K} frame blocks, every \
-         event box reused"
+        total, 0,
+        "a {K}-entry batch relayed to {P} peers: frames in a reclaimed \
+         chunk, every event box reused"
     );
 }
 
@@ -320,6 +340,56 @@ fn repairing_gossip(platform: &mut TestPlatform) -> Harness {
     Harness::new(GossipLayer, &params, platform)
 }
 
+/// A packet from node 2 carrying one batch: the messages `seqs` of
+/// `origin`'s stream (inc 5) at TTL `ttl`, each with `payload`.
+fn batch_packet(
+    origin: u32,
+    seqs: impl IntoIterator<Item = u64>,
+    ttl: u32,
+    payload: &'static [u8],
+) -> InPacket {
+    let entries = seqs
+        .into_iter()
+        .map(|seq| {
+            let header = GossipHeader {
+                origin: NodeId(origin),
+                inc: 5,
+                seq,
+                ttl,
+            };
+            (header, Message::with_payload(payload))
+        })
+        .collect();
+    let mut message = Message::new();
+    message.push(&GossipBatchBody { entries });
+    let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), message);
+    InPacket {
+        from: NodeId(2),
+        to: NodeId(1),
+        class: PacketClass::Data,
+        channel: "harness".into(),
+        payload: morpheus_appia::registry::encode_event(&batch),
+    }
+}
+
+/// Fires the timers due by the platform's clock — the zero-delay flush, and
+/// the repair tick once the clock has reached it — and leaves the later
+/// ones armed. `keys` is the caller's reusable buffer.
+fn fire_due(harness: &mut Harness, platform: &mut TestPlatform, keys: &mut Vec<TimerKey>) {
+    let now = platform.now_ms;
+    keys.extend(
+        platform
+            .timers
+            .iter()
+            .filter(|(at, _)| *at <= now)
+            .map(|(_, key)| *key),
+    );
+    platform.timers.retain(|(at, _)| *at > now);
+    for key in keys.drain(..) {
+        harness.fire_timer(key, platform);
+    }
+}
+
 /// A packet from node 2 carrying a repair digest that advertises `spans`.
 fn digest_packet(spans: &[(u32, u64, u64)]) -> InPacket {
     let mut message = Message::new();
@@ -355,27 +425,7 @@ fn a_warm_repair_digest_that_pulls_nothing_allocates_nothing() {
     GossipRepairDigest::register(harness.kernel_mut().events_mut());
     // Node 1 delivers seqs 1..=8 of four origins' streams (inc 5).
     for origin in [0, 3, 4, 6] {
-        let entries = (1..=8)
-            .map(|seq| {
-                let header = GossipHeader {
-                    origin: NodeId(origin),
-                    inc: 5,
-                    seq,
-                    ttl: 0,
-                };
-                (header, Message::with_payload(&b"logged"[..]))
-            })
-            .collect();
-        let mut message = Message::new();
-        message.push(&GossipBatchBody { entries });
-        let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), message);
-        let arrival = InPacket {
-            from: NodeId(2),
-            to: NodeId(1),
-            class: PacketClass::Data,
-            channel: "harness".into(),
-            payload: morpheus_appia::registry::encode_event(&batch),
-        };
+        let arrival = batch_packet(origin, 1..=8, 0, b"logged");
         harness
             .kernel_mut()
             .deliver_packet(arrival, &mut platform)
@@ -454,4 +504,271 @@ fn a_warm_repair_tick_allocates_only_its_target_list() {
     }
 
     assert_eq!(total, ROUNDS, "a repair tick: one target list");
+}
+
+/// The wants of every pull the layer sent down since the last drain, in
+/// wire order.
+fn pulls_sent(harness: &mut Harness) -> Vec<Vec<(NodeId, u64, Vec<u64>)>> {
+    let down = harness.drain_down();
+    down.iter()
+        .filter_map(|event| event.get::<GossipRepairPull>())
+        .map(|pull| pull.message.clone().pop::<RepairPull>().unwrap().wants)
+        .collect()
+}
+
+/// A digest arrives that advertises gaps: two in streams the node tracks
+/// and one stream it never heard of. The rows decode into the session's
+/// scratch, the wants are built in another ([`Delivered::missing_in`]
+/// appends to it) and encoded straight from it through the shared frame
+/// scratch, and the decode box and the pull's box come from the free
+/// lists: the pull costs no allocation.
+///
+/// [`Delivered::missing_in`]: morpheus_groupcomm::repair::Delivered::missing_in
+#[test]
+fn a_warm_repair_digest_that_pulls_allocates_nothing() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut harness = repairing_gossip(&mut platform);
+    GossipBatch::register(harness.kernel_mut().events_mut());
+    GossipRepairDigest::register(harness.kernel_mut().events_mut());
+    for origin in [0, 3] {
+        let arrival = batch_packet(origin, [1, 2, 4, 7], 0, b"logged");
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        assert_eq!(harness.drain_up().len(), 4);
+    }
+    let spans = [(0, 1, 8), (3, 2, 9), (6, 1, 3)];
+    let wants = vec![
+        (NodeId(0), 5, vec![3, 5, 6, 8]),
+        (NodeId(3), 5, vec![3, 5, 6, 8, 9]),
+        (NodeId(6), 5, vec![1, 2, 3]),
+    ];
+
+    let mut keys = Vec::with_capacity(4);
+    let mut total = 0;
+    for round in 0..WARM_UP_ROUNDS as u64 + ROUNDS {
+        // A repair tick opens a new interval, and with it the pull budget.
+        platform.advance(1_000);
+        fire_due(&mut harness, &mut platform, &mut keys);
+        harness.drain_down();
+
+        let arrival = digest_packet(&spans);
+        let before = allocations();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        if round >= WARM_UP_ROUNDS as u64 {
+            total += allocations() - before;
+        }
+        assert_eq!(pulls_sent(&mut harness), vec![wants.clone()], "one pull");
+        assert!(harness.drain_up().is_empty(), "digests are absorbed");
+    }
+
+    assert_eq!(total, 0, "a warm digest that pulls allocates nothing");
+}
+
+/// A packet from node 2 carrying a repair pull for `wants`.
+fn pull_packet(wants: &[(u32, &[u64])]) -> InPacket {
+    let mut message = Message::new();
+    message.push(&RepairPull {
+        wants: wants
+            .iter()
+            .map(|(origin, seqs)| (NodeId(*origin), 5, seqs.to_vec()))
+            .collect(),
+    });
+    let pull = GossipRepairPull::new(NodeId(2), Dest::Node(NodeId(1)), message);
+    InPacket {
+        from: NodeId(2),
+        to: NodeId(1),
+        class: PacketClass::Control,
+        channel: "harness".into(),
+        payload: morpheus_appia::registry::encode_event(&pull),
+    }
+}
+
+/// A pull arrives for seven logged messages and one the log never held.
+/// The wants decode into the session's scratch; each answer is its logged
+/// frame read back without a copy, under a header encoded through the
+/// shared frame scratch, in a box from the free list: answering allocates
+/// nothing.
+#[test]
+fn a_warm_pull_answered_from_the_log_allocates_nothing() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut harness = repairing_gossip(&mut platform);
+    GossipBatch::register(harness.kernel_mut().events_mut());
+    GossipRepairPull::register(harness.kernel_mut().events_mut());
+    for origin in [0, 3] {
+        let arrival = batch_packet(origin, 1..=8, 0, b"logged");
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        assert_eq!(harness.drain_up().len(), 8);
+    }
+    let wants: [(u32, &[u64]); 3] = [(0, &[2, 5, 8]), (3, &[1, 2, 3, 4]), (6, &[1])];
+    let answers = 7;
+
+    let mut total = 0;
+    for round in 0..WARM_UP_ROUNDS as u64 + ROUNDS {
+        let arrival = pull_packet(&wants);
+        let before = allocations();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        if round >= WARM_UP_ROUNDS as u64 {
+            total += allocations() - before;
+        }
+        let down = harness.drain_down();
+        let pushes = down.iter().filter(|event| event.is::<GossipRepairPush>());
+        assert_eq!(pushes.count(), answers, "one push per logged want");
+    }
+
+    assert_eq!(
+        total, 0,
+        "a warm pull answered from the log allocates nothing"
+    );
+}
+
+/// The payload of a message whose wire form is 16 bytes (a header count, a
+/// length and 14 bytes): a chunk holds a whole number of such frames.
+const FRAME_PAYLOAD: &[u8] = b"fourteen bytes";
+
+/// Messages the repair log holds at most.
+const REPAIR_LOG_CAP: usize = 4_096;
+
+/// Age at which the repair tick evicts a logged message.
+const REPAIR_LOG_TTL_MS: u64 = 10_000;
+
+/// `K`-entry batches arrive at a session whose repair log is full, so every
+/// arrival evicts as many messages as it logs. Each new message is
+/// delivered, logged and relayed; its frame goes into the frame writer's
+/// chunk. A chunk runs out while the log still holds all its frames, so the
+/// writer takes a fresh one: over a chunk's worth of frames, the arrivals
+/// allocate that one chunk and nothing else.
+#[test]
+fn a_batch_arrival_logs_its_frames_at_one_chunk_per_chunks_worth() {
+    let frame_len = Message::with_payload(FRAME_PAYLOAD).encoded_len();
+    assert_eq!(bytes::PINNED_CHUNK % frame_len, 0, "whole frames per chunk");
+    let per_chunk = bytes::PINNED_CHUNK / frame_len;
+    // A whole number of chunks' worth, so the count is the same wherever in
+    // a chunk the measured rounds start.
+    let chunks = 2;
+    let rounds = chunks * per_chunk / K;
+    assert_eq!(rounds * K, chunks * per_chunk);
+
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut harness = repairing_gossip(&mut platform);
+    GossipBatch::register(harness.kernel_mut().events_mut());
+    let mut next_seq = 0;
+    let mut packet = || {
+        let seqs = next_seq + 1..=next_seq + K as u64;
+        next_seq += K as u64;
+        batch_packet(0, seqs, 2, FRAME_PAYLOAD)
+    };
+
+    let mut keys = Vec::with_capacity(4);
+    // Fill the log past its cap, and the frame writer with it.
+    for _ in 0..REPAIR_LOG_CAP / K + 2 * per_chunk / K {
+        let arrival = packet();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        fire_due(&mut harness, &mut platform, &mut keys);
+        harness.drain_up();
+        harness.drain_down();
+    }
+    assert_eq!(log_len(&mut harness), REPAIR_LOG_CAP);
+
+    let mut total = 0;
+    for r in 0..rounds {
+        let arrival = packet();
+        let before = allocations();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        fire_due(&mut harness, &mut platform, &mut keys);
+        total += allocations() - before;
+        if allocations() - before > 0 {
+            eprintln!("DBG allocs {} at {} {}", allocations() - before, total, r);
+        }
+        assert_eq!(harness.drain_up().len(), K, "every entry delivered");
+        assert_eq!(batches_sent(&mut harness), 3, "relayed to the fan-out");
+    }
+
+    assert_eq!(
+        total,
+        chunks as u64,
+        "{} logged frames of {frame_len} bytes: one chunk per {per_chunk}",
+        rounds * K
+    );
+}
+
+/// Messages the session's repair log holds.
+fn log_len(harness: &mut Harness) -> usize {
+    let session = harness
+        .kernel_mut()
+        .channel_by_name("harness")
+        .unwrap()
+        .session_of("gossip")
+        .unwrap();
+    let session = session.borrow();
+    session
+        .as_any()
+        .and_then(|any| any.downcast_ref::<GossipSession>())
+        .unwrap()
+        .log_len()
+}
+
+/// Logged frames go with the log. Arrivals stream into a warm session for
+/// two log TTLs, then the repair ticks evict everything: the bytes the
+/// thread holds return to the level before the traffic. The warm-up ran
+/// the same traffic, so the frame writer's two chunks (the current one and
+/// its spare) are in that level already, and the bound is less than one
+/// chunk. A frame that outlived its log entry — a copy kept elsewhere in
+/// the session, a chunk pinned by another node's header — would keep a
+/// whole chunk, and in a simulated group a chunk per node.
+#[test]
+fn logged_frames_die_with_the_log() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut harness = repairing_gossip(&mut platform);
+    GossipBatch::register(harness.kernel_mut().events_mut());
+    let mut next_seq = 0;
+    let mut keys = Vec::with_capacity(8);
+    // One batch every 10 ms for two log TTLs, then ticks until the last
+    // message is evicted.
+    let mut stream = |harness: &mut Harness, platform: &mut TestPlatform| {
+        for _ in 0..2 * REPAIR_LOG_TTL_MS / 10 {
+            let seqs = next_seq + 1..=next_seq + K as u64;
+            next_seq += K as u64;
+            harness
+                .kernel_mut()
+                .deliver_packet(batch_packet(0, seqs, 2, FRAME_PAYLOAD), platform)
+                .unwrap();
+            fire_due(harness, platform, &mut keys);
+            harness.drain_up();
+            harness.drain_down();
+            platform.advance(10);
+        }
+        for _ in 0..REPAIR_LOG_TTL_MS / 1_000 + 1 {
+            platform.advance(1_000);
+            fire_due(harness, platform, &mut keys);
+            harness.drain_down();
+        }
+        assert_eq!(log_len(harness), 0, "the log is empty");
+    };
+
+    stream(&mut harness, &mut platform);
+    let before = live_bytes();
+    stream(&mut harness, &mut platform);
+    let after = live_bytes();
+    assert!(
+        after - before < size(bytes::PINNED_CHUNK),
+        "{} bytes outlived the log that held them",
+        after - before
+    );
 }

@@ -9,11 +9,11 @@ use morpheus_appia::events::DataEvent;
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::registry::{decode_event, encode_event, EventFactoryRegistry};
-use morpheus_appia::wire::{Wire, WireReader, WireWriter};
-use morpheus_groupcomm::events::{GossipBatch, GossipRepairDigest, Heartbeat};
+use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
+use morpheus_groupcomm::events::{GossipBatch, GossipRepairDigest, GossipRepairPull, Heartbeat};
 use morpheus_groupcomm::headers::{
     CausalHeader, FecParityHeader, FlushBody, GossipBatchBody, GossipHeader, LivenessDigest,
-    McastHeader, McastMode, NackHeader, OrderHeader, ProbeBody, ProbeKind, RepairDigest,
+    McastHeader, McastMode, NackHeader, OrderHeader, ProbeBody, ProbeKind, PullWants, RepairDigest,
     RepairPull, RepairPushHeader, RepairRange, Rumour, RumourKind, SeqHeader, TotalIdHeader,
 };
 use morpheus_groupcomm::recovery::{StateChunk, StateChunkHeader, StateRequest, StateRequestBody};
@@ -391,6 +391,69 @@ fn batches_of_frames_encode_like_batches_of_messages() {
     assert_eq!(w.finish(), GossipBatchBody { entries }.to_bytes());
 }
 
+/// A pull at the size a gossip session sends: `REPAIR_WINDOW` (64) wants
+/// over a few streams.
+fn window_pull() -> RepairPull {
+    RepairPull {
+        wants: (0..4u32)
+            .map(|at| {
+                let seqs = (0..16).map(|seq| 40 + u64::from(at) + 3 * seq).collect();
+                (NodeId(GROUP - 40 + 9 * at), 120_000 + u64::from(at), seqs)
+            })
+            .collect(),
+    }
+}
+
+/// The session's pull codec — wants built and decoded in a flat scratch —
+/// against the reference, [`Wire`]: the same bytes out, and on every
+/// (strided) truncation and single-bit flip the same values or the same
+/// error, with nothing left in the scratch after an error.
+#[test]
+fn pulls_in_scratch_agree_with_the_reference_codec() {
+    let pull = window_pull();
+    let mut wants = PullWants::default();
+    for (origin, inc, seqs) in &pull.wants {
+        wants.seqs_mut().extend(seqs);
+        wants.end_stream(*origin, *inc);
+    }
+    let mut w = WireWriter::new();
+    RepairPull::encode_wants(wants.streams(), &mut w);
+    let bytes = w.finish();
+    assert_eq!(bytes, pull.to_bytes());
+
+    let agree = |input: &[u8], wants: &mut PullWants| {
+        let mut r = WireReader::new(input);
+        let reference = RepairPull::decode(&mut r).and_then(|pull| match r.remaining() {
+            0 => Ok(pull.wants),
+            _ => Err(WireError::Malformed("trailing bytes in header")),
+        });
+        let scratch = RepairPull::decode_into(input, wants).map(|()| {
+            let streams = wants.streams();
+            streams
+                .map(|(origin, inc, seqs)| (origin, inc, seqs.to_vec()))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(
+            scratch, reference,
+            "scratch and reference disagree on {input:?}"
+        );
+        if scratch.is_err() {
+            assert_eq!(*wants, PullWants::default());
+        }
+    };
+    agree(&bytes, &mut wants);
+    for len in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
+        agree(&bytes[..len], &mut wants);
+    }
+    for index in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
+        for bit in 0..8 {
+            let mut mutated = bytes.to_vec();
+            mutated[index] ^= 1 << bit;
+            agree(&mutated, &mut wants);
+        }
+    }
+}
+
 /// Unknown tag bytes must surface as decode errors, not panics.
 #[test]
 fn unknown_mode_tag_is_rejected() {
@@ -445,6 +508,8 @@ fn sample_events() -> Vec<Box<dyn Sendable>> {
             hi: 52,
         }],
     });
+    let mut pull = Message::new();
+    pull.push(&window_pull());
     let mut data = Message::with_payload(vec![b'd'; 40]);
     data.push(&SeqHeader { seq: 9 });
     let mut state_request = Message::new();
@@ -464,6 +529,7 @@ fn sample_events() -> Vec<Box<dyn Sendable>> {
         Box::new(Heartbeat::new(NodeId(199), to.clone(), ping)),
         Box::new(Heartbeat::new(NodeId(199), to.clone(), ack)),
         Box::new(GossipRepairDigest::new(NodeId(4), to.clone(), repair)),
+        Box::new(GossipRepairPull::new(NodeId(4), to.clone(), pull)),
         Box::new(DataEvent::new(NodeId(0), to.clone(), data)),
         Box::new(StateRequest::new(NodeId(2), to.clone(), state_request)),
         Box::new(StateChunk::new(NodeId(0), to, state_chunk)),
@@ -476,6 +542,7 @@ fn sample_factories() -> EventFactoryRegistry {
     GossipBatch::register(&mut factories);
     Heartbeat::register(&mut factories);
     GossipRepairDigest::register(&mut factories);
+    GossipRepairPull::register(&mut factories);
     StateRequest::register(&mut factories);
     StateChunk::register(&mut factories);
     factories
@@ -498,6 +565,7 @@ fn decode_packet(factories: &EventFactoryRegistry, packet: &Bytes) -> bool {
         "GossipBatch" => GossipBatchBody::decode_into(&header, &mut Vec::new()).is_ok(),
         "Heartbeat" => ProbeBody::decode_into(&header, &mut ProbeBody::default()).is_ok(),
         "GossipRepairDigest" => RepairDigest::decode_into(&header, &mut Vec::new()).is_ok(),
+        "GossipRepairPull" => RepairPull::decode_into(&header, &mut PullWants::default()).is_ok(),
         "StateRequest" => StateRequestBody::from_shared(&header).is_ok(),
         "StateChunk" => StateChunkHeader::from_shared(&header).is_ok(),
         _ => SeqHeader::from_shared(&header).is_ok(),

@@ -6,7 +6,10 @@
 //! decides when this run's chunks run out. The runner starts it afresh, so
 //! the same scenario makes the same allocations whatever ran before it —
 //! which is what lets a benchmark compare allocation *counts* across
-//! repetitions and commits.
+//! repetitions and commits. It is also what lets a test hold a small lossy
+//! fan-in to a budget of allocations per delivered message, so a change
+//! that makes the gossip data plane allocate per message again fails here
+//! and not only in the benchmark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,4 +74,26 @@ fn a_run_allocates_the_same_whatever_ran_before_it() {
             "run {run} of the same scenario made {count} allocations, run 0 made {first}: {counts:?}"
         );
     }
+}
+
+/// Allocations per delivered message of the whole run below, boot included:
+/// 5.98 measured (19,810 allocations for 3,312 deliveries), plus 10 %. A
+/// gossip message that costs an allocation of its own again — a frame
+/// block per logged message, a list per stream of a repair pull — costs
+/// about 1.5 more.
+const ALLOCS_PER_DELIVERY_BUDGET: f64 = 6.58;
+
+#[test]
+fn a_lossy_fan_in_stays_within_its_allocation_budget() {
+    let scenario = Scenario::chat_fanin(24, 24).with_data_loss(0.1);
+    let before = ALLOCATIONS.with(Cell::get);
+    let report = Runner::new().run(&scenario);
+    let count = ALLOCATIONS.with(Cell::get) - before;
+    let deliveries = report.total_app_deliveries();
+    let per_delivery = count as f64 / deliveries as f64;
+    assert!(
+        per_delivery <= ALLOCS_PER_DELIVERY_BUDGET,
+        "{count} allocations for {deliveries} deliveries: {per_delivery:.2} each, over the \
+         budget of {ALLOCS_PER_DELIVERY_BUDGET}"
+    );
 }
