@@ -237,8 +237,10 @@ pub trait EventPayload: Any + fmt::Debug {
 /// Boxes each payload type keeps for reuse, per thread; a box dropped
 /// while its type's list is full is freed. One list serves every kernel on
 /// the thread, so idle memory does not grow with the number of simulated
-/// nodes.
-pub const FREE_BOXES_PER_TYPE: usize = 64;
+/// nodes. The bound covers the largest burst one handler dispatches: a
+/// gossip repair pull answered with up to twice the repair window (64) of
+/// pushes, 128 boxes that are all dropped before the next pull.
+pub const FREE_BOXES_PER_TYPE: usize = 128;
 
 /// A payload type with a per-thread free list of its boxes. The event
 /// macros implement it over a `thread_local!` declared next to the type, so

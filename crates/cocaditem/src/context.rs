@@ -1,10 +1,10 @@
 //! Context attributes and snapshots.
 
-use std::collections::BTreeMap;
-
 use morpheus_appia::platform::{DeviceClass, NodeId, NodeProfile};
 use morpheus_appia::wire::{narrow, Wire, WireError, WireReader, WireWriter};
 use serde::{Deserialize, Serialize};
+
+use crate::retriever::default_retrievers;
 
 /// The context attributes the prototype captures.
 ///
@@ -28,7 +28,7 @@ pub enum ContextKey {
 }
 
 impl ContextKey {
-    /// Every key, in a stable order.
+    /// Every key, in wire-tag order.
     pub const ALL: [ContextKey; 6] = [
         ContextKey::DeviceClass,
         ContextKey::BatteryLevel,
@@ -69,6 +69,11 @@ impl ContextKey {
             ContextKey::ErrorRate => 4,
             ContextKey::NativeMulticast => 5,
         }
+    }
+
+    /// The key's slot in a [`ContextSnapshot`]: its wire tag.
+    fn slot(self) -> usize {
+        usize::from(self.tag())
     }
 
     fn from_tag(tag: u8) -> Result<Self, WireError> {
@@ -159,15 +164,16 @@ impl Wire for ContextValue {
     }
 }
 
-/// The context of one node at one point in time.
+/// The context of one node at one point in time: at most one value per
+/// [`ContextKey`], held inline, so a snapshot owns no heap memory.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ContextSnapshot {
     /// The node the snapshot describes.
     pub node: NodeId,
     /// Local time at which it was captured, in milliseconds.
     pub captured_at_ms: u64,
-    /// The captured attributes.
-    pub values: BTreeMap<ContextKey, ContextValue>,
+    /// The captured attributes, one slot per key, indexed by its wire tag.
+    values: [Option<ContextValue>; ContextKey::ALL.len()],
 }
 
 impl ContextSnapshot {
@@ -180,38 +186,17 @@ impl ContextSnapshot {
         Self {
             node,
             captured_at_ms,
-            values: BTreeMap::new(),
+            values: Default::default(),
         }
     }
 
-    /// Builds a snapshot directly from a node profile (what the retrievers
-    /// produce collectively).
+    /// Builds a snapshot directly from a node profile: what the
+    /// [`default_retrievers`] sample from it.
     pub fn from_profile(profile: &NodeProfile, captured_at_ms: u64) -> Self {
         let mut snapshot = Self::new(profile.node_id, captured_at_ms);
-        snapshot.set(
-            ContextKey::DeviceClass,
-            ContextValue::Device(profile.device_class),
-        );
-        snapshot.set(
-            ContextKey::BatteryLevel,
-            ContextValue::Number(profile.battery_level),
-        );
-        snapshot.set(
-            ContextKey::LinkQuality,
-            ContextValue::Number(profile.link_quality),
-        );
-        snapshot.set(
-            ContextKey::BandwidthKbps,
-            ContextValue::Number(profile.bandwidth_kbps as f64),
-        );
-        snapshot.set(
-            ContextKey::ErrorRate,
-            ContextValue::Number(profile.error_rate),
-        );
-        snapshot.set(
-            ContextKey::NativeMulticast,
-            ContextValue::Flag(profile.has_native_multicast),
-        );
+        for retriever in default_retrievers() {
+            retriever.retrieve(profile, &mut snapshot);
+        }
         snapshot
     }
 
@@ -220,21 +205,27 @@ impl ContextSnapshot {
     pub fn shared(&self) -> Self {
         let mut shared = Self::new(self.node, self.captured_at_ms);
         for key in ContextKey::SHARED {
-            if let Some(value) = self.get(key) {
-                shared.set(key, value.clone());
-            }
+            shared.values[key.slot()].clone_from(&self.values[key.slot()]);
         }
         shared
     }
 
-    /// Sets one attribute.
+    /// Sets one attribute, replacing any earlier value of the key.
     pub fn set(&mut self, key: ContextKey, value: ContextValue) {
-        self.values.insert(key, value);
+        self.values[key.slot()] = Some(value);
     }
 
     /// Reads one attribute.
     pub fn get(&self, key: ContextKey) -> Option<&ContextValue> {
-        self.values.get(&key)
+        self.values[key.slot()].as_ref()
+    }
+
+    /// Every captured attribute, in key (and wire-tag) order.
+    pub fn entries(&self) -> impl Iterator<Item = (ContextKey, &ContextValue)> {
+        ContextKey::ALL
+            .into_iter()
+            .zip(&self.values)
+            .filter_map(|(key, value)| Some((key, value.as_ref()?)))
     }
 
     /// The device class, if captured.
@@ -263,13 +254,14 @@ impl ContextSnapshot {
 
 /// The node, the capture time and the entry count are varints (a published
 /// snapshot at n = 200 is about 19 bytes); values stay exact `f64`s, so a
-/// reader sees bit-identical numbers.
+/// reader sees bit-identical numbers. Entries go in key order; a frame that
+/// repeats a key decodes to the last of its values.
 impl Wire for ContextSnapshot {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.node.into());
         w.put_varint(self.captured_at_ms);
-        w.put_varint(self.values.len() as u64);
-        for (key, value) in &self.values {
+        w.put_varint(self.entries().count() as u64);
+        for (key, value) in self.entries() {
             key.encode(w);
             value.encode(w);
         }
@@ -283,17 +275,12 @@ impl Wire for ContextSnapshot {
         // plus one value-tag byte): reject it up front instead of looping
         // until the reader runs dry.
         let count = r.get_count(2)?;
-        let mut values = BTreeMap::new();
+        let mut snapshot = Self::new(node, captured_at_ms);
         for _ in 0..count {
             let key = ContextKey::decode(r)?;
-            let value = ContextValue::decode(r)?;
-            values.insert(key, value);
+            snapshot.set(key, ContextValue::decode(r)?);
         }
-        Ok(Self {
-            node,
-            captured_at_ms,
-            values,
-        })
+        Ok(snapshot)
     }
 }
 
@@ -391,6 +378,9 @@ mod tests {
 
     #[test]
     fn keys_have_distinct_topics_and_tags() {
+        for (slot, key) in ContextKey::ALL.into_iter().enumerate() {
+            assert_eq!(key.slot(), slot, "ALL is in tag order");
+        }
         let mut topics: Vec<&str> = ContextKey::ALL.iter().map(|key| key.topic_name()).collect();
         topics.sort_unstable();
         topics.dedup();

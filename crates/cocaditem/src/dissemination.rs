@@ -57,7 +57,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::context::ContextSnapshot;
-use crate::retriever::{default_retrievers, ContextRetriever};
 use crate::store::{ContextStore, StoreSummary};
 
 /// Registered name of the Cocaditem dissemination layer.
@@ -72,6 +71,12 @@ const FANOUT: usize = 3;
 /// Epidemic forwarding rounds a freshly pushed snapshot survives; a
 /// received TTL is clamped to it, so no peer buys more rounds.
 const FORWARD_TTL: u8 = 3;
+
+/// Snapshots of room the batch scratch keeps between batches. A settled
+/// group's batches carry a few; a booting or rejoining node's carry the
+/// whole group, and room for those kept by every node would hold the group
+/// size squared of snapshots.
+const BATCH_SCRATCH_KEPT: usize = 4;
 
 sendable_event! {
     /// A context snapshot travelling between nodes (payload: a one-byte
@@ -160,6 +165,42 @@ pub struct BatchBody {
 }
 
 impl BatchBody {
+    /// Decodes the snapshots carried in `header` (a popped message header)
+    /// into `snapshots`, a caller-owned scratch that keeps its capacity
+    /// across batches. All or nothing, as [`Message::pop`]: a malformed
+    /// snapshot or trailing bytes is an error and leaves `snapshots` empty.
+    pub fn decode_into(
+        header: &[u8],
+        snapshots: &mut Vec<ContextSnapshot>,
+    ) -> Result<(), WireError> {
+        snapshots.clear();
+        let mut r = WireReader::new(header);
+        let decoded =
+            Self::decode_snapshots(&mut r, snapshots).and_then(|()| match r.remaining() {
+                0 => Ok(()),
+                _ => Err(WireError::Malformed("trailing bytes in header")),
+            });
+        if decoded.is_err() {
+            snapshots.clear();
+        }
+        decoded
+    }
+
+    /// Appends the batch `r` holds to `snapshots`.
+    fn decode_snapshots(
+        r: &mut WireReader<'_>,
+        snapshots: &mut Vec<ContextSnapshot>,
+    ) -> Result<(), WireError> {
+        // A snapshot encodes to at least `MIN_ENCODED_BYTES` (3): a one-byte
+        // varint each for the node, the capture time and the value count.
+        let count = r.get_count(ContextSnapshot::MIN_ENCODED_BYTES)?;
+        snapshots.reserve(count);
+        for _ in 0..count {
+            snapshots.push(ContextSnapshot::decode(r)?);
+        }
+        Ok(())
+    }
+
     /// Encodes the `count` snapshots `snapshots` yields as a [`BatchBody`],
     /// from wherever they are held.
     fn encode_from<'a>(
@@ -180,13 +221,8 @@ impl Wire for BatchBody {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // A snapshot encodes to at least `MIN_ENCODED_BYTES` (3): a one-byte
-        // varint each for the node, the capture time and the value count.
-        let count = r.get_count(ContextSnapshot::MIN_ENCODED_BYTES)?;
-        let mut snapshots = Vec::with_capacity(count);
-        for _ in 0..count {
-            snapshots.push(ContextSnapshot::decode(r)?);
-        }
+        let mut snapshots = Vec::new();
+        Self::decode_snapshots(r, &mut snapshots)?;
         Ok(Self { snapshots })
     }
 }
@@ -258,13 +294,13 @@ impl Layer for CocaditemLayer {
             member_set,
             members,
             publish_interval_ms: param_or(params, "publish_interval_ms", 1000u64).max(10),
-            retrievers: default_retrievers(),
             store: Rc::clone(&self.store),
             last_published: None,
             publications: 0,
             converged_reported: false,
             targets: Vec::new(),
             rows: Vec::new(),
+            batch: Vec::new(),
         })
     }
 }
@@ -292,8 +328,6 @@ pub struct CocaditemSession {
     // bound: mirrors `members` -- rebuilt on view install, <= view size.
     member_set: Vec<NodeId>,
     publish_interval_ms: u64,
-    // bound: fixed set installed at session construction; never grows.
-    retrievers: Vec<Box<dyn ContextRetriever>>,
     store: Rc<RefCell<ContextStore>>,
     last_published: Option<ContextSnapshot>,
     publications: u64,
@@ -304,6 +338,9 @@ pub struct CocaditemSession {
     /// Scratch for the rows of each received pull.
     // bound: refilled on every received pull; <= the rows its packet holds.
     rows: Vec<(NodeId, u64)>,
+    /// Scratch for the snapshots of each received batch.
+    // bound: refilled on every received batch; <= the snapshots its packet holds, shrunk to `BATCH_SCRATCH_KEPT` after it.
+    batch: Vec<ContextSnapshot>,
 }
 
 impl std::fmt::Debug for CocaditemSession {
@@ -320,17 +357,6 @@ impl std::fmt::Debug for CocaditemSession {
 impl CocaditemSession {
     fn is_member(&self, node: NodeId) -> bool {
         self.member_set.binary_search(&node).is_ok()
-    }
-
-    fn sample_local(&mut self, ctx: &mut EventContext<'_>) -> ContextSnapshot {
-        let profile = ctx.profile();
-        let mut snapshot = ContextSnapshot::new(profile.node_id, ctx.now_ms());
-        for retriever in &self.retrievers {
-            for (key, value) in retriever.retrieve(&profile) {
-                snapshot.set(key, value);
-            }
-        }
-        snapshot
     }
 
     /// Draws up to `FANOUT` random members, excluding `exclude`, into
@@ -382,7 +408,7 @@ impl CocaditemSession {
     /// any loss).
     fn publish(&mut self, ctx: &mut EventContext<'_>, force: bool) {
         let local = ctx.node_id();
-        let sample = self.sample_local(ctx);
+        let sample = ContextSnapshot::from_profile(&ctx.profile(), ctx.now_ms());
         let snapshot = sample.shared();
         // The full local sample is reported upward on every tick so the
         // local Core instance sees its own node's context without a network
@@ -511,17 +537,19 @@ impl CocaditemSession {
         )));
     }
 
-    /// Handles a batched pull answer: each member snapshot is stored and
-    /// signalled like a directly received publication (no further
-    /// forwarding — the batch was explicitly requested, so spreading it
-    /// again would only add redundancy).
-    fn on_batch(&mut self, body: BatchBody, ctx: &mut EventContext<'_>) {
-        for snapshot in body.snapshots {
-            if self.is_member(snapshot.node) && self.store.borrow_mut().update(snapshot) {
+    /// Handles the snapshots of a batched pull answer, decoded into `batch`:
+    /// each member snapshot is stored and signalled like a directly received
+    /// publication (no further forwarding — the batch was explicitly
+    /// requested, so spreading it again would only add redundancy).
+    fn on_batch(&mut self, ctx: &mut EventContext<'_>) {
+        for snapshot in &self.batch {
+            if self.is_member(snapshot.node) && self.store.borrow_mut().update(snapshot.clone()) {
                 ctx.dispatch(Event::up(ContextUpdated { local_sample: None }));
             }
         }
         self.maybe_report_convergence(ctx);
+        self.batch.clear();
+        self.batch.shrink_to(BATCH_SCRATCH_KEPT);
     }
 }
 
@@ -596,8 +624,11 @@ impl Session for CocaditemSession {
             return;
         }
         if let Some(batch) = event.get_mut::<ContextBatch>() {
-            if let Ok(body) = batch.message.pop::<BatchBody>() {
-                self.on_batch(body, ctx);
+            let Some(header) = batch.message.pop_header() else {
+                return;
+            };
+            if BatchBody::decode_into(&header, &mut self.batch).is_ok() {
+                self.on_batch(ctx);
             }
             return;
         }
@@ -1036,7 +1067,7 @@ mod tests {
         let mut message = publish.message.clone();
         message.pop::<u8>().unwrap();
         let snapshot = message.pop::<ContextSnapshot>().unwrap();
-        let keys: Vec<ContextKey> = snapshot.values.keys().copied().collect();
+        let keys: Vec<ContextKey> = snapshot.entries().map(|(key, _)| key).collect();
         assert_eq!(keys, ContextKey::SHARED);
     }
 

@@ -2,7 +2,7 @@
 
 use morpheus_appia::platform::NodeProfile;
 
-use crate::context::{ContextKey, ContextValue};
+use crate::context::{ContextKey, ContextSnapshot, ContextValue};
 
 /// A source of one or more context attributes.
 ///
@@ -15,10 +15,11 @@ pub trait ContextRetriever {
     fn name(&self) -> &'static str;
 
     /// The keys this retriever produces.
-    fn keys(&self) -> Vec<ContextKey>;
+    fn keys(&self) -> &'static [ContextKey];
 
-    /// Samples the attributes from the current node profile.
-    fn retrieve(&self, profile: &NodeProfile) -> Vec<(ContextKey, ContextValue)>;
+    /// Samples the attributes from the current node profile into the
+    /// sample being taken.
+    fn retrieve(&self, profile: &NodeProfile, into: &mut ContextSnapshot);
 }
 
 /// Retrieves the device class.
@@ -29,15 +30,15 @@ impl ContextRetriever for DeviceRetriever {
         "device"
     }
 
-    fn keys(&self) -> Vec<ContextKey> {
-        vec![ContextKey::DeviceClass]
+    fn keys(&self) -> &'static [ContextKey] {
+        &[ContextKey::DeviceClass]
     }
 
-    fn retrieve(&self, profile: &NodeProfile) -> Vec<(ContextKey, ContextValue)> {
-        vec![(
+    fn retrieve(&self, profile: &NodeProfile, into: &mut ContextSnapshot) {
+        into.set(
             ContextKey::DeviceClass,
             ContextValue::Device(profile.device_class),
-        )]
+        );
     }
 }
 
@@ -49,15 +50,15 @@ impl ContextRetriever for BatteryRetriever {
         "battery"
     }
 
-    fn keys(&self) -> Vec<ContextKey> {
-        vec![ContextKey::BatteryLevel]
+    fn keys(&self) -> &'static [ContextKey] {
+        &[ContextKey::BatteryLevel]
     }
 
-    fn retrieve(&self, profile: &NodeProfile) -> Vec<(ContextKey, ContextValue)> {
-        vec![(
+    fn retrieve(&self, profile: &NodeProfile, into: &mut ContextSnapshot) {
+        into.set(
             ContextKey::BatteryLevel,
             ContextValue::Number(profile.battery_level),
-        )]
+        );
     }
 }
 
@@ -70,8 +71,8 @@ impl ContextRetriever for LinkRetriever {
         "link"
     }
 
-    fn keys(&self) -> Vec<ContextKey> {
-        vec![
+    fn keys(&self) -> &'static [ContextKey] {
+        &[
             ContextKey::LinkQuality,
             ContextKey::BandwidthKbps,
             ContextKey::ErrorRate,
@@ -79,35 +80,29 @@ impl ContextRetriever for LinkRetriever {
         ]
     }
 
-    fn retrieve(&self, profile: &NodeProfile) -> Vec<(ContextKey, ContextValue)> {
-        vec![
-            (
-                ContextKey::LinkQuality,
-                ContextValue::Number(profile.link_quality),
-            ),
-            (
-                ContextKey::BandwidthKbps,
-                ContextValue::Number(profile.bandwidth_kbps as f64),
-            ),
-            (
-                ContextKey::ErrorRate,
-                ContextValue::Number(profile.error_rate),
-            ),
-            (
-                ContextKey::NativeMulticast,
-                ContextValue::Flag(profile.has_native_multicast),
-            ),
-        ]
+    fn retrieve(&self, profile: &NodeProfile, into: &mut ContextSnapshot) {
+        into.set(
+            ContextKey::LinkQuality,
+            ContextValue::Number(profile.link_quality),
+        );
+        into.set(
+            ContextKey::BandwidthKbps,
+            ContextValue::Number(profile.bandwidth_kbps as f64),
+        );
+        into.set(
+            ContextKey::ErrorRate,
+            ContextValue::Number(profile.error_rate),
+        );
+        into.set(
+            ContextKey::NativeMulticast,
+            ContextValue::Flag(profile.has_native_multicast),
+        );
     }
 }
 
-/// The default retriever set used by the prototype.
-pub fn default_retrievers() -> Vec<Box<dyn ContextRetriever>> {
-    vec![
-        Box::new(DeviceRetriever),
-        Box::new(BatteryRetriever),
-        Box::new(LinkRetriever),
-    ]
+/// The default retriever set, in the order a sample runs them.
+pub fn default_retrievers() -> &'static [&'static dyn ContextRetriever] {
+    &[&DeviceRetriever, &BatteryRetriever, &LinkRetriever]
 }
 
 #[cfg(test)]
@@ -115,16 +110,13 @@ mod tests {
     use morpheus_appia::platform::{DeviceClass, NodeId};
 
     use super::*;
-    use crate::context::ContextSnapshot;
 
     #[test]
     fn default_retrievers_cover_every_key() {
         let profile = NodeProfile::mobile_pda(NodeId(2));
         let mut snapshot = ContextSnapshot::new(NodeId(2), 0);
         for retriever in default_retrievers() {
-            for (key, value) in retriever.retrieve(&profile) {
-                snapshot.set(key, value);
-            }
+            retriever.retrieve(&profile, &mut snapshot);
         }
         for key in ContextKey::ALL {
             assert!(snapshot.get(key).is_some(), "retrievers missed {key:?}");
@@ -133,17 +125,26 @@ mod tests {
 
     #[test]
     fn retrievers_report_their_keys() {
-        assert_eq!(DeviceRetriever.keys(), vec![ContextKey::DeviceClass]);
-        assert_eq!(BatteryRetriever.keys(), vec![ContextKey::BatteryLevel]);
+        assert_eq!(DeviceRetriever.keys(), [ContextKey::DeviceClass]);
+        assert_eq!(BatteryRetriever.keys(), [ContextKey::BatteryLevel]);
         assert_eq!(LinkRetriever.keys().len(), 4);
         assert_eq!(DeviceRetriever.name(), "device");
+        // Each retriever writes exactly the keys it reports.
+        let profile = NodeProfile::mobile_pda(NodeId(2));
+        for retriever in default_retrievers() {
+            let mut snapshot = ContextSnapshot::new(NodeId(2), 0);
+            retriever.retrieve(&profile, &mut snapshot);
+            let written: Vec<ContextKey> = snapshot.entries().map(|(key, _)| key).collect();
+            assert_eq!(written, retriever.keys(), "{}", retriever.name());
+        }
     }
 
     #[test]
     fn device_retriever_reflects_the_profile() {
         let profile = NodeProfile::fixed_pc(NodeId(1));
-        let values = DeviceRetriever.retrieve(&profile);
-        assert_eq!(values.len(), 1);
-        assert_eq!(values[0].1.as_device(), Some(DeviceClass::FixedPc));
+        let mut snapshot = ContextSnapshot::new(NodeId(1), 0);
+        DeviceRetriever.retrieve(&profile, &mut snapshot);
+        assert_eq!(snapshot.entries().count(), 1);
+        assert_eq!(snapshot.device_class(), Some(DeviceClass::FixedPc));
     }
 }

@@ -2,11 +2,13 @@
 //! leg of the CI `miri` job, beside the `appia` and `groupcomm` ones. No
 //! clocks, no threads, no simulator: encode/decode only.
 
+use std::collections::BTreeMap;
+
 use morpheus_appia::event::Dest;
 use morpheus_appia::message::Message;
-use morpheus_appia::platform::NodeId;
+use morpheus_appia::platform::{DeviceClass, NodeId};
 use morpheus_appia::registry::encode_event;
-use morpheus_appia::wire::{Wire, WireWriter};
+use morpheus_appia::wire::{narrow, Wire, WireError, WireReader, WireWriter};
 use morpheus_cocaditem::{
     BatchBody, ContextDigest, ContextKey, ContextPull, ContextSnapshot, ContextValue, DigestBody,
     StoreSummary,
@@ -199,6 +201,172 @@ fn compact_snapshots_roundtrip_at_wide_ids_and_reject_hostile_frames() {
         w.put_raw(&[0, 1, 0, 1]);
         assert!(ContextSnapshot::from_bytes(&w.finish()).is_err(), "{count}");
     }
+}
+
+/// The snapshot codec as it was when a snapshot's values were a
+/// `BTreeMap`: the reference the slot-based [`ContextSnapshot`] is held to.
+#[derive(Debug)]
+struct MapSnapshot {
+    node: NodeId,
+    captured_at_ms: u64,
+    values: BTreeMap<ContextKey, ContextValue>,
+}
+
+impl Wire for MapSnapshot {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_varint(self.node.into());
+        w.put_varint(self.captured_at_ms);
+        w.put_varint(self.values.len() as u64);
+        for (key, value) in &self.values {
+            key.encode(w);
+            value.encode(w);
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let node = NodeId(narrow(r.get_varint()?)?);
+        let captured_at_ms = r.get_varint()?;
+        let count = r.get_count(2)?;
+        let mut values = BTreeMap::new();
+        for _ in 0..count {
+            let key = ContextKey::decode(r)?;
+            let value = ContextValue::decode(r)?;
+            values.insert(key, value);
+        }
+        Ok(Self {
+            node,
+            captured_at_ms,
+            values,
+        })
+    }
+}
+
+/// Both codecs decode `input` alike: the same error, or values that encode
+/// to the same bytes (bytes, not `==`: a flipped bit can make a NaN) and
+/// read the same through every accessor.
+fn codecs_agree(input: &[u8]) -> bool {
+    let slots = ContextSnapshot::from_bytes(input);
+    let map = MapSnapshot::from_bytes(input);
+    match (&slots, &map) {
+        (Ok(slots), Ok(map)) => {
+            assert_eq!(slots.to_bytes(), map.to_bytes(), "{input:?}");
+            assert_eq!(
+                (slots.node, slots.captured_at_ms),
+                (map.node, map.captured_at_ms)
+            );
+            for key in ContextKey::ALL {
+                let (ours, theirs) = (slots.get(key), map.values.get(&key));
+                assert_eq!(ours.map(encoded), theirs.map(encoded), "{key:?}");
+            }
+            true
+        }
+        (Err(ours), Err(theirs)) => {
+            assert_eq!(ours, theirs, "{input:?}");
+            false
+        }
+        _ => panic!("codecs disagree on {input:?}: {slots:?} against {map:?}"),
+    }
+}
+
+fn encoded(value: &ContextValue) -> Vec<u8> {
+    value.to_bytes().to_vec()
+}
+
+/// A value of every kind, and of the wrong kind for most keys.
+fn value_for(key: ContextKey, variant: usize) -> ContextValue {
+    let devices = [
+        DeviceClass::FixedPc,
+        DeviceClass::Laptop,
+        DeviceClass::MobilePda,
+        DeviceClass::MobilePhone,
+    ];
+    match variant % 3 {
+        0 => ContextValue::Number(0.125 * variant as f64 - 0.5),
+        1 => ContextValue::Flag(variant.is_multiple_of(2)),
+        _ => ContextValue::Device(devices[(variant + key as usize) % devices.len()]),
+    }
+}
+
+/// The slot-based codec against the map reference, on every subset of the
+/// keys: the same bytes on encode, and the same value or the same error on
+/// the frame, every truncation of it and every single-bit flip of it.
+#[test]
+fn snapshots_encode_and_decode_exactly_as_the_map_codec_did() {
+    for subset in (0..1usize << ContextKey::ALL.len()).step_by(STRIDE) {
+        let mut slots = ContextSnapshot::new(NodeId(subset as u32 * 977), 1 << (subset % 40));
+        let mut map = MapSnapshot {
+            node: slots.node,
+            captured_at_ms: slots.captured_at_ms,
+            values: BTreeMap::new(),
+        };
+        // Set in reverse key order: the encoding must not depend on it.
+        for (bit, key) in ContextKey::ALL.into_iter().enumerate().rev() {
+            if subset & (1 << bit) != 0 {
+                let value = value_for(key, subset + bit);
+                slots.set(key, value.clone());
+                map.values.insert(key, value);
+            }
+        }
+        let bytes = slots.to_bytes();
+        assert_eq!(bytes, map.to_bytes(), "subset {subset:#08b}");
+        assert!(codecs_agree(&bytes));
+        for len in 0..bytes.len() {
+            assert!(!codecs_agree(&bytes[..len]), "truncation to {len}");
+        }
+        for index in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut mutated = bytes.to_vec();
+                mutated[index] ^= 1 << bit;
+                codecs_agree(&mutated);
+            }
+        }
+    }
+}
+
+/// A hostile frame repeats a key and puts a value of the wrong kind under
+/// another. The last value of a repeated key wins, a wrong-kind value is
+/// kept and reads as `None`, and the snapshot re-encodes one entry per key
+/// in key order — all as the map codec did.
+#[test]
+fn a_repeated_key_keeps_its_last_value_and_a_wrong_kind_reads_as_none() {
+    let mut w = WireWriter::new();
+    w.put_varint(7);
+    w.put_varint(500);
+    w.put_varint(4);
+    for (key, value) in [
+        (ContextKey::ErrorRate, ContextValue::Number(0.1)),
+        (ContextKey::DeviceClass, ContextValue::Flag(true)),
+        (ContextKey::ErrorRate, ContextValue::Number(0.5)),
+        (
+            ContextKey::BatteryLevel,
+            ContextValue::Device(DeviceClass::Laptop),
+        ),
+    ] {
+        key.encode(&mut w);
+        value.encode(&mut w);
+    }
+    let frame = w.finish();
+    assert!(codecs_agree(&frame));
+
+    let snapshot = ContextSnapshot::from_bytes(&frame).unwrap();
+    assert_eq!(snapshot.error_rate(), Some(0.5), "the last value wins");
+    assert_eq!(snapshot.device_class(), None);
+    assert_eq!(
+        snapshot.get(ContextKey::DeviceClass),
+        Some(&ContextValue::Flag(true))
+    );
+    assert_eq!(snapshot.battery_level(), None);
+    let keys: Vec<ContextKey> = snapshot.entries().map(|(key, _)| key).collect();
+    assert_eq!(
+        keys,
+        [
+            ContextKey::DeviceClass,
+            ContextKey::BatteryLevel,
+            ContextKey::ErrorRate
+        ]
+    );
+    // The first error rate is gone: a key byte, a value tag and an `f64`.
+    assert_eq!(snapshot.to_bytes().len(), frame.len() - (1 + 1 + 8));
 }
 
 /// The context plane's bytes, pinned where `cargo test` sees them: a

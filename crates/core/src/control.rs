@@ -404,20 +404,21 @@ impl CoreSession {
         let round = self.engine.complete().expect("completed round in flight");
         let pending = self.pending.take().expect("pending checked above");
         let elapsed = ctx.now_ms().saturating_sub(round.started_at_ms);
+        let (epoch, retransmits) = (round.ballot.epoch, round.retransmits);
         self.current_stack = pending;
         // Remember what the group committed and who is known to run it, so
         // members that were cut out of the quorum can be repaired later.
         self.installed = Some(InstalledStack {
-            epoch: round.ballot.epoch,
+            epoch,
             kind: pending,
         });
-        self.confirmed = round.acked().clone();
+        self.confirmed = round.acked().iter().copied().collect();
         self.cancel_round_timer(ctx);
         ctx.deliver(DeliveryKind::ReconfigurationComplete {
             stack: pending.name(),
-            epoch: round.ballot.epoch,
+            epoch,
             latency_ms: elapsed,
-            retransmits: round.retransmits,
+            retransmits,
             nodes: self.live_members().count(),
         });
     }

@@ -127,18 +127,19 @@ pub enum Tick<P> {
     Retransmit(Vec<P>),
 }
 
-/// One in-flight round: the proposal's ballot, who must ack, who has.
+/// One round: the proposal's ballot, who must ack, who has. The
+/// participant and ack sets are sorted, duplicate-free lists.
 #[derive(Debug, Clone)]
 pub struct Round<P: Ord + Copy> {
     /// The ballot the round runs under.
     pub ballot: Ballot,
     // bound: frozen at open (grown only by extend_participants when a
     // transfer learns its chunk count); one entry per round participant,
-    // cleared with the round on abort/complete.
-    participants: BTreeSet<P>,
+    // refilled by the next open.
+    participants: Vec<P>,
     // bound: subset of `participants` plus stray acks from members that
-    // joined mid-round; cleared with the round on abort/complete.
-    acked: BTreeSet<P>,
+    // joined mid-round; emptied by the next open.
+    acked: Vec<P>,
     /// When the round was opened (or last made progress, if the caller
     /// refreshes via [`Engine::note_progress`]).
     pub started_at_ms: u64,
@@ -147,15 +148,53 @@ pub struct Round<P: Ord + Copy> {
 }
 
 impl<P: Ord + Copy> Round<P> {
-    /// The participants the round was opened over.
-    pub fn participants(&self) -> &BTreeSet<P> {
+    /// The participants the round was opened over, in order.
+    pub fn participants(&self) -> &[P] {
         &self.participants
     }
 
-    /// The participants whose acks have been recorded.
-    pub fn acked(&self) -> &BTreeSet<P> {
+    /// The participants whose acks have been recorded, in order.
+    pub fn acked(&self) -> &[P] {
         &self.acked
     }
+
+    /// Whether `participant` must ack the round.
+    pub fn has_participant(&self, participant: &P) -> bool {
+        self.participants.binary_search(participant).is_ok()
+    }
+
+    /// Whether `participant`'s ack has been recorded.
+    pub fn has_acked(&self, participant: &P) -> bool {
+        self.acked.binary_search(participant).is_ok()
+    }
+
+    /// Records `participant`'s ack; whether it was new.
+    fn ack(&mut self, participant: P) -> bool {
+        match self.acked.binary_search(&participant) {
+            Ok(_) => false,
+            Err(at) => {
+                self.acked.insert(at, participant);
+                true
+            }
+        }
+    }
+
+    /// The participants that have not acked yet, in order.
+    fn missing(&self) -> impl Iterator<Item = P> + '_ {
+        self.participants
+            .iter()
+            .copied()
+            .filter(|participant| !self.has_acked(participant))
+    }
+}
+
+/// Replaces `list` with the sorted, duplicate-free `values`, keeping its
+/// memory.
+fn refill<P: Ord>(list: &mut Vec<P>, values: impl IntoIterator<Item = P>) {
+    list.clear();
+    list.extend(values);
+    list.sort_unstable();
+    list.dedup();
 }
 
 /// The reusable round engine: epoch monotonicity, ballot ordering, ack
@@ -164,14 +203,18 @@ impl<P: Ord + Copy> Round<P> {
 /// `P` is the participant key — `NodeId` for membership rounds, a chunk
 /// index for state transfers. The engine holds at most one round in flight;
 /// epochs only move forward (abort preserves the epoch, [`Engine::reset`] is
-/// the single deliberate exception for a node restarting from scratch).
+/// the single deliberate exception for a node restarting from scratch). It
+/// keeps the last round after it closes and refills its sets for the next
+/// one, so a round allocates only when it outgrows every earlier one.
 #[derive(Debug, Clone)]
 pub struct Engine<P: Ord + Copy> {
     /// The strongest ballot seen: the highest epoch this engine opened
     /// itself or promised to another proposer.
     promised: Ballot,
-    /// The in-flight round, if any.
-    round: Option<Round<P>>,
+    /// The last round opened: in flight while `in_flight` is set.
+    round: Round<P>,
+    /// Whether `round` is in flight.
+    in_flight: bool,
 }
 
 impl<P: Ord + Copy> Default for Engine<P> {
@@ -185,7 +228,14 @@ impl<P: Ord + Copy> Engine<P> {
     pub fn new() -> Self {
         Self {
             promised: Ballot::ZERO,
-            round: None,
+            round: Round {
+                ballot: Ballot::ZERO,
+                participants: Vec::new(),
+                acked: Vec::new(),
+                started_at_ms: 0,
+                retransmits: 0,
+            },
+            in_flight: false,
         }
     }
 
@@ -201,17 +251,22 @@ impl<P: Ord + Copy> Engine<P> {
 
     /// The in-flight round, if any.
     pub fn round(&self) -> Option<&Round<P>> {
-        self.round.as_ref()
+        self.in_flight.then_some(&self.round)
+    }
+
+    /// The in-flight round, if any, to update.
+    fn round_mut(&mut self) -> Option<&mut Round<P>> {
+        self.in_flight.then_some(&mut self.round)
     }
 
     /// Whether a round is in flight.
     pub fn in_flight(&self) -> bool {
-        self.round.is_some()
+        self.in_flight
     }
 
     /// The in-flight round's epoch, if any.
     pub fn round_epoch(&self) -> Option<u64> {
-        self.round.as_ref().map(|round| round.ballot.epoch)
+        self.round().map(|round| round.ballot.epoch)
     }
 
     /// Opens a proposer-side round under a fresh epoch (`epoch() + 1`) held
@@ -241,13 +296,13 @@ impl<P: Ord + Copy> Engine<P> {
         if ballot.beats(self.promised) {
             self.promised = ballot;
         }
-        self.round = Some(Round {
-            ballot,
-            participants: participants.into_iter().collect(),
-            acked: BTreeSet::new(),
-            started_at_ms: now_ms,
-            retransmits: 0,
-        });
+        let round = &mut self.round;
+        round.ballot = ballot;
+        refill(&mut round.participants, participants);
+        round.acked.clear();
+        round.started_at_ms = now_ms;
+        round.retransmits = 0;
+        self.in_flight = true;
     }
 
     /// Adopts `ballot` as the strongest seen if it beats the current
@@ -270,7 +325,7 @@ impl<P: Ord + Copy> Engine<P> {
             return Promise::Accepted;
         }
         if ballot == self.promised {
-            return if self.round.is_none() {
+            return if !self.in_flight {
                 // The promised round was aborted locally (timeout,
                 // suspicion): re-presenting the same ballot re-opens it.
                 Promise::Accepted
@@ -289,14 +344,20 @@ impl<P: Ord + Copy> Engine<P> {
     }
 
     /// Aborts the in-flight round, preserving the epoch (monotonicity: the
-    /// re-propose opens above it). Returns the aborted round.
-    pub fn abort(&mut self) -> Option<Round<P>> {
-        self.round.take()
+    /// re-propose opens above it). Returns the aborted round, which the
+    /// engine keeps until the next open.
+    pub fn abort(&mut self) -> Option<&Round<P>> {
+        self.close()
     }
 
-    /// Completes (takes) the in-flight round on commit.
-    pub fn complete(&mut self) -> Option<Round<P>> {
-        self.round.take()
+    /// Completes the in-flight round on commit. Returns the completed
+    /// round, which the engine keeps until the next open.
+    pub fn complete(&mut self) -> Option<&Round<P>> {
+        self.close()
+    }
+
+    fn close(&mut self) -> Option<&Round<P>> {
+        std::mem::take(&mut self.in_flight).then_some(&self.round)
     }
 
     /// Forgets everything — ballot back to [`Ballot::ZERO`], no round. Only
@@ -304,14 +365,14 @@ impl<P: Ord + Copy> Engine<P> {
     /// otherwise monotonic for the engine's lifetime.
     pub fn reset(&mut self) {
         self.promised = Ballot::ZERO;
-        self.round = None;
+        self.in_flight = false;
     }
 
     /// Records `from`'s ack for round `epoch`.
     pub fn record_ack(&mut self, epoch: u64, from: P) -> AckOutcome {
-        match &mut self.round {
+        match self.round_mut() {
             Some(round) if round.ballot.epoch == epoch => {
-                if round.acked.insert(from) {
+                if round.ack(from) {
                     AckOutcome::Recorded
                 } else {
                     AckOutcome::Duplicate
@@ -324,10 +385,10 @@ impl<P: Ord + Copy> Engine<P> {
     /// Records a batch of acks for round `epoch` (a received flush set),
     /// returning how many were new. Stale epochs record nothing.
     pub fn merge_acks(&mut self, epoch: u64, from: impl IntoIterator<Item = P>) -> usize {
-        match &mut self.round {
+        match self.round_mut() {
             Some(round) if round.ballot.epoch == epoch => from
                 .into_iter()
-                .filter(|participant| round.acked.insert(*participant))
+                .filter(|participant| round.ack(*participant))
                 .count(),
             _ => 0,
         }
@@ -336,16 +397,18 @@ impl<P: Ord + Copy> Engine<P> {
     /// Replaces the in-flight round's participant set (a view installed
     /// mid-round changes who must ack a reconfiguration).
     pub fn set_participants(&mut self, participants: impl IntoIterator<Item = P>) {
-        if let Some(round) = &mut self.round {
-            round.participants = participants.into_iter().collect();
+        if let Some(round) = self.round_mut() {
+            refill(&mut round.participants, participants);
         }
     }
 
     /// Grows the in-flight round's participant set (a transfer learning its
     /// chunk count from the first chunk).
     pub fn extend_participants(&mut self, participants: impl IntoIterator<Item = P>) {
-        if let Some(round) = &mut self.round {
+        if let Some(round) = self.round_mut() {
             round.participants.extend(participants);
+            round.participants.sort_unstable();
+            round.participants.dedup();
         }
     }
 
@@ -353,31 +416,24 @@ impl<P: Ord + Copy> Engine<P> {
     /// every participant outside `excluded` (suspected members, typically)
     /// has acked.
     pub fn completed(&self, excluded: &BTreeSet<P>) -> bool {
-        self.round.as_ref().is_some_and(|round| {
-            round.participants.iter().all(|participant| {
-                excluded.contains(participant) || round.acked.contains(participant)
-            })
+        self.round().is_some_and(|round| {
+            round
+                .missing()
+                .all(|participant| excluded.contains(&participant))
         })
     }
 
     /// The participants that have not acked the in-flight round yet — the
     /// retransmission targets. Empty when no round is in flight.
     pub fn missing(&self) -> Vec<P> {
-        match &self.round {
-            Some(round) => round
-                .participants
-                .iter()
-                .filter(|participant| !round.acked.contains(participant))
-                .copied()
-                .collect(),
-            None => Vec::new(),
-        }
+        self.round()
+            .map_or_else(Vec::new, |round| round.missing().collect())
     }
 
     /// Refreshes the round's progress clock (state transfers time out on
     /// *stalls*, not on total round age).
     pub fn note_progress(&mut self, now_ms: u64) {
-        if let Some(round) = &mut self.round {
+        if let Some(round) = self.round_mut() {
             round.started_at_ms = now_ms;
         }
     }
@@ -387,18 +443,13 @@ impl<P: Ord + Copy> Engine<P> {
     /// participants. Counts a retransmission when there is anyone to
     /// retransmit to.
     pub fn tick(&mut self, now_ms: u64, timeout_ms: u64) -> Tick<P> {
-        let Some(round) = &mut self.round else {
+        let Some(round) = self.round_mut() else {
             return Tick::Idle;
         };
         if now_ms.saturating_sub(round.started_at_ms) >= timeout_ms {
             return Tick::TimedOut;
         }
-        let missing: Vec<P> = round
-            .participants
-            .iter()
-            .filter(|participant| !round.acked.contains(participant))
-            .copied()
-            .collect();
+        let missing: Vec<P> = round.missing().collect();
         if !missing.is_empty() {
             round.retransmits += 1;
         }
@@ -505,7 +556,6 @@ mod tests {
         );
         // After a local abort, re-presenting the promised ballot re-opens it.
         engine.abort();
-        engine.round = None;
         assert_eq!(
             engine.try_promise(Ballot::new(3, node(1))),
             Promise::Accepted

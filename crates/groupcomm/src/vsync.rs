@@ -417,9 +417,7 @@ impl VsyncSession {
                         .members
                         .iter()
                         .copied()
-                        .filter(|member| {
-                            !self.view.contains(*member) && !round.acked().contains(member)
-                        })
+                        .filter(|member| !self.view.contains(*member) && !round.has_acked(member))
                         .collect(),
                     _ => Vec::new(),
                 };
@@ -465,9 +463,7 @@ impl VsyncSession {
         // now and re-propose without the suspect instead of burning the
         // whole round timeout.
         let awaited = self.engine.round().is_some_and(|round| {
-            round.ballot.holder == local
-                && round.participants().contains(&node)
-                && !round.acked().contains(&node)
+            round.ballot.holder == local && round.has_participant(&node) && !round.has_acked(&node)
         });
         if awaited {
             self.abort_round(ctx);

@@ -632,6 +632,59 @@ fn a_warm_pull_answered_from_the_log_allocates_nothing() {
     );
 }
 
+/// The most pushes gossip answers one pull with: twice its repair window.
+const PULL_BURST: u64 = 128;
+
+/// A pull arrives for `PULL_BURST` logged messages, the largest burst one
+/// handler dispatches. Each push takes its box from the free list, which
+/// the previous pull's pushes refilled when they were dropped: the list
+/// holds the whole burst, so answering allocates nothing. A repair tick
+/// between pulls opens a new interval, and with it the push budget.
+#[test]
+fn a_warm_pull_answered_with_a_full_burst_allocates_nothing() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut params = LayerParams::new();
+    params.insert("members".into(), "0,1,2,3,4,5,6,7,8".into());
+    params.insert("repair_interval_ms".into(), "100".into());
+    let mut harness = Harness::new(GossipLayer, &params, &mut platform);
+    GossipBatch::register(harness.kernel_mut().events_mut());
+    GossipRepairPull::register(harness.kernel_mut().events_mut());
+    let half = PULL_BURST / 2;
+    for origin in [0, 3] {
+        let arrival = batch_packet(origin, 1..=half, 0, b"logged");
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        assert_eq!(harness.drain_up().len() as u64, half);
+    }
+    let seqs: Vec<u64> = (1..=half).collect();
+    let wants: [(u32, &[u64]); 2] = [(0, &seqs), (3, &seqs)];
+
+    let mut keys = Vec::with_capacity(4);
+    let mut total = 0;
+    for round in 0..WARM_UP_ROUNDS as u64 + ROUNDS {
+        platform.advance(100);
+        fire_due(&mut harness, &mut platform, &mut keys);
+        harness.drain_down();
+
+        let arrival = pull_packet(&wants);
+        let before = allocations();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        if round >= WARM_UP_ROUNDS as u64 {
+            total += allocations() - before;
+        }
+        let down = harness.drain_down();
+        let pushes = down.iter().filter(|event| event.is::<GossipRepairPush>());
+        assert_eq!(pushes.count() as u64, PULL_BURST, "one push per want");
+    }
+
+    assert_eq!(total, 0, "a warm pull of a full burst allocates nothing");
+}
+
 /// The payload of a message whose wire form is 16 bytes (a header count, a
 /// length and 14 bytes): a chunk holds a whole number of such frames.
 const FRAME_PAYLOAD: &[u8] = b"fourteen bytes";
@@ -684,7 +737,7 @@ fn a_batch_arrival_logs_its_frames_at_one_chunk_per_chunks_worth() {
     assert_eq!(log_len(&mut harness), REPAIR_LOG_CAP);
 
     let mut total = 0;
-    for r in 0..rounds {
+    for _ in 0..rounds {
         let arrival = packet();
         let before = allocations();
         harness
@@ -693,9 +746,6 @@ fn a_batch_arrival_logs_its_frames_at_one_chunk_per_chunks_worth() {
             .unwrap();
         fire_due(&mut harness, &mut platform, &mut keys);
         total += allocations() - before;
-        if allocations() - before > 0 {
-            eprintln!("DBG allocs {} at {} {}", allocations() - before, total, r);
-        }
         assert_eq!(harness.drain_up().len(), K, "every entry delivered");
         assert_eq!(batches_sent(&mut harness), 3, "relayed to the fan-out");
     }
