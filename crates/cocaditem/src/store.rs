@@ -152,6 +152,11 @@ impl ContextStore {
             }
             member
         });
+        // Room for the view's members, not for the next power of two: the
+        // rows of a 200-member store would otherwise sit in room for 256.
+        let room = members.len().max(self.snapshots.len());
+        self.snapshots.reserve_exact(room - self.snapshots.len());
+        self.snapshots.shrink_to(room);
     }
 
     /// The snapshot of one node, if known.

@@ -36,8 +36,9 @@
 //!
 //! Both phases check duplicates in one place: the per-stream delivery
 //! tracker ([`Delivered`]), a contiguous floor plus the few sequence
-//! numbers above it. Its memory grows with the streams a member hears, not
-//! with the messages, and it never forgets a delivery.
+//! numbers above it, held as bits of a window that moves with the floor.
+//! Its memory grows with the streams a member hears, not with the
+//! messages, and it never forgets a delivery.
 
 use bytes::Bytes;
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
@@ -77,7 +78,7 @@ const FLUSH_TAG: u32 = 2;
 const DEFAULT_REPAIR_INTERVAL_MS: u64 = 1_000;
 
 /// Cap on messages held in the repair log.
-const REPAIR_LOG_CAP: usize = 4_096;
+pub(crate) const REPAIR_LOG_CAP: usize = 4_096;
 
 /// Age after which a logged message is no longer served.
 const REPAIR_LOG_TTL_MS: u64 = 10_000;
@@ -251,7 +252,7 @@ pub struct GossipSession {
     /// Per-stream delivery record: the one duplicate check of both the push
     /// phase and the repair pass. Never capacity-evicted, so a late NACK
     /// pull that re-streams a long-delivered message is still refused.
-    // bound: <= TRACKED_INCS_PER_ORIGIN streams per origin (stale incarnations evicted); each entry is a contiguous floor plus a DELIVERED_GAP_CAP-capped sparse set.
+    // bound: <= TRACKED_INCS_PER_ORIGIN streams per origin (stale incarnations evicted); each entry is a contiguous floor plus a bit window and a sparse set, DELIVERED_GAP_CAP-capped together.
     delivered: HashMap<StreamKey, Delivered>,
     /// Per-stream `(first-seen ms, advertised lo, last advertiser)` for
     /// sub-floor gaps sighted in digests (`lo` above this node's contiguous
@@ -866,6 +867,10 @@ impl GossipSession {
             if self.log.lowest(&(origin, inc)).is_none() {
                 continue;
             }
+            // A stream's wants come in ascending order (`missing_in` builds
+            // them so), and the reader walks its chain once, forward only:
+            // a forged pull's want below an earlier one may go unanswered.
+            let mut logged = self.log.reader(&(origin, inc));
             for &seq in seqs {
                 if budget == 0 {
                     return;
@@ -875,8 +880,7 @@ impl GossipSession {
                     return;
                 }
                 // The log wrote the frame itself; it always reads back.
-                let logged = self.log.get(&(origin, inc), seq);
-                let Some(Ok(mut message)) = logged.map(Message::from_shared) else {
+                let Some(Ok(mut message)) = logged.get(seq).map(Message::from_shared) else {
                     continue;
                 };
                 budget -= 1;
@@ -1417,7 +1421,7 @@ mod tests {
             let mut trackers: Vec<(NodeId, u64, usize)> = session
                 .delivered
                 .iter()
-                .map(|((origin, _), tracker)| (*origin, tracker.floor, tracker.above.len()))
+                .map(|((origin, _), tracker)| (*origin, tracker.floor, tracker.held_above()))
                 .collect();
             trackers.sort_unstable();
             trackers
@@ -1491,12 +1495,12 @@ mod tests {
         assert!(delivered.record(4));
         assert_eq!(delivered.floor, 5, "contiguous run folds into the floor");
 
-        // Pathological gaps are abandoned once the sparse set exceeds the
-        // cap, keeping memory bounded.
+        // Pathological gaps are abandoned once more than the cap sit above
+        // the floor, keeping memory bounded.
         for seq in 0..2 * DELIVERED_GAP_CAP as u64 {
             delivered.record(100 + 2 * seq);
         }
-        assert!(delivered.above.len() <= DELIVERED_GAP_CAP);
+        assert!(delivered.held_above() <= DELIVERED_GAP_CAP);
     }
 
     #[test]

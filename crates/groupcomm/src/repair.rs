@@ -9,11 +9,12 @@
 //! safe and bounded, extracted from the gossip layer so the overlay's
 //! per-room trees ride the exact same repair log semantics:
 //!
-//! * [`Delivered`] — the per-stream delivery record (contiguous floor plus
-//!   a capped sparse set), the ground truth that keeps repair re-streams
-//!   from ever re-delivering.
+//! * [`Delivered`] — the per-stream delivery record (contiguous floor, an
+//!   inline bit window above it and a capped set beyond the window), the
+//!   ground truth that keeps repair re-streams from ever re-delivering.
 //! * [`RepairLog`] — the bounded `(cap ring, TTL age)` store of delivered
-//!   originals, servable on a pull.
+//!   originals, servable on a pull: one ring of entries that every stream
+//!   threads its messages through.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -31,23 +32,69 @@ pub type StreamKey = (NodeId, u64);
 /// stays bounded even for gaps no repair log can serve any more.
 pub const DELIVERED_GAP_CAP: usize = 512;
 
+/// Sequence numbers right above a tracker's floor that its inline window
+/// covers: one bit each of 128.
+const WINDOW: u64 = 128;
+
 /// Per-`(origin, inc)` record of delivered sequence numbers: a contiguous
-/// floor (everything at or below it was delivered or abandoned) plus a
-/// sparse set above it. Sequence numbers are dense within a stream, so the
-/// floor advances and the sparse set stays small; unlike a duplicate-
-/// suppression seen set this record is never evicted by capacity pressure,
-/// which is what makes the repair pass safe against re-delivery.
+/// floor (everything at or below it was delivered or abandoned) plus the
+/// delivered numbers above it. Those right above the floor, `floor + 1
+/// ..= floor + 128`, are bits of an inline 128-bit window; only a number
+/// beyond it takes a node of a sparse set. Sequence numbers are dense
+/// within a stream, so the floor advances, the window shifts with it, and
+/// a gap repaired within 128 messages costs no allocation. Unlike a
+/// duplicate-suppression seen set this record is never evicted by capacity
+/// pressure, which is what makes the repair pass safe against
+/// re-delivery.
 #[derive(Debug, Default, Clone)]
 pub struct Delivered {
     pub(crate) floor: u64,
     // bound: capped at DELIVERED_GAP_CAP entries; overflow folds into the floor.
-    pub(crate) above: BTreeSet<u64>,
+    pub(crate) above: Above,
+}
+
+/// The delivered sequence numbers above a [`Delivered`] floor.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Above {
+    /// The window, low word first: bit `i` stands for `floor + 1 + i`, and
+    /// bit 0 is never set (every path that moves the floor folds in the run
+    /// above it). Two words, not a `u128`, whose 16-byte alignment would
+    /// pad a tracker from 48 bytes to 64.
+    near: [u64; 2],
+    /// The numbers past `floor + WINDOW`.
+    // bound: with `near`, at most DELIVERED_GAP_CAP entries; overflow folds into the floor.
+    far: BTreeSet<u64>,
+}
+
+impl Above {
+    /// Delivered sequence numbers held above the floor.
+    pub(crate) fn len(&self) -> usize {
+        self.window().count_ones() as usize + self.far.len()
+    }
+
+    fn window(&self) -> u128 {
+        u128::from(self.near[0]) | u128::from(self.near[1]) << 64
+    }
+
+    fn set_window(&mut self, window: u128) {
+        self.near = [window as u64, (window >> 64) as u64];
+    }
 }
 
 impl Delivered {
     /// Whether `seq` has been delivered (or abandoned past recovery).
     pub fn contains(&self, seq: u64) -> bool {
-        seq <= self.floor || self.above.contains(&seq)
+        seq <= self.floor || self.holds(seq)
+    }
+
+    /// Whether `seq`, above the floor, is held as delivered.
+    fn holds(&self, seq: u64) -> bool {
+        let offset = seq - self.floor - 1;
+        if offset < WINDOW {
+            self.above.window() >> offset & 1 == 1
+        } else {
+            self.above.far.contains(&seq)
+        }
     }
 
     /// The contiguous delivery floor: every sequence number at or below it
@@ -56,43 +103,77 @@ impl Delivered {
         self.floor
     }
 
+    /// Delivered sequence numbers held above the floor: the gaps below
+    /// them are what keeps the floor from advancing.
+    pub fn held_above(&self) -> usize {
+        self.above.len()
+    }
+
     /// Records a delivered sequence number; returns `false` when it was
     /// already recorded (a late duplicate).
     pub fn record(&mut self, seq: u64) -> bool {
         if seq <= self.floor {
             return false;
         }
-        // `floor + 1` is never in `above` (every path that moves the floor
-        // folds in the run above it), so the next message in order moves
-        // the floor without a set insert and remove, and any other one
+        // The next message in order moves the floor, and any other one
         // leaves it where it is.
         if seq == self.floor + 1 {
-            self.floor = seq;
-            while self.above.remove(&(self.floor + 1)) {
-                self.floor += 1;
-            }
+            self.raise(seq);
             return true;
         }
-        if !self.above.insert(seq) {
+        let offset = seq - self.floor - 1;
+        if offset < WINDOW {
+            let (window, bit) = (self.above.window(), 1u128 << offset);
+            if window & bit != 0 {
+                return false;
+            }
+            self.above.set_window(window | bit);
+        } else if !self.above.far.insert(seq) {
             return false;
         }
         // Bounded memory: when too many delivered seqs sit above the floor,
         // the oldest gaps are abandoned — no repair log still holds them.
         while self.above.len() > DELIVERED_GAP_CAP {
-            let Some(lowest) = self.above.iter().next().copied() else {
-                break;
+            let window = self.above.window();
+            let lowest = if window != 0 {
+                self.floor + 1 + u64::from(window.trailing_zeros())
+            } else {
+                let Some(&lowest) = self.above.far.first() else {
+                    break;
+                };
+                lowest
             };
-            self.floor = lowest;
-            while {
-                let drained = self.above.remove(&self.floor);
-                let next = self.above.remove(&(self.floor + 1));
-                if next {
-                    self.floor += 1;
-                }
-                drained || next
-            } {}
+            self.raise(lowest);
         }
         true
+    }
+
+    /// Moves the floor up to `to` (above it), forgetting every number at
+    /// or below `to`, then on over the run of delivered numbers right
+    /// above: the window shifts with the floor and takes in the set's
+    /// numbers it comes to cover.
+    fn raise(&mut self, mut to: u64) {
+        let mut window = self.above.window();
+        loop {
+            let shift = to - self.floor;
+            window = if shift < WINDOW { window >> shift } else { 0 };
+            self.floor = to;
+            while let Some(&first) = self.above.far.first() {
+                if first.saturating_sub(self.floor) > WINDOW {
+                    break;
+                }
+                self.above.far.pop_first();
+                if first > self.floor {
+                    window |= 1 << (first - self.floor - 1);
+                }
+            }
+            let run = window.trailing_ones();
+            if run == 0 {
+                break;
+            }
+            to = self.floor + u64::from(run);
+        }
+        self.above.set_window(window);
     }
 
     /// Abandons every gap at or below `upto`: the span was evicted from all
@@ -100,13 +181,8 @@ impl Delivered {
     /// snapshot catch-up instead, so NACK repair must stop asking for it
     /// and late copies must not re-deliver.
     pub fn fast_forward(&mut self, upto: u64) {
-        if upto <= self.floor {
-            return;
-        }
-        self.floor = upto;
-        self.above = self.above.split_off(&(self.floor + 1));
-        while self.above.remove(&(self.floor + 1)) {
-            self.floor += 1;
+        if upto > self.floor {
+            self.raise(upto);
         }
     }
 
@@ -119,16 +195,21 @@ impl Delivered {
             if out.len() >= limit {
                 return;
             }
-            if !self.above.contains(&seq) {
+            if !self.holds(seq) {
                 out.push(seq);
             }
         }
     }
 }
 
-/// Empty streams a log keeps beyond twice as many as it has streams
-/// holding messages, before it drops the empty ones (see [`RepairLog`]).
+/// Streams no ring entry names that a log keeps beyond twice as many as
+/// the rest, before it drops them (see [`RepairLog`]).
 const SPARE_STREAMS: usize = 32;
+
+/// Set in a ring entry's `slot` once the entry left its stream's chain
+/// (see [`RepairLog::drop_stream`]). Slots stay far below it: a log has
+/// at most one stream per ring entry plus its spare empty ones.
+const DEAD: u32 = 1 << 31;
 
 /// The bounded repair log: recently delivered originals keyed by stream
 /// and sequence number, servable on a NACK pull. Two independent bounds —
@@ -136,68 +217,110 @@ const SPARE_STREAMS: usize = 32;
 /// `ttl_ms` — are enforced by the caller passing its knobs to [`store`]
 /// and [`evict`], so one log type serves sessions with different budgets.
 ///
+/// The ring holds the messages themselves, oldest first: a store appends
+/// an entry and an eviction pops the front one, and no stream owns a
+/// buffer. Each entry names its stream by a slot that stays put, and
+/// links to the stream's next entry in sequence order by ring position,
+/// so a stream is a chain through the ring from its lowest sequence
+/// number (`head`) to its highest (`tail`). Messages arrive nearly in
+/// order and leave oldest first, so a store links at the tail and an
+/// eviction unlinks at the head; an out-of-order one walks the chain.
+///
 /// The streams sit in one `Vec` sorted by key, each with its span inline,
 /// so a digest reads its rows in one pass over contiguous memory; a
-/// fixed-seed hash index finds a stream's place for a store, an eviction
-/// or a pull. A new stream is appended, and sorted into place (which moves
-/// the others and so rebuilds the index) only when rows are next read: a
-/// member that meets 200 origins sorts a few times, not 200. A stream the
-/// ring empties keeps its place (and its buffer) for the origin's next
-/// message: at a few messages per stream, streams empty and refill all
-/// the time. Once the empty ones outnumber twice the rest by
-/// `SPARE_STREAMS` they are dropped together. Each stream's messages
-/// are a deque sorted by sequence number: messages arrive nearly in order
-/// and leave oldest first, so a store appends and an eviction pops the
-/// front, and a stream costs one buffer, not a tree node per handful of
-/// messages.
+/// fixed-seed hash index finds a stream's slot, and a table the slot's
+/// place, for a store, an eviction or a pull. A new stream is appended,
+/// and sorted into place (which moves the others and so rewrites the slot
+/// table) only when rows are next read: a member that meets 200 origins
+/// sorts a few times, not 200. A stream the ring empties keeps its place
+/// and slot for the origin's next message: at a few messages per stream,
+/// streams empty and refill all the time. Once the streams no ring entry
+/// names outnumber twice the rest by `SPARE_STREAMS` they are dropped
+/// together and their slots recycled.
 ///
 /// [`store`]: RepairLog::store
 /// [`evict`]: RepairLog::evict
 #[derive(Debug, Default)]
 pub struct RepairLog<M> {
+    /// Every entry, oldest first: the one at ring position `front + i` is
+    /// `entries[i]`. Positions wrap around `u32`.
+    // bound: `cap` entries (one more while a store evicts) + `ttl_ms` age passed to store/evict; capacity grows to `cap + 1` at most.
+    entries: VecDeque<Entry<M>>,
+    front: u32,
+    /// Messages held: the entries still in their stream's chain.
+    len: usize,
     /// Every stream, holding messages or empty: sorted by key up to
     /// `sorted`, then the streams opened since, in the order they opened.
-    // bound: messages -- `cap` ring + `ttl_ms` age passed to store/evict, enforced via `order`; empty streams <= 2 x the rest + SPARE_STREAMS.
-    streams: Vec<Stream<M>>,
+    // bound: streams some entry names <= `cap`; the others <= 2 x those + SPARE_STREAMS.
+    streams: Vec<Stream>,
     sorted: usize,
-    /// Each stream's position in `streams`.
-    // bound: one entry per stream in `streams`; rebuilt when they move.
-    index: HashMap<StreamKey, usize>,
+    /// Each stream's slot.
+    // bound: one entry per stream in `streams`.
+    index: HashMap<StreamKey, u32>,
+    /// Each slot's position in `streams`.
+    // bound: one entry per slot, the most streams the log held at once.
+    places: Vec<u32>,
+    /// Slots of dropped streams, for the next streams to open.
+    // bound: <= `places.len()`.
+    free: Vec<u32>,
     /// Streams holding at least one message.
     live: usize,
-    // bound: same ring as `streams` -- `cap` entries, `ttl_ms` age.
-    order: VecDeque<(StreamKey, u64, u64)>,
+    /// Streams some ring entry names.
+    held: usize,
+}
+
+/// One message of the ring.
+#[derive(Debug)]
+struct Entry<M> {
+    seq: u64,
+    /// When it was stored: what the TTL is counted from.
+    at_ms: u64,
+    message: M,
+    /// The stream's slot, with [`DEAD`] set once the entry left its chain.
+    slot: u32,
+    /// The ring position of the stream's next entry; meaningless at the
+    /// chain's tail.
+    next: u32,
 }
 
 /// One stream of the log.
-#[derive(Debug)]
-struct Stream<M> {
+#[derive(Debug, Clone, Copy)]
+struct Stream {
     key: StreamKey,
-    /// The lowest and highest sequence numbers held — the digest row —
-    /// while `messages` is not empty.
+    slot: u32,
+    /// Ring entries that name the slot, in the chain or dead.
+    refs: u32,
+    /// Entries in the chain: the messages held.
+    count: u32,
+    /// Ring positions of the chain's first and last entry, and the lowest
+    /// and highest sequence numbers held — the digest row — while `count`
+    /// is not 0.
+    head: u32,
+    tail: u32,
     lo: u64,
     hi: u64,
-    messages: VecDeque<(u64, M)>,
 }
 
 impl<M> RepairLog<M> {
     /// An empty log.
     pub fn new() -> Self {
         Self {
+            entries: VecDeque::new(),
+            front: 0,
+            len: 0,
             streams: Vec::new(),
             sorted: 0,
             index: HashMap::default(),
+            places: Vec::new(),
+            free: Vec::new(),
             live: 0,
-            order: VecDeque::new(),
+            held: 0,
         }
     }
 
     /// Messages currently held across all streams.
     pub fn len(&self) -> usize {
-        self.streams
-            .iter()
-            .map(|stream| stream.messages.len())
-            .sum()
+        self.len
     }
 
     /// Whether the log holds no messages at all.
@@ -205,42 +328,115 @@ impl<M> RepairLog<M> {
         self.live == 0
     }
 
-    fn stream(&self, key: &StreamKey) -> Option<&Stream<M>> {
-        self.streams.get(*self.index.get(key)?)
+    fn entry(&self, position: u32) -> Option<&Entry<M>> {
+        self.entries.get(position.wrapping_sub(self.front) as usize)
+    }
+
+    fn entry_mut(&mut self, position: u32) -> Option<&mut Entry<M>> {
+        self.entries
+            .get_mut(position.wrapping_sub(self.front) as usize)
+    }
+
+    /// The position in `streams` of the stream in `slot`.
+    fn place(&self, slot: u32) -> Option<usize> {
+        self.places.get(slot as usize).map(|&at| at as usize)
+    }
+
+    fn stream(&self, key: &StreamKey) -> Option<&Stream> {
+        self.streams.get(self.place(*self.index.get(key)?)?)
+    }
+
+    fn put_stream(&mut self, at: usize, stream: Stream) {
+        if let Some(held) = self.streams.get_mut(at) {
+            *held = stream;
+        }
     }
 
     /// The lowest sequence number held of one stream, if any.
     pub fn lowest(&self, key: &StreamKey) -> Option<u64> {
         let stream = self.stream(key)?;
-        stream.messages.front().map(|_| stream.lo)
+        (stream.count > 0).then_some(stream.lo)
     }
 
     /// One logged original, if still held.
     pub fn get(&self, key: &StreamKey, seq: u64) -> Option<&M> {
-        let messages = &self.stream(key)?.messages;
-        let at = position(messages, seq).ok()?;
-        messages.get(at).map(|(_, message)| message)
+        self.reader(key).get(seq)
     }
 
-    /// Drops a whole stream (its incarnation went stale). The ring keeps
-    /// its now-dangling entries; eviction finds nothing to remove for them.
-    pub fn drop_stream(&mut self, key: &StreamKey) {
-        let Some(stream) = self.index.get(key).and_then(|at| self.streams.get_mut(*at)) else {
-            return;
-        };
-        if !stream.messages.is_empty() {
-            stream.messages.clear();
-            self.emptied();
+    /// A reader of one stream's logged originals, asked for ascending
+    /// sequence numbers, as a pull's wants are: it walks the stream's chain
+    /// once, forward only.
+    pub(crate) fn reader(&self, key: &StreamKey) -> StreamReader<'_, M> {
+        let stream = self.stream(key).copied().filter(|stream| stream.count > 0);
+        StreamReader {
+            log: self,
+            stream,
+            at: stream.map_or(0, |stream| stream.head),
+            left: stream.map_or(0, |stream| stream.count),
         }
     }
 
-    /// Counts a stream that just lost its last message, and drops every
-    /// empty stream once they outnumber twice the rest by
-    /// [`SPARE_STREAMS`].
-    fn emptied(&mut self) {
+    /// Walks `stream`'s chain to its first entry at or above `seq`: the
+    /// position of the entry before it, if any, and its own, if any.
+    fn seek(&self, stream: &Stream, seq: u64) -> (Option<u32>, Option<u32>) {
+        let (mut before, mut at) = (None, stream.head);
+        for _ in 0..stream.count {
+            let Some(entry) = self.entry(at) else {
+                break;
+            };
+            if entry.seq >= seq {
+                return (before, Some(at));
+            }
+            before = Some(at);
+            at = entry.next;
+        }
+        (before, None)
+    }
+
+    /// Drops a whole stream (its incarnation went stale). Its ring entries
+    /// stay, dead, until the ring evicts them, and each then still takes
+    /// the stream's message of its sequence number with it, should the
+    /// stream have logged one again since: the slot stays the stream's
+    /// while a dead entry names it.
+    pub fn drop_stream(&mut self, key: &StreamKey) {
+        let Some(at) = self.index.get(key).and_then(|slot| self.place(*slot)) else {
+            return;
+        };
+        let Some(mut stream) = self.streams.get(at).copied() else {
+            return;
+        };
+        if stream.count == 0 {
+            return;
+        }
+        let mut position = stream.head;
+        for _ in 0..stream.count {
+            let Some(entry) = self.entry_mut(position) else {
+                break;
+            };
+            entry.slot |= DEAD;
+            position = entry.next;
+        }
+        self.len -= stream.count as usize;
         self.live -= 1;
-        if self.streams.len() - self.live > 2 * self.live + SPARE_STREAMS {
-            self.streams.retain(|stream| !stream.messages.is_empty());
+        stream.count = 0;
+        self.put_stream(at, stream);
+    }
+
+    /// Counts a stream that just lost its last ring entry, and drops every
+    /// such stream once they outnumber twice the rest by
+    /// [`SPARE_STREAMS`], recycling their slots.
+    fn released(&mut self) {
+        self.held -= 1;
+        if self.streams.len() - self.held > 2 * self.held + SPARE_STREAMS {
+            let (index, free) = (&mut self.index, &mut self.free);
+            self.streams.retain(|stream| {
+                if stream.refs > 0 {
+                    return true;
+                }
+                index.remove(&stream.key);
+                free.push(stream.slot);
+                false
+            });
             self.reindex();
         }
     }
@@ -252,72 +448,190 @@ impl<M> RepairLog<M> {
         }
     }
 
-    /// Sorts every stream into place and points the index at its new
-    /// position: every move of a stream goes through here, so the index
-    /// never names a place another stream took.
+    /// Sorts every stream into place and points its slot at its new
+    /// position: every move of a stream goes through here, so a slot never
+    /// names a place another stream took.
     fn reindex(&mut self) {
         // Keys are distinct, so an unstable sort (which allocates nothing)
         // is deterministic.
         self.streams.sort_unstable_by_key(|stream| stream.key);
         self.sorted = self.streams.len();
-        self.index.clear();
         for (at, stream) in self.streams.iter().enumerate() {
-            self.index.insert(stream.key, at);
+            if let Some(place) = self.places.get_mut(stream.slot as usize) {
+                *place = at as u32;
+            }
         }
     }
 
-    /// Drops one logged message.
-    fn remove_entry(&mut self, key: &StreamKey, seq: u64) {
-        let Some(stream) = self.index.get(key).and_then(|at| self.streams.get_mut(*at)) else {
-            return;
-        };
-        if stream.remove(seq) && stream.messages.is_empty() {
-            self.emptied();
+    /// Opens an empty stream for `key` and returns its slot.
+    fn open(&mut self, key: StreamKey) -> u32 {
+        let slot = self.free.pop().unwrap_or(self.places.len() as u32);
+        let place = self.streams.len() as u32;
+        match self.places.get_mut(slot as usize) {
+            Some(held) => *held = place,
+            None => self.places.push(place),
         }
+        self.streams.push(Stream {
+            key,
+            slot,
+            refs: 0,
+            count: 0,
+            head: 0,
+            tail: 0,
+            lo: 0,
+            hi: 0,
+        });
+        self.index.insert(key, slot);
+        slot
     }
 
     /// Stores a delivered message, evicting the oldest entries beyond
     /// `cap`. Re-storing an already-held `(key, seq)` replaces the payload
     /// without consuming another ring slot.
     pub fn store(&mut self, key: StreamKey, seq: u64, message: M, now_ms: u64, cap: usize) {
-        let at = match self.index.get(&key) {
-            Some(&at) => at,
-            None => {
-                self.streams.push(Stream {
-                    key,
-                    lo: seq,
-                    hi: seq,
-                    messages: VecDeque::new(),
-                });
-                self.index.insert(key, self.streams.len() - 1);
-                self.streams.len() - 1
-            }
+        let slot = match self.index.get(&key) {
+            Some(&slot) => slot,
+            None => self.open(key),
         };
-        let Some(stream) = self.streams.get_mut(at) else {
+        let Some(at) = self.place(slot) else {
             return;
         };
-        if stream.messages.is_empty() {
+        let Some(mut stream) = self.streams.get(at).copied() else {
+            return;
+        };
+        let position = self.front.wrapping_add(self.entries.len() as u32);
+        let mut next = position;
+        if stream.count == 0 {
+            (stream.head, stream.tail, stream.lo, stream.hi) = (position, position, seq, seq);
             self.live += 1;
-        }
-        if stream.insert(seq, message) {
-            self.order.push_back((key, seq, now_ms));
-        }
-        while self.order.len() > cap {
-            let Some((old_key, old_seq, _)) = self.order.pop_front() else {
-                break;
+        } else if seq > stream.hi {
+            if let Some(tail) = self.entry_mut(stream.tail) {
+                tail.next = position;
+            }
+            (stream.tail, stream.hi) = (position, seq);
+        } else {
+            // At or below the tail: `seq` is held, or goes before the
+            // first entry above it.
+            let (before, Some(after)) = self.seek(&stream, seq) else {
+                return;
             };
-            self.remove_entry(&old_key, old_seq);
+            if let Some(held) = self.entry_mut(after).filter(|held| held.seq == seq) {
+                held.message = message;
+                return;
+            }
+            next = after;
+            match before.and_then(|before| self.entry_mut(before)) {
+                Some(before) => before.next = position,
+                None => (stream.head, stream.lo) = (position, seq),
+            }
         }
+        if stream.refs == 0 {
+            self.held += 1;
+        }
+        stream.refs += 1;
+        stream.count += 1;
+        self.put_stream(at, stream);
+        self.len += 1;
+        self.reserve_one(cap);
+        self.entries.push_back(Entry {
+            seq,
+            at_ms: now_ms,
+            message,
+            slot,
+            next,
+        });
+        while self.entries.len() > cap {
+            self.evict_front();
+        }
+    }
+
+    /// Makes room for one more entry, doubling as a `VecDeque` does but
+    /// never past the `cap + 1` entries the ring holds at most: a log at
+    /// its cap does not sit in twice the room it uses.
+    fn reserve_one(&mut self, cap: usize) {
+        let len = self.entries.len();
+        if len < self.entries.capacity() {
+            return;
+        }
+        let room = if 2 * len >= cap { cap + 1 } else { 2 * len };
+        self.entries.reserve_exact(room.max(4).max(len + 1) - len);
     }
 
     /// Drops logged messages older than `ttl_ms`.
     pub fn evict(&mut self, now_ms: u64, ttl_ms: u64) {
-        while let Some((key, seq, at)) = self.order.front().copied() {
-            if now_ms.saturating_sub(at) < ttl_ms {
+        while let Some(entry) = self.entries.front() {
+            if now_ms.saturating_sub(entry.at_ms) < ttl_ms {
                 break;
             }
-            self.order.pop_front();
-            self.remove_entry(&key, seq);
+            self.evict_front();
+        }
+    }
+
+    /// Pops the ring's oldest entry. A chained one leaves its stream's
+    /// chain; a dead one takes the stream's message of its sequence
+    /// number, if the stream logged one again, out of the chain with it
+    /// (that message's own entry stays in the ring, dead).
+    fn evict_front(&mut self) {
+        let Some(&Entry { seq, slot, .. }) = self.entries.front() else {
+            return;
+        };
+        let at = self.place(slot & !DEAD);
+        let stream = at.and_then(|at| self.streams.get(at)).copied();
+        let mut released = false;
+        if let (Some(at), Some(mut stream)) = (at, stream) {
+            if slot & DEAD == 0 {
+                self.unlink(&mut stream, self.front);
+            } else if stream.count > 0 && (stream.lo..=stream.hi).contains(&seq) {
+                if let (_, Some(found)) = self.seek(&stream, seq) {
+                    if self.entry(found).is_some_and(|found| found.seq == seq) {
+                        self.unlink(&mut stream, found);
+                        if let Some(found) = self.entry_mut(found) {
+                            found.slot |= DEAD;
+                        }
+                    }
+                }
+            }
+            stream.refs -= 1;
+            released = stream.refs == 0;
+            self.put_stream(at, stream);
+        }
+        self.entries.pop_front();
+        self.front = self.front.wrapping_add(1);
+        if released {
+            self.released();
+        }
+    }
+
+    /// Takes the entry at `position` out of `stream`'s chain.
+    fn unlink(&mut self, stream: &mut Stream, position: u32) {
+        let Some(&Entry { seq, next, .. }) = self.entry(position) else {
+            return;
+        };
+        let before = if position == stream.head {
+            None
+        } else {
+            self.seek(stream, seq).0
+        };
+        stream.count -= 1;
+        self.len -= 1;
+        if stream.count == 0 {
+            self.live -= 1;
+            return;
+        }
+        match before {
+            None => {
+                stream.head = next;
+                stream.lo = self.entry(next).map_or(stream.lo, |entry| entry.seq);
+            }
+            Some(before) => {
+                let Some(entry) = self.entry_mut(before) else {
+                    return;
+                };
+                entry.next = next;
+                if position == stream.tail {
+                    (stream.tail, stream.hi) = (before, entry.seq);
+                }
+            }
         }
     }
 
@@ -339,64 +653,52 @@ impl<M> RepairLog<M> {
     }
 }
 
-impl<M> Stream<M> {
-    /// Adds or replaces `seq`'s message; returns whether it was new.
-    fn insert(&mut self, seq: u64, message: M) -> bool {
-        if self.messages.is_empty() {
-            (self.lo, self.hi) = (seq, seq);
-        }
-        if self.messages.is_empty() || seq > self.hi {
-            self.messages.push_back((seq, message));
-            self.hi = seq;
-            return true;
-        }
-        match position(&self.messages, seq) {
-            Ok(at) => {
-                if let Some(held) = self.messages.get_mut(at) {
-                    held.1 = message;
-                }
-                false
-            }
-            Err(at) => {
-                self.messages.insert(at, (seq, message));
-                self.lo = self.lo.min(seq);
-                true
-            }
-        }
-    }
+/// Reads one stream's logged originals (see [`RepairLog::reader`]).
+pub(crate) struct StreamReader<'a, M> {
+    log: &'a RepairLog<M>,
+    /// The stream, while it holds messages.
+    stream: Option<Stream>,
+    /// Where the walk stands, and the chain's entries from there to the
+    /// tail.
+    at: u32,
+    left: u32,
+}
 
-    /// Removes `seq`'s message, if held; returns whether it was.
-    fn remove(&mut self, seq: u64) -> bool {
-        let messages = &mut self.messages;
-        if messages.front().is_some_and(|(first, _)| *first == seq) {
-            messages.pop_front();
-        } else if let Ok(at) = position(messages, seq) {
-            messages.remove(at);
-        } else {
-            return false;
+impl<'a, M> StreamReader<'a, M> {
+    /// The logged original of `seq`, if held. The walk never goes back: a
+    /// number below one asked for before may read `None` though held.
+    pub(crate) fn get(&mut self, seq: u64) -> Option<&'a M> {
+        let stream = self.stream?;
+        if seq < stream.lo || seq > stream.hi {
+            return None;
         }
-        if seq == self.lo {
-            self.lo = messages.front().map_or(seq, |(lo, _)| *lo);
+        if seq == stream.hi {
+            return self.log.entry(stream.tail).map(|entry| &entry.message);
         }
-        if seq == self.hi {
-            self.hi = messages.back().map_or(seq, |(hi, _)| *hi);
+        while self.left > 0 {
+            let entry = self.log.entry(self.at)?;
+            if entry.seq >= seq {
+                return (entry.seq == seq).then_some(&entry.message);
+            }
+            self.at = entry.next;
+            self.left -= 1;
         }
-        true
+        None
     }
 }
 
 /// The digest rows of a log: its streams that hold messages, in order.
-struct Rows<'a, M> {
-    streams: std::slice::Iter<'a, Stream<M>>,
+struct Rows<'a> {
+    streams: std::slice::Iter<'a, Stream>,
     /// Streams holding messages not yet visited.
     left: usize,
 }
 
-impl<M> Iterator for Rows<'_, M> {
+impl Iterator for Rows<'_> {
     type Item = (StreamKey, u64, u64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let stream = self.streams.find(|stream| !stream.messages.is_empty())?;
+        let stream = self.streams.find(|stream| stream.count > 0)?;
         self.left -= 1;
         Some((stream.key, stream.lo, stream.hi))
     }
@@ -406,12 +708,7 @@ impl<M> Iterator for Rows<'_, M> {
     }
 }
 
-impl<M> ExactSizeIterator for Rows<'_, M> {}
-
-/// Where `seq` is, or would go, in a stream sorted by sequence number.
-fn position<M>(stream: &VecDeque<(u64, M)>, seq: u64) -> Result<usize, usize> {
-    stream.binary_search_by_key(&seq, |(held, _)| *held)
-}
+impl ExactSizeIterator for Rows<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -735,5 +1032,241 @@ mod tests {
             vec![((NodeId(55), 1), 2, 2), ((NodeId(59), 1), 1, 1)]
         );
         assert_eq!(log.lowest(&(NodeId(54), 1)), None);
+    }
+
+    /// The reference's message of `(key, seq)`.
+    fn held(reference: &ReferenceLog, key: &StreamKey, seq: u64) -> Option<u32> {
+        reference.by_stream.get(key)?.get(&seq).copied()
+    }
+
+    /// The log against [`ReferenceLog`] at gossip's cap, with 200 origins
+    /// whose incarnations restart: streams empty and are dropped together,
+    /// so slots are recycled while dead entries of dropped streams (and
+    /// re-stores behind them) still sit in the ring. Returns how many
+    /// stores opened a stream in a recycled slot while a dead entry was in
+    /// the ring.
+    fn log_sweep(seed: u64, runs: usize, steps: usize) -> usize {
+        const ORIGINS: u64 = 200;
+        let mut rng = Rng(seed);
+        let mut recycled_past_dead = 0;
+        for _ in 0..runs {
+            let cap = [
+                crate::gossip::REPAIR_LOG_CAP,
+                crate::gossip::REPAIR_LOG_CAP / 2 + 1,
+            ][rng.below(2) as usize];
+            let ttl = [2_000, 10_000][rng.below(2) as usize];
+            let mut log: RepairLog<u32> = RepairLog::new();
+            let mut reference = ReferenceLog::default();
+            // Each origin's current incarnation and next sequence number.
+            let mut streams = vec![(3u64, 1u64); ORIGINS as usize];
+            let mut now = 0u64;
+            for step in 0..steps {
+                // Now and then a quiet spell long enough for every stream
+                // to age out.
+                now += if rng.below(4_000) == 0 {
+                    ttl
+                } else {
+                    rng.below(3)
+                };
+                let origin = rng.below(ORIGINS);
+                let (inc, next) = streams[origin as usize];
+                let (key, seq) = match rng.below(100) {
+                    // In order, the common case.
+                    0..=64 => {
+                        streams[origin as usize].1 += 1;
+                        ((NodeId(origin as u32), inc), next)
+                    }
+                    // Out of order: a gap filled late, or a re-store.
+                    65..=84 => {
+                        let seq = next.saturating_sub(rng.below(40)).max(1);
+                        ((NodeId(origin as u32), inc), seq)
+                    }
+                    // A late message of an older incarnation.
+                    85..=89 => {
+                        let seq = 1 + rng.below(next + 8);
+                        ((NodeId(origin as u32), inc - 1 - rng.below(3)), seq)
+                    }
+                    90..=93 => {
+                        log.evict(now, ttl);
+                        reference.evict(now, ttl);
+                        continue;
+                    }
+                    // A restart: a new incarnation, and the oldest of four
+                    // tracked ones dropped, as gossip drops it.
+                    94..=96 => {
+                        streams[origin as usize] = (inc + 1, 1);
+                        let stale = (NodeId(origin as u32), inc - 3);
+                        log.drop_stream(&stale);
+                        reference.by_stream.remove(&stale);
+                        continue;
+                    }
+                    // A drop of a recent incarnation, whose messages may be
+                    // stored again.
+                    _ => {
+                        let key = (NodeId(origin as u32), inc - rng.below(2));
+                        log.drop_stream(&key);
+                        reference.by_stream.remove(&key);
+                        continue;
+                    }
+                };
+                let (free, opens) = (log.free.len(), !log.index.contains_key(&key));
+                log.store(key, seq, step as u32, now, cap);
+                reference.store(key, seq, step as u32, now, cap);
+                if opens
+                    && log.free.len() < free
+                    && log.entries.iter().any(|entry| entry.slot & DEAD != 0)
+                {
+                    recycled_past_dead += 1;
+                }
+                for probe in seq.saturating_sub(2)..=seq + 2 {
+                    assert_eq!(log.get(&key, probe).copied(), held(&reference, &key, probe));
+                }
+                let lowest = reference.by_stream.get(&key).and_then(|s| s.keys().next());
+                assert_eq!(log.lowest(&key), lowest.copied());
+                if step % 97 == 0 {
+                    assert_eq!(log.len(), reference.len());
+                    assert_eq!(log.is_empty(), reference.by_stream.is_empty());
+                    assert_eq!(log.spans(), reference.spans());
+                    assert!(log.entries.len() <= cap && log.entries.capacity() <= cap + 1);
+                }
+            }
+            // Every message the reference holds, read back in ascending
+            // order through one reader per stream.
+            for (key, messages) in &reference.by_stream {
+                let mut reader = log.reader(key);
+                for (seq, message) in messages {
+                    assert_eq!(reader.get(*seq), Some(message));
+                }
+            }
+            assert_eq!(log.len(), reference.len());
+            assert_eq!(log.spans(), reference.spans());
+        }
+        recycled_past_dead
+    }
+
+    #[test]
+    fn the_log_matches_the_reference_at_production_scale() {
+        assert!(
+            log_sweep(17, 1, 40_000) > 0,
+            "a slot recycled past a dead entry"
+        );
+    }
+
+    /// The full sweep of [`log_sweep`]: `cargo test --release -p
+    /// morpheus-groupcomm --lib -- --ignored`.
+    #[test]
+    #[ignore = "release-speed sweep"]
+    fn the_log_matches_the_reference_at_production_scale_sweep() {
+        for seed in 1..=8 {
+            assert!(log_sweep(seed, 4, 150_000) > 0, "seed {seed}");
+        }
+    }
+
+    /// The tracker against [`ReferenceDelivered`] with reordering windows
+    /// either side of its inline bit window: gaps straddle the window's
+    /// edge, and numbers beyond it move into it as the floor rises.
+    fn tracker_sweep(seed: u64, runs: usize, steps: usize) {
+        let mut rng = Rng(seed);
+        for _ in 0..runs {
+            let window = [127, 128, 129, 256][rng.below(4) as usize];
+            let mut delivered = Delivered::default();
+            let mut reference = ReferenceDelivered::default();
+            let mut next = 1u64;
+            for _ in 0..steps {
+                let seq = match rng.below(10) {
+                    0..=4 => {
+                        next += 1;
+                        next - 1
+                    }
+                    5..=7 => (next + rng.below(window)).saturating_sub(window / 2),
+                    8 => next.saturating_sub(rng.below(window)),
+                    _ => {
+                        let upto = next.saturating_sub(rng.below(2 * window));
+                        delivered.fast_forward(upto);
+                        reference.fast_forward(upto);
+                        continue;
+                    }
+                };
+                assert_eq!(
+                    delivered.record(seq),
+                    reference.record(seq),
+                    "record({seq})"
+                );
+                assert_eq!(delivered.floor(), reference.floor);
+                assert_eq!(delivered.held_above(), reference.above.len());
+                next = next.max(seq + 1);
+                let (lo, hi) = (reference.floor.saturating_sub(4), next + 4);
+                let limit = rng.below(2 * window) as usize;
+                let mut missing = Vec::new();
+                delivered.missing_in(lo, hi, limit, &mut missing);
+                let expected: Vec<u64> = (lo.max(reference.floor + 1)..=hi)
+                    .filter(|seq| !reference.contains(*seq))
+                    .take(limit)
+                    .collect();
+                assert_eq!(missing, expected, "missing_in({lo}, {hi}, {limit})");
+            }
+            for seq in 0..next + 4 {
+                assert_eq!(
+                    delivered.contains(seq),
+                    reference.contains(seq),
+                    "contains({seq})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_tracker_matches_the_reference_across_its_bit_window() {
+        tracker_sweep(23, 8, 2_000);
+    }
+
+    /// The full sweep of [`tracker_sweep`]: `cargo test --release -p
+    /// morpheus-groupcomm --lib -- --ignored`.
+    #[test]
+    #[ignore = "release-speed sweep"]
+    fn the_tracker_matches_the_reference_across_its_bit_window_sweep() {
+        for seed in 1..=8 {
+            tracker_sweep(seed, 50, 20_000);
+        }
+    }
+
+    /// Ring positions are `u32`s that wrap: a log whose positions start
+    /// just below the wrap keeps matching the reference through it.
+    #[test]
+    fn ring_positions_wrap_around_u32() {
+        let mut rng = Rng(29);
+        let mut log: RepairLog<u32> = RepairLog::new();
+        log.front = u32::MAX - 40;
+        let mut reference = ReferenceLog::default();
+        for step in 0..3_000u32 {
+            let key = (NodeId(rng.below(5) as u32), 1);
+            let seq = 1 + u64::from(step / 4) - rng.below(8).min(u64::from(step / 4));
+            log.store(key, seq, step, u64::from(step), 64);
+            reference.store(key, seq, step, u64::from(step), 64);
+            if rng.below(50) == 0 {
+                log.drop_stream(&key);
+                reference.by_stream.remove(&key);
+            }
+            assert_eq!(log.len(), reference.len());
+            assert_eq!(log.spans(), reference.spans());
+            for probe in seq.saturating_sub(3)..=seq + 3 {
+                assert_eq!(log.get(&key, probe).copied(), held(&reference, &key, probe));
+            }
+        }
+        assert!(log.front < 3_000, "the positions wrapped");
+    }
+
+    /// A logged gossip message takes one ring entry of at most 56 bytes:
+    /// no per-stream buffer, no second ring.
+    #[test]
+    fn a_ring_entry_of_a_wire_frame_fits_56_bytes() {
+        assert!(std::mem::size_of::<Entry<bytes::Bytes>>() <= 56);
+    }
+
+    /// A tracker is its floor, the window's two words and the set: 48
+    /// bytes, where a `u128` window would pad it to 64.
+    #[test]
+    fn a_tracker_fits_48_bytes() {
+        assert_eq!(std::mem::size_of::<Delivered>(), 48);
     }
 }

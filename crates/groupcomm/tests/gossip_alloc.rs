@@ -685,6 +685,65 @@ fn a_warm_pull_answered_with_a_full_burst_allocates_nothing() {
     assert_eq!(total, 0, "a warm pull of a full burst allocates nothing");
 }
 
+/// Streams a warm session opened, and saw age out of its repair log,
+/// before the measured ones: more than 112, so the delivery trackers'
+/// table has grown to room for 224 streams, enough for the measured ones
+/// as well.
+const AGED_STREAMS: u32 = 120;
+
+/// New streams the measured arrivals open, one batch of eight messages
+/// each.
+const NEW_STREAMS: u32 = 64;
+
+/// Batches arrive that each open a new stream, at a session whose repair
+/// log has aged out every stream it held. Each message is delivered and
+/// logged. The log threads every stream's messages through one ring,
+/// which kept its room, and names a new stream by a slot an aged-out one
+/// gave back; the stream's tracker goes in a table with room to spare, and
+/// the frames go in the frame writer's current chunk and then its spare,
+/// both of which the aged-out frames left free. A new stream costs no
+/// buffer of its own, so the arrivals allocate nothing.
+#[test]
+fn batches_opening_new_streams_allocate_no_per_stream_buffer() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut harness = repairing_gossip(&mut platform);
+    GossipBatch::register(harness.kernel_mut().events_mut());
+    // Their frames fill the frame writer's first chunk and most of a
+    // second: the writer keeps the first as its spare.
+    for origin in 100..100 + AGED_STREAMS {
+        let arrival = batch_packet(origin, 1..=8, 0, FRAME_PAYLOAD);
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        assert_eq!(harness.drain_up().len(), 8);
+    }
+    // The first repair tick past the log's TTL ages every message out.
+    let mut keys = Vec::with_capacity(4);
+    platform.advance(REPAIR_LOG_TTL_MS + 1_000);
+    fire_due(&mut harness, &mut platform, &mut keys);
+    harness.drain_down();
+    assert_eq!(log_len(&mut harness), 0);
+
+    let mut total = 0;
+    for origin in 1_000..1_000 + NEW_STREAMS {
+        let arrival = batch_packet(origin, 1..=8, 0, b"logged");
+        let before = allocations();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        total += allocations() - before;
+        assert_eq!(harness.drain_up().len(), 8, "every message delivered");
+    }
+
+    assert_eq!(log_len(&mut harness), 8 * NEW_STREAMS as usize);
+    assert_eq!(
+        total, 0,
+        "{NEW_STREAMS} new streams of 8 messages, delivered and logged"
+    );
+}
+
 /// The payload of a message whose wire form is 16 bytes (a header count, a
 /// length and 14 bytes): a chunk holds a whole number of such frames.
 const FRAME_PAYLOAD: &[u8] = b"fourteen bytes";
