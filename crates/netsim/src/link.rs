@@ -46,16 +46,42 @@ pub trait LinkModel {
     fn loss_rate(&self) -> f64;
 
     /// Simulates one transmission of `size_bytes` bytes.
-    fn transmit(&self, size_bytes: usize, rng: &mut SimRng) -> LinkOutcome;
+    fn transmit(&self, size_bytes: usize, rng: &mut SimRng) -> LinkOutcome {
+        self.transmit_queued(size_bytes, 0.0, rng)
+    }
+
+    /// [`LinkModel::transmit`] of a packet that first waited `queued_ms`
+    /// in its sender's egress queue: the wait joins the latency before it
+    /// is rounded to the millisecond, and draws nothing from `rng`.
+    fn transmit_queued(&self, size_bytes: usize, queued_ms: f64, rng: &mut SimRng) -> LinkOutcome;
 }
 
-fn latency_with_jitter(base_ms: f64, jitter_ms: f64, serialize_ms: f64, rng: &mut SimRng) -> u64 {
+/// The one transmission model every link shares: a loss draw, then a
+/// latency of base delay, jitter, serialisation at `bandwidth_kbps` and
+/// the sender's queueing, rounded to at least 1 ms.
+fn transmit_over(
+    loss_rate: f64,
+    base_ms: f64,
+    jitter_ms: f64,
+    bandwidth_kbps: u32,
+    size_bytes: usize,
+    queued_ms: f64,
+    rng: &mut SimRng,
+) -> LinkOutcome {
+    if rng.chance(loss_rate) {
+        return LinkOutcome::Lost;
+    }
+    let serialize_ms = (size_bytes as f64 * 8.0) / (bandwidth_kbps as f64);
     let jitter = if jitter_ms > 0.0 {
         rng.random_f64() * jitter_ms
     } else {
         0.0
     };
-    (base_ms + jitter + serialize_ms).round().max(1.0) as u64
+    LinkOutcome::Delivered {
+        latency_ms: (base_ms + jitter + serialize_ms + queued_ms)
+            .round()
+            .max(1.0) as u64,
+    }
 }
 
 /// A switched 100 Mbit/s wired LAN segment.
@@ -95,19 +121,16 @@ impl LinkModel for WiredLan {
         self.loss_rate
     }
 
-    fn transmit(&self, size_bytes: usize, rng: &mut SimRng) -> LinkOutcome {
-        if rng.chance(self.loss_rate) {
-            return LinkOutcome::Lost;
-        }
-        let serialize_ms = (size_bytes as f64 * 8.0) / (self.bandwidth_kbps as f64);
-        LinkOutcome::Delivered {
-            latency_ms: latency_with_jitter(
-                self.base_latency_ms,
-                self.jitter_ms,
-                serialize_ms,
-                rng,
-            ),
-        }
+    fn transmit_queued(&self, size_bytes: usize, queued_ms: f64, rng: &mut SimRng) -> LinkOutcome {
+        transmit_over(
+            self.loss_rate,
+            self.base_latency_ms,
+            self.jitter_ms,
+            self.bandwidth_kbps,
+            size_bytes,
+            queued_ms,
+            rng,
+        )
     }
 }
 
@@ -158,19 +181,16 @@ impl LinkModel for Wireless80211b {
         self.loss_rate
     }
 
-    fn transmit(&self, size_bytes: usize, rng: &mut SimRng) -> LinkOutcome {
-        if rng.chance(self.loss_rate) {
-            return LinkOutcome::Lost;
-        }
-        let serialize_ms = (size_bytes as f64 * 8.0) / (self.bandwidth_kbps as f64);
-        LinkOutcome::Delivered {
-            latency_ms: latency_with_jitter(
-                self.base_latency_ms,
-                self.jitter_ms,
-                serialize_ms,
-                rng,
-            ),
-        }
+    fn transmit_queued(&self, size_bytes: usize, queued_ms: f64, rng: &mut SimRng) -> LinkOutcome {
+        transmit_over(
+            self.loss_rate,
+            self.base_latency_ms,
+            self.jitter_ms,
+            self.bandwidth_kbps,
+            size_bytes,
+            queued_ms,
+            rng,
+        )
     }
 }
 
@@ -211,19 +231,16 @@ impl LinkModel for WanLink {
         self.loss_rate
     }
 
-    fn transmit(&self, size_bytes: usize, rng: &mut SimRng) -> LinkOutcome {
-        if rng.chance(self.loss_rate) {
-            return LinkOutcome::Lost;
-        }
-        let serialize_ms = (size_bytes as f64 * 8.0) / (self.bandwidth_kbps as f64);
-        LinkOutcome::Delivered {
-            latency_ms: latency_with_jitter(
-                self.base_latency_ms,
-                self.jitter_ms,
-                serialize_ms,
-                rng,
-            ),
-        }
+    fn transmit_queued(&self, size_bytes: usize, queued_ms: f64, rng: &mut SimRng) -> LinkOutcome {
+        transmit_over(
+            self.loss_rate,
+            self.base_latency_ms,
+            self.jitter_ms,
+            self.bandwidth_kbps,
+            size_bytes,
+            queued_ms,
+            rng,
+        )
     }
 }
 

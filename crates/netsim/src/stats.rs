@@ -73,6 +73,10 @@ pub struct NodeStats {
     /// from `lost` for the same reason as `lost_to_dead`: injected fault
     /// drops are the experiment, not a live-link protocol failure.
     pub fault_dropped: u64,
+    /// Data packets this node's full egress queue shed before they were
+    /// sent (see [`crate::Network::set_egress_queue`]). Not sent, so not in
+    /// `sent` either.
+    pub egress_shed: u64,
     /// Bytes sent (sum over all classes).
     pub bytes_sent: u64,
     /// Bytes sent, per traffic class — what lets the evaluation assert that
@@ -115,6 +119,11 @@ impl NodeStats {
     /// Records one message swallowed by an injected fault.
     pub fn record_fault_dropped(&mut self) {
         self.fault_dropped += 1;
+    }
+
+    /// Records one data packet shed at this node's egress queue.
+    pub fn record_egress_shed(&mut self) {
+        self.egress_shed += 1;
     }
 
     /// Messages lost of one class.
@@ -220,6 +229,11 @@ impl NetworkStats {
     /// Total messages swallowed by injected faults.
     pub fn total_fault_dropped(&self) -> u64 {
         self.nodes().map(|stats| stats.fault_dropped).sum()
+    }
+
+    /// Total data packets shed at the nodes' egress queues.
+    pub fn total_egress_shed(&self) -> u64 {
+        self.nodes().map(|stats| stats.egress_shed).sum()
     }
 }
 

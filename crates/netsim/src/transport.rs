@@ -57,6 +57,53 @@ pub struct Delivery<P> {
     pub payload: P,
 }
 
+/// Each node's egress queue: a drop-tail FIFO in front of the node's link,
+/// served at the link's `bandwidth_kbps` ([`Topology::local_bandwidth_kbps`]).
+/// A packet leaves once every packet queued before it has finished
+/// serialising, so what a node sends in one instant departs back to back.
+/// Only data is shed, and only when it would take the queue past its byte
+/// bound; control, context, repair and overlay packets always queue.
+#[derive(Debug)]
+struct EgressQueues {
+    /// Bytes one node's queue may hold, the packet in service included.
+    queue_bytes: usize,
+    /// When each node's link finishes serialising what it has queued, in
+    /// simulated milliseconds, indexed by node id.
+    // bound: one entry per node id the topology holds; grown on a node's first send.
+    busy_until_ms: Vec<f64>,
+}
+
+impl EgressQueues {
+    /// Queues a packet of `size_bytes` at `node`, whose link serves
+    /// `bandwidth_kbps`: the milliseconds it waits before its first bit
+    /// leaves, or `None` when it is data and the queue has no room for it.
+    fn admit(
+        &mut self,
+        node: NodeId,
+        size_bytes: usize,
+        class: TrafficClass,
+        bandwidth_kbps: u32,
+        now: SimTime,
+    ) -> Option<f64> {
+        let slot = node.0 as usize;
+        if slot >= self.busy_until_ms.len() {
+            self.busy_until_ms.resize(slot + 1, 0.0);
+        }
+        // A kbit/s is a bit per millisecond.
+        let bits_per_ms = f64::from(bandwidth_kbps.max(1));
+        let now_ms = now.as_millis() as f64;
+        let start_ms = self.busy_until_ms[slot].max(now_ms);
+        let waited_ms = start_ms - now_ms;
+        let queued_bytes = waited_ms * bits_per_ms / 8.0;
+        if class == TrafficClass::Data && queued_bytes + size_bytes as f64 > self.queue_bytes as f64
+        {
+            return None;
+        }
+        self.busy_until_ms[slot] = start_ms + size_bytes as f64 * 8.0 / bits_per_ms;
+        Some(waited_ms)
+    }
+}
+
 /// The network: topology + loss/latency + accounting.
 #[derive(Debug)]
 pub struct Network {
@@ -65,6 +112,9 @@ pub struct Network {
     wireless_energy: EnergyModel,
     wired_energy: EnergyModel,
     faults: FaultSchedule,
+    /// `None` (the default): no node has a capacity, and every packet is
+    /// delayed only by its own serialisation.
+    egress: Option<EgressQueues>,
 }
 
 impl Network {
@@ -76,7 +126,18 @@ impl Network {
             wireless_energy: EnergyModel::wireless_pda(),
             wired_energy: EnergyModel::wired(),
             faults: FaultSchedule::none(),
+            egress: None,
         }
+    }
+
+    /// Gives every node an egress queue of `queue_bytes` in front of its
+    /// link (see [`Network::send_into`]); `None` takes the queues away, so
+    /// a packet waits behind no other.
+    pub fn set_egress_queue(&mut self, queue_bytes: Option<usize>) {
+        self.egress = queue_bytes.map(|queue_bytes| EgressQueues {
+            queue_bytes,
+            busy_until_ms: Vec::new(),
+        });
     }
 
     /// Installs a fault schedule: flaps and one-way partitions drop packets
@@ -132,12 +193,14 @@ impl Network {
 
     /// Runs the link model and receiver-side accounting for one hop,
     /// returning the arrival latency when the hop succeeds.
+    #[allow(clippy::too_many_arguments)]
     fn transmit_outcome(
         &mut self,
         from: NodeId,
         receiver: NodeId,
         size_bytes: usize,
         class: TrafficClass,
+        queued_ms: f64,
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<u64> {
@@ -172,7 +235,8 @@ impl Network {
             .node(receiver)
             .map(|n| n.is_operational())
             .unwrap_or(false);
-        let outcome = self.topology.link(from, receiver).transmit(size_bytes, rng);
+        let link = self.topology.link(from, receiver);
+        let outcome = link.transmit_queued(size_bytes, queued_ms, rng);
         match outcome {
             LinkOutcome::Delivered { latency_ms } if operational => {
                 let rx_energy = self.charge_rx(receiver, size_bytes);
@@ -215,21 +279,46 @@ impl Network {
 
     /// [`Network::send`], appending the deliveries to a caller-owned buffer:
     /// a caller sending packet after packet reuses one allocation.
+    ///
+    /// With egress queues ([`Network::set_egress_queue`]) a packet first
+    /// waits for the sender's link to finish what it queued before, and a
+    /// data packet the full queue has no room for is shed: it is never
+    /// sent, charged or counted as sent, only as
+    /// [`crate::NodeStats::egress_shed`]. Returns `false` for a shed
+    /// packet and `true` for every other, one from a dead sender included.
     pub fn send_into<P: Clone>(
         &mut self,
         packet: Packet<P>,
         now: SimTime,
         rng: &mut SimRng,
         deliveries: &mut Vec<Delivery<P>>,
-    ) {
+    ) -> bool {
         let sender_operational = self
             .topology
             .node(packet.from)
             .map(|n| n.is_operational())
             .unwrap_or(false);
         if !sender_operational {
-            return;
+            return true;
         }
+        let queued_ms = match &mut self.egress {
+            None => 0.0,
+            Some(egress) => {
+                let bandwidth_kbps = self.topology.local_bandwidth_kbps(packet.from);
+                let admitted = egress.admit(
+                    packet.from,
+                    packet.size_bytes,
+                    packet.class,
+                    bandwidth_kbps,
+                    now,
+                );
+                let Some(queued_ms) = admitted else {
+                    self.stats.node_mut(packet.from).record_egress_shed();
+                    return false;
+                };
+                queued_ms
+            }
+        };
 
         let tx_energy = self.charge_tx(packet.from, packet.size_bytes);
         self.stats
@@ -243,6 +332,7 @@ impl Network {
                     receiver,
                     packet.size_bytes,
                     packet.class,
+                    queued_ms,
                     now,
                     rng,
                 ) {
@@ -264,6 +354,7 @@ impl Network {
                         receiver,
                         packet.size_bytes,
                         packet.class,
+                        queued_ms,
                         now,
                         rng,
                     ) {
@@ -279,6 +370,7 @@ impl Network {
                 }
             }
         }
+        true
     }
 
     /// Remaining battery fraction of a node.
@@ -306,7 +398,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::Wireless80211b;
+    use crate::link::{LinkOutcome, Wireless80211b};
     use crate::topology::Topology;
 
     fn packet(from: u32, to: u32, class: TrafficClass) -> Packet<&'static str> {
@@ -456,6 +548,166 @@ mod tests {
         assert!(after < before);
         // Fixed nodes never drain.
         assert_eq!(network.battery_fraction(NodeId(0)), 1.0);
+    }
+
+    /// A LAN of `n` nodes whose links neither lose nor jitter, at
+    /// `bandwidth_kbps`.
+    fn quiet_lan(n: usize, bandwidth_kbps: u32) -> Topology {
+        Topology::lan(n, false).with_wired(crate::link::WiredLan {
+            jitter_ms: 0.0,
+            bandwidth_kbps,
+            ..crate::link::WiredLan::default()
+        })
+    }
+
+    fn sized(from: u32, to: u32, size_bytes: usize, class: TrafficClass) -> Packet<()> {
+        Packet {
+            from: NodeId(from),
+            target: PacketTarget::Unicast(NodeId(to)),
+            size_bytes,
+            class,
+            payload: (),
+        }
+    }
+
+    /// k packets of s bytes sent in one instant leave one after another:
+    /// the i-th arrives i·s·8/bw ms after the first.
+    #[test]
+    fn back_to_back_packets_arrive_one_serialisation_apart() {
+        // 250 B at 1,000 kbit/s: 2 ms on the wire each.
+        let (size, bandwidth_kbps, k) = (250, 1_000, 10u64);
+        let mut network = Network::new(quiet_lan(2, bandwidth_kbps));
+        network.set_egress_queue(Some(64 * 1024));
+        let mut rng = SimRng::new(7);
+        let now = SimTime::from_millis(100);
+        let mut arrivals = Vec::new();
+        for _ in 0..k {
+            assert!(network.send_into(
+                sized(0, 1, size, TrafficClass::Data),
+                now,
+                &mut rng,
+                &mut arrivals
+            ));
+        }
+        let at: Vec<u64> = arrivals.iter().map(|d| d.at.as_millis()).collect();
+        let serialise_ms = size as u64 * 8 / u64::from(bandwidth_kbps);
+        for (i, arrival) in at.iter().enumerate() {
+            assert_eq!(*arrival - at[0], i as u64 * serialise_ms, "{at:?}");
+        }
+        // Once the queue has drained, a packet waits for nothing again.
+        let later = SimTime::from_millis(100 + k * serialise_ms);
+        let alone = network.send(sized(0, 1, size, TrafficClass::Data), later, &mut rng);
+        assert_eq!(
+            alone[0].at.as_millis() - later.as_millis(),
+            at[0] - now.as_millis()
+        );
+        // Another node's queue is its own.
+        let other = network.send(sized(1, 0, size, TrafficClass::Data), now, &mut rng);
+        assert_eq!(other[0].at.as_millis(), at[0]);
+    }
+
+    /// Data that would take a queue past its byte bound is shed, never
+    /// sent or charged; control, context and repair always queue, behind
+    /// what is already there.
+    #[test]
+    fn data_past_the_byte_bound_is_shed_and_control_is_not() {
+        // 250 B at 1,000 kbit/s, in a queue of 1,000 B: four fit.
+        let mut network = Network::new(quiet_lan(2, 1_000));
+        network.set_egress_queue(Some(1_000));
+        let mut rng = SimRng::new(3);
+        let now = SimTime::ZERO;
+        let mut arrivals = Vec::new();
+        let sent: Vec<bool> = (0..6)
+            .map(|_| {
+                network.send_into(
+                    sized(0, 1, 250, TrafficClass::Data),
+                    now,
+                    &mut rng,
+                    &mut arrivals,
+                )
+            })
+            .collect();
+        assert_eq!(sent, [true, true, true, true, false, false]);
+        let stats = network.stats().node_or_default(NodeId(0));
+        assert_eq!(stats.egress_shed, 2);
+        assert_eq!(
+            stats.sent_of(TrafficClass::Data),
+            4,
+            "a shed packet is not sent"
+        );
+        assert_eq!(stats.lost, 0, "nor lost on the link");
+        assert_eq!(network.stats().total_egress_shed(), 2);
+
+        let last_data = arrivals.last().unwrap().at;
+        for class in [
+            TrafficClass::Control,
+            TrafficClass::Context,
+            TrafficClass::Repair,
+        ] {
+            assert!(network.send_into(sized(0, 1, 250, class), now, &mut rng, &mut arrivals));
+        }
+        assert_eq!(arrivals.len(), 7);
+        assert!(
+            arrivals[4..].windows(2).all(|pair| pair[0].at < pair[1].at)
+                && arrivals[4].at > last_data,
+            "control waits behind the queue, in order: {:?}",
+            arrivals.iter().map(|d| d.at).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            network.stats().total_egress_shed(),
+            2,
+            "control is never shed"
+        );
+        // The queue is past its bound now, so data is still shed ...
+        assert!(!network.send_into(
+            sized(0, 1, 250, TrafficClass::Data),
+            now,
+            &mut rng,
+            &mut arrivals
+        ));
+        // ... until it has drained.
+        let drained = SimTime::from_millis(14);
+        assert!(network.send_into(
+            sized(0, 1, 250, TrafficClass::Data),
+            drained,
+            &mut rng,
+            &mut arrivals
+        ));
+    }
+
+    /// Without egress queues a packet waits behind no other: every
+    /// latency, and every draw from the rng, is the link model's alone.
+    #[test]
+    fn without_capacity_sends_match_the_per_packet_link_model() {
+        let topology = Topology::hybrid_cell(2, 3).with_wireless(Wireless80211b::degraded(0.2));
+        let reference = topology.clone();
+        let mut network = Network::new(topology);
+        let (mut rng, mut model_rng) = (SimRng::new(11), SimRng::new(11));
+        let mut arrivals = Vec::new();
+        let mut expected = Vec::new();
+        for step in 0..400u64 {
+            let (from, to) = ((step % 5) as u32, ((step * 3 + 1) % 5) as u32);
+            let size = 40 + (step as usize * 37) % 1_400;
+            let now = SimTime::from_millis(step / 20);
+            let class = TrafficClass::ALL[(step % 5) as usize];
+            assert!(network.send_into(sized(from, to, size, class), now, &mut rng, &mut arrivals));
+            if from == to {
+                continue;
+            }
+            let link = reference.link(NodeId(from), NodeId(to));
+            if let LinkOutcome::Delivered { latency_ms } = link.transmit(size, &mut model_rng) {
+                expected.push((now + latency_ms, NodeId(to)));
+            }
+        }
+        let got: Vec<_> = arrivals.iter().map(|d| (d.at, d.to)).collect();
+        assert_eq!(got, expected);
+        assert!(expected.len() > 250, "most packets arrive");
+        assert_eq!(
+            rng.random_u64(),
+            model_rng.random_u64(),
+            "the same draws, no more"
+        );
+        assert_eq!(network.stats().total_egress_shed(), 0);
     }
 
     #[test]

@@ -225,9 +225,14 @@ pub struct RunReport {
     /// invariant fault sweeps assert.
     pub corrupted_packets: u64,
     /// Data-class packets shed at the bounded event queue's cap (drop-newest
-    /// graceful degradation under overload; recoverable via gossip repair).
+    /// graceful degradation under overload; recoverable via gossip repair)
+    /// or at a node's full egress queue ([`RunReport::egress_shed_packets`]).
     /// Control-plane events are never shed.
     pub shed_packets: u64,
+    /// The part of `shed_packets` the nodes' egress queues shed (drop-tail,
+    /// data only; see [`crate::Scenario::node_capacity`]). Always 0 on a
+    /// scenario without node capacity.
+    pub egress_shed_packets: u64,
     /// Deepest the simulation event queue ever got. With the bounded queue
     /// active this stays at or near the cap even under sustained overload.
     pub max_queue_depth: u64,
@@ -488,6 +493,7 @@ mod tests {
             fault_dropped: 0,
             corrupted_packets: 0,
             shed_packets: 0,
+            egress_shed_packets: 0,
             max_queue_depth: 0,
             wedge: None,
             nodes: vec![node(0, false, 10, 2), node(1, true, 4, 1)],

@@ -111,8 +111,10 @@ struct FlushBuffers {
 struct WireTally(Vec<(u16, u64, u64)>);
 
 impl WireTally {
-    fn add(&mut self, packet: &[u8], bytes: usize) {
-        let Some(tag) = packet_tag(packet) else {
+    /// Counts one packet of `bytes` with the wire tag `tag` (`None`, a
+    /// packet too short for a tag, is not counted).
+    fn add(&mut self, tag: Option<u16>, bytes: usize) {
+        let Some(tag) = tag else {
             return;
         };
         let at = match self.0.binary_search_by_key(&tag, |(tag, _, _)| *tag) {
@@ -198,6 +200,7 @@ impl Runner {
         let topology = build_topology(scenario);
         let mut network = Network::new(topology);
         network.set_faults(scenario.fault_schedule.clone());
+        network.set_egress_queue(scenario.node_capacity.map(|capacity| capacity.queue_bytes));
         let mut rng = SimRng::new(scenario.seed);
         let mut queue: EventQueue<SimEvent> = EventQueue::new();
         let mut spare = FlushBuffers::default();
@@ -732,7 +735,11 @@ fn build_topology(scenario: &Scenario) -> Topology {
         TopologyChoice::AdHoc => Topology::ad_hoc(scenario.device_count()),
         TopologyChoice::Wan => Topology::wan(scenario.device_count()),
     };
-    topology.with_wireless(wireless)
+    let topology = topology.with_wireless(wireless);
+    match scenario.node_capacity {
+        Some(capacity) => topology.with_bandwidth_kbps(capacity.bandwidth_kbps),
+        None => topology,
+    }
 }
 
 /// The locally observable context of a node, refreshed from the simulator.
@@ -846,7 +853,7 @@ fn flush_node(
                 PacketDest::Broadcast => PacketTarget::Broadcast,
             };
             let size_bytes = out.payload.len() + FRAMING_OVERHEAD_BYTES;
-            wire_events.add(&out.payload, size_bytes);
+            let tag = packet_tag(&out.payload);
             let packet = Packet {
                 from: SimNodeId(out.from.0),
                 target,
@@ -857,7 +864,11 @@ fn flush_node(
                     bytes: out.payload,
                 },
             };
-            network.send_into(packet, now, rng, &mut spare.arrivals);
+            if !network.send_into(packet, now, rng, &mut spare.arrivals) {
+                // Shed at the sender's full egress queue: never on the wire.
+                continue;
+            }
+            wire_events.add(tag, size_bytes);
             for delivery in spare.arrivals.drain(..) {
                 // Bounded event queue with graceful shedding: once the
                 // queue is at capacity, *data*-plane arrivals are dropped
@@ -1059,7 +1070,9 @@ fn build_report(
         partition_dropped: tallies.iter().map(|tally| tally.partition_dropped).sum(),
         fault_dropped: stats.total_fault_dropped(),
         corrupted_packets: tallies.iter().map(|tally| tally.corrupted).sum(),
-        shed_packets: tallies.iter().map(|tally| tally.shed_packets).sum(),
+        shed_packets: tallies.iter().map(|tally| tally.shed_packets).sum::<u64>()
+            + stats.total_egress_shed(),
+        egress_shed_packets: stats.total_egress_shed(),
         max_queue_depth,
         wedge,
         nodes: node_reports,

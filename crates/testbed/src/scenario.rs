@@ -74,6 +74,19 @@ impl Workload {
     }
 }
 
+/// A node's capacity: the rate its link serialises at and the egress queue
+/// in front of it. A packet waits for the packets its node queued before
+/// it; a data packet that would take the queue past `queue_bytes` is shed
+/// (drop-tail), while control, context and repair packets always queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeCapacity {
+    /// Rate of every link of the topology, in kbit/s: each node's egress
+    /// queue is served at it.
+    pub bandwidth_kbps: u32,
+    /// Bytes one node's egress queue holds, the packet in service included.
+    pub queue_bytes: usize,
+}
+
 /// A complete experiment description.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -150,6 +163,10 @@ pub struct Scenario {
     /// queue growth. `0` (the default) selects a generous bound derived
     /// from the group size. Only consulted while the detector is enabled.
     pub wedge_queue_cap: u64,
+    /// Each node's link capacity and egress queue. `None` (the default):
+    /// no packet waits behind another, and a node can put any number of
+    /// bytes on its link in one millisecond.
+    pub node_capacity: Option<NodeCapacity>,
 }
 
 impl Scenario {
@@ -187,6 +204,7 @@ impl Scenario {
             fault_schedule: FaultSchedule::none(),
             wedge_window_ms: 0,
             wedge_queue_cap: 0,
+            node_capacity: None,
         }
     }
 
@@ -393,6 +411,40 @@ impl Scenario {
                 interval_ms,
             }],
         })
+    }
+
+    /// Capacity-overload preset: [`Scenario::sustained_overload`]'s group
+    /// and drive, on nodes whose links have a capacity
+    /// ([`Scenario::node_capacity`]). Each node's link serves 90 % of the
+    /// payload bytes alone that an average member must receive during the
+    /// overload, `(n − 1) / n × senders × payload × rate`. Every byte a
+    /// member receives, another sent, so the average member's egress must
+    /// carry at least that much: no header, batching or fan-out gain can
+    /// make the run stop overloading. Data past a node's egress queue
+    /// (4 KiB, about a third of a second of its link) is shed there,
+    /// control never is. The event queue keeps its default cap, which this
+    /// load never reaches. The cooldown leaves the repair plane room to
+    /// deliver what was shed.
+    pub fn capacity_overload(n: usize, senders: usize, overload_ms: u64) -> Self {
+        let mut scenario = Self::sustained_overload(n, senders, overload_ms);
+        scenario.name = format!("capacity-overload-{n}x{senders}");
+        scenario.wedge_queue_cap = 0;
+        let workload = &scenario.workload;
+        // The base rate plus the overload's one extra send per interval.
+        let per_sender_per_s = 2 * 1_000 / workload.interval_ms;
+        let members = n as u64;
+        let payload_bits_per_s = (members - 1)
+            * workload.senders.len() as u64
+            * workload.payload_size as u64
+            * 8
+            * per_sender_per_s
+            / members;
+        scenario.node_capacity = Some(NodeCapacity {
+            bandwidth_kbps: (payload_bits_per_s * 9 / 10 / 1_000).max(1) as u32,
+            queue_bytes: 4 * 1024,
+        });
+        scenario.cooldown_ms = 20_000;
+        scenario
     }
 
     /// Long-partition preset: `n` fixed LAN nodes on the epidemic stack; the
