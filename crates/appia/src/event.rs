@@ -237,10 +237,13 @@ pub trait EventPayload: Any + fmt::Debug {
 /// Boxes each payload type keeps for reuse, per thread; a box dropped
 /// while its type's list is full is freed. One list serves every kernel on
 /// the thread, so idle memory does not grow with the number of simulated
-/// nodes. The bound covers the largest burst one handler dispatches: a
-/// gossip repair pull answered with up to twice the repair window (64) of
-/// pushes, 128 boxes that are all dropped before the next pull.
-pub const FREE_BOXES_PER_TYPE: usize = 128;
+/// nodes. The bound covers the largest burst one kernel holds at once: a
+/// node decodes every packet of an instant before it handles any, and the
+/// answers to its two gossip repair pulls, up to twice the repair window
+/// (64) of pushes each, can arrive in one instant: 256 boxes. With room
+/// for 128, `fanin_lossy` allocated 14,943 repair-push boxes in its
+/// measured window; with 256, one list's worth.
+pub const FREE_BOXES_PER_TYPE: usize = 256;
 
 /// A payload type with a per-thread free list of its boxes. The event
 /// macros implement it over a `thread_local!` declared next to the type, so

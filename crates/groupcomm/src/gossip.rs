@@ -91,8 +91,11 @@ const REPAIR_WINDOW: usize = 64;
 /// does not cost a whole extra interval).
 const REPAIR_PULL_BUDGET: usize = 2;
 
-/// App messages aggregated per [`GossipBatch`] packet.
-const BATCH_MAX: usize = 4;
+/// Bytes of entries (gossip header and message frame each) one
+/// [`GossipBatch`] packet carries: one Ethernet MTU of UDP payload, 1,472 B,
+/// less the packet's frame. A peer's pushes fill a batch until the next
+/// entry would cross it; an entry larger than the cap leaves alone.
+const BATCH_BYTES: usize = 1_456;
 
 /// Per-peer cap on the pushes one instant may queue. Beyond it the newest
 /// pushes are shed — they are already in the repair log, so the
@@ -132,6 +135,25 @@ struct OutboxEntry {
     /// The header and wire-form message, as [`GossipBatchBody::encode_frames`]
     /// writes them.
     push: (GossipHeader, Bytes),
+}
+
+impl OutboxEntry {
+    /// The bytes this entry takes in a batch.
+    fn wire_len(&self) -> usize {
+        let (header, frame) = &self.push;
+        header.encoded_len() + frame.len()
+    }
+}
+
+/// How many of `run`'s leading entries go into one batch: as many as fit
+/// [`BATCH_BYTES`], and never fewer than one.
+fn batch_len(run: &[OutboxEntry]) -> usize {
+    let mut bytes = 0;
+    let over = run.iter().position(|entry| {
+        bytes += entry.wire_len();
+        bytes > BATCH_BYTES
+    });
+    over.unwrap_or(run.len()).max(1)
 }
 
 /// Counters of one gossip session, exposed to the node runtime (and from
@@ -319,7 +341,7 @@ pub struct GossipSession {
     /// Scratch the entries of a received batch decode into. The messages
     /// are slices of the packet, so it is drained before the batch handler
     /// returns: no decoded message outlives the event that carried it.
-    // bound: capacity <= the largest batch received (`get_count` caps a count at packet bytes / 12); empty between events.
+    // bound: capacity <= the largest batch received (`get_count` caps a count at packet bytes / 6); empty between events.
     batch_entries: Vec<(GossipHeader, Message)>,
     stats: GossipStats,
 }
@@ -571,8 +593,8 @@ impl GossipSession {
         self.push_targets = targets;
     }
 
-    /// Sends the whole outbox as aggregated [`GossipBatch`] packets, at
-    /// most `BATCH_MAX` app messages per packet.
+    /// Sends the whole outbox as aggregated [`GossipBatch`] packets, each
+    /// peer's run cut into batches of at most [`BATCH_BYTES`] of entries.
     fn flush_outbox(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
         // Deterministic peer order — the members list, never hash order —
@@ -581,7 +603,9 @@ impl GossipSession {
         self.outbox
             .sort_unstable_by_key(|entry| (entry.slot, entry.arrival));
         for queue in self.outbox.chunk_by(|a, b| a.slot == b.slot) {
-            for chunk in queue.chunks(BATCH_MAX) {
+            let mut rest = queue;
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(batch_len(rest));
                 let mut message = Message::new();
                 message.push_header(encode_pooled(|w| {
                     GossipBatchBody::encode_frames(chunk.iter().map(|entry| &entry.push), w)
@@ -591,6 +615,7 @@ impl GossipSession {
                     Dest::Node(queue[0].peer),
                     message,
                 )));
+                rest = tail;
             }
         }
         self.outbox.clear();
@@ -2049,8 +2074,8 @@ mod tests {
     }
 
     /// A burst of 200 own sends in one instant leaves in that instant's
-    /// flush: each peer of a 4-member group gets all 200, in 50 full
-    /// batches, and nothing stays queued. The receiver of the whole burst
+    /// flush: each peer of a 4-member group gets all 200, in batches each
+    /// as full as the byte cap allows, and nothing stays queued. The receiver of the whole burst
     /// owes its sender nothing: it sends no digest before its repair tick.
     #[test]
     fn a_burst_past_the_old_credit_window_leaves_in_its_instant() {
@@ -2083,7 +2108,20 @@ mod tests {
                 .flat_map(|message| message.clone().pop::<GossipBatchBody>().unwrap().entries)
                 .map(|(header, _)| header.seq)
                 .collect();
-            assert_eq!(sent.len(), 50, "{peer:?}: 200 pushes in full batches");
+            // 7-byte entries up to seq 127, 8-byte ones after: 127 + 70
+            // entries fill 1,449 B, and the 198th would cross the cap.
+            let lens: Vec<usize> = sent
+                .iter()
+                .map(|message| {
+                    message
+                        .clone()
+                        .pop::<GossipBatchBody>()
+                        .unwrap()
+                        .entries
+                        .len()
+                })
+                .collect();
+            assert_eq!(lens, [197, 3], "{peer:?}: 200 pushes in full batches");
             assert_eq!(seqs, (1..=200).collect::<Vec<u64>>(), "{peer:?}");
         }
         assert_eq!(stats_of(&mut gossip).deferred_pushes, 0);
@@ -2157,10 +2195,19 @@ mod tests {
         Harness::new(GossipLayer, &params, platform)
     }
 
+    /// The bytes one batch entry takes on the wire.
+    fn entry_len((header, message): &(GossipHeader, Message)) -> usize {
+        header.encoded_len() + message.encoded_len()
+    }
+
     /// Fires the zero-delay flush (the repair tick, if armed, stays) and
-    /// returns what it sent to each peer: destination and sequence numbers,
-    /// the consecutive batches to one peer joined, in dispatch order.
-    fn flush(gossip: &mut Harness, platform: &mut TestPlatform) -> Vec<(NodeId, Vec<u64>)> {
+    /// returns every batch it sent, destination and entries, in dispatch
+    /// order. Checks the cap on the way: no batch is empty, and each holds
+    /// at most [`BATCH_BYTES`] of entries unless it is one larger entry.
+    fn flushed_batches(
+        gossip: &mut Harness,
+        platform: &mut TestPlatform,
+    ) -> Vec<(NodeId, Vec<(GossipHeader, Message)>)> {
         let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut platform.timers)
             .into_iter()
             .partition(|(deadline, _)| *deadline <= platform.now_ms);
@@ -2168,7 +2215,7 @@ mod tests {
         for (_, key) in due {
             gossip.fire_timer(key, platform);
         }
-        let mut sent: Vec<(NodeId, Vec<u64>)> = Vec::new();
+        let mut sent = Vec::new();
         for batch in gossip
             .drain_down()
             .iter()
@@ -2177,15 +2224,138 @@ mod tests {
             let Dest::Node(peer) = batch.header.dest else {
                 panic!("a batch goes to one peer");
             };
-            let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
-            assert!(body.entries.len() <= BATCH_MAX);
-            let seqs = body.entries.iter().map(|(header, _)| header.seq);
+            let entries = batch
+                .message
+                .clone()
+                .pop::<GossipBatchBody>()
+                .unwrap()
+                .entries;
+            assert!(!entries.is_empty(), "a batch to {peer:?} is empty");
+            let bytes: usize = entries.iter().map(entry_len).sum();
+            assert!(
+                bytes <= BATCH_BYTES || entries.len() == 1,
+                "a batch of {} entries to {peer:?} holds {bytes} B",
+                entries.len()
+            );
+            sent.push((peer, entries));
+        }
+        sent
+    }
+
+    /// [`flushed_batches`] by peer: destination and sequence numbers, the
+    /// consecutive batches to one peer joined, in dispatch order.
+    fn flush(gossip: &mut Harness, platform: &mut TestPlatform) -> Vec<(NodeId, Vec<u64>)> {
+        let mut sent: Vec<(NodeId, Vec<u64>)> = Vec::new();
+        for (peer, entries) in flushed_batches(gossip, platform) {
+            let seqs = entries.iter().map(|(header, _)| header.seq);
             match sent.last_mut() {
                 Some((last, joined)) if *last == peer => joined.extend(seqs),
                 _ => sent.push((peer, seqs.collect())),
             }
         }
         sent
+    }
+
+    /// Sends one message per payload size, in order, each of `size` bytes.
+    fn send_sized(gossip: &mut Harness, platform: &mut TestPlatform, sizes: &[usize]) {
+        for &size in sizes {
+            gossip.run_down(
+                Event::down(DataEvent::to_group(
+                    NodeId(0),
+                    Message::with_payload(vec![b'x'; size]),
+                )),
+                platform,
+            );
+        }
+    }
+
+    /// Each batch holds the entries that fit [`BATCH_BYTES`] and the next
+    /// entry of its peer's run would cross it: the run is cut exactly at
+    /// the cap, and a batch that meets it to the byte stays whole.
+    #[test]
+    fn a_flush_cuts_a_peers_run_exactly_at_the_byte_cap() {
+        // Own sends of a two-member group at `inc` 0 and seqs below 128:
+        // a 4-byte gossip header and a frame of a header count, a payload
+        // length and the payload, all 1-byte varints.
+        for (entry, expected) in [(104, vec![14, 14, 2]), (105, vec![13, 13, 4])] {
+            let mut platform = TestPlatform::new(NodeId(0));
+            let mut gossip = batching_harness(&mut platform, "0,1", &[("repair_interval_ms", "0")]);
+            send_sized(&mut gossip, &mut platform, &[entry - 6; 30]);
+            let batches = flushed_batches(&mut gossip, &mut platform);
+            let counts: Vec<usize> = batches.iter().map(|(_, entries)| entries.len()).collect();
+            assert_eq!(counts, expected, "{entry}-byte entries");
+            for (_, entries) in &batches {
+                assert!(entries.iter().all(|e| entry_len(e) == entry));
+            }
+            if entry == 104 {
+                let full: usize = batches[0].1.iter().map(entry_len).sum();
+                assert_eq!(full, BATCH_BYTES, "14 × 104 B meets the cap exactly");
+            }
+            let seqs: Vec<u64> = batches
+                .iter()
+                .flat_map(|(_, entries)| entries.iter().map(|(header, _)| header.seq))
+                .collect();
+            assert_eq!(seqs, (1..=30).collect::<Vec<u64>>(), "FIFO across the cuts");
+        }
+    }
+
+    /// An entry larger than the cap leaves in a batch of its own, between
+    /// the batches of the entries before and after it.
+    #[test]
+    fn an_entry_over_the_byte_cap_leaves_alone() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut gossip = batching_harness(&mut platform, "0,1", &[("repair_interval_ms", "0")]);
+        send_sized(
+            &mut gossip,
+            &mut platform,
+            &[10, 10, 2 * BATCH_BYTES, 10, BATCH_BYTES, 10],
+        );
+        let batches = flushed_batches(&mut gossip, &mut platform);
+        let seqs: Vec<Vec<u64>> = batches
+            .iter()
+            .map(|(_, entries)| entries.iter().map(|(header, _)| header.seq).collect())
+            .collect();
+        assert_eq!(seqs, [vec![1, 2], vec![3], vec![4], vec![5], vec![6]]);
+        assert!(entry_len(&batches[1].1[0]) > BATCH_BYTES);
+        assert!(batches.iter().all(|(peer, _)| *peer == NodeId(1)));
+    }
+
+    /// Runs of mixed sizes to several peers: every batch is non-empty and
+    /// within the cap, peers go out in `members` order, and each peer's
+    /// run is FIFO and cut only where the next entry would cross the cap.
+    #[test]
+    fn mixed_runs_leave_in_members_order_fifo_and_cut_only_at_the_cap() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut gossip = batching_harness(
+            &mut platform,
+            "0,6,3,5,1,4,2",
+            &[("fanout", "3"), ("repair_interval_ms", "0")],
+        );
+        let sizes: Vec<usize> = (0..120).map(|i| 20 + (i * 53) % 400).collect();
+        send_sized(&mut gossip, &mut platform, &sizes);
+        let batches = flushed_batches(&mut gossip, &mut platform);
+        let order = [6, 3, 5, 1, 4, 2].map(NodeId);
+        let mut peers: Vec<NodeId> = batches.iter().map(|(peer, _)| *peer).collect();
+        peers.dedup();
+        let expected: Vec<NodeId> = order.into_iter().filter(|p| peers.contains(p)).collect();
+        assert_eq!(peers, expected, "peers in `members` order, each once");
+        for run in batches.chunk_by(|a, b| a.0 == b.0) {
+            let seqs: Vec<u64> = run
+                .iter()
+                .flat_map(|(_, entries)| entries.iter().map(|(header, _)| header.seq))
+                .collect();
+            assert!(seqs.windows(2).all(|pair| pair[0] < pair[1]), "{seqs:?}");
+            for pair in run.windows(2) {
+                let bytes: usize = pair[0].1.iter().map(entry_len).sum();
+                assert!(
+                    bytes + entry_len(&pair[1].1[0]) > BATCH_BYTES,
+                    "{:?}: a batch of {bytes} B was cut before an entry that fits",
+                    pair[0].0
+                );
+            }
+        }
+        let pushed: usize = batches.iter().map(|(_, entries)| entries.len()).sum();
+        assert_eq!(pushed, 3 * sizes.len(), "every send at fanout 3");
     }
 
     fn send_to_group(gossip: &mut Harness, platform: &mut TestPlatform, count: usize) {
@@ -2217,8 +2387,9 @@ mod tests {
             &[("fanout", "2"), ("repair_interval_ms", "0")],
         );
         send_to_group(&mut gossip, &mut platform, 6);
-        let batches = flush(&mut gossip, &mut platform);
+        let batches = flushed_batches(&mut gossip, &mut platform);
 
+        // Six small pushes are far under the byte cap: one packet a peer.
         let peers: Vec<u32> = batches.iter().map(|(peer, _)| peer.0).collect();
         let expected: Vec<u32> = members
             .into_iter()
@@ -2230,7 +2401,8 @@ mod tests {
             "the order is the param's, not node-id order: {peers:?}"
         );
         let mut pushed: Vec<u64> = Vec::new();
-        for (peer, seqs) in &batches {
+        for (peer, entries) in &batches {
+            let seqs: Vec<u64> = entries.iter().map(|(header, _)| header.seq).collect();
             assert!(
                 seqs.windows(2).all(|pair| pair[0] < pair[1]),
                 "{peer:?}'s pushes leave oldest first: {seqs:?}"
@@ -2283,9 +2455,9 @@ mod tests {
             send_to_group(&mut gossip, &mut platform, 1);
             let mut copies: HashMap<u64, usize> = HashMap::default();
             let mut peers: Vec<NodeId> = Vec::new();
-            for (peer, seqs) in flush(&mut gossip, &mut platform) {
+            for (peer, entries) in flushed_batches(&mut gossip, &mut platform) {
                 peers.push(peer);
-                for seq in seqs {
+                for seq in entries.iter().map(|(header, _)| header.seq) {
                     *copies.entry(seq).or_default() += 1;
                     assert!(
                         !skipped.get(&seq).is_some_and(|skip| skip.contains(&peer)),
@@ -2293,11 +2465,17 @@ mod tests {
                     );
                 }
             }
+            let packets = peers.len();
             peers.sort_unstable();
             peers.dedup();
             assert!(
                 peers.len() <= 3 + 2 && !peers.contains(&NodeId(1)),
                 "instant {instant}: pushes went to {peers:?}"
+            );
+            assert_eq!(
+                packets,
+                peers.len(),
+                "instant {instant}: a peer's pushes of one instant fill one batch"
             );
             assert_eq!(copies.len(), 21, "instant {instant}: every message pushed");
             assert!(
@@ -2416,11 +2594,16 @@ mod tests {
             seq: 0,
             ttl: 0,
         };
+        let full = BATCH_BYTES / 6;
         let body = GossipBatchBody {
-            entries: vec![(zero, Message::new()); BATCH_MAX],
+            entries: vec![(zero, Message::new()); full],
         };
         let bytes = body.to_bytes();
-        assert_eq!(bytes.len(), 1 + 6 * BATCH_MAX);
+        assert_eq!(
+            bytes.len(),
+            2 + 6 * full,
+            "a 2-byte count of {full} entries"
+        );
         let mut entries = Vec::new();
         GossipBatchBody::decode_into(&bytes, &mut entries).unwrap();
         assert_eq!(entries, body.entries);

@@ -15,7 +15,7 @@
 use bytes::Bytes;
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
-use morpheus_appia::wire::{narrow, Wire, WireError, WireReader, WireWriter};
+use morpheus_appia::wire::{narrow, varint_len, Wire, WireError, WireReader, WireWriter};
 
 /// How a multicast layer handled (or wants handled) a data message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +121,16 @@ pub struct GossipHeader {
     pub seq: u64,
     /// Remaining number of forwarding rounds.
     pub ttl: u32,
+}
+
+impl GossipHeader {
+    /// The bytes [`Wire::encode`] writes for this header.
+    pub fn encoded_len(&self) -> usize {
+        varint_len(self.origin.into())
+            + varint_len(self.inc)
+            + varint_len(self.seq)
+            + varint_len(self.ttl.into())
+    }
 }
 
 impl Wire for GossipHeader {

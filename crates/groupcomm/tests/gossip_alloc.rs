@@ -12,7 +12,7 @@
 //! runs out while the frames in it are still kept.
 //!
 //! Every push leaves the same way: queued in a per-peer outbox and sent,
-//! up to four messages a packet, by the zero-delay flush. The push-path
+//! up to 1,456 bytes of messages a packet, by the zero-delay flush. The push-path
 //! tests run with the repair pass off (`repair_interval_ms` 0): the flush
 //! drops the last view of the instant's frames, so the frame writer
 //! reclaims its chunk in place and the push path allocates nothing. The
@@ -267,6 +267,99 @@ fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() 
         total, 0,
         "a {K}-entry batch relayed to {P} peers: frames in a reclaimed \
          chunk, every event box reused"
+    );
+}
+
+/// A full batch: 22 entries of 65 bytes (a 5-byte gossip header, its
+/// sequence number past 127, and a 60-byte frame) fill 1,430 of a batch's
+/// 1,456 bytes, and a 23rd would cross the cap.
+const FULL_BATCH: usize = 22;
+
+/// A packet carrying a full batch of new messages arrives at a warm
+/// session, and every entry is delivered up and relayed to `P` peers, in
+/// one full batch each. The entries decode into the session's scratch,
+/// which the warm-up grew to a full batch; the relays' frames go into the
+/// reclaimed chunk, and every event box, the `FULL_BATCH` deliveries and
+/// the `P` relay batches among them, comes from a free list: the arrival
+/// allocates nothing.
+#[test]
+fn a_full_capped_batch_arriving_at_a_warm_session_allocates_nothing() {
+    let mut platform = TestPlatform::new(NodeId(1));
+    let mut harness = gossip(&mut platform, "0,1,2,3,4,5,6,7,8");
+    GossipBatch::register(harness.kernel_mut().events_mut());
+    let mut next_seq = 0;
+    let mut packet = || -> InPacket {
+        let entries: Vec<(GossipHeader, Message)> = (0..FULL_BATCH)
+            .map(|_| {
+                next_seq += 1;
+                let header = GossipHeader {
+                    origin: NodeId(0),
+                    inc: 5,
+                    seq: next_seq,
+                    ttl: 2,
+                };
+                (header, Message::with_payload(vec![b'p'; 58]))
+            })
+            .collect();
+        let bytes: usize = entries
+            .iter()
+            .map(|(header, message)| header.encoded_len() + message.encoded_len())
+            .sum();
+        assert!(
+            bytes <= 1_456 && bytes + 65 > 1_456,
+            "{bytes} B: a full batch"
+        );
+        let mut message = Message::new();
+        message.push(&GossipBatchBody { entries });
+        let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), message);
+        InPacket {
+            from: NodeId(2),
+            to: NodeId(1),
+            class: PacketClass::Data,
+            channel: "harness".into(),
+            payload: morpheus_appia::registry::encode_event(&batch),
+        }
+    };
+
+    let mut keys = Vec::with_capacity(4);
+    // Warmed until sequence numbers pass 127, so the entries have their
+    // measured size, 65 bytes, and then the usual margin.
+    for _ in 0..128 / FULL_BATCH + WARM_UP_ROUNDS {
+        let arrival = packet();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        assert_eq!(harness.drain_up().len(), FULL_BATCH);
+        fire_armed(&mut harness, &mut platform, &mut keys);
+        assert_eq!(batches_sent(&mut harness), P);
+    }
+
+    let mut total = 0;
+    for _ in 0..ROUNDS {
+        let arrival = packet();
+        let before = allocations();
+        harness
+            .kernel_mut()
+            .deliver_packet(arrival, &mut platform)
+            .unwrap();
+        fire_armed(&mut harness, &mut platform, &mut keys);
+        total += allocations() - before;
+        assert_eq!(
+            harness.drain_up().len(),
+            FULL_BATCH,
+            "every entry delivered"
+        );
+        assert_eq!(
+            batches_sent(&mut harness),
+            P,
+            "one full relay batch per peer"
+        );
+    }
+
+    assert_eq!(
+        total, 0,
+        "a full {FULL_BATCH}-entry batch relayed to {P} peers: every event box reused"
     );
 }
 
