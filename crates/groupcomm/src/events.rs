@@ -76,9 +76,9 @@ sendable_event! {
 }
 
 sendable_event! {
-    /// Up to four app messages aggregated into one gossip packet (header:
-    /// [`crate::headers::GossipBatchBody`]): the only form a gossip push
-    /// travels in. Data class: batches carry application payloads and must
+    /// App messages, up to 1,456 bytes of them, aggregated into one gossip
+    /// packet (header: [`crate::headers::GossipBatchBody`]): the only form a
+    /// gossip push travels in. Data class: batches carry application payloads and must
     /// experience the same loss and accounting as any other data packet.
     pub struct GossipBatch, class: Data
 }

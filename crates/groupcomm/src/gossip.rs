@@ -2075,8 +2075,9 @@ mod tests {
 
     /// A burst of 200 own sends in one instant leaves in that instant's
     /// flush: each peer of a 4-member group gets all 200, in batches each
-    /// as full as the byte cap allows, and nothing stays queued. The receiver of the whole burst
-    /// owes its sender nothing: it sends no digest before its repair tick.
+    /// as full as the byte cap allows, and nothing stays queued. The
+    /// receiver of the whole burst owes its sender nothing: it sends no
+    /// digest before its repair tick.
     #[test]
     fn a_burst_past_the_old_credit_window_leaves_in_its_instant() {
         let members = [0, 1, 2, 3];

@@ -100,12 +100,6 @@ impl Topology {
         self
     }
 
-    /// Overrides the wired LAN link model (builder style).
-    pub fn with_wired(mut self, wired: WiredLan) -> Self {
-        self.wired = wired;
-        self
-    }
-
     /// Sets the bandwidth of every link model, wired, wireless and WAN
     /// (builder style): the rate at which each node's link serialises.
     pub fn with_bandwidth_kbps(mut self, bandwidth_kbps: u32) -> Self {

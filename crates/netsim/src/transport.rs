@@ -550,13 +550,15 @@ mod tests {
         assert_eq!(network.battery_fraction(NodeId(0)), 1.0);
     }
 
-    /// A LAN of `n` nodes whose links neither lose nor jitter, at
-    /// `bandwidth_kbps`.
-    fn quiet_lan(n: usize, bandwidth_kbps: u32) -> Topology {
-        Topology::lan(n, false).with_wired(crate::link::WiredLan {
+    /// A wireless cell of `n` nodes whose links neither lose nor jitter,
+    /// at `bandwidth_kbps`. Its 2.5 ms base latency plus whole-millisecond
+    /// waits and serialisations rounds the same way every time.
+    fn quiet_cell(n: usize, bandwidth_kbps: u32) -> Topology {
+        Topology::ad_hoc(n).with_wireless(Wireless80211b {
             jitter_ms: 0.0,
+            loss_rate: 0.0,
             bandwidth_kbps,
-            ..crate::link::WiredLan::default()
+            ..Wireless80211b::default()
         })
     }
 
@@ -576,7 +578,7 @@ mod tests {
     fn back_to_back_packets_arrive_one_serialisation_apart() {
         // 250 B at 1,000 kbit/s: 2 ms on the wire each.
         let (size, bandwidth_kbps, k) = (250, 1_000, 10u64);
-        let mut network = Network::new(quiet_lan(2, bandwidth_kbps));
+        let mut network = Network::new(quiet_cell(2, bandwidth_kbps));
         network.set_egress_queue(Some(64 * 1024));
         let mut rng = SimRng::new(7);
         let now = SimTime::from_millis(100);
@@ -612,7 +614,7 @@ mod tests {
     #[test]
     fn data_past_the_byte_bound_is_shed_and_control_is_not() {
         // 250 B at 1,000 kbit/s, in a queue of 1,000 B: four fit.
-        let mut network = Network::new(quiet_lan(2, 1_000));
+        let mut network = Network::new(quiet_cell(2, 1_000));
         network.set_egress_queue(Some(1_000));
         let mut rng = SimRng::new(3);
         let now = SimTime::ZERO;

@@ -429,10 +429,10 @@ impl Scenario {
     /// member receives, another sent, so the average member's egress must
     /// carry at least that much: no header, batching or fan-out gain can
     /// make the run stop overloading. Data past a node's egress queue
-    /// (4 KiB, about a third of a second of its link) is shed there,
-    /// control never is. The event queue keeps its default cap, which this
-    /// load never reaches. The cooldown leaves the repair plane room to
-    /// deliver what was shed.
+    /// (4 KiB, about a third of a second of its link at n = 50) is shed
+    /// there, control never is. The event queue keeps its default cap,
+    /// which this load never reaches. The cooldown leaves the repair plane
+    /// room to deliver what was shed.
     pub fn capacity_overload(n: usize, senders: usize, overload_ms: u64) -> Self {
         let mut scenario = Self::sustained_overload(n, senders, overload_ms);
         scenario.name = format!("capacity-overload-{n}x{senders}");
