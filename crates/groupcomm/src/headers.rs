@@ -879,6 +879,31 @@ mod tests {
     }
 
     #[test]
+    fn a_gossip_headers_encoded_len_is_the_bytes_it_encodes() {
+        // Each varint one below, at and one past its 1-, 2- and 3-byte
+        // boundaries: the gossip flush cuts batches with `encoded_len`.
+        let edges = [0, 127, 128, 16_383, 16_384, 2_097_151, 2_097_152];
+        let wide = [u64::from(u32::MAX), u64::MAX];
+        for &a in edges.iter().chain(&wide) {
+            for &b in &edges {
+                let header = GossipHeader {
+                    origin: NodeId(u32::try_from(a).unwrap_or(u32::MAX)),
+                    inc: a,
+                    seq: b,
+                    ttl: u32::try_from(b).unwrap_or(u32::MAX),
+                };
+                assert_eq!(header.encoded_len(), header.to_bytes().len(), "{header:?}");
+                let mixed = GossipHeader {
+                    inc: b,
+                    seq: a,
+                    ..header
+                };
+                assert_eq!(mixed.encoded_len(), mixed.to_bytes().len(), "{mixed:?}");
+            }
+        }
+    }
+
+    #[test]
     fn all_headers_roundtrip() {
         roundtrip(McastHeader {
             mode: McastMode::Direct,

@@ -25,4 +25,4 @@ pub use report::{
     NodeReport, RejoinReport, RoundReport, RunReport, WedgeReport, WireBytes, WireEventBytes,
 };
 pub use runner::{AppBinding, Runner};
-pub use scenario::{NodeCapacity, Scenario, TopologyChoice, Workload};
+pub use scenario::{Scenario, TopologyChoice, Workload};

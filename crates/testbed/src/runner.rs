@@ -21,7 +21,7 @@ use crate::platform::SimPlatform;
 use crate::report::{
     NodeReport, RejoinReport, RoundReport, RunReport, WedgeReport, WireBytes, WireEventBytes,
 };
-use crate::scenario::{Scenario, TopologyChoice};
+use crate::scenario::{Scenario, TopologyChoice, EGRESS_QUEUE_BYTES};
 
 /// Per-node application bindings for a run.
 ///
@@ -200,7 +200,7 @@ impl Runner {
         let topology = build_topology(scenario);
         let mut network = Network::new(topology);
         network.set_faults(scenario.fault_schedule.clone());
-        network.set_egress_queue(scenario.node_capacity.map(|capacity| capacity.queue_bytes));
+        network.set_egress_queue(scenario.node_capacity.map(|_| EGRESS_QUEUE_BYTES));
         let mut rng = SimRng::new(scenario.seed);
         let mut queue: EventQueue<SimEvent> = EventQueue::new();
         let mut spare = FlushBuffers::default();
@@ -737,7 +737,7 @@ fn build_topology(scenario: &Scenario) -> Topology {
     };
     let topology = topology.with_wireless(wireless);
     match scenario.node_capacity {
-        Some(capacity) => topology.with_bandwidth_kbps(capacity.bandwidth_kbps),
+        Some(bandwidth_kbps) => topology.with_bandwidth_kbps(bandwidth_kbps),
         None => topology,
     }
 }

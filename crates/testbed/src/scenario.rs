@@ -74,18 +74,10 @@ impl Workload {
     }
 }
 
-/// A node's capacity: the rate its link serialises at and the egress queue
-/// in front of it. A packet waits for the packets its node queued before
-/// it; a data packet that would take the queue past `queue_bytes` is shed
-/// (drop-tail), while control, context and repair packets always queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeCapacity {
-    /// Rate of every link of the topology, in kbit/s: each node's egress
-    /// queue is served at it.
-    pub bandwidth_kbps: u32,
-    /// Bytes one node's egress queue holds, the packet in service included.
-    pub queue_bytes: usize,
-}
+/// Bytes one node's egress queue holds, the packet in service included,
+/// when nodes have a capacity ([`Scenario::node_capacity`]): about a third
+/// of a second of [`Scenario::capacity_overload`]'s link at n = 50.
+pub const EGRESS_QUEUE_BYTES: usize = 4 * 1024;
 
 /// A complete experiment description.
 #[derive(Debug, Clone)]
@@ -163,10 +155,14 @@ pub struct Scenario {
     /// queue growth. `0` (the default) selects a generous bound derived
     /// from the group size. Only consulted while the detector is enabled.
     pub wedge_queue_cap: u64,
-    /// Each node's link capacity and egress queue. `None` (the default):
-    /// no packet waits behind another, and a node can put any number of
-    /// bytes on its link in one millisecond.
-    pub node_capacity: Option<NodeCapacity>,
+    /// Each node's capacity: the rate, in kbit/s, of every link of the
+    /// topology, at which a node's egress queue ([`EGRESS_QUEUE_BYTES`]) is
+    /// served. A packet waits for the packets its node queued before it; a
+    /// data packet that would take the queue past its bytes is shed
+    /// (drop-tail), while control, context and repair packets always queue.
+    /// `None` (the default): no packet waits behind another, and a node can
+    /// put any number of bytes on its link in one millisecond.
+    pub node_capacity: Option<u32>,
 }
 
 impl Scenario {
@@ -429,8 +425,7 @@ impl Scenario {
     /// member receives, another sent, so the average member's egress must
     /// carry at least that much: no header, batching or fan-out gain can
     /// make the run stop overloading. Data past a node's egress queue
-    /// (4 KiB, about a third of a second of its link at n = 50) is shed
-    /// there, control never is. The event queue keeps its default cap,
+    /// ([`EGRESS_QUEUE_BYTES`]) is shed there, control never is. The event queue keeps its default cap,
     /// which this load never reaches. The cooldown leaves the repair plane
     /// room to deliver what was shed.
     pub fn capacity_overload(n: usize, senders: usize, overload_ms: u64) -> Self {
@@ -447,10 +442,7 @@ impl Scenario {
             * 8
             * per_sender_per_s
             / members;
-        scenario.node_capacity = Some(NodeCapacity {
-            bandwidth_kbps: (payload_bits_per_s * 9 / 10 / 1_000).max(1) as u32,
-            queue_bytes: 4 * 1024,
-        });
+        scenario.node_capacity = Some((payload_bits_per_s * 9 / 10 / 1_000).max(1) as u32);
         scenario.cooldown_ms = 20_000;
         scenario
     }

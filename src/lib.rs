@@ -63,8 +63,8 @@ pub mod prelude {
     pub use morpheus_groupcomm::suite::StackBuilder;
     pub use morpheus_groupcomm::{register_suite, StateSection, View};
     pub use morpheus_testbed::{
-        AppBinding, NodeCapacity, NodeReport, RejoinReport, RoundReport, RunReport, Runner,
-        Scenario, TopologyChoice, Workload,
+        AppBinding, NodeReport, RejoinReport, RoundReport, RunReport, Runner, Scenario,
+        TopologyChoice, Workload,
     };
 }
 

@@ -227,6 +227,12 @@ fn sustained_overload_sheds_data_gracefully_without_wedging() {
         "the cap was sized to actually engage the shed path"
     );
     assert!(
+        report.shed_packets > report.egress_shed_packets,
+        "the event queue's cap sheds too, not only the nodes' egress queues ({} of {})",
+        report.egress_shed_packets,
+        report.shed_packets
+    );
+    assert!(
         report.max_queue_depth <= scenario.wedge_queue_cap * 2,
         "queue depth {} exceeded the bounded-degradation envelope ({})",
         report.max_queue_depth,
