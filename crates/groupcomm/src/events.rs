@@ -69,9 +69,10 @@ sendable_event! {
 }
 
 sendable_event! {
-    /// Answer to a [`GossipRepairPull`]: one logged message, re-streamed to
-    /// the puller (header: [`crate::headers::RepairPushHeader`]; payload:
-    /// the original message bytes).
+    /// Answer to a [`GossipRepairPull`]: logged messages, up to 1,456 bytes
+    /// of them, re-streamed to the puller in one packet (header:
+    /// [`crate::headers::GossipBatchBody`], every entry at `ttl` 0). A pull
+    /// is answered in as many of these as its answers fill.
     pub struct GossipRepairPush, class: Repair
 }
 

@@ -18,12 +18,14 @@
 //!    compares the spans against its own per-stream delivery record and
 //!    NACK-pulls the gaps ([`RepairPull`], rate-limited to
 //!    `REPAIR_PULL_BUDGET` digest senders and `REPAIR_WINDOW` messages per
-//!    interval); the peer answers with the logged originals
-//!    ([`GossipRepairPush`]). Coverage converges to 100% shortly after the
-//!    push phase tops out, without ever re-delivering. A gap that peers'
-//!    digests keep advertising above this member's delivery floor for two
-//!    log TTLs is beyond repair: the stream is fast-forwarded past it and
-//!    the recovery layer above fetches a snapshot ([`CatchupRequest`]).
+//!    interval); the peer answers with the logged originals, cut into
+//!    batches by the push path's byte rule ([`GossipRepairPush`]), so a
+//!    pull is answered in a few packets, not one a message. Coverage
+//!    converges to 100% shortly after the push phase tops out, without
+//!    ever re-delivering. A gap that peers' digests keep advertising above
+//!    this member's delivery floor for two log TTLs is beyond repair: the
+//!    stream is fast-forwarded past it and the recovery layer above
+//!    fetches a snapshot ([`CatchupRequest`]).
 //!
 //! Every push, an own send and a relay alike, leaves through a per-peer
 //! outbox as an aggregated [`GossipBatch`] on the instant's zero-delay
@@ -41,7 +43,7 @@
 //! messages, and it never forgets a delivery.
 
 use bytes::Bytes;
-use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
+use morpheus_appia::event::{Dest, Direction, Event, EventPayload, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
 use morpheus_appia::hash::HashMap;
 use morpheus_appia::kernel::EventContext;
@@ -57,8 +59,7 @@ use crate::events::{
     ViewInstall,
 };
 use crate::headers::{
-    GossipBatchBody, GossipHeader, PullWants, RepairDigest, RepairPull, RepairPushHeader,
-    RepairRange,
+    GossipBatchBody, GossipHeader, PullWants, RepairDigest, RepairPull, RepairRange,
 };
 use crate::repair::{Delivered, RepairLog, StreamKey};
 use crate::sample::{shuffle_slots, slot_of, slot_table, Sampler};
@@ -137,23 +138,40 @@ struct OutboxEntry {
     push: (GossipHeader, Bytes),
 }
 
-impl OutboxEntry {
-    /// The bytes this entry takes in a batch.
-    fn wire_len(&self) -> usize {
-        let (header, frame) = &self.push;
-        header.encoded_len() + frame.len()
-    }
-}
-
 /// How many of `run`'s leading entries go into one batch: as many as fit
-/// [`BATCH_BYTES`], and never fewer than one.
-fn batch_len(run: &[OutboxEntry]) -> usize {
+/// [`BATCH_BYTES`], and never fewer than one. `entry` reads an element's
+/// header and frame, the bytes it takes in a batch.
+fn batch_len<T>(run: &[T], entry: impl Fn(&T) -> &(GossipHeader, Bytes)) -> usize {
     let mut bytes = 0;
-    let over = run.iter().position(|entry| {
-        bytes += entry.wire_len();
+    let over = run.iter().position(|element| {
+        let (header, frame) = entry(element);
+        bytes += header.encoded_len() + frame.len();
         bytes > BATCH_BYTES
     });
     over.unwrap_or(run.len()).max(1)
+}
+
+/// Sends `run` to `peer` cut into batches by [`batch_len`], in order, each
+/// a `packet` event carrying its [`GossipBatchBody`]: a push run and a
+/// pull's answer leave by the same byte rule.
+fn send_batches<T, E: EventPayload>(
+    run: &[T],
+    entry: impl Fn(&T) -> &(GossipHeader, Bytes),
+    packet: fn(NodeId, Dest, Message) -> E,
+    peer: NodeId,
+    ctx: &mut EventContext<'_>,
+) {
+    let local = ctx.node_id();
+    let mut rest = run;
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(batch_len(rest, &entry));
+        let mut message = Message::new();
+        message.push_header(encode_pooled(|w| {
+            GossipBatchBody::encode_frames(chunk.iter().map(&entry), w)
+        }));
+        ctx.dispatch(Event::down(packet(local, Dest::Node(peer), message)));
+        rest = tail;
+    }
 }
 
 /// Counters of one gossip session, exposed to the node runtime (and from
@@ -343,6 +361,11 @@ pub struct GossipSession {
     /// returns: no decoded message outlives the event that carried it.
     // bound: capacity <= the largest batch received (`get_count` caps a count at packet bytes / 6); empty between events.
     batch_entries: Vec<(GossipHeader, Message)>,
+    /// Scratch a pull's answers are gathered in, logged frames under their
+    /// headers, before they are cut into batches. The frames are the log's,
+    /// so it is emptied before the pull handler returns.
+    // bound: <= 2 x `REPAIR_WINDOW` entries (the per-pull budget); cleared by every pull, empty between events.
+    repair_answers: Vec<(GossipHeader, Bytes)>,
     stats: GossipStats,
 }
 
@@ -382,6 +405,7 @@ impl GossipSession {
             digest_rows: Vec::new(),
             pull_wants: PullWants::default(),
             batch_entries: Vec::new(),
+            repair_answers: Vec::new(),
             stats: GossipStats::default(),
         }
     }
@@ -596,27 +620,14 @@ impl GossipSession {
     /// Sends the whole outbox as aggregated [`GossipBatch`] packets, each
     /// peer's run cut into batches of at most [`BATCH_BYTES`] of entries.
     fn flush_outbox(&mut self, ctx: &mut EventContext<'_>) {
-        let local = ctx.node_id();
         // Deterministic peer order — the members list, never hash order —
         // and each peer's queue FIFO. An unstable sort allocates nothing,
         // and the arrival stamps make the order total.
         self.outbox
             .sort_unstable_by_key(|entry| (entry.slot, entry.arrival));
         for queue in self.outbox.chunk_by(|a, b| a.slot == b.slot) {
-            let mut rest = queue;
-            while !rest.is_empty() {
-                let (chunk, tail) = rest.split_at(batch_len(rest));
-                let mut message = Message::new();
-                message.push_header(encode_pooled(|w| {
-                    GossipBatchBody::encode_frames(chunk.iter().map(|entry| &entry.push), w)
-                }));
-                ctx.dispatch(Event::down(GossipBatch::new(
-                    local,
-                    Dest::Node(queue[0].peer),
-                    message,
-                )));
-                rest = tail;
-            }
+            let peer = queue[0].peer;
+            send_batches(queue, |entry| &entry.push, GossipBatch::new, peer, ctx);
         }
         self.outbox.clear();
         self.outbox_pending.fill(0);
@@ -636,16 +647,21 @@ impl GossipSession {
         message
     }
 
-    /// One aggregated batch arrived: run every entry through the ordinary
-    /// push-arrival path. The entries are decoded into the session's
-    /// scratch, and drained from it here: they are slices of the packet and
-    /// must not outlive it.
-    fn on_batch(&mut self, from: NodeId, batch: &Bytes, ctx: &mut EventContext<'_>) {
+    /// One aggregated batch arrived, of pushes or of a pull's answers: run
+    /// every entry through `arrival`. The entries are decoded into the
+    /// session's scratch, and drained from it here: they are slices of the
+    /// packet and must not outlive it.
+    fn on_batch(
+        &mut self,
+        batch: &Bytes,
+        ctx: &mut EventContext<'_>,
+        mut arrival: impl FnMut(&mut Self, GossipHeader, Message, &mut EventContext<'_>),
+    ) {
         let mut entries = std::mem::take(&mut self.batch_entries);
         // All or nothing: a malformed batch delivers none of its entries.
         if GossipBatchBody::decode_into(batch, &mut entries).is_ok() {
             for (header, message) in entries.drain(..) {
-                self.on_push_arrival(from, header, message, ctx);
+                arrival(self, header, message, ctx);
             }
         }
         self.batch_entries = entries;
@@ -871,9 +887,10 @@ impl GossipSession {
         self.pull_wants = wants;
     }
 
-    /// A peer pulls gaps: serve them from the repair log. A want the log no
-    /// longer holds gets no answer; the puller's digest-side breach rule
-    /// escalates a gap that no peer can serve.
+    /// A peer pulls gaps: serve them from the repair log, in the pull's
+    /// order, as batches of logged frames under `ttl` 0 headers. A want the
+    /// log no longer holds gets no answer; the puller's digest-side breach
+    /// rule escalates a gap that no peer can serve.
     fn on_repair_pull(&mut self, from: NodeId, wants: &PullWants, ctx: &mut EventContext<'_>) {
         // Serve log entries only to current view members — an expelled peer
         // re-syncs through the recovery layer's state transfer, not through
@@ -881,14 +898,14 @@ impl GossipSession {
         if slot_of(&self.member_slots, from).is_none() {
             return;
         }
-        let local = ctx.node_id();
         // A malformed or adversarial pull cannot make the node stream more
         // than twice the advertised window per pull…
         let mut budget = REPAIR_WINDOW * 2;
         // …nor more than four windows per repair interval across all pulls
         // (a greedy or corrupt puller cannot amplify this node's send rate).
         let interval_cap = REPAIR_WINDOW * 4;
-        for (origin, inc, seqs) in wants.streams() {
+        let mut answers = std::mem::take(&mut self.repair_answers);
+        'wants: for (origin, inc, seqs) in wants.streams() {
             if self.log.lowest(&(origin, inc)).is_none() {
                 continue;
             }
@@ -898,34 +915,41 @@ impl GossipSession {
             let mut logged = self.log.reader(&(origin, inc));
             for &seq in seqs {
                 if budget == 0 {
-                    return;
+                    break 'wants;
                 }
                 if self.pushes_this_interval >= interval_cap {
                     self.stats.rate_limited_pushes += 1;
-                    return;
+                    break 'wants;
                 }
-                // The log wrote the frame itself; it always reads back.
-                let Some(Ok(mut message)) = logged.get(seq).map(Message::from_shared) else {
+                // The log wrote the frame itself; it always reads back. A
+                // frame that did not would spoil its whole batch.
+                let readable = |frame: &&Bytes| Message::from_shared(frame).is_ok();
+                let Some(frame) = logged.get(seq).filter(readable) else {
                     continue;
                 };
                 budget -= 1;
                 self.pushes_this_interval += 1;
                 self.stats.repair_pushes += 1;
-                message.push(&RepairPushHeader { origin, inc, seq });
-                ctx.dispatch(Event::down(GossipRepairPush::new(
-                    local,
-                    Dest::Node(from),
-                    message,
-                )));
+                let header = GossipHeader {
+                    origin,
+                    inc,
+                    seq,
+                    ttl: 0,
+                };
+                answers.push((header, frame.clone()));
             }
         }
+        send_batches(&answers, |answer| answer, GossipRepairPush::new, from, ctx);
+        // The frames are the log's: a kept one would pin its chunk.
+        answers.clear();
+        self.repair_answers = answers;
     }
 
     /// A pulled message arrived: deliver it upward unless it is a late
     /// duplicate.
     fn on_repair_push(
         &mut self,
-        header: RepairPushHeader,
+        header: GossipHeader,
         original: Message,
         ctx: &mut EventContext<'_>,
     ) {
@@ -1055,11 +1079,10 @@ impl Session for GossipSession {
             let Some(push) = event.get_mut::<GossipRepairPush>() else {
                 return;
             };
-            let Ok(header) = push.message.pop::<RepairPushHeader>() else {
+            let Some(body) = push.message.pop_header() else {
                 return;
             };
-            let original = push.message.clone();
-            self.on_repair_push(header, original, ctx);
+            self.on_batch(&body, ctx, Self::on_repair_push);
             return;
         }
 
@@ -1075,7 +1098,9 @@ impl Session for GossipSession {
             let Some(body) = batch.message.pop_header() else {
                 return;
             };
-            self.on_batch(from, &body, ctx);
+            self.on_batch(&body, ctx, |session, header, message, ctx| {
+                session.on_push_arrival(from, header, message, ctx);
+            });
             return;
         }
 
@@ -1420,6 +1445,50 @@ mod tests {
         Event::up(GossipRepairPull::new(NodeId(from), to, message))
     }
 
+    /// A pull's answer from `from` to node 1: the messages `ids`, each an
+    /// `(origin, inc, seq)` carrying `payload`, in one batch at `ttl` 0.
+    fn answer_of(from: u32, ids: &[(u32, u64, u64)], payload: &'static [u8]) -> Event {
+        let entries = ids
+            .iter()
+            .map(|&(origin, inc, seq)| {
+                let header = GossipHeader {
+                    origin: NodeId(origin),
+                    inc,
+                    seq,
+                    ttl: 0,
+                };
+                (header, Message::with_payload(payload))
+            })
+            .collect();
+        let mut message = Message::new();
+        message.push(&GossipBatchBody { entries });
+        let to = Dest::Node(NodeId(1));
+        Event::up(GossipRepairPush::new(NodeId(from), to, message))
+    }
+
+    /// The entries of every repair answer the session sent down since the
+    /// last drain: one list a packet, in dispatch order.
+    fn answers_sent(gossip: &mut Harness) -> Vec<Vec<(GossipHeader, Message)>> {
+        gossip
+            .drain_down()
+            .iter()
+            .filter_map(|event| event.get::<GossipRepairPush>())
+            .map(|push| {
+                push.message
+                    .clone()
+                    .pop::<GossipBatchBody>()
+                    .unwrap()
+                    .entries
+            })
+            .collect()
+    }
+
+    /// How many messages the session answered pulls with since the last
+    /// drain, over all its answer packets.
+    fn answered(gossip: &mut Harness) -> usize {
+        answers_sent(gossip).iter().map(Vec::len).sum()
+    }
+
     /// How many events of type `T` the session sent down since the last
     /// drain.
     fn sent_down<T: EventPayload>(gossip: &mut Harness) -> usize {
@@ -1588,36 +1657,19 @@ mod tests {
 
         // The peer answers with one of the messages: it is delivered upward
         // exactly once.
-        let mut push = Message::with_payload(&b"repaired"[..]);
-        push.push(&RepairPushHeader {
-            origin: NodeId(0),
-            inc: 7,
-            seq: 2,
-        });
-        let up = gossip.run_up(
-            Event::up(GossipRepairPush::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                push.clone(),
-            )),
-            &mut platform,
-        );
+        let push = || answer_of(2, &[(0, 7, 2)], b"repaired");
+        let up = gossip.run_up(push(), &mut platform);
         let delivered: Vec<&Event> = up.iter().filter(|event| event.is::<DataEvent>()).collect();
         assert_eq!(delivered.len(), 1, "the repaired message is delivered");
         let data = delivered[0].get::<DataEvent>().unwrap();
         assert_eq!(data.header.source, NodeId(0), "origin restored");
         assert_eq!(data.message.payload().as_ref(), b"repaired");
+        assert_eq!(stats_of(&mut gossip).repaired_deliveries, 1);
 
         // A duplicate push of the same message is suppressed.
-        let up = gossip.run_up(
-            Event::up(GossipRepairPush::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                push,
-            )),
-            &mut platform,
-        );
+        let up = gossip.run_up(push(), &mut platform);
         assert!(up.iter().all(|event| !event.is::<DataEvent>()));
+        assert_eq!(stats_of(&mut gossip).late_duplicates, 1);
     }
 
     #[test]
@@ -1687,21 +1739,27 @@ mod tests {
         gossip.drain_down();
 
         gossip.run_up(pull_of(2, 0, (0, 0), vec![1, 2, 9]), &mut platform);
-        let down = gossip.drain_down();
-        let pushes: Vec<(RepairPushHeader, Message)> = down
-            .iter()
-            .filter_map(|event| {
-                event.get::<GossipRepairPush>().map(|push| {
-                    let mut message = push.message.clone();
-                    let header = message.pop::<RepairPushHeader>().unwrap();
-                    (header, message)
-                })
-            })
-            .collect();
+        let answers = answers_sent(&mut gossip);
+        assert_eq!(answers.len(), 1, "two small answers share one packet");
+        let pushes = &answers[0];
         assert_eq!(pushes.len(), 2, "held seqs served, unknown seq skipped");
         assert_eq!(pushes[0].0.seq, 1);
         assert_eq!(pushes[0].1.payload().as_ref(), b"m1");
         assert_eq!(pushes[1].0.seq, 2);
+        assert!(
+            pushes.iter().all(|(header, _)| header.ttl == 0),
+            "an answer is never relayed"
+        );
+
+        assert_eq!(
+            inspect(&mut gossip, |session| session.repair_answers.len()),
+            0,
+            "the answers' frames, the log's, are not kept"
+        );
+
+        // A pull the log holds nothing of is answered with no packet.
+        gossip.run_up(pull_of(2, 0, (0, 0), vec![9, 10]), &mut platform);
+        assert!(answers_sent(&mut gossip).is_empty());
     }
 
     #[test]
@@ -1726,20 +1784,7 @@ mod tests {
 
         // A late repair push re-streams seq 1: the delivery tracker — which
         // never forgets a delivery — suppresses the re-delivery.
-        let mut push = Message::with_payload(&b"x"[..]);
-        push.push(&RepairPushHeader {
-            origin: NodeId(0),
-            inc: 1,
-            seq: 1,
-        });
-        let up = gossip.run_up(
-            Event::up(GossipRepairPush::new(
-                NodeId(2),
-                Dest::Node(NodeId(1)),
-                push,
-            )),
-            &mut platform,
-        );
+        let up = gossip.run_up(answer_of(2, &[(0, 1, 1)], b"x"), &mut platform);
         assert!(
             up.iter().all(|event| !event.is::<DataEvent>()),
             "an already-delivered message must never be re-delivered"
@@ -2669,6 +2714,135 @@ mod tests {
         assert!(capacity >= 3, "the scratch keeps its memory");
     }
 
+    /// A pull's answers leave by the push path's byte rule: each packet
+    /// holds the answers that fit [`BATCH_BYTES`] and the next one would
+    /// cross it, no packet is empty, and the answers keep the pull's order,
+    /// streams included.
+    #[test]
+    fn a_pulls_answer_is_cut_exactly_at_the_byte_cap_in_want_order() {
+        // Entries of `inc` 1 and seqs below 128 at `ttl` 0: a 4-byte gossip
+        // header and a frame of a header count, a payload length and the
+        // payload, all 1-byte varints.
+        for (entry, expected) in [(104, vec![14, 14, 2]), (105, vec![13, 13, 4])] {
+            let mut platform = TestPlatform::new(NodeId(1));
+            let mut gossip = batching_harness(&mut platform, "0,1,2,3", &[]);
+            for (origin, count) in [(0u32, 20u64), (3, 10)] {
+                let entries = (1..=count)
+                    .map(|seq| {
+                        let header = GossipHeader {
+                            origin: NodeId(origin),
+                            inc: 1,
+                            seq,
+                            ttl: 0,
+                        };
+                        (header, Message::with_payload(vec![b'x'; entry - 6]))
+                    })
+                    .collect();
+                let mut message = Message::new();
+                message.push(&GossipBatchBody { entries });
+                let batch = GossipBatch::new(NodeId(origin), Dest::Node(NodeId(1)), message);
+                gossip.run_up(Event::up(batch), &mut platform);
+            }
+            gossip.drain_down();
+
+            let wants = vec![
+                (NodeId(3), 1, (1..=10).collect()),
+                (NodeId(0), 1, (1..=20).collect()),
+            ];
+            let mut message = Message::new();
+            message.push(&RepairPull { wants });
+            let pull = GossipRepairPull::new(NodeId(2), Dest::Node(NodeId(1)), message);
+            gossip.run_up(Event::up(pull), &mut platform);
+
+            let mut answers = Vec::new();
+            for event in gossip.drain_down() {
+                let push = event.get::<GossipRepairPush>().expect("only answers leave");
+                assert_eq!(push.header.dest, Dest::Node(NodeId(2)), "to the puller");
+                let entries = push
+                    .message
+                    .clone()
+                    .pop::<GossipBatchBody>()
+                    .unwrap()
+                    .entries;
+                assert!(!entries.is_empty(), "an answer packet is never empty");
+                assert!(entries.iter().all(|e| entry_len(e) == entry));
+                answers.push(entries);
+            }
+            let counts: Vec<usize> = answers.iter().map(Vec::len).collect();
+            assert_eq!(counts, expected, "{entry}-byte answers");
+            for pair in answers.windows(2) {
+                let bytes: usize = pair[0].iter().map(entry_len).sum();
+                assert!(bytes <= BATCH_BYTES);
+                assert!(bytes + entry_len(&pair[1][0]) > BATCH_BYTES);
+            }
+            if entry == 104 {
+                let full: usize = answers[0].iter().map(entry_len).sum();
+                assert_eq!(full, BATCH_BYTES, "14 × 104 B meets the cap exactly");
+            }
+            let ids: Vec<(u32, u64)> = answers
+                .iter()
+                .flatten()
+                .map(|(header, _)| (header.origin.0, header.seq))
+                .collect();
+            let wanted: Vec<(u32, u64)> = (1..=10)
+                .map(|seq| (3, seq))
+                .chain((1..=20).map(|seq| (0, seq)))
+                .collect();
+            assert_eq!(ids, wanted, "the pull's order across the cuts");
+            assert_eq!(stats_of(&mut gossip).repair_pushes, 30);
+        }
+    }
+
+    /// A repair answer decodes all or nothing, like a push batch, into the
+    /// same scratch, which is empty again once the answer is handled.
+    #[test]
+    fn a_truncated_repair_batch_delivers_nothing_and_leaves_no_decoded_message() {
+        let mut platform = TestPlatform::new(NodeId(1));
+        let mut gossip = batching_harness(&mut platform, "0,1,2,3", &[]);
+        let entries: Vec<(GossipHeader, Message)> = (1..=3u64)
+            .map(|seq| {
+                let header = GossipHeader {
+                    origin: NodeId(0),
+                    inc: 5,
+                    seq,
+                    ttl: 0,
+                };
+                (header, Message::with_payload(&b"payload"[..]))
+            })
+            .collect();
+        let body = GossipBatchBody { entries }.to_bytes();
+        let scratch_len = |gossip: &mut Harness| inspect(gossip, |s| s.batch_entries.len());
+        let arrive = |gossip: &mut Harness, platform: &mut TestPlatform, header: Bytes| {
+            let mut message = Message::new();
+            message.push_header(header);
+            let to = Dest::Node(NodeId(1));
+            gossip.run_up(
+                Event::up(GossipRepairPush::new(NodeId(2), to, message)),
+                platform,
+            )
+        };
+
+        let truncated = body.slice(..body.len() - 1);
+        assert!(arrive(&mut gossip, &mut platform, truncated).is_empty());
+        assert_eq!(scratch_len(&mut gossip), 0, "nothing decoded is kept");
+        let mut trailing = body.to_vec();
+        trailing.push(0);
+        assert!(arrive(&mut gossip, &mut platform, trailing.into()).is_empty());
+        assert_eq!(scratch_len(&mut gossip), 0);
+        let stats = stats_of(&mut gossip);
+        assert_eq!((stats.repaired_deliveries, stats.late_duplicates), (0, 0));
+
+        let up = arrive(&mut gossip, &mut platform, body);
+        assert_eq!(up.len(), 3, "the intact answer delivers every entry");
+        assert_eq!(
+            scratch_len(&mut gossip),
+            0,
+            "drained before the handler returned"
+        );
+        assert_eq!(stats_of(&mut gossip).repaired_deliveries, 3);
+        assert!(gossip.drain_down().is_empty(), "an answer is never relayed");
+    }
+
     /// Hands the session `digest`, then fires its repair tick two
     /// repair-log TTLs later; returns what went up meanwhile.
     fn age_a_breach(
@@ -2832,9 +3006,12 @@ mod tests {
         gossip.drain_down();
 
         let pull = |seqs: Vec<u64>| pull_of(2, 1, (0, 1), seqs);
-        let pushes = sent_down::<GossipRepairPush>;
+        // Answers are counted in messages, over however many packets
+        // carry them.
+        let pushes = answered;
 
         // Per-pull budget: 2 × window of the 2 × window + 2 asked-for seqs.
+        // What was gathered before the budget ran out is still sent.
         let per_pull = 2 * REPAIR_WINDOW;
         gossip.run_up(pull((1..=2 * window + 2).collect()), &mut platform);
         assert_eq!(
@@ -2845,6 +3022,13 @@ mod tests {
         // The interval cap (4 × window) lets one more full pull through...
         gossip.run_up(pull((2 * window + 1..=4 * window).collect()), &mut platform);
         assert_eq!(pushes(&mut gossip), per_pull);
+        let stats = stats_of(&mut gossip);
+        assert_eq!(
+            stats.repair_pushes,
+            2 * per_pull as u64,
+            "counted in messages"
+        );
+        assert_eq!(stats.rate_limited_pushes, 0);
         // ...then cuts every further response until the next repair tick.
         let rest = vec![4 * window + 1, 4 * window + 2];
         gossip.run_up(pull(rest.clone()), &mut platform);
@@ -2853,6 +3037,7 @@ mod tests {
             0,
             "a greedy puller cannot amplify the responder's send rate"
         );
+        assert_eq!(stats_of(&mut gossip).rate_limited_pushes, 1);
 
         platform.advance(1_000);
         let timers: Vec<_> = std::mem::take(&mut platform.timers);

@@ -424,40 +424,13 @@ impl Wire for RepairPull {
     }
 }
 
-/// Header of a gossip repair push: identifies the logged message whose
-/// original bytes (higher-layer headers plus payload) follow in the
-/// carrying message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairPushHeader {
-    /// The stream's originating node.
-    pub origin: NodeId,
-    /// The stream's incarnation.
-    pub inc: u64,
-    /// The repaired message's sequence number.
-    pub seq: u64,
-}
-
-impl Wire for RepairPushHeader {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.origin.into());
-        w.put_varint(self.inc);
-        w.put_varint(self.seq);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            origin: narrow(r.get_varint()?)?,
-            inc: r.get_varint()?,
-            seq: r.get_varint()?,
-        })
-    }
-}
-
 /// Body of an aggregated gossip push: several app messages, each with its
 /// own [`GossipHeader`], batched into one packet. Every push travels in
 /// one: same-instant sends and relays to one peer share a packet, and the
 /// receiver unbatches and runs every entry through the one push receive
-/// path (dedup, delivery tracking, repair logging, re-forwarding).
+/// path (dedup, delivery tracking, repair logging, re-forwarding). A
+/// pull's answer travels in one too, its logged messages under `ttl` 0
+/// headers, and the receiver runs each through the repair receive path.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GossipBatchBody {
     /// `(gossip header, original message)` per batched app message; the
@@ -943,11 +916,6 @@ mod tests {
         roundtrip(RepairDigest::default());
         roundtrip(RepairPull {
             wants: vec![(NodeId(1), 12, vec![4, 5]), (NodeId(4), 0, vec![1])],
-        });
-        roundtrip(RepairPushHeader {
-            origin: NodeId(1),
-            inc: 12,
-            seq: 4,
         });
         let mut batched = Message::with_payload(&b"hello"[..]);
         batched.push(&SeqHeader { seq: 2 });

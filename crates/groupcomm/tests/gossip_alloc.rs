@@ -681,11 +681,25 @@ fn pull_packet(wants: &[(u32, &[u64])]) -> InPacket {
     }
 }
 
+/// The entries of every repair answer the layer sent down since the last
+/// drain, one count a packet.
+fn answers_sent(harness: &mut Harness) -> Vec<usize> {
+    harness
+        .drain_down()
+        .iter()
+        .filter_map(|event| event.get::<GossipRepairPush>())
+        .map(|push| {
+            let body = push.message.clone().pop::<GossipBatchBody>().unwrap();
+            body.entries.len()
+        })
+        .collect()
+}
+
 /// A pull arrives for seven logged messages and one the log never held.
-/// The wants decode into the session's scratch; each answer is its logged
-/// frame read back without a copy, under a header encoded through the
-/// shared frame scratch, in a box from the free list: answering allocates
-/// nothing.
+/// The wants decode into the session's scratch; the answers are their
+/// logged frames, gathered without a copy in another scratch and cut into
+/// one batch, encoded through the shared header scratch, in a box from the
+/// free list: answering allocates nothing.
 #[test]
 fn a_warm_pull_answered_from_the_log_allocates_nothing() {
     let mut platform = TestPlatform::new(NodeId(1));
@@ -714,9 +728,11 @@ fn a_warm_pull_answered_from_the_log_allocates_nothing() {
         if round >= WARM_UP_ROUNDS as u64 {
             total += allocations() - before;
         }
-        let down = harness.drain_down();
-        let pushes = down.iter().filter(|event| event.is::<GossipRepairPush>());
-        assert_eq!(pushes.count(), answers, "one push per logged want");
+        assert_eq!(
+            answers_sent(&mut harness),
+            [answers],
+            "every logged want, in one packet"
+        );
     }
 
     assert_eq!(
@@ -725,14 +741,14 @@ fn a_warm_pull_answered_from_the_log_allocates_nothing() {
     );
 }
 
-/// The most pushes gossip answers one pull with: twice its repair window.
+/// The most messages gossip answers one pull with: twice its repair window.
 const PULL_BURST: u64 = 128;
 
-/// A pull arrives for `PULL_BURST` logged messages, the largest burst one
-/// handler dispatches. Each push takes its box from the free list, which
-/// the previous pull's pushes refilled when they were dropped: the list
-/// holds the whole burst, so answering allocates nothing. A repair tick
-/// between pulls opens a new interval, and with it the push budget.
+/// A pull arrives for `PULL_BURST` logged messages, the largest answer one
+/// handler sends. The answers fill two batches; each takes its box from
+/// the free list, which the previous pull's batches refilled when they were
+/// dropped, so answering allocates nothing. A repair tick between pulls
+/// opens a new interval, and with it the push budget.
 #[test]
 fn a_warm_pull_answered_with_a_full_burst_allocates_nothing() {
     let mut platform = TestPlatform::new(NodeId(1));
@@ -770,9 +786,13 @@ fn a_warm_pull_answered_with_a_full_burst_allocates_nothing() {
         if round >= WARM_UP_ROUNDS as u64 {
             total += allocations() - before;
         }
-        let down = harness.drain_down();
-        let pushes = down.iter().filter(|event| event.is::<GossipRepairPush>());
-        assert_eq!(pushes.count() as u64, PULL_BURST, "one push per want");
+        let answers = answers_sent(&mut harness);
+        assert_eq!(
+            answers.iter().sum::<usize>() as u64,
+            PULL_BURST,
+            "every want"
+        );
+        assert_eq!(answers.len(), 2, "in two packets of 1,456 B at most");
     }
 
     assert_eq!(total, 0, "a warm pull of a full burst allocates nothing");

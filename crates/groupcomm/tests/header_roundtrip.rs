@@ -10,11 +10,13 @@ use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::registry::{decode_event, encode_event, EventFactoryRegistry};
 use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
-use morpheus_groupcomm::events::{GossipBatch, GossipRepairDigest, GossipRepairPull, Heartbeat};
+use morpheus_groupcomm::events::{
+    GossipBatch, GossipRepairDigest, GossipRepairPull, GossipRepairPush, Heartbeat,
+};
 use morpheus_groupcomm::headers::{
     CausalHeader, FecParityHeader, FlushBody, GossipBatchBody, GossipHeader, LivenessDigest,
     McastHeader, McastMode, NackHeader, OrderHeader, ProbeBody, ProbeKind, PullWants, RepairDigest,
-    RepairPull, RepairPushHeader, RepairRange, Rumour, RumourKind, SeqHeader, TotalIdHeader,
+    RepairPull, RepairRange, Rumour, RumourKind, SeqHeader, TotalIdHeader,
 };
 use morpheus_groupcomm::recovery::{StateChunk, StateChunkHeader, StateRequest, StateRequestBody};
 use morpheus_groupcomm::view::View;
@@ -101,11 +103,6 @@ fn repair_headers_roundtrip() {
     });
     roundtrip(RepairPull {
         wants: vec![(NodeId(1), 12, vec![4, 5]), (NodeId(4), 0, vec![1])],
-    });
-    roundtrip(RepairPushHeader {
-        origin: NodeId(1),
-        inc: 12,
-        seq: 4,
     });
     roundtrip(LivenessDigest {
         entries: vec![(NodeId(0), 12), (NodeId(7), 3)],
@@ -237,11 +234,6 @@ fn tables_roundtrip_in_every_shape() {
         inc: u64::MAX,
         seq: u64::MAX,
         ttl: u32::MAX,
-    });
-    roundtrip(RepairPushHeader {
-        origin: NodeId(u32::MAX),
-        inc: u64::MAX,
-        seq: u64::MAX,
     });
 }
 
@@ -510,6 +502,14 @@ fn sample_events() -> Vec<Box<dyn Sendable>> {
     });
     let mut pull = Message::new();
     pull.push(&window_pull());
+    // A pull's answer: logged messages under `ttl` 0 headers.
+    let mut answer = Message::new();
+    answer.push(&GossipBatchBody {
+        entries: batch_entries()
+            .into_iter()
+            .map(|(header, message)| (GossipHeader { ttl: 0, ..header }, message))
+            .collect(),
+    });
     let mut data = Message::with_payload(vec![b'd'; 40]);
     data.push(&SeqHeader { seq: 9 });
     let mut state_request = Message::new();
@@ -530,6 +530,7 @@ fn sample_events() -> Vec<Box<dyn Sendable>> {
         Box::new(Heartbeat::new(NodeId(199), to.clone(), ack)),
         Box::new(GossipRepairDigest::new(NodeId(4), to.clone(), repair)),
         Box::new(GossipRepairPull::new(NodeId(4), to.clone(), pull)),
+        Box::new(GossipRepairPush::new(NodeId(4), to.clone(), answer)),
         Box::new(DataEvent::new(NodeId(0), to.clone(), data)),
         Box::new(StateRequest::new(NodeId(2), to.clone(), state_request)),
         Box::new(StateChunk::new(NodeId(0), to, state_chunk)),
@@ -543,6 +544,7 @@ fn sample_factories() -> EventFactoryRegistry {
     Heartbeat::register(&mut factories);
     GossipRepairDigest::register(&mut factories);
     GossipRepairPull::register(&mut factories);
+    GossipRepairPush::register(&mut factories);
     StateRequest::register(&mut factories);
     StateChunk::register(&mut factories);
     factories
@@ -562,7 +564,9 @@ fn decode_packet(factories: &EventFactoryRegistry, packet: &Bytes) -> bool {
         return true;
     };
     match sendable.wire_name() {
-        "GossipBatch" => GossipBatchBody::decode_into(&header, &mut Vec::new()).is_ok(),
+        "GossipBatch" | "GossipRepairPush" => {
+            GossipBatchBody::decode_into(&header, &mut Vec::new()).is_ok()
+        }
         "Heartbeat" => ProbeBody::decode_into(&header, &mut ProbeBody::default()).is_ok(),
         "GossipRepairDigest" => RepairDigest::decode_into(&header, &mut Vec::new()).is_ok(),
         "GossipRepairPull" => RepairPull::decode_into(&header, &mut PullWants::default()).is_ok(),

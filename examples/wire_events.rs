@@ -19,7 +19,10 @@
 //! deliveries, less those the repair pass made, plus refused duplicates)
 //! per `GossipBatch` packet: how full the gossip layer's batches leave.
 //! Deliveries made before the group switched to the gossip stack count
-//! too, so on `member_restart` the figure reads a little high.
+//! too, so on `member_restart` the figure reads a little high. Then the
+//! repair answers that arrived (repaired deliveries plus late duplicates)
+//! per `GossipRepairPush` packet: how many messages a pull's answer packs
+//! into one packet.
 //!
 //! Run with `cargo run --release --example wire_events`.
 
@@ -55,16 +58,27 @@ fn print_table(title: &str, report: &RunReport) {
     );
     let gossip = report.gossip_totals();
     let entries = report.total_app_deliveries() - gossip.repaired_deliveries + gossip.duplicates;
-    let batches: u64 = report
-        .wire_events
-        .iter()
-        .filter(|event| event.name == "GossipBatch")
-        .map(|event| event.packets)
-        .sum();
+    let batches = packets_of(report, "GossipBatch");
     println!(
         "`GossipBatch`: {entries} push entries arrived in {batches} packets, {:.3} per packet",
         entries as f64 / batches.max(1) as f64
     );
+    let answers = gossip.repaired_deliveries + gossip.late_duplicates;
+    let answer_packets = packets_of(report, "GossipRepairPush");
+    println!(
+        "`GossipRepairPush`: {answers} answers arrived in {answer_packets} packets, {:.3} per packet",
+        answers as f64 / answer_packets.max(1) as f64
+    );
+}
+
+/// The packets of the wire event `name` the run sent.
+fn packets_of(report: &RunReport, name: &str) -> u64 {
+    report
+        .wire_events
+        .iter()
+        .filter(|event| event.name == name)
+        .map(|event| event.packets)
+        .sum()
 }
 
 fn main() {

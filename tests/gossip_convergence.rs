@@ -193,6 +193,38 @@ fn one_instants_pushes_share_their_peers_and_fill_their_batches() {
 }
 
 #[test]
+fn repair_answers_share_their_packets() {
+    // The repair pass answers a pull with the logged messages it asked for.
+    // Sent one message a packet, that was exactly 1.000 answers per
+    // `GossipRepairPush` packet at seeds 1 to 3; cut into batches of
+    // 1,456 B like the pushes, it is 9.935 / 10.081 / 9.984. The floor is
+    // the lowest of those less about 5 %.
+    for seed in 1..=3 {
+        let scenario = Scenario::chat_fanin(50, 50)
+            .with_data_loss(0.1)
+            .with_seed(seed);
+        let report = Runner::new().run(&scenario);
+        let coverage = report.delivery_coverage(50, scenario.workload.messages_per_sender);
+        assert_eq!(coverage, 1.0, "seed {seed}: every message reached everyone");
+        let gossip = report.gossip_totals();
+        // Every answer that arrived is a repaired delivery or a refused
+        // late duplicate.
+        let answers = gossip.repaired_deliveries + gossip.late_duplicates;
+        let packets: u64 = report
+            .wire_events
+            .iter()
+            .filter(|event| event.name == "GossipRepairPush")
+            .map(|event| event.packets)
+            .sum();
+        let per_packet = answers as f64 / packets.max(1) as f64;
+        assert!(
+            per_packet >= 9.4,
+            "seed {seed}: {per_packet:.3} repair answers per packet ({answers} / {packets})"
+        );
+    }
+}
+
+#[test]
 fn sustained_overload_sheds_data_gracefully_without_wedging() {
     // Every member sends at twice the configured service rate for 10 s
     // against a deliberately small event-queue cap, on nodes whose links

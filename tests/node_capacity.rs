@@ -74,3 +74,35 @@ fn an_overload_past_every_nodes_capacity_sheds_at_egress_and_heals() {
         );
     }
 }
+
+/// The same overload for 10 s: more is shed than the repair plane wins back
+/// before the run ends, and the pairs it never delivers stay missing, with
+/// no escalation and no wedge to show for it. Seeds 1 / 2 missed 17,109 /
+/// 19,209 of 98,000 owed pairs while a pull was answered one message a
+/// packet, and 10,372 / 12,052 since answers share their packets.
+#[test]
+#[ignore = "fails until a capacity overload past about 5 s heals (ROADMAP item 26, finding (xi))"]
+fn a_ten_second_overload_past_every_nodes_capacity_heals() {
+    let n = 50;
+    for seed in 1..=3 {
+        let scenario = Scenario::capacity_overload(n, n, 10_000).with_seed(seed);
+        let report = Runner::new().run(&scenario);
+        assert!(
+            report.wedge.is_none(),
+            "seed {seed}: wedge {:?}",
+            report.wedge
+        );
+        // Every sender's base and overload sends, at every other member.
+        let per_sender = 2 * scenario.workload.messages_per_sender;
+        let owed = n as u64 * per_sender * (n as u64 - 1);
+        let gossip = report.gossip_totals();
+        assert_eq!(
+            report.total_app_deliveries(),
+            owed,
+            "seed {seed}: every owed pair delivered ({} missing, {} repaired, {} escalations)",
+            owed.saturating_sub(report.total_app_deliveries()),
+            gossip.repaired_deliveries,
+            gossip.floor_escalations
+        );
+    }
+}
