@@ -199,7 +199,8 @@ impl Message {
             .push(crate::wire::encode_pooled(|w| value.encode(w)));
     }
 
-    /// Pops the top header and decodes it as `T`.
+    /// Pops the top header and decodes it as `T`, the whole header
+    /// ([`Wire::from_shared`]).
     ///
     /// Byte fields of `T` (a nested [`Message`], say) are slices of the
     /// header, not copies. Returns an error if the header stack is empty or
@@ -210,22 +211,17 @@ impl Message {
             .headers
             .pop()
             .ok_or(WireError::Malformed("missing header"))?;
-        let mut r = WireReader::over(&header);
-        let value = T::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::Malformed("trailing bytes in header"));
-        }
-        Ok(value)
+        T::from_shared(&header)
     }
 
-    /// Decodes the top header as `T` without removing it.
+    /// Decodes the top header as `T` without removing it: what
+    /// [`Message::pop`] would return.
     pub fn peek<T: Wire>(&self) -> Result<T, WireError> {
         let header = self
             .headers
             .last()
             .ok_or(WireError::Malformed("missing header"))?;
-        let mut r = WireReader::over(header);
-        T::decode(&mut r)
+        T::from_shared(header)
     }
 }
 
@@ -311,6 +307,16 @@ mod tests {
         assert_eq!(msg.peek::<u32>().unwrap(), 7);
         assert_eq!(msg.peek::<u32>().unwrap(), 7);
         assert_eq!(msg.pop::<u32>().unwrap(), 7);
+    }
+
+    #[test]
+    fn peek_rejects_the_header_pop_rejects() {
+        // A `u32` header with one stray byte behind it.
+        let mut msg = Message::new();
+        msg.push_header(&[0, 0, 0, 7, 0xFF][..]);
+        let trailing = Err(WireError::Malformed("trailing bytes"));
+        assert_eq!(msg.peek::<u32>(), trailing);
+        assert_eq!(msg.pop::<u32>(), trailing);
     }
 
     #[test]

@@ -75,23 +75,52 @@ pub trait Wire: Sized {
 
     /// Decodes a value from a byte slice, requiring the slice to be fully consumed.
     fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        decode_whole(WireReader::new(bytes))
+        decode_whole(WireReader::new(bytes), &mut (), |r, ()| Self::decode(r))
     }
 
     /// [`Wire::from_bytes`] over a shared buffer: byte fields of the value
     /// are slices of `bytes` instead of copies ([`WireReader::over`]).
     fn from_shared(bytes: &Bytes) -> Result<Self, WireError> {
-        decode_whole(WireReader::over(bytes))
+        decode_whole(WireReader::over(bytes), &mut (), |r, ()| Self::decode(r))
     }
 }
 
-/// Decodes one value that must use up the reader's whole input.
-fn decode_whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, WireError> {
-    let value = T::decode(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes"));
+/// A buffer a body is decoded into ([`decode_whole`]) that keeps its
+/// memory from one body to the next.
+pub trait Scratch {
+    /// Empties the buffer, keeping its memory.
+    fn clear(&mut self);
+}
+
+impl<T> Scratch for Vec<T> {
+    fn clear(&mut self) {
+        Vec::clear(self);
     }
-    Ok(value)
+}
+
+/// A decode into a value of its own has no scratch to empty.
+impl Scratch for () {
+    fn clear(&mut self) {}
+}
+
+/// Decodes the whole of `r`'s input with `decode`, into `scratch`: all or
+/// nothing. `scratch` is emptied first; an error of `decode`, or a byte it
+/// left unread, is an error, and leaves `scratch` empty whatever `decode`
+/// put in it. Every body and header decode runs through this one rule.
+pub fn decode_whole<'a, S: Scratch, T>(
+    mut r: WireReader<'a>,
+    scratch: &mut S,
+    decode: impl FnOnce(&mut WireReader<'a>, &mut S) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    scratch.clear();
+    let decoded = decode(&mut r, scratch).and_then(|value| match r.remaining() {
+        0 => Ok(value),
+        _ => Err(WireError::Malformed("trailing bytes")),
+    });
+    if decoded.is_err() {
+        scratch.clear();
+    }
+    decoded
 }
 
 /// An append-only encoder for the wire format.
@@ -564,22 +593,17 @@ impl<'a> WireReader<'a> {
     /// Reads a member-indexed table ([`WireWriter::put_id_table`]).
     pub fn get_id_table<K: TryFrom<u64>>(&mut self) -> Result<Vec<(K, u64)>, WireError> {
         let mut rows = Vec::new();
-        self.get_id_table_into(&mut rows)?;
+        self.id_rows(&mut rows)?;
         Ok(rows)
     }
 
-    /// [`WireReader::get_id_table`] into a buffer the caller keeps: `rows`
-    /// is cleared, then holds the whole table — or, on an error, nothing.
+    /// Reads the rest of the input as one member-indexed table into `rows`,
+    /// a buffer the caller keeps: all or nothing, as [`decode_whole`].
     pub fn get_id_table_into<K: TryFrom<u64>>(
-        &mut self,
+        self,
         rows: &mut Vec<(K, u64)>,
     ) -> Result<(), WireError> {
-        rows.clear();
-        let decoded = self.id_rows(rows);
-        if decoded.is_err() {
-            rows.clear();
-        }
-        decoded
+        decode_whole(self, rows, Self::id_rows)
     }
 
     fn id_rows<K: TryFrom<u64>>(&mut self, rows: &mut Vec<(K, u64)>) -> Result<(), WireError> {
@@ -824,6 +848,29 @@ mod tests {
             u32::from_bytes(&bytes).unwrap_err(),
             WireError::Malformed("trailing bytes")
         );
+    }
+
+    #[test]
+    fn a_whole_input_decode_is_all_or_nothing() {
+        let mut w = WireWriter::new();
+        w.put_id_table(&[(1u32, 10), (2, 12)]);
+        let table = w.finish();
+        // Into a scratch that holds a row from before.
+        let decode = |input: &[u8], rows: &mut Vec<(u32, u64)>| {
+            *rows = vec![(9, 9)];
+            decode_whole(WireReader::new(input), rows, WireReader::id_rows)
+        };
+        let mut rows = Vec::new();
+        assert_eq!(decode(&table, &mut rows), Ok(()));
+        assert_eq!(rows, [(1, 10), (2, 12)]);
+        // Trailing bytes are an error, and so is a truncated second row:
+        // either leaves the scratch empty.
+        let trailing = [&table[..], &[0]].concat();
+        let error = Err(WireError::Malformed("trailing bytes"));
+        assert_eq!(decode(&trailing, &mut rows), error);
+        assert!(rows.is_empty());
+        assert!(decode(&table[..table.len() - 1], &mut rows).is_err());
+        assert!(rows.is_empty());
     }
 
     #[test]

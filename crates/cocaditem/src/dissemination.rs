@@ -47,7 +47,7 @@ use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::{DeliveryKind, NodeId};
 use morpheus_appia::session::Session;
-use morpheus_appia::wire::{encode_pooled, Wire, WireError, WireReader, WireWriter};
+use morpheus_appia::wire::{decode_whole, encode_pooled, Wire, WireError, WireReader, WireWriter};
 use morpheus_appia::{internal_event, sendable_event, Kernel};
 use morpheus_groupcomm::events::ViewInstall;
 use morpheus_groupcomm::sample::sample_peers_into;
@@ -92,8 +92,10 @@ sendable_event! {
 
 sendable_event! {
     /// The answer to a [`ContextDigest`] whose summary differs from the
-    /// receiver's: the receiver's `(node, version)` rows (payload: the
-    /// encoded [`DigestBody`]), which ask the digest's sender for every
+    /// receiver's: the receiver's `(node, version)` rows, the version being
+    /// a snapshot's capture time (payload: the rows of
+    /// [`ContextStore::digest`] as a member-indexed table,
+    /// [`WireWriter::put_id_rows`]), which ask the digest's sender for every
     /// snapshot it holds newer.
     pub struct ContextPull, class: Context
 }
@@ -120,90 +122,36 @@ internal_event! {
     categories: [Internal]
 }
 
-/// Wire body of a [`ContextPull`]: every store entry as `(node, version)`,
-/// where the version is the snapshot's capture time (monotonic per node) —
-/// the rows of [`ContextStore::digest`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DigestBody {
-    /// `(node, version)` pairs, in node-id order.
-    pub entries: Vec<(NodeId, u64)>,
-}
-
-impl DigestBody {
-    /// Decodes the rows carried in `header` (a popped message header) into
-    /// `entries`, a caller-owned scratch that keeps its capacity across
-    /// pulls. All or nothing, as [`Message::pop`]: a malformed row or
-    /// trailing bytes is an error and leaves `entries` empty.
-    pub fn decode_into(header: &[u8], entries: &mut Vec<(NodeId, u64)>) -> Result<(), WireError> {
-        let mut r = WireReader::new(header);
-        r.get_id_table_into(entries)?;
-        if r.remaining() != 0 {
-            entries.clear();
-            return Err(WireError::Malformed("trailing bytes in header"));
-        }
-        Ok(())
-    }
-}
-
-impl Wire for DigestBody {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_id_table(&self.entries);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            entries: r.get_id_table()?,
-        })
-    }
-}
-
-/// Wire body of a [`ContextBatch`]: the snapshots a puller lacks.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BatchBody {
-    /// The snapshots, in node-id order.
-    pub snapshots: Vec<ContextSnapshot>,
-}
+/// The codec of a [`ContextBatch`]'s body: the snapshots a puller lacks,
+/// in node-id order.
+#[derive(Debug)]
+pub struct BatchBody;
 
 impl BatchBody {
     /// Decodes the snapshots carried in `header` (a popped message header)
     /// into `snapshots`, a caller-owned scratch that keeps its capacity
-    /// across batches. All or nothing, as [`Message::pop`]: a malformed
+    /// across batches. All or nothing ([`decode_whole`]): a malformed
     /// snapshot or trailing bytes is an error and leaves `snapshots` empty.
     pub fn decode_into(
         header: &[u8],
         snapshots: &mut Vec<ContextSnapshot>,
     ) -> Result<(), WireError> {
-        snapshots.clear();
-        let mut r = WireReader::new(header);
-        let decoded =
-            Self::decode_snapshots(&mut r, snapshots).and_then(|()| match r.remaining() {
-                0 => Ok(()),
-                _ => Err(WireError::Malformed("trailing bytes in header")),
-            });
-        if decoded.is_err() {
-            snapshots.clear();
-        }
-        decoded
+        decode_whole(WireReader::new(header), snapshots, |r, snapshots| {
+            // A snapshot encodes to at least `MIN_ENCODED_BYTES` (3): a
+            // one-byte varint each for the node, the capture time and the
+            // value count.
+            let count = r.get_count(ContextSnapshot::MIN_ENCODED_BYTES)?;
+            snapshots.reserve(count);
+            for _ in 0..count {
+                snapshots.push(ContextSnapshot::decode(r)?);
+            }
+            Ok(())
+        })
     }
 
-    /// Appends the batch `r` holds to `snapshots`.
-    fn decode_snapshots(
-        r: &mut WireReader<'_>,
-        snapshots: &mut Vec<ContextSnapshot>,
-    ) -> Result<(), WireError> {
-        // A snapshot encodes to at least `MIN_ENCODED_BYTES` (3): a one-byte
-        // varint each for the node, the capture time and the value count.
-        let count = r.get_count(ContextSnapshot::MIN_ENCODED_BYTES)?;
-        snapshots.reserve(count);
-        for _ in 0..count {
-            snapshots.push(ContextSnapshot::decode(r)?);
-        }
-        Ok(())
-    }
-
-    /// Encodes the `count` snapshots `snapshots` yields as a [`BatchBody`],
+    /// Encodes the first `count` snapshots `snapshots` yields as a batch,
     /// from wherever they are held.
-    fn encode_from<'a>(
+    pub fn encode_from<'a>(
         count: usize,
         snapshots: impl Iterator<Item = &'a ContextSnapshot>,
         w: &mut WireWriter,
@@ -212,18 +160,6 @@ impl BatchBody {
         for snapshot in snapshots.take(count) {
             snapshot.encode(w);
         }
-    }
-}
-
-impl Wire for BatchBody {
-    fn encode(&self, w: &mut WireWriter) {
-        Self::encode_from(self.snapshots.len(), self.snapshots.iter(), w);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut snapshots = Vec::new();
-        Self::decode_snapshots(r, &mut snapshots)?;
-        Ok(Self { snapshots })
     }
 }
 
@@ -618,7 +554,10 @@ impl Session for CocaditemSession {
             let Some(header) = pull.message.pop_header() else {
                 return;
             };
-            if DigestBody::decode_into(&header, &mut self.rows).is_ok() {
+            if WireReader::new(&header)
+                .get_id_table_into(&mut self.rows)
+                .is_ok()
+            {
                 self.on_rows(from, ctx);
             }
             return;
@@ -709,9 +648,9 @@ mod tests {
     }
 
     fn pull_from(from: u32, rows: &[(u32, u64)]) -> Event {
-        let entries = rows.iter().map(|(node, at)| (NodeId(*node), *at)).collect();
+        let rows = rows.iter().map(|(node, at)| (NodeId(*node), *at));
         let mut message = Message::new();
-        message.push(&DigestBody { entries });
+        message.push_header(encode_pooled(|w| w.put_id_rows(rows)));
         Event::up(ContextPull::new(
             NodeId(from),
             Dest::Node(NodeId(1)),
@@ -719,12 +658,23 @@ mod tests {
         ))
     }
 
+    /// A message carrying a batch of `snapshots`.
+    fn batch_of(snapshots: &[ContextSnapshot]) -> Message {
+        let mut message = Message::new();
+        let count = snapshots.len();
+        message.push_header(encode_pooled(|w| {
+            BatchBody::encode_from(count, snapshots.iter(), w)
+        }));
+        message
+    }
+
     /// The `(node, version)` of every snapshot in the one batch `down` holds.
     fn batched(down: &[Event]) -> Vec<(NodeId, u64)> {
         assert_eq!(down.len(), 1, "one batch: {down:?}");
         let batch = down[0].get::<ContextBatch>().expect("a batch");
-        let body = batch.message.clone().pop::<BatchBody>().unwrap();
-        body.snapshots
+        let mut snapshots = Vec::new();
+        BatchBody::decode_into(batch.message.peek_header().unwrap(), &mut snapshots).unwrap();
+        snapshots
             .iter()
             .map(|s| (s.node, s.captured_at_ms))
             .collect()
@@ -872,7 +822,11 @@ mod tests {
         assert_eq!(down.len(), 1);
         let pull = down[0].get::<ContextPull>().expect("the rows");
         assert_eq!(pull.header.dest, Dest::Node(NodeId(2)));
-        let rows = pull.message.clone().pop::<DigestBody>().unwrap().entries;
+        let mut rows = Vec::new();
+        let header = pull.message.peek_header().unwrap();
+        WireReader::new(header)
+            .get_id_table_into(&mut rows)
+            .unwrap();
         assert_eq!(rows, vec![(NodeId(1), 0), (NodeId(3), 50)]);
     }
 
@@ -917,10 +871,7 @@ mod tests {
             Dest::Node(NodeId(1)),
             publish_message(&fixed(9, 5), 2),
         );
-        let mut batch = Message::new();
-        batch.push(&BatchBody {
-            snapshots: vec![fixed(9, 6)],
-        });
+        let batch = batch_of(&[fixed(9, 6)]);
         for event in [
             Event::up(publish),
             Event::up(ContextBatch::new(NodeId(2), Dest::Node(NodeId(1)), batch)),
@@ -952,13 +903,10 @@ mod tests {
         );
         platform.take_deliveries();
 
-        let mut message = Message::new();
-        message.push(&BatchBody {
-            snapshots: vec![
-                ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(2)), 30),
-                ContextSnapshot::from_profile(&NodeProfile::mobile_pda(NodeId(3)), 40),
-            ],
-        });
+        let message = batch_of(&[
+            ContextSnapshot::from_profile(&NodeProfile::fixed_pc(NodeId(2)), 30),
+            ContextSnapshot::from_profile(&NodeProfile::mobile_pda(NodeId(3)), 40),
+        ]);
         let up = cocaditem.run_up(
             Event::up(ContextBatch::new(NodeId(2), Dest::Node(NodeId(1)), message)),
             &mut platform,
@@ -1142,10 +1090,13 @@ mod tests {
 
     #[test]
     fn digest_bodies_roundtrip_and_reject_adversarial_counts() {
-        let body = DigestBody {
-            entries: vec![(NodeId(1), 10), (NodeId(2), 20)],
-        };
-        assert_eq!(DigestBody::from_bytes(&body.to_bytes()).unwrap(), body);
+        let rows = vec![(NodeId(1), 10), (NodeId(2), 20)];
+        let body = encode_pooled(|w| w.put_id_rows(rows.iter().copied()));
+        let mut decoded = Vec::new();
+        WireReader::new(&body)
+            .get_id_table_into(&mut decoded)
+            .unwrap();
+        assert_eq!(decoded, rows);
         let summary = StoreSummary {
             rows: 200,
             hash: u64::MAX - 7,
@@ -1158,7 +1109,10 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u32(u32::MAX);
         w.put_u64(1);
-        assert!(DigestBody::from_bytes(&w.finish()).is_err());
+        let overstated = w.finish();
+        assert!(WireReader::new(&overstated)
+            .get_id_table_into(&mut decoded)
+            .is_err());
         assert!(StoreSummary::from_bytes(&summary.to_bytes()[..9]).is_err());
     }
 

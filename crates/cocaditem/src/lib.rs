@@ -26,7 +26,7 @@ pub mod store;
 pub use context::{ContextKey, ContextSnapshot, ContextValue};
 pub use dissemination::{
     register_cocaditem_with_store, BatchBody, ContextBatch, ContextDigest, ContextPublish,
-    ContextPull, ContextUpdated, DigestBody, COCADITEM_LAYER,
+    ContextPull, ContextUpdated, COCADITEM_LAYER,
 };
 pub use retriever::{default_retrievers, ContextRetriever};
 pub use room::RoomContext;

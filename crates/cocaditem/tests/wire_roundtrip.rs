@@ -10,8 +10,7 @@ use morpheus_appia::platform::{DeviceClass, NodeId};
 use morpheus_appia::registry::encode_event;
 use morpheus_appia::wire::{narrow, Wire, WireError, WireReader, WireWriter};
 use morpheus_cocaditem::{
-    BatchBody, ContextDigest, ContextKey, ContextPull, ContextSnapshot, ContextValue, DigestBody,
-    StoreSummary,
+    BatchBody, ContextDigest, ContextKey, ContextPull, ContextSnapshot, ContextValue, StoreSummary,
 };
 
 #[cfg(miri)]
@@ -41,16 +40,14 @@ fn readers_agree<T: Wire + PartialEq + std::fmt::Debug>(input: &[u8]) -> bool {
     copied.is_ok()
 }
 
-/// The value round-trips; every (strided) truncation is a clean error and
-/// every (strided) single-bit flip decodes to a value or an error, never a
-/// panic — identically through both readers.
-fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
-    let bytes = value.to_bytes();
-    assert_eq!(T::from_bytes(&bytes).unwrap(), value);
-    assert!(readers_agree::<T>(&bytes));
+/// `bytes` decodes through `decodes`; every (strided) truncation is a clean
+/// error and every (strided) single-bit flip decodes to a value or an
+/// error, never a panic.
+fn mutations(bytes: &[u8], mut decodes: impl FnMut(&[u8]) -> bool) {
+    assert!(decodes(bytes));
     for len in (0..bytes.len()).step_by(STRIDE) {
         assert!(
-            !readers_agree::<T>(&bytes[..len]),
+            !decodes(&bytes[..len]),
             "truncation to {len} of {} bytes must not decode",
             bytes.len()
         );
@@ -59,26 +56,71 @@ fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         for bit in 0..8 {
             let mut mutated = bytes.to_vec();
             mutated[index] ^= 1 << bit;
-            readers_agree::<T>(&mutated);
+            decodes(&mutated);
         }
     }
+}
+
+/// The value round-trips, and every mutation decodes the same way through
+/// both readers.
+fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
+    let bytes = value.to_bytes();
+    assert_eq!(T::from_bytes(&bytes).unwrap(), value);
+    mutations(&bytes, readers_agree::<T>);
+}
+
+/// A body the layer decodes into a scratch it keeps: the whole body
+/// decodes to `expected`, and every mutation that does not decode leaves
+/// the scratch empty, however full it was.
+fn sweep<T: Clone + PartialEq + std::fmt::Debug>(
+    bytes: &[u8],
+    expected: &[T],
+    decode: impl Fn(&[u8], &mut Vec<T>) -> Result<(), WireError>,
+) {
+    let mut scratch = Vec::new();
+    assert_eq!(decode(bytes, &mut scratch), Ok(()));
+    assert_eq!(scratch, expected);
+    mutations(bytes, |input| {
+        scratch.clear();
+        scratch.extend_from_slice(expected);
+        let decoded = decode(input, &mut scratch);
+        assert!(decoded.is_ok() || scratch.is_empty(), "{input:?} left rows");
+        decoded.is_ok()
+    });
 }
 
 fn rows(rows: &[(u32, u64)]) -> Vec<(NodeId, u64)> {
     rows.iter().map(|(id, v)| (NodeId(*id), *v)).collect()
 }
 
+/// A [`ContextPull`]'s body: the rows as one member-indexed table.
+fn pull_body(rows: &[(NodeId, u64)]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_id_rows(rows.iter().copied());
+    w.finish().to_vec()
+}
+
+/// The layer's decode of a [`ContextPull`]'s body.
+fn decode_pull(body: &[u8], rows: &mut Vec<(NodeId, u64)>) -> Result<(), WireError> {
+    WireReader::new(body).get_id_table_into(rows)
+}
+
+/// A [`morpheus_cocaditem::ContextBatch`]'s body.
+fn batch_body(snapshots: &[ContextSnapshot]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    BatchBody::encode_from(snapshots.len(), snapshots.iter(), &mut w);
+    w.finish().to_vec()
+}
+
 /// A store's rows as a pull carries them in a settled group: ids ascending
 /// by one, versions (capture times) within `spread` ms of `around`.
-fn group_digest(around: u64, spread: u64) -> DigestBody {
-    DigestBody {
-        entries: (0..GROUP)
-            .map(|id| {
-                let offset = u64::from(id) * 131 % (2 * spread + 1);
-                (NodeId(id), around - spread + offset)
-            })
-            .collect(),
-    }
+fn group_digest(around: u64, spread: u64) -> Vec<(NodeId, u64)> {
+    (0..GROUP)
+        .map(|id| {
+            let offset = u64::from(id) * 131 % (2 * spread + 1);
+            (NodeId(id), around - spread + offset)
+        })
+        .collect()
 }
 
 #[test]
@@ -96,13 +138,14 @@ fn digests_and_pulls_roundtrip_in_every_shape() {
         rows(&[(3, 5), (3, 5), (3, 6), (1, 0), (1, 0)]),
         rows(&[(0, u64::MAX), (1, 0), (2, u64::MAX), (3, 1)]),
     ] {
-        roundtrip(DigestBody { entries });
+        sweep(&pull_body(&entries), &entries, decode_pull);
     }
 }
 
 #[test]
 fn group_sized_bodies_survive_truncation_and_bit_flips() {
-    roundtrip(group_digest(30_000, 2_000));
+    let rows = group_digest(30_000, 2_000);
+    sweep(&pull_body(&rows), &rows, decode_pull);
     roundtrip(StoreSummary {
         rows: u64::from(GROUP),
         hash: 0x0123_4567_89AB_CDEF,
@@ -118,16 +161,16 @@ fn batches_roundtrip_and_reject_overstated_counts() {
         snapshot.set(ContextKey::DeviceClass, ContextValue::Flag(node > 3));
         snapshot
     };
-    roundtrip(BatchBody::default());
-    roundtrip(BatchBody {
-        snapshots: (0..GROUP.min(16)).map(snapshot).collect(),
-    });
+    sweep(&batch_body(&[]), &[], BatchBody::decode_into);
+    let snapshots: Vec<_> = (0..GROUP.min(16)).map(snapshot).collect();
+    sweep(&batch_body(&snapshots), &snapshots, BatchBody::decode_into);
 
     // One snapshot's bytes behind a count of 2^32 − 1.
     let mut w = WireWriter::new();
     w.put_varint(u64::from(u32::MAX));
     snapshot(1).encode(&mut w);
-    assert!(BatchBody::from_bytes(&w.finish()).is_err());
+    let mut batch = Vec::new();
+    assert!(BatchBody::decode_into(&w.finish(), &mut batch).is_err());
     // Empty snapshots at the smallest frame a snapshot has: a count of
     // `remaining / MIN_ENCODED_BYTES` decodes, one more is rejected.
     let empty = ContextSnapshot::new(NodeId(1), 1).to_bytes();
@@ -138,14 +181,11 @@ fn batches_roundtrip_and_reject_overstated_counts() {
         for _ in 0..4 {
             w.put_raw(&empty);
         }
-        assert_eq!(
-            BatchBody::from_bytes(&w.finish()).is_ok(),
-            decodes,
-            "{count}"
-        );
+        let decoded = BatchBody::decode_into(&w.finish(), &mut batch);
+        assert_eq!(decoded.is_ok(), decodes, "{count}");
     }
     for body in [&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1][..], &[0x05, 1, 1]] {
-        assert!(DigestBody::from_bytes(body).is_err());
+        assert!(decode_pull(body, &mut Vec::new()).is_err());
         assert!(StoreSummary::from_bytes(body).is_err());
     }
 }
@@ -374,8 +414,8 @@ fn a_repeated_key_keeps_its_last_value_and_a_wrong_kind_reads_as_none() {
 /// three bytes a member (twelve before the compact codec).
 #[test]
 fn a_group_digest_fits_its_byte_budget() {
-    let digest = group_digest(30_000, 2_000);
-    assert!(digest.to_bytes().len() <= 3 * GROUP as usize + 4);
+    let body = pull_body(&group_digest(30_000, 2_000));
+    assert!(body.len() <= 3 * GROUP as usize + 4);
 }
 
 /// The whole pull packet: the body plus at most 9 bytes of frame (the
@@ -383,10 +423,10 @@ fn a_group_digest_fits_its_byte_budget() {
 /// 34 with the name string and fixed-width `u32` fields it replaced.
 #[test]
 fn a_group_digest_packet_fits_its_byte_budget() {
-    let rows = group_digest(30_000, 2_000);
-    let body = rows.to_bytes().len();
+    let rows = pull_body(&group_digest(30_000, 2_000));
+    let body = rows.len();
     let mut message = Message::new();
-    message.push(&rows);
+    message.push_header(rows);
     let packet = encode_event(&ContextPull::new(NodeId(GROUP - 1), Dest::Group, message));
     assert!(packet.len() <= body + 9);
 }

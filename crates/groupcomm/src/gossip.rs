@@ -51,7 +51,7 @@ use morpheus_appia::layer::{param_node_list, param_or, Layer, LayerParams};
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
 use morpheus_appia::session::Session;
-use morpheus_appia::wire::{encode_pooled, Wire, WireWriter};
+use morpheus_appia::wire::{encode_pooled, Scratch, Wire, WireWriter};
 use serde::{Deserialize, Serialize};
 
 use crate::events::{
@@ -1379,6 +1379,62 @@ mod tests {
         )
     }
 
+    /// A message carrying a batch of `entries`, encoded as a flush encodes
+    /// one.
+    fn batch_body(entries: &[(GossipHeader, Message)]) -> Message {
+        let frames: Vec<_> = entries
+            .iter()
+            .map(|(header, message)| (*header, message.to_bytes()))
+            .collect();
+        let mut message = Message::new();
+        message.push_header(encode_pooled(|w| {
+            GossipBatchBody::encode_frames(&frames, w)
+        }));
+        message
+    }
+
+    /// The entries of the batch `message` carries, decoded as a receiver
+    /// decodes them.
+    fn entries_of(message: &Message) -> Vec<(GossipHeader, Message)> {
+        let mut entries = Vec::new();
+        GossipBatchBody::decode_into(message.peek_header().unwrap(), &mut entries).unwrap();
+        entries
+    }
+
+    /// A message carrying a repair digest of `rows`.
+    fn digest_body(rows: &[RepairRange]) -> Message {
+        let mut message = Message::new();
+        message.push_header(encode_pooled(|w| {
+            RepairDigest::encode_rows(rows.iter().copied(), w)
+        }));
+        message
+    }
+
+    /// A message carrying a repair pull of `wants`.
+    fn pull_body(wants: &[(NodeId, u64, Vec<u64>)]) -> Message {
+        let mut scratch = PullWants::default();
+        for (origin, inc, seqs) in wants {
+            scratch.seqs_mut().extend(seqs);
+            scratch.end_stream(*origin, *inc);
+        }
+        let mut message = Message::new();
+        message.push_header(encode_pooled(|w| {
+            RepairPull::encode_wants(scratch.streams(), w)
+        }));
+        message
+    }
+
+    /// The wants of the pull `message` carries, decoded as a receiver
+    /// decodes them.
+    fn wants_of(message: &Message) -> Vec<(NodeId, u64, Vec<u64>)> {
+        let mut wants = PullWants::default();
+        RepairPull::decode_into(message.peek_header().unwrap(), &mut wants).unwrap();
+        let streams = wants.streams();
+        streams
+            .map(|(origin, inc, seqs)| (origin, inc, seqs.to_vec()))
+            .collect()
+    }
+
     /// A push of `(origin, inc, seq)` arriving at node 1 from the origin
     /// itself: a one-entry batch.
     fn push_of(origin: u32, inc: u64, seq: u64, ttl: u32) -> Event {
@@ -1388,9 +1444,7 @@ mod tests {
             seq,
             ttl,
         };
-        let entries = vec![(header, Message::with_payload(&b"x"[..]))];
-        let mut message = Message::new();
-        message.push(&GossipBatchBody { entries });
+        let message = batch_body(&[(header, Message::with_payload(&b"x"[..]))]);
         let to = Dest::Node(NodeId(1));
         Event::up(GossipBatch::new(NodeId(origin), to, message))
     }
@@ -1411,8 +1465,8 @@ mod tests {
             .iter()
             .filter_map(|event| event.get::<GossipBatch>())
         {
-            let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
-            ttls.extend(body.entries.iter().map(|(header, _)| header.ttl));
+            let entries = entries_of(&batch.message);
+            ttls.extend(entries.iter().map(|(header, _)| header.ttl));
         }
         ttls
     }
@@ -1421,7 +1475,7 @@ mod tests {
     /// spans of origin 0's streams.
     fn digest_of(from: u32, to: u32, spans: &[(u64, u64, u64)]) -> Event {
         let origin = NodeId(0);
-        let entries = spans
+        let rows: Vec<_> = spans
             .iter()
             .map(|&(inc, lo, hi)| RepairRange {
                 origin,
@@ -1430,17 +1484,14 @@ mod tests {
                 hi,
             })
             .collect();
-        let mut message = Message::new();
-        message.push(&RepairDigest { entries });
+        let message = digest_body(&rows);
         let to = Dest::Node(NodeId(to));
         Event::up(GossipRepairDigest::new(NodeId(from), to, message))
     }
 
     /// A NACK pull from `from` to `to` of the `seqs` of one stream.
     fn pull_of(from: u32, to: u32, (origin, inc): (u32, u64), seqs: Vec<u64>) -> Event {
-        let mut message = Message::new();
-        let wants = vec![(NodeId(origin), inc, seqs)];
-        message.push(&RepairPull { wants });
+        let message = pull_body(&[(NodeId(origin), inc, seqs)]);
         let to = Dest::Node(NodeId(to));
         Event::up(GossipRepairPull::new(NodeId(from), to, message))
     }
@@ -1448,7 +1499,7 @@ mod tests {
     /// A pull's answer from `from` to node 1: the messages `ids`, each an
     /// `(origin, inc, seq)` carrying `payload`, in one batch at `ttl` 0.
     fn answer_of(from: u32, ids: &[(u32, u64, u64)], payload: &'static [u8]) -> Event {
-        let entries = ids
+        let entries: Vec<_> = ids
             .iter()
             .map(|&(origin, inc, seq)| {
                 let header = GossipHeader {
@@ -1460,8 +1511,7 @@ mod tests {
                 (header, Message::with_payload(payload))
             })
             .collect();
-        let mut message = Message::new();
-        message.push(&GossipBatchBody { entries });
+        let message = batch_body(&entries);
         let to = Dest::Node(NodeId(1));
         Event::up(GossipRepairPush::new(NodeId(from), to, message))
     }
@@ -1473,13 +1523,7 @@ mod tests {
             .drain_down()
             .iter()
             .filter_map(|event| event.get::<GossipRepairPush>())
-            .map(|push| {
-                push.message
-                    .clone()
-                    .pop::<GossipBatchBody>()
-                    .unwrap()
-                    .entries
-            })
+            .map(|push| entries_of(&push.message))
             .collect()
     }
 
@@ -1625,10 +1669,11 @@ mod tests {
             .collect();
         assert_eq!(digests.len(), 1, "one digest per repair tick");
         let digest = digests[0].get::<GossipRepairDigest>().unwrap();
-        let body = digest.message.clone().pop::<RepairDigest>().unwrap();
-        assert_eq!(body.entries.len(), 1);
-        assert_eq!(body.entries[0].origin, NodeId(0));
-        assert_eq!((body.entries[0].lo, body.entries[0].hi), (1, 1));
+        let mut rows = Vec::new();
+        RepairDigest::decode_into(digest.message.peek_header().unwrap(), &mut rows).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].origin, NodeId(0));
+        assert_eq!((rows[0].lo, rows[0].hi), (1, 1));
         let Dest::Nodes(targets) = &digest.header.dest else {
             panic!("digests address a sampled node list");
         };
@@ -1652,8 +1697,7 @@ mod tests {
         assert_eq!(pulls.len(), 1);
         let pull = pulls[0].get::<GossipRepairPull>().unwrap();
         assert_eq!(pull.header.dest, Dest::Node(NodeId(2)));
-        let body = pull.message.clone().pop::<RepairPull>().unwrap();
-        assert_eq!(body.wants, vec![(NodeId(0), 7, vec![1, 2, 3])]);
+        assert_eq!(wants_of(&pull.message), vec![(NodeId(0), 7, vec![1, 2, 3])]);
 
         // The peer answers with one of the messages: it is delivered upward
         // exactly once.
@@ -1707,15 +1751,12 @@ mod tests {
             .collect();
         let mut first_origins = Vec::new();
         for from in [2, 4] {
-            let mut message = Message::new();
-            message.push(&RepairDigest {
-                entries: entries.clone(),
-            });
+            let message = digest_body(&entries);
             let digest = GossipRepairDigest::new(NodeId(from), Dest::Node(NodeId(1)), message);
             gossip.run_up(Event::up(digest), &mut platform);
             for event in gossip.drain_down() {
                 if let Some(pull) = event.get::<GossipRepairPull>() {
-                    let wants = pull.message.clone().pop::<RepairPull>().unwrap().wants;
+                    let wants = wants_of(&pull.message);
                     first_origins.push(wants.iter().map(|want| want.0 .0).collect::<Vec<_>>());
                 }
             }
@@ -1998,14 +2039,12 @@ mod tests {
             assert_eq!(gossip.run_up(push_of(3, inc, 1, 0), &mut platform).len(), 1);
         }
         // Node 2's log holds origin 3's incarnation 5 from seq 10 only.
-        let entries = vec![RepairRange {
+        let message = digest_body(&[RepairRange {
             origin: NodeId(3),
             inc: 5,
             lo: 10,
             hi: 12,
-        }];
-        let mut message = Message::new();
-        message.push(&RepairDigest { entries });
+        }]);
         let digest = GossipRepairDigest::new(NodeId(2), Dest::Node(NodeId(1)), message);
         let up = age_a_breach(&mut gossip, &mut platform, Event::up(digest));
         assert!(
@@ -2055,10 +2094,10 @@ mod tests {
         assert_eq!(batches.len(), 3, "one aggregated packet per peer");
         for event in &batches {
             let batch = event.get::<GossipBatch>().unwrap();
-            let body = batch.message.clone().pop::<GossipBatchBody>().unwrap();
-            assert_eq!(body.entries.len(), 2, "same-instant sends aggregated");
-            assert_eq!(body.entries[0].0.seq, 1);
-            assert_eq!(body.entries[1].0.seq, 2);
+            let entries = entries_of(&batch.message);
+            assert_eq!(entries.len(), 2, "same-instant sends aggregated");
+            assert_eq!(entries[0].0.seq, 1);
+            assert_eq!(entries[1].0.seq, 2);
         }
     }
 
@@ -2082,8 +2121,7 @@ mod tests {
             )
         };
         let make = |entries: Vec<(GossipHeader, Message)>| {
-            let mut message = Message::new();
-            message.push(&GossipBatchBody { entries });
+            let message = batch_body(&entries);
             Event::up(GossipBatch::new(NodeId(3), Dest::Node(NodeId(1)), message))
         };
 
@@ -2151,21 +2189,14 @@ mod tests {
             let sent = batches.get(&peer).map_or(&[][..], Vec::as_slice);
             let seqs: Vec<u64> = sent
                 .iter()
-                .flat_map(|message| message.clone().pop::<GossipBatchBody>().unwrap().entries)
+                .flat_map(entries_of)
                 .map(|(header, _)| header.seq)
                 .collect();
             // 7-byte entries up to seq 127, 8-byte ones after: 127 + 70
             // entries fill 1,449 B, and the 198th would cross the cap.
             let lens: Vec<usize> = sent
                 .iter()
-                .map(|message| {
-                    message
-                        .clone()
-                        .pop::<GossipBatchBody>()
-                        .unwrap()
-                        .entries
-                        .len()
-                })
+                .map(|message| entries_of(message).len())
                 .collect();
             assert_eq!(lens, [197, 3], "{peer:?}: 200 pushes in full batches");
             assert_eq!(seqs, (1..=200).collect::<Vec<u64>>(), "{peer:?}");
@@ -2270,12 +2301,7 @@ mod tests {
             let Dest::Node(peer) = batch.header.dest else {
                 panic!("a batch goes to one peer");
             };
-            let entries = batch
-                .message
-                .clone()
-                .pop::<GossipBatchBody>()
-                .unwrap()
-                .entries;
+            let entries = entries_of(&batch.message);
             assert!(!entries.is_empty(), "a batch to {peer:?} is empty");
             let bytes: usize = entries.iter().map(entry_len).sum();
             assert!(
@@ -2488,9 +2514,7 @@ mod tests {
                     seq,
                     ttl: 2,
                 };
-                let entries = vec![(header, Message::with_payload(&b"x"[..]))];
-                let mut message = Message::new();
-                message.push(&GossipBatchBody { entries });
+                let message = batch_body(&[(header, Message::with_payload(&b"x"[..]))]);
                 let to = Dest::Node(NodeId(1));
                 gossip.run_up(
                     Event::up(GossipBatch::new(NodeId(from), to, message)),
@@ -2574,7 +2598,7 @@ mod tests {
             &[("fanout", "3"), ("repair_interval_ms", "0")],
         );
         let batch = |from: u32, seqs: &[u64]| {
-            let entries = seqs
+            let entries: Vec<_> = seqs
                 .iter()
                 .map(|&seq| {
                     let header = GossipHeader {
@@ -2586,8 +2610,7 @@ mod tests {
                     (header, Message::with_payload(&b"x"[..]))
                 })
                 .collect();
-            let mut message = Message::new();
-            message.push(&GossipBatchBody { entries });
+            let message = batch_body(&entries);
             Event::up(GossipBatch::new(
                 NodeId(from),
                 Dest::Node(NodeId(1)),
@@ -2641,19 +2664,14 @@ mod tests {
             ttl: 0,
         };
         let full = BATCH_BYTES / 6;
-        let body = GossipBatchBody {
-            entries: vec![(zero, Message::new()); full],
-        };
-        let bytes = body.to_bytes();
+        let entries = vec![(zero, Message::new()); full];
+        let body = batch_body(&entries);
         assert_eq!(
-            bytes.len(),
+            body.size(),
             2 + 6 * full,
             "a 2-byte count of {full} entries"
         );
-        let mut entries = Vec::new();
-        GossipBatchBody::decode_into(&bytes, &mut entries).unwrap();
-        assert_eq!(entries, body.entries);
-        assert_eq!(GossipBatchBody::from_bytes(&bytes).unwrap(), body);
+        assert_eq!(entries_of(&body), entries);
     }
 
     /// Batch decoding is all or nothing, and the decoded entries — slices
@@ -2674,7 +2692,7 @@ mod tests {
                 (header, Message::with_payload(&b"payload"[..]))
             })
             .collect();
-        let body = GossipBatchBody { entries }.to_bytes();
+        let body = batch_body(&entries).pop_header().unwrap();
         let scratch_of = |gossip: &mut Harness| {
             let session = gossip
                 .kernel_mut()
@@ -2727,7 +2745,7 @@ mod tests {
             let mut platform = TestPlatform::new(NodeId(1));
             let mut gossip = batching_harness(&mut platform, "0,1,2,3", &[]);
             for (origin, count) in [(0u32, 20u64), (3, 10)] {
-                let entries = (1..=count)
+                let entries: Vec<_> = (1..=count)
                     .map(|seq| {
                         let header = GossipHeader {
                             origin: NodeId(origin),
@@ -2738,19 +2756,16 @@ mod tests {
                         (header, Message::with_payload(vec![b'x'; entry - 6]))
                     })
                     .collect();
-                let mut message = Message::new();
-                message.push(&GossipBatchBody { entries });
+                let message = batch_body(&entries);
                 let batch = GossipBatch::new(NodeId(origin), Dest::Node(NodeId(1)), message);
                 gossip.run_up(Event::up(batch), &mut platform);
             }
             gossip.drain_down();
 
-            let wants = vec![
+            let message = pull_body(&[
                 (NodeId(3), 1, (1..=10).collect()),
                 (NodeId(0), 1, (1..=20).collect()),
-            ];
-            let mut message = Message::new();
-            message.push(&RepairPull { wants });
+            ]);
             let pull = GossipRepairPull::new(NodeId(2), Dest::Node(NodeId(1)), message);
             gossip.run_up(Event::up(pull), &mut platform);
 
@@ -2758,12 +2773,7 @@ mod tests {
             for event in gossip.drain_down() {
                 let push = event.get::<GossipRepairPush>().expect("only answers leave");
                 assert_eq!(push.header.dest, Dest::Node(NodeId(2)), "to the puller");
-                let entries = push
-                    .message
-                    .clone()
-                    .pop::<GossipBatchBody>()
-                    .unwrap()
-                    .entries;
+                let entries = entries_of(&push.message);
                 assert!(!entries.is_empty(), "an answer packet is never empty");
                 assert!(entries.iter().all(|e| entry_len(e) == entry));
                 answers.push(entries);
@@ -2810,7 +2820,7 @@ mod tests {
                 (header, Message::with_payload(&b"payload"[..]))
             })
             .collect();
-        let body = GossipBatchBody { entries }.to_bytes();
+        let body = batch_body(&entries).pop_header().unwrap();
         let scratch_len = |gossip: &mut Harness| inspect(gossip, |s| s.batch_entries.len());
         let arrive = |gossip: &mut Harness, platform: &mut TestPlatform, header: Bytes| {
             let mut message = Message::new();
@@ -2902,16 +2912,12 @@ mod tests {
         // ...while newer seqs above the floor still repair normally.
         gossip.run_up(digest(1, 8), &mut platform);
         let down = gossip.drain_down();
-        let pulls: Vec<RepairPull> = down
+        let pulls: Vec<_> = down
             .iter()
-            .filter_map(|event| {
-                event
-                    .get::<GossipRepairPull>()
-                    .map(|pull| pull.message.clone().pop::<RepairPull>().unwrap())
-            })
+            .filter_map(|event| event.get::<GossipRepairPull>())
+            .map(|pull| wants_of(&pull.message))
             .collect();
-        assert_eq!(pulls.len(), 1);
-        assert_eq!(pulls[0].wants, vec![(NodeId(0), 1, vec![7, 8])]);
+        assert_eq!(pulls, [vec![(NodeId(0), 1, vec![7, 8])]]);
 
         // The same floor, sighted and aged again, does not re-escalate.
         let up = age_a_breach(&mut gossip, &mut platform, floor_answer());
@@ -2946,17 +2952,13 @@ mod tests {
             up.iter().all(|event| !event.is::<CatchupRequest>()),
             "a fresh breach must not escalate immediately"
         );
-        let pulls: Vec<RepairPull> = gossip
+        let pulls: Vec<_> = gossip
             .drain_down()
             .iter()
-            .filter_map(|event| {
-                event
-                    .get::<GossipRepairPull>()
-                    .map(|pull| pull.message.clone().pop::<RepairPull>().unwrap())
-            })
+            .filter_map(|event| event.get::<GossipRepairPull>())
+            .map(|pull| wants_of(&pull.message))
             .collect();
-        assert_eq!(pulls.len(), 1);
-        assert_eq!(pulls[0].wants, vec![(NodeId(0), 1, vec![9, 10])]);
+        assert_eq!(pulls, [vec![(NodeId(0), 1, vec![9, 10])]]);
 
         // The breach survives two full repair-log TTLs with the gap still
         // open: the next repair tick escalates it — even though no further

@@ -15,7 +15,9 @@
 use bytes::Bytes;
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
-use morpheus_appia::wire::{narrow, varint_len, Wire, WireError, WireReader, WireWriter};
+use morpheus_appia::wire::{
+    decode_whole, narrow, varint_len, Scratch, Wire, WireError, WireReader, WireWriter,
+};
 
 /// How a multicast layer handled (or wants handled) a data message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +153,7 @@ impl Wire for GossipHeader {
     }
 }
 
-/// One entry of a [`RepairDigest`]: the contiguous-ish span of an origin's
+/// One row of a [`RepairDigest`]: the contiguous-ish span of an origin's
 /// messages the digest sender holds in its repair log and can serve on a
 /// NACK pull. `lo`/`hi` are the smallest and largest logged sequence
 /// numbers of that `(origin, inc)` stream (log eviction trims from `lo`
@@ -168,18 +170,15 @@ pub struct RepairRange {
     pub hi: u64,
 }
 
-/// Body of a gossip repair digest: per origin stream, the span of messages
-/// the sender's bounded repair log currently holds. Receivers compare the
-/// spans against their own delivery record and NACK-pull the gaps.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RepairDigest {
-    /// One entry per `(origin, inc)` stream held in the repair log.
-    pub entries: Vec<RepairRange>,
-}
+/// The codec of a gossip repair digest's body: per origin stream, the span
+/// of messages the sender's bounded repair log currently holds, one
+/// [`RepairRange`] each. Receivers compare the spans against their own
+/// delivery record and NACK-pull the gaps.
+#[derive(Debug)]
+pub struct RepairDigest;
 
 impl RepairDigest {
-    /// Encodes a digest from its rows, as they are read — byte for byte
-    /// what [`Wire::encode`] writes for the same entries. The gossip session
+    /// Encodes a digest from its rows, as they are read. The gossip session
     /// encodes its digests straight from its repair log.
     pub fn encode_rows<I>(rows: I, w: &mut WireWriter)
     where
@@ -206,72 +205,42 @@ impl RepairDigest {
 
     /// Decodes the digest carried in `header` (a popped message header)
     /// into `entries`, a caller-owned scratch that keeps its capacity
-    /// across digests. All or nothing, as [`Message::pop`]: a malformed row
+    /// across digests. All or nothing ([`decode_whole`]): a malformed row
     /// or trailing bytes is an error and leaves `entries` empty.
     pub fn decode_into(header: &[u8], entries: &mut Vec<RepairRange>) -> Result<(), WireError> {
-        entries.clear();
-        let mut r = WireReader::new(header);
-        let decoded = Self::decode_rows(&mut r, entries).and_then(|()| match r.remaining() {
-            0 => Ok(()),
-            _ => Err(WireError::Malformed("trailing bytes in header")),
-        });
-        if decoded.is_err() {
-            entries.clear();
-        }
-        decoded
-    }
-
-    /// Appends the rows of one encoded digest to `entries`.
-    fn decode_rows(
-        r: &mut WireReader<'_>,
-        entries: &mut Vec<RepairRange>,
-    ) -> Result<(), WireError> {
-        let count = r.get_count(4)?;
-        entries.reserve(count);
-        let mut prev = 0;
-        let mut base = None;
-        for _ in 0..count {
-            let (inc_base, lo_base) = base.unwrap_or((0, 0));
-            prev = r.get_delta(prev)?;
-            let inc = r.get_delta(inc_base)?;
-            let lo = r.get_delta(lo_base)?;
-            let hi = r.get_delta(lo)?;
-            base.get_or_insert((inc, lo));
-            entries.push(RepairRange {
-                origin: narrow(prev)?,
-                inc,
-                lo,
-                hi,
-            });
-        }
-        Ok(())
+        decode_whole(WireReader::new(header), entries, |r, entries| {
+            let count = r.get_count(4)?;
+            entries.reserve(count);
+            let mut prev = 0;
+            let mut base = None;
+            for _ in 0..count {
+                let (inc_base, lo_base) = base.unwrap_or((0, 0));
+                prev = r.get_delta(prev)?;
+                let inc = r.get_delta(inc_base)?;
+                let lo = r.get_delta(lo_base)?;
+                let hi = r.get_delta(lo)?;
+                base.get_or_insert((inc, lo));
+                entries.push(RepairRange {
+                    origin: narrow(prev)?,
+                    inc,
+                    lo,
+                    hi,
+                });
+            }
+            Ok(())
+        })
     }
 }
 
-impl Wire for RepairDigest {
-    fn encode(&self, w: &mut WireWriter) {
-        Self::encode_rows(self.entries.iter().copied(), w);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut entries = Vec::new();
-        Self::decode_rows(r, &mut entries)?;
-        Ok(Self { entries })
-    }
-}
-
-/// Body of a gossip repair pull (the NACK): the exact message identifiers
-/// the sender is missing and believes the addressed peer can serve.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RepairPull {
-    /// `(origin, inc, missing sequence numbers)` per stream.
-    pub wants: Vec<(NodeId, u64, Vec<u64>)>,
-}
+/// The codec of a gossip repair pull's body (the NACK): the exact message
+/// identifiers the sender is missing and believes the addressed peer can
+/// serve, per stream `(origin, inc, missing sequence numbers)`.
+#[derive(Debug)]
+pub struct RepairPull;
 
 impl RepairPull {
-    /// Encodes a pull from its streams, as they are read — byte for byte
-    /// what [`Wire::encode`] writes for the same wants. The gossip session
-    /// encodes its pulls straight from its [`PullWants`] scratch.
+    /// Encodes a pull from its streams, as they are read. The gossip
+    /// session encodes its pulls straight from its [`PullWants`] scratch.
     pub fn encode_wants<'a, I>(wants: I, w: &mut WireWriter)
     where
         I: IntoIterator<Item = (NodeId, u64, &'a [u64])>,
@@ -292,46 +261,34 @@ impl RepairPull {
 
     /// Decodes the pull carried in `header` (a popped message header) into
     /// `wants`, a caller-owned scratch that keeps its capacity across
-    /// pulls. All or nothing, as [`Message::pop`]: a malformed stream or
+    /// pulls. All or nothing ([`decode_whole`]): a malformed stream or
     /// trailing bytes is an error and leaves `wants` empty. Every count is
     /// checked against the bytes left ([`WireReader::get_count`]) before
     /// anything is reserved.
     pub fn decode_into(header: &[u8], wants: &mut PullWants) -> Result<(), WireError> {
-        wants.clear();
-        let mut r = WireReader::new(header);
-        let decoded = Self::decode_wants(&mut r, wants).and_then(|()| match r.remaining() {
-            0 => Ok(()),
-            _ => Err(WireError::Malformed("trailing bytes in header")),
-        });
-        if decoded.is_err() {
-            wants.clear();
-        }
-        decoded
-    }
-
-    /// Appends the streams of one encoded pull to `wants`.
-    fn decode_wants(r: &mut WireReader<'_>, wants: &mut PullWants) -> Result<(), WireError> {
-        // As in `Wire::decode`: a stream is at least three bytes, a
-        // sequence number at least one.
-        let count = r.get_count(3)?;
-        wants.streams.reserve(count);
-        let mut prev = 0;
-        let mut inc_base = None;
-        for _ in 0..count {
-            prev = r.get_delta(prev)?;
-            let inc = r.get_delta(inc_base.unwrap_or(0))?;
-            inc_base.get_or_insert(inc);
-            let origin = narrow(prev)?;
-            let len = r.get_count(1)?;
-            wants.seqs.reserve(len);
-            let mut seq = 0;
-            for _ in 0..len {
-                seq = r.get_delta(seq)?;
-                wants.seqs.push(seq);
+        decode_whole(WireReader::new(header), wants, |r, wants| {
+            // A stream is at least an origin gap, an `inc` offset and an
+            // empty list's count; a sequence number at least one byte.
+            let count = r.get_count(3)?;
+            wants.streams.reserve(count);
+            let mut prev = 0;
+            let mut inc_base = None;
+            for _ in 0..count {
+                prev = r.get_delta(prev)?;
+                let inc = r.get_delta(inc_base.unwrap_or(0))?;
+                inc_base.get_or_insert(inc);
+                let origin = narrow(prev)?;
+                let len = r.get_count(1)?;
+                wants.seqs.reserve(len);
+                let mut seq = 0;
+                for _ in 0..len {
+                    seq = r.get_delta(seq)?;
+                    wants.seqs.push(seq);
+                }
+                wants.streams.push((origin, inc, wants.seqs.len()));
             }
-            wants.streams.push((origin, inc, wants.seqs.len()));
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -347,13 +304,15 @@ pub struct PullWants {
     seqs: Vec<u64>,
 }
 
-impl PullWants {
+impl Scratch for PullWants {
     /// Empties both lists, keeping their memory.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.streams.clear();
         self.seqs.clear();
     }
+}
 
+impl PullWants {
     /// Sequence numbers wanted over all streams.
     pub fn len(&self) -> usize {
         self.seqs.len()
@@ -393,57 +352,23 @@ impl PullWants {
     }
 }
 
-impl Wire for RepairPull {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.wants.len() as u64);
-        let mut prev = 0;
-        let mut inc_base = None;
-        for (origin, inc, seqs) in &self.wants {
-            w.put_delta(prev, (*origin).into());
-            prev = (*origin).into();
-            w.put_delta(inc_base.unwrap_or(0), *inc);
-            inc_base.get_or_insert(*inc);
-            w.put_gap_list(seqs);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // An entry is at least an origin gap, an `inc` offset and an empty
-        // list's count.
-        let count = r.get_count(3)?;
-        let mut wants = Vec::with_capacity(count);
-        let mut prev = 0;
-        let mut inc_base = None;
-        for _ in 0..count {
-            prev = r.get_delta(prev)?;
-            let inc = r.get_delta(inc_base.unwrap_or(0))?;
-            inc_base.get_or_insert(inc);
-            wants.push((narrow(prev)?, inc, r.get_gap_list()?));
-        }
-        Ok(Self { wants })
-    }
-}
-
-/// Body of an aggregated gossip push: several app messages, each with its
-/// own [`GossipHeader`], batched into one packet. Every push travels in
-/// one: same-instant sends and relays to one peer share a packet, and the
-/// receiver unbatches and runs every entry through the one push receive
-/// path (dedup, delivery tracking, repair logging, re-forwarding). A
-/// pull's answer travels in one too, its logged messages under `ttl` 0
-/// headers, and the receiver runs each through the repair receive path.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GossipBatchBody {
-    /// `(gossip header, original message)` per batched app message; the
-    /// message carries the higher layers' headers and payload, without the
-    /// gossip header, which rides alongside.
-    pub entries: Vec<(GossipHeader, Message)>,
-}
+/// The codec of an aggregated gossip push's body: several app messages,
+/// each with its own [`GossipHeader`], batched into one packet. Every push
+/// travels in one: same-instant sends and relays to one peer share a
+/// packet, and the receiver unbatches and runs every entry through the one
+/// push receive path (dedup, delivery tracking, repair logging,
+/// re-forwarding). A pull's answer travels in one too, its logged messages
+/// under `ttl` 0 headers, and the receiver runs each through the repair
+/// receive path.
+#[derive(Debug)]
+pub struct GossipBatchBody;
 
 impl GossipBatchBody {
     /// Encodes a batch whose messages are already in wire form (the bytes
-    /// [`Wire::encode`] writes for them) — byte for byte what it writes for
-    /// the same entries as [`Message`]s. The gossip outbox holds frames, so
-    /// a flush copies them into the packet instead of re-encoding.
+    /// [`Wire::encode`] writes for a [`Message`]): per entry the gossip
+    /// header, then the message with the higher layers' headers and
+    /// payload. The gossip outbox holds frames, so a flush copies them into
+    /// the packet instead of re-encoding.
     pub fn encode_frames<'a, I>(entries: I, w: &mut WireWriter)
     where
         I: IntoIterator<Item = &'a (GossipHeader, Bytes)>,
@@ -459,57 +384,26 @@ impl GossipBatchBody {
 
     /// Decodes the batch carried in `header` (a popped message header) into
     /// `entries`, a caller-owned scratch that keeps its capacity across
-    /// batches. The messages are slices of `header`. All or nothing, as
-    /// [`Message::pop`] of the whole body: a malformed entry anywhere, or
-    /// trailing bytes, is an error and leaves `entries` empty.
+    /// batches. The messages are slices of `header`. All or nothing
+    /// ([`decode_whole`]): a malformed entry anywhere, or trailing bytes, is
+    /// an error and leaves `entries` empty.
     pub fn decode_into(
         header: &Bytes,
         entries: &mut Vec<(GossipHeader, Message)>,
     ) -> Result<(), WireError> {
-        entries.clear();
-        let mut r = WireReader::over(header);
-        let decoded = Self::decode_entries(&mut r, entries).and_then(|()| match r.remaining() {
-            0 => Ok(()),
-            _ => Err(WireError::Malformed("trailing bytes in header")),
-        });
-        if decoded.is_err() {
-            entries.clear();
-        }
-        decoded
-    }
-
-    /// Appends the entries of one encoded batch to `entries`.
-    fn decode_entries(
-        r: &mut WireReader<'_>,
-        entries: &mut Vec<(GossipHeader, Message)>,
-    ) -> Result<(), WireError> {
-        // Every entry occupies at least 6 wire bytes: a gossip header's four
-        // varints plus an empty message's two (its header count and its
-        // payload length).
-        let count = r.get_count(6)?;
-        entries.reserve(count);
-        for _ in 0..count {
-            let header = GossipHeader::decode(r)?;
-            let message = Message::decode(r)?;
-            entries.push((header, message));
-        }
-        Ok(())
-    }
-}
-
-impl Wire for GossipBatchBody {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.entries.len() as u64);
-        for (header, message) in &self.entries {
-            header.encode(w);
-            message.encode(w);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut entries = Vec::new();
-        Self::decode_entries(r, &mut entries)?;
-        Ok(Self { entries })
+        decode_whole(WireReader::over(header), entries, |r, entries| {
+            // Every entry occupies at least 6 wire bytes: a gossip header's
+            // four varints plus an empty message's two (its header count
+            // and its payload length).
+            let count = r.get_count(6)?;
+            entries.reserve(count);
+            for _ in 0..count {
+                let header = GossipHeader::decode(r)?;
+                let message = Message::decode(r)?;
+                entries.push((header, message));
+            }
+            Ok(())
+        })
     }
 }
 
@@ -619,22 +513,21 @@ impl Default for ProbeBody {
 /// The flag of [`ProbeBody`]'s first byte saying that `relay` follows.
 const PROBE_RELAY: u8 = 1 << 2;
 
+/// A probe is decoded in place: its scalar fields are overwritten, and its
+/// rumour list is the scratch.
+impl Scratch for ProbeBody {
+    fn clear(&mut self) {
+        self.rumours.clear();
+    }
+}
+
 impl ProbeBody {
     /// Decodes the body carried in `header` (a popped message header) into
     /// `body`, whose rumour list keeps its capacity across probes. All or
-    /// nothing, as [`Message::pop`]: on an error, or trailing bytes, `body`
+    /// nothing ([`decode_whole`]): on an error, or trailing bytes, `body`
     /// holds no rumours. A ping-req without a member to probe is malformed.
     pub fn decode_into(header: &[u8], body: &mut ProbeBody) -> Result<(), WireError> {
-        body.rumours.clear();
-        let mut r = WireReader::new(header);
-        let decoded = Self::decode_fields(&mut r, body).and_then(|()| match r.remaining() {
-            0 => Ok(()),
-            _ => Err(WireError::Malformed("trailing bytes in header")),
-        });
-        if decoded.is_err() {
-            body.rumours.clear();
-        }
-        decoded
+        decode_whole(WireReader::new(header), body, Self::decode_fields)
     }
 
     fn decode_fields(r: &mut WireReader<'_>, body: &mut ProbeBody) -> Result<(), WireError> {
@@ -843,12 +736,74 @@ impl Wire for OrderHeader {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.to_bytes();
         assert_eq!(T::from_bytes(&bytes).unwrap(), value);
+    }
+
+    fn digest_body(rows: &[RepairRange]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        RepairDigest::encode_rows(rows.iter().copied(), &mut w);
+        w.finish().to_vec()
+    }
+
+    fn pull_body(wants: &reference::Wants) -> Vec<u8> {
+        let mut scratch = PullWants::default();
+        for (origin, inc, seqs) in wants {
+            scratch.seqs_mut().extend(seqs);
+            scratch.end_stream(*origin, *inc);
+        }
+        let mut w = WireWriter::new();
+        RepairPull::encode_wants(scratch.streams(), &mut w);
+        w.finish().to_vec()
+    }
+
+    fn batch_body(entries: &[(GossipHeader, Message)]) -> Vec<u8> {
+        let frames: Vec<_> = entries
+            .iter()
+            .map(|(header, message)| (*header, message.to_bytes()))
+            .collect();
+        let mut w = WireWriter::new();
+        GossipBatchBody::encode_frames(&frames, &mut w);
+        w.finish().to_vec()
+    }
+
+    /// Whether `body` decodes through each body decoder gossip runs — a
+    /// digest's, a pull's and a batch's — each into a scratch that holds a
+    /// stale entry: an error must leave its scratch empty.
+    fn body_decoders(body: &[u8]) -> [bool; 3] {
+        let mut rows = vec![RepairRange {
+            origin: NodeId(9),
+            inc: 9,
+            lo: 9,
+            hi: 9,
+        }];
+        let mut wants = PullWants::default();
+        wants.seqs_mut().push(9);
+        wants.end_stream(NodeId(9), 9);
+        let stale = GossipHeader {
+            origin: NodeId(9),
+            inc: 9,
+            seq: 9,
+            ttl: 9,
+        };
+        let mut entries = vec![(stale, Message::new())];
+        let decoded = [
+            RepairDigest::decode_into(body, &mut rows).is_ok(),
+            RepairPull::decode_into(body, &mut wants).is_ok(),
+            GossipBatchBody::decode_into(&Bytes::copy_from_slice(body), &mut entries).is_ok(),
+        ];
+        assert!(decoded[0] || rows.is_empty(), "{body:?} left rows");
+        assert!(decoded[1] || wants.is_empty(), "{body:?} left wants");
+        assert!(decoded[2] || entries.is_empty(), "{body:?} left entries");
+        decoded
     }
 
     #[test]
@@ -897,51 +852,6 @@ mod tests {
             seq: 77,
             ttl: 3,
         });
-        roundtrip(RepairDigest {
-            entries: vec![
-                RepairRange {
-                    origin: NodeId(1),
-                    inc: 12,
-                    lo: 3,
-                    hi: 9,
-                },
-                RepairRange {
-                    origin: NodeId(4),
-                    inc: 0,
-                    lo: 1,
-                    hi: 1,
-                },
-            ],
-        });
-        roundtrip(RepairDigest::default());
-        roundtrip(RepairPull {
-            wants: vec![(NodeId(1), 12, vec![4, 5]), (NodeId(4), 0, vec![1])],
-        });
-        let mut batched = Message::with_payload(&b"hello"[..]);
-        batched.push(&SeqHeader { seq: 2 });
-        roundtrip(GossipBatchBody {
-            entries: vec![
-                (
-                    GossipHeader {
-                        origin: NodeId(1),
-                        inc: 12,
-                        seq: 77,
-                        ttl: 3,
-                    },
-                    batched,
-                ),
-                (
-                    GossipHeader {
-                        origin: NodeId(4),
-                        inc: 0,
-                        seq: 1,
-                        ttl: 0,
-                    },
-                    Message::with_payload(&b""[..]),
-                ),
-            ],
-        });
-        roundtrip(GossipBatchBody::default());
         roundtrip(LivenessDigest {
             entries: vec![(NodeId(0), 12), (NodeId(7), 3)],
         });
@@ -1033,8 +943,8 @@ mod tests {
 
     #[test]
     fn adversarial_repair_counts_are_rejected() {
-        assert!(RepairDigest::from_bytes(&overstated(&[128], 4)).is_err());
-        assert!(RepairPull::from_bytes(&overstated(&[], 3)).is_err());
+        assert!(!body_decoders(&overstated(&[128], 4))[0]);
+        assert!(!body_decoders(&overstated(&[], 3))[1]);
     }
 
     #[test]
@@ -1071,7 +981,7 @@ mod tests {
 
         // RepairPull with an honest entry count but an adversarial inner
         // sequence-list count.
-        assert!(RepairPull::from_bytes(&overstated(&[1, 2, 18], 0)).is_err());
+        assert!(!body_decoders(&overstated(&[1, 2, 18], 0))[1]);
 
         // GossipBatchBody claiming u32::MAX entries backed by one entry.
         let mut w = WireWriter::new();
@@ -1084,22 +994,18 @@ mod tests {
         }
         .encode(&mut w);
         Message::with_payload(&b"x"[..]).encode(&mut w);
-        assert!(GossipBatchBody::from_bytes(&w.finish()).is_err());
+        assert!(!body_decoders(&w.finish())[2]);
     }
 
     #[test]
     fn truncated_bodies_decode_to_clean_errors() {
-        let digest = RepairDigest {
-            entries: vec![RepairRange {
-                origin: NodeId(3),
-                inc: 7,
-                lo: 1,
-                hi: 4,
-            }],
-        };
-        let pull = RepairPull {
-            wants: vec![(NodeId(3), 7, vec![2, 3])],
-        };
+        let digest = digest_body(&[RepairRange {
+            origin: NodeId(3),
+            inc: 7,
+            lo: 1,
+            hi: 4,
+        }]);
+        let pull = pull_body(&vec![(NodeId(3), 7, vec![2, 3])]);
         let flush = FlushBody {
             epoch: 5,
             proposer: NodeId(1),
@@ -1107,31 +1013,22 @@ mod tests {
         };
         let mut inner = Message::with_payload(&b"chat"[..]);
         inner.push(&SeqHeader { seq: 3 });
-        let batch = GossipBatchBody {
-            entries: vec![(
-                GossipHeader {
-                    origin: NodeId(3),
-                    inc: 7,
-                    seq: 2,
-                    ttl: 1,
-                },
-                inner,
-            )],
+        let header = GossipHeader {
+            origin: NodeId(3),
+            inc: 7,
+            seq: 2,
+            ttl: 1,
         };
-        let bodies: Vec<Vec<u8>> = vec![
-            digest.to_bytes().to_vec(),
-            pull.to_bytes().to_vec(),
-            flush.to_bytes().to_vec(),
-            batch.to_bytes().to_vec(),
-        ];
+        let batch = batch_body(&[(header, inner)]);
+        let bodies = [digest, pull, flush.to_bytes().to_vec(), batch];
         for (which, bytes) in bodies.iter().enumerate() {
             for cut in 0..bytes.len() {
                 let truncated = &bytes[..cut];
                 let failed = match which {
-                    0 => RepairDigest::from_bytes(truncated).is_err(),
-                    1 => RepairPull::from_bytes(truncated).is_err(),
                     2 => FlushBody::from_bytes(truncated).is_err(),
-                    _ => GossipBatchBody::from_bytes(truncated).is_err(),
+                    0 => !body_decoders(truncated)[0],
+                    1 => !body_decoders(truncated)[1],
+                    _ => !body_decoders(truncated)[2],
                 };
                 assert!(
                     failed,
@@ -1147,25 +1044,21 @@ mod tests {
         // Exhaustive deterministic single-bit fuzz: a flipped bit may decode
         // to a different valid value or a clean error, never a panic or an
         // attacker-sized allocation.
-        let digest = RepairDigest {
-            entries: vec![
-                RepairRange {
-                    origin: NodeId(1),
-                    inc: 2,
-                    lo: 3,
-                    hi: 9,
-                },
-                RepairRange {
-                    origin: NodeId(4),
-                    inc: 5,
-                    lo: 1,
-                    hi: 1,
-                },
-            ],
-        };
-        let pull = RepairPull {
-            wants: vec![(NodeId(1), 2, vec![4, 5, 6]), (NodeId(7), 8, vec![])],
-        };
+        let digest = digest_body(&[
+            RepairRange {
+                origin: NodeId(1),
+                inc: 2,
+                lo: 3,
+                hi: 9,
+            },
+            RepairRange {
+                origin: NodeId(4),
+                inc: 5,
+                lo: 1,
+                hi: 1,
+            },
+        ]);
+        let pull = pull_body(&vec![(NodeId(1), 2, vec![4, 5, 6]), (NodeId(7), 8, vec![])]);
         let flush = FlushBody {
             epoch: 11,
             proposer: NodeId(0),
@@ -1173,79 +1066,51 @@ mod tests {
         };
         let mut inner = Message::with_payload(&b"chat"[..]);
         inner.push(&SeqHeader { seq: 3 });
-        let batch = GossipBatchBody {
-            entries: vec![(
-                GossipHeader {
-                    origin: NodeId(1),
-                    inc: 2,
-                    seq: 3,
-                    ttl: 1,
-                },
-                inner,
-            )],
+        let header = GossipHeader {
+            origin: NodeId(1),
+            inc: 2,
+            seq: 3,
+            ttl: 1,
         };
-        for bytes in [
-            digest.to_bytes().to_vec(),
-            pull.to_bytes().to_vec(),
-            flush.to_bytes().to_vec(),
-            batch.to_bytes().to_vec(),
-        ] {
+        let batch = batch_body(&[(header, inner)]);
+        for bytes in [digest, pull, flush.to_bytes().to_vec(), batch] {
             for index in 0..bytes.len() {
                 for bit in 0..8 {
                     let mut mutated = bytes.clone();
                     mutated[index] ^= 1 << bit;
-                    let _ = RepairDigest::from_bytes(&mutated);
-                    let _ = RepairPull::from_bytes(&mutated);
+                    body_decoders(&mutated);
                     let _ = FlushBody::from_bytes(&mutated);
-                    let _ = GossipBatchBody::from_bytes(&mutated);
                 }
             }
         }
     }
 
-    /// The scratch decode agrees with [`Wire::decode`] on every prefix and
-    /// every single-bit flip of a digest, and a failure leaves the scratch
-    /// empty however full it was.
+    /// A digest decodes into a scratch all or nothing: its rows, or — on
+    /// every prefix, on a trailing byte and on any single-bit flip that does
+    /// not decode — an empty scratch, however full it was.
     #[test]
     fn a_digest_decodes_into_scratch_all_or_nothing() {
-        let digest = RepairDigest {
-            entries: (0..5u32)
-                .map(|at| RepairRange {
-                    origin: NodeId(at * 3),
-                    inc: 1_000 + u64::from(at),
-                    lo: 40 + u64::from(at),
-                    hi: 44 + u64::from(at) * 2,
-                })
-                .collect(),
-        };
-        let bytes = digest.to_bytes().to_vec();
-        let mut rows = vec![RepairRange {
-            origin: NodeId(9),
-            inc: 9,
-            lo: 9,
-            hi: 9,
-        }];
+        let digest: Vec<RepairRange> = (0..5u32)
+            .map(|at| RepairRange {
+                origin: NodeId(at * 3),
+                inc: 1_000 + u64::from(at),
+                lo: 40 + u64::from(at),
+                hi: 44 + u64::from(at) * 2,
+            })
+            .collect();
+        let bytes = digest_body(&digest);
+        let mut rows = vec![digest[1]];
         assert_eq!(RepairDigest::decode_into(&bytes, &mut rows), Ok(()));
-        assert_eq!(rows, digest.entries);
-        let mut variants: Vec<Vec<u8>> =
-            (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
-        variants.push([&bytes[..], &[0]].concat());
+        assert_eq!(rows, digest);
+        for cut in 0..bytes.len() {
+            assert!(!body_decoders(&bytes[..cut])[0], "{cut}");
+        }
+        assert!(!body_decoders(&[&bytes[..], &[0]].concat())[0]);
         for index in 0..bytes.len() {
             for bit in 0..8 {
                 let mut mutated = bytes.clone();
                 mutated[index] ^= 1 << bit;
-                variants.push(mutated);
-            }
-        }
-        for variant in variants {
-            rows.clone_from(&digest.entries);
-            match (
-                RepairDigest::decode_into(&variant, &mut rows),
-                RepairDigest::from_bytes(&variant),
-            ) {
-                (Ok(()), Ok(decoded)) => assert_eq!(rows, decoded.entries),
-                (Err(_), Err(_)) => assert!(rows.is_empty(), "a failed decode left rows behind"),
-                (scratch, whole) => panic!("{variant:?}: {scratch:?} against {whole:?}"),
+                body_decoders(&mutated);
             }
         }
     }
@@ -1257,30 +1122,17 @@ mod tests {
             .collect()
     }
 
-    /// [`RepairPull`]'s reference decode over a whole header, as
-    /// [`Message::pop`] runs it.
-    fn reference_pull(header: &[u8]) -> Result<RepairPull, WireError> {
-        let mut r = WireReader::new(header);
-        let pull = RepairPull::decode(&mut r)?;
-        match r.remaining() {
-            0 => Ok(pull),
-            _ => Err(WireError::Malformed("trailing bytes in header")),
-        }
-    }
-
     /// Wants built in the flat scratch, as a gossip session builds them,
     /// encode to the reference encoder's bytes.
     #[test]
     fn a_pull_encodes_from_scratch_like_the_reference_codec() {
-        let pull = RepairPull {
-            wants: vec![
-                (NodeId(2), 1_000, vec![3, 4, 9]),
-                (NodeId(1), 999, vec![u64::MAX]),
-                (NodeId(300), 5, vec![1, 200, 70_000]),
-            ],
-        };
+        let pull = vec![
+            (NodeId(2), 1_000, vec![3, 4, 9]),
+            (NodeId(1), 999, vec![u64::MAX]),
+            (NodeId(300), 5, vec![1, 200, 70_000]),
+        ];
         let mut wants = PullWants::default();
-        for (origin, inc, seqs) in &pull.wants {
+        for (origin, inc, seqs) in &pull {
             wants.seqs_mut().extend(seqs);
             wants.end_stream(*origin, *inc);
             wants.end_stream(NodeId(8), 1);
@@ -1288,12 +1140,12 @@ mod tests {
         assert_eq!(wants.len(), 7);
         assert_eq!(
             wants_of(&wants),
-            pull.wants,
+            pull,
             "a stream wanting nothing is not kept"
         );
         let mut w = WireWriter::new();
         RepairPull::encode_wants(wants.streams(), &mut w);
-        assert_eq!(w.finish(), pull.to_bytes());
+        assert_eq!(w.finish(), reference::encode_pull(&pull));
         wants.clear();
         assert!(wants.is_empty() && wants.streams().len() == 0);
     }
@@ -1303,17 +1155,15 @@ mod tests {
     /// leaves the scratch empty however full it was.
     #[test]
     fn a_pull_decodes_into_scratch_like_the_reference_codec() {
-        let pull = RepairPull {
-            wants: vec![
-                (NodeId(2), 1_000, vec![3, 4, 9]),
-                (NodeId(7), 1_001, vec![]),
-                (NodeId(300), 5, vec![1, 200, 70_000]),
-            ],
-        };
-        let bytes = pull.to_bytes().to_vec();
+        let pull = vec![
+            (NodeId(2), 1_000, vec![3, 4, 9]),
+            (NodeId(7), 1_001, vec![]),
+            (NodeId(300), 5, vec![1, 200, 70_000]),
+        ];
+        let bytes = reference::encode_pull(&pull);
         let mut wants = PullWants::default();
         assert_eq!(RepairPull::decode_into(&bytes, &mut wants), Ok(()));
-        assert_eq!(wants_of(&wants), pull.wants);
+        assert_eq!(wants_of(&wants), pull);
         let full = wants.clone();
         let mut variants: Vec<Vec<u8>> =
             (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
@@ -1329,9 +1179,9 @@ mod tests {
             wants.clone_from(&full);
             match (
                 RepairPull::decode_into(&variant, &mut wants),
-                reference_pull(&variant),
+                reference::decode_pull(&variant),
             ) {
-                (Ok(()), Ok(decoded)) => assert_eq!(wants_of(&wants), decoded.wants),
+                (Ok(()), Ok(decoded)) => assert_eq!(wants_of(&wants), decoded),
                 (Err(scratch), Err(reference)) => {
                     assert_eq!(scratch, reference, "{variant:?}");
                     assert_eq!(wants, PullWants::default(), "a failed decode left wants");

@@ -36,14 +36,15 @@ use morpheus_appia::message::Message;
 use morpheus_appia::platform::{InPacket, NodeId, PacketClass, TestPlatform};
 use morpheus_appia::testing::Harness;
 use morpheus_appia::timer::TimerKey;
+use morpheus_appia::wire::{encode_pooled, Wire};
 use morpheus_groupcomm::events::{
     GossipBatch, GossipRepairDigest, GossipRepairPull, GossipRepairPush, Heartbeat,
 };
 use morpheus_groupcomm::failure_detector::FailureDetectorLayer;
 use morpheus_groupcomm::gossip::{GossipLayer, GossipSession};
 use morpheus_groupcomm::headers::{
-    GossipBatchBody, GossipHeader, ProbeBody, ProbeKind, RepairDigest, RepairPull, RepairRange,
-    Rumour, RumourKind,
+    GossipBatchBody, GossipHeader, ProbeBody, ProbeKind, PullWants, RepairDigest, RepairPull,
+    RepairRange, Rumour, RumourKind,
 };
 
 struct CountingAllocator;
@@ -108,6 +109,19 @@ const P: usize = 6;
 const WARM_UP_ROUNDS: usize = 2;
 /// Measured rounds.
 const ROUNDS: u64 = 12;
+
+/// A message carrying a batch of `entries`, encoded as a flush encodes one.
+fn batch_body(entries: &[(GossipHeader, Message)]) -> Message {
+    let frames: Vec<_> = entries
+        .iter()
+        .map(|(header, message)| (*header, message.to_bytes()))
+        .collect();
+    let mut message = Message::new();
+    message.push_header(encode_pooled(|w| {
+        GossipBatchBody::encode_frames(&frames, w)
+    }));
+    message
+}
 
 /// A gossip session on the batched push path, pushing every message to all
 /// `P` peers it may push to.
@@ -213,7 +227,7 @@ fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() 
     GossipBatch::register(harness.kernel_mut().events_mut());
     let mut next_seq = 0;
     let mut packet = || -> InPacket {
-        let entries = (0..K)
+        let entries: Vec<_> = (0..K)
             .map(|_| {
                 next_seq += 1;
                 let header = GossipHeader {
@@ -225,9 +239,7 @@ fn a_batch_arrival_allocates_the_decode_box_frames_deliveries_and_relay_boxes() 
                 (header, Message::with_payload(&b"relayed push"[..]))
             })
             .collect();
-        let mut message = Message::new();
-        message.push(&GossipBatchBody { entries });
-        let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), message);
+        let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), batch_body(&entries));
         InPacket {
             from: NodeId(2),
             to: NodeId(1),
@@ -309,9 +321,7 @@ fn a_full_capped_batch_arriving_at_a_warm_session_allocates_nothing() {
             bytes <= 1_456 && bytes + 65 > 1_456,
             "{bytes} B: a full batch"
         );
-        let mut message = Message::new();
-        message.push(&GossipBatchBody { entries });
-        let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), message);
+        let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), batch_body(&entries));
         InPacket {
             from: NodeId(2),
             to: NodeId(1),
@@ -441,7 +451,7 @@ fn batch_packet(
     ttl: u32,
     payload: &'static [u8],
 ) -> InPacket {
-    let entries = seqs
+    let entries: Vec<_> = seqs
         .into_iter()
         .map(|seq| {
             let header = GossipHeader {
@@ -453,9 +463,7 @@ fn batch_packet(
             (header, Message::with_payload(payload))
         })
         .collect();
-    let mut message = Message::new();
-    message.push(&GossipBatchBody { entries });
-    let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), message);
+    let batch = GossipBatch::new(NodeId(2), Dest::Node(NodeId(1)), batch_body(&entries));
     InPacket {
         from: NodeId(2),
         to: NodeId(1),
@@ -485,18 +493,14 @@ fn fire_due(harness: &mut Harness, platform: &mut TestPlatform, keys: &mut Vec<T
 
 /// A packet from node 2 carrying a repair digest that advertises `spans`.
 fn digest_packet(spans: &[(u32, u64, u64)]) -> InPacket {
-    let mut message = Message::new();
-    message.push(&RepairDigest {
-        entries: spans
-            .iter()
-            .map(|&(origin, lo, hi)| RepairRange {
-                origin: NodeId(origin),
-                inc: 5,
-                lo,
-                hi,
-            })
-            .collect(),
+    let rows = spans.iter().map(|&(origin, lo, hi)| RepairRange {
+        origin: NodeId(origin),
+        inc: 5,
+        lo,
+        hi,
     });
+    let mut message = Message::new();
+    message.push_header(encode_pooled(|w| RepairDigest::encode_rows(rows, w)));
     let digest = GossipRepairDigest::new(NodeId(2), Dest::Node(NodeId(1)), message);
     InPacket {
         from: NodeId(2),
@@ -605,7 +609,14 @@ fn pulls_sent(harness: &mut Harness) -> Vec<Vec<(NodeId, u64, Vec<u64>)>> {
     let down = harness.drain_down();
     down.iter()
         .filter_map(|event| event.get::<GossipRepairPull>())
-        .map(|pull| pull.message.clone().pop::<RepairPull>().unwrap().wants)
+        .map(|pull| {
+            let mut wants = PullWants::default();
+            RepairPull::decode_into(pull.message.peek_header().unwrap(), &mut wants).unwrap();
+            let streams = wants.streams();
+            streams
+                .map(|(origin, inc, seqs)| (origin, inc, seqs.to_vec()))
+                .collect()
+        })
         .collect()
 }
 
@@ -664,13 +675,15 @@ fn a_warm_repair_digest_that_pulls_allocates_nothing() {
 
 /// A packet from node 2 carrying a repair pull for `wants`.
 fn pull_packet(wants: &[(u32, &[u64])]) -> InPacket {
+    let mut scratch = PullWants::default();
+    for (origin, seqs) in wants {
+        scratch.seqs_mut().extend(*seqs);
+        scratch.end_stream(NodeId(*origin), 5);
+    }
     let mut message = Message::new();
-    message.push(&RepairPull {
-        wants: wants
-            .iter()
-            .map(|(origin, seqs)| (NodeId(*origin), 5, seqs.to_vec()))
-            .collect(),
-    });
+    message.push_header(encode_pooled(|w| {
+        RepairPull::encode_wants(scratch.streams(), w)
+    }));
     let pull = GossipRepairPull::new(NodeId(2), Dest::Node(NodeId(1)), message);
     InPacket {
         from: NodeId(2),
@@ -689,8 +702,10 @@ fn answers_sent(harness: &mut Harness) -> Vec<usize> {
         .iter()
         .filter_map(|event| event.get::<GossipRepairPush>())
         .map(|push| {
-            let body = push.message.clone().pop::<GossipBatchBody>().unwrap();
-            body.entries.len()
+            let mut entries = Vec::new();
+            let body = push.message.peek_header().unwrap();
+            GossipBatchBody::decode_into(body, &mut entries).unwrap();
+            entries.len()
         })
         .collect()
 }

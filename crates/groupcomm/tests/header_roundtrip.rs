@@ -21,6 +21,9 @@ use morpheus_groupcomm::headers::{
 use morpheus_groupcomm::recovery::{StateChunk, StateChunkHeader, StateRequest, StateRequestBody};
 use morpheus_groupcomm::view::View;
 
+mod support;
+use support::reference;
+
 #[cfg(miri)]
 const TRUNCATION_STRIDE: usize = 7;
 #[cfg(not(miri))]
@@ -43,28 +46,105 @@ fn readers_agree<T: Wire + PartialEq + std::fmt::Debug>(input: &[u8]) -> bool {
     copied.is_ok()
 }
 
-fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
-    let bytes = value.to_bytes();
-    assert_eq!(T::from_bytes(&bytes).unwrap(), value);
-    assert!(readers_agree::<T>(&bytes));
-    // Every (strided) truncation must fail cleanly, not panic — and the
-    // same way through both readers.
+/// `bytes` decodes through `decodes`; every (strided) truncation is a clean
+/// error and every (strided) single-bit flip decodes to whatever it decodes
+/// to, never a panic.
+fn mutations(bytes: &[u8], mut decodes: impl FnMut(&[u8]) -> bool) {
+    assert!(decodes(bytes));
     for len in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
         assert!(
-            !readers_agree::<T>(&bytes[..len]),
+            !decodes(&bytes[..len]),
             "truncation to {len} of {} bytes must not decode",
             bytes.len()
         );
     }
-    // Every (strided) single-bit flip decodes to whatever it decodes to,
-    // identically through both readers.
     for index in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
         for bit in 0..8 {
             let mut mutated = bytes.to_vec();
             mutated[index] ^= 1 << bit;
-            readers_agree::<T>(&mutated);
+            decodes(&mutated);
         }
     }
+}
+
+/// The value round-trips, and every mutation decodes the same way through
+/// both readers.
+fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
+    let bytes = value.to_bytes();
+    assert_eq!(T::from_bytes(&bytes).unwrap(), value);
+    mutations(&bytes, readers_agree::<T>);
+}
+
+/// A body its layer decodes into a scratch it keeps: the whole body
+/// decodes to `expected`, and every mutation that does not decode leaves
+/// the scratch empty, however full it was.
+fn sweep<S: Clone + Default + PartialEq + std::fmt::Debug>(
+    bytes: &[u8],
+    expected: &S,
+    decode: impl Fn(&[u8], &mut S) -> Result<(), WireError>,
+) {
+    let mut scratch = S::default();
+    assert_eq!(decode(bytes, &mut scratch), Ok(()));
+    assert_eq!(&scratch, expected);
+    mutations(bytes, |input| {
+        scratch.clone_from(expected);
+        let decoded = decode(input, &mut scratch);
+        assert!(
+            decoded.is_ok() || scratch == S::default(),
+            "a failed decode of {input:?} left {scratch:?}"
+        );
+        decoded.is_ok()
+    });
+}
+
+fn digest_body(rows: &[RepairRange]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    RepairDigest::encode_rows(rows.iter().copied(), &mut w);
+    w.finish().to_vec()
+}
+
+/// A digest's rows through the gossip session's codec.
+fn sweep_digest(rows: &[RepairRange]) {
+    sweep(
+        &digest_body(rows),
+        &rows.to_vec(),
+        RepairDigest::decode_into,
+    );
+}
+
+/// `wants` in the flat scratch a gossip session builds its pulls in.
+fn pull_wants(wants: &reference::Wants) -> PullWants {
+    let mut scratch = PullWants::default();
+    for (origin, inc, seqs) in wants {
+        scratch.seqs_mut().extend(seqs);
+        scratch.end_stream(*origin, *inc);
+    }
+    scratch
+}
+
+fn pull_body(wants: &reference::Wants) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    RepairPull::encode_wants(pull_wants(wants).streams(), &mut w);
+    w.finish().to_vec()
+}
+
+/// A pull's wants through the gossip session's codec.
+fn sweep_pull(wants: &reference::Wants) {
+    sweep(
+        &pull_body(wants),
+        &pull_wants(wants),
+        RepairPull::decode_into,
+    );
+}
+
+fn batch_body(entries: &[(GossipHeader, Message)]) -> Vec<u8> {
+    let frames: Vec<(GossipHeader, Bytes)> = entries
+        .iter()
+        .map(|(header, message)| (*header, message.to_bytes()))
+        .collect();
+    let mut w = WireWriter::new();
+    GossipBatchBody::encode_frames(&frames, &mut w);
+    w.finish().to_vec()
 }
 
 #[test]
@@ -93,17 +173,13 @@ fn data_plane_headers_roundtrip() {
 
 #[test]
 fn repair_headers_roundtrip() {
-    roundtrip(RepairDigest {
-        entries: vec![RepairRange {
-            origin: NodeId(1),
-            inc: 12,
-            lo: 3,
-            hi: 9,
-        }],
-    });
-    roundtrip(RepairPull {
-        wants: vec![(NodeId(1), 12, vec![4, 5]), (NodeId(4), 0, vec![1])],
-    });
+    sweep_digest(&[RepairRange {
+        origin: NodeId(1),
+        inc: 12,
+        lo: 3,
+        hi: 9,
+    }]);
+    sweep_pull(&vec![(NodeId(1), 12, vec![4, 5]), (NodeId(4), 0, vec![1])]);
     roundtrip(LivenessDigest {
         entries: vec![(NodeId(0), 12), (NodeId(7), 3)],
     });
@@ -185,26 +261,25 @@ fn roundtrip_every_table_over(rows: &[(NodeId, u64)]) {
     roundtrip(LivenessDigest {
         entries: rows.to_vec(),
     });
-    roundtrip(RepairDigest {
-        entries: rows
-            .iter()
-            .map(|(origin, value)| RepairRange {
-                origin: *origin,
-                inc: *value,
-                lo: value / 2,
-                hi: *value,
-            })
-            .collect(),
-    });
+    let digest: Vec<RepairRange> = rows
+        .iter()
+        .map(|(origin, value)| RepairRange {
+            origin: *origin,
+            inc: *value,
+            lo: value / 2,
+            hi: *value,
+        })
+        .collect();
+    sweep_digest(&digest);
     // A pull names a few streams (`repair_pull_budget` bounds it), never a
     // group's worth.
-    roundtrip(RepairPull {
-        wants: rows
+    sweep_pull(
+        &rows
             .iter()
             .take(24)
             .map(|(origin, value)| (*origin, *value, vec![*value, 0, u64::MAX, 7, 7]))
             .collect(),
-    });
+    );
     roundtrip(NackHeader {
         origin: ids.first().copied().unwrap_or(NodeId(0)),
         missing: values.clone(),
@@ -248,26 +323,26 @@ fn group_table(around: u64, spread: u64) -> Vec<(NodeId, u64)> {
         .collect()
 }
 
-/// The scratch decoders of a member-indexed table against the allocating
-/// one: `get_id_table_into` yields the same rows or the same error, leaves
-/// the reader at the same place, and on an error leaves `buffer` empty —
-/// whatever an earlier decode left in it.
-fn id_table_decoders_agree(input: &[u8], buffer: &mut Vec<(NodeId, u64)>) {
-    let mut fresh_reader = WireReader::new(input);
-    let fresh = fresh_reader.get_id_table::<NodeId>();
+/// The scratch decoder of a member-indexed table against the allocating
+/// one: `get_id_table_into`, which reads the whole input, yields the rows
+/// `get_id_table` reads when they are the whole input, or the same error;
+/// and on an error it leaves its buffer empty, though a stale row was in it.
+fn id_table_decoders_agree(input: &[u8]) -> bool {
     let mut reader = WireReader::new(input);
-    let into = reader.get_id_table_into(buffer);
-    assert_eq!(reader.remaining(), fresh_reader.remaining(), "{input:?}");
+    let fresh = reader
+        .get_id_table::<NodeId>()
+        .and_then(|rows| match reader.remaining() {
+            0 => Ok(rows),
+            _ => Err(WireError::Malformed("trailing bytes")),
+        });
+    let mut buffer = vec![(NodeId(7), 7)];
+    let into = WireReader::new(input).get_id_table_into(&mut buffer);
+    assert_eq!(into, fresh.as_ref().map(|_| ()).map_err(Clone::clone));
     match fresh {
-        Ok(rows) => {
-            assert_eq!(into, Ok(()), "{input:?}");
-            assert_eq!(*buffer, rows);
-        }
-        Err(error) => {
-            assert_eq!(into, Err(error), "{input:?}");
-            assert!(buffer.is_empty(), "a failed decode left {buffer:?}");
-        }
+        Ok(rows) => assert_eq!(buffer, rows),
+        Err(_) => assert!(buffer.is_empty(), "a failed decode left {buffer:?}"),
     }
+    into.is_ok()
 }
 
 /// Every truncation and every single-bit flip of a group-sized encoding
@@ -277,27 +352,8 @@ fn id_table_decoders_agree(input: &[u8], buffer: &mut Vec<(NodeId, u64)>) {
 fn group_sized_tables_survive_truncation_and_bit_flips() {
     let rows = group_table(100_000, 2_000);
     roundtrip_every_table_over(&rows);
-
-    let bytes = LivenessDigest {
-        entries: rows.clone(),
-    }
-    .to_bytes();
-    // Stale rows, so a decoder that forgot to clear would show.
-    let mut buffer = vec![(NodeId(7), 7)];
-    id_table_decoders_agree(&bytes, &mut buffer);
-    assert_eq!(buffer, rows);
-    for len in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
-        id_table_decoders_agree(&bytes[..len], &mut buffer);
-        // Refill, so the next failure has something to clear.
-        id_table_decoders_agree(&bytes, &mut buffer);
-    }
-    for index in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
-        for bit in 0..8 {
-            let mut mutated = bytes.to_vec();
-            mutated[index] ^= 1 << bit;
-            id_table_decoders_agree(&mutated, &mut buffer);
-        }
-    }
+    let bytes = LivenessDigest { entries: rows }.to_bytes();
+    mutations(&bytes, id_table_decoders_agree);
 }
 
 /// The bytes this codec exists for, pinned where `cargo test` sees them.
@@ -319,18 +375,16 @@ fn control_plane_tables_fit_their_byte_budgets() {
 
     // One repair-log stream per member: incarnations (boot times) seconds
     // apart, a handful of messages logged in each.
-    let repair = RepairDigest {
-        entries: group_table(120_000, 2_000)
-            .into_iter()
-            .map(|(origin, inc)| RepairRange {
-                origin,
-                inc,
-                lo: 40 + inc % 9,
-                hi: 44 + inc % 9 + inc % 5,
-            })
-            .collect(),
-    };
-    assert!(repair.to_bytes().len() <= 8 * members);
+    let repair: Vec<RepairRange> = group_table(120_000, 2_000)
+        .into_iter()
+        .map(|(origin, inc)| RepairRange {
+            origin,
+            inc,
+            lo: 40 + inc % 9,
+            hi: 44 + inc % 9 + inc % 5,
+        })
+        .collect();
+    assert!(digest_body(&repair).len() <= 8 * members);
 
     // What rides on every gossip data message.
     let header = GossipHeader {
@@ -363,63 +417,54 @@ fn batch_entries() -> Vec<(GossipHeader, Message)> {
 /// are slices of it.
 #[test]
 fn gossip_batches_roundtrip() {
-    roundtrip(GossipBatchBody {
-        entries: batch_entries(),
-    });
-    roundtrip(GossipBatchBody::default());
+    let decode = |body: &[u8], entries: &mut Vec<(GossipHeader, Message)>| {
+        GossipBatchBody::decode_into(&Bytes::copy_from_slice(body), entries)
+    };
+    let entries = batch_entries();
+    sweep(&batch_body(&entries), &entries, decode);
+    sweep(&batch_body(&[]), &Vec::new(), decode);
 }
 
 /// The outboxes hold messages in wire form and a flush writes them as they
-/// are: that must be the encoding of the same batch held as messages.
+/// are: that must be the encoding of the same batch held as messages, each
+/// entry its gossip header and then the message.
 #[test]
 fn batches_of_frames_encode_like_batches_of_messages() {
     let entries = batch_entries();
-    let frames: Vec<(GossipHeader, Bytes)> = entries
-        .iter()
-        .map(|(header, message)| (*header, message.to_bytes()))
-        .collect();
     let mut w = WireWriter::new();
-    GossipBatchBody::encode_frames(&frames, &mut w);
-    assert_eq!(w.finish(), GossipBatchBody { entries }.to_bytes());
+    w.put_varint(entries.len() as u64);
+    for (header, message) in &entries {
+        header.encode(&mut w);
+        message.encode(&mut w);
+    }
+    assert_eq!(batch_body(&entries), w.finish().to_vec());
 }
 
 /// A pull at the size a gossip session sends: `REPAIR_WINDOW` (64) wants
 /// over a few streams.
-fn window_pull() -> RepairPull {
-    RepairPull {
-        wants: (0..4u32)
-            .map(|at| {
-                let seqs = (0..16).map(|seq| 40 + u64::from(at) + 3 * seq).collect();
-                (NodeId(GROUP - 40 + 9 * at), 120_000 + u64::from(at), seqs)
-            })
-            .collect(),
-    }
+fn window_pull() -> reference::Wants {
+    (0..4u32)
+        .map(|at| {
+            let seqs = (0..16).map(|seq| 40 + u64::from(at) + 3 * seq).collect();
+            (NodeId(GROUP - 40 + 9 * at), 120_000 + u64::from(at), seqs)
+        })
+        .collect()
 }
 
 /// The session's pull codec — wants built and decoded in a flat scratch —
-/// against the reference, [`Wire`]: the same bytes out, and on every
-/// (strided) truncation and single-bit flip the same values or the same
-/// error, with nothing left in the scratch after an error.
+/// against the reference codec: the same bytes out, and on every (strided)
+/// truncation and single-bit flip the same values or the same error, with
+/// nothing left in the scratch after an error.
 #[test]
 fn pulls_in_scratch_agree_with_the_reference_codec() {
     let pull = window_pull();
-    let mut wants = PullWants::default();
-    for (origin, inc, seqs) in &pull.wants {
-        wants.seqs_mut().extend(seqs);
-        wants.end_stream(*origin, *inc);
-    }
-    let mut w = WireWriter::new();
-    RepairPull::encode_wants(wants.streams(), &mut w);
-    let bytes = w.finish();
-    assert_eq!(bytes, pull.to_bytes());
+    let bytes = pull_body(&pull);
+    assert_eq!(bytes, reference::encode_pull(&pull));
 
-    let agree = |input: &[u8], wants: &mut PullWants| {
-        let mut r = WireReader::new(input);
-        let reference = RepairPull::decode(&mut r).and_then(|pull| match r.remaining() {
-            0 => Ok(pull.wants),
-            _ => Err(WireError::Malformed("trailing bytes in header")),
-        });
-        let scratch = RepairPull::decode_into(input, wants).map(|()| {
+    let mut wants = PullWants::default();
+    mutations(&bytes, |input| {
+        let reference = reference::decode_pull(input);
+        let scratch = RepairPull::decode_into(input, &mut wants).map(|()| {
             let streams = wants.streams();
             streams
                 .map(|(origin, inc, seqs)| (origin, inc, seqs.to_vec()))
@@ -430,20 +475,10 @@ fn pulls_in_scratch_agree_with_the_reference_codec() {
             "scratch and reference disagree on {input:?}"
         );
         if scratch.is_err() {
-            assert_eq!(*wants, PullWants::default());
+            assert_eq!(wants, PullWants::default());
         }
-    };
-    agree(&bytes, &mut wants);
-    for len in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
-        agree(&bytes[..len], &mut wants);
-    }
-    for index in (0..bytes.len()).step_by(TRUNCATION_STRIDE.max(1)) {
-        for bit in 0..8 {
-            let mut mutated = bytes.to_vec();
-            mutated[index] ^= 1 << bit;
-            agree(&mutated, &mut wants);
-        }
-    }
+        scratch.is_ok()
+    });
 }
 
 /// Unknown tag bytes must surface as decode errors, not panics.
@@ -484,32 +519,27 @@ fn full_probe() -> ProbeBody {
 fn sample_events() -> Vec<Box<dyn Sendable>> {
     let to = Dest::Node(NodeId(1));
     let mut batch = Message::new();
-    batch.push(&GossipBatchBody {
-        entries: batch_entries(),
-    });
+    batch.push_header(batch_body(&batch_entries()));
     let mut ping = Message::new();
     ping.push(&ProbeBody::default());
     let mut ack = Message::new();
     ack.push(&full_probe());
     let mut repair = Message::new();
-    repair.push(&RepairDigest {
-        entries: vec![RepairRange {
-            origin: NodeId(3),
-            inc: 120_000,
-            lo: 40,
-            hi: 52,
-        }],
-    });
+    repair.push_header(digest_body(&[RepairRange {
+        origin: NodeId(3),
+        inc: 120_000,
+        lo: 40,
+        hi: 52,
+    }]));
     let mut pull = Message::new();
-    pull.push(&window_pull());
+    pull.push_header(pull_body(&window_pull()));
     // A pull's answer: logged messages under `ttl` 0 headers.
+    let answered: Vec<_> = batch_entries()
+        .into_iter()
+        .map(|(header, message)| (GossipHeader { ttl: 0, ..header }, message))
+        .collect();
     let mut answer = Message::new();
-    answer.push(&GossipBatchBody {
-        entries: batch_entries()
-            .into_iter()
-            .map(|(header, message)| (GossipHeader { ttl: 0, ..header }, message))
-            .collect(),
-    });
+    answer.push_header(batch_body(&answered));
     let mut data = Message::with_payload(vec![b'd'; 40]);
     data.push(&SeqHeader { seq: 9 });
     let mut state_request = Message::new();
