@@ -43,7 +43,7 @@ impl ChatMessage {
         Self::from_bytes(payload)
     }
 
-    /// Approximate size of the encoded message, in bytes.
+    /// Size of the encoded message, in bytes: the length of its encoding.
     pub fn encoded_len(&self) -> usize {
         self.to_payload().len()
     }
